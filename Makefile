@@ -48,7 +48,7 @@ define smoke_tmp
 if [ -n "$(SMOKE_DIR)" ]; then tmp="$(SMOKE_DIR)/$(1)"; rm -rf "$$tmp"; mkdir -p "$$tmp"; keep=1; else tmp=$$(mktemp -d); keep=; fi
 endef
 
-.PHONY: all build bin test race vet fmt-check lint cover bench-smoke cache-smoke chaos-smoke obs-smoke session-smoke bench-gate dist-smoke batch-smoke crash-smoke trace-smoke ci
+.PHONY: all build bin test race vet fmt-check lint cover bench-smoke bench-selftest cache-smoke chaos-smoke obs-smoke session-smoke bench-gate dist-smoke batch-smoke crash-smoke trace-smoke ci
 
 all: build
 
@@ -110,6 +110,13 @@ cover:
 # catch benchmarks that rot (compile errors, panics, fixture drift).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+# bench-selftest compiles and tests the benchmark program against this
+# tree. benchmark/ is a module of its own, so nothing above reaches it: an
+# internal API change that breaks it would otherwise surface only when the
+# benchmark next runs.
+bench-selftest:
+	$(GO) test -C benchmark ./...
 
 # cache-smoke proves the extraction cache's determinism contract end to
 # end: the same workload, cold then warm against one -cache-dir, must emit
@@ -260,20 +267,17 @@ session-smoke:
 
 # bench-gate re-proves the determinism and performance contracts through
 # the bench harness. CI runs it as its own step after `make ci` so a
-# regression is visible by name. Three checks:
+# regression is visible by name. Three checks (speed itself is judged by
+# the benchmark in benchmark/, not here):
 #   1. the wall-clock-free experiments (T2, F1) and the distributed
 #      invariance experiment (D1) must emit byte-identical output at
 #      -parallel 2 vs the sequential baseline;
-#   2. no inner-loop phase's share of the reference run's phase time may
-#      grow more than 10% (plus a 3-point absolute floor, so the
-#      sub-millisecond phases don't flap on timer jitter) over the
-#      committed BENCH_baseline.json;
-#   3. the span tracer must be free and invisible: the traced reference
+#   2. the span tracer must be free and invisible: the traced reference
 #      run's results byte-identical to the untraced run's, with best-of-N
 #      wall overhead under 5% (the report's tracing block). A breach gets
 #      one re-measure before failing — the reference run is milliseconds,
 #      so a busy box can push a single measurement past the margin;
-#   4. the zombie CLI sharded over 1 and 4 in-process dist workers must
+#   3. the zombie CLI sharded over 1 and 4 in-process dist workers must
 #      emit output byte-identical to the single-process run, the
 #      wall-clock (built:), per-worker (dist:), and cache counter lines
 #      aside.
@@ -286,18 +290,6 @@ bench-gate:
 	if [ -n "$$bad" ]; then \
 		echo "bench-gate: parallel output not byte-identical to sequential for: $$bad"; \
 		cat $$tmp/bench.json; exit 1; \
-	fi; \
-	regressed=$$(jq -r --slurpfile base BENCH_baseline.json ' \
-		.phase_timing.phase_ms as $$n | $$base[0].phase_timing.phase_ms as $$b | \
-		([$$n[]] | add) as $$nt | ([$$b[]] | add) as $$bt | \
-		$$n | to_entries[] | .key as $$k | \
-		(.value / $$nt) as $$ns | (($$b[$$k] // 0) / $$bt) as $$bs | \
-		select($$ns > $$bs * 1.10 + 0.03) | \
-		"  \($$k): baseline share \($$bs * 100 | round)%, now \($$ns * 100 | round)%"' \
-		$$tmp/bench.json); \
-	if [ -n "$$regressed" ]; then \
-		echo "bench-gate: phase share regressed >10% vs BENCH_baseline.json:"; \
-		echo "$$regressed"; exit 1; \
 	fi; \
 	identical=$$(jq -r '.tracing.byte_identical' $$tmp/bench.json); \
 	overhead=$$(jq -r '.tracing.overhead // 0' $$tmp/bench.json); \
@@ -326,7 +318,7 @@ bench-gate:
 			diff $$tmp/shards0.out $$tmp/shards$$s.out; exit 1; \
 		fi; \
 	done; \
-	echo "bench-gate OK: T2/F1/D1 byte-identical at parallel=2, phase shares within 10% of baseline, tracer overhead $$overhead, shards {1,4} == single-process"
+	echo "bench-gate OK: T2/F1/D1 byte-identical at parallel=2, tracer overhead $$overhead, shards {1,4} == single-process"
 
 # dist-smoke proves the distributed determinism contract against real
 # processes and real sockets: a coordinator zombie-serve fronting two
@@ -518,4 +510,4 @@ trace-smoke:
 		|| { echo "trace-smoke: chrome trace export is empty or invalid"; exit 1; }; \
 	echo "trace-smoke OK: $$nspans spans, $$wstitched worker spans stitched under coordinator rpc spans, cost cells for 2 shards"
 
-ci: fmt-check vet lint build race cover bench-smoke cache-smoke chaos-smoke obs-smoke session-smoke dist-smoke batch-smoke crash-smoke trace-smoke
+ci: fmt-check vet lint build race cover bench-smoke bench-selftest cache-smoke chaos-smoke obs-smoke session-smoke dist-smoke batch-smoke crash-smoke trace-smoke

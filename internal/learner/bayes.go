@@ -6,6 +6,26 @@ import (
 	"zombie/internal/linalg"
 )
 
+// The naive Bayes families score from tables that depend only on the
+// fitted state, so a holdout pass pays the model-dependent cost (the
+// logarithms) once per fit state instead of once per prediction. Every
+// per-class sum keeps the term order and the operations of the textbook
+// per-prediction form — no reciprocal, no re-association — so class scores
+// are bit-identical to it; bayes_prepared_test.go holds that form as the
+// reference.
+
+// logPriors writes the smoothed log class priors into out; with no data
+// all classes tie.
+func logPriors(classCount, out []float64) {
+	totalDocs := 0.0
+	for _, c := range classCount {
+		totalDocs += c
+	}
+	for c := range out {
+		out[c] = math.Log((classCount[c] + 1) / (totalDocs + float64(len(out))))
+	}
+}
+
 // MultinomialNB is an incremental multinomial naive Bayes classifier with
 // Laplace (add-alpha) smoothing. It expects non-negative feature values
 // (term counts or tf-idf weights) and is the natural learner for the
@@ -17,6 +37,23 @@ type MultinomialNB struct {
 	featCount  [][]float64 // [class][feature] accumulated counts
 	featTotal  []float64   // [class] sum over features
 	seen       int
+	tab        *multinomialTables // nil until the model is first scored
+}
+
+// multinomialTables is what MultinomialNB scoring needs of the fitted
+// counts. A PartialFit changes one log-count per non-zero of its example,
+// so the model records which entries it touched and prepare recomputes
+// only those.
+type multinomialTables struct {
+	prior    []float64   // [class] log smoothed class prior
+	den      []float64   // [class] log(featTotal + alpha*dim)
+	logCount [][]float64 // [class][feature] log(featCount + alpha)
+	touched  [][]int     // [class] features fitted since the last prepare
+	// whole marks a class whose entire row is out of date: before the
+	// first prepare, after Reset, and once touched would outgrow the row
+	// it indexes (recomputing the row is then the cheaper refresh).
+	whole []bool
+	stale bool // a PartialFit or Reset since the last prepare
 }
 
 // NewMultinomialNB returns a multinomial NB over dim features and
@@ -44,50 +81,175 @@ func NewMultinomialNB(dim, numClasses int, alpha float64) *MultinomialNB {
 func (m *MultinomialNB) PartialFit(ex Example) {
 	checkDim(len(m.featCount[0]), ex.Features, "MultinomialNB")
 	checkClass(len(m.featCount), ex.Class, "MultinomialNB")
-	m.classCount[ex.Class]++
-	row := m.featCount[ex.Class]
-	ex.Features.ForEachNonZero(func(i int, v float64) {
-		if v > 0 {
-			row[i] += v
-			m.featTotal[ex.Class] += v
+	c := ex.Class
+	m.classCount[c]++
+	row, total := m.featCount[c], m.featTotal[c]
+	if s := ex.Features.sparse; s != nil {
+		for k, i := range s.Idx {
+			if v := s.Val[k]; v > 0 {
+				row[i] += v
+				total += v
+			}
 		}
-	})
+	} else {
+		for i, v := range ex.Features.dense {
+			if v > 0 {
+				row[i] += v
+				total += v
+			}
+		}
+	}
+	m.featTotal[c] = total
 	m.seen++
+	if m.tab != nil {
+		m.tab.touch(c, ex.Features)
+	}
 }
 
-// logJoint computes the unnormalized log posterior for every class.
-func (m *MultinomialNB) logJoint(v FeatureVector, out []float64) {
-	dim := float64(len(m.featCount[0]))
-	totalDocs := 0.0
-	for _, c := range m.classCount {
-		totalDocs += c
+// touch records that an example of class c was fitted.
+func (t *multinomialTables) touch(c int, v FeatureVector) {
+	t.stale = true
+	if t.whole[c] {
+		return
 	}
-	for c := range out {
-		// Smoothed class prior; with no data all classes tie.
-		prior := math.Log((m.classCount[c] + 1) / (totalDocs + float64(len(out))))
-		ll := prior
-		den := math.Log(m.featTotal[c] + m.alpha*dim)
-		row := m.featCount[c]
-		v.ForEachNonZero(func(i int, x float64) {
-			if x > 0 {
-				ll += x * (math.Log(row[i]+m.alpha) - den)
+	if len(t.touched[c])+v.NNZ() > len(t.logCount[c]) {
+		t.whole[c] = true
+		t.touched[c] = t.touched[c][:0]
+		return
+	}
+	if v.sparse != nil {
+		t.touched[c] = append(t.touched[c], v.sparse.Idx...)
+		return
+	}
+	for i, x := range v.dense {
+		if x != 0 {
+			t.touched[c] = append(t.touched[c], i)
+		}
+	}
+}
+
+// prepare implements blockClassifier.
+func (m *MultinomialNB) prepare() {
+	t := m.tab
+	if t == nil {
+		classes, dim := len(m.featCount), len(m.featCount[0])
+		t = &multinomialTables{
+			prior:    make([]float64, classes),
+			den:      make([]float64, classes),
+			logCount: make([][]float64, classes),
+			touched:  make([][]int, classes),
+			whole:    make([]bool, classes),
+			stale:    true,
+		}
+		for c := range t.logCount {
+			t.logCount[c] = make([]float64, dim)
+			t.whole[c] = true
+		}
+		m.tab = t
+	}
+	if !t.stale {
+		return
+	}
+	t.stale = false
+	logPriors(m.classCount, t.prior)
+	dim := float64(len(m.featCount[0]))
+	for c, row := range m.featCount {
+		t.den[c] = math.Log(m.featTotal[c] + m.alpha*dim)
+		lc := t.logCount[c]
+		if !t.whole[c] {
+			for _, i := range t.touched[c] {
+				lc[i] = math.Log(row[i] + m.alpha)
 			}
-		})
-		out[c] = ll
+			t.touched[c] = t.touched[c][:0]
+			continue
+		}
+		t.whole[c] = false
+		// A never-fitted feature's entry is log(0+alpha): one constant for
+		// the row, not a logarithm per feature.
+		logAlpha := math.Log(m.alpha)
+		for i, n := range row {
+			if n == 0 {
+				lc[i] = logAlpha
+			} else {
+				lc[i] = math.Log(n + m.alpha)
+			}
+		}
+	}
+}
+
+// scorePair returns the unnormalized log posteriors of classes c0 and c1
+// (which may be equal), accumulated side by side so the two dependency
+// chains overlap: prior + Σ x·(logCount − den) over the positive
+// coordinates in increasing index order.
+func (t *multinomialTables) scorePair(v FeatureVector, c0, c1 int) (s0, s1 float64) {
+	s0, s1 = t.prior[c0], t.prior[c1]
+	l0, l1 := t.logCount[c0], t.logCount[c1]
+	d0, d1 := t.den[c0], t.den[c1]
+	if s := v.sparse; s != nil {
+		val := s.Val[:len(s.Idx)]
+		for k, i := range s.Idx {
+			if x := val[k]; x > 0 {
+				s0 += x * (l0[i] - d0)
+				s1 += x * (l1[i] - d1)
+			}
+		}
+		return s0, s1
+	}
+	l0, l1 = l0[:len(v.dense)], l1[:len(v.dense)]
+	for i, x := range v.dense {
+		if x > 0 {
+			s0 += x * (l0[i] - d0)
+			s1 += x * (l1[i] - d1)
+		}
+	}
+	return s0, s1
+}
+
+// predict returns linalg.ArgMax of the class scores (ties to the lower
+// class, NaN never displacing the incumbent) without materializing them.
+// Classes are scored in pairs; an odd class count scores its last class
+// beside itself.
+func (t *multinomialTables) predict(v FeatureVector) int {
+	last := len(t.prior) - 1
+	best, bestC := 0.0, 0
+	for c := 0; c <= last; c += 2 {
+		c1 := min(c+1, last)
+		s0, s1 := t.scorePair(v, c, c1)
+		if c == 0 || s0 > best {
+			best, bestC = s0, c
+		}
+		if s1 > best {
+			best, bestC = s1, c1
+		}
+	}
+	return bestC
+}
+
+// logJoint writes the unnormalized log posterior of every class into out.
+func (m *MultinomialNB) logJoint(v FeatureVector, out []float64) {
+	m.prepare()
+	last := len(out) - 1
+	for c := 0; c <= last; c += 2 {
+		c1 := min(c+1, last)
+		out[c], out[c1] = m.tab.scorePair(v, c, c1)
+	}
+}
+
+// observeBlock implements blockClassifier.
+func (m *MultinomialNB) observeBlock(cm *ConfusionMatrix, examples []Example) {
+	dim := len(m.featCount[0])
+	for i := range examples {
+		ex := &examples[i]
+		checkDim(dim, ex.Features, "MultinomialNB")
+		cm.Observe(ex.Class, m.tab.predict(ex.Features))
 	}
 }
 
 // PredictClass implements Classifier.
 func (m *MultinomialNB) PredictClass(v FeatureVector) int {
-	return m.PredictClassInto(v, make([]float64, len(m.featCount)))
-}
-
-// PredictClassInto implements BufferedClassifier.
-func (m *MultinomialNB) PredictClassInto(v FeatureVector, buf []float64) int {
 	checkDim(len(m.featCount[0]), v, "MultinomialNB")
-	out := buf[:len(m.featCount)]
-	m.logJoint(v, out)
-	return linalg.ArgMax(out)
+	m.prepare()
+	return m.tab.predict(v)
 }
 
 // Proba implements ProbClassifier.
@@ -105,8 +267,8 @@ func (m *MultinomialNB) NumClasses() int { return len(m.featCount) }
 // Seen implements Model.
 func (m *MultinomialNB) Seen() int { return m.seen }
 
-// ConcurrentPredictable implements ConcurrentPredictor: prediction only
-// reads the fitted counts.
+// ConcurrentPredictable implements ConcurrentPredictor: once the score
+// tables are current, prediction only reads them.
 func (m *MultinomialNB) ConcurrentPredictable() {}
 
 // OrderInsensitiveFit implements OrderInsensitive: the fitted counts are
@@ -121,6 +283,13 @@ func (m *MultinomialNB) Reset() {
 		m.featTotal[c] = 0
 	}
 	m.seen = 0
+	if t := m.tab; t != nil {
+		t.stale = true
+		for c := range t.whole {
+			t.whole[c] = true
+			t.touched[c] = t.touched[c][:0]
+		}
+	}
 }
 
 // GaussianNB is an incremental Gaussian naive Bayes classifier: each
@@ -133,6 +302,18 @@ type GaussianNB struct {
 	m2         [][]float64
 	varFloor   float64
 	seen       int
+	tab        *gaussianTables // nil until the model is first scored
+}
+
+// gaussianTables is what GaussianNB scoring needs of the fitted moments
+// besides the means. A PartialFit moves every variance of its class (the
+// n-1 divisor changes), so staleness is tracked per class.
+type gaussianTables struct {
+	prior   []float64   // [class] log smoothed class prior
+	logNorm [][]float64 // [class][feature] -0.5·log(2π·var)
+	twoVar  [][]float64 // [class][feature] 2·var
+	stale   []bool      // [class] fitted or reset since the last prepare
+	any     bool        // some class is stale
 }
 
 // NewGaussianNB returns a Gaussian NB over dim features. varFloor guards
@@ -164,47 +345,148 @@ func (m *GaussianNB) PartialFit(ex Example) {
 	c := ex.Class
 	m.classCount[c]++
 	n := m.classCount[c]
-	for i := 0; i < ex.Features.Dim(); i++ {
-		x := ex.Features.At(i)
-		delta := x - m.mean[c][i]
-		m.mean[c][i] += delta / n
-		m.m2[c][i] += delta * (x - m.mean[c][i])
+	mean, m2 := m.mean[c], m.m2[c]
+	if s := ex.Features.sparse; s != nil {
+		// One ordered merge over the stored entries; absent ones are 0.
+		k := 0
+		for i := range mean {
+			x := 0.0
+			if k < len(s.Idx) && s.Idx[k] == i {
+				x = s.Val[k]
+				k++
+			}
+			delta := x - mean[i]
+			mean[i] += delta / n
+			m2[i] += delta * (x - mean[i])
+		}
+	} else {
+		m2 = m2[:len(mean)]
+		for i, x := range ex.Features.dense[:len(mean)] {
+			delta := x - mean[i]
+			mean[i] += delta / n
+			m2[i] += delta * (x - mean[i])
+		}
 	}
 	m.seen++
+	if t := m.tab; t != nil {
+		t.stale[c], t.any = true, true
+	}
 }
 
-func (m *GaussianNB) logJoint(v FeatureVector, out []float64) {
-	totalDocs := 0.0
-	for _, c := range m.classCount {
-		totalDocs += c
+// prepare implements blockClassifier.
+func (m *GaussianNB) prepare() {
+	t := m.tab
+	if t == nil {
+		classes, dim := len(m.mean), len(m.mean[0])
+		t = &gaussianTables{
+			prior:   make([]float64, classes),
+			logNorm: make([][]float64, classes),
+			twoVar:  make([][]float64, classes),
+			stale:   make([]bool, classes),
+			any:     true,
+		}
+		for c := range t.stale {
+			t.logNorm[c] = make([]float64, dim)
+			t.twoVar[c] = make([]float64, dim)
+			t.stale[c] = true
+		}
+		m.tab = t
 	}
-	for c := range out {
-		prior := math.Log((m.classCount[c] + 1) / (totalDocs + float64(len(out))))
-		ll := prior
+	if !t.any {
+		return
+	}
+	t.any = false
+	logPriors(m.classCount, t.prior)
+	for c, stale := range t.stale {
+		if !stale {
+			continue
+		}
+		t.stale[c] = false
 		n := m.classCount[c]
-		for i := 0; i < v.Dim(); i++ {
+		ln, tv := t.logNorm[c], t.twoVar[c]
+		for i, m2 := range m.m2[c] {
 			variance := m.varFloor
 			if n >= 2 {
-				variance = m.m2[c][i]/(n-1) + m.varFloor
+				variance = m2/(n-1) + m.varFloor
 			}
-			d := v.At(i) - m.mean[c][i]
-			ll += -0.5*math.Log(2*math.Pi*variance) - d*d/(2*variance)
+			ln[i] = -0.5 * math.Log(2*math.Pi*variance)
+			tv[i] = 2 * variance
 		}
-		out[c] = ll
+	}
+}
+
+// denseOf returns v's coordinates as a dense slice the caller must not
+// mutate. Gaussian scoring reads every coordinate, so a sparse vector is
+// materialized.
+func denseOf(v FeatureVector) []float64 {
+	if v.sparse != nil {
+		return v.sparse.Dense()
+	}
+	return v.dense
+}
+
+// scorePair returns the unnormalized log posteriors of classes c0 and c1
+// (which may be equal) for the dense x, accumulated side by side so the
+// two dependency chains overlap: prior + Σ (logNorm − d²/twoVar) in
+// increasing index order, d = x − mean.
+func (m *GaussianNB) scorePair(x []float64, c0, c1 int) (s0, s1 float64) {
+	t := m.tab
+	s0, s1 = t.prior[c0], t.prior[c1]
+	n := len(x)
+	mu0, ln0, tv0 := m.mean[c0][:n], t.logNorm[c0][:n], t.twoVar[c0][:n]
+	mu1, ln1, tv1 := m.mean[c1][:n], t.logNorm[c1][:n], t.twoVar[c1][:n]
+	for i, xi := range x {
+		d0 := xi - mu0[i]
+		d1 := xi - mu1[i]
+		s0 += ln0[i] - d0*d0/tv0[i]
+		s1 += ln1[i] - d1*d1/tv1[i]
+	}
+	return s0, s1
+}
+
+// predict is multinomialTables.predict over the Gaussian scores.
+func (m *GaussianNB) predict(x []float64) int {
+	last := len(m.mean) - 1
+	best, bestC := 0.0, 0
+	for c := 0; c <= last; c += 2 {
+		c1 := min(c+1, last)
+		s0, s1 := m.scorePair(x, c, c1)
+		if c == 0 || s0 > best {
+			best, bestC = s0, c
+		}
+		if s1 > best {
+			best, bestC = s1, c1
+		}
+	}
+	return bestC
+}
+
+// logJoint writes the unnormalized log posterior of every class into out.
+func (m *GaussianNB) logJoint(v FeatureVector, out []float64) {
+	m.prepare()
+	x := denseOf(v)
+	last := len(out) - 1
+	for c := 0; c <= last; c += 2 {
+		c1 := min(c+1, last)
+		out[c], out[c1] = m.scorePair(x, c, c1)
+	}
+}
+
+// observeBlock implements blockClassifier.
+func (m *GaussianNB) observeBlock(cm *ConfusionMatrix, examples []Example) {
+	dim := len(m.mean[0])
+	for i := range examples {
+		ex := &examples[i]
+		checkDim(dim, ex.Features, "GaussianNB")
+		cm.Observe(ex.Class, m.predict(denseOf(ex.Features)))
 	}
 }
 
 // PredictClass implements Classifier.
 func (m *GaussianNB) PredictClass(v FeatureVector) int {
-	return m.PredictClassInto(v, make([]float64, len(m.mean)))
-}
-
-// PredictClassInto implements BufferedClassifier.
-func (m *GaussianNB) PredictClassInto(v FeatureVector, buf []float64) int {
 	checkDim(len(m.mean[0]), v, "GaussianNB")
-	out := buf[:len(m.mean)]
-	m.logJoint(v, out)
-	return linalg.ArgMax(out)
+	m.prepare()
+	return m.predict(denseOf(v))
 }
 
 // Proba implements ProbClassifier.
@@ -222,8 +504,8 @@ func (m *GaussianNB) NumClasses() int { return len(m.mean) }
 // Seen implements Model.
 func (m *GaussianNB) Seen() int { return m.seen }
 
-// ConcurrentPredictable implements ConcurrentPredictor: prediction only
-// reads the fitted moments.
+// ConcurrentPredictable implements ConcurrentPredictor: once the score
+// tables are current, prediction only reads them and the fitted means.
 func (m *GaussianNB) ConcurrentPredictable() {}
 
 // OrderInsensitiveFit implements OrderInsensitive: the fitted moments are
@@ -239,4 +521,10 @@ func (m *GaussianNB) Reset() {
 		m.classCount[c] = 0
 	}
 	m.seen = 0
+	if t := m.tab; t != nil {
+		t.any = true
+		for c := range t.stale {
+			t.stale[c] = true
+		}
+	}
 }

@@ -88,10 +88,11 @@ func (h *Holdout) Quality(m Model) float64 {
 	}
 	if h.Metric.IsClassification() {
 		c := h.classifier(m)
-		s := getEvalScratch(c.NumClasses())
-		observeClassified(s.cm, c, h.Examples, s.buf)
-		q := h.scoreClassification(s.cm)
-		evalScratchPool.Put(s)
+		prepareScores(c)
+		cm := getConfusion(c.NumClasses())
+		observeClassified(cm, c, h.Examples)
+		q := h.scoreClassification(cm)
+		confusionPool.Put(cm)
 		return q
 	}
 	r := h.regressor(m)
@@ -102,43 +103,52 @@ func (h *Holdout) Quality(m Model) float64 {
 	return h.scoreRegression(&rm)
 }
 
-// evalScratch is the per-evaluation reusable state: the confusion matrix
-// and the class-score buffer handed to BufferedClassifier models. Quality
-// runs once per curve point and twice per delta-reward bracket, so the
-// per-call matrix and per-prediction score slice used to dominate the
-// evaluation phase's allocations. Pooled because many runs (and the
-// engine's parallel evaluation chunks) evaluate concurrently.
-type evalScratch struct {
-	cm  *ConfusionMatrix
-	buf []float64
+// confusionPool recycles the per-evaluation confusion matrix. Quality runs
+// once per curve point and twice per delta-reward bracket, so the per-call
+// matrix used to dominate the evaluation phase's allocations. Pooled
+// because many runs evaluate concurrently.
+var confusionPool sync.Pool
+
+// getConfusion returns a zeroed classes×classes matrix.
+func getConfusion(classes int) *ConfusionMatrix {
+	cm, _ := confusionPool.Get().(*ConfusionMatrix)
+	if cm == nil || len(cm.Cells) != classes {
+		return NewConfusionMatrix(classes)
+	}
+	cm.Reset()
+	return cm
 }
 
-var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
-
-// getEvalScratch returns a scratch with a zeroed classes×classes matrix
-// and a class-score buffer of at least classes entries.
-func getEvalScratch(classes int) *evalScratch {
-	s := evalScratchPool.Get().(*evalScratch)
-	if s.cm == nil || len(s.cm.Cells) != classes {
-		s.cm = NewConfusionMatrix(classes)
-	} else {
-		s.cm.Reset()
-	}
-	if len(s.buf) < classes {
-		s.buf = make([]float64, classes)
-	}
-	return s
+// blockClassifier is a Classifier that predicts from tables derived from
+// its fitted state, and a whole example slice per call: the evaluator
+// refreshes the tables once, sequentially, then scores the holdout — in
+// one block, or under QualityParallel in disjoint chunks from several
+// goroutines — without the model writing anything.
+type blockClassifier interface {
+	Classifier
+	// prepare brings the score tables up to date with the fitted state. It
+	// writes to the model, so it must not run concurrently with any other
+	// method; with nothing fitted since the last call it only reads.
+	prepare()
+	// observeBlock adds one cm.Observe(ex.Class, predicted) per example,
+	// predicting exactly the class PredictClass returns. It only reads the
+	// model, and requires that prepare ran after the last PartialFit or
+	// Reset.
+	observeBlock(cm *ConfusionMatrix, examples []Example)
 }
 
-// observeClassified fills cm with one Observe per example, routing
-// predictions through the caller's score buffer when the model supports
-// it. The buffered and unbuffered paths return identical classes by the
-// BufferedClassifier contract.
-func observeClassified(cm *ConfusionMatrix, c Classifier, examples []Example, buf []float64) {
-	if bc, ok := c.(BufferedClassifier); ok {
-		for _, ex := range examples {
-			cm.Observe(ex.Class, bc.PredictClassInto(ex.Features, buf))
-		}
+// prepareScores refreshes the score tables of a model that keeps them.
+func prepareScores(c Classifier) {
+	if bc, ok := c.(blockClassifier); ok {
+		bc.prepare()
+	}
+}
+
+// observeClassified fills cm with one Observe per example, in one block
+// call when the model supports it. The caller has run prepareScores.
+func observeClassified(cm *ConfusionMatrix, c Classifier, examples []Example) {
+	if bc, ok := c.(blockClassifier); ok {
+		bc.observeBlock(cm, examples)
 		return
 	}
 	for _, ex := range examples {

@@ -33,11 +33,11 @@ func BenchmarkHoldoutQualityParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkHoldoutQualityMultinomial scores the sparse-count path
-// (MultinomialNB over hashed text), the model the wiki workload trains.
-func BenchmarkHoldoutQualityMultinomial(b *testing.B) {
+// multinomialFixture builds n sparse-count examples and a MultinomialNB
+// trained on the first half: the model the wiki workload trains.
+func multinomialFixture(n int) ([]Example, *MultinomialNB) {
 	r := rng.New(11)
-	const dim, n = 256, 2000
+	const dim = 256
 	examples := make([]Example, n)
 	for i := range examples {
 		class := i % 2
@@ -53,10 +53,47 @@ func BenchmarkHoldoutQualityMultinomial(b *testing.B) {
 	for _, ex := range examples[:n/2] {
 		m.PartialFit(ex)
 	}
+	return examples, m
+}
+
+// BenchmarkHoldoutQualityMultinomial scores the sparse-count path
+// (MultinomialNB over hashed text).
+func BenchmarkHoldoutQualityMultinomial(b *testing.B) {
+	examples, m := multinomialFixture(2000)
 	h := NewHoldout(examples, MetricF1, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Quality(m)
 	}
+}
+
+// The benchmarks above re-score an unchanged model, so they never pay for
+// a score-table refresh. The AfterFit pair measures the engine's actual
+// cadence: EvalEvery=25 PartialFits, then one Quality.
+
+func benchmarkQualityAfterFit(b *testing.B, h *Holdout, m Model) {
+	round := func() {
+		for _, ex := range h.Examples[:25] {
+			m.PartialFit(ex)
+		}
+		h.Quality(m)
+	}
+	h.Quality(m) // builds the score tables,
+	round()      // and this grows the touch lists to their steady size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+func BenchmarkHoldoutQualityAfterFitGaussian(b *testing.B) {
+	h, m := evalFixture(b, 2000)
+	benchmarkQualityAfterFit(b, h, m)
+}
+
+func BenchmarkHoldoutQualityAfterFitMultinomial(b *testing.B) {
+	examples, m := multinomialFixture(2000)
+	benchmarkQualityAfterFit(b, NewHoldout(examples, MetricF1, 1), m)
 }

@@ -26,12 +26,13 @@ func (h *Holdout) QualityParallel(m Model, workers int) float64 {
 	}
 	if h.Metric.IsClassification() {
 		c := h.classifier(m)
+		// Refresh score tables here, once: the chunks below only read.
+		prepareScores(c)
 		parts := parallel.MapChunks(workers, len(h.Examples), evalChunkSize, func(lo, hi int) *ConfusionMatrix {
-			// One matrix and one score buffer per chunk (they outlive the
-			// chunk via the merge below, so they cannot come from the eval
-			// scratch pool) instead of one score slice per prediction.
+			// One matrix per chunk; it outlives the chunk via the merge
+			// below, so it cannot come from the pool.
 			cm := NewConfusionMatrix(c.NumClasses())
-			observeClassified(cm, c, h.Examples[lo:hi], make([]float64, c.NumClasses()))
+			observeClassified(cm, c, h.Examples[lo:hi])
 			return cm
 		})
 		cm := parts[0]

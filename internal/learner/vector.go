@@ -197,20 +197,6 @@ type Classifier interface {
 	NumClasses() int
 }
 
-// BufferedClassifier is a Classifier whose class scoring can run through
-// a caller-provided buffer instead of allocating one per prediction — the
-// holdout evaluator's hot path calls PredictClass once per holdout example
-// per curve point, so the per-call []float64 dominates evaluation allocs
-// for the naive Bayes families. PredictClassInto must return exactly what
-// PredictClass returns; buf needs len >= NumClasses() and its contents on
-// entry are irrelevant (every class score is overwritten).
-type BufferedClassifier interface {
-	Classifier
-	// PredictClassInto returns the most likely class for v, using buf as
-	// the class-score scratch.
-	PredictClassInto(v FeatureVector, buf []float64) int
-}
-
 // ProbClassifier additionally exposes per-class probabilities.
 type ProbClassifier interface {
 	Classifier
@@ -231,7 +217,10 @@ type Regressor interface {
 // buffers across calls (Perceptron, AveragedPerceptron, SoftmaxSGD) or
 // refit lazily at prediction time (DecisionTree, RidgeClosed) must not
 // implement it; Holdout.QualityParallel falls back to the sequential path
-// for them.
+// for them. The naive Bayes families qualify with one proviso: their first
+// prediction after a PartialFit or Reset refreshes score tables, so that
+// one call must complete before the concurrent ones start —
+// QualityParallel refreshes before it fans out.
 type ConcurrentPredictor interface {
 	// ConcurrentPredictable is a marker with no behavior.
 	ConcurrentPredictable()

@@ -27,7 +27,7 @@ func submitAndWait(t *testing.T, m *Manager, spec RunSpec) *Run {
 // cancelled with its partial curve and is marked timed_out, and the
 // metrics count it separately from client cancels.
 func TestRunTimeoutCancelsWithPartials(t *testing.T) {
-	m, metrics := newTestManager(t, "imgs", 3000, 1, 4)
+	m, metrics := newTestManager(t, "imgs", 20000, 1, 4)
 	spec := longSpec("imgs")
 	spec.TimeoutMillis = 300
 	run := submitAndWait(t, m, spec)
@@ -52,7 +52,7 @@ func TestRunTimeoutCancelsWithPartials(t *testing.T) {
 // TestClientCancelIsNotTimedOut: an explicit DELETE-path cancel must not
 // be counted or labeled as a timeout.
 func TestClientCancelIsNotTimedOut(t *testing.T) {
-	m, metrics := newTestManager(t, "imgs", 3000, 1, 4)
+	m, metrics := newTestManager(t, "imgs", 20000, 1, 4)
 	run, err := m.Submit(longSpec("imgs"))
 	if err != nil {
 		t.Fatal(err)

@@ -53,8 +53,9 @@ func newTestManager(t *testing.T, corpusName string, n int, workers, queueCap in
 }
 
 // longSpec is a run that cannot finish quickly: per-step set-based
-// re-evaluation over a large pool keeps the loop busy for many seconds,
-// giving tests a wide window to observe and cancel it.
+// re-evaluation keeps the loop busy for seconds over a 20000-input corpus
+// (the cost is quadratic in corpus size, so smaller corpora finish in
+// milliseconds), giving tests a wide window to observe and cancel it.
 func longSpec(corpusName string) RunSpec {
 	return RunSpec{Corpus: corpusName, Task: "image", Mode: "scan-random", EvalEvery: 1}
 }
