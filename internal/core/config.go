@@ -140,18 +140,19 @@ type Config struct {
 	// the pre-amortization baseline.
 	EvalFromScratch bool
 	// BatchSize is how many inputs the loop pops per arm pull (default 1;
-	// values <= 0 also mean 1, like RewardSubsample's floor).
-	// At K=1 the loop is the classic per-step bandit and its output is
-	// byte-identical to every release before batching existed. At K>1 the
-	// selected arm yields up to K consecutive inputs which are read,
-	// extracted and trained as one batch; the holdout is evaluated once per
-	// batch boundary (whenever the processed-input count crosses a multiple
-	// of EvalEvery), so the curve's points land on batch boundaries instead
-	// of exact EvalEvery multiples. Delta-based rewards bracket the whole
-	// batch with one before/after measurement — the amortization that makes
-	// large K cheap — and every input in the batch is credited to the arm
-	// individually. K>1 runs are deterministic for a given (seed, K) at any
-	// shard count, transport, parallelism or cache state; see DESIGN.md §13.
+	// values <= 0 also mean 1, like RewardSubsample's floor). Every pull is
+	// one batch through one code path: the selected arm yields up to K
+	// consecutive inputs which are read, extracted (one Executor.ExecuteBatch
+	// call) and trained together; the holdout is evaluated once per batch
+	// boundary (whenever the processed-input count crosses a multiple of
+	// EvalEvery), so at K>1 the curve's points land on batch boundaries
+	// instead of exact EvalEvery multiples. Delta-based rewards bracket the
+	// whole batch with one before/after measurement — the amortization that
+	// makes large K cheap — and every input in the batch is credited to the
+	// arm individually. K=1 is a batch of one: the classic per-step bandit,
+	// byte-identical to every release before batching existed. Runs are
+	// deterministic for a given (seed, K) at any shard count, transport,
+	// parallelism or cache state; see DESIGN.md §13.
 	BatchSize int
 	// EvalWorkers bounds the goroutines used per holdout evaluation
 	// (default 1 = sequential). Quality scores are deterministic for any

@@ -102,433 +102,493 @@ func oracleUseful(in *corpus.Input, f featurepipe.FeatureFunc) bool {
 	return in.Truth.Class == 1
 }
 
-// loop is the shared inner loop: one iteration per processed input.
-// Cancellation is checked once per step; a cancelled loop returns the
-// partial result accumulated so far (never an error), skipping the final
-// re-evaluation so cancellation latency is one step, not one holdout pass.
-func (e *Engine) loop(ctx context.Context, task *featurepipe.Task, src inputSource, r *rng.RNG, exec Executor) (*RunResult, error) {
-	wallStart := time.Now()
-	// Phase accounting is always on: the timers cost a few time.Now calls
-	// per step against feature-extraction work that dominates by orders of
-	// magnitude, and every run reporting where its time went is the whole
-	// point of the telemetry layer. The registry fan-out (po) is optional.
-	// Cache threading and fault wrapping live inside the executor (see
-	// NewLocalExecutor), after the callers derived their RNG substreams and
-	// the oracle inspected the concrete feature type; the wrappers preserve
-	// Name/Dim/fingerprints, so a cached run is byte-identical to an
-	// uncached one and the loop's own task stays unwrapped.
-	var phases PhaseBreakdown
-	po := newPhaseObs(e.cfg.Obs)
+// failureGraceSteps is how many steps a run processes before the failure
+// budget is enforced, so a fraction computed over a handful of early
+// steps cannot trip it.
+const failureGraceSteps = 20
 
-	// Span tracing follows the same observational contract as the phase
-	// clocks: a nil tracer records nothing and every Start/End below is a
-	// no-op, so the decision stream cannot depend on tracing state.
-	tracer := e.cfg.Tracer
-	runRef := tracer.Start(0, "run",
-		otrace.String("task", task.Name),
-		otrace.String("strategy", src.name()))
+// loopRun is one execution of the shared inner loop: everything its
+// phases — select → execute → account+train → settle reward →
+// credit+emit → evaluate — read and write. Phase accounting is always
+// on: the timers cost a few time.Now calls per batch against
+// feature-extraction work that dominates by orders of magnitude; the
+// registry fan-out (po) and span tracing are optional and observational —
+// a nil tracer records nothing, so the decision stream cannot depend on
+// tracing state. Cache threading and fault wrapping live inside the
+// executor (see NewLocalExecutor), after the callers derived their RNG
+// substreams and the oracle inspected the concrete feature type; the
+// wrappers preserve Name/Dim/fingerprints, so a cached run is
+// byte-identical to an uncached one and the loop's own task stays
+// unwrapped.
+type loopRun struct {
+	cfg  *Config
+	task *featurepipe.Task
+	src  inputSource
+	exec Executor
+	res  *RunResult
 
-	res := &RunResult{
-		Task:     task.Name,
-		Strategy: src.name(),
-	}
-	hRef := tracer.Start(runRef.ID(), "holdout")
-	tHoldout := time.Now()
-	holdout, skips, err := exec.BuildHoldout(otrace.ContextWithSpan(ctx, tracer, hRef.ID()))
-	phases.Holdout = time.Since(tHoldout)
-	po.observe(phHoldout, phases.Holdout)
-	hRef.End(otrace.Dur("ns.holdout", phases.Holdout))
-	for _, s := range skips {
-		res.Quarantined = append(res.Quarantined, Quarantine{
-			InputID: s.InputID, Site: "holdout", Step: 0, Reason: s.Reason,
-		})
-	}
-	if err != nil {
-		runRef.End(otrace.String("error", err.Error()))
-		return nil, err
-	}
-	// The quality-delta reward evaluates a small fixed subsample before
-	// and after each update; build it once per run.
-	var rewardHold *learner.Holdout
-	if e.cfg.Reward != RewardUsefulness {
-		rewardHold = subsampleHoldout(holdout, e.cfg.RewardSubsample, r.Split("reward-subsample"))
-	}
+	wallStart time.Time
+	phases    PhaseBreakdown
+	po        *phaseObs
+	tracer    *otrace.Tracer
+	runRef    *otrace.SpanRef
+	// The batch span rides the ctx through a cursor stamped once and
+	// repointed per batch — context.WithValue per iteration would cost two
+	// heap allocations. Safe because every consumer of a batch's position
+	// (local executor goroutines, shard RPCs) joins before the next batch.
+	cursor    *otrace.Cursor
+	cursorCtx context.Context
+	batchSpan otrace.SpanRef // refilled by StartInto per batch
 
-	model := task.NewModel(task.Feature)
-	detector := stats.NewPlateauDetector(e.cfg.EarlyStop.Window, e.cfg.EarlyStop.SlopeThreshold, e.cfg.EarlyStop.Patience)
+	holdout *learner.Holdout
+	// rewardHold is the small fixed subsample the delta-based rewards
+	// measure before and after each batch trains; nil under
+	// RewardUsefulness.
+	rewardHold *learner.Holdout
+	model      learner.Model
 
 	// Set-based evaluation (the default) measures the quality of the
 	// example set collected so far, independent of the stream order the
 	// bandit imposed. The amortized scheme keeps one persistent evaluation
-	// model (the "snapshot") and, at each evaluation point, replays only
-	// the examples collected since the previous evaluation in a
-	// deterministically shuffled order — O(n) total training work per run
-	// instead of the O(n²) of retraining from scratch every time. The two
-	// schemes train on identical example sets, so they are equivalent for
-	// learners whose fit is order-insensitive (the naive Bayes families the
-	// workloads use, marked by learner.OrderInsensitive); order-sensitive
-	// learners (SGD, KNN, trees) automatically keep the from-scratch full
+	// model and, at each evaluation point, replays only the examples
+	// collected since the previous evaluation in a deterministically
+	// shuffled order — O(n) total training work per run instead of the
+	// O(n²) of retraining from scratch every time. The two schemes train
+	// on identical example sets, so they are equivalent for learners whose
+	// fit is order-insensitive (the naive Bayes families the workloads
+	// use, marked by learner.OrderInsensitive); order-sensitive learners
+	// (SGD, KNN, trees) automatically keep the from-scratch full
 	// reshuffle, as do EvalFromScratch and EvalEpochs > 1 (multi-epoch
 	// training cannot be amortized).
-	_, orderInsensitive := model.(learner.OrderInsensitive)
-	fromScratch := e.cfg.EvalFromScratch || e.cfg.EvalEpochs > 1 || !orderInsensitive
-	var collected []learner.Example // every example, for from-scratch retrains
-	var pending []learner.Example   // examples not yet replayed into evalModel
-	var evalModel learner.Model
-	evalRNG := r.Split("eval")
-	evaluate := func() float64 {
-		tEval := time.Now()
-		defer func() {
-			d := time.Since(tEval)
-			phases.Eval += d
-			po.observe(phEval, d)
-		}()
-		if e.cfg.EvalIncremental {
-			return e.quality(holdout, model)
-		}
-		if fromScratch {
-			m := task.NewModel(task.Feature)
-			for epoch := 0; epoch < e.cfg.EvalEpochs; epoch++ {
-				for _, i := range evalRNG.Perm(len(collected)) {
-					m.PartialFit(collected[i])
-				}
-			}
-			return e.quality(holdout, m)
-		}
-		if evalModel == nil {
-			evalModel = task.NewModel(task.Feature)
-		}
-		if len(pending) > 0 {
-			for _, i := range evalRNG.Perm(len(pending)) {
-				evalModel.PartialFit(pending[i])
-			}
-			pending = pending[:0]
-		}
-		return e.quality(holdout, evalModel)
-	}
+	fromScratch bool
+	collected   []learner.Example // every example, for from-scratch retrains
+	pending     []learner.Example // examples not yet replayed into evalModel
+	evalModel   learner.Model
+	evalRNG     *rng.RNG
 
-	var events *trace.Log
-	if e.cfg.TraceEvents {
-		events = &trace.Log{}
-	}
-	// emit records a step event into the in-result log (nil-safe when
-	// tracing is off) and mirrors it to the Event hook — the serving
-	// layer's live trace ring.
-	emit := func(ev trace.Event) {
-		events.Record(ev)
-		if e.cfg.Event != nil {
-			e.cfg.Event(ev)
-		}
-	}
+	events *trace.Log // in-result step log; nil unless TraceEvents
 
-	record := func(p CurvePoint) {
-		res.Curve = append(res.Curve, p)
-		if e.cfg.Progress != nil {
-			e.cfg.Progress(p)
-		}
-	}
-
-	var simTime time.Duration
-	eRef := tracer.Start(runRef.ID(), "eval", otrace.Int("inputs", 0))
-	record(CurvePoint{Inputs: 0, Quality: evaluate(), SimTime: 0})
-	eRef.End(otrace.Dur("ns.eval", phases.Eval))
-
-	// loopQuarantined counts inputs quarantined by the loop itself
+	steps   int
+	simTime time.Duration
+	// quarantined counts inputs quarantined by the loop itself
 	// (holdout-phase quarantines predate the budget's denominator and are
-	// excluded). overBudget is checked after every quarantine, behind a
-	// grace period so a fraction computed over a handful of early steps
-	// cannot trip it.
-	const failureGraceSteps = 20
-	loopQuarantined := 0
-	overBudget := func(steps int) bool {
-		return steps >= failureGraceSteps &&
-			float64(loopQuarantined) > e.cfg.MaxFailureFrac*float64(steps)
+	// excluded).
+	quarantined int
+
+	// notes is the per-input scratch of the current batch, allocated once
+	// and reused: the inner loop must not pay an allocation per processed
+	// input.
+	notes []stepNote
+
+	b batchState
+}
+
+// stepNote is what the loop works out about one input of the batch, over
+// and above its StepOutcome.
+type stepNote struct {
+	reward float64       // usefulness bit until settle, then the reward
+	errMsg string        // why the input failed, if it did
+	simAt  time.Duration // cumulative simulated time after the input
+}
+
+// batchState is what one batch's phases hand each other; zeroed at the
+// start of every batch.
+type batchState struct {
+	ctx  context.Context // carries the batch span to the executor
+	prev PhaseBreakdown  // phases at batch start, for the span's deltas
+
+	idxs  []int
+	arm   int
+	first int // steps before this batch
+	outs  []StepOutcome
+	errs  []error
+	wall  time.Duration // execute-stage wall time
+
+	before      float64 // rewardHold quality before the batch trained
+	trained     int     // produced examples trained this batch
+	advanced    bool    // any input reached the extract stage
+	quarantined bool    // any input quarantined this batch
+}
+
+// loop is the shared inner loop: one iteration per batch of up to
+// BatchSize inputs (K=1, the default, is the classic per-step bandit — a
+// batch of one). Cancellation is checked at every batch boundary and
+// again after the execute stage; a cancelled loop returns the partial
+// result accumulated so far (never an error), skipping the final
+// re-evaluation so cancellation latency is one batch, not one holdout
+// pass.
+func (e *Engine) loop(ctx context.Context, task *featurepipe.Task, src inputSource, r *rng.RNG, exec Executor) (*RunResult, error) {
+	l := loopRun{
+		cfg: &e.cfg, task: task, src: src, exec: exec,
+		res:       &RunResult{Task: task.Name, Strategy: src.name()},
+		wallStart: time.Now(),
+		po:        newPhaseObs(e.cfg.Obs),
+		tracer:    e.cfg.Tracer,
 	}
-
-	// The loop processes inputs in batches of up to BatchSize per arm pull
-	// (K=1, the default, is the classic per-step bandit; its decision
-	// stream — and therefore its output — is byte-identical to the
-	// pre-batching loop). Per-batch scratch is allocated once and reused:
-	// the inner loop must not pay an allocation per processed input.
-	deltaBased := e.cfg.Reward != RewardUsefulness
-	batchExec, _ := exec.(BatchExecutor)
-	batchCap := e.cfg.BatchSize
-	rewards := make([]float64, 0, batchCap)
-	errMsgs := make([]string, 0, batchCap)
-	simAt := make([]time.Duration, 0, batchCap)
-	var outs []StepOutcome
-	var errs []error
-	var out1 [1]StepOutcome // K=1 fast path: no per-step slice allocation
-	var err1 [1]error
-	if batchExec == nil && batchCap > 1 {
-		outs = make([]StepOutcome, 0, batchCap)
-		errs = make([]error, 0, batchCap)
+	if err := l.start(ctx, r); err != nil {
+		return nil, err
 	}
-
-	// endBatch closes a batch span with the arm and the per-phase wall
-	// deltas this batch contributed — the attrs the cost summary
-	// aggregates. Defined once: the loop must not allocate a closure (or,
-	// with tracing off, anything at all) per iteration.
-	endBatch := func(bRef *otrace.SpanRef, arm, n int, prev PhaseBreakdown) {
-		if bRef == nil {
-			return
-		}
-		bRef.End(
-			otrace.Int("arm", int64(arm)),
-			otrace.Int("steps", int64(n)),
-			otrace.Dur("ns.select", phases.Select-prev.Select),
-			otrace.Dur("ns.read", phases.Read-prev.Read),
-			otrace.Dur("ns.extract", phases.Extract-prev.Extract),
-			otrace.Dur("ns.train", phases.Train-prev.Train),
-			otrace.Dur("ns.eval", phases.Eval-prev.Eval),
-			otrace.Dur("ns.rpc", phases.RPC-prev.RPC),
-		)
-	}
-
-	// The batch span rides the ctx through a cursor stamped once here and
-	// repointed per batch — context.WithValue per iteration would cost two
-	// heap allocations. Safe because every consumer of a batch's position
-	// (local executor goroutines, shard RPCs) joins before the next batch.
-	cursor := tracer.Cursor()
-	cursorCtx := otrace.ContextWithCursor(ctx, cursor)
-	var batchSpan otrace.SpanRef // loop-owned; refilled by StartInto per batch
-
-	stop := StopExhausted
-	steps := 0
-loop:
+	// The detector stays out of loopRun so that it, like l, lives on this
+	// frame: a run allocates for its inputs, not for its bookkeeping.
+	detector := stats.NewPlateauDetector(e.cfg.EarlyStop.Window, e.cfg.EarlyStop.SlopeThreshold, e.cfg.EarlyStop.Patience)
 	for {
-		if ctx.Err() != nil {
-			stop = StopCancelled
-			break
+		if stop, done := l.batch(ctx, detector); done {
+			return l.finish(stop), nil
 		}
-		if e.cfg.MaxInputs > 0 && steps >= e.cfg.MaxInputs {
-			stop = StopBudget
-			break
-		}
-		if e.cfg.MaxSimTime > 0 && simTime >= e.cfg.MaxSimTime {
-			stop = StopBudget
-			break
-		}
-		// Clamp the batch to the remaining input budget so a batch never
-		// overshoots MaxInputs: a K=16 run with MaxInputs=100 processes
-		// exactly 100 inputs, same as K=1 would.
-		k := e.cfg.BatchSize
-		if e.cfg.MaxInputs > 0 && steps+k > e.cfg.MaxInputs {
-			k = e.cfg.MaxInputs - steps
-		}
-		// One span per batch, bracketing the six phases; the batch's span
-		// rides the ctx so a distributed executor parents its rpc spans
-		// (and the stitched worker spans) under it.
-		var bRef *otrace.SpanRef
-		stepCtx := ctx
-		prevPhases := phases
-		tSelect := time.Now()
-		if tracer != nil {
-			// StartInto fills the loop-owned ref and shares tSelect's clock
-			// reading — the batch span must cost no allocations and no
-			// extra syscalls per iteration.
-			tracer.StartInto(&batchSpan, tSelect, runRef.ID(), "batch",
-				otrace.Int("step", int64(steps+1)))
-			bRef = &batchSpan
-			cursor.Move(batchSpan.ID())
-			stepCtx = cursorCtx
-		}
-		idxs, arm, ok := src.nextBatch(k)
-		dSelect := time.Since(tSelect)
-		phases.Select += dSelect
-		po.observe(phSelect, dSelect)
-		if !ok {
-			endBatch(bRef, -1, 0, prevPhases)
-			break // pool exhausted
-		}
-		// The selected arm may hold fewer than k inputs; the short batch
-		// still trains and evaluates normally (see TestPartialBatch).
-		batchStart := steps
-		tStep := time.Now()
-		switch {
-		case len(idxs) == 1:
-			// Single-input batches dispatch through ExecuteStep so a K=1
-			// run issues exactly the calls (and, distributed, the RPCs)
-			// the pre-batching loop issued.
-			out1[0], err1[0] = exec.ExecuteStep(stepCtx, steps+1, idxs[0])
-			outs, errs = out1[:], err1[:]
-		case batchExec != nil:
-			outs, errs = batchExec.ExecuteBatch(stepCtx, steps+1, idxs)
-		default:
-			outs, errs = outs[:0], errs[:0]
-			for j, idx := range idxs {
-				out, err := exec.ExecuteStep(stepCtx, steps+1+j, idx)
-				outs = append(outs, out)
-				errs = append(errs, err)
-			}
-		}
-		batchWall := time.Since(tStep)
-
-		// Pass 1 — account and train, in input order. Failures quarantine
-		// exactly as before: an executor error (dead worker past the
-		// transport's retries) or a read error charges no cost and
-		// quarantines by store index; a feature-code panic quarantines by
-		// input ID. Delta-based rewards bracket the whole batch with one
-		// before/after measurement of the reward holdout — the batch-train
-		// amortization — which at K=1 degenerates to the exact per-input
-		// bracket the loop always used.
-		rewards, errMsgs, simAt = rewards[:0], errMsgs[:0], simAt[:0]
-		var before float64
-		beforeDone := false
-		trained := 0         // produced examples trained this batch
-		advanced := false    // any input reached the extract stage
-		quarantined := false // any input quarantined this batch
-		var workNanos int64  // worker-side read+extract time, for rpc split
-		for j, idx := range idxs {
-			steps++
-			rewards = append(rewards, 0)
-			errMsgs = append(errMsgs, "")
-			simAt = append(simAt, simTime)
-			if errs[j] != nil {
-				quarantined = true
-				loopQuarantined++
-				errMsgs[j] = errs[j].Error()
-				res.Quarantined = append(res.Quarantined, Quarantine{
-					InputID: "#" + strconv.Itoa(idx), Site: string(fault.SiteDistStep),
-					Step: steps, Reason: errMsgs[j],
-				})
-				continue
-			}
-			out := &outs[j]
-			workNanos += out.ReadNanos + out.ExtractNanos
-			dRead := time.Duration(out.ReadNanos)
-			phases.Read += dRead
-			po.observe(phRead, dRead)
-			if out.ReadErr != "" {
-				quarantined = true
-				loopQuarantined++
-				errMsgs[j] = out.ReadErr
-				res.Quarantined = append(res.Quarantined, Quarantine{
-					InputID: "#" + strconv.Itoa(idx), Site: string(fault.SiteCorpusRead),
-					Step: steps, Reason: out.ReadErr,
-				})
-				continue
-			}
-			advanced = true
-			simTime += out.Cost
-			simAt[j] = simTime
-			dExtract := time.Duration(out.ExtractNanos)
-			phases.Extract += dExtract
-			po.observe(phExtract, dExtract)
-			switch {
-			case out.ExtractErr != "":
-				res.Errors++
-				errMsgs[j] = out.ExtractErr
-				if out.Panicked {
-					// A panic is categorically worse than a returned error:
-					// the feature code lost control on this input. Quarantine
-					// it so the run report names every input of this kind.
-					quarantined = true
-					loopQuarantined++
-					res.Quarantined = append(res.Quarantined, Quarantine{
-						InputID: out.InputID, Site: string(fault.SiteExtract),
-						Step: steps, Reason: errMsgs[j],
-					})
-				}
-			case out.Res.Produced:
-				res.Produced++
-				if out.Res.Useful {
-					res.Useful++
-				}
-				tTrain := time.Now()
-				if deltaBased {
-					// rewards[j] temporarily holds the usefulness bit; the
-					// shared batch delta folds in after the batch trains.
-					if !beforeDone {
-						before = rewardHold.Quality(model)
-						beforeDone = true
-					}
-					model.PartialFit(out.Res.Example)
-					trained++
-					if out.Res.Useful {
-						rewards[j] = 1
-					}
-				} else {
-					rewards[j] = e.rewardFor(out.Res, model, rewardHold)
-				}
-				dTrain := time.Since(tTrain)
-				phases.Train += dTrain
-				po.observe(phTrain, dTrain)
-				if !e.cfg.EvalIncremental {
-					if fromScratch {
-						collected = append(collected, out.Res.Example)
-					} else {
-						pending = append(pending, out.Res.Example)
-					}
-				}
-			}
-		}
-		// Read and extract are timed where they ran (on a remote worker,
-		// inside the worker process); the remainder of the batch wall is
-		// transport overhead — nanoseconds of call dispatch for the local
-		// executor, real serialization and network time for http. A batch
-		// that never executed (dead worker) is all transport time.
-		if rpc := batchWall - time.Duration(workNanos); rpc > 0 {
-			phases.RPC += rpc
-			po.observe(phRPC, rpc)
-		}
-
-		// Pass 2 — close the delta-reward bracket: one "after" measurement
-		// for the whole batch; every produced input shares the batch delta.
-		if deltaBased && trained > 0 {
-			tTrain := time.Now()
-			after := rewardHold.Quality(model)
-			delta := clamp01((after - before) * e.cfg.RewardScale)
-			dTrain := time.Since(tTrain)
-			phases.Train += dTrain
-			po.observe(phTrain, dTrain)
-			for j := range idxs {
-				if errs[j] == nil && outs[j].Res.Produced {
-					if e.cfg.Reward == RewardQualityDelta {
-						rewards[j] = delta
-					} else { // RewardHybrid
-						rewards[j] = 0.5*rewards[j] + 0.5*delta
-					}
-				}
-			}
-		}
-
-		// Pass 3 — credit the arm once per input and emit the step events,
-		// in input order.
-		for j, idx := range idxs {
-			out := &outs[j]
-			src.feedback(arm, rewards[j])
-			emit(trace.Event{
-				Step: batchStart + 1 + j, InputIdx: idx, Arm: arm, Reward: rewards[j],
-				Produced: out.Res.Produced, Useful: out.Res.Useful, Err: errMsgs[j],
-				SimTime: simAt[j], CacheHit: out.CacheHit,
-				Quarantined: errs[j] != nil || out.ReadErr != "" || out.Panicked,
-			})
-		}
-		if quarantined && overBudget(steps) {
-			stop = StopFailed
-			endBatch(bRef, arm, len(idxs), prevPhases)
-			break loop
-		}
-
-		// Evaluate once per batch boundary: whenever this batch pushed the
-		// processed-input count across a multiple of EvalEvery. At K=1 the
-		// condition is exactly steps%EvalEvery == 0. A batch whose every
-		// input failed before extraction records no point, matching the
-		// per-step loop's behavior on failed steps.
-		if advanced && steps/e.cfg.EvalEvery > batchStart/e.cfg.EvalEvery {
-			q := evaluate()
-			record(CurvePoint{Inputs: steps, Quality: q, SimTime: simTime})
-			plateau := detector.Observe(q)
-			if e.cfg.EarlyStop.Enabled && plateau && steps >= e.cfg.EarlyStop.MinInputs {
-				stop = StopEarly
-				endBatch(bRef, arm, len(idxs), prevPhases)
-				break loop
-			}
-		}
-		endBatch(bRef, arm, len(idxs), prevPhases)
 	}
+}
 
+// start builds the run's holdout, models and scratch and records the
+// curve's zero point.
+func (l *loopRun) start(ctx context.Context, r *rng.RNG) error {
+	l.runRef = l.tracer.Start(0, "run",
+		otrace.String("task", l.task.Name),
+		otrace.String("strategy", l.src.name()))
+	l.cursor = l.tracer.Cursor()
+	l.cursorCtx = otrace.ContextWithCursor(ctx, l.cursor)
+
+	hRef := l.tracer.Start(l.runRef.ID(), "holdout")
+	tHoldout := time.Now()
+	holdout, skips, err := l.exec.BuildHoldout(otrace.ContextWithSpan(ctx, l.tracer, hRef.ID()))
+	l.spend(&l.phases.Holdout, phHoldout, time.Since(tHoldout))
+	hRef.End(otrace.Dur("ns.holdout", l.phases.Holdout))
+	for _, s := range skips {
+		l.res.Quarantined = append(l.res.Quarantined, Quarantine{
+			InputID: s.InputID, Site: "holdout", Step: 0, Reason: s.Reason,
+		})
+	}
+	if err != nil {
+		l.runRef.End(otrace.String("error", err.Error()))
+		return err
+	}
+	l.holdout = holdout
+	if l.cfg.Reward != RewardUsefulness {
+		l.rewardHold = subsampleHoldout(holdout, l.cfg.RewardSubsample, r.Split("reward-subsample"))
+	}
+	l.model = l.task.NewModel(l.task.Feature)
+	_, orderInsensitive := l.model.(learner.OrderInsensitive)
+	l.fromScratch = l.cfg.EvalFromScratch || l.cfg.EvalEpochs > 1 || !orderInsensitive
+	l.evalRNG = r.Split("eval")
+	if l.cfg.TraceEvents {
+		l.events = &trace.Log{}
+	}
+	l.notes = make([]stepNote, 0, l.cfg.BatchSize)
+
+	eRef := l.tracer.Start(l.runRef.ID(), "eval", otrace.Int("inputs", 0))
+	l.record(CurvePoint{Inputs: 0, Quality: l.evaluate(), SimTime: 0})
+	eRef.End(otrace.Dur("ns.eval", l.phases.Eval))
+	return nil
+}
+
+// batch runs one loop iteration — the stop checks, then the six phases
+// over one batch, detector judging each new curve point — and reports
+// whether the loop is done and why.
+func (l *loopRun) batch(ctx context.Context, detector *stats.PlateauDetector) (StopReason, bool) {
+	switch {
+	case ctx.Err() != nil:
+		return StopCancelled, true
+	case l.cfg.MaxInputs > 0 && l.steps >= l.cfg.MaxInputs:
+		return StopBudget, true
+	case l.cfg.MaxSimTime > 0 && l.simTime >= l.cfg.MaxSimTime:
+		return StopBudget, true
+	}
+	if !l.selectBatch(ctx) {
+		l.endBatch()
+		return StopExhausted, true
+	}
+	l.execute()
+	if ctx.Err() != nil {
+		// A cancel that landed while the batch was in flight fails its rpcs
+		// with the context's error; that is the caller stopping the run,
+		// not a failing worker, so the batch is dropped unaccounted rather
+		// than quarantined and charged to the arm.
+		l.endBatch()
+		return StopCancelled, true
+	}
+	l.account()
+	l.settle()
+	l.credit()
+	stop, done := StopExhausted, false
+	switch {
+	case l.b.quarantined && l.steps >= failureGraceSteps &&
+		float64(l.quarantined) > l.cfg.MaxFailureFrac*float64(l.steps):
+		stop, done = StopFailed, true
+	case l.b.advanced && l.steps/l.cfg.EvalEvery > l.b.first/l.cfg.EvalEvery:
+		// Evaluate once per batch boundary: whenever this batch pushed the
+		// processed-input count across a multiple of EvalEvery (at K=1,
+		// exactly steps%EvalEvery == 0). A batch whose every input failed
+		// before extraction records no point.
+		q := l.evaluate()
+		l.record(CurvePoint{Inputs: l.steps, Quality: q, SimTime: l.simTime})
+		plateau := detector.Observe(q)
+		if l.cfg.EarlyStop.Enabled && plateau && l.steps >= l.cfg.EarlyStop.MinInputs {
+			stop, done = StopEarly, true
+		}
+	}
+	l.endBatch()
+	return stop, done
+}
+
+// selectBatch opens the batch span and pops up to BatchSize inputs from
+// one arm; false means the pool is exhausted. The selected arm may hold
+// fewer inputs than asked for; the short batch still trains and evaluates
+// normally (see TestPartialBatch).
+func (l *loopRun) selectBatch(ctx context.Context) bool {
+	// Clamp the batch to the remaining input budget so a batch never
+	// overshoots MaxInputs: a K=16 run with MaxInputs=100 processes
+	// exactly 100 inputs, same as K=1 would.
+	k := l.cfg.BatchSize
+	if l.cfg.MaxInputs > 0 && l.steps+k > l.cfg.MaxInputs {
+		k = l.cfg.MaxInputs - l.steps
+	}
+	l.b = batchState{ctx: ctx, prev: l.phases, arm: -1, first: l.steps}
+	tSelect := time.Now()
+	if l.tracer != nil {
+		// One span per batch, bracketing the six phases; it rides the ctx
+		// so a distributed executor parents its rpc spans (and the stitched
+		// worker spans) under it. StartInto fills the loop-owned ref and
+		// shares tSelect's clock reading — the batch span must cost no
+		// allocations and no extra syscalls per iteration.
+		l.tracer.StartInto(&l.batchSpan, tSelect, l.runRef.ID(), "batch",
+			otrace.Int("step", int64(l.steps+1)))
+		l.cursor.Move(l.batchSpan.ID())
+		l.b.ctx = l.cursorCtx
+	}
+	idxs, arm, ok := l.src.nextBatch(k)
+	l.spend(&l.phases.Select, phSelect, time.Since(tSelect))
+	if ok {
+		l.b.idxs, l.b.arm = idxs, arm
+	}
+	return ok
+}
+
+// execute hands the batch to the executor: idxs[j] runs as step first+1+j.
+func (l *loopRun) execute() {
+	tStep := time.Now()
+	l.b.outs, l.b.errs = l.exec.ExecuteBatch(l.b.ctx, l.b.first+1, l.b.idxs)
+	l.b.wall = time.Since(tStep)
+}
+
+// spend accounts d to one phase: in the run's breakdown and, when a
+// registry is attached, the phase's histogram.
+func (l *loopRun) spend(total *time.Duration, ph phaseID, d time.Duration) {
+	*total += d
+	l.po.observe(ph, d)
+}
+
+// quarantine records one input the loop gave up on.
+func (l *loopRun) quarantine(inputID string, site fault.Site, reason string) {
+	l.b.quarantined = true
+	l.quarantined++
+	l.res.Quarantined = append(l.res.Quarantined, Quarantine{
+		InputID: inputID, Site: string(site), Step: l.steps, Reason: reason,
+	})
+}
+
+// account walks the outcomes in input order, charging cost and phase
+// time, quarantining failures and training the model on every produced
+// example. An executor error (a worker-reported failure, or a dead worker
+// past the transport's retries) or a read error charges no cost and
+// quarantines by store index; a feature-code panic quarantines by input
+// ID. It opens the reward bracket: an input's note holds its usefulness
+// bit until settle folds the batch's quality delta in.
+func (l *loopRun) account() {
+	l.notes = l.notes[:0]
+	var workNanos int64 // worker-side read+extract time, for the rpc split
+	for j, idx := range l.b.idxs {
+		l.steps++
+		l.notes = append(l.notes, stepNote{simAt: l.simTime})
+		note := &l.notes[j]
+		if err := l.b.errs[j]; err != nil {
+			note.errMsg = err.Error()
+			l.quarantine("#"+strconv.Itoa(idx), fault.SiteDistStep, note.errMsg)
+			continue
+		}
+		out := &l.b.outs[j]
+		workNanos += out.ReadNanos + out.ExtractNanos
+		l.spend(&l.phases.Read, phRead, time.Duration(out.ReadNanos))
+		if out.ReadErr != "" {
+			note.errMsg = out.ReadErr
+			l.quarantine("#"+strconv.Itoa(idx), fault.SiteCorpusRead, out.ReadErr)
+			continue
+		}
+		l.b.advanced = true
+		l.simTime += out.Cost
+		note.simAt = l.simTime
+		l.spend(&l.phases.Extract, phExtract, time.Duration(out.ExtractNanos))
+		switch {
+		case out.ExtractErr != "":
+			l.res.Errors++
+			note.errMsg = out.ExtractErr
+			if out.Panicked {
+				// A panic is categorically worse than a returned error:
+				// the feature code lost control on this input. Quarantine
+				// it so the run report names every input of this kind.
+				l.quarantine(out.InputID, fault.SiteExtract, out.ExtractErr)
+			}
+		case out.Res.Produced:
+			l.res.Produced++
+			if out.Res.Useful {
+				l.res.Useful++
+				note.reward = 1
+			}
+			l.train(out.Res.Example)
+		}
+	}
+	// Read and extract are timed where they ran (on a remote worker,
+	// inside the worker process); the remainder of the batch wall is
+	// transport overhead — nanoseconds of call dispatch for the local
+	// executor, real serialization and network time for http. A batch
+	// that never executed (dead worker) is all transport time.
+	if rpc := l.b.wall - time.Duration(workNanos); rpc > 0 {
+		l.spend(&l.phases.RPC, phRPC, rpc)
+	}
+}
+
+// train fits the model on one produced example, measuring the reward
+// holdout first if this is the batch's first — one before/after bracket
+// per batch is the batch-train amortization, which at K=1 is the exact
+// per-input bracket.
+func (l *loopRun) train(ex learner.Example) {
+	tTrain := time.Now()
+	if l.rewardHold != nil && l.b.trained == 0 {
+		l.b.before = l.rewardHold.Quality(l.model)
+	}
+	l.model.PartialFit(ex)
+	l.b.trained++
+	l.spend(&l.phases.Train, phTrain, time.Since(tTrain))
+	if !l.cfg.EvalIncremental {
+		if l.fromScratch {
+			l.collected = append(l.collected, ex)
+		} else {
+			l.pending = append(l.pending, ex)
+		}
+	}
+}
+
+// settle closes the reward bracket: one "after" measurement for the whole
+// batch, then every produced input's reward from its usefulness bit and
+// the shared before/after pair.
+func (l *loopRun) settle() {
+	if l.b.trained == 0 {
+		return
+	}
+	var after float64
+	if l.rewardHold != nil {
+		tTrain := time.Now()
+		after = l.rewardHold.Quality(l.model)
+		l.spend(&l.phases.Train, phTrain, time.Since(tTrain))
+	}
+	for j := range l.b.idxs {
+		if l.b.errs[j] == nil && l.b.outs[j].Res.Produced {
+			l.notes[j].reward = bracketReward(l.cfg.Reward, l.notes[j].reward, l.b.before, after, l.cfg.RewardScale)
+		}
+	}
+}
+
+// bracketReward is the reward one produced input earns: its usefulness
+// bit, the clamped scaled quality delta of the batch it trained in, or
+// the mean of the two.
+func bracketReward(kind RewardKind, useful, before, after, scale float64) float64 {
+	if kind == RewardUsefulness {
+		return useful
+	}
+	delta := clamp01((after - before) * scale)
+	if kind == RewardQualityDelta {
+		return delta
+	}
+	return 0.5*useful + 0.5*delta // RewardHybrid
+}
+
+// credit feeds the arm once per input and emits the step events, in
+// input order: into the in-result log (nil-safe when tracing is off) and
+// to the Event hook — the serving layer's live trace ring.
+func (l *loopRun) credit() {
+	for j, idx := range l.b.idxs {
+		out, note := &l.b.outs[j], &l.notes[j]
+		l.src.feedback(l.b.arm, note.reward)
+		ev := trace.Event{
+			Step: l.b.first + 1 + j, InputIdx: idx, Arm: l.b.arm, Reward: note.reward,
+			Produced: out.Res.Produced, Useful: out.Res.Useful, Err: note.errMsg,
+			SimTime: note.simAt, CacheHit: out.CacheHit,
+			Quarantined: l.b.errs[j] != nil || out.ReadErr != "" || out.Panicked,
+		}
+		l.events.Record(ev)
+		if l.cfg.Event != nil {
+			l.cfg.Event(ev)
+		}
+	}
+}
+
+// evaluate scores the example set collected so far against the holdout.
+func (l *loopRun) evaluate() float64 {
+	tEval := time.Now()
+	defer func() { l.spend(&l.phases.Eval, phEval, time.Since(tEval)) }()
+	if l.cfg.EvalIncremental {
+		return l.quality(l.model)
+	}
+	if l.fromScratch {
+		m := l.task.NewModel(l.task.Feature)
+		for epoch := 0; epoch < l.cfg.EvalEpochs; epoch++ {
+			for _, i := range l.evalRNG.Perm(len(l.collected)) {
+				m.PartialFit(l.collected[i])
+			}
+		}
+		return l.quality(m)
+	}
+	if l.evalModel == nil {
+		l.evalModel = l.task.NewModel(l.task.Feature)
+	}
+	if len(l.pending) > 0 {
+		for _, i := range l.evalRNG.Perm(len(l.pending)) {
+			l.evalModel.PartialFit(l.pending[i])
+		}
+		l.pending = l.pending[:0]
+	}
+	return l.quality(l.evalModel)
+}
+
+// quality scores a model against the holdout, fanning the prediction pass
+// out over EvalWorkers goroutines when configured. Scores are
+// deterministic for any worker count.
+func (l *loopRun) quality(m learner.Model) float64 {
+	if l.cfg.EvalWorkers > 1 {
+		return l.holdout.QualityParallel(m, l.cfg.EvalWorkers)
+	}
+	return l.holdout.Quality(m)
+}
+
+// record appends a curve point and mirrors it to the Progress hook.
+func (l *loopRun) record(p CurvePoint) {
+	l.res.Curve = append(l.res.Curve, p)
+	if l.cfg.Progress != nil {
+		l.cfg.Progress(p)
+	}
+}
+
+// endBatch closes the batch span with the arm and the per-phase wall
+// deltas this batch contributed — the attrs the cost summary aggregates.
+func (l *loopRun) endBatch() {
+	if l.tracer == nil {
+		return
+	}
+	prev := &l.b.prev
+	l.batchSpan.End(
+		otrace.Int("arm", int64(l.b.arm)),
+		otrace.Int("steps", int64(len(l.b.idxs))),
+		otrace.Dur("ns.select", l.phases.Select-prev.Select),
+		otrace.Dur("ns.read", l.phases.Read-prev.Read),
+		otrace.Dur("ns.extract", l.phases.Extract-prev.Extract),
+		otrace.Dur("ns.train", l.phases.Train-prev.Train),
+		otrace.Dur("ns.eval", l.phases.Eval-prev.Eval),
+		otrace.Dur("ns.rpc", l.phases.RPC-prev.RPC),
+	)
+}
+
+// finish records the final curve point and folds the run's tallies into
+// the result.
+func (l *loopRun) finish(stop StopReason) *RunResult {
+	res := l.res
 	// Reuse the last in-loop evaluation when it already covers the final
 	// step: from-scratch evaluation reshuffles, so re-evaluating the same
 	// point can return a slightly different number for order-sensitive
@@ -537,34 +597,34 @@ loop:
 	// it — the caller asked the loop to stop, so it must not pay for one
 	// more holdout evaluation.
 	var final float64
-	if n := len(res.Curve); n > 0 && (res.Curve[n-1].Inputs == steps || stop == StopCancelled) {
+	if n := len(res.Curve); n > 0 && (res.Curve[n-1].Inputs == l.steps || stop == StopCancelled) {
 		final = res.Curve[n-1].Quality
 	} else {
-		evalPrev := phases.Eval
-		fRef := tracer.Start(runRef.ID(), "eval", otrace.Int("inputs", int64(steps)))
-		final = evaluate()
-		fRef.End(otrace.Dur("ns.eval", phases.Eval-evalPrev))
-		record(CurvePoint{Inputs: steps, Quality: final, SimTime: simTime})
+		evalPrev := l.phases.Eval
+		fRef := l.tracer.Start(l.runRef.ID(), "eval", otrace.Int("inputs", int64(l.steps)))
+		final = l.evaluate()
+		fRef.End(otrace.Dur("ns.eval", l.phases.Eval-evalPrev))
+		l.record(CurvePoint{Inputs: l.steps, Quality: final, SimTime: l.simTime})
 	}
-	res.InputsProcessed = steps
+	res.InputsProcessed = l.steps
 	res.FinalQuality = final
-	res.SimTime = simTime
-	res.WallTime = time.Since(wallStart)
+	res.SimTime = l.simTime
+	res.WallTime = time.Since(l.wallStart)
 	res.Stop = stop
-	res.Arms = src.arms()
-	res.Events = events
-	st := exec.Stats()
+	res.Arms = l.src.arms()
+	res.Events = l.events
+	st := l.exec.Stats()
 	res.CacheHits = st.CacheHits
 	res.CacheMisses = st.CacheMisses
-	phases.CacheLookup = time.Duration(st.CacheLookupNanos)
-	res.Phases = phases
-	po.observeRun(res.WallTime)
-	if tracer != nil {
+	l.phases.CacheLookup = time.Duration(st.CacheLookupNanos)
+	res.Phases = l.phases
+	l.po.observeRun(res.WallTime)
+	if l.tracer != nil {
 		// One zero-length "part" span per recipe part carries the run's
 		// per-part extraction cost (cached runs only; holdout extractions
 		// included) — pure data carriers the cost summary groups by part.
 		for _, pc := range st.Parts {
-			tracer.Start(runRef.ID(), "part",
+			l.tracer.Start(l.runRef.ID(), "part",
 				otrace.String("part", pc.Part),
 				otrace.Int("hits", pc.Hits),
 				otrace.Int("misses", pc.Misses),
@@ -572,53 +632,13 @@ loop:
 				otrace.Dur("ns.extract", time.Duration(pc.ComputeNanos)),
 			).End()
 		}
-		runRef.End(
+		l.runRef.End(
 			otrace.String("stop", stop.String()),
-			otrace.Int("inputs", int64(steps)),
+			otrace.Int("inputs", int64(l.steps)),
 			otrace.Dur("ns.cache_lookup", time.Duration(st.CacheLookupNanos)),
 		)
 	}
-	return res, nil
-}
-
-// quality scores a model against a holdout, fanning the prediction pass
-// out over EvalWorkers goroutines when configured. Scores are
-// deterministic for any worker count.
-func (e *Engine) quality(h *learner.Holdout, m learner.Model) float64 {
-	if e.cfg.EvalWorkers > 1 {
-		return h.QualityParallel(m, e.cfg.EvalWorkers)
-	}
-	return h.Quality(m)
-}
-
-// rewardFor computes the configured reward for a produced example. For
-// delta-based rewards, the model is trained inside this function (the
-// before/after measurement brackets the update); for pure usefulness the
-// model is trained here too, keeping the call site uniform.
-func (e *Engine) rewardFor(extRes featurepipe.Result, model learner.Model, rewardHold *learner.Holdout) float64 {
-	switch e.cfg.Reward {
-	case RewardUsefulness:
-		model.PartialFit(extRes.Example)
-		if extRes.Useful {
-			return 1
-		}
-		return 0
-	case RewardQualityDelta:
-		before := rewardHold.Quality(model)
-		model.PartialFit(extRes.Example)
-		after := rewardHold.Quality(model)
-		return clamp01((after - before) * e.cfg.RewardScale)
-	default: // RewardHybrid
-		before := rewardHold.Quality(model)
-		model.PartialFit(extRes.Example)
-		after := rewardHold.Quality(model)
-		delta := clamp01((after - before) * e.cfg.RewardScale)
-		useful := 0.0
-		if extRes.Useful {
-			useful = 1
-		}
-		return 0.5*useful + 0.5*delta
-	}
+	return res
 }
 
 func clamp01(x float64) float64 {

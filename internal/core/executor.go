@@ -30,34 +30,23 @@ type Executor interface {
 	// zero examples survive. Implementations must preserve the global
 	// HoldoutIdx order for both examples and skips.
 	BuildHoldout(ctx context.Context) (*learner.Holdout, []featurepipe.HoldoutSkip, error)
-	// ExecuteStep reads input idx from the corpus and extracts it, with
+	// ExecuteBatch executes the inputs at store indices idxs — one arm
+	// pull's batch, a batch of one at the default BatchSize; firstStep is
+	// the loop's step counter for idxs[0] (idxs[j] runs as step
+	// firstStep+j). Each input is read from the corpus and extracted with
 	// the same isolation contract as the in-process loop: a failed read is
 	// reported in StepOutcome.ReadErr, a failed or panicked extraction in
-	// ExtractErr/Panicked — none of them are errors. A non-nil error means
-	// the step could not be executed at all (a dead worker, a transport
-	// failure after retries); the loop quarantines the input and charges
-	// the arm, so infrastructure loss degrades exactly like data loss.
-	ExecuteStep(ctx context.Context, step, idx int) (StepOutcome, error)
+	// ExtractErr/Panicked — none of them are errors. Outcomes and errors
+	// are positional, both of len(idxs): errs[j] non-nil means idxs[j]
+	// could not be executed at all (a dead worker, a transport failure
+	// after retries) and must not poison the rest of the batch; the loop
+	// quarantines that input and charges the arm, so infrastructure loss
+	// degrades exactly like data loss. The slices belong to the executor
+	// and are valid until the next call.
+	ExecuteBatch(ctx context.Context, firstStep int, idxs []int) (outs []StepOutcome, errs []error)
 	// Stats reports execution-side tallies after the loop finishes. It is
 	// called once, after the last step.
 	Stats() ExecutorStats
-}
-
-// BatchExecutor is an Executor that can execute a whole batch of steps in
-// one call — the seam the batched bandit loop (Config.BatchSize > 1) uses
-// to amortize per-input dispatch, and the distributed coordinator
-// implements with one StepBatch RPC per owning worker instead of one Step
-// RPC per input. Executors that don't implement it still work at any K:
-// the loop falls back to per-input ExecuteStep calls.
-type BatchExecutor interface {
-	Executor
-	// ExecuteBatch executes the inputs at store indices idxs; firstStep is
-	// the loop's step counter for idxs[0] (idxs[j] runs as step
-	// firstStep+j). Outcomes and errors are positional: outs[j]/errs[j]
-	// belong to idxs[j], with errs[j] non-nil exactly when ExecuteStep
-	// would have returned an error for that input — a per-input failure
-	// must not poison the rest of the batch. Both slices have len(idxs).
-	ExecuteBatch(ctx context.Context, firstStep int, idxs []int) (outs []StepOutcome, errs []error)
 }
 
 // StepOutcome is everything the loop needs back from executing one input.
@@ -106,6 +95,8 @@ type LocalExecutor struct {
 	task   *featurepipe.Task
 	faults *fault.Injector
 	ctrs   *featurepipe.CacheCounters
+	outs   []StepOutcome // ExecuteBatch's results, reused across calls
+	errs   []error
 }
 
 // NewLocalExecutor wraps the task for in-process execution: the
@@ -135,6 +126,9 @@ func (x *LocalExecutor) BuildHoldout(context.Context) (*learner.Holdout, []featu
 	return x.task.BuildHoldoutTolerant()
 }
 
+// ExecuteStep reads and extracts one input: the per-input primitive
+// ExecuteBatch and the distributed workers are built from. It never
+// returns an error — read and extraction failures ride in the outcome.
 func (x *LocalExecutor) ExecuteStep(_ context.Context, _, idx int) (StepOutcome, error) {
 	var out StepOutcome
 	tRead := time.Now()
@@ -165,13 +159,16 @@ func (x *LocalExecutor) ExecuteStep(_ context.Context, _, idx int) (StepOutcome,
 	return out, nil
 }
 
-// ExecuteBatch implements BatchExecutor by executing the inputs in order
-// through ExecuteStep. In-process there is nothing to amortize at the
-// dispatch layer — the batching win for local runs comes from the loop's
-// amortized selection, evaluation and reward accounting.
+// ExecuteBatch executes the inputs in order through ExecuteStep.
+// In-process there is nothing to amortize at the dispatch layer — the
+// batching win for local runs comes from the loop's amortized selection,
+// evaluation and reward accounting.
 func (x *LocalExecutor) ExecuteBatch(ctx context.Context, firstStep int, idxs []int) ([]StepOutcome, []error) {
-	outs := make([]StepOutcome, len(idxs))
-	errs := make([]error, len(idxs))
+	if cap(x.outs) < len(idxs) {
+		x.outs = make([]StepOutcome, len(idxs))
+		x.errs = make([]error, len(idxs))
+	}
+	outs, errs := x.outs[:len(idxs)], x.errs[:len(idxs)]
 	for j, idx := range idxs {
 		outs[j], errs[j] = x.ExecuteStep(ctx, firstStep+j, idx)
 	}

@@ -31,53 +31,43 @@ func fixedHoldout() *learner.Holdout {
 	return learner.NewHoldout(exs, learner.MetricAccuracy, 1)
 }
 
+// The reward tests below pin bracketReward, the arithmetic the loop's
+// settle stage runs for every produced input.
+
 func TestRewardUsefulnessValues(t *testing.T) {
-	e := mustEngine(t, Config{Reward: RewardUsefulness})
-	model := learner.NewGaussianNB(1, 2, 1e-3)
-	useful := featurepipe.Result{
-		Example:  learner.Example{Features: learner.DenseVec([]float64{1}), Class: 1},
-		Produced: true, Useful: true,
-	}
-	useless := featurepipe.Result{
-		Example:  learner.Example{Features: learner.DenseVec([]float64{-1}), Class: 0},
-		Produced: true, Useful: false,
-	}
-	if got := e.rewardFor(useful, model, nil); got != 1 {
-		t.Fatalf("useful reward = %v", got)
-	}
-	if got := e.rewardFor(useless, model, nil); got != 0 {
-		t.Fatalf("useless reward = %v", got)
-	}
-	if model.Seen() != 2 {
-		t.Fatalf("model not trained by reward path: seen=%d", model.Seen())
+	// Under RewardUsefulness the bracket's quality measurements are never
+	// taken; whatever they hold must not leak into the reward.
+	for _, tc := range []struct{ useful, want float64 }{{1, 1}, {0, 0}} {
+		if got := bracketReward(RewardUsefulness, tc.useful, 0.2, 0.9, 20); got != tc.want {
+			t.Fatalf("usefulness reward for bit %v = %v", tc.useful, got)
+		}
 	}
 }
 
 func TestRewardQualityDeltaPaysForImprovement(t *testing.T) {
-	e := mustEngine(t, Config{Reward: RewardQualityDelta, RewardScale: 10})
 	hold := fixedHoldout()
 	model := learner.NewGaussianNB(1, 2, 1e-3)
 	// Seed the model so quality is defined, with one example per class.
 	model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{-1}), Class: 0})
 	model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{-0.5}), Class: 1}) // wrong side
 	before := hold.Quality(model)
-	good := featurepipe.Result{
-		Example:  learner.Example{Features: learner.DenseVec([]float64{1.2}), Class: 1},
-		Produced: true, Useful: true,
-	}
-	reward := e.rewardFor(good, model, hold)
+	model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{1.2}), Class: 1})
 	after := hold.Quality(model)
 	if after <= before {
 		t.Skip("model did not improve on this seed; delta semantics untestable here")
 	}
+	reward := bracketReward(RewardQualityDelta, 1, before, after, 10)
 	want := clamp01((after - before) * 10)
-	if math.Abs(reward-want) > 1e-12 {
+	if reward <= 0 || math.Abs(reward-want) > 1e-12 {
 		t.Fatalf("delta reward = %v, want %v", reward, want)
+	}
+	// The usefulness bit plays no part in the pure delta reward.
+	if got := bracketReward(RewardQualityDelta, 0, before, after, 10); got != reward {
+		t.Fatalf("delta reward depends on usefulness: %v vs %v", got, reward)
 	}
 }
 
 func TestRewardQualityDeltaNeverNegative(t *testing.T) {
-	e := mustEngine(t, Config{Reward: RewardQualityDelta})
 	hold := fixedHoldout()
 	model := learner.NewGaussianNB(1, 2, 1e-3)
 	// Train to perfection first.
@@ -85,32 +75,72 @@ func TestRewardQualityDeltaNeverNegative(t *testing.T) {
 		model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{-1}), Class: 0})
 		model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{1}), Class: 1})
 	}
-	// A mislabeled example can only hurt quality; reward must clamp at 0.
-	bad := featurepipe.Result{
-		Example:  learner.Example{Features: learner.DenseVec([]float64{1}), Class: 0},
-		Produced: true,
+	before := hold.Quality(model)
+	// Mislabeled examples can only hurt quality; reward must clamp at 0.
+	for i := 0; i < 40; i++ {
+		model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{1}), Class: 0})
 	}
-	if got := e.rewardFor(bad, model, hold); got != 0 {
-		t.Fatalf("harmful example earned reward %v", got)
+	after := hold.Quality(model)
+	if after >= before {
+		t.Fatalf("mislabeled flood did not hurt quality: %v -> %v", before, after)
+	}
+	if got := bracketReward(RewardQualityDelta, 0, before, after, 20); got != 0 {
+		t.Fatalf("harmful batch earned reward %v", got)
 	}
 }
 
 func TestRewardHybridAverages(t *testing.T) {
-	e := mustEngine(t, Config{Reward: RewardHybrid, RewardScale: 10})
-	hold := fixedHoldout()
 	// Saturated model: delta is 0, so hybrid = 0.5*useful.
-	model := learner.NewGaussianNB(1, 2, 1e-3)
-	for i := 0; i < 20; i++ {
-		model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{-1}), Class: 0})
-		model.PartialFit(learner.Example{Features: learner.DenseVec([]float64{1}), Class: 1})
-	}
-	useful := featurepipe.Result{
-		Example:  learner.Example{Features: learner.DenseVec([]float64{1}), Class: 1},
-		Produced: true, Useful: true,
-	}
-	got := e.rewardFor(useful, model, hold)
-	if math.Abs(got-0.5) > 1e-9 {
+	if got := bracketReward(RewardHybrid, 1, 1, 1, 10); got != 0.5 {
 		t.Fatalf("hybrid reward on saturated model = %v, want 0.5", got)
+	}
+	// Both halves live: a +1/32 quality step at scale 8 is delta 0.25.
+	if got := bracketReward(RewardHybrid, 1, 0.5, 0.53125, 8); got != 0.625 {
+		t.Fatalf("hybrid reward = %v, want 0.625", got)
+	}
+	// An oversized delta clamps at 1 before averaging.
+	if got := bracketReward(RewardHybrid, 0, 0, 1, 10); got != 0.5 {
+		t.Fatalf("hybrid reward with clamped delta = %v, want 0.5", got)
+	}
+}
+
+// TestHybridRewardLiveBracket pins the bracket where it runs: every step
+// event of a K=1 RewardHybrid run carries 0.5·useful + 0.5·δ for one
+// δ ∈ [0,1] (at K=1 the batch the delta is shared over is the step), and
+// an input that produced no example earns nothing.
+func TestHybridRewardLiveBracket(t *testing.T) {
+	task, groups := wikiTask(t, 900, 77)
+	res, err := mustEngine(t, Config{Seed: 5, MaxInputs: 200, Reward: RewardHybrid, TraceEvents: true}).Run(task, groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := res.Events.Events
+	if len(evs) != 200 {
+		t.Fatalf("traced %d steps, want 200", len(evs))
+	}
+	produced, paidDelta := 0, 0
+	for _, ev := range evs {
+		if !ev.Produced {
+			if ev.Reward != 0 {
+				t.Fatalf("step %d produced nothing but earned %v", ev.Step, ev.Reward)
+			}
+			continue
+		}
+		produced++
+		useful := 0.0
+		if ev.Useful {
+			useful = 1
+		}
+		delta := (ev.Reward - 0.5*useful) / 0.5
+		if delta < 0 || delta > 1 {
+			t.Fatalf("step %d: reward %v with useful=%v implies delta %v outside [0,1]", ev.Step, ev.Reward, ev.Useful, delta)
+		}
+		if delta > 0 {
+			paidDelta++
+		}
+	}
+	if produced == 0 || paidDelta == 0 {
+		t.Fatalf("run too quiet to pin the bracket: %d produced, %d with a positive delta", produced, paidDelta)
 	}
 }
 

@@ -155,7 +155,7 @@ func newCoordinator(tr Transport, spec Spec, task *featurepipe.Task) (*coordinat
 	c := &coordinator{spec: spec, clients: clients, task: task, sm: sm, rpc: map[string]*obs.Histogram{}}
 	if spec.Obs != nil {
 		const name, help = "dist_rpc_seconds", "Coordinator-side worker call latency by method."
-		for _, method := range []string{"init", "holdout", "step", "step-batch", "finish"} {
+		for _, method := range []string{"init", "holdout", "step-batch", "finish"} {
 			c.rpc[method] = spec.Obs.HistogramL(name, help, "method", method, obs.LatencyBuckets)
 		}
 	}
@@ -337,53 +337,17 @@ func (c *coordinator) BuildHoldout(ctx context.Context) (*learner.Holdout, []fea
 	return learner.NewHoldout(examples, c.task.Metric, c.task.Positive), skips, nil
 }
 
-// ExecuteStep routes the step to the worker owning idx. A call that still
-// fails after the retry budget comes back as an error; the engine loop
-// quarantines the input and charges the arm, so a dead worker degrades
-// exactly like a corrupt shard and eventually trips the failure budget.
-func (c *coordinator) ExecuteStep(ctx context.Context, step, idx int) (core.StepOutcome, error) {
-	owner := c.sm.Owner(idx)
-	if owner < 0 {
-		return core.StepOutcome{}, fmt.Errorf("dist: step %d: input %d outside the shard map", step, idx)
-	}
-	tr, ref := c.startRPC(ctx, "dist.step", owner)
-	req := StepRequest{RunID: c.spec.RunID, Step: step, Idx: idx, Traceparent: tr.Traceparent(ref.ID())}
-	var resp StepResponse
-	err := c.withRetry(ctx, "step", owner, func(ctx context.Context) error {
-		r, err := c.clients[owner].Step(ctx, req)
-		if err == nil {
-			resp = r
-		}
-		return err
-	})
-	tr.Import(resp.Spans, ref.ID(), ref.ID())
-	ref.End()
-	if err != nil {
-		return core.StepOutcome{}, fmt.Errorf("dist: worker %d failed step %d (input %d): %v", owner, step, idx, err)
-	}
-	c.workers[owner].Steps++
-	return core.StepOutcome{
-		InputID:      resp.InputID,
-		ReadErr:      resp.ReadErr,
-		Cost:         time.Duration(resp.CostNanos),
-		Res:          resp.Result,
-		ExtractErr:   resp.ExtractErr,
-		Panicked:     resp.Panicked,
-		CacheHit:     resp.CacheHit,
-		ReadNanos:    resp.ReadNanos,
-		ExtractNanos: resp.ExtractNanos,
-	}, nil
-}
-
-// ExecuteBatch implements core.BatchExecutor: group the batch by owning
-// shard and send ONE StepBatch per shard — for a batch of K inputs over S
-// shards that is at most min(K, S) round trips instead of K, which is the
-// distributed payoff of Config.BatchSize. Shard calls run concurrently
-// (like real workers serving independent requests); outcomes are
-// reassembled positionally, so the engine sees exactly what K per-item
-// ExecuteStep calls would have produced. A shard whose whole call fails
-// after retries errors each of its items — infrastructure loss degrades
-// per input, exactly like the per-item path.
+// ExecuteBatch groups the batch by owning shard and sends ONE StepBatch
+// per shard — for a batch of K inputs over S shards that is at most
+// min(K, S) round trips instead of K, which is the distributed payoff of
+// Config.BatchSize. Shard calls run concurrently (like real workers
+// serving independent requests); outcomes are reassembled positionally.
+// Only a whole call is retried: a shard whose call still fails after the
+// retry budget (transport loss, non-200, unknown run) errors each of its
+// items, while a failure the worker reports for one item comes back
+// in-band and is final. Either way the engine loop quarantines the input
+// and charges the arm, so a dead worker degrades exactly like a corrupt
+// shard and eventually trips the failure budget.
 func (c *coordinator) ExecuteBatch(ctx context.Context, firstStep int, idxs []int) ([]core.StepOutcome, []error) {
 	outs := make([]core.StepOutcome, len(idxs))
 	errs := make([]error, len(idxs))

@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -69,104 +68,15 @@ func assertSameRun(t *testing.T, label string, want, got *core.RunResult) {
 	}
 }
 
-// distWorkerHandler serves a Worker over the same JSON shapes and error
-// convention ({"error": "..."} on non-200) as the zombie-serve /dist/*
-// endpoints, so the http transport is exercised end-to-end in-process.
-func distWorkerHandler(w *Worker) http.Handler {
-	writeJSON := func(rw http.ResponseWriter, status int, v any) {
-		rw.Header().Set("Content-Type", "application/json")
-		rw.WriteHeader(status)
-		_ = json.NewEncoder(rw).Encode(v)
-	}
-	fail := func(rw http.ResponseWriter, err error) {
-		writeJSON(rw, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /dist/init", func(rw http.ResponseWriter, r *http.Request) {
-		var req InitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fail(rw, err)
-			return
-		}
-		resp, err := w.Init(req)
-		if err != nil {
-			fail(rw, err)
-			return
-		}
-		writeJSON(rw, http.StatusOK, resp)
-	})
-	mux.HandleFunc("POST /dist/holdout", func(rw http.ResponseWriter, r *http.Request) {
-		var req HoldoutRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fail(rw, err)
-			return
-		}
-		resp, err := w.Holdout(req)
-		if err == nil {
-			err = resp.EncodeResults()
-		}
-		if err != nil {
-			fail(rw, err)
-			return
-		}
-		writeJSON(rw, http.StatusOK, resp)
-	})
-	mux.HandleFunc("POST /dist/step", func(rw http.ResponseWriter, r *http.Request) {
-		var req StepRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fail(rw, err)
-			return
-		}
-		resp, err := w.Step(req)
-		if err == nil {
-			err = resp.EncodeResult()
-		}
-		if err != nil {
-			fail(rw, err)
-			return
-		}
-		writeJSON(rw, http.StatusOK, resp)
-	})
-	mux.HandleFunc("POST /dist/step-batch", func(rw http.ResponseWriter, r *http.Request) {
-		var req StepBatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fail(rw, err)
-			return
-		}
-		resp, err := w.StepBatch(req)
-		if err == nil {
-			err = resp.EncodeResults()
-		}
-		if err != nil {
-			fail(rw, err)
-			return
-		}
-		writeJSON(rw, http.StatusOK, resp)
-	})
-	mux.HandleFunc("POST /dist/finish", func(rw http.ResponseWriter, r *http.Request) {
-		var req FinishRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fail(rw, err)
-			return
-		}
-		resp, err := w.Finish(req)
-		if err != nil {
-			fail(rw, err)
-			return
-		}
-		writeJSON(rw, http.StatusOK, resp)
-	})
-	return mux
-}
-
-// newHTTPTestTransport spins shards workers behind httptest servers and
-// returns an HTTPTransport pointed at them.
+// newHTTPTestTransport spins shards workers behind httptest servers —
+// each serving the production handler — and returns an HTTPTransport
+// pointed at them.
 func newHTTPTestTransport(t *testing.T, store corpus.Store, shards int) *HTTPTransport {
 	t.Helper()
 	resolve := func(string) (corpus.Store, error) { return store, nil }
 	addrs := make([]string, shards)
 	for i := range addrs {
-		srv := httptest.NewServer(distWorkerHandler(NewWorker(resolve, nil, nil)))
+		srv := httptest.NewServer(NewHandler(NewWorker(resolve, nil, nil)))
 		t.Cleanup(srv.Close)
 		addrs[i] = srv.URL
 	}

@@ -14,9 +14,9 @@ import (
 	"zombie/internal/otrace"
 )
 
-// HTTPTransport talks JSON to dist worker endpoints served by
-// zombie-serve (see internal/server's /dist/* routes): any zombie-serve
-// process with the corpus registered is a worker. Per-run deadlines and
+// HTTPTransport talks JSON to the dist worker endpoints NewHandler serves
+// (zombie-serve mounts them under /dist/): any zombie-serve process with
+// the corpus registered is a worker. Per-run deadlines and
 // cancellation ride on the request context, exactly like the rest of the
 // serving layer; retry and backoff live in the coordinator, transport-
 // independently, so both transports fail through the same code path.
@@ -61,97 +61,128 @@ type httpClient struct {
 // buffer an endless stream from a confused endpoint.
 const maxResponseBytes = 256 << 20
 
-// post sends req as JSON and decodes the 200 response into resp. A
-// non-200 with the server's {"error": "..."} body surfaces as an error
-// with exactly that message — worker-produced errors must cross the wire
-// verbatim for the transport-identity contract.
-func (c *httpClient) post(ctx context.Context, path string, req, resp any) error {
+// errorBody is what a worker endpoint answers a failed request with.
+type errorBody struct {
+	Error string `json:"error"`
+}
+
+// post sends req as JSON and decodes the 200 response, codec-encoded
+// results included. A non-200 with the handler's errorBody surfaces as an
+// error with exactly that message — worker-produced errors must cross the
+// wire verbatim for the transport-identity contract.
+func post[Resp any](ctx context.Context, c *httpClient, path string, req traceCarrier) (Resp, error) {
+	var none, resp Resp
 	body, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("dist: marshal %s request: %w", path, err)
+		return none, fmt.Errorf("dist: marshal %s request: %w", path, err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("dist: build %s request: %w", path, err)
+		return none, fmt.Errorf("dist: build %s request: %w", path, err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	// Mirror the propagated trace context into the standard W3C header so
-	// HTTP-level middleware (and the server handler's header fallback) see
-	// the same value the wire field carries.
-	if tc, ok := req.(traceCarrier); ok {
-		if tp := tc.traceparent(); tp != "" {
-			hreq.Header.Set(otrace.Header, tp)
-		}
+	// HTTP-level middleware sees the same value the wire field carries.
+	if tp := *req.traceparent(); tp != "" {
+		hreq.Header.Set(otrace.Header, tp)
 	}
 	hres, err := c.hc.Do(hreq)
 	if err != nil {
-		return fmt.Errorf("dist: %s %s: %w", c.base, path, err)
+		return none, fmt.Errorf("dist: %s %s: %w", c.base, path, err)
 	}
 	defer hres.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(hres.Body, maxResponseBytes))
 	if err != nil {
-		return fmt.Errorf("dist: read %s response: %w", path, err)
+		return none, fmt.Errorf("dist: read %s response: %w", path, err)
 	}
 	if hres.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
+		var e errorBody
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return errors.New(e.Error)
+			return none, errors.New(e.Error)
 		}
-		return fmt.Errorf("dist: %s %s: status %d", c.base, path, hres.StatusCode)
+		return none, fmt.Errorf("dist: %s %s: status %d", c.base, path, hres.StatusCode)
 	}
-	if err := json.Unmarshal(data, resp); err != nil {
-		return fmt.Errorf("dist: decode %s response: %w", path, err)
+	if err := json.Unmarshal(data, &resp); err != nil {
+		return none, fmt.Errorf("dist: decode %s response: %w", path, err)
 	}
-	return nil
+	if dec, ok := any(&resp).(interface{ DecodeResults() error }); ok {
+		if err := dec.DecodeResults(); err != nil {
+			return none, err
+		}
+	}
+	return resp, nil
 }
 
 func (c *httpClient) Init(ctx context.Context, req InitRequest) (InitResponse, error) {
-	var resp InitResponse
-	if err := c.post(ctx, "/dist/init", req, &resp); err != nil {
-		return InitResponse{}, err
-	}
-	return resp, nil
+	return post[InitResponse](ctx, c, "/dist/init", &req)
 }
 
 func (c *httpClient) Holdout(ctx context.Context, req HoldoutRequest) (HoldoutResponse, error) {
-	var resp HoldoutResponse
-	if err := c.post(ctx, "/dist/holdout", req, &resp); err != nil {
-		return HoldoutResponse{}, err
-	}
-	if err := resp.DecodeResults(); err != nil {
-		return HoldoutResponse{}, err
-	}
-	return resp, nil
-}
-
-func (c *httpClient) Step(ctx context.Context, req StepRequest) (StepResponse, error) {
-	var resp StepResponse
-	if err := c.post(ctx, "/dist/step", req, &resp); err != nil {
-		return StepResponse{}, err
-	}
-	if err := resp.DecodeResult(); err != nil {
-		return StepResponse{}, err
-	}
-	return resp, nil
+	return post[HoldoutResponse](ctx, c, "/dist/holdout", &req)
 }
 
 func (c *httpClient) StepBatch(ctx context.Context, req StepBatchRequest) (StepBatchResponse, error) {
-	var resp StepBatchResponse
-	if err := c.post(ctx, "/dist/step-batch", req, &resp); err != nil {
-		return StepBatchResponse{}, err
-	}
-	if err := resp.DecodeResults(); err != nil {
-		return StepBatchResponse{}, err
-	}
-	return resp, nil
+	return post[StepBatchResponse](ctx, c, "/dist/step-batch", &req)
 }
 
 func (c *httpClient) Finish(ctx context.Context, req FinishRequest) (FinishResponse, error) {
-	var resp FinishResponse
-	if err := c.post(ctx, "/dist/finish", req, &resp); err != nil {
-		return FinishResponse{}, err
+	return post[FinishResponse](ctx, c, "/dist/finish", &req)
+}
+
+// maxRequestBytes bounds a worker request body: the largest is a
+// StepBatchRequest, two ints per batched input.
+const maxRequestBytes = 1 << 20
+
+// NewHandler returns the HTTP side of w: the POST /dist/{init,holdout,
+// step-batch,finish} endpoints httpClient speaks to, which make any
+// process that mounts it under /dist/ a distributed-run worker over its
+// own corpora, extraction cache and telemetry. A request that does not
+// parse (unknown field, body over maxRequestBytes) answers 400, a worker
+// error 500, both as an errorBody the client surfaces verbatim — which is
+// what keeps failures byte-identical to the in-process local transport.
+func NewHandler(w *Worker) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("POST /dist/init", endpoint(w.Init))
+	mux.Handle("POST /dist/holdout", endpoint(w.Holdout))
+	mux.Handle("POST /dist/step-batch", endpoint(w.StepBatch))
+	mux.Handle("POST /dist/finish", endpoint(w.Finish))
+	return mux
+}
+
+// endpoint adapts one Worker method to HTTP. Trace context arrives twice
+// on a traced coordinator's requests, as the wire field and mirrored in
+// the W3C header; the field wins, and the header fallback keeps
+// propagation working for coordinators (or middleware) that only speak
+// the header.
+func endpoint[Req, Resp any, P interface {
+	*Req
+	traceCarrier
+}](call func(Req) (Resp, error)) http.HandlerFunc {
+	return func(rw http.ResponseWriter, r *http.Request) {
+		var req Req
+		dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			writeJSON(rw, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+			return
+		}
+		if tp := P(&req).traceparent(); *tp == "" {
+			*tp = r.Header.Get(otrace.Header)
+		}
+		resp, err := call(req)
+		if enc, ok := any(&resp).(interface{ EncodeResults() error }); ok && err == nil {
+			err = enc.EncodeResults()
+		}
+		if err != nil {
+			writeJSON(rw, http.StatusInternalServerError, errorBody{Error: err.Error()})
+			return
+		}
+		writeJSON(rw, http.StatusOK, resp)
 	}
-	return resp, nil
+}
+
+func writeJSON(rw http.ResponseWriter, status int, v any) {
+	rw.Header().Set("Content-Type", "application/json")
+	rw.WriteHeader(status)
+	json.NewEncoder(rw).Encode(v) //nolint:errcheck // client gone; nothing to do
 }

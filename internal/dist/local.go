@@ -77,47 +77,29 @@ func (c *localClient) do(ctx context.Context, fn func()) error {
 	}
 }
 
-func (c *localClient) Init(ctx context.Context, req InitRequest) (InitResponse, error) {
-	var resp InitResponse
+// localCall runs one Worker method on c's worker goroutine.
+func localCall[Req, Resp any](ctx context.Context, c *localClient, fn func(Req) (Resp, error), req Req) (Resp, error) {
+	var resp Resp
 	var err error
-	if derr := c.do(ctx, func() { resp, err = c.w.Init(req) }); derr != nil {
-		return InitResponse{}, derr
+	if derr := c.do(ctx, func() { resp, err = fn(req) }); derr != nil {
+		var none Resp
+		return none, derr
 	}
 	return resp, err
+}
+
+func (c *localClient) Init(ctx context.Context, req InitRequest) (InitResponse, error) {
+	return localCall(ctx, c, c.w.Init, req)
 }
 
 func (c *localClient) Holdout(ctx context.Context, req HoldoutRequest) (HoldoutResponse, error) {
-	var resp HoldoutResponse
-	var err error
-	if derr := c.do(ctx, func() { resp, err = c.w.Holdout(req) }); derr != nil {
-		return HoldoutResponse{}, derr
-	}
-	return resp, err
-}
-
-func (c *localClient) Step(ctx context.Context, req StepRequest) (StepResponse, error) {
-	var resp StepResponse
-	var err error
-	if derr := c.do(ctx, func() { resp, err = c.w.Step(req) }); derr != nil {
-		return StepResponse{}, derr
-	}
-	return resp, err
+	return localCall(ctx, c, c.w.Holdout, req)
 }
 
 func (c *localClient) StepBatch(ctx context.Context, req StepBatchRequest) (StepBatchResponse, error) {
-	var resp StepBatchResponse
-	var err error
-	if derr := c.do(ctx, func() { resp, err = c.w.StepBatch(req) }); derr != nil {
-		return StepBatchResponse{}, derr
-	}
-	return resp, err
+	return localCall(ctx, c, c.w.StepBatch, req)
 }
 
 func (c *localClient) Finish(ctx context.Context, req FinishRequest) (FinishResponse, error) {
-	var resp FinishResponse
-	var err error
-	if derr := c.do(ctx, func() { resp, err = c.w.Finish(req) }); derr != nil {
-		return FinishResponse{}, derr
-	}
-	return resp, err
+	return localCall(ctx, c, c.w.Finish, req)
 }

@@ -84,17 +84,8 @@ type HoldoutResponse struct {
 	Spans []otrace.Span `json:"spans,omitempty"`
 }
 
-// StepRequest asks the owning worker to execute one bandit step: read
-// store index Idx and extract it. Step is the loop's step counter, for
-// tracing and fault keying symmetry with the engine.
-type StepRequest struct {
-	RunID       string `json:"run_id"`
-	Step        int    `json:"step"`
-	Idx         int    `json:"idx"`
-	Traceparent string `json:"traceparent,omitempty"`
-}
-
-// StepResponse mirrors core.StepOutcome on the wire.
+// StepResponse mirrors core.StepOutcome on the wire: one executed step
+// of a StepBatchResponse.
 type StepResponse struct {
 	InputID      string `json:"input_id,omitempty"`
 	ReadErr      string `json:"read_err,omitempty"`
@@ -107,20 +98,14 @@ type StepResponse struct {
 
 	ResultB64 string             `json:"result,omitempty"`
 	Result    featurepipe.Result `json:"-"`
-
-	// Spans are the worker-side spans for this step (set only on the
-	// top-level Step response, never on batch items — a batch's spans ride
-	// on the StepBatchResponse).
-	Spans []otrace.Span `json:"spans,omitempty"`
 }
 
-// StepBatchRequest asks the owning worker to execute a whole batch of
-// bandit steps in one call — the transport-level half of Config.BatchSize:
-// the coordinator groups each engine batch by owning shard and sends one
-// StepBatch per shard instead of one Step per input. Steps[j] is the
-// engine loop's step counter for Idxs[j], exactly the number a per-item
-// Step call would carry; the slices are parallel and must have equal
-// length.
+// StepBatchRequest asks the owning worker to execute a batch of bandit
+// steps in one call — the transport-level half of Config.BatchSize: the
+// coordinator groups each engine batch by owning shard and sends one
+// StepBatch per shard. Steps[j] is the engine loop's step counter for
+// Idxs[j], for tracing and fault keying symmetry with the engine; the
+// slices are parallel and must have equal length.
 type StepBatchRequest struct {
 	RunID       string `json:"run_id"`
 	Steps       []int  `json:"steps"`
@@ -129,11 +114,11 @@ type StepBatchRequest struct {
 }
 
 // StepBatchItem is one input's outcome inside a batch: either a
-// StepResponse or a worker-produced error. Err carries exactly the message
-// a per-item Step call would have returned as its error — per-item
-// failures (an injected dist.step fault, a misrouted input, a worker
-// panic) ride inside a successful batch response so one bad input cannot
-// poison its batchmates.
+// StepResponse or a worker-produced error. Per-item failures (an injected
+// dist.step fault, a misrouted input, a worker panic) ride in Err inside
+// a successful batch response so one bad input cannot poison its
+// batchmates; being pure functions of the request, they are never
+// retried.
 type StepBatchItem struct {
 	Err string `json:"error,omitempty"`
 	StepResponse
@@ -165,41 +150,18 @@ type FinishResponse struct {
 	Parts            []featurepipe.PartCost `json:"parts,omitempty"`
 }
 
-// traceCarrier lets the http transport read a request's propagated trace
-// context without knowing the concrete request type, mirroring it into
-// the standard header so any HTTP-aware middleware sees it too.
-type traceCarrier interface{ traceparent() string }
+// traceCarrier lets both HTTP sides reach a request's propagated trace
+// context without knowing the concrete request type: the client mirrors
+// it into the standard header so any HTTP-aware middleware sees it too,
+// and the handler falls back to that header when the field is empty.
+type traceCarrier interface{ traceparent() *string }
 
-func (r InitRequest) traceparent() string      { return r.Traceparent }
-func (r HoldoutRequest) traceparent() string   { return r.Traceparent }
-func (r StepRequest) traceparent() string      { return r.Traceparent }
-func (r StepBatchRequest) traceparent() string { return r.Traceparent }
-func (r FinishRequest) traceparent() string    { return r.Traceparent }
+func (r *InitRequest) traceparent() *string      { return &r.Traceparent }
+func (r *HoldoutRequest) traceparent() *string   { return &r.Traceparent }
+func (r *StepBatchRequest) traceparent() *string { return &r.Traceparent }
+func (r *FinishRequest) traceparent() *string    { return &r.Traceparent }
 
 var resultCodec featurepipe.ResultCodec
-
-// EncodeResult fills ResultB64 from the native Result for the wire.
-func (r *StepResponse) EncodeResult() error {
-	b, err := resultCodec.Encode(r.Result)
-	if err != nil {
-		return fmt.Errorf("dist: encode step result: %w", err)
-	}
-	r.ResultB64 = base64.StdEncoding.EncodeToString(b)
-	return nil
-}
-
-// DecodeResult fills the native Result from ResultB64 after unmarshaling.
-func (r *StepResponse) DecodeResult() error {
-	if r.ResultB64 == "" {
-		return nil
-	}
-	res, err := decodeResultB64(r.ResultB64)
-	if err != nil {
-		return fmt.Errorf("dist: decode step result: %w", err)
-	}
-	r.Result = res
-	return nil
-}
 
 // EncodeResults fills every non-errored item's ResultB64 for the wire.
 func (b *StepBatchResponse) EncodeResults() error {
@@ -208,9 +170,11 @@ func (b *StepBatchResponse) EncodeResults() error {
 		if it.Err != "" {
 			continue
 		}
-		if err := it.EncodeResult(); err != nil {
-			return fmt.Errorf("dist: batch item %d: %w", i, err)
+		enc, err := resultCodec.Encode(it.Result)
+		if err != nil {
+			return fmt.Errorf("dist: encode step result for batch item %d: %w", i, err)
 		}
+		it.ResultB64 = base64.StdEncoding.EncodeToString(enc)
 	}
 	return nil
 }
@@ -220,12 +184,14 @@ func (b *StepBatchResponse) EncodeResults() error {
 func (b *StepBatchResponse) DecodeResults() error {
 	for i := range b.Items {
 		it := &b.Items[i]
-		if it.Err != "" {
+		if it.Err != "" || it.ResultB64 == "" {
 			continue
 		}
-		if err := it.DecodeResult(); err != nil {
-			return fmt.Errorf("dist: batch item %d: %w", i, err)
+		res, err := decodeResultB64(it.ResultB64)
+		if err != nil {
+			return fmt.Errorf("dist: decode step result for batch item %d: %w", i, err)
 		}
+		it.Result = res
 	}
 	return nil
 }

@@ -202,32 +202,13 @@ func (w *Worker) Holdout(req HoldoutRequest) (HoldoutResponse, error) {
 	return resp, nil
 }
 
-// Step executes one bandit step: fire the worker's dist.step fault gate
-// (a dead worker errors every step; a slow one sleeps), check ownership,
-// then read + extract through the shared local executor. A panic anywhere
-// in the step (an injected panic rule at dist.step, most likely) is
-// recovered into an error so both transports surface it as a failed step
-// with the same message, rather than http tearing down the connection
-// while local crashes the process.
-func (w *Worker) Step(req StepRequest) (StepResponse, error) {
-	run, err := w.run(req.RunID)
-	if err != nil {
-		return StepResponse{}, err
-	}
-	tr, ref := startRequestSpan(req.Traceparent, "worker.step",
-		otrace.Int("shard", int64(run.shard)), otrace.Int("step", int64(req.Step)))
-	resp, err := w.stepOne(run, req.Step, req.Idx)
-	if tr != nil && err == nil {
-		ref.End(otrace.Dur("ns.read", time.Duration(resp.ReadNanos)),
-			otrace.Dur("ns.extract", time.Duration(resp.ExtractNanos)))
-		resp.Spans, _ = tr.Snapshot()
-	}
-	return resp, err
-}
-
-// stepOne executes one step for a looked-up run: the shared body of Step
-// and StepBatch, so a batched step behaves — fault gate, ownership check,
-// panic isolation, error text — exactly like a per-item Step call.
+// stepOne executes one step of a batch: fire the worker's dist.step fault
+// gate (a dead worker errors every step; a slow one sleeps), check
+// ownership, then read + extract through the shared local executor. A
+// panic anywhere in the step (an injected panic rule at dist.step, most
+// likely) is recovered into an error so both transports surface it as a
+// failed step with the same message, rather than http tearing down the
+// connection while local crashes the process.
 func (w *Worker) stepOne(run *workerRun, step, idx int) (resp StepResponse, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -263,11 +244,11 @@ func (w *Worker) stepOne(run *workerRun, step, idx int) (resp StepResponse, err 
 	}, nil
 }
 
-// StepBatch executes a batch of steps in one call. The run lookup and
-// request validation fail the whole call (there is nothing per-item about
-// them); everything after runs per item through stepOne, with each item's
-// failure captured in its StepBatchItem.Err so the rest of the batch
-// proceeds.
+// StepBatch executes a batch of steps in one call — a batch of one for a
+// K=1 run. The run lookup and request validation fail the whole call
+// (there is nothing per-item about them); everything after runs per item
+// through stepOne, with each item's failure captured in its
+// StepBatchItem.Err so the rest of the batch proceeds.
 func (w *Worker) StepBatch(req StepBatchRequest) (StepBatchResponse, error) {
 	if len(req.Steps) != len(req.Idxs) {
 		return StepBatchResponse{}, fmt.Errorf("dist: step batch has %d steps for %d inputs", len(req.Steps), len(req.Idxs))

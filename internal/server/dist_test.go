@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -90,15 +91,31 @@ func TestDistSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestDistWorkerEndpointUnknownRun: a step against a run that was never
-// initialized on this worker must surface the worker's own error message
-// through the JSON error body — the contract the HTTP transport's
+// TestDistWorkerEndpointUnknownRun: a step batch against a run that was
+// never initialized on this worker must surface the worker's own error
+// message through the JSON error body — the contract the HTTP transport's
 // message-verbatim behavior rests on.
 func TestDistWorkerEndpointUnknownRun(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp := postJSON(t, ts.URL+"/dist/step", map[string]any{"run_id": "ghost", "step": 1, "idx": 0})
+	resp := postJSON(t, ts.URL+"/dist/step-batch", map[string]any{"run_id": "ghost", "steps": []int{1}, "idxs": []int{0}})
 	body := decodeBody[errorBody](t, resp, http.StatusInternalServerError)
 	if body.Error != `dist: unknown run "ghost" on this worker (init first)` {
 		t.Fatalf("error body %q", body.Error)
+	}
+}
+
+// TestDistMountServesTheDistHandler: /dist/* is dist.NewHandler's, request
+// hygiene included — an unknown field is a 400 naming it, and the
+// single-step endpoint no longer exists.
+func TestDistMountServesTheDistHandler(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp := postJSON(t, ts.URL+"/dist/finish", map[string]any{"run_id": "ghost", "step": 1})
+	if body := decodeBody[errorBody](t, resp, http.StatusBadRequest); !strings.Contains(body.Error, `unknown field "step"`) {
+		t.Fatalf("error body %q", body.Error)
+	}
+	resp = postJSON(t, ts.URL+"/dist/step", map[string]any{"run_id": "ghost", "step": 1, "idx": 0})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /dist/step: status %d, want 404", resp.StatusCode)
 	}
 }

@@ -342,12 +342,14 @@ func (m *Manager) execute(run *Run) {
 			m.metrics.InputsQuarantined.Add(int64(len(res.Quarantined)))
 		}
 	}
+	// Counters move before run.finish closes Done, so whoever waits on the
+	// run reads them settled.
 	switch {
 	case err != nil:
-		run.finish(StateFailed, nil, err.Error(), finished)
 		if m.metrics != nil {
 			m.metrics.RunsFailed.Add(1)
 		}
+		run.finish(StateFailed, nil, err.Error(), finished)
 	case res.Stop == core.StopFailed:
 		// The failure budget tripped: terminal failed, but with the partial
 		// result attached — the curve so far and the quarantine list are the
@@ -359,13 +361,13 @@ func (m *Manager) execute(run *Run) {
 				loopQuarantined++
 			}
 		}
-		run.finish(StateFailed, res,
-			fmt.Sprintf("failure budget exceeded: %d of %d processed inputs quarantined",
-				loopQuarantined, res.InputsProcessed), finished)
 		if m.metrics != nil {
 			m.metrics.RunsFailed.Add(1)
 			m.metrics.InputsProcessed.Add(int64(res.InputsProcessed))
 		}
+		run.finish(StateFailed, res,
+			fmt.Sprintf("failure budget exceeded: %d of %d processed inputs quarantined",
+				loopQuarantined, res.InputsProcessed), finished)
 	case res.Stop == core.StopCancelled:
 		// Distinguish a deadline expiry from a client cancel: both surface
 		// as a cancelled loop, but only the former carries DeadlineExceeded.
@@ -375,17 +377,17 @@ func (m *Manager) execute(run *Run) {
 				m.metrics.RunsTimedOut.Add(1)
 			}
 		}
-		run.finish(StateCancelled, res, "", finished)
 		if m.metrics != nil {
 			m.metrics.RunsCancelled.Add(1)
 			m.metrics.InputsProcessed.Add(int64(res.InputsProcessed))
 		}
+		run.finish(StateCancelled, res, "", finished)
 	default:
-		run.finish(StateDone, res, "", finished)
 		if m.metrics != nil {
 			m.metrics.RunsCompleted.Add(1)
 			m.metrics.InputsProcessed.Add(int64(res.InputsProcessed))
 		}
+		run.finish(StateDone, res, "", finished)
 	}
 	info := run.Info()
 	m.store.RunFinished(run.ID, finished, info)

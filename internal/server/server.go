@@ -30,10 +30,10 @@
 //	POST   /sessions/{id}/runs   submit a recipe version (recipe.Spec
 //	                             JSON) -> 202; versions run sequentially,
 //	                             each warm-starting from the previous
-//	POST   /dist/{init,holdout,step,finish}
+//	POST   /dist/{init,holdout,step-batch,finish}
 //	                             distributed-run worker endpoints: a
 //	                             coordinator drives this server's corpus
-//	                             shards through them (internal/dist)
+//	                             shards through them (dist.NewHandler)
 //	DELETE /cache                invalidate the shared extraction cache
 //	GET    /healthz              liveness + build info + run-state counts
 //	GET    /metrics              expvar-style counter map (extraction-cache
@@ -117,15 +117,14 @@ type Config struct {
 // Server wires the registry, index cache, extraction cache, run manager,
 // metrics and telemetry registry behind one http.Handler.
 type Server struct {
-	registry   *Registry
-	cache      *IndexCache
-	featCache  *featcache.Cache
-	manager    *Manager
-	sessions   *SessionHub
-	distWorker *dist.Worker
-	store      RunStore
-	metrics    *Metrics
-	obs        *obs.Registry
+	registry  *Registry
+	cache     *IndexCache
+	featCache *featcache.Cache
+	manager   *Manager
+	sessions  *SessionHub
+	store     RunStore
+	metrics   *Metrics
+	obs       *obs.Registry
 	// procTracer records process-level infrastructure spans no single run
 	// owns: extraction-cache disk IO and demotion, run-journal appends,
 	// snapshot rotations, and the startup recovery replay. Served at
@@ -209,13 +208,8 @@ func New(cfg Config) (*Server, error) {
 		// The session hub shares the manager's corpus registry, index cache
 		// and extraction cache: a session's whole point is reusing what
 		// earlier versions computed.
-		sessions: NewSessionHub(registry, cache, featCache, reg, store, cfg.Workers, cfg.QueueCap, defaults),
-		store:    store,
-		// The dist worker shares the server's corpus registry, extraction
-		// cache, and telemetry registry: serving a coordinator's steps is
-		// just another way of running the inner loop over this process's
-		// corpora.
-		distWorker: dist.NewWorker(registry.Get, featCache, reg),
+		sessions:   NewSessionHub(registry, cache, featCache, reg, store, cfg.Workers, cfg.QueueCap, defaults),
+		store:      store,
 		metrics:    metrics,
 		obs:        reg,
 		procTracer: procTracer,
@@ -262,11 +256,10 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /sessions/{id}/runs", s.handleSessionRun)
 	s.mux.HandleFunc("GET /sessions/{id}/spans", s.handleSessionSpans)
 	s.mux.HandleFunc("DELETE /cache", s.handleCacheInvalidate)
-	s.mux.HandleFunc("POST /dist/init", s.handleDistInit)
-	s.mux.HandleFunc("POST /dist/holdout", s.handleDistHoldout)
-	s.mux.HandleFunc("POST /dist/step", s.handleDistStep)
-	s.mux.HandleFunc("POST /dist/step-batch", s.handleDistStepBatch)
-	s.mux.HandleFunc("POST /dist/finish", s.handleDistFinish)
+	// The dist worker shares the server's corpus registry, extraction
+	// cache, and telemetry registry: serving a coordinator's steps is just
+	// another way of running the inner loop over this process's corpora.
+	s.mux.Handle("/dist/", dist.NewHandler(dist.NewWorker(registry.Get, featCache, reg)))
 	return s, nil
 }
 
