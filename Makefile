@@ -3,7 +3,9 @@
 # runs over every package, and the smoke targets prove the determinism
 # contracts (cache, parallelism, fault injection, crash-resume) end to
 # end — crash-smoke kills a -state-dir server mid-run and requires the
-# restarted process to finish the run with an identical curve.
+# restarted process to finish the run with an identical curve. `make loc`
+# prints the size metric ROADMAP's "least code" aim is judged by: non-test
+# Go lines per package and the repo total outside benchmark/.
 
 # The smoke recipes use bash-isms (trap on EXIT inside a one-liner,
 # $(( )) arithmetic); pin the shell so they behave the same under any
@@ -48,7 +50,7 @@ define smoke_tmp
 if [ -n "$(SMOKE_DIR)" ]; then tmp="$(SMOKE_DIR)/$(1)"; rm -rf "$$tmp"; mkdir -p "$$tmp"; keep=1; else tmp=$$(mktemp -d); keep=; fi
 endef
 
-.PHONY: all build bin test race vet fmt-check lint cover bench-smoke bench-selftest cache-smoke chaos-smoke obs-smoke session-smoke bench-gate dist-smoke batch-smoke crash-smoke trace-smoke ci
+.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke bench-selftest cache-smoke chaos-smoke obs-smoke session-smoke bench-gate dist-smoke batch-smoke crash-smoke trace-smoke ci
 
 all: build
 
@@ -73,6 +75,15 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# loc counts non-test Go lines (wc -l) per package directory and in total,
+# benchmark/ and its build directory excluded.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+				printf "%7d total (non-test Go lines, benchmark/ excluded)\n", t }'
 
 # lint runs staticcheck pinned through `go run`. The first invocation
 # downloads the module, which needs the network — in an offline sandbox

@@ -128,7 +128,7 @@ type loopRun struct {
 	res  *RunResult
 
 	wallStart time.Time
-	phases    PhaseBreakdown
+	phases    phaseTimes
 	po        *phaseObs
 	tracer    *otrace.Tracer
 	runRef    *otrace.SpanRef
@@ -195,7 +195,7 @@ type stepNote struct {
 // start of every batch.
 type batchState struct {
 	ctx  context.Context // carries the batch span to the executor
-	prev PhaseBreakdown  // phases at batch start, for the span's deltas
+	prev phaseTimes      // phases at batch start, for the span's deltas
 
 	idxs  []int
 	arm   int
@@ -250,8 +250,8 @@ func (l *loopRun) start(ctx context.Context, r *rng.RNG) error {
 	hRef := l.tracer.Start(l.runRef.ID(), "holdout")
 	tHoldout := time.Now()
 	holdout, skips, err := l.exec.BuildHoldout(otrace.ContextWithSpan(ctx, l.tracer, hRef.ID()))
-	l.spend(&l.phases.Holdout, phHoldout, time.Since(tHoldout))
-	hRef.End(otrace.Dur("ns.holdout", l.phases.Holdout))
+	l.spend(phHoldout, time.Since(tHoldout))
+	hRef.End(otrace.Dur(phaseTable[phHoldout].attr, l.phases[phHoldout]))
 	for _, s := range skips {
 		l.res.Quarantined = append(l.res.Quarantined, Quarantine{
 			InputID: s.InputID, Site: "holdout", Step: 0, Reason: s.Reason,
@@ -276,7 +276,7 @@ func (l *loopRun) start(ctx context.Context, r *rng.RNG) error {
 
 	eRef := l.tracer.Start(l.runRef.ID(), "eval", otrace.Int("inputs", 0))
 	l.record(CurvePoint{Inputs: 0, Quality: l.evaluate(), SimTime: 0})
-	eRef.End(otrace.Dur("ns.eval", l.phases.Eval))
+	eRef.End(otrace.Dur(phaseTable[phEval].attr, l.phases[phEval]))
 	return nil
 }
 
@@ -355,7 +355,7 @@ func (l *loopRun) selectBatch(ctx context.Context) bool {
 		l.b.ctx = l.cursorCtx
 	}
 	idxs, arm, ok := l.src.nextBatch(k)
-	l.spend(&l.phases.Select, phSelect, time.Since(tSelect))
+	l.spend(phSelect, time.Since(tSelect))
 	if ok {
 		l.b.idxs, l.b.arm = idxs, arm
 	}
@@ -371,9 +371,11 @@ func (l *loopRun) execute() {
 
 // spend accounts d to one phase: in the run's breakdown and, when a
 // registry is attached, the phase's histogram.
-func (l *loopRun) spend(total *time.Duration, ph phaseID, d time.Duration) {
-	*total += d
-	l.po.observe(ph, d)
+func (l *loopRun) spend(ph phaseID, d time.Duration) {
+	l.phases[ph] += d
+	if l.po != nil {
+		l.po.phases[ph].ObserveDuration(d)
+	}
 }
 
 // quarantine records one input the loop gave up on.
@@ -406,7 +408,7 @@ func (l *loopRun) account() {
 		}
 		out := &l.b.outs[j]
 		workNanos += out.ReadNanos + out.ExtractNanos
-		l.spend(&l.phases.Read, phRead, time.Duration(out.ReadNanos))
+		l.spend(phRead, time.Duration(out.ReadNanos))
 		if out.ReadErr != "" {
 			note.errMsg = out.ReadErr
 			l.quarantine("#"+strconv.Itoa(idx), fault.SiteCorpusRead, out.ReadErr)
@@ -415,7 +417,7 @@ func (l *loopRun) account() {
 		l.b.advanced = true
 		l.simTime += out.Cost
 		note.simAt = l.simTime
-		l.spend(&l.phases.Extract, phExtract, time.Duration(out.ExtractNanos))
+		l.spend(phExtract, time.Duration(out.ExtractNanos))
 		switch {
 		case out.ExtractErr != "":
 			l.res.Errors++
@@ -441,7 +443,7 @@ func (l *loopRun) account() {
 	// executor, real serialization and network time for http. A batch
 	// that never executed (dead worker) is all transport time.
 	if rpc := l.b.wall - time.Duration(workNanos); rpc > 0 {
-		l.spend(&l.phases.RPC, phRPC, rpc)
+		l.spend(phRPC, rpc)
 	}
 }
 
@@ -456,7 +458,7 @@ func (l *loopRun) train(ex learner.Example) {
 	}
 	l.model.PartialFit(ex)
 	l.b.trained++
-	l.spend(&l.phases.Train, phTrain, time.Since(tTrain))
+	l.spend(phTrain, time.Since(tTrain))
 	if !l.cfg.EvalIncremental {
 		if l.fromScratch {
 			l.collected = append(l.collected, ex)
@@ -477,7 +479,7 @@ func (l *loopRun) settle() {
 	if l.rewardHold != nil {
 		tTrain := time.Now()
 		after = l.rewardHold.Quality(l.model)
-		l.spend(&l.phases.Train, phTrain, time.Since(tTrain))
+		l.spend(phTrain, time.Since(tTrain))
 	}
 	for j := range l.b.idxs {
 		if l.b.errs[j] == nil && l.b.outs[j].Res.Produced {
@@ -523,7 +525,7 @@ func (l *loopRun) credit() {
 // evaluate scores the example set collected so far against the holdout.
 func (l *loopRun) evaluate() float64 {
 	tEval := time.Now()
-	defer func() { l.spend(&l.phases.Eval, phEval, time.Since(tEval)) }()
+	defer func() { l.spend(phEval, time.Since(tEval)) }()
 	if l.cfg.EvalIncremental {
 		return l.quality(l.model)
 	}
@@ -572,17 +574,15 @@ func (l *loopRun) endBatch() {
 	if l.tracer == nil {
 		return
 	}
-	prev := &l.b.prev
-	l.batchSpan.End(
+	// Stack-built: the batch span must cost no allocation of its own.
+	attrs := [1 + numPhases]otrace.Attr{
 		otrace.Int("arm", int64(l.b.arm)),
 		otrace.Int("steps", int64(len(l.b.idxs))),
-		otrace.Dur("ns.select", l.phases.Select-prev.Select),
-		otrace.Dur("ns.read", l.phases.Read-prev.Read),
-		otrace.Dur("ns.extract", l.phases.Extract-prev.Extract),
-		otrace.Dur("ns.train", l.phases.Train-prev.Train),
-		otrace.Dur("ns.eval", l.phases.Eval-prev.Eval),
-		otrace.Dur("ns.rpc", l.phases.RPC-prev.RPC),
-	)
+	}
+	for ph := phSelect; ph < numPhases; ph++ { // holdout precedes every batch
+		attrs[1+ph] = otrace.Dur(phaseTable[ph].attr, l.phases[ph]-l.b.prev[ph])
+	}
+	l.batchSpan.End(attrs[:]...)
 }
 
 // finish records the final curve point and folds the run's tallies into
@@ -600,10 +600,10 @@ func (l *loopRun) finish(stop StopReason) *RunResult {
 	if n := len(res.Curve); n > 0 && (res.Curve[n-1].Inputs == l.steps || stop == StopCancelled) {
 		final = res.Curve[n-1].Quality
 	} else {
-		evalPrev := l.phases.Eval
+		evalPrev := l.phases[phEval]
 		fRef := l.tracer.Start(l.runRef.ID(), "eval", otrace.Int("inputs", int64(l.steps)))
 		final = l.evaluate()
-		fRef.End(otrace.Dur("ns.eval", l.phases.Eval-evalPrev))
+		fRef.End(otrace.Dur(phaseTable[phEval].attr, l.phases[phEval]-evalPrev))
 		l.record(CurvePoint{Inputs: l.steps, Quality: final, SimTime: l.simTime})
 	}
 	res.InputsProcessed = l.steps
@@ -616,9 +616,10 @@ func (l *loopRun) finish(stop StopReason) *RunResult {
 	st := l.exec.Stats()
 	res.CacheHits = st.CacheHits
 	res.CacheMisses = st.CacheMisses
-	l.phases.CacheLookup = time.Duration(st.CacheLookupNanos)
-	res.Phases = l.phases
-	l.po.observeRun(res.WallTime)
+	res.Phases = l.phases.breakdown(time.Duration(st.CacheLookupNanos))
+	if l.po != nil {
+		l.po.run.ObserveDuration(res.WallTime)
+	}
 	if l.tracer != nil {
 		// One zero-length "part" span per recipe part carries the run's
 		// per-part extraction cost (cached runs only; holdout extractions

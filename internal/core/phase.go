@@ -44,29 +44,55 @@ type PhaseBreakdown struct {
 	CacheLookup time.Duration `json:"cache_lookup"`
 }
 
-// phaseNames lists the primary (disjoint) phases in reporting order.
-var phaseNames = []string{"holdout", "select", "read", "extract", "train", "eval", "rpc"}
+// phaseID indexes a primary (disjoint) phase, in reporting order.
+type phaseID int
 
-// Durations returns the primary phases as a name → duration map,
-// CacheLookup excluded (it overlaps Extract/Holdout).
-func (p PhaseBreakdown) Durations() map[string]time.Duration {
-	return map[string]time.Duration{
-		"holdout": p.Holdout,
-		"select":  p.Select,
-		"read":    p.Read,
-		"extract": p.Extract,
-		"train":   p.Train,
-		"eval":    p.Eval,
-		"rpc":     p.RPC,
+const (
+	phHoldout phaseID = iota
+	phSelect
+	phRead
+	phExtract
+	phTrain
+	phEval
+	phRPC
+	numPhases
+)
+
+// phaseTable is where each primary phase is named: name is its key in
+// reports and its zombie_phase_seconds label, attr the span attribute
+// carrying its wall time. The loop accumulates into a phaseTimes and the
+// reports, histograms and batch spans all walk this table.
+var phaseTable = [numPhases]struct{ name, attr string }{
+	phHoldout: {"holdout", "ns.holdout"},
+	phSelect:  {"select", "ns.select"},
+	phRead:    {"read", "ns.read"},
+	phExtract: {"extract", "ns.extract"},
+	phTrain:   {"train", "ns.train"},
+	phEval:    {"eval", "ns.eval"},
+	phRPC:     {"rpc", "ns.rpc"},
+}
+
+// phaseTimes is wall time per primary phase, indexed by phaseID.
+type phaseTimes [numPhases]time.Duration
+
+// breakdown is the exported form of t plus the cache's lookup overhead.
+func (t phaseTimes) breakdown(cacheLookup time.Duration) PhaseBreakdown {
+	return PhaseBreakdown{
+		Holdout: t[phHoldout], Select: t[phSelect], Read: t[phRead], Extract: t[phExtract],
+		Train: t[phTrain], Eval: t[phEval], RPC: t[phRPC], CacheLookup: cacheLookup,
 	}
 }
 
-// Millis renders the primary phases as milliseconds, the wire form
-// RunInfo and the bench report use.
+// Millis renders the primary phases as name → milliseconds, the wire form
+// RunInfo and the bench report use. CacheLookup is excluded (it overlaps
+// Extract/Holdout).
 func (p PhaseBreakdown) Millis() map[string]float64 {
-	out := make(map[string]float64, len(phaseNames))
-	for name, d := range p.Durations() {
-		out[name] = float64(d) / float64(time.Millisecond)
+	out := make(map[string]float64, numPhases)
+	for ph, d := range (phaseTimes{
+		phHoldout: p.Holdout, phSelect: p.Select, phRead: p.Read, phExtract: p.Extract,
+		phTrain: p.Train, phEval: p.Eval, phRPC: p.RPC,
+	}) {
+		out[phaseTable[ph].name] = float64(d) / float64(time.Millisecond)
 	}
 	return out
 }
@@ -87,26 +113,12 @@ func (p PhaseBreakdown) Coverage(wall time.Duration) float64 {
 	return float64(p.Accounted()) / float64(wall)
 }
 
-// phaseID indexes a primary phase inside phaseObs.
-type phaseID int
-
-const (
-	phHoldout phaseID = iota
-	phSelect
-	phRead
-	phExtract
-	phTrain
-	phEval
-	phRPC
-	numPhases
-)
-
 // phaseObs is the registry-backed side of phase timing: one histogram
 // series per phase (family zombie_phase_seconds) plus the whole-run
 // histogram, declared idempotently so every run of a process shares the
-// same series. A nil *phaseObs is valid and observes nothing — the
-// engine times phases unconditionally (RunResult.Phases is always
-// filled) and only the histogram fan-out is optional.
+// same series. A nil *phaseObs means no registry: the engine times
+// phases unconditionally (RunResult.Phases is always filled) and only
+// the histogram fan-out is optional.
 type phaseObs struct {
 	phases [numPhases]*obs.Histogram
 	run    *obs.Histogram
@@ -120,25 +132,8 @@ func newPhaseObs(r *obs.Registry) *phaseObs {
 	o := &phaseObs{
 		run: r.Histogram("zombie_run_seconds", "Engine run wall time.", obs.RunBuckets),
 	}
-	for i, phase := range phaseNames {
-		o.phases[i] = r.HistogramL(name, help, "phase", phase, obs.LatencyBuckets)
+	for ph, row := range phaseTable {
+		o.phases[ph] = r.HistogramL(name, help, "phase", row.name, obs.LatencyBuckets)
 	}
 	return o
-}
-
-// observe folds one per-step (or per-run, for holdout) duration into the
-// phase's histogram.
-func (o *phaseObs) observe(p phaseID, d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.phases[p].ObserveDuration(d)
-}
-
-// observeRun records the whole-run wall time.
-func (o *phaseObs) observeRun(d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.run.ObserveDuration(d)
 }

@@ -19,7 +19,7 @@ func TestPhaseBreakdownCoversRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := res.Phases
-	for name, d := range p.Durations() {
+	for name, d := range p.Millis() {
 		if d < 0 {
 			t.Fatalf("phase %s negative: %v", name, d)
 		}

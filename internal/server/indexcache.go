@@ -41,8 +41,12 @@ type IndexCache struct {
 	metrics *Metrics
 }
 
-// NewIndexCache returns an empty cache. metrics may be nil.
+// NewIndexCache returns an empty cache. A nil metrics gets a private
+// registry.
 func NewIndexCache(metrics *Metrics) *IndexCache {
+	if metrics == nil {
+		metrics = NewMetrics(nil)
+	}
 	return &IndexCache{entries: map[IndexKey]*indexEntry{}, metrics: metrics}
 }
 
@@ -54,9 +58,7 @@ func (c *IndexCache) Get(ctx context.Context, key IndexKey, build func() (*index
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
-		if c.metrics != nil {
-			c.metrics.IndexCacheHits.Add(1)
-		}
+		c.metrics.IndexCacheHits.Add(1)
 		select {
 		case <-e.ready:
 			return e.groups, e.err
@@ -68,9 +70,7 @@ func (c *IndexCache) Get(ctx context.Context, key IndexKey, build func() (*index
 	c.entries[key] = e
 	c.mu.Unlock()
 
-	if c.metrics != nil {
-		c.metrics.IndexBuilds.Add(1)
-	}
+	c.metrics.IndexBuilds.Add(1)
 	e.groups, e.err = build()
 	if e.err != nil {
 		c.mu.Lock()

@@ -21,7 +21,6 @@ import (
 	"zombie/internal/obs"
 	"zombie/internal/parallel"
 	"zombie/internal/rng"
-	"zombie/internal/trace"
 	"zombie/internal/workload"
 )
 
@@ -44,7 +43,7 @@ type Manager struct {
 	cache     *IndexCache
 	featCache *featcache.Cache
 	metrics   *Metrics
-	store     RunStore
+	store     *DurableStore // nil without a state directory
 	defaults  RunDefaults
 	log       *slog.Logger
 
@@ -88,11 +87,11 @@ type RunDefaults struct {
 
 // NewManager starts a pool of workers goroutines over a queue of queueCap
 // pending runs (both floored at 1) and returns the manager. store
-// receives every run lifecycle transition; nil means the in-memory
-// no-op store (state dies with the process).
-func NewManager(registry *Registry, cache *IndexCache, featCache *featcache.Cache, metrics *Metrics, store RunStore, workers, queueCap int, defaults RunDefaults) *Manager {
-	if store == nil {
-		store = NewMemStore()
+// receives every run lifecycle record; nil means state dies with the
+// process. A nil metrics gets a private registry.
+func NewManager(registry *Registry, cache *IndexCache, featCache *featcache.Cache, metrics *Metrics, store *DurableStore, workers, queueCap int, defaults RunDefaults) *Manager {
+	if metrics == nil {
+		metrics = NewMetrics(nil)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Manager{
@@ -118,13 +117,16 @@ func (m *Manager) SetLogger(l *slog.Logger) {
 	}
 }
 
-// obsRegistry returns the telemetry registry runs observe into (nil when
-// the manager has no metrics).
-func (m *Manager) obsRegistry() *obs.Registry {
-	if m.metrics == nil {
-		return nil
+// transition applies rec to the run and, when the run's reducer accepted
+// it, hands the same record to the store — every live run transition
+// after submit goes through here (or through Cancel, which must decide
+// under the run's lock).
+func (m *Manager) transition(run *Run, rec *walRecord) bool {
+	ok := run.transition(rec)
+	if ok {
+		m.store.record(rec)
 	}
-	return m.metrics.Registry()
+	return ok
 }
 
 // normalize fills spec defaults in place.
@@ -244,21 +246,20 @@ func (m *Manager) Submit(spec RunSpec) (*Run, error) {
 		return nil, ErrShuttingDown
 	}
 	m.nextID++
-	run := newRun("r"+strconv.Itoa(m.nextID), spec, time.Now())
+	submit := &walRecord{Type: recRunSubmit, ID: "r" + strconv.Itoa(m.nextID), Num: m.nextID, Spec: &spec, At: time.Now().UnixNano()}
+	run := newRun(newRunRecord(submit))
 	// Journal the submission before the enqueue: a worker may pick the run
 	// up (and journal its start) the instant TrySubmit returns. A failed
 	// enqueue is compensated with a discard record — the run never existed.
-	m.store.RunSubmitted(run.ID, m.nextID, run.spec, run.created)
+	m.store.record(submit)
 	if !m.pool.TrySubmit(func() { m.execute(run) }) {
 		m.nextID-- // ID was never exposed
-		m.store.RunDiscarded(run.ID)
+		m.store.record(&walRecord{Type: recRunDiscard, ID: run.ID})
 		return nil, fmt.Errorf("%w (%d pending)", ErrQueueFull, m.pool.Cap())
 	}
 	m.runs[run.ID] = run
 	m.order = append(m.order, run.ID)
-	if m.metrics != nil {
-		m.metrics.RunsStarted.Add(1)
-	}
+	m.metrics.RunsStarted.Add(1)
 	return run, nil
 }
 
@@ -295,15 +296,12 @@ func (m *Manager) Cancel(id string) (RunInfo, error) {
 	if !ok {
 		return RunInfo{}, fmt.Errorf("server: unknown run %q", id)
 	}
-	now := time.Now()
-	_, cancelledNow := run.requestCancel(now)
-	if cancelledNow {
-		if m.metrics != nil {
-			m.metrics.RunsCancelled.Add(1)
-		}
+	finish := &walRecord{Type: recRunFinish, ID: run.ID, At: time.Now().UnixNano(), State: StateCancelled}
+	if run.requestCancel(finish) {
 		// The cancel itself finished a queued run; no worker will ever own
 		// it, so the terminal record is journaled here.
-		m.store.RunFinished(run.ID, now, run.Info())
+		m.metrics.RunsCancelled.Add(1)
+		m.store.record(finish)
 	}
 	return run.Info(), nil
 }
@@ -316,40 +314,41 @@ func (m *Manager) Running() int { return int(m.running.Load()) }
 
 // execute runs one queued run to a terminal state.
 func (m *Manager) execute(run *Run) {
+	spec := run.rec.Spec
 	var ctx context.Context
 	var cancel context.CancelFunc
-	if to := m.timeoutFor(run.spec); to > 0 {
+	if to := m.timeoutFor(spec); to > 0 {
 		ctx, cancel = context.WithTimeout(m.baseCtx, to)
 	} else {
 		ctx, cancel = context.WithCancel(m.baseCtx)
 	}
 	defer cancel()
-	started := time.Now()
-	if !run.start(cancel, started) {
+	started := time.Now().UnixNano()
+	// The start record carries the cancel hook a later DELETE will invoke.
+	if !m.transition(run, &walRecord{Type: recRunStart, ID: run.ID, At: started, cancel: cancel}) {
 		return // cancelled while queued
 	}
-	m.store.RunStarted(run.ID, started)
 	m.running.Add(1)
 	defer m.running.Add(-1)
-	m.log.Info("run started", "run", run.ID, "corpus", run.spec.Corpus,
-		"task", run.spec.Task, "mode", run.spec.Mode)
+	m.log.Info("run started", "run", run.ID, "corpus", spec.Corpus,
+		"task", spec.Task, "mode", spec.Mode)
 
+	// Exactly one of res and err is set.
 	res, err := m.runEngine(ctx, run)
-	finished := time.Now()
-	if m.metrics != nil {
-		m.metrics.RunWallMillis.Add(finished.Sub(started).Milliseconds())
-		if res != nil {
-			m.metrics.InputsQuarantined.Add(int64(len(res.Quarantined)))
-		}
+	finished := time.Now().UnixNano()
+	// Counters move before the finish transition closes Done, so whoever
+	// waits on the run reads them settled.
+	wall := wallMillis(started, finished)
+	m.metrics.RunWallMillis.Add(wall)
+	if res != nil {
+		m.metrics.InputsQuarantined.Add(int64(len(res.Quarantined)))
+		m.metrics.InputsProcessed.Add(int64(res.InputsProcessed))
 	}
-	// Counters move before run.finish closes Done, so whoever waits on the
-	// run reads them settled.
+	state, errMsg, timedOut := StateDone, "", false
 	switch {
 	case err != nil:
-		if m.metrics != nil {
-			m.metrics.RunsFailed.Add(1)
-		}
-		run.finish(StateFailed, nil, err.Error(), finished)
+		m.metrics.RunsFailed.Add(1)
+		state, errMsg = StateFailed, err.Error()
 	case res.Stop == core.StopFailed:
 		// The failure budget tripped: terminal failed, but with the partial
 		// result attached — the curve so far and the quarantine list are the
@@ -361,50 +360,38 @@ func (m *Manager) execute(run *Run) {
 				loopQuarantined++
 			}
 		}
-		if m.metrics != nil {
-			m.metrics.RunsFailed.Add(1)
-			m.metrics.InputsProcessed.Add(int64(res.InputsProcessed))
-		}
-		run.finish(StateFailed, res,
-			fmt.Sprintf("failure budget exceeded: %d of %d processed inputs quarantined",
-				loopQuarantined, res.InputsProcessed), finished)
+		m.metrics.RunsFailed.Add(1)
+		state, errMsg = StateFailed, fmt.Sprintf("failure budget exceeded: %d of %d processed inputs quarantined",
+			loopQuarantined, res.InputsProcessed)
 	case res.Stop == core.StopCancelled:
 		// Distinguish a deadline expiry from a client cancel: both surface
 		// as a cancelled loop, but only the former carries DeadlineExceeded.
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			run.setTimedOut()
-			if m.metrics != nil {
-				m.metrics.RunsTimedOut.Add(1)
-			}
+		if timedOut = errors.Is(ctx.Err(), context.DeadlineExceeded); timedOut {
+			m.metrics.RunsTimedOut.Add(1)
 		}
-		if m.metrics != nil {
-			m.metrics.RunsCancelled.Add(1)
-			m.metrics.InputsProcessed.Add(int64(res.InputsProcessed))
-		}
-		run.finish(StateCancelled, res, "", finished)
+		m.metrics.RunsCancelled.Add(1)
+		state = StateCancelled
 	default:
-		if m.metrics != nil {
-			m.metrics.RunsCompleted.Add(1)
-			m.metrics.InputsProcessed.Add(int64(res.InputsProcessed))
-		}
-		run.finish(StateDone, res, "", finished)
+		m.metrics.RunsCompleted.Add(1)
 	}
-	info := run.Info()
-	m.store.RunFinished(run.ID, finished, info)
-	if info.Error != "" {
-		m.log.Error("run finished", "run", run.ID, "state", info.State,
-			"wall_ms", info.WallMillis, "error", info.Error)
+	// The digest is taken here, once, from the engine result; everything
+	// that reports on the run afterwards reads the record.
+	m.transition(run, &walRecord{Type: recRunFinish, ID: run.ID, At: finished, State: state, Err: errMsg,
+		Summary: runDigest(res), TimedOut: timedOut, result: res})
+	if errMsg != "" {
+		m.log.Error("run finished", "run", run.ID, "state", state,
+			"wall_ms", wall, "error", errMsg)
 	} else {
-		m.log.Info("run finished", "run", run.ID, "state", info.State,
-			"wall_ms", info.WallMillis, "inputs", info.InputsProcessed,
-			"quality", info.FinalQuality, "quarantined", info.Quarantined)
+		m.log.Info("run finished", "run", run.ID, "state", state,
+			"wall_ms", wall, "inputs", res.InputsProcessed,
+			"quality", res.FinalQuality, "quarantined", len(res.Quarantined))
 	}
 }
 
 // runEngine assembles the task, resolves the index through the shared
 // cache, and executes the engine loop with the run's live-curve bridge.
 func (m *Manager) runEngine(ctx context.Context, run *Run) (*core.RunResult, error) {
-	spec := run.spec // immutable after Submit
+	spec := run.rec.Spec // immutable after Submit
 	store, err := m.registry.Get(spec.Corpus)
 	if err != nil {
 		return nil, err
@@ -419,22 +406,13 @@ func (m *Manager) runEngine(ctx context.Context, run *Run) (*core.RunResult, err
 		return nil, err
 	}
 	cfg.Progress = func(p core.CurvePoint) {
-		run.appendPoint(p)
-		m.store.RunProgressed(run.ID, p)
+		m.transition(run, &walRecord{Type: recRunPoint, ID: run.ID, Point: &p})
 	}
-	cfg.Obs = m.obsRegistry()
-	// The event hook is wired for every run now, not just traced ones: it
-	// bridges step events into the trace ring/SSE stream (traced runs) and
-	// journals quarantine transitions (all runs). Config.Event is
-	// observational by contract, so this changes no run output.
-	traced := spec.Trace
-	cfg.Event = func(ev trace.Event) {
-		if traced {
-			run.appendEvent(ev)
-		}
-		if ev.Quarantined {
-			m.store.RunQuarantined(run.ID)
-		}
+	cfg.Obs = m.metrics.Registry()
+	if spec.Trace {
+		// Bridge step events into the trace ring and the SSE stream.
+		// Config.Event is observational by contract: no run output changes.
+		cfg.Event = run.appendEvent
 	}
 	// Every run shares the server's extraction cache; results are
 	// byte-identical either way (see core.Config.Cache), so this is purely
@@ -483,7 +461,7 @@ func (m *Manager) runEngine(ctx context.Context, run *Run) (*core.RunResult, err
 // -dist-workers default, then in-process local workers sharing the
 // server's extraction cache and telemetry registry.
 func (m *Manager) runDist(ctx context.Context, run *Run, eng *core.Engine, store corpus.Store, task *featurepipe.Task, groups *index.Groups) (*core.RunResult, error) {
-	spec := run.spec
+	spec := run.rec.Spec
 	addrs := spec.DistWorkers
 	shards := spec.Shards
 	if len(addrs) == 0 && shards > 0 && shards <= len(m.defaults.DistWorkers) {
@@ -494,7 +472,7 @@ func (m *Manager) runDist(ctx context.Context, run *Run, eng *core.Engine, store
 		shards = len(addrs)
 		tr = dist.NewHTTPTransport(addrs)
 	} else {
-		tr = dist.NewLocalTransport(store, shards, m.featCache, m.obsRegistry())
+		tr = dist.NewLocalTransport(store, shards, m.featCache, m.metrics.Registry())
 	}
 	defer tr.Close()
 	res, err := dist.Run(ctx, eng, tr, dist.Spec{
@@ -506,7 +484,7 @@ func (m *Manager) runDist(ctx context.Context, run *Run, eng *core.Engine, store
 		Shards:         shards,
 		FaultSpec:      spec.Faults,
 		FaultSeed:      spec.FaultSeed,
-		Obs:            m.obsRegistry(),
+		Obs:            m.metrics.Registry(),
 		Tracer:         run.tracer,
 	}, task, groups)
 	if err != nil {
@@ -535,9 +513,7 @@ func (m *Manager) buildIndexWithRetry(ctx context.Context, key IndexKey, inj *fa
 	var lastErr error
 	for attempt := 0; attempt < indexBuildAttempts; attempt++ {
 		if attempt > 0 {
-			if m.metrics != nil {
-				m.metrics.IndexBuildRetries.Add(1)
-			}
+			m.metrics.IndexBuildRetries.Add(1)
 			select {
 			case <-time.After(indexBuildBackoff << (attempt - 1)):
 			case <-ctx.Done():
@@ -596,27 +572,25 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 }
 
-// restore rebuilds the manager's run table from recovered state:
-// terminal runs come back with their full history, interrupted (queued
-// or running at crash time) runs are reset to queued and parked until
-// recoverPending re-queues them. It must run before the server starts
-// accepting requests — it assumes an empty run table.
+// restore rebuilds the manager's run table from recovered state. Every
+// run comes back exactly as its record says — terminal runs with their
+// full history, interrupted (queued or running at crash time) runs as the
+// crash left them, parked until recoverPending requeues them. It must run
+// before the server starts accepting requests — it assumes an empty run
+// table.
 func (m *Manager) restore(st *persistState) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if st.NextRunID > m.nextID {
-		m.nextID = st.NextRunID
-	}
+	m.nextID = max(m.nextID, st.NextRunID)
 	for _, id := range st.RunOrder {
-		pr := st.Runs[id]
-		if pr == nil {
+		rec := st.Runs[id]
+		if rec == nil {
 			continue
 		}
-		run := restoreRun(pr)
+		run := newRun(*rec)
 		m.runs[id] = run
 		m.order = append(m.order, id)
-		if !pr.State.terminal() {
-			run.prepareRequeue()
+		if !rec.State.terminal() {
 			m.pending = append(m.pending, run)
 		}
 	}
@@ -625,9 +599,11 @@ func (m *Manager) restore(st *persistState) {
 // recoverPending re-queues every restored interrupted run for
 // deterministic re-execution: the engine is a pure function of the spec,
 // so the re-run's curve is byte-identical to what an uninterrupted run
-// would have produced. It is separate from restore because the runs'
-// corpora are registered by the embedder after the server is built;
-// call it once registration is done. Returns the number re-queued.
+// would have produced. The requeue record resets the run to queued and
+// drops its stale partial curve (the engine re-emits the complete curve
+// from scratch). It is separate from restore because the runs' corpora
+// are registered by the embedder after the server is built; call it once
+// registration is done. Returns the number re-queued.
 func (m *Manager) recoverPending() int {
 	m.mu.Lock()
 	pending := m.pending
@@ -637,25 +613,20 @@ func (m *Manager) recoverPending() int {
 	recovered := 0
 	for _, run := range pending {
 		run := run
-		m.store.RunRequeued(run.ID)
+		m.transition(run, &walRecord{Type: recRunRequeue, ID: run.ID})
 		if !m.pool.TrySubmit(func() { m.execute(run) }) {
 			// A recovery flood larger than the queue: fail the overflow runs
 			// loudly rather than dropping them silently. Clients see why.
-			now := time.Now()
-			run.finish(StateFailed, nil, "recovery re-queue failed: run queue full", now)
-			m.store.RunFinished(run.ID, now, run.Info())
-			if m.metrics != nil {
-				m.metrics.RunsFailed.Add(1)
-			}
+			m.transition(run, &walRecord{Type: recRunFinish, ID: run.ID, At: time.Now().UnixNano(),
+				State: StateFailed, Err: "recovery re-queue failed: run queue full"})
+			m.metrics.RunsFailed.Add(1)
 			m.log.Error("run recovery failed", "run", run.ID, "error", "queue full")
 			continue
 		}
 		recovered++
-		if m.metrics != nil {
-			m.metrics.RunsRecovered.Add(1)
-		}
-		m.log.Info("run recovered", "run", run.ID, "corpus", run.spec.Corpus,
-			"task", run.spec.Task, "requeues", run.Info().Recovered)
+		m.metrics.RunsRecovered.Add(1)
+		m.log.Info("run recovered", "run", run.ID, "corpus", run.rec.Spec.Corpus,
+			"task", run.rec.Spec.Task, "requeues", run.Info().Recovered)
 	}
 	return recovered
 }

@@ -91,11 +91,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // ObserveTracer wires a span tracer's per-span hook into the
-// spans_recorded / spans_dropped counters. Nil-safe on both sides.
+// spans_recorded / spans_dropped counters. A nil tracer is a no-op.
 func (m *Metrics) ObserveTracer(tr *otrace.Tracer) {
-	if m == nil {
-		return
-	}
 	observeTracer(m.reg, tr)
 }
 

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"zombie/internal/trace"
 )
@@ -224,7 +223,7 @@ func TestRunTraceStreamAndSnapshot(t *testing.T) {
 // eviction count — a follower must learn the ring wrapped without polling
 // the snapshot endpoint.
 func TestTraceFramesReportRingDrops(t *testing.T) {
-	run := newRun("t-drops", RunSpec{Trace: true}, time.Now())
+	run := newRun(runRecord{ID: "t-drops", Spec: RunSpec{Trace: true}, State: StateQueued})
 	const over = 3
 	for i := 0; i < traceRingCap+over; i++ {
 		run.appendEvent(trace.Event{Step: i + 1})

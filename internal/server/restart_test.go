@@ -2,13 +2,17 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"zombie/internal/fault"
+	"zombie/internal/recipe"
 )
 
 // newDurableServer mirrors the zombie-serve startup sequence over a state
@@ -92,7 +96,7 @@ func TestRestartAfterKillResumesRun(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	s1.store.(*DurableStore).freeze() // the "kill -9"
+	s1.store.freeze() // the "kill -9"
 	shutdown(t, s1, 50*time.Millisecond)
 
 	// Restart: the run must come back, re-queue, and resume to done.
@@ -242,7 +246,7 @@ func TestSessionRestartWarmStartsFromPersistedArms(t *testing.T) {
 		},
 	}
 	decodeBody[map[string]any](t, postJSON(t, ts2.URL+"/sessions/"+created.ID+"/runs", v3spec), http.StatusAccepted)
-	s2.store.(*DurableStore).freeze()
+	s2.store.freeze()
 	ts2.Close()
 	shutdown(t, s2, 50*time.Millisecond)
 
@@ -282,7 +286,7 @@ func TestJournalErrorsDemoteToMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitRun(t, s1, run.ID) // journal failures must not touch the run
-	ds := s1.store.(*DurableStore)
+	ds := s1.store
 	if !ds.Demoted() {
 		t.Fatal("store not demoted after persistent journal failures")
 	}
@@ -303,5 +307,125 @@ func TestJournalErrorsDemoteToMemory(t *testing.T) {
 	}
 	if _, ok := s2.Manager().Get(run.ID); ok {
 		t.Fatal("demoted store persisted the run anyway")
+	}
+}
+
+// TestRejectedVersionIsNotRecovered: a version submitted while the hub is
+// shutting down is refused whole — 503 to the client, nothing appended to
+// the session, nothing journaled — so the next process has nothing to
+// recover: a version the client was told had been rejected must not run
+// after a restart.
+func TestRejectedVersionIsNotRecovered(t *testing.T) {
+	state := t.TempDir()
+	corpus := writeImageCorpus(t, 300, 36)
+	s1, _, _ := newDurableServer(t, state, corpus, Config{})
+	sess, err := s1.sessions.Create(SessionSpec{Corpus: "imgs", Task: "image", K: 8, MaxInputs: 40, EvalEvery: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := json.Marshal(imageRecipeSpec(2))
+	var spec recipe.Spec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.sessions.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.sessions.Submit(sess, &spec); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("Submit after Shutdown = %v, want ErrShuttingDown", err)
+	}
+	if n := len(sess.Info().Versions); n != 0 {
+		t.Fatalf("rejected submit left %d versions in the session", n)
+	}
+	shutdown(t, s1, 10*time.Second)
+
+	s2, runs, versions := newDurableServer(t, state, corpus, Config{})
+	defer shutdown(t, s2, 10*time.Second)
+	if runs != 0 || versions != 0 {
+		t.Fatalf("recovered %d runs, %d versions, want none", runs, versions)
+	}
+	restored, ok := s2.sessions.Get(sess.ID)
+	if !ok || len(restored.Info().Versions) != 0 {
+		t.Fatalf("restored session: ok=%v %+v", ok, restored)
+	}
+}
+
+// TestEventsAndTraceReadTheRecord pins what the two step-trace endpoints
+// answer for a run without an engine result, by why it has none: 410 only
+// when the result belonged to a previous process (the digest survived, the
+// step log was never journaled), 404 naming the state and error when the
+// run never produced one; and phase_ms comes from the digest, so a restored
+// traced run serves it on /trace exactly as on /runs/{id}.
+func TestEventsAndTraceReadTheRecord(t *testing.T) {
+	s, err := New(Config{StateDir: copyFixture(t), Workers: 1, QueueCap: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s, 10*time.Second)
+	if _, err := s.Registry().Add("imgs", writeImageCorpus(t, 300, 37), false); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	submit := func(spec RunSpec) *Run {
+		t.Helper()
+		spec.Corpus, spec.Task, spec.Trace = "imgs", "image", true
+		run, err := s.Manager().Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+	liveDone := submit(RunSpec{K: 8, MaxInputs: 40, EvalEvery: 20})
+	liveFailed := submit(RunSpec{K: 4, MaxInputs: 40, Faults: "index.build:err=1", FaultSeed: 3}) // K=4: not the cached index
+	<-liveDone.Done()
+	<-liveFailed.Done()
+	blocker := submit(RunSpec{K: 8, MaxInputs: 100, Faults: "extract:lat=3ms"})
+	cancelledQueued := submit(RunSpec{K: 8, MaxInputs: 40})
+	for _, id := range []string{cancelledQueued.ID, blocker.ID} {
+		if _, err := s.Manager().Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-blocker.Done()
+
+	cases := []struct {
+		name, id   string
+		state      RunState
+		events     int
+		eventsSays string
+		phases     bool
+	}{
+		{"live done", liveDone.ID, StateDone, http.StatusOK, "", true},
+		{"live failed without a result", liveFailed.ID, StateFailed, http.StatusNotFound, "failed without a result: server: index build", false},
+		{"cancelled while queued", cancelledQueued.ID, StateCancelled, http.StatusNotFound, "cancelled without a result", false},
+		{"restored done", "r1", StateDone, http.StatusGone, "predates this server process", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			info := decodeBody[RunInfo](t, mustGet(t, ts.URL+"/runs/"+tc.id), http.StatusOK)
+			if info.State != tc.state || (info.PhaseMillis != nil) != tc.phases {
+				t.Fatalf("info: %+v", info)
+			}
+			resp := mustGet(t, ts.URL+"/runs/"+tc.id+"/events")
+			if tc.events == http.StatusOK {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("events status = %d, want 200", resp.StatusCode)
+				}
+			} else if body := decodeBody[errorBody](t, resp, tc.events); !strings.Contains(body.Error, tc.eventsSays) {
+				t.Fatalf("events error = %q, want it to say %q", body.Error, tc.eventsSays)
+			}
+			trace := decodeBody[struct {
+				State  RunState           `json:"state"`
+				Phases map[string]float64 `json:"phase_ms"`
+			}](t, mustGet(t, ts.URL+"/runs/"+tc.id+"/trace"), http.StatusOK)
+			if trace.State != tc.state || !reflect.DeepEqual(trace.Phases, info.PhaseMillis) {
+				t.Fatalf("trace state %s phase_ms %v, info state %s phase_ms %v",
+					trace.State, trace.Phases, info.State, info.PhaseMillis)
+			}
+		})
 	}
 }

@@ -112,32 +112,24 @@ type streamMsg struct {
 	dropped int64
 }
 
-// Run is one managed run: the spec, its lifecycle state, the live learning
-// curve, the trace ring (traced runs), and the subscriber fan-out feeding
-// SSE streams. All mutable fields are guarded by mu; done is closed
-// exactly once, on reaching a terminal state.
+// Run is one managed run: its lifecycle record (spec, state, timestamps,
+// live curve, terminal digest — everything that survives a restart) plus
+// the process-local parts around it: the trace ring (traced runs), the
+// subscriber fan-out feeding SSE streams, the cancel hook and the engine
+// result. All mutable fields are guarded by mu; rec advances through
+// transition only; done is closed exactly once, on reaching a terminal
+// state.
 type Run struct {
 	ID string
 
-	mu       sync.Mutex
-	spec     RunSpec
-	state    RunState
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	curve    []core.CurvePoint
-	subs     map[int]chan streamMsg
-	nextSub  int
-	result   *core.RunResult
-	errMsg   string
-	cancel   context.CancelFunc
-	timedOut bool
-	// summary carries a restored terminal run's persisted digest; Info
-	// falls back to it when result is nil because the engine result
-	// belonged to a previous process. recovered counts how many times
-	// recovery re-queued this run after a crash.
-	summary   *runSummary
-	recovered int
+	mu      sync.Mutex
+	rec     runRecord // rec.Spec is immutable after submit and read unlocked
+	subs    map[int]chan streamMsg
+	nextSub int
+	// result is the engine result of a run that finished in this process
+	// (nil for a restored run: Info renders from rec.Summary either way).
+	result *core.RunResult
+	cancel context.CancelFunc
 	// distTransport / distWorkers record the distribution summary for
 	// sharded runs, set by the manager before the run finishes.
 	distTransport string
@@ -145,7 +137,9 @@ type Run struct {
 
 	// ring holds the run's recent step events (nil unless spec.Trace). The
 	// engine goroutine appends while HTTP handlers snapshot concurrently;
-	// the ring has its own lock, so appends never contend with r.mu.
+	// the ring has its own lock, so appends never contend with r.mu. Step
+	// events are not journaled (far too dense): a re-executed run refills
+	// the ring, a restored terminal run reports zero retained events.
 	ring *trace.Ring
 
 	// tracer holds the run's span buffer (nil unless spec.Spans), seeded
@@ -157,77 +151,65 @@ type Run struct {
 	done chan struct{}
 }
 
-func newRun(id string, spec RunSpec, now time.Time) *Run {
+// newRun attaches the process-local parts to a lifecycle record: a fresh
+// one at submit, a decoded one at restore. Terminal runs come back with
+// their history and a closed Done channel; interrupted (queued/running)
+// runs come back as the crash left them, for Manager.recoverPending to
+// requeue.
+func newRun(rec runRecord) *Run {
 	r := &Run{
-		ID:      id,
-		spec:    spec,
-		state:   StateQueued,
-		created: now,
-		subs:    map[int]chan streamMsg{},
-		done:    make(chan struct{}),
+		ID:   rec.ID,
+		rec:  rec,
+		subs: map[int]chan streamMsg{},
+		done: make(chan struct{}),
 	}
-	if spec.Trace {
+	if rec.Spec.Trace {
 		r.ring = trace.NewRing(traceRingCap)
 	}
-	if spec.Spans {
-		r.tracer = otrace.New(id, otrace.DefaultCapacity)
+	if rec.Spec.Spans {
+		r.tracer = otrace.New(rec.ID, otrace.DefaultCapacity)
 	}
-	return r
-}
-
-// restoreRun rebuilds a Run from its persisted record. Terminal runs
-// come back with their history — curve, summary, error, timings — and a
-// closed Done channel; interrupted (queued/running) runs come back as
-// the crash left them, for the manager to re-queue via prepareRequeue.
-func restoreRun(pr *persistRun) *Run {
-	r := &Run{
-		ID:        pr.ID,
-		spec:      pr.Spec,
-		state:     pr.State,
-		created:   time.Unix(0, pr.Created),
-		subs:      map[int]chan streamMsg{},
-		done:      make(chan struct{}),
-		errMsg:    pr.Err,
-		summary:   pr.Summary,
-		timedOut:  pr.TimedOut,
-		recovered: pr.Recovered,
-	}
-	if pr.Started != 0 {
-		r.started = time.Unix(0, pr.Started)
-	}
-	if pr.Finished != 0 {
-		r.finished = time.Unix(0, pr.Finished)
-	}
-	r.curve = append(r.curve, pr.Curve...)
-	if pr.Spec.Trace {
-		// The ring starts empty: step events are not journaled (far too
-		// dense); a re-executed run refills it, a restored terminal run
-		// reports zero retained events.
-		r.ring = trace.NewRing(traceRingCap)
-	}
-	if pr.Spec.Spans {
-		// Same policy as the ring: spans are not journaled, a re-executed
-		// run refills the buffer.
-		r.tracer = otrace.New(pr.ID, otrace.DefaultCapacity)
-	}
-	if r.state.terminal() {
+	if rec.State.terminal() {
 		close(r.done)
 	}
 	return r
 }
 
-// prepareRequeue resets an interrupted restored run to queued for
-// deterministic re-execution. The stale partial curve is dropped: the
-// engine re-emits the complete curve from scratch, byte-identical to an
-// uninterrupted run of the same spec.
-func (r *Run) prepareRequeue() {
+// transition is the one way a live run changes lifecycle state: it applies
+// rec to the run's record under the lock and, when the reducer accepted
+// it, performs the process-local side effects in the same critical
+// section — arm the cancel hook (start), fan the point out to subscribers
+// (point), keep the engine result, close every subscriber channel and
+// signal Done (finish). It reports whether rec applied; the caller then
+// hands the same record to the store. A rejected record (a start that
+// lost to a cancel, a finish racing another finish) changes nothing.
+func (r *Run) transition(rec *walRecord) bool {
 	r.mu.Lock()
-	r.state = StateQueued
-	r.started = time.Time{}
-	r.curve = nil
-	r.errMsg = ""
-	r.recovered++
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	return r.transitionLocked(rec)
+}
+
+func (r *Run) transitionLocked(rec *walRecord) bool {
+	if !r.rec.apply(rec) {
+		return false
+	}
+	switch rec.Type {
+	case recRunStart:
+		r.cancel = rec.cancel
+	case recRunPoint:
+		// Slow subscribers are skipped rather than blocking the engine loop:
+		// SSE consumers that fall more than a channel buffer behind miss
+		// interior frames but always see the terminal state via Done.
+		r.fanOutLocked(streamMsg{point: rec.Point})
+	case recRunFinish:
+		r.result = rec.result
+		for id, ch := range r.subs {
+			delete(r.subs, id)
+			close(ch)
+		}
+		close(r.done)
+	}
+	return true
 }
 
 // RunInfo is the externally visible run snapshot.
@@ -285,45 +267,52 @@ type RunInfo struct {
 	Recovered int `json:"recovered,omitempty"`
 }
 
+// rfc3339 renders a record timestamp (unix nanoseconds, 0 = unset).
+func rfc3339(ns int64) string {
+	if ns == 0 {
+		return ""
+	}
+	return time.Unix(0, ns).UTC().Format(time.RFC3339Nano)
+}
+
+// wallMillis is the whole milliseconds between two record timestamps, 0
+// while either is unset.
+func wallMillis(started, finished int64) int64 {
+	if started == 0 || finished == 0 {
+		return 0
+	}
+	return (finished - started) / int64(time.Millisecond)
+}
+
 // Info snapshots the run.
 func (r *Run) Info() RunInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	rec := &r.rec
 	info := RunInfo{
 		ID:          r.ID,
-		Spec:        r.spec,
-		State:       r.state,
-		Error:       r.errMsg,
-		Created:     r.created.UTC().Format(time.RFC3339Nano),
-		CurvePoints: len(r.curve),
+		Spec:        rec.Spec,
+		State:       rec.State,
+		Error:       rec.Err,
+		Created:     rfc3339(rec.Created),
+		Started:     rfc3339(rec.Started),
+		Finished:    rfc3339(rec.Finished),
+		CurvePoints: len(rec.Curve),
+		WallMillis:  wallMillis(rec.Started, rec.Finished),
+		TimedOut:    rec.TimedOut,
+		Recovered:   rec.Recovered,
+		Transport:   r.distTransport,
+		Workers:     r.distWorkers,
 	}
-	if !r.started.IsZero() {
-		info.Started = r.started.UTC().Format(time.RFC3339Nano)
-	}
-	if !r.finished.IsZero() {
-		info.Finished = r.finished.UTC().Format(time.RFC3339Nano)
-		if !r.started.IsZero() {
-			info.WallMillis = r.finished.Sub(r.started).Milliseconds()
-		}
-	}
-	if r.result != nil {
-		info.InputsProcessed = r.result.InputsProcessed
-		info.FinalQuality = r.result.FinalQuality
-		info.Stop = r.result.Stop.String()
-		info.Strategy = r.result.Strategy
-		info.CacheHits = r.result.CacheHits
-		info.CacheMisses = r.result.CacheMisses
-		info.Quarantined = len(r.result.Quarantined)
-		info.PhaseMillis = r.result.Phases.Millis()
-	} else if r.summary != nil {
-		info.InputsProcessed = r.summary.InputsProcessed
-		info.FinalQuality = r.summary.FinalQuality
-		info.Stop = r.summary.Stop
-		info.Strategy = r.summary.Strategy
-		info.CacheHits = r.summary.CacheHits
-		info.CacheMisses = r.summary.CacheMisses
-		info.Quarantined = r.summary.Quarantined
-		info.PhaseMillis = r.summary.PhaseMillis
+	if s := rec.Summary; s != nil {
+		info.InputsProcessed = s.InputsProcessed
+		info.FinalQuality = s.FinalQuality
+		info.Stop = s.Stop
+		info.Strategy = s.Strategy
+		info.CacheHits = s.CacheHits
+		info.CacheMisses = s.CacheMisses
+		info.Quarantined = s.Quarantined
+		info.PhaseMillis = s.PhaseMillis
 	}
 	if r.ring != nil {
 		info.TraceEvents = r.ring.Len()
@@ -331,15 +320,11 @@ func (r *Run) Info() RunInfo {
 	if r.tracer != nil {
 		info.Spans = r.tracer.Len()
 		info.SpansDropped = r.tracer.Dropped()
-		if r.state.terminal() {
+		if rec.State.terminal() {
 			spans, dropped := r.tracer.Snapshot()
 			info.Cost = otrace.BuildCost(spans, dropped)
 		}
 	}
-	info.TimedOut = r.timedOut
-	info.Recovered = r.recovered
-	info.Transport = r.distTransport
-	info.Workers = r.distWorkers
 	return info
 }
 
@@ -352,28 +337,18 @@ func (r *Run) setDist(transport string, workers []dist.WorkerStats) {
 	r.mu.Unlock()
 }
 
-// setTimedOut marks the run as deadline-expired; called by the worker
-// before finishing a run whose context hit its timeout.
-func (r *Run) setTimedOut() {
-	r.mu.Lock()
-	r.timedOut = true
-	r.mu.Unlock()
-}
-
 // State returns the current lifecycle state.
 func (r *Run) State() RunState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.state
+	return r.rec.State
 }
 
 // Curve returns a copy of the learning curve so far.
 func (r *Run) Curve() []core.CurvePoint {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]core.CurvePoint, len(r.curve))
-	copy(out, r.curve)
-	return out
+	return append([]core.CurvePoint(nil), r.rec.Curve...)
 }
 
 // Result returns the engine result once terminal (nil before, and nil
@@ -387,20 +362,9 @@ func (r *Run) Result() *core.RunResult {
 // Done returns a channel closed when the run reaches a terminal state.
 func (r *Run) Done() <-chan struct{} { return r.done }
 
-// appendPoint records a live curve point and fans it out to subscribers.
-// Slow subscribers are skipped rather than blocking the engine loop: SSE
-// consumers that fall more than a channel buffer behind miss interior
-// frames but always see the terminal state via Done.
-func (r *Run) appendPoint(p core.CurvePoint) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.curve = append(r.curve, p)
-	r.fanOutLocked(streamMsg{point: &p})
-}
-
 // appendEvent records a step event into the trace ring and fans it out to
 // subscribers. It is the engine's Config.Event bridge, wired only for
-// traced runs, and must not block (see appendPoint).
+// traced runs, and must not block (see transition's point case).
 func (r *Run) appendEvent(ev trace.Event) {
 	r.ring.Append(ev)
 	dropped := r.ring.Dropped()
@@ -451,9 +415,8 @@ func (r *Run) TraceSnapshot() (events []trace.Event, dropped int64, ok bool) {
 func (r *Run) Subscribe() (history []core.CurvePoint, ch <-chan streamMsg, unsubscribe func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	history = make([]core.CurvePoint, len(r.curve))
-	copy(history, r.curve)
-	if r.state.terminal() {
+	history = append([]core.CurvePoint(nil), r.rec.Curve...)
+	if r.rec.State.terminal() {
 		return history, nil, func() {}
 	}
 	// Traced runs push one frame per step, far denser than curve points, so
@@ -472,67 +435,20 @@ func (r *Run) Subscribe() (history []core.CurvePoint, ch <-chan streamMsg, unsub
 	}
 }
 
-// start transitions queued → running, recording the cancel hook a later
-// DELETE will invoke. It reports false — and the worker must skip the run
-// — when the run was cancelled while still queued.
-func (r *Run) start(cancel context.CancelFunc, now time.Time) bool {
+// requestCancel asks the run to stop. A queued run is finished on the spot
+// with rec (a cancelled run-finish: no worker will ever own it) and the
+// call reports true — the caller owns the journal append and the metrics
+// increment; a running run gets its context cancelled and reaches
+// StateCancelled when the engine loop notices; a terminal run is
+// untouched.
+func (r *Run) requestCancel(rec *walRecord) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.state != StateQueued {
-		return false
+	if r.rec.State == StateQueued {
+		return r.transitionLocked(rec)
 	}
-	r.state = StateRunning
-	r.started = now
-	r.cancel = cancel
-	return true
-}
-
-// requestCancel asks the run to stop and returns the state observed at
-// decision time. A queued run is finished as cancelled on the spot (no
-// worker will ever own it); a running run gets its context cancelled and
-// reaches StateCancelled when the engine loop notices; a terminal run is
-// untouched. cancelledNow reports whether this call itself finished the
-// run (the caller owns the metrics increment in that case).
-func (r *Run) requestCancel(now time.Time) (state RunState, cancelledNow bool) {
-	r.mu.Lock()
-	if r.state == StateQueued {
-		r.finishLocked(StateCancelled, nil, "", now)
-		r.mu.Unlock()
-		return StateCancelled, true
+	if r.rec.State == StateRunning && r.cancel != nil {
+		r.cancel()
 	}
-	state = r.state
-	cancel := r.cancel
-	r.mu.Unlock()
-	if state == StateRunning && cancel != nil {
-		cancel()
-	}
-	return state, false
-}
-
-// finish moves the run to a terminal state, records the outcome, closes
-// every subscriber channel, and signals Done. It is a no-op if the run is
-// already terminal (a cancel racing a natural completion, for example).
-// It reports whether this call performed the transition.
-func (r *Run) finish(state RunState, res *core.RunResult, errMsg string, now time.Time) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state.terminal() {
-		return false
-	}
-	r.finishLocked(state, res, errMsg, now)
-	return true
-}
-
-// finishLocked is finish with r.mu already held and the state known to be
-// non-terminal.
-func (r *Run) finishLocked(state RunState, res *core.RunResult, errMsg string, now time.Time) {
-	r.state = state
-	r.result = res
-	r.errMsg = errMsg
-	r.finished = now
-	for id, ch := range r.subs {
-		delete(r.subs, id)
-		close(ch)
-	}
-	close(r.done)
+	return false
 }

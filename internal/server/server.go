@@ -122,7 +122,7 @@ type Server struct {
 	featCache *featcache.Cache
 	manager   *Manager
 	sessions  *SessionHub
-	store     RunStore
+	store     *DurableStore // nil without a state directory
 	metrics   *Metrics
 	obs       *obs.Registry
 	// procTracer records process-level infrastructure spans no single run
@@ -171,23 +171,20 @@ func New(cfg Config) (*Server, error) {
 	registerFeatCacheMetrics(reg, featCache)
 	// The durable store opens (and replays) before the manager and hub
 	// exist, so their tables can be restored as part of construction.
-	var store RunStore = NewMemStore()
+	var store *DurableStore
 	var recovered *persistState
 	if cfg.StateDir != "" {
-		ds, rec, err := OpenDurableStore(cfg.StateDir, metrics, cfg.Faults, cfg.Logger, procTracer)
-		if err != nil {
+		if store, recovered, err = OpenDurableStore(cfg.StateDir, metrics, cfg.Faults, cfg.Logger, procTracer); err != nil {
 			featCache.Close() //nolint:errcheck // already failing
 			return nil, err
 		}
-		store = ds
-		recovered = rec
 		reg.GaugeFunc("journal_bytes", "Run journal size in bytes (since the last snapshot).",
-			func() int64 { return ds.JournalBytes() })
+			func() int64 { return store.JournalBytes() })
 		reg.GaugeFunc("journal_records", "Run journal records since the last snapshot.",
-			func() int64 { return int64(ds.JournalRecords()) })
+			func() int64 { return int64(store.JournalRecords()) })
 		reg.GaugeFunc("journal_demoted", "1 when the durable run store has been demoted to memory-only after journal errors.",
 			func() int64 {
-				if ds.Demoted() {
+				if store.Demoted() {
 					return 1
 				}
 				return 0
@@ -294,9 +291,7 @@ func (s *Server) Manager() *Manager { return s.manager }
 func (s *Server) Recover() (runs, versions int) {
 	runs = s.manager.recoverPending()
 	versions = s.sessions.recoverPending()
-	if versions > 0 && s.metrics != nil {
-		s.metrics.VersionsRecovered.Add(int64(versions))
-	}
+	s.metrics.VersionsRecovered.Add(int64(versions))
 	if runs > 0 || versions > 0 {
 		s.log.Info("control-plane state recovered", "runs_requeued", runs,
 			"versions_requeued", versions)
@@ -590,14 +585,15 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	for i, e := range events {
 		out[i] = toTraceJSON(e)
 	}
+	info := run.Info()
 	body := map[string]any{
 		"id":      run.ID,
-		"state":   run.State(),
+		"state":   info.State,
 		"dropped": dropped,
 		"events":  out,
 	}
-	if res := run.Result(); res != nil {
-		body["phase_ms"] = res.Phases.Millis()
+	if info.PhaseMillis != nil {
+		body["phase_ms"] = info.PhaseMillis
 	}
 	writeJSON(w, http.StatusOK, body)
 }
@@ -673,15 +669,23 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res := run.Result()
+	// Info before Result: a run finishing in between yields a result the
+	// older info does not know about, never the reverse.
+	info, res := run.Info(), run.Result()
 	if res == nil {
-		if run.State().terminal() {
-			// A restored run: its summary and curve survived the restart,
-			// but the step-level event log is deliberately not journaled.
+		switch {
+		case !info.State.terminal():
+			writeError(w, http.StatusConflict, "run %s has no result yet (state %s)", run.ID, info.State)
+		case info.Stop != "":
+			// A digest without a result is a restored run: its summary and
+			// curve survived the restart, but the step-level event log is
+			// deliberately not journaled.
 			writeError(w, http.StatusGone, "run %s predates this server process; its step trace was not persisted", run.ID)
-			return
+		default:
+			// Failed before the engine produced a result, or cancelled while
+			// queued: there never was a trace.
+			writeError(w, http.StatusNotFound, "run %s is %s without a result: %s", run.ID, info.State, info.Error)
 		}
-		writeError(w, http.StatusConflict, "run %s has no result yet (state %s)", run.ID, run.State())
 		return
 	}
 	if res.Events == nil {

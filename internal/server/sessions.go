@@ -74,16 +74,12 @@ func (spec *SessionSpec) normalize() {
 	}
 }
 
-// sessionVersion is one submitted recipe version's lifecycle record.
+// sessionVersion is one submitted recipe version: its lifecycle record
+// (guarded by the session's mu, advanced through SessionHub.transition
+// only; rec.Index is immutable) and the recipe compiled from rec.Recipe.
 type sessionVersion struct {
-	index    int
-	state    RunState
-	err      string
-	spec     *recipe.Spec
-	rec      *recipe.Recipe
-	result   *recipe.Version // set when done
-	started  time.Time
-	finished time.Time
+	rec    versionRecord
+	recipe *recipe.Recipe
 }
 
 // Session is a server-side recipe workspace: a fixed (corpus, task,
@@ -168,7 +164,7 @@ type SessionHub struct {
 	idxCache  *IndexCache
 	featCache *featcache.Cache
 	obsReg    *obs.Registry
-	store     RunStore
+	store     *DurableStore // nil without a state directory
 	defaults  RunDefaults
 	log       *slog.Logger
 
@@ -194,11 +190,8 @@ type pendingVersion struct {
 
 // NewSessionHub starts a hub whose version runs execute on workers
 // goroutines over a queue of queueCap pending runs. store receives every
-// session lifecycle transition; nil means the in-memory no-op store.
-func NewSessionHub(registry *Registry, idxCache *IndexCache, featCache *featcache.Cache, obsReg *obs.Registry, store RunStore, workers, queueCap int, defaults RunDefaults) *SessionHub {
-	if store == nil {
-		store = NewMemStore()
-	}
+// session lifecycle record; nil means state dies with the process.
+func NewSessionHub(registry *Registry, idxCache *IndexCache, featCache *featcache.Cache, obsReg *obs.Registry, store *DurableStore, workers, queueCap int, defaults RunDefaults) *SessionHub {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &SessionHub{
 		registry:   registry,
@@ -286,7 +279,7 @@ func (h *SessionHub) Create(spec SessionSpec) (*Session, error) {
 	}
 	h.sessions[s.ID] = s
 	h.order = append(h.order, s.ID)
-	h.store.SessionCreated(s.ID, h.nextID, s.spec, s.created)
+	h.store.record(&walRecord{Type: recSessCreate, ID: s.ID, Num: h.nextID, Session: &s.spec, At: s.created.UnixNano()})
 	h.log.Info("session created", "session", s.ID, "corpus", spec.Corpus, "task", spec.Task)
 	return s, nil
 }
@@ -316,39 +309,59 @@ func (h *SessionHub) List() []SessionInfo {
 	return out
 }
 
+// transition applies rec to the version under its session's lock and, when
+// the version's reducer accepted it, hands the same record to the store —
+// the one way a live version changes lifecycle state.
+func (h *SessionHub) transition(s *Session, v *sessionVersion, rec *walRecord) bool {
+	s.mu.Lock()
+	ok := v.rec.apply(rec)
+	s.mu.Unlock()
+	if ok {
+		h.store.record(rec)
+	}
+	return ok
+}
+
+// finishRecord builds the version-finish record for a version that ended
+// with err (failed) or res (done).
+func finishRecord(s *Session, v *sessionVersion, res *recipe.Version, err error) *walRecord {
+	rec := &walRecord{Type: recVerFinish, ID: s.ID, Ver: v.rec.Index, At: time.Now().UnixNano()}
+	if err != nil {
+		rec.State, rec.Err = StateFailed, err.Error()
+	} else {
+		rec.State, rec.Result = StateDone, versionDigest(res)
+	}
+	return rec
+}
+
 // Submit validates and compiles the recipe spec, then enqueues it as the
-// session's next version.
+// session's next version. The hub's lock is held throughout, so a submit
+// racing Shutdown is either rejected whole — nothing appended, nothing
+// journaled — or enqueued before the pool closes.
 func (h *SessionHub) Submit(s *Session, spec *recipe.Spec) (int, error) {
-	rec, err := spec.Recipe()
+	compiled, err := spec.Recipe()
 	if err != nil {
 		return 0, err
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return 0, ErrShuttingDown
+	}
 	s.mu.Lock()
-	v := &sessionVersion{index: len(s.versions) + 1, state: StateQueued, spec: spec, rec: rec}
+	submit := &walRecord{Type: recVerSubmit, ID: s.ID, Ver: len(s.versions) + 1, Recipe: spec}
+	v := &sessionVersion{rec: newVersionRecord(submit), recipe: compiled}
 	s.versions = append(s.versions, v)
 	s.mu.Unlock()
 	// Journal the submission before the enqueue (a worker may start the
 	// version immediately); a failed enqueue journals the failure so the
 	// version's terminal state survives a restart like any other.
-	h.store.VersionSubmitted(s.ID, v.index, spec)
-
-	h.mu.Lock()
-	closed := h.closed
-	h.mu.Unlock()
-	if closed {
-		return 0, ErrShuttingDown
-	}
+	h.store.record(submit)
 	if !h.pool.TrySubmit(func() { h.execute(s, v) }) {
-		s.mu.Lock()
-		v.state = StateFailed
-		v.err = ErrQueueFull.Error()
-		v.finished = time.Now()
-		at := v.finished
-		s.mu.Unlock()
-		h.store.VersionFinished(s.ID, v.index, StateFailed, ErrQueueFull.Error(), at, nil)
+		h.transition(s, v, finishRecord(s, v, nil, ErrQueueFull))
 		return 0, fmt.Errorf("%w (%d pending)", ErrQueueFull, h.pool.Cap())
 	}
-	return v.index, nil
+	return submit.Ver, nil
 }
 
 // execute runs one queued version to a terminal state. The session's
@@ -367,14 +380,12 @@ func (h *SessionHub) execute(s *Session, v *sessionVersion) {
 	}
 	defer cancel()
 
+	if !h.transition(s, v, &walRecord{Type: recVerStart, ID: s.ID, Ver: v.rec.Index, At: time.Now().UnixNano()}) {
+		return
+	}
 	s.mu.Lock()
-	v.state = StateRunning
-	v.started = time.Now()
-	started := v.started
 	ws := s.workspace
 	s.mu.Unlock()
-	h.store.VersionStarted(s.ID, v.index, started)
-
 	if ws == nil {
 		built, err := h.buildWorkspace(ctx, s)
 		if err != nil {
@@ -387,33 +398,18 @@ func (h *SessionHub) execute(s *Session, v *sessionVersion) {
 		s.mu.Unlock()
 	}
 
-	res, err := ws.Submit(ctx, v.rec)
+	res, err := ws.Submit(ctx, v.recipe)
 	h.finishVersion(s, v, res, err)
 }
 
 // finishVersion records a version's terminal state.
 func (h *SessionHub) finishVersion(s *Session, v *sessionVersion, res *recipe.Version, err error) {
-	s.mu.Lock()
-	v.finished = time.Now()
+	h.transition(s, v, finishRecord(s, v, res, err))
 	if err != nil {
-		v.state = StateFailed
-		v.err = err.Error()
-	} else {
-		v.state = StateDone
-		v.result = res
-	}
-	state, errMsg, at := v.state, v.err, v.finished
-	s.mu.Unlock()
-	var rec *versionResult
-	if state == StateDone {
-		rec = versionRecord(res)
-	}
-	h.store.VersionFinished(s.ID, v.index, state, errMsg, at, rec)
-	if err != nil {
-		h.log.Error("session version finished", "session", s.ID, "version", v.index, "error", err.Error())
+		h.log.Error("session version finished", "session", s.ID, "version", v.rec.Index, "error", err.Error())
 		return
 	}
-	h.log.Info("session version finished", "session", s.ID, "version", v.index,
+	h.log.Info("session version finished", "session", s.ID, "version", v.rec.Index,
 		"quality", res.Run.FinalQuality, "inputs", res.Run.InputsProcessed,
 		"cache_hits", res.Run.CacheHits, "warm_start", res.WarmStart.Applied)
 }
@@ -451,19 +447,16 @@ func (h *SessionHub) buildWorkspace(ctx context.Context, s *Session) (*recipe.Se
 	// Re-seed the workspace with the session's restored done versions so
 	// the next submission diffs against — and warm-starts from the
 	// persisted arm snapshots of — pre-restart history, exactly as if the
-	// process had never died.
+	// process had never died. (The arms are all the workspace reads of a
+	// restored run.)
 	s.mu.Lock()
-	var done []*sessionVersion
+	defer s.mu.Unlock()
 	for _, v := range s.versions {
-		if v.state == StateDone && v.result != nil {
-			done = append(done, v)
-		}
-	}
-	s.mu.Unlock()
-	for _, v := range done {
-		if _, err := ws.Restore(v.result.Recipe, v.result.Run, v.result.WarmStart); err != nil {
-			h.log.Warn("session version restore skipped", "session", s.ID,
-				"version", v.index, "error", err.Error())
+		if res := v.rec.Result; v.rec.State == StateDone && res != nil {
+			if _, err := ws.Restore(v.recipe, &core.RunResult{Arms: res.Arms}, res.WarmStart); err != nil {
+				h.log.Warn("session version restore skipped", "session", s.ID,
+					"version", v.rec.Index, "error", err.Error())
+			}
 		}
 	}
 	return ws, nil
@@ -486,42 +479,41 @@ func (s *Session) Info() SessionInfo {
 		Versions:    make([]sessionVersionInfo, 0, len(s.versions)),
 	}
 	for _, v := range s.versions {
+		rec := &v.rec
 		vi := sessionVersionInfo{
-			Version: v.index,
-			State:   v.state,
-			Error:   v.err,
-			Recipe:  v.rec.Name(),
+			Version: rec.Index,
+			State:   rec.State,
+			Error:   rec.Err,
+			Recipe:  v.recipe.Name(),
 		}
-		for _, p := range v.rec.Parts() {
+		for _, p := range v.recipe.Parts() {
 			ver := p.Version
 			if ver == 0 {
 				ver = 1
 			}
 			vi.Parts = append(vi.Parts, sessionPartInfo{
 				Name: p.Name, Kind: p.Kind, Version: ver,
-				Fingerprint: v.rec.PartFingerprints()[p.Name],
+				Fingerprint: v.recipe.PartFingerprints()[p.Name],
 			})
 		}
-		if v.result != nil {
-			run := v.result.Run
-			vi.Fingerprint = v.rec.Fingerprint()
-			d := v.result.Diff
-			vi.Diff = &d
-			vi.Curve = make([]curvePointJSON, len(run.Curve))
-			for i, p := range run.Curve {
+		if res := rec.Result; res != nil {
+			vi.Fingerprint = v.recipe.Fingerprint()
+			vi.Curve = make([]curvePointJSON, len(res.Curve))
+			for i, p := range res.Curve {
 				vi.Curve[i] = toCurveJSON(p)
 			}
-			vi.Final = run.FinalQuality
-			vi.Inputs = run.InputsProcessed
-			vi.Stop = run.Stop.String()
-			vi.CacheHits = run.CacheHits
-			vi.CacheMisses = run.CacheMisses
-			vi.SharedParts = d.SharedParts
-			vi.TotalParts = d.TotalParts
-			vi.WarmStart = v.result.WarmStart
-			if !v.finished.IsZero() && !v.started.IsZero() {
-				vi.WallMillis = v.finished.Sub(v.started).Milliseconds()
+			vi.Final = res.Final
+			vi.Inputs = res.Inputs
+			vi.Stop = core.StopReason(res.Stop).String()
+			vi.CacheHits = res.CacheHits
+			vi.CacheMisses = res.CacheMisses
+			if d := res.Diff; d != nil {
+				vi.Diff = d
+				vi.SharedParts = d.SharedParts
+				vi.TotalParts = d.TotalParts
 			}
+			vi.WarmStart = res.WarmStart
+			vi.WallMillis = wallMillis(rec.Started, rec.Finished)
 		}
 		info.Versions = append(info.Versions, vi)
 	}
@@ -545,17 +537,15 @@ func (s *Session) SpanSnapshot() (spans []otrace.Span, dropped int64, ok bool) {
 // Tracer returns the session's span tracer (nil unless spec.Spans).
 func (s *Session) Tracer() *otrace.Tracer { return s.tracer }
 
-// restore rebuilds the hub's session table from recovered state:
-// terminal versions come back with their curves, diffs, and warm-start
-// arms; interrupted versions are reset to queued and parked until
-// recoverPending re-queues them. Must run before the server accepts
-// requests — it assumes an empty session table.
+// restore rebuilds the hub's session table from recovered state. Every
+// version comes back exactly as its record says — terminal versions with
+// their curves, diffs, and warm-start arms, interrupted ones as the crash
+// left them, parked until recoverPending re-queues them. Must run before
+// the server accepts requests — it assumes an empty session table.
 func (h *SessionHub) restore(st *persistState) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if st.NextSessionID > h.nextID {
-		h.nextID = st.NextSessionID
-	}
+	h.nextID = max(h.nextID, st.NextSessionID)
 	for _, id := range st.SessionOrder {
 		ps := st.Sessions[id]
 		if ps == nil {
@@ -572,67 +562,28 @@ func (h *SessionHub) restore(st *persistState) {
 			s.tracer = otrace.New(id, otrace.DefaultCapacity)
 			observeTracer(h.obsReg, s.tracer)
 		}
-		for _, pv := range ps.Versions {
-			v := restoreVersion(pv)
-			if v == nil {
+		for _, rec := range ps.Versions {
+			// The recipe is recompiled from its journaled spec. It compiled
+			// when journaled, so a failure means a code change between
+			// processes — the version is dropped rather than served broken.
+			var compiled *recipe.Recipe
+			if rec.Recipe != nil {
+				compiled, _ = rec.Recipe.Recipe()
+			}
+			if compiled == nil {
 				h.log.Warn("session version dropped on restore: recipe no longer compiles",
-					"session", id, "version", pv.Index)
+					"session", id, "version", rec.Index)
 				continue
 			}
+			v := &sessionVersion{rec: *rec, recipe: compiled}
 			s.versions = append(s.versions, v)
-			if !v.state.terminal() {
-				v.state = StateQueued
-				v.started = time.Time{}
+			if !rec.State.terminal() {
 				h.pending = append(h.pending, pendingVersion{s: s, v: v})
 			}
 		}
 		h.sessions[id] = s
 		h.order = append(h.order, id)
 	}
-}
-
-// restoreVersion rebuilds one version from its persisted record,
-// recompiling the recipe from its spec. nil when the recipe cannot be
-// recompiled (it compiled when journaled, so this means a code change
-// between processes — the version is dropped rather than served broken).
-func restoreVersion(pv *persistVersion) *sessionVersion {
-	if pv.Recipe == nil {
-		return nil
-	}
-	rec, err := pv.Recipe.Recipe()
-	if err != nil {
-		return nil
-	}
-	v := &sessionVersion{index: pv.Index, state: pv.State, err: pv.Err, spec: pv.Recipe, rec: rec}
-	if pv.Started != 0 {
-		v.started = time.Unix(0, pv.Started)
-	}
-	if pv.Finished != 0 {
-		v.finished = time.Unix(0, pv.Finished)
-	}
-	if pv.Result != nil {
-		res := pv.Result
-		var d recipe.Diff
-		if res.Diff != nil {
-			d = *res.Diff
-		}
-		v.result = &recipe.Version{
-			Index:  pv.Index,
-			Recipe: rec,
-			Diff:   d,
-			Run: &core.RunResult{
-				Curve:           append([]core.CurvePoint(nil), res.Curve...),
-				FinalQuality:    res.Final,
-				InputsProcessed: res.Inputs,
-				Stop:            core.StopReason(res.Stop),
-				CacheHits:       res.CacheHits,
-				CacheMisses:     res.CacheMisses,
-				Arms:            append([]bandit.ArmSnapshot(nil), res.Arms...),
-			},
-			WarmStart: res.WarmStart,
-		}
-	}
-	return v
 }
 
 // recoverPending re-queues every restored interrupted version for
@@ -649,19 +600,13 @@ func (h *SessionHub) recoverPending() int {
 	for _, p := range pending {
 		p := p
 		if !h.pool.TrySubmit(func() { h.execute(p.s, p.v) }) {
-			now := time.Now()
-			p.s.mu.Lock()
-			p.v.state = StateFailed
-			p.v.err = "recovery re-queue failed: queue full"
-			p.v.finished = now
-			p.s.mu.Unlock()
-			h.store.VersionFinished(p.s.ID, p.v.index, StateFailed, p.v.err, now, nil)
+			h.transition(p.s, p.v, finishRecord(p.s, p.v, nil, errors.New("recovery re-queue failed: queue full")))
 			h.log.Error("session version recovery failed", "session", p.s.ID,
-				"version", p.v.index, "error", "queue full")
+				"version", p.v.rec.Index, "error", "queue full")
 			continue
 		}
 		recovered++
-		h.log.Info("session version recovered", "session", p.s.ID, "version", p.v.index)
+		h.log.Info("session version recovered", "session", p.s.ID, "version", p.v.rec.Index)
 	}
 	return recovered
 }

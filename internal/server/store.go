@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -16,86 +17,17 @@ import (
 	"zombie/internal/runstore"
 )
 
-// RunStore receives every control-plane lifecycle transition: run
-// submission through terminal state, session creation, and recipe-version
-// history. Implementations must be safe for concurrent use and must never
-// fail the caller — durability problems are absorbed (and eventually
-// demote the store to memory-only), because losing a journal must never
-// lose a run.
-//
-// The memory implementation (NewMemStore) discards everything, matching
-// the pre-durability server exactly. The durable implementation
-// (OpenDurableStore) journals each transition through an
-// internal/runstore write-ahead log with periodic snapshots, so a restart
-// replays the control plane back into existence.
-type RunStore interface {
-	// RunSubmitted records a validated, enqueued run. num is the numeric
-	// suffix of the run's ID, persisted so IDs stay monotonic across
-	// restarts.
-	RunSubmitted(id string, num int, spec RunSpec, created time.Time)
-	// RunDiscarded compensates a RunSubmitted whose enqueue failed (queue
-	// full): the run never existed.
-	RunDiscarded(id string)
-	// RunStarted records the queued → running transition. Recovery treats
-	// it as the start of a fresh curve: every engine start emits the
-	// complete curve, so any previously journaled points are stale.
-	RunStarted(id string, at time.Time)
-	// RunProgressed records one live learning-curve point.
-	RunProgressed(id string, p core.CurvePoint)
-	// RunQuarantined records one input quarantined by the run.
-	RunQuarantined(id string)
-	// RunRequeued records that recovery re-queued an interrupted run for
-	// deterministic re-execution.
-	RunRequeued(id string)
-	// RunFinished records a terminal transition with the run's summary.
-	RunFinished(id string, at time.Time, info RunInfo)
-
-	// SessionCreated records a new session workspace (num as for runs).
-	SessionCreated(id string, num int, spec SessionSpec, created time.Time)
-	// VersionSubmitted records a compiled recipe version entering the
-	// session's history.
-	VersionSubmitted(sessionID string, index int, spec *recipe.Spec)
-	// VersionStarted records a version's queued → running transition.
-	VersionStarted(sessionID string, index int, at time.Time)
-	// VersionFinished records a version's terminal state; res carries the
-	// curve and warm-start arms for done versions, nil for failed ones.
-	VersionFinished(sessionID string, index int, state RunState, errMsg string, at time.Time, res *versionResult)
-
-	// Close flushes and releases the store.
-	Close() error
-}
-
-// memStore is the non-durable RunStore: every record is dropped.
-type memStore struct{}
-
-// NewMemStore returns the in-memory RunStore, for servers without a
-// state directory. It keeps nothing: the Manager's own run map remains
-// the only copy, exactly the pre-durability behavior.
-func NewMemStore() RunStore { return memStore{} }
-
-func (memStore) RunSubmitted(string, int, RunSpec, time.Time)       {}
-func (memStore) RunDiscarded(string)                                {}
-func (memStore) RunStarted(string, time.Time)                       {}
-func (memStore) RunProgressed(string, core.CurvePoint)              {}
-func (memStore) RunQuarantined(string)                              {}
-func (memStore) RunRequeued(string)                                 {}
-func (memStore) RunFinished(string, time.Time, RunInfo)             {}
-func (memStore) SessionCreated(string, int, SessionSpec, time.Time) {}
-func (memStore) VersionSubmitted(string, int, *recipe.Spec)         {}
-func (memStore) VersionStarted(string, int, time.Time)              {}
-func (memStore) VersionFinished(string, int, RunState, string, time.Time, *versionResult) {
-}
-func (memStore) Close() error { return nil }
-
 // --- journal record model ---
 
-// Journal record types, one per lifecycle transition.
+// Journal record types, one per lifecycle transition. ("run-quarantine",
+// journaled per quarantined input until PR 13, is retired: nothing read
+// its reduction. Journals that still hold it replay — unknown types are
+// skipped.)
 const (
 	recRunSubmit  = "run-submit"
 	recRunDiscard = "run-discard"
 	recRunStart   = "run-start"
 	recRunPoint   = "run-point"
-	recRunQuar    = "run-quarantine"
 	recRunRequeue = "run-requeue"
 	recRunFinish  = "run-finish"
 	recSessCreate = "session-create"
@@ -104,7 +36,8 @@ const (
 	recVerFinish  = "version-finish"
 )
 
-// walRecord is one journaled lifecycle transition. A single shape covers
+// walRecord is one lifecycle transition — the unit the live objects, the
+// store's replica and start-up replay all reduce. A single shape covers
 // every record type; unused fields are omitted from the JSON.
 type walRecord struct {
 	Type string `json:"t"`
@@ -127,11 +60,19 @@ type walRecord struct {
 	Ver     int            `json:"ver,omitempty"`
 	Recipe  *recipe.Spec   `json:"recipe,omitempty"`
 	Result  *versionResult `json:"result,omitempty"`
+
+	// Process-local attachments a live transition hands its owner together
+	// with the record (Run.transition installs them under the same lock);
+	// unexported, so never serialised: the cancel hook a run-start arms and
+	// the engine result a run-finish leaves for /events and Result().
+	cancel context.CancelFunc
+	result *core.RunResult
 }
 
-// runSummary is the persisted digest of a terminal run's result — what
-// RunInfo needs when the engine result itself is gone (a restored run in
-// a new process).
+// runSummary is the digest of a terminal run's engine result, written
+// once — at finish, from the result — and the only source RunInfo's
+// summary fields render from, in the process that ran the engine and in
+// every later one alike.
 type runSummary struct {
 	InputsProcessed int                `json:"inputs"`
 	FinalQuality    float64            `json:"quality"`
@@ -143,28 +84,28 @@ type runSummary struct {
 	PhaseMillis     map[string]float64 `json:"phase_ms,omitempty"`
 }
 
-// summaryFromInfo extracts the persistable digest from a terminal run's
-// info, nil when the run finished without a result (failed before the
-// engine produced one, or cancelled while queued).
-func summaryFromInfo(info RunInfo) *runSummary {
-	if info.Stop == "" {
+// runDigest digests an engine result for the run-finish record, nil when
+// the run finished without one (failed before the engine produced it, or
+// cancelled while queued).
+func runDigest(res *core.RunResult) *runSummary {
+	if res == nil {
 		return nil
 	}
 	return &runSummary{
-		InputsProcessed: info.InputsProcessed,
-		FinalQuality:    info.FinalQuality,
-		Stop:            info.Stop,
-		Strategy:        info.Strategy,
-		CacheHits:       info.CacheHits,
-		CacheMisses:     info.CacheMisses,
-		Quarantined:     info.Quarantined,
-		PhaseMillis:     info.PhaseMillis,
+		InputsProcessed: res.InputsProcessed,
+		FinalQuality:    res.FinalQuality,
+		Stop:            res.Stop.String(),
+		Strategy:        res.Strategy,
+		CacheHits:       res.CacheHits,
+		CacheMisses:     res.CacheMisses,
+		Quarantined:     len(res.Quarantined),
+		PhaseMillis:     res.Phases.Millis(),
 	}
 }
 
-// versionResult is the persisted digest of one done recipe version: the
-// curve and stats its Info needs, plus the arm snapshots the next
-// version's warm-start needs.
+// versionResult is the digest of one done recipe version: the curve and
+// stats its info renders from, plus the arm snapshots the next version's
+// warm-start needs.
 type versionResult struct {
 	Curve       []core.CurvePoint     `json:"curve,omitempty"`
 	Final       float64               `json:"final"`
@@ -177,12 +118,8 @@ type versionResult struct {
 	Arms        []bandit.ArmSnapshot  `json:"arms,omitempty"`
 }
 
-// versionRecord builds the persisted digest from a finished version's
-// result (nil for failed versions).
-func versionRecord(res *recipe.Version) *versionResult {
-	if res == nil || res.Run == nil {
-		return nil
-	}
+// versionDigest digests a finished version for the version-finish record.
+func versionDigest(res *recipe.Version) *versionResult {
 	run := res.Run
 	d := res.Diff
 	return &versionResult{
@@ -198,44 +135,81 @@ func versionRecord(res *recipe.Version) *versionResult {
 	}
 }
 
-// --- recovered state ---
+// --- lifecycle records and their reducers ---
 
-// persistState is the control plane's durable state: the reduction of
-// every journaled transition. The durable store applies each record to
-// its own copy as it journals, and recovery applies snapshot + journal
-// through the same apply method — replay equivalence by construction.
-type persistState struct {
-	NextRunID     int                        `json:"next_run_id,omitempty"`
-	NextSessionID int                        `json:"next_session_id,omitempty"`
-	Runs          map[string]*persistRun     `json:"runs,omitempty"`
-	RunOrder      []string                   `json:"run_order,omitempty"`
-	Sessions      map[string]*persistSession `json:"sessions,omitempty"`
-	SessionOrder  []string                   `json:"session_order,omitempty"`
+// runRecord is a run's whole serialisable lifecycle: spec, state,
+// timestamps (unix nanoseconds), live curve and terminal digest. A Run
+// holds one by value under its mutex, the store's replica holds one per
+// run, and both advance it through apply only.
+type runRecord struct {
+	ID        string            `json:"id"`
+	Spec      RunSpec           `json:"spec"`
+	State     RunState          `json:"state"`
+	Created   int64             `json:"created"`
+	Started   int64             `json:"started,omitempty"`
+	Finished  int64             `json:"finished,omitempty"`
+	Curve     []core.CurvePoint `json:"curve,omitempty"`
+	Err       string            `json:"err,omitempty"`
+	Summary   *runSummary       `json:"summary,omitempty"`
+	TimedOut  bool              `json:"timed_out,omitempty"`
+	Recovered int               `json:"recovered,omitempty"`
 }
 
-type persistRun struct {
-	ID          string            `json:"id"`
-	Spec        RunSpec           `json:"spec"`
-	State       RunState          `json:"state"`
-	Created     int64             `json:"created"`
-	Started     int64             `json:"started,omitempty"`
-	Finished    int64             `json:"finished,omitempty"`
-	Curve       []core.CurvePoint `json:"curve,omitempty"`
-	Quarantined int               `json:"quarantined,omitempty"`
-	Err         string            `json:"err,omitempty"`
-	Summary     *runSummary       `json:"summary,omitempty"`
-	TimedOut    bool              `json:"timed_out,omitempty"`
-	Recovered   int               `json:"recovered,omitempty"`
+// newRunRecord is the run-submit transition: a queued run.
+func newRunRecord(rec *walRecord) runRecord {
+	return runRecord{ID: rec.ID, Spec: *rec.Spec, State: StateQueued, Created: rec.At}
 }
 
-type persistSession struct {
-	ID       string            `json:"id"`
-	Spec     SessionSpec       `json:"spec"`
-	Created  int64             `json:"created"`
-	Versions []*persistVersion `json:"versions,omitempty"`
+// apply is the run state machine: queued → running → {done, failed,
+// cancelled}, the shortcut queued → cancelled, and requeue (any
+// non-terminal state → queued) for recovery. It reports whether rec was
+// legal in the current state and leaves the record untouched when not —
+// a start that lost to a cancel, a second finish. Nothing else assigns a
+// run's lifecycle fields.
+func (r *runRecord) apply(rec *walRecord) bool {
+	switch rec.Type {
+	case recRunStart:
+		if r.State != StateQueued {
+			return false
+		}
+		r.State = StateRunning
+		r.Started = rec.At
+		// Every engine start emits the complete curve from scratch, so a
+		// requeued run's stale partial points must not survive the
+		// transition (a crash → requeue → re-execute journal sequence
+		// replays through here).
+		r.Curve = nil
+	case recRunPoint:
+		if r.State != StateRunning || rec.Point == nil {
+			return false
+		}
+		r.Curve = append(r.Curve, *rec.Point)
+	case recRunRequeue:
+		if r.State.terminal() {
+			return false
+		}
+		r.State = StateQueued
+		r.Started, r.Finished = 0, 0
+		r.Curve = nil
+		r.Err = ""
+		r.Recovered++
+	case recRunFinish:
+		if r.State.terminal() || !rec.State.terminal() {
+			return false
+		}
+		r.State = rec.State
+		r.Err = rec.Err
+		r.Finished = rec.At
+		r.Summary = rec.Summary
+		r.TimedOut = rec.TimedOut
+	default:
+		return false
+	}
+	return true
 }
 
-type persistVersion struct {
+// versionRecord is one recipe version's serialisable lifecycle.
+type versionRecord struct {
 	Index    int            `json:"index"`
 	State    RunState       `json:"state"`
 	Err      string         `json:"err,omitempty"`
@@ -245,28 +219,83 @@ type persistVersion struct {
 	Result   *versionResult `json:"result,omitempty"`
 }
 
+// newVersionRecord is the version-submit transition: a queued version.
+func newVersionRecord(rec *walRecord) versionRecord {
+	return versionRecord{Index: rec.Ver, State: StateQueued, Recipe: rec.Recipe}
+}
+
+// apply is the version state machine: queued → running → {done, failed},
+// with queued → failed for a version that never got a worker. A start
+// from running is legal: it is how an interrupted version re-executes
+// after a restart (versions have no requeue record). Reports whether rec
+// applied, as runRecord.apply does.
+func (v *versionRecord) apply(rec *walRecord) bool {
+	if v.State.terminal() {
+		return false
+	}
+	switch rec.Type {
+	case recVerStart:
+		v.State = StateRunning
+		v.Started = rec.At
+	case recVerFinish:
+		if !rec.State.terminal() {
+			return false
+		}
+		v.State = rec.State
+		v.Err = rec.Err
+		v.Finished = rec.At
+		v.Result = rec.Result
+	default:
+		return false
+	}
+	return true
+}
+
+// persistState is the control plane's durable state: the reduction of
+// every journaled transition. The durable store applies each record to
+// its own copy as it journals, and recovery applies snapshot + journal
+// through the same apply method — replay equivalence by construction.
+type persistState struct {
+	NextRunID     int                        `json:"next_run_id,omitempty"`
+	NextSessionID int                        `json:"next_session_id,omitempty"`
+	Runs          map[string]*runRecord      `json:"runs,omitempty"`
+	RunOrder      []string                   `json:"run_order,omitempty"`
+	Sessions      map[string]*persistSession `json:"sessions,omitempty"`
+	SessionOrder  []string                   `json:"session_order,omitempty"`
+}
+
+type persistSession struct {
+	ID       string           `json:"id"`
+	Spec     SessionSpec      `json:"spec"`
+	Created  int64            `json:"created"`
+	Versions []*versionRecord `json:"versions,omitempty"`
+}
+
 func newPersistState() *persistState {
 	return &persistState{
-		Runs:     map[string]*persistRun{},
+		Runs:     map[string]*runRecord{},
 		Sessions: map[string]*persistSession{},
 	}
 }
 
-// apply advances the state machine by one record. Records referencing
-// unknown IDs are skipped, not errors: a snapshot taken after a discard,
-// or a journal from a newer server version, must not brick recovery.
-func (st *persistState) apply(rec *walRecord) {
+// apply routes one record to the table entry it addresses and reports
+// whether it applied. Records of unknown type or referencing unknown IDs
+// are skipped, not errors: a snapshot taken after a discard, or a journal
+// from another server version, must not brick recovery.
+func (st *persistState) apply(rec *walRecord) bool {
 	switch rec.Type {
 	case recRunSubmit:
 		if rec.Spec == nil {
-			return
+			return false
 		}
-		st.Runs[rec.ID] = &persistRun{ID: rec.ID, Spec: *rec.Spec, State: StateQueued, Created: rec.At}
+		r := newRunRecord(rec)
+		st.Runs[rec.ID] = &r
 		st.RunOrder = append(st.RunOrder, rec.ID)
-		if rec.Num > st.NextRunID {
-			st.NextRunID = rec.Num
-		}
+		st.NextRunID = max(st.NextRunID, rec.Num)
 	case recRunDiscard:
+		if st.Runs[rec.ID] == nil {
+			return false
+		}
 		delete(st.Runs, rec.ID)
 		for i := len(st.RunOrder) - 1; i >= 0; i-- {
 			if st.RunOrder[i] == rec.ID {
@@ -274,71 +303,33 @@ func (st *persistState) apply(rec *walRecord) {
 				break
 			}
 		}
-	case recRunStart:
-		if r := st.Runs[rec.ID]; r != nil {
-			r.State = StateRunning
-			r.Started = rec.At
-			// Every engine start emits the complete curve from scratch, so a
-			// requeued run's stale partial points must not survive the
-			// transition (a crash → requeue → re-execute journal sequence
-			// replays through here).
-			r.Curve = nil
-			r.Quarantined = 0
-		}
-	case recRunPoint:
-		if r := st.Runs[rec.ID]; r != nil && rec.Point != nil {
-			r.Curve = append(r.Curve, *rec.Point)
-		}
-	case recRunQuar:
-		if r := st.Runs[rec.ID]; r != nil {
-			r.Quarantined++
-		}
-	case recRunRequeue:
-		if r := st.Runs[rec.ID]; r != nil {
-			r.State = StateQueued
-			r.Started, r.Finished = 0, 0
-			r.Curve = nil
-			r.Quarantined = 0
-			r.Err = ""
-			r.Recovered++
-		}
-	case recRunFinish:
-		if r := st.Runs[rec.ID]; r != nil {
-			r.State = rec.State
-			r.Err = rec.Err
-			r.Finished = rec.At
-			r.Summary = rec.Summary
-			r.TimedOut = rec.TimedOut
-		}
+	case recRunStart, recRunPoint, recRunRequeue, recRunFinish:
+		r := st.Runs[rec.ID]
+		return r != nil && r.apply(rec)
 	case recSessCreate:
 		if rec.Session == nil {
-			return
+			return false
 		}
 		st.Sessions[rec.ID] = &persistSession{ID: rec.ID, Spec: *rec.Session, Created: rec.At}
 		st.SessionOrder = append(st.SessionOrder, rec.ID)
-		if rec.Num > st.NextSessionID {
-			st.NextSessionID = rec.Num
-		}
+		st.NextSessionID = max(st.NextSessionID, rec.Num)
 	case recVerSubmit:
-		if s := st.Sessions[rec.ID]; s != nil {
-			s.Versions = append(s.Versions, &persistVersion{Index: rec.Ver, State: StateQueued, Recipe: rec.Recipe})
+		s := st.Sessions[rec.ID]
+		if s == nil {
+			return false
 		}
-	case recVerStart:
-		if v := st.version(rec.ID, rec.Ver); v != nil {
-			v.State = StateRunning
-			v.Started = rec.At
-		}
-	case recVerFinish:
-		if v := st.version(rec.ID, rec.Ver); v != nil {
-			v.State = rec.State
-			v.Err = rec.Err
-			v.Finished = rec.At
-			v.Result = rec.Result
-		}
+		v := newVersionRecord(rec)
+		s.Versions = append(s.Versions, &v)
+	case recVerStart, recVerFinish:
+		v := st.version(rec.ID, rec.Ver)
+		return v != nil && v.apply(rec)
+	default:
+		return false
 	}
+	return true
 }
 
-func (st *persistState) version(sessionID string, index int) *persistVersion {
+func (st *persistState) version(sessionID string, index int) *versionRecord {
 	s := st.Sessions[sessionID]
 	if s == nil {
 		return nil
@@ -379,11 +370,16 @@ const (
 	snapshotInterval = 30 * time.Second
 )
 
-// DurableStore is the storage-backed RunStore: every lifecycle transition
-// is applied to an in-memory persistState and appended to a write-ahead
-// journal, with periodic snapshots capping replay time. Journal failures
-// never propagate to runs; after journalErrorLimit of them the store
-// demotes itself to memory-only for the rest of the process.
+// DurableStore makes the control plane survive a restart: every lifecycle
+// record the Manager and SessionHub hand it is applied to its own replica
+// (a persistState, reduced by the same apply the live objects use) and
+// appended to a write-ahead journal, with periodic snapshots of the
+// replica capping replay time. The replica is what makes a snapshot
+// consistent with the journal position: both move under the store's one
+// lock. Journal failures never propagate to runs; after journalErrorLimit
+// of them the store demotes itself to memory-only for the rest of the
+// process. A nil *DurableStore is the server without a state directory:
+// record and Close are no-ops on it.
 type DurableStore struct {
 	store   *runstore.Store
 	metrics *Metrics
@@ -414,6 +410,9 @@ func OpenDurableStore(dir string, metrics *Metrics, faults *fault.Injector, log 
 	if log == nil {
 		log = obs.NopLogger()
 	}
+	if metrics == nil {
+		metrics = NewMetrics(nil)
+	}
 	ds := &DurableStore{
 		state:    newPersistState(),
 		metrics:  metrics,
@@ -442,14 +441,18 @@ func OpenDurableStore(dir string, metrics *Metrics, faults *fault.Injector, log 
 	return ds, recovered, nil
 }
 
-// record applies one transition to the in-memory state and journals it.
-// The state machine always advances — a demoted (or frozen) store still
+// record applies one transition to the replica and journals it. Callers
+// hand over records their own copy already accepted; one the replica
+// rejects is not journaled either, so replay can never diverge from the
+// replica. The replica always advances — a demoted (or frozen) store still
 // serves the process, it just stops persisting.
 func (ds *DurableStore) record(rec *walRecord) {
+	if ds == nil {
+		return
+	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	ds.state.apply(rec)
-	if ds.demoted || ds.frozen {
+	if !ds.state.apply(rec) || ds.demoted || ds.frozen {
 		return
 	}
 	payload, err := json.Marshal(rec)
@@ -477,9 +480,7 @@ func (ds *DurableStore) record(rec *walRecord) {
 // one way, for the rest of the process — once the limit is hit.
 func (ds *DurableStore) journalErrorLocked(err error) {
 	ds.errors++
-	if ds.metrics != nil {
-		ds.metrics.JournalErrors.Add(1)
-	}
+	ds.metrics.JournalErrors.Add(1)
 	ds.log.Warn("run journal write failed", "error", err.Error(), "errors", ds.errors)
 	if ds.errors >= journalErrorLimit && !ds.demoted {
 		ds.demoted = true
@@ -499,9 +500,7 @@ func (ds *DurableStore) snapshotLocked() error {
 	if err := ds.store.Snapshot(state); err != nil {
 		return err
 	}
-	if ds.metrics != nil {
-		ds.metrics.SnapshotMillis.Add(time.Since(start).Milliseconds())
-	}
+	ds.metrics.SnapshotMillis.Add(time.Since(start).Milliseconds())
 	return nil
 }
 
@@ -553,6 +552,9 @@ func (ds *DurableStore) Demoted() bool {
 // Close stops the snapshot loop, takes a final snapshot (so the next
 // startup replays nothing), and closes the journal.
 func (ds *DurableStore) Close() error {
+	if ds == nil {
+		return nil
+	}
 	ds.stopOnce.Do(func() { close(ds.snapStop) })
 	<-ds.snapDone
 	ds.mu.Lock()
@@ -566,66 +568,4 @@ func (ds *DurableStore) Close() error {
 		}
 	}
 	return ds.store.Close()
-}
-
-// --- RunStore implementation ---
-
-func (ds *DurableStore) RunSubmitted(id string, num int, spec RunSpec, created time.Time) {
-	ds.record(&walRecord{Type: recRunSubmit, ID: id, Num: num, Spec: &spec, At: created.UnixNano()})
-}
-
-func (ds *DurableStore) RunDiscarded(id string) {
-	ds.record(&walRecord{Type: recRunDiscard, ID: id})
-}
-
-func (ds *DurableStore) RunStarted(id string, at time.Time) {
-	ds.record(&walRecord{Type: recRunStart, ID: id, At: at.UnixNano()})
-}
-
-func (ds *DurableStore) RunProgressed(id string, p core.CurvePoint) {
-	ds.record(&walRecord{Type: recRunPoint, ID: id, Point: &p})
-}
-
-func (ds *DurableStore) RunQuarantined(id string) {
-	ds.record(&walRecord{Type: recRunQuar, ID: id})
-}
-
-func (ds *DurableStore) RunRequeued(id string) {
-	ds.record(&walRecord{Type: recRunRequeue, ID: id})
-}
-
-func (ds *DurableStore) RunFinished(id string, at time.Time, info RunInfo) {
-	ds.record(&walRecord{
-		Type:     recRunFinish,
-		ID:       id,
-		At:       at.UnixNano(),
-		State:    info.State,
-		Err:      info.Error,
-		Summary:  summaryFromInfo(info),
-		TimedOut: info.TimedOut,
-	})
-}
-
-func (ds *DurableStore) SessionCreated(id string, num int, spec SessionSpec, created time.Time) {
-	ds.record(&walRecord{Type: recSessCreate, ID: id, Num: num, Session: &spec, At: created.UnixNano()})
-}
-
-func (ds *DurableStore) VersionSubmitted(sessionID string, index int, spec *recipe.Spec) {
-	ds.record(&walRecord{Type: recVerSubmit, ID: sessionID, Ver: index, Recipe: spec})
-}
-
-func (ds *DurableStore) VersionStarted(sessionID string, index int, at time.Time) {
-	ds.record(&walRecord{Type: recVerStart, ID: sessionID, Ver: index, At: at.UnixNano()})
-}
-
-func (ds *DurableStore) VersionFinished(sessionID string, index int, state RunState, errMsg string, at time.Time, res *versionResult) {
-	ds.record(&walRecord{
-		Type:   recVerFinish,
-		ID:     sessionID,
-		Ver:    index,
-		State:  state,
-		Err:    errMsg,
-		At:     at.UnixNano(),
-		Result: res,
-	})
 }

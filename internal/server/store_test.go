@@ -1,0 +1,125 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"zombie/internal/core"
+	"zombie/internal/recipe"
+)
+
+// TestReducerSequences drives the lifecycle reducers through every legal
+// and illegal record sequence the server can produce, twice: against a
+// bare persistState, and through a DurableStore that is killed (where the
+// sequence says so, and again at the end) and reopened, then closed
+// gracefully and reopened once more. An illegal record must report "not
+// applied", change nothing and journal nothing; the state replayed from
+// the journal, and then from the snapshot, must equal the bare one.
+func TestReducerSequences(t *testing.T) {
+	spec := &RunSpec{Corpus: "imgs", Task: "image", Mode: "zombie", Policy: "eps-greedy:0.1", K: 8, Seed: 1}
+	point := func(n int) *core.CurvePoint { return &core.CurvePoint{Inputs: n, Quality: float64(n) / 100} }
+	submit := walRecord{Type: recRunSubmit, ID: "r1", Num: 1, At: 10, Spec: spec}
+	start := walRecord{Type: recRunStart, ID: "r1", At: 20}
+	done := walRecord{Type: recRunFinish, ID: "r1", At: 30, State: StateDone,
+		Summary: &runSummary{InputsProcessed: 40, FinalQuality: 0.4, Stop: "budget", PhaseMillis: map[string]float64{"eval": 1.5}}}
+	cancelled := walRecord{Type: recRunFinish, ID: "r1", At: 15, State: StateCancelled}
+	create := walRecord{Type: recSessCreate, ID: "s1", Num: 1, At: 10, Session: &SessionSpec{Corpus: "imgs", Task: "image", K: 8}}
+	verSubmit := walRecord{Type: recVerSubmit, ID: "s1", Ver: 1, Recipe: &recipe.Spec{Name: "rec"}}
+	verStart := walRecord{Type: recVerStart, ID: "s1", Ver: 1, At: 20}
+	verDone := walRecord{Type: recVerFinish, ID: "s1", Ver: 1, At: 30, State: StateDone,
+		Result: &versionResult{Curve: []core.CurvePoint{*point(0), *point(40)}, Final: 0.4, Inputs: 40, Stop: 1}}
+	verFailed := walRecord{Type: recVerFinish, ID: "s1", Ver: 1, At: 12, State: StateFailed, Err: ErrQueueFull.Error()}
+
+	type step struct {
+		rec   walRecord
+		legal bool
+		crash bool // kill and reopen the store before this record
+	}
+	ok := func(rec walRecord) step { return step{rec: rec, legal: true} }
+	no := func(rec walRecord) step { return step{rec: rec} }
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"submit start points finish", []step{ok(submit), ok(start),
+			ok(walRecord{Type: recRunPoint, ID: "r1", Point: point(0)}), ok(walRecord{Type: recRunPoint, ID: "r1", Point: point(40)}), ok(done)}},
+		{"submit discard", []step{ok(submit), ok(walRecord{Type: recRunDiscard, ID: "r1"}),
+			no(start), no(walRecord{Type: recRunDiscard, ID: "r1"})}},
+		{"cancel queued then a late start", []step{ok(submit), ok(cancelled),
+			no(start), no(walRecord{Type: recRunPoint, ID: "r1", Point: point(0)})}},
+		{"start crash requeue start finish", []step{ok(submit), ok(start), ok(walRecord{Type: recRunPoint, ID: "r1", Point: point(0)}),
+			{rec: walRecord{Type: recRunRequeue, ID: "r1"}, legal: true, crash: true},
+			ok(walRecord{Type: recRunStart, ID: "r1", At: 50}), ok(walRecord{Type: recRunPoint, ID: "r1", Point: point(0)}), ok(done)}},
+		{"finish twice", []step{ok(submit), ok(start), ok(done),
+			no(walRecord{Type: recRunFinish, ID: "r1", At: 40, State: StateFailed, Err: "late"}), no(walRecord{Type: recRunRequeue, ID: "r1"})}},
+		{"out of order", []step{ok(submit), no(walRecord{Type: recRunPoint, ID: "r1", Point: point(0)}), ok(start), no(start),
+			no(walRecord{Type: recRunFinish, ID: "r1", At: 30, State: StateRunning}), no(walRecord{Type: recRunPoint, ID: "r1"})}},
+		{"unknown run, unknown type", []step{no(start), no(done), no(walRecord{Type: "run-quarantine", ID: "r1"}),
+			ok(submit), no(walRecord{Type: "run-quarantine", ID: "r1"}), no(walRecord{Type: recRunSubmit, ID: "r2"})}},
+		{"version finish without start", []step{ok(create), ok(verSubmit), ok(verFailed), no(verStart), no(verDone)}},
+		{"version start crash start finish", []step{no(verSubmit), ok(create), no(verStart), ok(verSubmit), ok(verStart),
+			{rec: verStart, legal: true, crash: true}, ok(verDone), no(verDone), no(verStart),
+			no(walRecord{Type: recVerStart, ID: "s1", Ver: 2, At: 40})}},
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reopen := func(ds *DurableStore, kill bool) (*DurableStore, *persistState) {
+				if ds != nil {
+					if kill {
+						ds.freeze()
+					}
+					if err := ds.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ds, recovered, err := OpenDurableStore(dir, nil, nil, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ds, recovered
+			}
+			bare := newPersistState()
+			ds, _ := reopen(nil, false)
+			for i, s := range tc.steps {
+				if s.crash {
+					ds, _ = reopen(ds, true)
+				}
+				rec := s.rec
+				before := mustJSON(t, bare)
+				if got := bare.apply(&rec); got != s.legal {
+					t.Fatalf("step %d (%s): applied = %v, want %v", i, rec.Type, got, s.legal)
+				}
+				if !s.legal && !bytes.Equal(before, mustJSON(t, bare)) {
+					t.Fatalf("step %d (%s): rejected record changed the state", i, rec.Type)
+				}
+				journaled := ds.JournalRecords()
+				ds.record(&rec)
+				if got := ds.JournalRecords() - journaled; (got == 1) != s.legal || got > 1 {
+					t.Fatalf("step %d (%s): journaled %d records, legal = %v", i, rec.Type, got, s.legal)
+				}
+			}
+			want := mustJSON(t, bare)
+			ds, replayed := reopen(ds, true)
+			if got := mustJSON(t, replayed); !bytes.Equal(got, want) {
+				t.Fatalf("journal replay diverged:\n got  %s\n want %s", got, want)
+			}
+			ds, snapshotted := reopen(ds, false)
+			defer ds.Close()
+			if got := mustJSON(t, snapshotted); !bytes.Equal(got, want) {
+				t.Fatalf("snapshot restore diverged:\n got  %s\n want %s", got, want)
+			}
+		})
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
