@@ -50,7 +50,7 @@ define smoke_tmp
 if [ -n "$(SMOKE_DIR)" ]; then tmp="$(SMOKE_DIR)/$(1)"; rm -rf "$$tmp"; mkdir -p "$$tmp"; keep=1; else tmp=$$(mktemp -d); keep=; fi
 endef
 
-.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke bench-selftest cache-smoke chaos-smoke obs-smoke session-smoke bench-gate dist-smoke batch-smoke crash-smoke trace-smoke ci
+.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke fuzz-smoke bench-selftest cache-smoke chaos-smoke obs-smoke session-smoke bench-gate dist-smoke batch-smoke crash-smoke trace-smoke ci
 
 all: build
 
@@ -121,6 +121,11 @@ cover:
 # catch benchmarks that rot (compile errors, panics, fixture drift).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+# fuzz-smoke holds the token scanner to its Tokenize oracle on ten
+# seconds of generated strings, beyond the checked-in seed corpus.
+fuzz-smoke:
+	$(GO) test ./internal/index -run '^$$' -fuzz FuzzScanTokens -fuzztime 10s
 
 # bench-selftest compiles and tests the benchmark program against this
 # tree. benchmark/ is a module of its own, so nothing above reaches it: an
@@ -513,4 +518,4 @@ trace-smoke:
 		|| { echo "trace-smoke: chrome trace export is empty or invalid"; exit 1; }; \
 	echo "trace-smoke OK: $$nspans spans, $$wstitched worker spans stitched under coordinator rpc spans, cost cells for 2 shards"
 
-ci: fmt-check vet lint build race cover bench-smoke bench-selftest cache-smoke chaos-smoke obs-smoke session-smoke dist-smoke batch-smoke crash-smoke trace-smoke
+ci: fmt-check vet lint build race cover bench-smoke fuzz-smoke bench-selftest cache-smoke chaos-smoke obs-smoke session-smoke dist-smoke batch-smoke crash-smoke trace-smoke

@@ -1,17 +1,48 @@
 package featurepipe
 
-import "testing"
+import (
+	"fmt"
+	"testing"
 
-// BenchmarkWikiExtract measures the tokenize → hash → sparse-vector path
-// for one input, the per-step cost every bandit pull pays. The pooled
-// dense scratch should keep allocs/op flat regardless of token count.
+	"zombie/internal/corpus"
+	"zombie/internal/learner"
+	"zombie/internal/rng"
+)
+
+// BenchmarkWikiExtract measures the scan → hash → sparse-vector path for
+// one input, the per-step cost every bandit pull pays: v1 is the narrow
+// unigram space, v3 adds the marker boost, v8 the bigrams at 16384
+// buckets. The pooled scratch should keep allocs/op flat regardless of
+// token count.
 func BenchmarkWikiExtract(b *testing.B) {
-	f := NewWikiFeature(3)
 	ins := wikiInputs(b, 256, 900)
+	for _, v := range []int{1, 3, 8} {
+		f := NewWikiFeature(v)
+		b.Run(fmt.Sprintf("v%d", v), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.Extract(ins[i%len(ins)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHoldoutBuild measures what every run pays before its first
+// pull: the tolerant build over the holdout of a 20 000-page corpus (the
+// stratified tenth, 1 999 inputs), wiki v8.
+func BenchmarkHoldoutBuild(b *testing.B) {
+	store := corpus.NewMemStore(wikiInputs(b, 20000, 900))
+	newModel := func(f FeatureFunc) learner.Model { return learner.NewMultinomialNB(f.Dim(), 2, 1) }
+	task, err := NewTask("wiki", store, NewWikiFeature(8), newModel, learner.MetricF1, 1, CostModel{}, TaskOptions{}, rng.New(901))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Extract(ins[i%len(ins)]); err != nil {
+		if _, _, err := task.BuildHoldoutTolerant(); err != nil {
 			b.Fatal(err)
 		}
 	}

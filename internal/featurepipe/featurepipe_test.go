@@ -1,6 +1,7 @@
 package featurepipe
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -241,9 +242,12 @@ func TestNewTaskSplit(t *testing.T) {
 
 func TestBuildHoldout(t *testing.T) {
 	task := newTestTask(t, 800, 105)
-	h, err := task.BuildHoldout()
+	h, skips, err := task.BuildHoldoutTolerant()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(skips) != 0 {
+		t.Fatalf("clean corpus skipped %d holdout inputs", len(skips))
 	}
 	if len(h.Examples) == 0 || len(h.Examples) > len(task.HoldoutIdx) {
 		t.Fatalf("holdout examples = %d", len(h.Examples))
@@ -263,11 +267,53 @@ func TestBuildHoldout(t *testing.T) {
 	}
 }
 
-func TestBuildHoldoutPropagatesErrors(t *testing.T) {
+// TestBuildHoldoutZeroExamplesIsAnError: when every extraction fails the
+// build reports each input as a skip and still refuses to return a
+// holdout that measures nothing.
+func TestBuildHoldoutZeroExamplesIsAnError(t *testing.T) {
 	task := newTestTask(t, 300, 106)
 	task.Feature = &FaultyFeature{Inner: task.Feature, ErrPct: 100}
-	if _, err := task.BuildHoldout(); err == nil {
-		t.Fatal("expected holdout extraction error")
+	h, skips, err := task.BuildHoldoutTolerant()
+	if err == nil || h != nil {
+		t.Fatal("expected an error for a holdout of zero examples")
+	}
+	if len(skips) != len(task.HoldoutIdx) {
+		t.Fatalf("skips = %d, want every one of the %d holdout inputs", len(skips), len(task.HoldoutIdx))
+	}
+}
+
+// unreadableStore panics on Get(bad), like a store over a corrupt record.
+type unreadableStore struct {
+	corpus.Store
+	bad int
+}
+
+func (s unreadableStore) Get(i int) *corpus.Input {
+	if i == s.bad {
+		panic("corrupt record")
+	}
+	return s.Store.Get(i)
+}
+
+// TestExtractHoldoutInputID: the id is the input's own when the read
+// succeeded — whether extraction then produced, failed or panicked — and
+// "#<idx>" only when the read itself failed.
+func TestExtractHoldoutInputID(t *testing.T) {
+	task := newTestTask(t, 300, 108)
+	ok, bad := task.HoldoutIdx[0], task.HoldoutIdx[1]
+	want := task.Store.Get(ok).ID
+	task.Store = unreadableStore{Store: task.Store, bad: bad}
+
+	if _, id, err := task.ExtractHoldout(ok); err != nil || id != want {
+		t.Fatalf("clean extract: id %q err %v, want id %q", id, err, want)
+	}
+	res, id, err := task.ExtractHoldout(bad)
+	if err == nil || res.Produced || id != fmt.Sprintf("#%d", bad) {
+		t.Fatalf("failed read: id %q err %v produced %v, want id #%d and an error", id, err, res.Produced, bad)
+	}
+	task.Feature = &FaultyFeature{Inner: task.Feature, PanicPct: 100}
+	if _, id, err := task.ExtractHoldout(ok); err == nil || id != want {
+		t.Fatalf("panicking extract: id %q err %v, want id %q and an error", id, err, want)
 	}
 }
 

@@ -119,29 +119,6 @@ func splitIndices(store corpus.Store, frac float64, stratify bool, r *rng.RNG) (
 	return pool, holdout
 }
 
-// BuildHoldout extracts holdout examples with the task's current feature
-// code. It must be re-run whenever Feature changes (each session
-// iteration), exactly as the paper's engineer re-featurizes the labeled
-// dev set. Inputs that produce no example are skipped; extraction errors
-// abort, since a holdout silently missing a class would corrupt every
-// quality number downstream.
-func (t *Task) BuildHoldout() (*learner.Holdout, error) {
-	examples := make([]learner.Example, 0, len(t.HoldoutIdx))
-	for _, idx := range t.HoldoutIdx {
-		res, err := t.Feature.Extract(t.Store.Get(idx))
-		if err != nil {
-			return nil, fmt.Errorf("featurepipe: task %s: holdout extract input %d: %w", t.Name, idx, err)
-		}
-		if res.Produced {
-			examples = append(examples, res.Example)
-		}
-	}
-	if len(examples) == 0 {
-		return nil, fmt.Errorf("featurepipe: task %s: holdout produced no examples", t.Name)
-	}
-	return learner.NewHoldout(examples, t.Metric, t.Positive), nil
-}
-
 // HoldoutSkip records one holdout input dropped by the tolerant build:
 // which input, and why its extraction failed.
 type HoldoutSkip struct {
@@ -149,13 +126,16 @@ type HoldoutSkip struct {
 	Reason  string
 }
 
-// BuildHoldoutTolerant is BuildHoldout for a messy world: an input whose
-// read or extraction fails (error or panic) is skipped and reported
-// instead of aborting the build, so a handful of corrupt records cannot
-// deny quality measurement for the whole run. The skips are returned —
-// never swallowed — because the caller (the engine) must surface them as
-// quarantined inputs. Building still fails when no example survives:
-// a holdout of zero examples measures nothing.
+// BuildHoldoutTolerant extracts holdout examples with the task's current
+// feature code. It must be re-run whenever Feature changes (each session
+// iteration), exactly as the paper's engineer re-featurizes the labeled
+// dev set. Inputs that produce no example are skipped. It is built for a
+// messy world: an input whose read or extraction fails (error or panic)
+// is skipped and reported instead of aborting the build, so a handful of
+// corrupt records cannot deny quality measurement for the whole run. The
+// skips are returned — never swallowed — because the caller (the engine)
+// must surface them as quarantined inputs. Building still fails when no
+// example survives: a holdout of zero examples measures nothing.
 func (t *Task) BuildHoldoutTolerant() (*learner.Holdout, []HoldoutSkip, error) {
 	examples := make([]learner.Example, 0, len(t.HoldoutIdx))
 	var skips []HoldoutSkip
@@ -189,13 +169,16 @@ func (t *Task) ExtractHoldout(idx int) (res Result, id string, err error) {
 // isolation around both the store read and the feature code. The input
 // ID is best-effort: "#<idx>" when the read itself failed.
 func (t *Task) holdoutExtract(idx int) (res Result, id string, err error) {
-	id = fmt.Sprintf("#%d", idx)
+	var in *corpus.Input
 	defer func() {
 		if p := recover(); p != nil {
+			if in == nil {
+				id = fmt.Sprintf("#%d", idx)
+			}
 			res, err = Result{}, fmt.Errorf("panic: %v", p)
 		}
 	}()
-	in := t.Store.Get(idx)
+	in = t.Store.Get(idx)
 	id = in.ID
 	res, err = t.Feature.Extract(in)
 	return res, id, err

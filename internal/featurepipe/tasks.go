@@ -2,7 +2,7 @@ package featurepipe
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 	"sync"
 
@@ -56,86 +56,108 @@ func NewWikiFeature(v int) *WikiFeature {
 	return f
 }
 
-// markerSet is the lowercase entity-marker lookup shared by Extract calls.
-var markerSet = func() map[string]bool {
-	m := map[string]bool{}
-	for _, w := range corpus.EntityMarkers {
-		m[strings.ToLower(w)] = true
+// wikiMarkers are the lowercase entity markers, each beside the FNV-1a
+// state the scanner reports for it. A token is recognised by comparing
+// its Hash against these five, and the hash only nominates: the token's
+// lowercased bytes must equal the marker's, so a colliding token is
+// never boosted.
+var wikiMarkers = func() []wikiMarker {
+	ms := make([]wikiMarker, len(corpus.EntityMarkers))
+	for i, w := range corpus.EntityMarkers {
+		sc := index.TokenScanner{Text: w}
+		sc.Next()
+		ms[i] = wikiMarker{word: strings.ToLower(w), hash: sc.Hash}
 	}
-	return m
+	return ms
 }()
 
+type wikiMarker struct {
+	word string
+	hash uint32
+}
+
+// isMarker reports whether the scanner's current token is an entity
+// marker. strings.ToLower returns its argument, unallocated, for the
+// already-lowercase ASCII the corpus is made of.
+func isMarker(sc *index.TokenScanner) bool {
+	for i := range wikiMarkers {
+		if sc.Hash == wikiMarkers[i].hash && strings.ToLower(sc.Text[sc.Start:sc.End]) == wikiMarkers[i].word {
+			return true
+		}
+	}
+	return false
+}
+
+// hasMarker reports whether any token of text is an entity marker.
+func hasMarker(text string) bool {
+	for sc := (index.TokenScanner{Text: text}); sc.Next(); {
+		if isMarker(&sc) {
+			return true
+		}
+	}
+	return false
+}
+
 // wikiScratch is the reusable accumulation buffer behind WikiFeature
-// extraction: a dense bucket array standing in for the per-call
-// map[int]float64 the pre-batching code allocated, plus the list of
-// touched buckets so reset is O(nnz) instead of O(FuncDim). Pooled
-// because extraction runs concurrently (parallel holdout builds,
-// distributed workers sharing a process).
+// extraction: a dense bucket array standing in for a per-call
+// map[int]float64, plus a bitmap of the buckets touched, so emitting the
+// vector in index order and resetting the buffer are one walk over
+// FuncDim/64 words instead of a sort. Pooled because extraction runs
+// concurrently (parallel holdout builds, distributed workers sharing a
+// process).
 type wikiScratch struct {
 	dense   []float64
-	touched []int
+	touched []uint64
 }
 
 var wikiScratchPool = sync.Pool{New: func() any { return new(wikiScratch) }}
 
-// getWikiScratch returns a scratch whose dense buffer covers dim and is
-// all zeros — freshly grown buffers come zeroed from make, reused ones
-// were reset entry-by-entry before Put.
+// getWikiScratch returns a scratch whose dense buffer and bitmap cover dim
+// and are all zeros — freshly grown buffers come zeroed from make, reused
+// ones were reset by sparse before Put.
 func getWikiScratch(dim int) *wikiScratch {
 	s := wikiScratchPool.Get().(*wikiScratch)
 	if len(s.dense) < dim {
 		s.dense = make([]float64, dim)
+		s.touched = make([]uint64, (dim+63)/64)
 	}
-	s.touched = s.touched[:0]
 	return s
 }
 
-// putWikiScratch zeroes the touched entries and returns the scratch to
-// the pool. touched may hold duplicates; zeroing is idempotent.
-func putWikiScratch(s *wikiScratch) {
-	for _, h := range s.touched {
-		s.dense[h] = 0
-	}
-	wikiScratchPool.Put(s)
+// add accumulates weight w into bucket h. Accumulation order is the
+// caller's token order — the order a map-based accumulator would sum in,
+// so the per-bucket floating-point totals are bit-identical to one.
+func (s *wikiScratch) add(h uint32, w float64) {
+	s.dense[h] += w
+	s.touched[h>>6] |= 1 << (h & 63)
 }
 
-// add accumulates weight w into bucket h, recording the bucket the first
-// time it leaves zero. Accumulation order is the caller's token order —
-// the same order the old map-based code summed in, so the per-bucket
-// floating-point totals are bit-identical.
-func (s *wikiScratch) add(h int, w float64) {
-	before := s.dense[h]
-	s.dense[h] = before + w
-	if before == 0 && s.dense[h] != 0 {
-		s.touched = append(s.touched, h)
-	}
-}
-
-// sparse builds the exact-size Sparse vector from the accumulated
-// buckets: sort the touched list, skip duplicates and entries that ended
-// at zero (NewSparse drops those too), and hand the slices to
-// SparseFromOrdered — one allocation each for Idx and Val, nothing else.
+// sparse builds the exact-size Sparse vector from the accumulated buckets
+// and leaves the scratch zeroed: it walks the bitmap in word order, which
+// is index order, skips buckets that ended at zero (NewSparse drops those
+// too), and hands the slices to SparseFromOrdered — one allocation each
+// for Idx and Val, nothing else.
 func (s *wikiScratch) sparse(dim int) *linalg.Sparse {
-	sort.Ints(s.touched)
+	words := s.touched[:(dim+63)/64]
 	n := 0
-	prev := -1
-	for _, h := range s.touched {
-		if h != prev && s.dense[h] != 0 {
-			n++
-		}
-		prev = h
+	for _, w := range words {
+		n += bits.OnesCount64(w)
 	}
-	idx := make([]int, 0, n)
-	val := make([]float64, 0, n)
-	prev = -1
-	for _, h := range s.touched {
-		if h != prev && s.dense[h] != 0 {
-			idx = append(idx, h)
-			val = append(val, s.dense[h])
+	idx := make([]int, n)
+	val := make([]float64, n)
+	n = 0
+	for k, w := range words {
+		for ; w != 0; w &= w - 1 {
+			h := k<<6 | bits.TrailingZeros64(w)
+			if x := s.dense[h]; x != 0 {
+				idx[n], val[n] = h, x
+				s.dense[h] = 0
+				n++
+			}
 		}
-		prev = h
+		words[k] = 0
 	}
-	return linalg.SparseFromOrdered(dim, idx, val)
+	return linalg.SparseFromOrdered(dim, idx[:n], val[:n])
 }
 
 // Extract implements FeatureFunc.
@@ -143,36 +165,25 @@ func (f *WikiFeature) Extract(in *corpus.Input) (Result, error) {
 	if in.Kind != corpus.TextKind {
 		return Result{}, fmt.Errorf("featurepipe: %s: input %s is not text", f.FuncName, in.ID)
 	}
-	tokens := index.Tokenize(in.Text)
-	hasMarker := false
-	for _, tok := range tokens {
-		if markerSet[tok] {
-			hasMarker = true
-			break
-		}
-	}
-	if !hasMarker {
-		// No candidate on the page. Sometimes emit a plain negative so the
-		// learner sees background pages; deterministic via the ID hash.
-		if index.HashToken(in.ID, 100) >= f.NegSamplePct {
-			return Result{}, nil
-		}
+	// A page with no candidate on it sometimes still emits a plain negative
+	// so the learner sees background pages; deterministic via the ID hash.
+	if index.HashToken(in.ID, 100) >= f.NegSamplePct && !hasMarker(in.Text) {
+		return Result{}, nil
 	}
 	scratch := getWikiScratch(f.FuncDim)
-	var prev string
-	for _, tok := range tokens {
+	dim := uint32(f.FuncDim)
+	for sc := (index.TokenScanner{Text: in.Text}); sc.Next(); {
 		w := 1.0
-		if markerSet[tok] {
+		if isMarker(&sc) {
 			w = f.MarkerBoost
 		}
-		scratch.add(index.HashToken(tok, f.FuncDim), w)
-		if f.Bigrams && prev != "" {
-			scratch.add(index.HashTokenPair(prev, tok, f.FuncDim), 1)
+		scratch.add(sc.Hash%dim, w)
+		if f.Bigrams && sc.N > 1 {
+			scratch.add(sc.Pair%dim, 1)
 		}
-		prev = tok
 	}
 	vec := scratch.sparse(f.FuncDim)
-	putWikiScratch(scratch)
+	wikiScratchPool.Put(scratch)
 	ex := learner.Example{
 		Features: learner.SparseVec(vec),
 		Class:    in.Truth.Class,

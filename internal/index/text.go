@@ -12,58 +12,27 @@ package index
 
 import (
 	"math"
-	"strings"
-	"unicode"
 
 	"zombie/internal/corpus"
 	"zombie/internal/linalg"
 )
 
-// Tokenize splits text into lowercase alphanumeric tokens. It is the
-// shared tokenizer for index features and for the task feature functions,
-// mirroring how the paper's generic index features reuse the same parsing
-// machinery as user code.
-func Tokenize(text string) []string {
-	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-}
-
 // FNV-1a 32-bit parameters (the same constants hash/fnv uses); hashing is
 // inlined here because the stdlib hasher costs two heap allocations per
-// call and HashToken sits on the per-token hot path of every extraction.
+// call and the hash sits on the per-token hot path of every extraction.
 const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
 )
 
-// HashToken maps a token to a bucket in [0, dim) with FNV-1a. All hashing
-// in the system goes through this single function so vectorizers and
-// feature code agree on bucket assignment.
+// HashToken maps a string to a bucket in [0, dim) with FNV-1a. Text is
+// hashed token by token through TokenScanner, whose Hash is this
+// function's state before the modulo, so vectorizers, feature code and
+// callers hashing a whole ID agree on bucket assignment.
 func HashToken(token string, dim int) int {
 	h := uint32(fnvOffset32)
 	for i := 0; i < len(token); i++ {
 		h ^= uint32(token[i])
-		h *= fnvPrime32
-	}
-	return int(h % uint32(dim))
-}
-
-// HashTokenPair hashes the bigram "a_b" without building the joined
-// string: it streams a, '_', b through the same FNV-1a state, so
-// HashTokenPair(a, b, dim) == HashToken(a+"_"+b, dim) exactly — bucket
-// assignments (and therefore every committed curve) are unchanged; only
-// the per-bigram concatenation allocation is gone.
-func HashTokenPair(a, b string, dim int) int {
-	h := uint32(fnvOffset32)
-	for i := 0; i < len(a); i++ {
-		h ^= uint32(a[i])
-		h *= fnvPrime32
-	}
-	h ^= uint32('_')
-	h *= fnvPrime32
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
 		h *= fnvPrime32
 	}
 	return int(h % uint32(dim))
@@ -103,8 +72,9 @@ func (v *HashedText) Vectorize(in *corpus.Input) []float64 {
 	if in.Kind != corpus.TextKind {
 		return out
 	}
-	for _, tok := range Tokenize(in.Text) {
-		out[HashToken(tok, v.dim)]++
+	dim := uint32(v.dim)
+	for sc := (TokenScanner{Text: in.Text}); sc.Next(); {
+		out[sc.Hash%dim]++
 	}
 	linalg.Normalize(out)
 	return out

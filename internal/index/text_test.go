@@ -57,15 +57,6 @@ func TestHashTokenMatchesStdlibFNV(t *testing.T) {
 			}
 		}
 	}
-	for _, a := range tokens {
-		for _, b := range tokens {
-			for _, dim := range []int{7, 4096} {
-				if got, want := HashTokenPair(a, b, dim), ref(a+"_"+b, dim); got != want {
-					t.Fatalf("HashTokenPair(%q, %q, %d) = %d, want joined %d", a, b, dim, got, want)
-				}
-			}
-		}
-	}
 }
 
 func TestHashedTextVectorizer(t *testing.T) {
@@ -178,24 +169,6 @@ func TestTFIDF(t *testing.T) {
 		t.Fatalf("idf weighting wrong: the=%v cat=%v", theW, catW)
 	}
 	mustPanic(t, "dim", func() { NewTFIDF(0) })
-}
-
-func TestTFIDFSparseMatchesDense(t *testing.T) {
-	r := rng.New(51)
-	cfg := corpus.DefaultWikiConfig()
-	cfg.N = 60
-	ins, _ := corpus.GenerateWiki(cfg, r)
-	v := NewTFIDF(128)
-	v.Fit(corpus.NewMemStore(ins))
-	for _, in := range ins[:10] {
-		dense := v.Vectorize(in)
-		sparse := v.SparseVectorize(in).Dense()
-		for b := range dense {
-			if math.Abs(dense[b]-sparse[b]) > 1e-9 {
-				t.Fatalf("sparse and dense tf-idf disagree at bucket %d: %v vs %v", b, dense[b], sparse[b])
-			}
-		}
-	}
 }
 
 func mustPanic(t *testing.T, name string, f func()) {

@@ -51,6 +51,7 @@ type dfPartial struct {
 // goroutines; Fit delegates here with workers = 1. The store must be safe
 // for concurrent Get when workers > 1 (corpus.MemStore is read-only).
 func (v *TFIDF) FitParallel(store corpus.Store, workers int) {
+	dim := uint32(v.dim)
 	partials := parallel.MapChunks(workers, store.Len(), fitChunkSize, func(lo, hi int) dfPartial {
 		p := dfPartial{df: make([]int, v.dim)}
 		seen := make([]bool, v.dim)
@@ -63,8 +64,8 @@ func (v *TFIDF) FitParallel(store corpus.Store, workers int) {
 			for b := range seen {
 				seen[b] = false
 			}
-			for _, tok := range Tokenize(in.Text) {
-				seen[HashToken(tok, v.dim)] = true
+			for sc := (TokenScanner{Text: in.Text}); sc.Next(); {
+				seen[sc.Hash%dim] = true
 			}
 			for b, s := range seen {
 				if s {
@@ -106,8 +107,9 @@ func (v *TFIDF) Vectorize(in *corpus.Input) []float64 {
 	if in.Kind != corpus.TextKind {
 		return out
 	}
-	for _, tok := range Tokenize(in.Text) {
-		out[HashToken(tok, v.dim)]++
+	dim := uint32(v.dim)
+	for sc := (TokenScanner{Text: in.Text}); sc.Next(); {
+		out[sc.Hash%dim]++
 	}
 	for b := range out {
 		if out[b] > 0 {
@@ -123,30 +125,3 @@ func (v *TFIDF) Dim() int { return v.dim }
 
 // Name implements Vectorizer.
 func (v *TFIDF) Name() string { return "tfidf" }
-
-// SparseVectorize returns the tf-idf vector in sparse form for callers
-// (like the wiki feature code) that feed linear learners directly.
-func (v *TFIDF) SparseVectorize(in *corpus.Input) *linalg.Sparse {
-	if v.idf == nil {
-		panic("index: TFIDF.SparseVectorize before Fit")
-	}
-	counts := map[int]float64{}
-	if in.Kind == corpus.TextKind {
-		for _, tok := range Tokenize(in.Text) {
-			counts[HashToken(tok, v.dim)]++
-		}
-	}
-	norm := 0.0
-	for b, c := range counts {
-		w := (1 + math.Log(c)) * v.idf[b]
-		counts[b] = w
-		norm += w * w
-	}
-	if norm > 0 {
-		norm = math.Sqrt(norm)
-		for b := range counts {
-			counts[b] /= norm
-		}
-	}
-	return linalg.SparseFromMap(v.dim, counts)
-}
