@@ -122,10 +122,14 @@ cover:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
-# fuzz-smoke holds the token scanner to its Tokenize oracle on ten
-# seconds of generated strings, beyond the checked-in seed corpus.
+# fuzz-smoke gives each fuzz target ten seconds beyond its checked-in seed
+# corpus: the token scanner against its Tokenize oracle, the bounded
+# k-means pass against the plain Lloyd loop it replaced, and LoadGroups
+# against arbitrary file bytes.
 fuzz-smoke:
-	$(GO) test ./internal/index -run '^$$' -fuzz FuzzScanTokens -fuzztime 10s
+	@for target in FuzzScanTokens FuzzKMeansBounded FuzzLoadGroups; do \
+		$(GO) test ./internal/index -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s || exit 1; \
+	done
 
 # bench-selftest compiles and tests the benchmark program against this
 # tree. benchmark/ is a module of its own, so nothing above reaches it: an

@@ -3,6 +3,7 @@ package index
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -114,15 +115,16 @@ func (g *KMeansGrouper) Group(store corpus.Store, k int, r *rng.RNG) (*Groups, e
 		return nil, fmt.Errorf("index: k must be > 0, got %d", k)
 	}
 	start := time.Now()
+	cfg := g.Config
+	cfg.K = k
+	cfg.Workers = parallel.Workers(cfg.Workers)
 	// Vectorization is a pure per-input computation; fan it out with the
 	// same worker bound the clustering uses (every built-in Vectorizer is
 	// read-only once fitted).
 	points := make([][]float64, store.Len())
-	parallel.ForEach(g.Config.Workers, store.Len(), func(i int) {
+	parallel.ForEach(cfg.Workers, store.Len(), func(i int) {
 		points[i] = g.Vectorizer.Vectorize(store.Get(i))
 	})
-	cfg := g.Config
-	cfg.K = k
 	res, err := KMeans(points, cfg, r)
 	if err != nil {
 		return nil, err
@@ -275,18 +277,31 @@ func (OracleGrouper) Group(store corpus.Store, k int, r *rng.RNG) (*Groups, erro
 }
 
 // Save persists the groups to path with encoding/gob.
-func (g *Groups) Save(path string) (err error) {
-	f, err := os.Create(path)
+func (g *Groups) Save(path string) error {
+	return writeAtomic(path, func(w io.Writer) error { return gob.NewEncoder(w).Encode(g) })
+}
+
+// writeAtomic writes to a temporary file beside path, syncs it and renames
+// it over path, so a crash or a failed write leaves the previous file —
+// never a truncated one.
+func writeAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("index: create %s: %w", path, err)
+		return fmt.Errorf("index: create %s: %w", tmp, err)
 	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("index: close %s: %w", path, cerr)
-		}
-	}()
-	if err := gob.NewEncoder(f).Encode(g); err != nil {
-		return fmt.Errorf("index: encode groups: %w", err)
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort: the error worth reporting is err
+		return fmt.Errorf("index: save %s: %w", path, err)
 	}
 	return nil
 }

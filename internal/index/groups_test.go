@@ -1,6 +1,11 @@
 package index
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -264,6 +269,66 @@ func TestGroupsSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal("round trip lost members")
 		}
 	}
+}
+
+// TestGroupsSaveFailureKeepsPreviousFile: Save installs by rename, so an
+// encode that fails part-way must leave the file a previous Save wrote
+// byte for byte, and no temporary beside it.
+func TestGroupsSaveFailureKeepsPreviousFile(t *testing.T) {
+	store := wikiStore(t, 100, 88)
+	groups, _ := RandomGrouper{}.Group(store, 4, rng.New(89))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "groups.gob")
+	if err := groups.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := errors.New("encoder failed")
+	err = writeAtomic(path, func(w io.Writer) error {
+		w.Write(before[:len(before)/2])
+		return failed
+	})
+	if !errors.Is(err, failed) {
+		t.Fatalf("writeAtomic = %v, want the write's error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("failed Save touched the previous file (err %v, %d -> %d bytes)", err, len(before), len(after))
+	}
+	if _, err := LoadGroups(path); err != nil {
+		t.Fatalf("previous file no longer loads: %v", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("failed Save left %d entries in the directory, want only groups.gob", len(entries))
+	}
+}
+
+// FuzzLoadGroups: arbitrary bytes in the groups file yield an error or a
+// partition that passes Validate — never a panic.
+func FuzzLoadGroups(f *testing.F) {
+	var valid bytes.Buffer
+	if err := gob.NewEncoder(&valid).Encode(fromAssign("test", []int{0, 1, 1, 0, 2}, 3)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()/2])
+	f.Add([]byte{})
+	path := filepath.Join(f.TempDir(), "groups.gob")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := LoadGroups(path)
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("LoadGroups returned an invalid partition: %v", err)
+		}
+	})
 }
 
 func TestLoadGroupsMissingFile(t *testing.T) {

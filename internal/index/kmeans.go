@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"zombie/internal/linalg"
 	"zombie/internal/parallel"
@@ -26,8 +27,8 @@ type KMeansConfig struct {
 	// MiniBatchIters is the number of mini-batch steps (default 100·K).
 	MiniBatchIters int
 	// Workers bounds the goroutines used for the assignment passes (the
-	// O(n·K·dim) hot path) and the k-means++ distance updates; <= 1 runs
-	// sequentially. Results are bit-identical for any worker count:
+	// hot path) and the k-means++ distance updates: <= 0 means GOMAXPROCS,
+	// 1 runs sequentially. Results are bit-identical for any worker count:
 	// assignments are pure per-point computations and inertia partials
 	// accumulate over fixed-size chunks merged in chunk order (see
 	// internal/parallel). Mini-batch updates always run sequentially —
@@ -51,6 +52,7 @@ func (c KMeansConfig) normalize(n int) (KMeansConfig, error) {
 	if c.MiniBatch > 0 && c.MiniBatchIters <= 0 {
 		c.MiniBatchIters = 100 * c.K
 	}
+	c.Workers = parallel.Workers(c.Workers)
 	return c, nil
 }
 
@@ -67,6 +69,7 @@ type KMeansResult struct {
 	Iters int
 	// BatchSteps is the number of mini-batch updates performed.
 	BatchSteps int
+	distEvals  int // point-to-centroid SqDist calls made (benchmarks report it)
 }
 
 // KMeans clusters points with k-means++ initialization followed by
@@ -83,40 +86,95 @@ func KMeans(points [][]float64, cfg KMeansConfig, r *rng.RNG) (*KMeansResult, er
 			return nil, fmt.Errorf("index: KMeans point %d has dim %d, want %d", i, len(p), dim)
 		}
 	}
-	centroids := kmeansPlusPlus(points, cfg.K, cfg.Workers, r)
-	res := &KMeansResult{Centroids: centroids, Assign: make([]int, len(points))}
+	b := &bounds{k: cfg.K, lb: make([]float32, len(points)*cfg.K), move: make([]float64, cfg.K)}
+	res := &KMeansResult{Assign: make([]int, len(points))}
+	res.Centroids = kmeansPlusPlus(points, cfg.K, cfg.Workers, r, b, res.Assign)
 	if cfg.MiniBatch > 0 {
 		miniBatch(points, res, cfg, r)
+		// The centroids moved arbitrarily: no seeding bound survives.
+		b.seed = nil
+		clear(b.lb)
 	} else {
-		lloyd(points, res, cfg, r)
+		lloyd(points, res, cfg, b, r)
 	}
-	// Final assignment + inertia (mini-batch needs it; Lloyd refreshes it).
-	res.Inertia = assignAll(points, res.Centroids, res.Assign, cfg.Workers)
+	// Final assignment + inertia against the last centroid update.
+	res.Inertia = b.assign(points, res.Centroids, res.Assign, cfg.Workers)
+	res.distEvals = int(b.evals.Load())
 	return res, nil
 }
 
+// bounds is the per-point state that lets an assignment pass skip the
+// distance evaluations that cannot change an argmin (Elkan's bounds held
+// exact; DESIGN.md §8 has the argument). It lives for one KMeans call.
+type bounds struct {
+	k int
+	// lb[i*k+c] <= d(points[i], centroid c): the distance when last
+	// evaluated, less every movement of c since, as a float32 that is
+	// always rounded down — a bound may be loose, never high.
+	lb []float32
+	// move[c] >= how far the last update moved centroid c; the next pass
+	// takes it off every lb[·][c] it does not re-evaluate.
+	move []float64
+	// seed is non-nil between k-means++ and the first pass: each point's
+	// squared distance to its nearest seed, which is that pass's answer.
+	seed  []float64
+	evals atomic.Int64 // SqDist calls against points
+}
+
+// boundMargin is the relative slack on every bound comparison. SqDist
+// sums non-negative terms, so its relative error is at most (dim+2)·2⁻⁵³
+// (3e-14 at 256 dims); the margin dwarfs that, the square roots' rounding
+// and the 2⁻⁵³ each movement update adds.
+const boundMargin = 1e-9
+
+// lowerBound turns an evaluated squared distance into a storable bound.
+func lowerBound(d2 float64) float32 { return below32(math.Sqrt(d2) * (1 - boundMargin)) }
+
+// below32 returns a float32 at most x, within an ulp of it, without a
+// data-dependent branch: x·2⁻²⁴ is at least half a float32 ulp of x, so
+// x·(1-2⁻²⁴) rounds to nearest at or below x. Subnormal float32s have no
+// such relative slack and flush to 0, as does anything negative.
+func below32(x float64) float32 {
+	if x < 0x1p-126 {
+		return 0
+	}
+	return float32(min(x, math.MaxFloat32) * (1 - 0x1p-24))
+}
+
 // kmeansPlusPlus seeds centroids with D² weighting. The distance-update
-// sweeps fan out over workers goroutines; each point's d2 slot is written
+// sweeps fan out over workers goroutines; each point's slots are written
 // independently, so the seeding is identical for any worker count (the
-// weighted draws consume r sequentially either way).
-func kmeansPlusPlus(points [][]float64, k, workers int, r *rng.RNG) [][]float64 {
-	centroids := make([][]float64, 0, k)
-	first := points[r.Intn(len(points))]
-	centroids = append(centroids, linalg.Clone(first))
+// weighted draws consume r sequentially either way). The sweeps evaluate
+// every distance Lloyd's first pass would, so they leave its outcome in b
+// and assign — the argmin by the same strict < in the same order.
+func kmeansPlusPlus(points [][]float64, k, workers int, r *rng.RNG, b *bounds, assign []int) [][]float64 {
+	centroids := make([][]float64, k)
 	d2 := make([]float64, len(points))
-	parallel.ForEach(workers, len(points), func(i int) {
-		d2[i] = linalg.SqDist(points[i], centroids[0])
-	})
-	for len(centroids) < k {
-		idx := r.WeightedChoice(d2)
-		centroids = append(centroids, linalg.Clone(points[idx]))
-		last := centroids[len(centroids)-1]
-		parallel.ForEach(workers, len(points), func(i int) {
-			if d := linalg.SqDist(points[i], last); d < d2[i] {
-				d2[i] = d
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
+	for c := range centroids {
+		var idx int
+		if c == 0 {
+			idx = r.Intn(len(points))
+		} else {
+			idx = r.WeightedChoice(d2)
+		}
+		last := linalg.Clone(points[idx])
+		centroids[c] = last
+		parallel.ForEach(workers, parallel.NumChunks(len(points), assignChunkSize), func(chunk int) {
+			lo, hi := parallel.ChunkBounds(len(points), assignChunkSize, chunk)
+			for i := lo; i < hi; i++ {
+				d := linalg.SqDist(points[i], last)
+				b.lb[i*k+c] = lowerBound(d)
+				if d < d2[i] {
+					d2[i], assign[i] = d, c
+				}
 			}
 		})
 	}
+	b.seed = d2
+	b.evals.Store(int64(len(points) * k))
 	return centroids
 }
 
@@ -126,21 +184,59 @@ func kmeansPlusPlus(points [][]float64, k, workers int, r *rng.RNG) [][]float64 
 // for any worker count.
 const assignChunkSize = 512
 
-// assignAll assigns every point to its nearest centroid and returns the
-// inertia, fanning the pass out over up to workers goroutines.
-func assignAll(points [][]float64, centroids [][]float64, assign []int, workers int) float64 {
+// assign moves every point to its nearest centroid — the lowest index on
+// exact ties, as a strict < sweep over all K picks — and returns the
+// inertia, fanning out over up to workers goroutines. assign[i] must hold
+// a valid centroid on entry: its distance is evaluated first, then only
+// the centroids that neither the point's lower bound nor half the
+// centroid-to-centroid distance rules out.
+func (b *bounds) assign(points, centroids [][]float64, assign []int, workers int) float64 {
+	k := b.k
+	// half[a*k+c] <= ½·d(centroid a, centroid c): √(d²/4), bounded like lb.
+	half := make([]float32, k*k)
+	for a := range centroids {
+		for c := a + 1; c < k; c++ {
+			h := lowerBound(linalg.SqDist(centroids[a], centroids[c]) / 4)
+			half[a*k+c], half[c*k+a] = h, h
+		}
+	}
+	seed := b.seed
+	b.seed = nil
 	partials := parallel.MapChunks(workers, len(points), assignChunkSize, func(lo, hi int) float64 {
 		inertia := 0.0
+		if seed != nil {
+			for _, d := range seed[lo:hi] {
+				inertia += d
+			}
+			return inertia
+		}
+		evals := hi - lo // every point's own centroid
 		for i := lo; i < hi; i++ {
-			best, bestD := 0, math.Inf(1)
+			p, lb, cur := points[i], b.lb[i*k:(i+1)*k], assign[i]
+			best, bestD := cur, linalg.SqDist(p, centroids[cur])
+			lb[cur] = lowerBound(bestD)
+			u := math.Sqrt(bestD) * (1 + boundMargin)
 			for c, cent := range centroids {
-				if d := linalg.SqDist(points[i], cent); d < bestD {
+				if c == cur {
+					continue
+				}
+				l := below32(float64(lb[c]) - b.move[c])
+				lb[c] = l
+				if u < float64(l) || u < float64(half[best*k+c]) {
+					continue
+				}
+				d := linalg.SqDist(p, cent)
+				lb[c] = lowerBound(d)
+				evals++
+				if d < bestD || (d == bestD && c < best) {
 					best, bestD = c, d
+					u = math.Sqrt(d) * (1 + boundMargin)
 				}
 			}
 			assign[i] = best
 			inertia += bestD
 		}
+		b.evals.Add(int64(evals))
 		return inertia
 	})
 	inertia := 0.0
@@ -150,30 +246,38 @@ func assignAll(points [][]float64, centroids [][]float64, assign []int, workers 
 	return inertia
 }
 
-func lloyd(points [][]float64, res *KMeansResult, cfg KMeansConfig, r *rng.RNG) {
+func lloyd(points [][]float64, res *KMeansResult, cfg KMeansConfig, b *bounds, r *rng.RNG) {
 	prev := math.Inf(1)
 	counts := make([]int, cfg.K)
+	// The update builds into a second buffer: measuring how far a centroid
+	// moved needs the old one.
+	next := make([][]float64, cfg.K)
+	for c := range next {
+		next[c] = make([]float64, len(points[0]))
+	}
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		inertia := assignAll(points, res.Centroids, res.Assign, cfg.Workers)
+		inertia := b.assign(points, res.Centroids, res.Assign, cfg.Workers)
 		res.Iters = iter + 1
 		// Recompute centroids.
-		for c := range res.Centroids {
-			linalg.Zero(res.Centroids[c])
+		for c := range next {
+			linalg.Zero(next[c])
 			counts[c] = 0
 		}
 		for i, p := range points {
 			c := res.Assign[i]
-			linalg.Add(p, res.Centroids[c])
+			linalg.Add(p, next[c])
 			counts[c]++
 		}
-		for c := range res.Centroids {
+		for c := range next {
 			if counts[c] == 0 {
 				// Empty cluster: reseed at a random point so K is
 				// preserved (matters because K is the bandit arm count).
-				copy(res.Centroids[c], points[r.Intn(len(points))])
-				continue
+				copy(next[c], points[r.Intn(len(points))])
+			} else {
+				linalg.Scale(1/float64(counts[c]), next[c])
 			}
-			linalg.Scale(1/float64(counts[c]), res.Centroids[c])
+			b.move[c] = math.Sqrt(linalg.SqDist(res.Centroids[c], next[c])) * (1 + boundMargin)
+			res.Centroids[c], next[c] = next[c], res.Centroids[c]
 		}
 		if prev-inertia < cfg.Tol*prev {
 			break
