@@ -1,9 +1,11 @@
 # Development workflow for the zombie repo. `make ci` is the full gate the
 # first goroutines in internal/server made meaningful: the race detector
-# runs over every package, and the smoke targets prove the determinism
-# contracts (cache, parallelism, fault injection, crash-resume) end to
-# end — crash-smoke kills a -state-dir server mid-run and requires the
-# restarted process to finish the run with an identical curve. `make loc`
+# runs over every package, and the smoke targets prove the contracts that
+# need a live zombie-serve (telemetry, sessions, real-socket dist, trace
+# stitching, crash-resume) end to end — crash-smoke kills a -state-dir
+# server mid-run and requires the restarted process to finish the run with
+# an identical curve. The CLI's determinism contracts (cache, faults,
+# batching, shards) are Go tests in cmd/zombie. `make loc`
 # prints the size metric ROADMAP's "least code" aim is judged by: non-test
 # Go lines per package and the repo total outside benchmark/.
 
@@ -50,7 +52,7 @@ define smoke_tmp
 if [ -n "$(SMOKE_DIR)" ]; then tmp="$(SMOKE_DIR)/$(1)"; rm -rf "$$tmp"; mkdir -p "$$tmp"; keep=1; else tmp=$$(mktemp -d); keep=; fi
 endef
 
-.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke fuzz-smoke bench-selftest cache-smoke chaos-smoke obs-smoke session-smoke bench-gate dist-smoke batch-smoke crash-smoke trace-smoke ci
+.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke fuzz-smoke bench-selftest obs-smoke session-smoke dist-smoke crash-smoke trace-smoke ci
 
 all: build
 
@@ -138,69 +140,6 @@ fuzz-smoke:
 bench-selftest:
 	$(GO) test -C benchmark ./...
 
-# cache-smoke proves the extraction cache's determinism contract end to
-# end: the same workload, cold then warm against one -cache-dir, must emit
-# byte-identical output (the cache: counter line aside) and the warm run
-# must actually serve hits.
-cache-smoke:
-	@$(call smoke_tmp,cache-smoke); trap '[ -n "$$keep" ] || rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/zombie-datagen -task wiki -n 800 -out $$tmp/wiki.jsonl >/dev/null && \
-	$(GO) run ./cmd/zombie -corpus $$tmp/wiki.jsonl -task wiki -mode scan-sequential -max 400 -cache-dir $$tmp/cache > $$tmp/cold.out && \
-	$(GO) run ./cmd/zombie -corpus $$tmp/wiki.jsonl -task wiki -mode scan-sequential -max 400 -cache-dir $$tmp/cache > $$tmp/warm.out && \
-	grep -v '^cache:' $$tmp/cold.out > $$tmp/cold.cmp && \
-	grep -v '^cache:' $$tmp/warm.out > $$tmp/warm.cmp && \
-	if ! cmp -s $$tmp/cold.cmp $$tmp/warm.cmp; then \
-		echo "cache-smoke: cold and warm outputs differ"; \
-		diff $$tmp/cold.cmp $$tmp/warm.cmp; exit 1; \
-	fi && \
-	if ! grep -q '^cache: hits=[1-9]' $$tmp/warm.out; then \
-		echo "cache-smoke: warm run served no cache hits"; \
-		grep '^cache:' $$tmp/warm.out; exit 1; \
-	fi && \
-	echo "cache-smoke OK: $$(grep '^cache:' $$tmp/warm.out)"
-
-# chaos-smoke proves the fault-tolerance contract end to end:
-#   1. a run with injected extract/corpus faults completes (no stop=failed),
-#      quarantines the faulted inputs on visible quarantine: lines, and is
-#      byte-identical across two same-seed invocations;
-#   2. a run whose disk cache always fails demotes to memory-only
-#      (demoted=true) and still emits the exact cache-off output.
-chaos-smoke:
-	@$(call smoke_tmp,chaos-smoke); trap '[ -n "$$keep" ] || rm -rf "$$tmp"' EXIT; \
-	spec='extract:err=0.04,panic=0.04;corpus.read:err=0.03'; \
-	$(GO) run ./cmd/zombie-datagen -task wiki -n 800 -out $$tmp/wiki.jsonl >/dev/null && \
-	$(GO) run ./cmd/zombie -corpus $$tmp/wiki.jsonl -task wiki -mode scan-sequential -max 400 \
-		-faults "$$spec" -fault-seed 7 > $$tmp/a.out 2>/dev/null && \
-	$(GO) run ./cmd/zombie -corpus $$tmp/wiki.jsonl -task wiki -mode scan-sequential -max 400 \
-		-faults "$$spec" -fault-seed 7 > $$tmp/b.out 2>/dev/null && \
-	if ! cmp -s $$tmp/a.out $$tmp/b.out; then \
-		echo "chaos-smoke: same-seed faulted runs differ"; \
-		diff $$tmp/a.out $$tmp/b.out; exit 1; \
-	fi && \
-	if grep -q 'stop=failed' $$tmp/a.out; then \
-		echo "chaos-smoke: run degraded to stop=failed under the smoke fault rates"; \
-		head -1 $$tmp/a.out; exit 1; \
-	fi && \
-	nq=$$(grep -c '^quarantine:' $$tmp/a.out); \
-	if [ "$$nq" -lt 20 ]; then \
-		echo "chaos-smoke: only $$nq quarantine lines, want >= 20 (5% of 400)"; exit 1; \
-	fi && \
-	$(GO) run ./cmd/zombie -corpus $$tmp/wiki.jsonl -task wiki -mode scan-sequential -max 400 \
-		> $$tmp/plain.out 2>/dev/null && \
-	$(GO) run ./cmd/zombie -corpus $$tmp/wiki.jsonl -task wiki -mode scan-sequential -max 400 \
-		-cache-dir $$tmp/chaoscache -faults 'cache.read:err=1;cache.write:err=1' -fault-seed 7 \
-		> $$tmp/demoted.out 2>/dev/null && \
-	if ! grep -q 'demoted=true' $$tmp/demoted.out; then \
-		echo "chaos-smoke: always-failing disk cache did not demote"; \
-		grep '^cache:' $$tmp/demoted.out; exit 1; \
-	fi && \
-	grep -v '^cache:' $$tmp/demoted.out > $$tmp/demoted.cmp && \
-	if ! cmp -s $$tmp/plain.out $$tmp/demoted.cmp; then \
-		echo "chaos-smoke: demoted-cache output diverged from cache-off output"; \
-		diff $$tmp/plain.out $$tmp/demoted.cmp; exit 1; \
-	fi && \
-	echo "chaos-smoke OK: $$nq quarantined, same-seed identical, disk faults demoted cleanly"
-
 # obs-smoke proves the telemetry contract end to end against a live
 # zombie-serve: /healthz carries build identity, a traced run populates
 # both /metrics expositions (the stable flat-JSON keys and Prometheus
@@ -285,61 +224,6 @@ session-smoke:
 	[ "$$nparts" = 3 ] || { echo "session-smoke: zombie -recipe printed $$nparts part lines, want 3"; cat $$tmp/cli.out; exit 1; }; \
 	echo "session-smoke OK: v2 warm-started with $$hits cache hits, $$shared/3 parts reused, CLI ran $$nparts-part recipe"
 
-# bench-gate re-proves the determinism and performance contracts through
-# the bench harness. CI runs it as its own step after `make ci` so a
-# regression is visible by name. Three checks (speed itself is judged by
-# the benchmark in benchmark/, not here):
-#   1. the wall-clock-free experiments (T2, F1) and the distributed
-#      invariance experiment (D1) must emit byte-identical output at
-#      -parallel 2 vs the sequential baseline;
-#   2. the span tracer must be free and invisible: the traced reference
-#      run's results byte-identical to the untraced run's, with best-of-N
-#      wall overhead under 5% (the report's tracing block). A breach gets
-#      one re-measure before failing — the reference run is milliseconds,
-#      so a busy box can push a single measurement past the margin;
-#   3. the zombie CLI sharded over 1 and 4 in-process dist workers must
-#      emit output byte-identical to the single-process run, the
-#      wall-clock (built:), per-worker (dist:), and cache counter lines
-#      aside.
-bench-gate:
-	@command -v jq >/dev/null || { echo "bench-gate: needs jq"; exit 1; }; \
-	$(call smoke_tmp,bench-gate); trap '[ -n "$$keep" ] || rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/zombie-bench -exp T2,F1,D1 -scale 0.05 -parallel 2 \
-		-emit-bench $$tmp/bench.json >/dev/null || exit 1; \
-	bad=$$(jq -r '.experiments[] | select(.byte_identical != true) | .id' $$tmp/bench.json); \
-	if [ -n "$$bad" ]; then \
-		echo "bench-gate: parallel output not byte-identical to sequential for: $$bad"; \
-		cat $$tmp/bench.json; exit 1; \
-	fi; \
-	identical=$$(jq -r '.tracing.byte_identical' $$tmp/bench.json); \
-	overhead=$$(jq -r '.tracing.overhead // 0' $$tmp/bench.json); \
-	[ "$$identical" = true ] || { echo "bench-gate: traced reference run diverged from untraced"; \
-		jq .tracing $$tmp/bench.json; exit 1; }; \
-	if ! awk -v o="$$overhead" 'BEGIN{exit !(o > 0 && o < 1.05)}'; then \
-		echo "bench-gate: tracer overhead $$overhead over threshold, re-measuring once"; \
-		$(GO) run ./cmd/zombie-bench -exp T1 -scale 0.05 -parallel 2 \
-			-emit-bench $$tmp/bench-retry.json >/dev/null || exit 1; \
-		identical=$$(jq -r '.tracing.byte_identical' $$tmp/bench-retry.json); \
-		overhead=$$(jq -r '.tracing.overhead // 0' $$tmp/bench-retry.json); \
-		[ "$$identical" = true ] || { echo "bench-gate: traced reference run diverged from untraced"; \
-			jq .tracing $$tmp/bench-retry.json; exit 1; }; \
-	fi; \
-	awk -v o="$$overhead" 'BEGIN{exit !(o > 0 && o < 1.05)}' || \
-		{ echo "bench-gate: span tracer wall overhead $$overhead breaches the <5% contract"; \
-		exit 1; }; \
-	$(GO) run ./cmd/zombie-datagen -task wiki -n 600 -out $$tmp/wiki.jsonl >/dev/null && \
-	for s in 0 1 4; do \
-		$(GO) run ./cmd/zombie -corpus $$tmp/wiki.jsonl -task wiki -max 200 -shards $$s 2>/dev/null \
-			| grep -v '^built \|^dist:\|^cache:' > $$tmp/shards$$s.out || exit 1; \
-	done; \
-	for s in 1 4; do \
-		if ! cmp -s $$tmp/shards0.out $$tmp/shards$$s.out; then \
-			echo "bench-gate: -shards $$s output diverged from single-process"; \
-			diff $$tmp/shards0.out $$tmp/shards$$s.out; exit 1; \
-		fi; \
-	done; \
-	echo "bench-gate OK: T2/F1/D1 byte-identical at parallel=2, tracer overhead $$overhead, shards {1,4} == single-process"
-
 # dist-smoke proves the distributed determinism contract against real
 # processes and real sockets: a coordinator zombie-serve fronting two
 # worker zombie-serve processes over loopback HTTP must produce a
@@ -390,31 +274,6 @@ dist-smoke:
 	fi; \
 	steps=$$(jq '[.workers[].steps] | add' $$tmp/dist.info); \
 	echo "dist-smoke OK: http transport over 2 workers, $$steps worker steps, curve identical to single-process"
-
-# batch-smoke proves the batched inner loop's contracts end to end through
-# the CLI: a -batch 8 run must replay byte-identically, and the same K=8
-# run sharded over 2 in-process dist workers (one StepBatch RPC per owning
-# shard) must match the single-process K=8 run — the wall-clock (built:),
-# per-worker (dist:), and cache counter lines aside. (K=1 is a batch of
-# one through the same code, so there is no second path to compare with.)
-batch-smoke:
-	@$(call smoke_tmp,batch-smoke); trap '[ -n "$$keep" ] || rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/zombie-datagen -task wiki -n 600 -out $$tmp/wiki.jsonl >/dev/null && \
-	$(GO) run ./cmd/zombie -corpus $$tmp/wiki.jsonl -task wiki -max 200 -batch 8 2>/dev/null \
-		| grep -v '^built \|^dist:\|^cache:' > $$tmp/k8a.out && \
-	$(GO) run ./cmd/zombie -corpus $$tmp/wiki.jsonl -task wiki -max 200 -batch 8 2>/dev/null \
-		| grep -v '^built \|^dist:\|^cache:' > $$tmp/k8b.out && \
-	if ! cmp -s $$tmp/k8a.out $$tmp/k8b.out; then \
-		echo "batch-smoke: same-seed -batch 8 runs differ"; \
-		diff $$tmp/k8a.out $$tmp/k8b.out; exit 1; \
-	fi && \
-	$(GO) run ./cmd/zombie -corpus $$tmp/wiki.jsonl -task wiki -max 200 -batch 8 -shards 2 2>/dev/null \
-		| grep -v '^built \|^dist:\|^cache:' > $$tmp/k8s.out && \
-	if ! cmp -s $$tmp/k8a.out $$tmp/k8s.out; then \
-		echo "batch-smoke: -batch 8 -shards 2 diverged from single-process -batch 8"; \
-		diff $$tmp/k8a.out $$tmp/k8s.out; exit 1; \
-	fi && \
-	echo "batch-smoke OK: K=8 deterministic, K=8 over 2 shards == single-process"
 
 # crash-smoke proves the durable control plane's resume contract against
 # a real process and a real kill -9: a zombie-serve run with -state-dir
@@ -522,4 +381,4 @@ trace-smoke:
 		|| { echo "trace-smoke: chrome trace export is empty or invalid"; exit 1; }; \
 	echo "trace-smoke OK: $$nspans spans, $$wstitched worker spans stitched under coordinator rpc spans, cost cells for 2 shards"
 
-ci: fmt-check vet lint build race cover bench-smoke fuzz-smoke bench-selftest cache-smoke chaos-smoke obs-smoke session-smoke dist-smoke batch-smoke crash-smoke trace-smoke
+ci: fmt-check vet lint build race cover bench-smoke fuzz-smoke bench-selftest obs-smoke session-smoke dist-smoke crash-smoke trace-smoke

@@ -5,7 +5,6 @@
 //
 //	zombie-bench [-exp T2] [-exp T2,F1,D1] [-scale 1.0] [-seed 20160516]
 //	zombie-bench -exp all -scale 0.25 -parallel 8
-//	zombie-bench -emit-bench BENCH_results.json -parallel 0
 //	zombie-bench -cpuprofile cpu.pprof -exp T2
 //	zombie-bench -list
 //
@@ -14,12 +13,8 @@
 // Output goes to stdout in the table/series formats recorded in
 // EXPERIMENTS.md. -parallel runs independent experiment work concurrently;
 // the output is byte-identical to -parallel 1 for everything that does not
-// print measured wall-clock values (see DESIGN.md §8). -emit-bench
-// additionally times every experiment and writes a JSON regression report
-// with per-experiment wall seconds and, when -parallel > 1, the
-// speedup-vs-sequential baseline. Benches that include C1 also record a
-// cache_iteration block: the wall-clock speedup of replaying the composite
-// wiki session against a warm extraction cache versus the cold first pass.
+// print measured wall-clock values (see DESIGN.md §8). Wall-clock itself is
+// judged by the program in benchmark/, not here.
 package main
 
 import (
@@ -39,7 +34,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "corpus scale multiplier (1.0 = 20k inputs per task)")
 	seed := flag.Int64("seed", 0, "random seed (0 = default)")
 	par := flag.Int("parallel", 1, "concurrent runs per experiment (0 = GOMAXPROCS; output is byte-identical for any value)")
-	emitBench := flag.String("emit-bench", "", "write a JSON timing report (per-experiment wall seconds, speedup vs sequential) to this path")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -65,7 +59,7 @@ func main() {
 	}
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Parallel: parallel.Workers(*par)}
-	if err := run(cfg, *exp, *emitBench); err != nil {
+	if err := run(cfg, *exp); err != nil {
 		fatal(err)
 	}
 
@@ -82,9 +76,8 @@ func main() {
 	}
 }
 
-// run dispatches the requested experiments, optionally through the timing
-// harness when emitBench names a report path.
-func run(cfg experiments.Config, exp, emitBench string) error {
+// run dispatches the requested experiments.
+func run(cfg experiments.Config, exp string) error {
 	var ids []string // empty = all, in registry order
 	if !strings.EqualFold(exp, "all") {
 		for _, id := range strings.Split(exp, ",") {
@@ -93,30 +86,15 @@ func run(cfg experiments.Config, exp, emitBench string) error {
 			}
 		}
 	}
-	if emitBench == "" {
-		if len(ids) == 0 {
-			return experiments.RunAll(cfg, os.Stdout)
+	if len(ids) == 0 {
+		return experiments.RunAll(cfg, os.Stdout)
+	}
+	for _, id := range ids {
+		if err := experiments.Run(id, cfg, os.Stdout); err != nil {
+			return err
 		}
-		for _, id := range ids {
-			if err := experiments.Run(id, cfg, os.Stdout); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	report, err := experiments.RunBench(cfg, ids, os.Stdout)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(emitBench)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 func fatal(err error) {

@@ -18,8 +18,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"time"
@@ -41,46 +43,55 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return // -h: the flag set already printed the usage
+		}
 		fmt.Fprintln(os.Stderr, "zombie:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	corpusPath := flag.String("corpus", "", "JSONL corpus path (required)")
-	stream := flag.Bool("stream", false, "read the corpus lazily from disk instead of loading it")
-	sessionMode := flag.Bool("session", false, "replay the standard 8-version engineering session (wiki only)")
-	recipePath := flag.String("recipe", "", "run a declarative feature recipe (JSON spec, see internal/recipe) instead of the task's default feature")
-	taskName := flag.String("task", "wiki", "task: wiki, songs, or image")
-	mode := flag.String("mode", "zombie", "mode: zombie, scan-random, scan-sequential, or oracle")
-	policy := flag.String("policy", "eps-greedy:0.1", "bandit policy spec")
-	k := flag.Int("k", 32, "number of index groups")
-	seed := flag.Int64("seed", 1, "random seed")
-	maxInputs := flag.Int("max", 0, "input budget (0 = exhaust the pool)")
-	batch := flag.Int("batch", 0, "inputs popped per arm pull (0/1 = classic per-step loop; K>1 amortizes selection, evaluation and RPCs — see DESIGN.md §13)")
-	maxTime := flag.Duration("max-time", 0, "simulated-time budget, e.g. 20m (0 = none)")
-	earlyStop := flag.Bool("early-stop", false, "enable plateau early stopping")
-	version := flag.Int("feature-version", 0, "feature-code version (0 = task default)")
-	indexPath := flag.String("index", "", "load a saved index instead of building one")
-	saveIndex := flag.String("save-index", "", "save the built index to this path")
-	curveEvery := flag.Int("curve-every", 0, "print every Nth curve point (0 = last 10)")
-	cacheDir := flag.String("cache-dir", "", "persist the extraction cache in this directory (a second run over the same corpus serves extractions from disk)")
-	cacheMemMB := flag.Int("cache-mem-mb", 0, "in-memory extraction-cache budget in MiB (0 = caching off unless -cache-dir is set, then 64)")
-	faultSpec := flag.String("faults", "", "inject deterministic faults, e.g. extract:err=0.04,panic=0.04;corpus.read:err=0.03 (chaos testing)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for -faults decisions")
-	maxFailures := flag.Float64("max-failures", 0, "failure budget: fraction of processed inputs that may be quarantined before the run degrades (0 = engine default 0.5, 1 = never degrade)")
-	shards := flag.Int("shards", 0, "run distributed over this many in-process corpus shards (zombie mode; 0 = single-process; the curve is byte-identical either way)")
-	traceOut := flag.String("trace-out", "", "record a span trace of the run and write Chrome trace-event JSON to this path (open in about://tracing); also prints trace: cost-attribution lines")
-	logFormat := flag.String("log-format", "text", "structured log format: text or json (stderr; stdout stays the diffable curve CSV)")
-	versionFlag := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+// run is the whole command over explicit arguments and streams, so the
+// tests drive it in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("zombie", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	corpusPath := fs.String("corpus", "", "JSONL corpus path (required)")
+	stream := fs.Bool("stream", false, "read the corpus lazily from disk instead of loading it")
+	sessionMode := fs.Bool("session", false, "replay the standard 8-version engineering session (wiki only)")
+	recipePath := fs.String("recipe", "", "run a declarative feature recipe (JSON spec, see internal/recipe) instead of the task's default feature")
+	taskName := fs.String("task", "wiki", "task: wiki, songs, or image")
+	mode := fs.String("mode", "zombie", "mode: zombie, scan-random, scan-sequential, or oracle")
+	policy := fs.String("policy", "eps-greedy:0.1", "bandit policy spec")
+	k := fs.Int("k", 32, "number of index groups")
+	seed := fs.Int64("seed", 1, "random seed")
+	maxInputs := fs.Int("max", 0, "input budget (0 = exhaust the pool)")
+	batch := fs.Int("batch", 0, "inputs popped per arm pull (0/1 = classic per-step loop; K>1 amortizes selection, evaluation and RPCs — see DESIGN.md §13)")
+	maxTime := fs.Duration("max-time", 0, "simulated-time budget, e.g. 20m (0 = none)")
+	earlyStop := fs.Bool("early-stop", false, "enable plateau early stopping")
+	version := fs.Int("feature-version", 0, "feature-code version (0 = task default)")
+	indexPath := fs.String("index", "", "load a saved index instead of building one")
+	saveIndex := fs.String("save-index", "", "save the built index to this path")
+	curveEvery := fs.Int("curve-every", 0, "print every Nth curve point (0 = last 10)")
+	cacheDir := fs.String("cache-dir", "", "persist the extraction cache in this directory (a second run over the same corpus serves extractions from disk)")
+	cacheMemMB := fs.Int("cache-mem-mb", 0, "in-memory extraction-cache budget in MiB (0 = caching off unless -cache-dir is set, then 64)")
+	faultSpec := fs.String("faults", "", "inject deterministic faults, e.g. extract:err=0.04,panic=0.04;corpus.read:err=0.03 (chaos testing)")
+	faultSeed := fs.Int64("fault-seed", 1, "seed for -faults decisions")
+	maxFailures := fs.Float64("max-failures", 0, "failure budget: fraction of processed inputs that may be quarantined before the run degrades (0 = engine default 0.5, 1 = never degrade)")
+	shards := fs.Int("shards", 0, "run distributed over this many in-process corpus shards (zombie mode; 0 = single-process; the curve is byte-identical either way)")
+	traceOut := fs.String("trace-out", "", "record a span trace of the run and write Chrome trace-event JSON to this path (open in about://tracing); also prints trace: cost-attribution lines")
+	logFormat := fs.String("log-format", "text", "structured log format: text or json (stderr; stdout stays the diffable curve CSV)")
+	versionFlag := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *versionFlag {
-		fmt.Println(buildinfo.String("zombie"))
+		fmt.Fprintln(stdout, buildinfo.String("zombie"))
 		return nil
 	}
-	logger, err := obs.NewLogger(os.Stderr, *logFormat)
+	logger, err := obs.NewLogger(stderr, *logFormat)
 	if err != nil {
 		return err
 	}
@@ -104,7 +115,7 @@ func run() error {
 			return err
 		}
 		for _, s := range skips {
-			fmt.Fprintf(os.Stderr, "zombie: corpus line %d skipped: %s\n", s.Line, s.Reason)
+			fmt.Fprintf(stderr, "zombie: corpus line %d skipped: %s\n", s.Line, s.Reason)
 		}
 		store = corpus.NewMemStore(inputs)
 	}
@@ -131,7 +142,7 @@ func run() error {
 		// One "recipe:" line per part, filterable like cache:/dist: lines,
 		// so scripts diffing curves across recipe edits can strip them.
 		for _, p := range rec.Parts() {
-			fmt.Printf("recipe: part=%s kind=%s version=%d fingerprint=%s\n",
+			fmt.Fprintf(stdout, "recipe: part=%s kind=%s version=%d fingerprint=%s\n",
 				p.Name, p.Kind, max(p.Version, 1), rec.PartFingerprints()[p.Name])
 		}
 		task = task.WithFeature(rec.Feature())
@@ -145,7 +156,7 @@ func run() error {
 			start := time.Now()
 			groups, err = grouper.Group(store, *k, rng.New(*seed).Split("index"))
 			if err == nil {
-				fmt.Printf("built %s index: k=%d in %s\n", groups.Strategy, groups.K(), time.Since(start).Round(time.Millisecond))
+				fmt.Fprintf(stdout, "built %s index: k=%d in %s\n", groups.Strategy, groups.K(), time.Since(start).Round(time.Millisecond))
 			}
 		}
 		if err != nil {
@@ -155,7 +166,7 @@ func run() error {
 			if err := groups.Save(*saveIndex); err != nil {
 				return err
 			}
-			fmt.Printf("saved index to %s\n", *saveIndex)
+			fmt.Fprintf(stdout, "saved index to %s\n", *saveIndex)
 		}
 	}
 
@@ -199,12 +210,12 @@ func run() error {
 	}
 
 	if *sessionMode {
-		if err := runSession(eng, task, groups); err != nil {
+		if err := runSession(stdout, eng, task, groups); err != nil {
 			return err
 		}
-		printCacheStats(fcache)
+		printCacheStats(stdout, fcache)
 		if tracer != nil {
-			return writeTrace(*traceOut, tracer)
+			return writeTrace(stdout, *traceOut, tracer)
 		}
 		return nil
 	}
@@ -265,11 +276,11 @@ func run() error {
 		"holdout_ms", p.Holdout.Milliseconds(), "select_ms", p.Select.Milliseconds(),
 		"read_ms", p.Read.Milliseconds(), "extract_ms", p.Extract.Milliseconds(),
 		"train_ms", p.Train.Milliseconds(), "eval_ms", p.Eval.Milliseconds(),
-		"cache_lookup_ms", p.CacheLookup.Milliseconds())
+		"rpc_ms", p.RPC.Milliseconds(), "cache_lookup_ms", p.CacheLookup.Milliseconds())
 
-	fmt.Println(res.Summary())
-	printQuarantine(res)
-	fmt.Println("inputs,quality,sim_seconds")
+	fmt.Fprintln(stdout, res.Summary())
+	printQuarantine(stdout, res)
+	fmt.Fprintln(stdout, "inputs,quality,sim_seconds")
 	points := res.Curve
 	if *curveEvery > 0 {
 		kept := points[:0:0]
@@ -283,18 +294,18 @@ func run() error {
 		points = points[len(points)-10:]
 	}
 	for _, p := range points {
-		fmt.Printf("%d,%.4f,%.1f\n", p.Inputs, p.Quality, p.SimTime.Seconds())
+		fmt.Fprintf(stdout, "%d,%.4f,%.1f\n", p.Inputs, p.Quality, p.SimTime.Seconds())
 	}
 	if res.Arms != nil {
-		fmt.Println("arm,pulls,mean_reward")
+		fmt.Fprintln(stdout, "arm,pulls,mean_reward")
 		for _, a := range res.Arms {
-			fmt.Printf("%d,%d,%.4f\n", a.Arm, a.Pulls, a.Mean)
+			fmt.Fprintf(stdout, "%d,%d,%.4f\n", a.Arm, a.Pulls, a.Mean)
 		}
 	}
-	printCacheStats(fcache)
-	printDistStats(dres)
+	printCacheStats(stdout, fcache)
+	printDistStats(stdout, dres)
 	if tracer != nil {
-		return writeTrace(*traceOut, tracer)
+		return writeTrace(stdout, *traceOut, tracer)
 	}
 	return nil
 }
@@ -303,7 +314,7 @@ func run() error {
 // prints the cost-attribution summary on "trace:"-prefixed stdout lines —
 // the same filterable-prefix convention as the cache: and dist: lines,
 // since tracing must never perturb the diffable curve output.
-func writeTrace(path string, tracer *otrace.Tracer) error {
+func writeTrace(stdout io.Writer, path string, tracer *otrace.Tracer) error {
 	spans, dropped := tracer.Snapshot()
 	f, err := os.Create(path)
 	if err != nil {
@@ -317,7 +328,7 @@ func writeTrace(path string, tracer *otrace.Tracer) error {
 		return err
 	}
 	cost := otrace.BuildCost(spans, dropped)
-	fmt.Printf("trace: %d spans (%d dropped), wall %.3fs, cpu %.3fs, chrome trace written to %s\n",
+	fmt.Fprintf(stdout, "trace: %d spans (%d dropped), wall %.3fs, cpu %.3fs, chrome trace written to %s\n",
 		len(spans), dropped, cost.WallSeconds, cost.CPUSeconds, path)
 	for _, c := range cost.Cells {
 		shard := "-"
@@ -328,7 +339,7 @@ func writeTrace(path string, tracer *otrace.Tracer) error {
 		if part == "" {
 			part = "-"
 		}
-		fmt.Printf("trace: phase=%s shard=%s part=%s wall=%.3fs cpu=%.3fs\n",
+		fmt.Fprintf(stdout, "trace: phase=%s shard=%s part=%s wall=%.3fs cpu=%.3fs\n",
 			c.Phase, shard, part, c.WallSeconds, c.CPUSeconds)
 	}
 	return nil
@@ -338,12 +349,12 @@ func writeTrace(path string, tracer *otrace.Tracer) error {
 // "dist:"-prefixed lines — the same filterable-prefix convention as the
 // cache: line, because the lines legitimately differ across shard counts
 // while the curve and summary above must not.
-func printDistStats(r *dist.Result) {
+func printDistStats(stdout io.Writer, r *dist.Result) {
 	if r == nil {
 		return
 	}
 	for _, w := range r.Workers {
-		fmt.Printf("dist: transport=%s worker=%d inputs=%d holdout=%d steps=%d cache_hits=%d cache_misses=%d failed_calls=%d retried_calls=%d\n",
+		fmt.Fprintf(stdout, "dist: transport=%s worker=%d inputs=%d holdout=%d steps=%d cache_hits=%d cache_misses=%d failed_calls=%d retried_calls=%d\n",
 			r.Transport, w.Shard, w.Inputs, w.Holdout, w.Steps, w.CacheHits, w.CacheMisses, w.FailedCalls, w.RetriedCalls)
 	}
 }
@@ -352,9 +363,9 @@ func printDistStats(r *dist.Result) {
 // "quarantine:"-prefixed line in the deterministic order they were hit —
 // same filterable-prefix convention as the cache: line, so chaos scripts
 // can both assert on and strip them.
-func printQuarantine(res *core.RunResult) {
+func printQuarantine(stdout io.Writer, res *core.RunResult) {
 	for _, q := range res.Quarantined {
-		fmt.Printf("quarantine: input=%s site=%s step=%d reason=%q\n",
+		fmt.Fprintf(stdout, "quarantine: input=%s site=%s step=%d reason=%q\n",
 			q.InputID, q.Site, q.Step, q.Reason)
 	}
 }
@@ -362,19 +373,19 @@ func printQuarantine(res *core.RunResult) {
 // printCacheStats reports the extraction-cache traffic on its own
 // "cache:"-prefixed line, kept out of the curve/arm CSV so scripts
 // comparing run output across cache states can filter it out.
-func printCacheStats(c *featcache.Cache) {
+func printCacheStats(stdout io.Writer, c *featcache.Cache) {
 	if c == nil {
 		return
 	}
 	st := c.Stats()
-	fmt.Printf("cache: hits=%d misses=%d disk_hits=%d entries=%d bytes=%d evictions=%d disk_errors=%d demoted=%t\n",
+	fmt.Fprintf(stdout, "cache: hits=%d misses=%d disk_hits=%d entries=%d bytes=%d evictions=%d disk_errors=%d demoted=%t\n",
 		st.Hits, st.Misses, st.DiskHits, st.Entries, st.Bytes, st.Evictions,
 		st.DiskErrors, st.DiskDemoted)
 }
 
 // runSession replays the standard wiki engineering session under both the
 // scan baseline and zombie, printing the engineer-wait comparison.
-func runSession(eng *core.Engine, task *featurepipe.Task, groups *index.Groups) error {
+func runSession(stdout io.Writer, eng *core.Engine, task *featurepipe.Task, groups *index.Groups) error {
 	session := featurepipe.StandardWikiSession()
 	if task.Feature.NumClasses() != session.Versions[0].NumClasses() {
 		return fmt.Errorf("-session supports the wiki task only")
@@ -387,15 +398,15 @@ func runSession(eng *core.Engine, task *featurepipe.Task, groups *index.Groups) 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-10s %12s %8s %14s %8s %s\n", "version", "scan-inputs", "scan-q", "zombie-inputs", "zombie-q", "stop")
+	fmt.Fprintf(stdout, "%-10s %12s %8s %14s %8s %s\n", "version", "scan-inputs", "scan-q", "zombie-inputs", "zombie-q", "stop")
 	for i := range scan.Iterations {
 		s := scan.Iterations[i].Run
 		z := zom.Iterations[i].Run
-		fmt.Printf("%-10s %12d %8.3f %14d %8.3f %s\n",
+		fmt.Fprintf(stdout, "%-10s %12d %8.3f %14d %8.3f %s\n",
 			scan.Iterations[i].Version, s.InputsProcessed, s.FinalQuality,
 			z.InputsProcessed, z.FinalQuality, z.Stop)
 	}
-	fmt.Printf("scan total %s | zombie total %s | speedup %.2fx\n",
+	fmt.Fprintf(stdout, "scan total %s | zombie total %s | speedup %.2fx\n",
 		scan.TotalTime().Round(time.Second), zom.TotalTime().Round(time.Second),
 		float64(scan.TotalTime())/float64(zom.TotalTime()))
 	return nil

@@ -211,7 +211,7 @@ type Config struct {
 	// Faults, when non-nil, injects seeded deterministic failures at the
 	// engine's fault sites (fault.SiteExtract keyed by input ID,
 	// fault.SiteCorpusRead keyed by store index). Production runs leave it
-	// nil; chaos tests and make chaos-smoke use it to prove the quarantine
+	// nil; chaos tests (cmd/zombie's included) use it to prove the quarantine
 	// and budget machinery end to end. Because decisions are pure hashes
 	// of (seed, site, id), two runs with the same engine seed and fault
 	// seed are byte-identical, quarantine list included.

@@ -84,7 +84,7 @@ func (t phaseTimes) breakdown(cacheLookup time.Duration) PhaseBreakdown {
 }
 
 // Millis renders the primary phases as name → milliseconds, the wire form
-// RunInfo and the bench report use. CacheLookup is excluded (it overlaps
+// RunInfo and the benchmark use. CacheLookup is excluded (it overlaps
 // Extract/Holdout).
 func (p PhaseBreakdown) Millis() map[string]float64 {
 	out := make(map[string]float64, numPhases)

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"time"
 
 	"zombie/internal/core"
 	"zombie/internal/index"
-	"zombie/internal/learner"
 )
 
 // batchSweepSizes are the K values the batch sweep reports. K=1 is the
@@ -18,22 +15,16 @@ var batchSweepSizes = []int{1, 4, 16}
 
 // batchRun executes the standard wiki zombie run at the given batch size
 // under the quality-delta reward — the reward whose per-step before/after
-// holdout bracket batching amortizes — and returns the result with its
-// measured wall time.
-func batchRun(wl *Workload, groups *index.Groups, batch int, seed int64) (*core.RunResult, time.Duration, error) {
+// holdout bracket batching amortizes.
+func batchRun(wl *Workload, groups *index.Groups, batch int, seed int64) (*core.RunResult, error) {
 	eng, err := engineFor("eps-greedy:0.1", seed, withWorkloadDefaults(wl, func(c *core.Config) {
 		c.Reward = core.RewardQualityDelta
 		c.BatchSize = batch
 	}))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	start := time.Now()
-	res, err := eng.Run(wl.Task, groups)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, time.Since(start), nil
+	return eng.Run(wl.Task, groups)
 }
 
 // runsMatch reports whether two runs are observably identical: same
@@ -66,7 +57,7 @@ func B1BatchSweep(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ref, _, err := batchRun(wl, groups, 0, cfg.Seed+2)
+	ref, err := batchRun(wl, groups, 0, cfg.Seed+2)
 	if err != nil {
 		return err
 	}
@@ -76,11 +67,11 @@ func B1BatchSweep(cfg Config, w io.Writer) error {
 		Header: []string{"batch", "inputs", "final quality", "curve points", "identical to K=1"},
 	}
 	for _, k := range batchSweepSizes {
-		res, _, err := batchRun(wl, groups, k, cfg.Seed+2)
+		res, err := batchRun(wl, groups, k, cfg.Seed+2)
 		if err != nil {
 			return err
 		}
-		again, _, err := batchRun(wl, groups, k, cfg.Seed+2)
+		again, err := batchRun(wl, groups, k, cfg.Seed+2)
 		if err != nil {
 			return err
 		}
@@ -104,140 +95,4 @@ func B1BatchSweep(cfg Config, w io.Writer) error {
 	}
 	_, err = fmt.Fprintln(w)
 	return err
-}
-
-// BatchPoint is one K value's timing inside the bench report.
-type BatchPoint struct {
-	Batch       int     `json:"batch"`
-	Inputs      int     `json:"inputs"`
-	WallSeconds float64 `json:"wall_seconds"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-	// AllocsPerInput is heap allocations per processed input over the
-	// whole run (runtime.MemStats.Mallocs delta), the regression number
-	// the allocation-free inner loop is held to.
-	AllocsPerInput float64 `json:"allocs_per_input"`
-}
-
-// BatchBenchEntry is the batch-sweep block of the bench report: the same
-// wiki quality-delta run at each K, plus the headline K=16-over-K=1
-// throughput ratio CI gates on.
-type BatchBenchEntry struct {
-	Points []BatchPoint `json:"points"`
-	// SpeedupK16 is steps/sec at the largest K over steps/sec at K=1.
-	SpeedupK16 float64 `json:"speedup_k16"`
-	// ByteIdentical reports whether K=1 reproduced the unbatched run.
-	ByteIdentical bool `json:"byte_identical"`
-}
-
-// BatchSweepBench times the batch sweep for the bench report. Allocation
-// counts come from MemStats deltas around each run; a GC fence before
-// each measurement keeps scavenging noise out of the Mallocs counter
-// (Mallocs itself is monotonic, the fence just stabilizes timing).
-func BatchSweepBench(cfg Config) (*BatchBenchEntry, error) {
-	cfg = cfg.withDefaults()
-	wl, err := WikiWorkload(cfg)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := wl.Groups(wl.DefaultK, cfg.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-	ref, _, err := batchRun(wl, groups, 0, cfg.Seed+2)
-	if err != nil {
-		return nil, err
-	}
-	entry := &BatchBenchEntry{}
-	var perSec []float64
-	for _, k := range batchSweepSizes {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, wall, err := batchRun(wl, groups, k, cfg.Seed+2)
-		if err != nil {
-			return nil, err
-		}
-		runtime.ReadMemStats(&after)
-		p := BatchPoint{Batch: k, Inputs: res.InputsProcessed, WallSeconds: wall.Seconds()}
-		if wall > 0 {
-			p.StepsPerSec = float64(res.InputsProcessed) / wall.Seconds()
-		}
-		if res.InputsProcessed > 0 {
-			p.AllocsPerInput = float64(after.Mallocs-before.Mallocs) / float64(res.InputsProcessed)
-		}
-		entry.Points = append(entry.Points, p)
-		perSec = append(perSec, p.StepsPerSec)
-		if k == 1 {
-			entry.ByteIdentical = runsMatch(res, ref)
-		}
-	}
-	if first := perSec[0]; first > 0 {
-		entry.SpeedupK16 = perSec[len(perSec)-1] / first
-	}
-	return entry, nil
-}
-
-// AllocBenchEntry records allocs/op for the two hottest leaf operations
-// the inner loop calls, measured directly (MemStats deltas) so the bench
-// report carries the same numbers `go test -benchmem` reports.
-type AllocBenchEntry struct {
-	WikiExtractAllocsPerOp    float64 `json:"wiki_extract_allocs_per_op"`
-	HoldoutQualityAllocsPerOp float64 `json:"holdout_quality_allocs_per_op"`
-}
-
-// allocsPerOp runs f ops times and returns the mean heap allocations per
-// call. Must be called with no other goroutines allocating.
-func allocsPerOp(ops int, f func()) float64 {
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < ops; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(ops)
-}
-
-// AllocBench measures the leaf allocation counts on the wiki workload:
-// one feature extraction per op, and one full holdout scoring per op over
-// a holdout trained on the extracted examples.
-func AllocBench(cfg Config) (*AllocBenchEntry, error) {
-	cfg = cfg.withDefaults()
-	wl, err := WikiWorkload(cfg)
-	if err != nil {
-		return nil, err
-	}
-	task := wl.Task
-	var examples []learner.Example
-	for _, idx := range task.HoldoutIdx {
-		res, err := task.Feature.Extract(task.Store.Get(idx))
-		if err != nil {
-			return nil, err
-		}
-		if res.Produced {
-			examples = append(examples, res.Example)
-		}
-	}
-	if len(examples) == 0 {
-		return nil, fmt.Errorf("experiments: alloc bench extracted no examples")
-	}
-	model := task.NewModel(task.Feature)
-	for _, ex := range examples {
-		model.PartialFit(ex)
-	}
-	holdout := learner.NewHoldout(examples, task.Metric, task.Positive)
-
-	entry := &AllocBenchEntry{}
-	pool := task.PoolIdx
-	entry.WikiExtractAllocsPerOp = allocsPerOp(200, func() {
-		in := task.Store.Get(pool[0])
-		pool = append(pool[1:], pool[0])
-		if _, err := task.Feature.Extract(in); err != nil {
-			panic(err)
-		}
-	})
-	entry.HoldoutQualityAllocsPerOp = allocsPerOp(20, func() {
-		holdout.Quality(model)
-	})
-	return entry, nil
 }

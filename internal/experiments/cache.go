@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"zombie/internal/core"
 	"zombie/internal/featcache"
@@ -12,22 +11,21 @@ import (
 
 // runCacheIterations replays the composite wiki session twice through one
 // shared extraction cache: the cold pass populates it, the warm pass
-// replays the identical session against it. The returned wall times feed
-// the bench report; everything else about the results is deterministic
+// replays the identical session against it. The results are deterministic
 // (the cache only elides recomputation, it never changes an answer).
-func runCacheIterations(cfg Config) (cold, warm *core.SessionResult, coldWall, warmWall time.Duration, err error) {
+func runCacheIterations(cfg Config) (cold, warm *core.SessionResult, err error) {
 	cfg = cfg.withDefaults()
 	wl, err := WikiWorkload(cfg)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
 	groups, err := wl.Groups(wl.DefaultK, cfg.Seed+1)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
 	cache, err := featcache.Open(featcache.Config{}, featurepipe.ResultCodec{})
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
 	defer cache.Close()
 	session := featurepipe.CompositeWikiSession()
@@ -47,21 +45,17 @@ func runCacheIterations(cfg Config) (cold, warm *core.SessionResult, coldWall, w
 		}
 	})
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
-	start := time.Now()
 	cold, err = eng.RunSession(session, wl.Task, groups, true)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
-	coldWall = time.Since(start)
-	start = time.Now()
 	warm, err = eng.RunSession(session, wl.Task, groups, true)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
-	warmWall = time.Since(start)
-	return cold, warm, coldWall, warmWall, nil
+	return cold, warm, nil
 }
 
 // sessionsMatch reports whether two session results are observably
@@ -102,9 +96,9 @@ func sessionCacheTraffic(s *core.SessionResult) (hits, misses int64) {
 // reuse across versions (shared parts hit even on first contact with a
 // version); the warm replay serves every extraction from cache and must
 // reproduce the cold curves exactly. Wall-clock timings deliberately stay
-// out of this table — zombie-bench's cache_iteration report carries them.
+// out of this table — the benchmark's wiki_session workload carries them.
 func C1CacheWarm(cfg Config, w io.Writer) error {
-	cold, warm, _, _, err := runCacheIterations(cfg)
+	cold, warm, err := runCacheIterations(cfg)
 	if err != nil {
 		return err
 	}
@@ -131,40 +125,4 @@ func C1CacheWarm(cfg Config, w io.Writer) error {
 		fmt.Sprintf("warm curves identical to cold: %t", sessionsMatch(cold, warm)),
 	)
 	return table.Fprint(w)
-}
-
-// CacheBenchEntry is the cold-vs-warm timing block zombie-bench writes to
-// its JSON report when the bench includes C1.
-type CacheBenchEntry struct {
-	ColdWallSeconds float64 `json:"cold_wall_seconds"`
-	WarmWallSeconds float64 `json:"warm_wall_seconds"`
-	// Speedup is cold wall over warm wall: how much faster the identical
-	// session replays once every extraction is cached.
-	Speedup    float64 `json:"speedup"`
-	WarmHits   int64   `json:"warm_hits"`
-	WarmMisses int64   `json:"warm_misses"`
-	// ByteIdentical reports whether the warm replay reproduced the cold
-	// pass's curves exactly — the cache determinism contract.
-	ByteIdentical bool `json:"byte_identical"`
-}
-
-// CacheIterationBench times the cold and warm session passes for the
-// bench report. It re-runs the workload rather than reusing C1's output
-// because the timing split between passes is not observable from the
-// experiment's deterministic table.
-func CacheIterationBench(cfg Config) (*CacheBenchEntry, error) {
-	cold, warm, coldWall, warmWall, err := runCacheIterations(cfg)
-	if err != nil {
-		return nil, err
-	}
-	entry := &CacheBenchEntry{
-		ColdWallSeconds: coldWall.Seconds(),
-		WarmWallSeconds: warmWall.Seconds(),
-		ByteIdentical:   sessionsMatch(cold, warm),
-	}
-	entry.WarmHits, entry.WarmMisses = sessionCacheTraffic(warm)
-	if entry.WarmWallSeconds > 0 {
-		entry.Speedup = entry.ColdWallSeconds / entry.WarmWallSeconds
-	}
-	return entry, nil
 }

@@ -134,13 +134,6 @@ func compareMedian(w *Workload, groups *index.Groups, policy bandit.Spec, target
 func withWorkloadDefaults(w *Workload, mutate func(*core.Config)) func(*core.Config) {
 	return func(c *core.Config) {
 		c.Reward = w.Reward
-		if w.RewardSubsample > 0 {
-			c.RewardSubsample = w.RewardSubsample
-		}
-		var zero bandit.StatsConfig
-		if w.PolicyStats != zero {
-			c.PolicyStats = w.PolicyStats
-		}
 		if mutate != nil {
 			mutate(c)
 		}

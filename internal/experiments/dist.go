@@ -18,8 +18,8 @@ import (
 // over 1, 2, and 4 in-process dist workers, asserting the quality curve
 // and run summary are byte-identical at every worker count. The table
 // records per-shard-count distribution stats (busy workers, step split);
-// any divergence fails the experiment — and therefore the bench gate —
-// loudly rather than printing a subtly wrong row.
+// any divergence fails the experiment loudly rather than printing a
+// subtly wrong row.
 func D1ShardInvariance(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	gen := corpus.DefaultWikiConfig()

@@ -392,10 +392,11 @@ func TestUsefulFractionBands(t *testing.T) {
 }
 
 // TestParallelOutputByteIdentical is the harness's determinism contract:
-// cfg.Parallel is a wall-clock knob only, so T2 (tables) and F1 (series)
-// must render byte-for-byte identically however many workers run.
+// cfg.Parallel is a wall-clock knob only, so T2 (tables), F1 (series) and
+// D1 (sharded runs) must render byte-for-byte identically however many
+// workers run.
 func TestParallelOutputByteIdentical(t *testing.T) {
-	for _, id := range []string{"T2", "F1"} {
+	for _, id := range []string{"T2", "F1", "D1"} {
 		var seq, par bytes.Buffer
 		if err := Run(id, tiny, &seq); err != nil {
 			t.Fatalf("%s sequential: %v", id, err)

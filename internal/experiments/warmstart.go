@@ -42,8 +42,7 @@ type warmstartTrial struct {
 // restart (negative when warm was slower).
 func (t warmstartTrial) saved() int { return t.coldTo - t.warmTo }
 
-// sessionWarmstartOutcome is the raw material S1 and its bench entry
-// share.
+// sessionWarmstartOutcome is the raw material of the S1 table.
 type sessionWarmstartOutcome struct {
 	trials     []warmstartTrial
 	totalSaved int
@@ -182,8 +181,7 @@ func medianInt(trials []warmstartTrial, pick func(warmstartTrial) int) int {
 // new version's bandit from the previous version's arm statistics re-
 // reaches plateau quality in fewer inputs than restarting cold, in
 // aggregate over independent corpus draws. Wall-clock timings stay out of
-// the table; zombie-bench's session_warmstart block carries the same
-// comparison for CI diffing.
+// the table.
 func S1SessionWarmstart(cfg Config, w io.Writer) error {
 	out, err := runSessionWarmstart(cfg)
 	if err != nil {
@@ -216,33 +214,4 @@ func S1SessionWarmstart(cfg Config, w io.Writer) error {
 		"each trial draws its own corpus and extraction cache; within a trial both paths share the cache, isolating the bandit warm start",
 	)
 	return table.Fprint(w)
-}
-
-// SessionWarmstartBenchEntry is the warm-vs-cold block zombie-bench
-// writes to its JSON report when the bench includes S1.
-type SessionWarmstartBenchEntry struct {
-	Trials int `json:"trials"`
-	// MedianColdInputs / MedianWarmInputs are the median inputs v2 needed
-	// to re-reach 95% of v1's plateau quality, cold vs warm-started.
-	MedianColdInputs int `json:"median_cold_inputs"`
-	MedianWarmInputs int `json:"median_warm_inputs"`
-	// InputsSavedTotal is the asserted quantity: summed over the trials,
-	// how many fewer inputs the warm-started v2 needed than the cold one.
-	InputsSavedTotal int  `json:"inputs_saved_total"`
-	Degenerate       bool `json:"degenerate,omitempty"`
-}
-
-// SessionWarmstartBench runs the S1 comparison for the bench report.
-func SessionWarmstartBench(cfg Config) (*SessionWarmstartBenchEntry, error) {
-	out, err := runSessionWarmstart(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &SessionWarmstartBenchEntry{
-		Trials:           len(out.trials),
-		MedianColdInputs: out.medianCold,
-		MedianWarmInputs: out.medianWarm,
-		InputsSavedTotal: out.totalSaved,
-		Degenerate:       out.degenerate(),
-	}, nil
 }

@@ -2,16 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"zombie/internal/bandit"
 	"zombie/internal/core"
 	"zombie/internal/corpus"
 	"zombie/internal/featurepipe"
 	"zombie/internal/index"
-	"zombie/internal/learner"
 	"zombie/internal/parallel"
 	"zombie/internal/rng"
+	"zombie/internal/workload"
 )
 
 // Config scales and seeds an experiment run. Scale 1.0 is the full
@@ -19,11 +18,11 @@ import (
 type Config struct {
 	Scale float64
 	Seed  int64
-	// Parallel bounds the concurrent runs (and index-build workers) each
-	// experiment may use; <= 0 and 1 both run sequentially. Every run
-	// derives its randomness from explicit seeds and results merge in
-	// submission order, so the emitted tables and series are byte-identical
-	// for any value — the knob only changes wall-clock time.
+	// Parallel bounds the concurrent runs each experiment may use; <= 0
+	// and 1 both run sequentially. Every run derives its randomness from
+	// explicit seeds and results merge in submission order, so the emitted
+	// tables and series are byte-identical for any value — the knob only
+	// changes wall-clock time.
 	Parallel int
 }
 
@@ -48,31 +47,21 @@ func (c Config) n(full int) int {
 	return n
 }
 
-// Workload is a ready-to-run task plus its corpus and default index
-// parameters.
+// Workload is one of internal/workload's tasks over a generated corpus,
+// plus what only the experiments decide: the group count, the quality
+// target and any reward or policy default.
 type Workload struct {
 	Task  *featurepipe.Task
 	Store *corpus.MemStore
-	// DefaultK is the index group count the headline experiments use.
-	DefaultK int
 	// Grouper builds the task's informative index.
 	Grouper index.Grouper
+	// DefaultK is the index group count the headline experiments use.
+	DefaultK int
 	// QualityTarget is the fraction of full-scan quality the
 	// time-to-quality experiments aim for.
 	QualityTarget float64
-	// Reward is the task's default reward function. Extraction-style
-	// tasks use the cheap usefulness bit; dense tasks (every input
-	// produces an example) have no meaningful usefulness bit and default
-	// to the quality-delta reward.
+	// Reward is the task's default reward function.
 	Reward core.RewardKind
-	// RewardSubsample overrides the delta-reward subsample size (0 keeps
-	// the engine default). Dense multi-class metrics need a larger
-	// subsample to de-noise per-step deltas.
-	RewardSubsample int
-	// PolicyStats overrides arm-statistics aging (zero value keeps the
-	// engine default). Delta rewards decay as the learner saturates, so
-	// dense tasks age their arm estimates.
-	PolicyStats bandit.StatsConfig
 	// Policy overrides the default bandit policy for this task ("" keeps
 	// the experiment's choice).
 	Policy bandit.Spec
@@ -81,6 +70,20 @@ type Workload struct {
 // Groups builds the workload's default index.
 func (w *Workload) Groups(k int, seed int64) (*index.Groups, error) {
 	return w.Grouper.Group(w.Store, k, rng.New(seed))
+}
+
+// newWorkload wraps workload.Build's definition of the named task over
+// the generated inputs. stream names the task's split substream of
+// cfg.Seed.
+func newWorkload(cfg Config, name, stream string, ins []*corpus.Input, extra Workload) (*Workload, error) {
+	store := corpus.NewMemStore(ins)
+	task, grouper, err := workload.Build(name, store, 0, rng.New(cfg.Seed).Split(stream))
+	if err != nil {
+		return nil, err
+	}
+	extra.Task, extra.Store, extra.Grouper = task, store, grouper
+	extra.DefaultK, extra.QualityTarget = 32, 0.95
+	return &extra, nil
 }
 
 // WikiWorkload is the extraction task: rare relevant pages, hashed-text
@@ -95,29 +98,7 @@ func WikiWorkload(cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := corpus.NewMemStore(ins)
-	feature := featurepipe.NewWikiFeature(4)
-	task, err := featurepipe.NewTask("wiki", store, feature,
-		func(f featurepipe.FeatureFunc) learner.Model {
-			// Multinomial NB over hashed token counts: incremental and
-			// order-insensitive, so the bandit's skewed input order cannot
-			// erase earlier learning (plain SGD forgets the rare class
-			// once its groups deplete).
-			return learner.NewMultinomialNB(f.Dim(), 2, 1)
-		},
-		learner.MetricF1, 1,
-		featurepipe.CostModel{PerInput: 150 * time.Millisecond},
-		featurepipe.TaskOptions{}, rng.New(cfg.Seed).Split("wiki-task"))
-	if err != nil {
-		return nil, err
-	}
-	return &Workload{
-		Task:          task,
-		Store:         store,
-		DefaultK:      32,
-		Grouper:       &index.KMeansGrouper{Vectorizer: index.NewHashedText(256), Config: index.KMeansConfig{MaxIter: 25, Workers: cfg.Parallel}},
-		QualityTarget: 0.95,
-	}, nil
+	return newWorkload(cfg, "wiki", "wiki-task", ins, Workload{})
 }
 
 // SongWorkload is the MSD-style genre-classification task: every input
@@ -135,33 +116,8 @@ func SongWorkload(cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := corpus.NewMemStore(ins)
-	feature := featurepipe.NewSongFeature(1, gen)
-	task, err := featurepipe.NewTask("songs", store, feature,
-		func(f featurepipe.FeatureFunc) learner.Model {
-			// Gaussian NB: per-class statistics are unaffected by the
-			// sampling distribution over other classes, so bandit-skewed
-			// streams cannot bias the fit (a global least-squares
-			// regressor, by contrast, inherits the sampling bias).
-			return learner.NewGaussianNB(f.Dim(), gen.Genres, 1e-3)
-		},
-		learner.MetricMacroF1, 0,
-		featurepipe.CostModel{PerInput: 30 * time.Millisecond},
-		featurepipe.TaskOptions{}, rng.New(cfg.Seed).Split("song-task"))
-	if err != nil {
-		return nil, err
-	}
-	numeric := index.NewNumeric(gen.Dim)
-	numeric.FitStandardize(store)
-	return &Workload{
-		Task:          task,
-		Store:         store,
-		DefaultK:      32,
-		Grouper:       &index.KMeansGrouper{Vectorizer: numeric, Config: index.KMeansConfig{MaxIter: 25, Workers: cfg.Parallel}},
-		QualityTarget: 0.95,
-		Reward:        core.RewardUsefulness,
-		Policy:        "eps-decay:0.9:0.002",
-	}, nil
+	return newWorkload(cfg, "songs", "song-task", ins,
+		Workload{Reward: core.RewardUsefulness, Policy: "eps-decay:0.9:0.002"})
 }
 
 // ImageWorkload is the needle-in-a-haystack detection task: ~2.5%
@@ -177,29 +133,7 @@ func ImageWorkload(cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := corpus.NewMemStore(ins)
-	feature := featurepipe.NewImageFeature(1, gen)
-	task, err := featurepipe.NewTask("image", store, feature,
-		func(f featurepipe.FeatureFunc) learner.Model {
-			// Gaussian NB: incremental, order-insensitive, near-optimal on
-			// the cluster-Gaussian descriptors.
-			return learner.NewGaussianNB(f.Dim(), 2, 1e-3)
-		},
-		learner.MetricF1, 1,
-		featurepipe.CostModel{PerInput: 400 * time.Millisecond},
-		featurepipe.TaskOptions{}, rng.New(cfg.Seed).Split("image-task"))
-	if err != nil {
-		return nil, err
-	}
-	numeric := index.NewNumeric(gen.Dim)
-	numeric.FitStandardize(store)
-	return &Workload{
-		Task:          task,
-		Store:         store,
-		DefaultK:      32,
-		Grouper:       &index.KMeansGrouper{Vectorizer: numeric, Config: index.KMeansConfig{MaxIter: 25, Workers: cfg.Parallel}},
-		QualityTarget: 0.95,
-	}, nil
+	return newWorkload(cfg, "image", "image-task", ins, Workload{})
 }
 
 // AllWorkloads builds the three evaluation tasks, concurrently when

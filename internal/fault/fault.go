@@ -7,8 +7,8 @@
 // flaky accident. Because every decision is a hash of stable identifiers
 // — never time, never math/rand state — two runs with the same fault
 // seed inject exactly the same faults in exactly the same places, under
-// -race, at any worker count. make chaos-smoke builds on that guarantee:
-// it diffs two faulted runs byte for byte.
+// -race, at any worker count. cmd/zombie's tests build on that guarantee:
+// they diff two faulted runs byte for byte.
 //
 // An Injector is immutable after construction and safe for concurrent
 // use from any number of goroutines. A nil *Injector is valid and

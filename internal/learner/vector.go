@@ -214,7 +214,7 @@ type Regressor interface {
 // ConcurrentPredictor marks models whose prediction methods (PredictClass,
 // Predict, Proba) are read-only and therefore safe to call from many
 // goroutines at once while training is paused. Models that reuse scratch
-// buffers across calls (Perceptron, AveragedPerceptron, SoftmaxSGD) or
+// buffers across calls (Perceptron, SoftmaxSGD) or
 // refit lazily at prediction time (DecisionTree, RidgeClosed) must not
 // implement it; Holdout.QualityParallel falls back to the sequential path
 // for them. The naive Bayes families qualify with one proviso: their first

@@ -408,24 +408,6 @@ func (t *Tracer) Snapshot() ([]Span, int64) {
 	return out, t.dropped
 }
 
-// Reset discards every recorded span, the drop count, and the ID
-// sequence while keeping the buffer's and arena's memory, so a caller
-// timing repeated runs (the tracing bench) reuses warm storage instead of
-// re-paying allocation and GC per round. Snapshots taken before Reset
-// stay valid — Snapshot copies attrs out of the arena.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.arena = t.arena[:0]
-	t.dropped = 0
-	t.nextID = 0
-	t.cpuAt = time.Time{}
-	t.mu.Unlock()
-}
-
 // Len returns the number of recorded spans (0 for nil).
 func (t *Tracer) Len() int {
 	if t == nil {

@@ -24,8 +24,7 @@ import (
 // Part declares one node of a recipe DAG: a named instance of a built-in
 // feature kind, plus the parts it depends on. Dependencies order the
 // compiled composite (a part's vector block always comes after its
-// dependencies') and let SelectParts respect prerequisite structure; they
-// do not change what a part extracts.
+// dependencies'); they do not change what a part extracts.
 type Part struct {
 	// Name identifies the part inside the recipe; unique, non-empty.
 	Name string `json:"name"`

@@ -193,70 +193,3 @@ func TestSessionRejectsClassMismatch(t *testing.T) {
 		t.Fatal("song recipe against wiki task: want class-mismatch error")
 	}
 }
-
-func TestSelectParts(t *testing.T) {
-	task, groups := wikiFixture(t, 400, 31)
-	cache, err := featcache.Open(featcache.Config{}, featurepipe.ResultCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testEngineConfig(cache)
-	cfg.MaxInputs = 80
-	s, err := NewSession("select", task, groups, Config{Engine: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	candidate, err := New("cand", []Part{
-		{Name: "base", Kind: "wiki", Version: 2},
-		{Name: "mid", Kind: "wiki", Version: 4},
-		{Name: "top", Kind: "wiki", Version: 6, Deps: []string{"mid"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.SelectParts(context.Background(), candidate, SelectConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Selected) == 0 || res.Recipe == nil {
-		t.Fatalf("SelectParts selected nothing: %+v", res)
-	}
-	// Dependency structure respected: "top" can only appear after "mid".
-	pos := map[string]int{}
-	for i, n := range res.Selected {
-		pos[n] = i
-	}
-	if pt, ok := pos["top"]; ok {
-		if pm, ok := pos["mid"]; !ok || pm > pt {
-			t.Fatalf("top selected before its dependency mid: %v", res.Selected)
-		}
-	}
-	// Round 1 must have evaluated only the dep-free parts.
-	if len(res.Rounds) == 0 || len(res.Rounds[0].Candidates) != 2 {
-		t.Fatalf("round 1 candidates = %+v, want base and mid only", res.Rounds)
-	}
-	// Determinism: same inputs → same selection.
-	s2, err := NewSession("select2", task, groups, Config{Engine: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := s2.SelectParts(context.Background(), candidate, SelectConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Selected, res2.Selected) || !reflect.DeepEqual(res.Rounds, res2.Rounds) {
-		t.Fatal("SelectParts is not deterministic")
-	}
-	// MaxParts caps growth.
-	s3, err := NewSession("select3", task, groups, Config{Engine: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, err := s3.SelectParts(context.Background(), candidate, SelectConfig{MaxParts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped.Selected) != 1 {
-		t.Fatalf("MaxParts=1 selected %v", capped.Selected)
-	}
-}

@@ -1,9 +1,9 @@
 // Package workload assembles the canonical evaluation tasks — wiki entity
 // extraction, song genre classification, rare-image detection — over an
-// arbitrary corpus Store, mirroring the learner, metric and cost choices
-// the experiments use. It exists so every front end (the zombie CLI, the
-// zombie-serve HTTP service, future drivers) builds byte-identical tasks
-// from the same (name, version, seed) triple.
+// arbitrary corpus Store. It is the one definition of each task's learner,
+// metric, cost model and index grouper: every front end (the zombie CLI,
+// the zombie-serve HTTP service, the experiments) builds byte-identical
+// tasks from the same (name, version, seed) triple.
 package workload
 
 import (
@@ -32,7 +32,13 @@ func Build(name string, store corpus.Store, version int, r *rng.RNG) (*featurepi
 		}
 		feature := featurepipe.NewWikiFeature(version)
 		task, err := featurepipe.NewTask("wiki", store, feature,
-			func(f featurepipe.FeatureFunc) learner.Model { return learner.NewMultinomialNB(f.Dim(), 2, 1) },
+			func(f featurepipe.FeatureFunc) learner.Model {
+				// Multinomial NB over hashed token counts: incremental and
+				// order-insensitive, so the bandit's skewed input order cannot
+				// erase earlier learning (plain SGD forgets the rare class
+				// once its groups deplete).
+				return learner.NewMultinomialNB(f.Dim(), 2, 1)
+			},
 			learner.MetricF1, 1,
 			featurepipe.CostModel{PerInput: 150 * time.Millisecond},
 			featurepipe.TaskOptions{}, r)
@@ -45,7 +51,13 @@ func Build(name string, store corpus.Store, version int, r *rng.RNG) (*featurepi
 		}
 		feature := featurepipe.NewSongFeature(version, gen)
 		task, err := featurepipe.NewTask("songs", store, feature,
-			func(f featurepipe.FeatureFunc) learner.Model { return learner.NewGaussianNB(f.Dim(), gen.Genres, 1e-3) },
+			func(f featurepipe.FeatureFunc) learner.Model {
+				// Gaussian NB: per-class statistics are unaffected by the
+				// sampling distribution over other classes, so bandit-skewed
+				// streams cannot bias the fit (a global least-squares
+				// regressor, by contrast, inherits the sampling bias).
+				return learner.NewGaussianNB(f.Dim(), gen.Genres, 1e-3)
+			},
 			learner.MetricMacroF1, 0,
 			featurepipe.CostModel{PerInput: 30 * time.Millisecond},
 			featurepipe.TaskOptions{}, r)
@@ -60,7 +72,11 @@ func Build(name string, store corpus.Store, version int, r *rng.RNG) (*featurepi
 		}
 		feature := featurepipe.NewImageFeature(version, gen)
 		task, err := featurepipe.NewTask("image", store, feature,
-			func(f featurepipe.FeatureFunc) learner.Model { return learner.NewGaussianNB(f.Dim(), 2, 1e-3) },
+			func(f featurepipe.FeatureFunc) learner.Model {
+				// Gaussian NB: incremental, order-insensitive, near-optimal on
+				// the cluster-Gaussian descriptors.
+				return learner.NewGaussianNB(f.Dim(), 2, 1e-3)
+			},
 			learner.MetricF1, 1,
 			featurepipe.CostModel{PerInput: 400 * time.Millisecond},
 			featurepipe.TaskOptions{}, r)
