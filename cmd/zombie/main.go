@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	faultSpec := fs.String("faults", "", "inject deterministic faults, e.g. extract:err=0.04,panic=0.04;corpus.read:err=0.03 (chaos testing)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for -faults decisions")
 	maxFailures := fs.Float64("max-failures", 0, "failure budget: fraction of processed inputs that may be quarantined before the run degrades (0 = engine default 0.5, 1 = never degrade)")
-	shards := fs.Int("shards", 0, "run distributed over this many in-process corpus shards (zombie mode; 0 = single-process; the curve is byte-identical either way)")
+	shards := fs.Int("shards", 0, "run distributed over this many in-process corpus shards, each arm's next inputs extracted ahead while the loop trains and evaluates (zombie mode; 0 = single-process; the curve is byte-identical either way)")
 	traceOut := fs.String("trace-out", "", "record a span trace of the run and write Chrome trace-event JSON to this path (open in about://tracing); also prints trace: cost-attribution lines")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json (stderr; stdout stays the diffable curve CSV)")
 	versionFlag := fs.Bool("version", false, "print version and exit")
@@ -354,8 +354,9 @@ func printDistStats(stdout io.Writer, r *dist.Result) {
 		return
 	}
 	for _, w := range r.Workers {
-		fmt.Fprintf(stdout, "dist: transport=%s worker=%d inputs=%d holdout=%d steps=%d cache_hits=%d cache_misses=%d failed_calls=%d retried_calls=%d\n",
-			r.Transport, w.Shard, w.Inputs, w.Holdout, w.Steps, w.CacheHits, w.CacheMisses, w.FailedCalls, w.RetriedCalls)
+		fmt.Fprintf(stdout, "dist: transport=%s worker=%d inputs=%d holdout=%d steps=%d cache_hits=%d cache_misses=%d failed_calls=%d retried_calls=%d readahead_hits=%d readahead_misses=%d readahead_wasted=%d\n",
+			r.Transport, w.Shard, w.Inputs, w.Holdout, w.Steps, w.CacheHits, w.CacheMisses, w.FailedCalls, w.RetriedCalls,
+			w.ReadAheadHits, w.ReadAheadMisses, w.ReadAheadWasted)
 	}
 }
 

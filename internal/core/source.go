@@ -45,6 +45,23 @@ type banditSource struct {
 	label   string
 }
 
+// PoolMembers returns each group's members filtered to the pool mask, in
+// group order: the order a bandit run hands an arm's inputs out, pull
+// after pull. It is the one definition of that order — the distributed
+// coordinator reads an arm's upcoming inputs from it, so what it fetches
+// ahead is exactly what the loop will ask for.
+func PoolMembers(groups *index.Groups, pool []bool) [][]int {
+	members := make([][]int, groups.K())
+	for g, ms := range groups.Members {
+		for _, idx := range ms {
+			if pool[idx] {
+				members[g] = append(members[g], idx)
+			}
+		}
+	}
+	return members
+}
+
 // newBanditSource filters groups to the pool mask and builds the policy.
 func newBanditSource(groups *index.Groups, pool []bool, spec bandit.Spec,
 	stats bandit.StatsConfig, r *rng.RNG) (*banditSource, error) {
@@ -54,15 +71,10 @@ func newBanditSource(groups *index.Groups, pool []bool, spec bandit.Spec,
 	if len(pool) != groups.Len() {
 		return nil, fmt.Errorf("core: pool mask length %d does not match groups over %d inputs", len(pool), groups.Len())
 	}
-	members := make([][]int, groups.K())
+	members := PoolMembers(groups, pool)
 	total := 0
-	for g, ms := range groups.Members {
-		for _, idx := range ms {
-			if pool[idx] {
-				members[g] = append(members[g], idx)
-			}
-		}
-		total += len(members[g])
+	for _, ms := range members {
+		total += len(ms)
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("core: no pool inputs fall inside the groups")

@@ -3,7 +3,10 @@ package dist
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -147,19 +150,33 @@ func swapClient(tr Transport, shard int, c Client) Transport {
 }
 
 // flakyClient fails whole StepBatch calls the way a lost connection does:
-// the first fail of them, or every one when fail is negative.
+// the first fail of them, or every one when fail is negative — counting,
+// with aheadOnly, only speculative calls (the ones without step numbers).
+// It tallies demand and speculative tries apart; the coordinator may have
+// one of each in flight, hence the lock.
 type flakyClient struct {
 	Client
-	fail  int
-	calls int
+	fail      int
+	aheadOnly bool
+
+	mu           sync.Mutex
+	calls, ahead int
 }
 
 func (c *flakyClient) StepBatch(ctx context.Context, req StepBatchRequest) (StepBatchResponse, error) {
-	c.calls++
-	if c.fail != 0 {
-		if c.fail > 0 {
-			c.fail--
-		}
+	c.mu.Lock()
+	speculative := len(req.Steps) == 0
+	if speculative {
+		c.ahead++
+	} else {
+		c.calls++
+	}
+	failing := c.fail != 0 && (speculative || !c.aheadOnly)
+	if failing && c.fail > 0 {
+		c.fail--
+	}
+	c.mu.Unlock()
+	if failing {
 		return StepBatchResponse{}, errors.New("connection reset")
 	}
 	return c.Client.StepBatch(ctx, req)
@@ -213,8 +230,9 @@ func TestWholeCallFailuresRetry(t *testing.T) {
 }
 
 // TestUnreachableWorkerQuarantinesAfterAttempts: a worker that never
-// answers burns exactly Attempts calls per batch routed to it, then the
-// batch's inputs quarantine at dist.step and the failure budget trips.
+// answers burns exactly Attempts calls per demand batch routed to it, then
+// the batch's inputs quarantine at dist.step and the failure budget trips;
+// read-ahead spends at most one speculative call finding the shard dead.
 func TestUnreachableWorkerQuarantinesAfterAttempts(t *testing.T) {
 	const seed, maxInputs, shards, attempts = 11, 80, 2, 2
 	store, task, groups := testSetup(t, 160, seed)
@@ -241,26 +259,41 @@ func TestUnreachableWorkerQuarantinesAfterAttempts(t *testing.T) {
 			t.Fatalf("quarantine entry %+v does not name the lost call", q)
 		}
 	}
-	// K=1: one batch per quarantined input, each given up on after exactly
-	// Attempts calls.
+	// K=1: one demand batch per quarantined input, each given up on after
+	// exactly Attempts calls. A flight to the dead shard is given up on the
+	// same way, once: nothing it carried is quarantined on its account, and
+	// no second flight follows it.
 	ws := res.Workers[1]
-	if int(ws.FailedCalls) != len(res.Quarantined) || dead.calls != attempts*len(res.Quarantined) ||
-		int(ws.RetriedCalls) != (attempts-1)*len(res.Quarantined) {
-		t.Fatalf("%d quarantined after %d calls, worker stats %+v; want %d calls each", len(res.Quarantined), dead.calls, ws, attempts)
+	if dead.ahead != 0 && dead.ahead != attempts {
+		t.Fatalf("dead shard saw %d speculative tries, want one call of %d or none", dead.ahead, attempts)
+	}
+	given := len(res.Quarantined) + dead.ahead/attempts
+	if int(ws.FailedCalls) != given || dead.calls != attempts*len(res.Quarantined) ||
+		int(ws.RetriedCalls) != (attempts-1)*given {
+		t.Fatalf("%d quarantined after %d demand and %d speculative calls, worker stats %+v; want %d calls each",
+			len(res.Quarantined), dead.calls, dead.ahead, ws, attempts)
+	}
+	if ws.ReadAheadHits != 0 || ws.Steps != 0 {
+		t.Fatalf("dead shard served inputs: %+v", ws)
 	}
 }
 
-// cancellingClient cancels the run while its nth StepBatch is in flight
-// and fails that call with the context's error, as a transport would.
+// cancellingClient cancels the run while its nth demand StepBatch — the
+// one the loop is blocked on — is in flight and fails that call with the
+// context's error, as a transport would. active counts calls of either
+// kind that have not returned.
 type cancellingClient struct {
 	Client
 	cancel context.CancelFunc
-	nth    int
-	calls  int
+	nth    int64
+	calls  atomic.Int64
+	active atomic.Int64
 }
 
 func (c *cancellingClient) StepBatch(ctx context.Context, req StepBatchRequest) (StepBatchResponse, error) {
-	if c.calls++; c.calls == c.nth {
+	c.active.Add(1)
+	defer c.active.Add(-1)
+	if len(req.Steps) != 0 && c.calls.Add(1) == c.nth {
 		c.cancel()
 		return StepBatchResponse{}, ctx.Err()
 	}
@@ -269,9 +302,11 @@ func (c *cancellingClient) StepBatch(ctx context.Context, req StepBatchRequest) 
 
 // TestCancelMidBatchIsNotAFailure: a cancel that lands while a batch is in
 // flight stops the run as cancelled; the batch it interrupted is dropped,
-// not quarantined with the context's error and charged to the arm.
+// not quarantined with the context's error and charged to the arm, and
+// the flights reading ahead at that moment are dropped with it — no call
+// and no goroutine outlives Run.
 func TestCancelMidBatchIsNotAFailure(t *testing.T) {
-	const seed, shards, nth = 11, 2, 10
+	const seed, shards, nth = 11, 2, 2
 	store, task, groups := testSetup(t, 160, seed)
 	eng, err := core.New(core.Config{Seed: seed, MaxInputs: 80, MaxFailureFrac: 0.01})
 	if err != nil {
@@ -282,13 +317,25 @@ func TestCancelMidBatchIsNotAFailure(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cc := &cancellingClient{Client: local.Clients()[0], cancel: cancel, nth: nth}
+	goroutines := runtime.NumGoroutine()
 	res, err := Run(ctx, eng, swapClient(local, 0, cc),
 		Spec{RunID: "t-cancel", Task: "wiki", Seed: seed, Shards: shards}, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cc.calls != nth {
-		t.Fatalf("shard 0 served %d step batches, want the run to stop at the %dth", cc.calls, nth)
+	if got := cc.calls.Load(); got != nth {
+		t.Fatalf("shard 0 served %d demand step batches, want the run to stop at the %dth", got, nth)
+	}
+	if n := cc.active.Load(); n != 0 {
+		t.Fatalf("%d step-batch calls still in flight after Run returned", n)
+	}
+	// Run waited for every flight; a goroutine past its last statement may
+	// still be exiting, so give the count a moment to settle.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before: a flight leaked", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if res.Stop != core.StopCancelled {
 		t.Fatalf("Stop = %v, want StopCancelled", res.Stop)

@@ -22,9 +22,12 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zombie/internal/core"
@@ -77,6 +80,10 @@ type WorkerStats struct {
 	CacheMisses  int64 `json:"cache_misses"`
 	FailedCalls  int64 `json:"failed_calls"`
 	RetriedCalls int64 `json:"retried_calls"`
+	// Inputs consumed from a flight, demand-fetched, fetched but never consumed.
+	ReadAheadHits   int64 `json:"readahead_hits"`
+	ReadAheadMisses int64 `json:"readahead_misses"`
+	ReadAheadWasted int64 `json:"readahead_wasted"`
 	// Parts is the shard's per-recipe-part extraction cost breakdown
 	// (cached workers only), reported at finish.
 	Parts []featurepipe.PartCost `json:"parts,omitempty"`
@@ -98,7 +105,7 @@ type Result struct {
 // single-process run would use, which is what makes the curves
 // comparable byte-for-byte.
 func Run(ctx context.Context, eng *core.Engine, tr Transport, spec Spec, task *featurepipe.Task, groups *index.Groups) (*Result, error) {
-	c, err := newCoordinator(tr, spec, task)
+	c, err := newCoordinator(tr, spec, task, groups)
 	if err != nil {
 		return nil, err
 	}
@@ -122,6 +129,23 @@ type coordinator struct {
 	task    *featurepipe.Task
 	sm      *ShardMap
 	workers []WorkerStats
+	calls   []shardCalls // folded into workers at finish
+
+	// Read-ahead state (see readAhead), loop goroutine only: members is
+	// core.PoolMembers' order; cursor[a] and front[a] count arm a's members
+	// consumed, and fetched or in flight; slots is where each fetched,
+	// unconsumed input lands; last[s] is shard s's newest flight.
+	assign        []int
+	members       [][]int
+	cursor, front []int
+	slots         map[int]slot
+	last          []*flight
+	flights       sync.WaitGroup
+
+	// ExecuteBatch's results and per-shard miss positions, reused across calls.
+	outs []core.StepOutcome
+	errs []error
+	miss [][]int
 
 	// rpc holds the per-method latency histograms, keyed by the wire
 	// method name withRetry is called with; empty when Obs is nil.
@@ -131,7 +155,28 @@ type coordinator struct {
 	stats      core.ExecutorStats
 }
 
-func newCoordinator(tr Transport, spec Spec, task *featurepipe.Task) (*coordinator, error) {
+// shardCalls is one shard's withRetry tally — atomic, because a flight and
+// a demand call to one shard can overlap — and whether a speculative call
+// to it has failed, after which it is only ever asked on demand.
+type shardCalls struct {
+	retried, failed atomic.Int64
+	noAhead         atomic.Bool
+}
+
+// flight is one speculative StepBatch call: its goroutine sets resp and
+// err, then closes done. A slot is where one fetched-ahead input lands.
+type flight struct {
+	done chan struct{}
+	resp StepBatchResponse
+	err  error
+}
+
+type slot struct {
+	f *flight
+	j int
+}
+
+func newCoordinator(tr Transport, spec Spec, task *featurepipe.Task, groups *index.Groups) (*coordinator, error) {
 	if spec.RunID == "" {
 		return nil, fmt.Errorf("dist: empty run ID")
 	}
@@ -152,7 +197,14 @@ func newCoordinator(tr Transport, spec Spec, task *featurepipe.Task) (*coordinat
 	if err != nil {
 		return nil, err
 	}
-	c := &coordinator{spec: spec, clients: clients, task: task, sm: sm, rpc: map[string]*obs.Histogram{}}
+	c := &coordinator{spec: spec, clients: clients, task: task, sm: sm, rpc: map[string]*obs.Histogram{},
+		calls: make([]shardCalls, spec.Shards), last: make([]*flight, spec.Shards),
+		slots: map[int]slot{}, miss: make([][]int, spec.Shards)}
+	// Groups the engine will reject get no tables: every batch is demand-fetched.
+	if groups != nil && groups.Len() == task.Store.Len() {
+		c.assign, c.members = groups.Assign, core.PoolMembers(groups, task.PoolSet())
+		c.cursor, c.front = make([]int, groups.K()), make([]int, groups.K())
+	}
 	if spec.Obs != nil {
 		const name, help = "dist_rpc_seconds", "Coordinator-side worker call latency by method."
 		for _, method := range []string{"init", "holdout", "step-batch", "finish"} {
@@ -173,7 +225,7 @@ func (c *coordinator) withRetry(ctx context.Context, method string, shard int, c
 	var err error
 	for attempt := 0; attempt < c.spec.Attempts; attempt++ {
 		if attempt > 0 {
-			c.workers[shard].RetriedCalls++
+			c.calls[shard].retried.Add(1)
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
@@ -194,7 +246,7 @@ func (c *coordinator) withRetry(ctx context.Context, method string, shard int, c
 			return err
 		}
 	}
-	c.workers[shard].FailedCalls++
+	c.calls[shard].failed.Add(1)
 	return err
 }
 
@@ -218,7 +270,7 @@ func (c *coordinator) noteRPCError(method string, shard int) {
 // there) or at the root for out-of-loop calls (init, finish). Returns the
 // tracer to propagate/import with and the span handle; both nil when
 // tracing is off.
-func (c *coordinator) startRPC(ctx context.Context, name string, shard int) (*otrace.Tracer, *otrace.SpanRef) {
+func (c *coordinator) startRPC(ctx context.Context, name string, shard int, attrs ...otrace.Attr) (*otrace.Tracer, *otrace.SpanRef) {
 	tr, parent := otrace.FromContext(ctx)
 	if tr == nil {
 		tr = c.spec.Tracer
@@ -226,7 +278,7 @@ func (c *coordinator) startRPC(ctx context.Context, name string, shard int) (*ot
 	if tr == nil {
 		return nil, nil
 	}
-	return tr, tr.Start(parent, name, otrace.Int("shard", int64(shard)))
+	return tr, tr.Start(parent, name, append(attrs, otrace.Int("shard", int64(shard)))...)
 }
 
 // init computes the shard map, fans InitRequests out to every worker, and
@@ -337,88 +389,179 @@ func (c *coordinator) BuildHoldout(ctx context.Context) (*learner.Holdout, []fea
 	return learner.NewHoldout(examples, c.task.Metric, c.task.Positive), skips, nil
 }
 
-// ExecuteBatch groups the batch by owning shard and sends ONE StepBatch
-// per shard — for a batch of K inputs over S shards that is at most
-// min(K, S) round trips instead of K, which is the distributed payoff of
-// Config.BatchSize. Shard calls run concurrently (like real workers
-// serving independent requests); outcomes are reassembled positionally.
-// Only a whole call is retried: a shard whose call still fails after the
-// retry budget (transport loss, non-200, unknown run) errors each of its
-// items, while a failure the worker reports for one item comes back
-// in-band and is final. Either way the engine loop quarantines the input
-// and charges the arm, so a dead worker degrades exactly like a corrupt
-// shard and eventually trips the failure budget.
+// ExecuteBatch serves one arm pull: inputs a flight already fetched (or
+// has in the air) are consumed from it, the rest are demand-fetched with
+// ONE StepBatch per owning shard, concurrently, and then the arm's window
+// is topped up (see readAhead). Errors are formatted here, at consumption,
+// with the loop's real step number, so a result cannot depend on which
+// path fetched an input. Only a whole demand call is retried, and past the
+// budget it errors each of its items; a failure the worker reports for one
+// item in-band is final on either path. The engine quarantines either kind
+// and charges the arm, so a dead worker degrades like a corrupt shard.
 func (c *coordinator) ExecuteBatch(ctx context.Context, firstStep int, idxs []int) ([]core.StepOutcome, []error) {
-	outs := make([]core.StepOutcome, len(idxs))
-	errs := make([]error, len(idxs))
-	// Group batch positions by owner, owners in first-seen (batch) order.
-	var owners []int
-	positions := map[int][]int{}
+	n := len(idxs)
+	c.outs, c.errs = slices.Grow(c.outs[:0], n)[:n], slices.Grow(c.errs[:0], n)[:n]
+	clear(c.outs)
+	clear(c.errs)
+	misses := 0
 	for p, idx := range idxs {
 		owner := c.sm.Owner(idx)
-		if owner < 0 {
-			errs[p] = fmt.Errorf("dist: step %d: input %d outside the shard map", firstStep+p, idx)
-			continue
+		sl, ahead := c.slots[idx]
+		if ahead {
+			delete(c.slots, idx)
+			<-sl.f.done // a cancel fails the flight's call, so this never outwaits ctx
 		}
-		if _, seen := positions[owner]; !seen {
-			owners = append(owners, owner)
+		switch {
+		case owner < 0:
+			c.errs[p] = fmt.Errorf("dist: step %d: input %d outside the shard map", firstStep+p, idx)
+		case ahead && sl.f.err == nil:
+			c.workers[owner].ReadAheadHits++
+			c.deliver(p, owner, firstStep+p, idx, &sl.f.resp.Items[sl.j], nil)
+		default:
+			// Not fetched ahead, or by a flight that failed and is forgotten.
+			c.workers[owner].ReadAheadMisses++
+			c.miss[owner] = append(c.miss[owner], p)
+			misses++
 		}
-		positions[owner] = append(positions[owner], p)
 	}
-	parallel.ForEach(len(owners), len(owners), func(i int) {
-		owner := owners[i]
-		ps := positions[owner]
-		req := StepBatchRequest{
-			RunID: c.spec.RunID,
-			Steps: make([]int, len(ps)),
-			Idxs:  make([]int, len(ps)),
+	if misses > 0 {
+		parallel.ForEach(len(c.miss), len(c.miss), func(owner int) { c.demand(ctx, owner, firstStep, idxs) })
+	}
+	c.readAhead(ctx, idxs)
+	return c.outs, c.errs
+}
+
+// demand fetches the batch positions in miss[owner] with one call.
+func (c *coordinator) demand(ctx context.Context, owner, firstStep int, idxs []int) {
+	ps := c.miss[owner]
+	if len(ps) == 0 {
+		return
+	}
+	c.miss[owner] = ps[:0]
+	req := StepBatchRequest{RunID: c.spec.RunID}
+	for _, p := range ps {
+		req.Steps, req.Idxs = append(req.Steps, firstStep+p), append(req.Idxs, idxs[p])
+	}
+	tr, ref := c.startRPC(ctx, "dist.step_batch", owner)
+	req.Traceparent = tr.Traceparent(ref.ID())
+	resp, err := c.stepBatch(ctx, owner, req)
+	tr.Import(resp.Spans, ref.ID(), ref.ID())
+	ref.End()
+	for j, p := range ps {
+		c.deliver(p, owner, firstStep+p, idxs[p], &resp.Items[j], err)
+	}
+}
+
+// stepBatch is one StepBatch call under the retry rule; it returns one
+// item per input — blank beside an error, which a short response also is.
+func (c *coordinator) stepBatch(ctx context.Context, shard int, req StepBatchRequest) (StepBatchResponse, error) {
+	var resp StepBatchResponse
+	err := c.withRetry(ctx, "step-batch", shard, func(ctx context.Context) (err error) {
+		resp, err = c.clients[shard].StepBatch(ctx, req)
+		return err
+	})
+	if err == nil && len(resp.Items) != len(req.Idxs) {
+		err = fmt.Errorf("dist: worker %d returned %d outcomes for %d batched steps", shard, len(resp.Items), len(req.Idxs))
+	}
+	if err != nil {
+		resp.Items = make([]StepBatchItem, len(req.Idxs))
+	}
+	return resp, err
+}
+
+// deliver records at batch position p what shard owner made of input idx:
+// its call's error, the item's in-band error, or the outcome.
+func (c *coordinator) deliver(p, owner, step, idx int, it *StepBatchItem, err error) {
+	if err == nil && it.Err != "" {
+		err = errors.New(it.Err)
+	}
+	if err != nil {
+		c.errs[p] = fmt.Errorf("dist: worker %d failed step %d (input %d): %v", owner, step, idx, err)
+		return
+	}
+	c.workers[owner].Steps++
+	c.outs[p] = core.StepOutcome{
+		InputID:      it.InputID,
+		ReadErr:      it.ReadErr,
+		Cost:         time.Duration(it.CostNanos),
+		Res:          it.Result,
+		ExtractErr:   it.ExtractErr,
+		Panicked:     it.Panicked,
+		CacheHit:     it.CacheHit,
+		ReadNanos:    it.ReadNanos,
+		ExtractNanos: it.ExtractNanos,
+	}
+}
+
+// maxWindow caps an arm's read-ahead window: 128 inputs a call at two
+// shards, by which a round trip is amortized away.
+const maxWindow = 256
+
+var errNoAhead = errors.New("dist: shard stopped reading ahead")
+
+// readAhead tops up the window of the arm that handed out idxs (DESIGN
+// §12): an arm hands its members out in fixed order and an outcome is a
+// pure function of the input, so fetching the next ones early cannot
+// change them. The window is min(maxWindow, members the arm has consumed),
+// refilled once less than half of it is ahead, so inputs fetched but never
+// consumed cannot outnumber the consumed. A refill is one asynchronous
+// StepBatch per owning shard, skipping a shard whose flight has failed.
+func (c *coordinator) readAhead(ctx context.Context, idxs []int) {
+	if len(idxs) == 0 || idxs[0] < 0 || idxs[0] >= len(c.assign) {
+		return
+	}
+	a := c.assign[idxs[0]]
+	ms, cur := c.members[a], c.cursor[a]+len(idxs)
+	if cur > len(ms) || ms[c.cursor[a]] != idxs[0] {
+		return // not the arm's next members: nothing to predict from
+	}
+	c.cursor[a] = cur
+	window, front := min(maxWindow, cur), max(c.front[a], cur)
+	if 2*(front-cur) >= window {
+		return
+	}
+	c.front[a] = min(len(ms), cur+window)
+	want := make([][]int, c.spec.Shards)
+	for _, idx := range ms[front:c.front[a]] {
+		if s := c.sm.Owner(idx); s >= 0 && !c.calls[s].noAhead.Load() {
+			want[s] = append(want[s], idx)
 		}
-		for j, p := range ps {
-			req.Steps[j] = firstStep + p
-			req.Idxs[j] = idxs[p]
+	}
+	for s, idxs := range want {
+		if len(idxs) > 0 {
+			c.launch(ctx, s, idxs)
 		}
-		tr, ref := c.startRPC(ctx, "dist.step_batch", owner)
-		req.Traceparent = tr.Traceparent(ref.ID())
-		var resp StepBatchResponse
-		err := c.withRetry(ctx, "step-batch", owner, func(ctx context.Context) error {
-			r, err := c.clients[owner].StepBatch(ctx, req)
-			if err == nil {
-				resp = r
-			}
-			return err
-		})
-		tr.Import(resp.Spans, ref.ID(), ref.ID())
-		ref.End()
-		if err == nil && len(resp.Items) != len(ps) {
-			err = fmt.Errorf("dist: worker %d returned %d outcomes for %d batched steps", owner, len(resp.Items), len(ps))
+	}
+}
+
+// launch starts one flight. A shard's flights run one behind the other —
+// its worker would serialize them anyway — so a dead shard costs one
+// speculative call, not one per arm. The span opens here, under the issuing
+// batch: the goroutine must not read ctx's span cursor, which the loop moves.
+func (c *coordinator) launch(ctx context.Context, shard int, idxs []int) {
+	f, prev := &flight{done: make(chan struct{})}, c.last[shard]
+	c.last[shard] = f
+	for j, idx := range idxs {
+		c.slots[idx] = slot{f, j}
+	}
+	tr, ref := c.startRPC(ctx, "dist.step_batch", shard, otrace.String("readahead", "true"))
+	req := StepBatchRequest{RunID: c.spec.RunID, Idxs: idxs, Traceparent: tr.Traceparent(ref.ID())}
+	c.flights.Add(1)
+	go func() {
+		defer c.flights.Done()
+		defer close(f.done)
+		defer ref.End()
+		if prev != nil {
+			<-prev.done
 		}
-		if err != nil {
-			for j, p := range ps {
-				errs[p] = fmt.Errorf("dist: worker %d failed step %d (input %d): %v", owner, req.Steps[j], req.Idxs[j], err)
-			}
+		if c.calls[shard].noAhead.Load() {
+			f.err = errNoAhead
 			return
 		}
-		for j, p := range ps {
-			it := &resp.Items[j]
-			if it.Err != "" {
-				errs[p] = fmt.Errorf("dist: worker %d failed step %d (input %d): %v", owner, req.Steps[j], req.Idxs[j], it.Err)
-				continue
-			}
-			c.workers[owner].Steps++
-			outs[p] = core.StepOutcome{
-				InputID:      it.InputID,
-				ReadErr:      it.ReadErr,
-				Cost:         time.Duration(it.CostNanos),
-				Res:          it.Result,
-				ExtractErr:   it.ExtractErr,
-				Panicked:     it.Panicked,
-				CacheHit:     it.CacheHit,
-				ReadNanos:    it.ReadNanos,
-				ExtractNanos: it.ExtractNanos,
-			}
-		}
-	})
-	return outs, errs
+		f.resp, f.err = c.stepBatch(ctx, shard, req)
+		tr.Import(f.resp.Spans, ref.ID(), ref.ID())
+		c.calls[shard].noAhead.Store(f.err != nil) // never back to false: no flight follows a failed one
+	}()
 }
 
 // Stats collects worker tallies, finishing the run on every worker the
@@ -434,6 +577,12 @@ func (c *coordinator) Stats() core.ExecutorStats {
 // tallies left to lose.
 func (c *coordinator) finish(ctx context.Context) {
 	c.finishOnce.Do(func() {
+		c.flights.Wait() // no call may reach a run its worker has released
+		for idx, sl := range c.slots {
+			if sl.f.err == nil {
+				c.workers[c.sm.Owner(idx)].ReadAheadWasted++
+			}
+		}
 		resps := make([]FinishResponse, c.spec.Shards)
 		parallel.ForEach(c.spec.Shards, c.spec.Shards, func(i int) {
 			tr, ref := c.startRPC(ctx, "dist.finish", i)
@@ -466,13 +615,24 @@ func (c *coordinator) finish(ctx context.Context) {
 			}
 			ref.End()
 		})
+		var ahead [3]int64
 		for i, r := range resps {
-			c.workers[i].CacheHits = r.CacheHits
-			c.workers[i].CacheMisses = r.CacheMisses
-			c.workers[i].Parts = r.Parts
+			w := &c.workers[i]
+			w.RetriedCalls, w.FailedCalls = c.calls[i].retried.Load(), c.calls[i].failed.Load()
+			w.CacheHits, w.CacheMisses, w.Parts = r.CacheHits, r.CacheMisses, r.Parts
+			ahead[0] += w.ReadAheadHits
+			ahead[1] += w.ReadAheadMisses
+			ahead[2] += w.ReadAheadWasted
 			c.stats.CacheHits += r.CacheHits
 			c.stats.CacheMisses += r.CacheMisses
 			c.stats.CacheLookupNanos += r.CacheLookupNanos
+		}
+		if c.spec.Obs != nil {
+			for i, outcome := range []string{"hit", "miss", "wasted"} {
+				c.spec.Obs.CounterL("dist_readahead_inputs",
+					"Pool inputs consumed from a speculative call, demand-fetched, or fetched ahead and never consumed.",
+					obs.Label{Key: "outcome", Value: outcome}).Add(ahead[i])
+			}
 		}
 	})
 }

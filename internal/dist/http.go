@@ -30,7 +30,13 @@ type HTTPTransport struct {
 // (scheme + host[:port], e.g. "http://127.0.0.1:8821"), one shard per
 // address in order.
 func NewHTTPTransport(addrs []string) *HTTPTransport {
-	t := &HTTPTransport{client: &http.Client{}}
+	// Its own pool, not http.DefaultTransport's, so Close closes nobody
+	// else's connections; a worker has at most one speculative and one
+	// demand call in flight, hence two idle connections each.
+	pool := http.DefaultTransport.(*http.Transport).Clone()
+	pool.MaxIdleConnsPerHost = 2
+	pool.MaxIdleConns = 2 * len(addrs)
+	t := &HTTPTransport{client: &http.Client{Transport: pool}}
 	for _, addr := range addrs {
 		t.clients = append(t.clients, &httpClient{
 			base: strings.TrimRight(addr, "/"),
@@ -43,7 +49,7 @@ func NewHTTPTransport(addrs []string) *HTTPTransport {
 func (t *HTTPTransport) Name() string      { return "http" }
 func (t *HTTPTransport) Clients() []Client { return t.clients }
 
-// Close releases idle connections.
+// Close releases the transport's idle connections.
 func (t *HTTPTransport) Close() error {
 	t.closeOnce.Do(func() { t.client.CloseIdleConnections() })
 	return nil

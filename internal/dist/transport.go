@@ -11,8 +11,8 @@ import "context"
 type Client interface {
 	Init(ctx context.Context, req InitRequest) (InitResponse, error)
 	Holdout(ctx context.Context, req HoldoutRequest) (HoldoutResponse, error)
-	// StepBatch executes one arm pull's batch of steps (a batch of one at
-	// the default BatchSize) in one round trip. Per-item
+	// StepBatch executes a batch of steps — one arm pull's misses, or a
+	// read-ahead window's share — in one round trip. Per-item
 	// failures come back inside the response (StepBatchItem.Err); an error
 	// return means the whole call failed (transport loss, unknown run).
 	StepBatch(ctx context.Context, req StepBatchRequest) (StepBatchResponse, error)

@@ -104,11 +104,13 @@ type StepResponse struct {
 // steps in one call — the transport-level half of Config.BatchSize: the
 // coordinator groups each engine batch by owning shard and sends one
 // StepBatch per shard. Steps[j] is the engine loop's step counter for
-// Idxs[j], for tracing and fault keying symmetry with the engine; the
-// slices are parallel and must have equal length.
+// Idxs[j], for tracing and fault keying symmetry with the engine; it is
+// optional — a speculative (read-ahead) request is sent before the loop
+// has numbered its inputs and omits it — and when present must be as long
+// as Idxs. No outcome depends on it.
 type StepBatchRequest struct {
 	RunID       string `json:"run_id"`
-	Steps       []int  `json:"steps"`
+	Steps       []int  `json:"steps,omitempty"`
 	Idxs        []int  `json:"idxs"`
 	Traceparent string `json:"traceparent,omitempty"`
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -52,6 +53,10 @@ type workerRun struct {
 	exec   *core.LocalExecutor
 	faults *fault.Injector
 	steps  atomic.Int64
+	// batch admits one StepBatch per run at a time: a speculative and a
+	// demand call may overlap, and exec attributes cache hits by counter
+	// deltas only a single stepping goroutine keeps exact.
+	batch sync.Mutex
 }
 
 // NewWorker returns a worker resolving corpus names through resolve
@@ -105,12 +110,7 @@ func (w *Worker) Init(req InitRequest) (InitResponse, error) {
 		exec:   core.NewLocalExecutor(task, w.cache, faults),
 		faults: faults,
 	}
-	owned, ownedHoldout := 0, 0
-	for _, s := range sm.Assign {
-		if s == req.Shard {
-			owned++
-		}
-	}
+	owned, ownedHoldout := sm.Sizes()[req.Shard], 0
 	for _, idx := range task.HoldoutIdx {
 		if sm.Owner(idx) == req.Shard {
 			ownedHoldout++
@@ -174,17 +174,15 @@ func (w *Worker) Holdout(req HoldoutRequest) (HoldoutResponse, error) {
 	// HoldoutIdx is iterated sorted by global index (Owned order), not in
 	// the task's shuffled holdout order: the canonical order lets the
 	// coordinator verify merge alignment without trusting worker iteration.
-	ownedSet := map[int]bool{}
+	var owned []int
 	for _, idx := range task.HoldoutIdx {
 		if run.sm.Owner(idx) == run.shard {
-			ownedSet[idx] = true
+			owned = append(owned, idx)
 		}
 	}
+	sort.Ints(owned)
 	var resp HoldoutResponse
-	for idx := 0; idx < task.Store.Len(); idx++ {
-		if !ownedSet[idx] {
-			continue
-		}
+	for _, idx := range owned {
 		res, id, err := task.ExtractHoldout(idx)
 		item := HoldoutItem{Idx: idx, InputID: id}
 		if err != nil {
@@ -209,7 +207,7 @@ func (w *Worker) Holdout(req HoldoutRequest) (HoldoutResponse, error) {
 // likely) is recovered into an error so both transports surface it as a
 // failed step with the same message, rather than http tearing down the
 // connection while local crashes the process.
-func (w *Worker) stepOne(run *workerRun, step, idx int) (resp StepResponse, err error) {
+func (w *Worker) stepOne(run *workerRun, idx int) (resp StepResponse, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			resp, err = StepResponse{}, fmt.Errorf("dist: worker step panic: %v", p)
@@ -221,7 +219,7 @@ func (w *Worker) stepOne(run *workerRun, step, idx int) (resp StepResponse, err 
 	if owner := run.sm.Owner(idx); owner != run.shard {
 		return StepResponse{}, fmt.Errorf("dist: input %d belongs to shard %d, not %d (misrouted step)", idx, owner, run.shard)
 	}
-	out, err := run.exec.ExecuteStep(context.Background(), step, idx)
+	out, err := run.exec.ExecuteStep(context.Background(), 0, idx) // no outcome depends on the step number
 	if err != nil {
 		return StepResponse{}, err
 	}
@@ -248,9 +246,10 @@ func (w *Worker) stepOne(run *workerRun, step, idx int) (resp StepResponse, err 
 // K=1 run. The run lookup and request validation fail the whole call
 // (there is nothing per-item about them); everything after runs per item
 // through stepOne, with each item's failure captured in its
-// StepBatchItem.Err so the rest of the batch proceeds.
+// StepBatchItem.Err so the rest of the batch proceeds. Calls on one run
+// execute one at a time (workerRun.batch).
 func (w *Worker) StepBatch(req StepBatchRequest) (StepBatchResponse, error) {
-	if len(req.Steps) != len(req.Idxs) {
+	if len(req.Steps) != 0 && len(req.Steps) != len(req.Idxs) {
 		return StepBatchResponse{}, fmt.Errorf("dist: step batch has %d steps for %d inputs", len(req.Steps), len(req.Idxs))
 	}
 	run, err := w.run(req.RunID)
@@ -261,8 +260,9 @@ func (w *Worker) StepBatch(req StepBatchRequest) (StepBatchResponse, error) {
 		otrace.Int("shard", int64(run.shard)))
 	var readNs, extractNs int64
 	resp := StepBatchResponse{Items: make([]StepBatchItem, len(req.Idxs))}
+	run.batch.Lock()
 	for j, idx := range req.Idxs {
-		sr, err := w.stepOne(run, req.Steps[j], idx)
+		sr, err := w.stepOne(run, idx)
 		if err != nil {
 			resp.Items[j].Err = err.Error()
 			continue
@@ -271,6 +271,7 @@ func (w *Worker) StepBatch(req StepBatchRequest) (StepBatchResponse, error) {
 		extractNs += sr.ExtractNanos
 		resp.Items[j].StepResponse = sr
 	}
+	run.batch.Unlock()
 	if tr != nil {
 		ref.End(otrace.Int("steps", int64(len(req.Idxs))),
 			otrace.Dur("ns.read", time.Duration(readNs)),
@@ -291,6 +292,9 @@ func (w *Worker) Finish(req FinishRequest) (FinishResponse, error) {
 	if !ok {
 		return FinishResponse{}, nil
 	}
+	// A batch whose caller gave up may still be stepping; its tallies count.
+	run.batch.Lock()
+	defer run.batch.Unlock()
 	st := run.exec.Stats()
 	return FinishResponse{
 		Steps:            int(run.steps.Load()),
