@@ -5,7 +5,8 @@
 # stitching, crash-resume) end to end — crash-smoke kills a -state-dir
 # server mid-run and requires the restarted process to finish the run with
 # an identical curve. The CLI's determinism contracts (cache, faults,
-# batching, shards) are Go tests in cmd/zombie. `make loc`
+# batching, shards) are Go tests in cmd/zombie. `make cover` holds the
+# robustness-critical packages and the learners to a coverage floor. `make loc`
 # prints the size metric ROADMAP's "least code" aim is judged by: non-test
 # Go lines per package and the repo total outside benchmark/.
 
@@ -30,9 +31,10 @@ STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 
 # Packages under the coverage floor gate, and the floor itself. These are
 # the robustness-critical packages: the fault injector, the engine that
-# quarantines around it, the cache that degrades under it, and the journal
-# the control plane's crash-resume rides on.
-COVER_PKGS := ./internal/core ./internal/featcache ./internal/fault ./internal/runstore
+# quarantines around it, the cache that degrades under it, the journal
+# the control plane's crash-resume rides on, and the learners every curve
+# point is fitted and scored by.
+COVER_PKGS := ./internal/core ./internal/featcache ./internal/fault ./internal/runstore ./internal/learner
 COVER_FLOOR := 70
 
 # Smoke targets bind loopback ports derived from SMOKE_PORT_BASE (each

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -231,6 +232,11 @@ func (s *panickyStore) Get(i int) *corpus.Input {
 func TestConfigRejectsBadFailureFrac(t *testing.T) {
 	if _, err := New(Config{MaxFailureFrac: 1.5}); err == nil {
 		t.Fatal("MaxFailureFrac > 1 accepted")
+	}
+	// NaN slips past both the default (NaN <= 0 is false) and the > 1
+	// check, and would silently disable the budget.
+	if _, err := New(Config{MaxFailureFrac: math.NaN()}); err == nil {
+		t.Fatal("MaxFailureFrac NaN accepted")
 	}
 	e := mustEngine(t, Config{})
 	if got := e.Config().MaxFailureFrac; got != 0.5 {

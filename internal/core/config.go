@@ -34,8 +34,9 @@ const (
 	// RewardUsefulness pays 1 when the feature code marks the input
 	// useful (paper default: cheap, exact attribution).
 	RewardUsefulness RewardKind = iota
-	// RewardQualityDelta pays the clamped, scaled improvement of a small
-	// holdout subsample's quality caused by training on the example.
+	// RewardQualityDelta pays the improvement of a small holdout
+	// subsample's quality caused by training on the example, scaled by
+	// rewardScale and clamped to [0,1].
 	RewardQualityDelta
 	// RewardHybrid averages the two.
 	RewardHybrid
@@ -107,38 +108,14 @@ type Config struct {
 	// full holdout). The floor exists because an empty reward holdout
 	// would silently zero every quality-delta reward.
 	RewardSubsample int
-	// RewardScale multiplies the quality delta before clamping to [0,1]
-	// (default 20).
-	RewardScale float64
 	// EvalEvery evaluates the full holdout every N processed inputs
 	// (default 25). Smaller is a finer learning curve but more eval cost.
+	// Each evaluation scores the example set collected so far: one
+	// persistent evaluation model absorbs the examples collected since the
+	// previous evaluation, each delta replayed in a deterministically
+	// shuffled order, so a run trains it on every example exactly once
+	// (see learner.Model for the order contract this relies on).
 	EvalEvery int
-	// EvalIncremental evaluates the running incremental model instead of
-	// the default set-based evaluation, which retrains a fresh model on a
-	// shuffled copy of every example collected so far at each evaluation
-	// point. The default measures what the engineer cares about — the
-	// quality of the collected example set — and is immune to
-	// input-order artifacts of incremental learners (a bandit stream is
-	// heavily ordered by construction). Incremental evaluation is cheaper
-	// and matches the reward path exactly.
-	EvalIncremental bool
-	// EvalEpochs is how many shuffled passes set-based evaluation trains
-	// for (default 1). SGD learners stabilize with 2-3 epochs over small
-	// collected sets; count-based learners are unaffected. Values > 1
-	// imply EvalFromScratch: multi-epoch training cannot be amortized.
-	EvalEpochs int
-	// EvalFromScratch forces the pre-amortization behavior of set-based
-	// evaluation: retrain a fresh model over every collected example at
-	// each evaluation point — O(n²) total work per run. By default the
-	// engine amortizes evaluation for learners marked
-	// learner.OrderInsensitive (the naive Bayes families): a persistent
-	// evaluation model replays only the examples collected since the
-	// previous evaluation (each delta shuffled deterministically), which
-	// is O(n) total and identical in example-set semantics. Order-
-	// sensitive learners (SGD, KNN, trees) always retrain from scratch
-	// regardless of this flag, so set it only to compare NB curves against
-	// the pre-amortization baseline.
-	EvalFromScratch bool
 	// BatchSize is how many inputs the loop pops per arm pull (default 1;
 	// values <= 0 also mean 1, like RewardSubsample's floor). Every pull is
 	// one batch through one code path: the selected arm yields up to K
@@ -258,14 +235,8 @@ func (c Config) withDefaults() Config {
 	if c.RewardSubsample <= 0 {
 		c.RewardSubsample = 50
 	}
-	if c.RewardScale <= 0 {
-		c.RewardScale = 20
-	}
 	if c.EvalEvery <= 0 {
 		c.EvalEvery = 25
-	}
-	if c.EvalEpochs <= 0 {
-		c.EvalEpochs = 1
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
@@ -296,7 +267,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MaxSimTime < 0 {
 		return nil, fmt.Errorf("core: MaxSimTime must be >= 0, got %v", cfg.MaxSimTime)
 	}
-	if cfg.MaxFailureFrac > 1 {
+	if cfg.MaxFailureFrac != cfg.MaxFailureFrac || cfg.MaxFailureFrac > 1 {
 		return nil, fmt.Errorf("core: MaxFailureFrac must be in (0,1], got %v", cfg.MaxFailureFrac)
 	}
 	if cfg.WarmStartDecay != cfg.WarmStartDecay || cfg.WarmStartDecay < 0 || cfg.WarmStartDecay > 1 {

@@ -147,24 +147,15 @@ type loopRun struct {
 	rewardHold *learner.Holdout
 	model      learner.Model
 
-	// Set-based evaluation (the default) measures the quality of the
-	// example set collected so far, independent of the stream order the
-	// bandit imposed. The amortized scheme keeps one persistent evaluation
-	// model and, at each evaluation point, replays only the examples
-	// collected since the previous evaluation in a deterministically
-	// shuffled order — O(n) total training work per run instead of the
-	// O(n²) of retraining from scratch every time. The two schemes train
-	// on identical example sets, so they are equivalent for learners whose
-	// fit is order-insensitive (the naive Bayes families the workloads
-	// use, marked by learner.OrderInsensitive); order-sensitive learners
-	// (SGD, KNN, trees) automatically keep the from-scratch full
-	// reshuffle, as do EvalFromScratch and EvalEpochs > 1 (multi-epoch
-	// training cannot be amortized).
-	fromScratch bool
-	collected   []learner.Example // every example, for from-scratch retrains
-	pending     []learner.Example // examples not yet replayed into evalModel
-	evalModel   learner.Model
-	evalRNG     *rng.RNG
+	// The curve scores the example set collected so far, independent of
+	// the stream order the bandit imposed: one persistent evaluation model
+	// replays, at each evaluation point, only the examples collected since
+	// the previous one in a deterministically shuffled order — O(n) total
+	// training work per run. Replay is exact in example-set semantics
+	// because every learner's fit is order-insensitive (learner.Model).
+	pending   []learner.Example // examples not yet replayed into evalModel
+	evalModel learner.Model
+	evalRNG   *rng.RNG
 
 	events *trace.Log // in-result step log; nil unless TraceEvents
 
@@ -266,8 +257,7 @@ func (l *loopRun) start(ctx context.Context, r *rng.RNG) error {
 		l.rewardHold = subsampleHoldout(holdout, l.cfg.RewardSubsample, r.Split("reward-subsample"))
 	}
 	l.model = l.task.NewModel(l.task.Feature)
-	_, orderInsensitive := l.model.(learner.OrderInsensitive)
-	l.fromScratch = l.cfg.EvalFromScratch || l.cfg.EvalEpochs > 1 || !orderInsensitive
+	l.evalModel = l.task.NewModel(l.task.Feature)
 	l.evalRNG = r.Split("eval")
 	if l.cfg.TraceEvents {
 		l.events = &trace.Log{}
@@ -459,13 +449,7 @@ func (l *loopRun) train(ex learner.Example) {
 	l.model.PartialFit(ex)
 	l.b.trained++
 	l.spend(phTrain, time.Since(tTrain))
-	if !l.cfg.EvalIncremental {
-		if l.fromScratch {
-			l.collected = append(l.collected, ex)
-		} else {
-			l.pending = append(l.pending, ex)
-		}
-	}
+	l.pending = append(l.pending, ex)
 }
 
 // settle closes the reward bracket: one "after" measurement for the whole
@@ -483,10 +467,14 @@ func (l *loopRun) settle() {
 	}
 	for j := range l.b.idxs {
 		if l.b.errs[j] == nil && l.b.outs[j].Res.Produced {
-			l.notes[j].reward = bracketReward(l.cfg.Reward, l.notes[j].reward, l.b.before, after, l.cfg.RewardScale)
+			l.notes[j].reward = bracketReward(l.cfg.Reward, l.notes[j].reward, l.b.before, after, rewardScale)
 		}
 	}
 }
+
+// rewardScale multiplies a batch's quality delta before it is clamped to
+// [0,1]: a holdout-subsample move of 0.05 earns the full reward.
+const rewardScale = 20
 
 // bracketReward is the reward one produced input earns: its usefulness
 // bit, the clamped scaled quality delta of the batch it trained in, or
@@ -526,21 +514,6 @@ func (l *loopRun) credit() {
 func (l *loopRun) evaluate() float64 {
 	tEval := time.Now()
 	defer func() { l.spend(phEval, time.Since(tEval)) }()
-	if l.cfg.EvalIncremental {
-		return l.quality(l.model)
-	}
-	if l.fromScratch {
-		m := l.task.NewModel(l.task.Feature)
-		for epoch := 0; epoch < l.cfg.EvalEpochs; epoch++ {
-			for _, i := range l.evalRNG.Perm(len(l.collected)) {
-				m.PartialFit(l.collected[i])
-			}
-		}
-		return l.quality(m)
-	}
-	if l.evalModel == nil {
-		l.evalModel = l.task.NewModel(l.task.Feature)
-	}
 	if len(l.pending) > 0 {
 		for _, i := range l.evalRNG.Perm(len(l.pending)) {
 			l.evalModel.PartialFit(l.pending[i])
@@ -590,12 +563,9 @@ func (l *loopRun) endBatch() {
 func (l *loopRun) finish(stop StopReason) *RunResult {
 	res := l.res
 	// Reuse the last in-loop evaluation when it already covers the final
-	// step: from-scratch evaluation reshuffles, so re-evaluating the same
-	// point can return a slightly different number for order-sensitive
-	// learners (amortized evaluation is stable on re-evaluation, but the
-	// reuse still skips a full holdout pass). A cancelled run also reuses
-	// it — the caller asked the loop to stop, so it must not pay for one
-	// more holdout evaluation.
+	// step: re-evaluating the same example set would only repeat a full
+	// holdout pass. A cancelled run also reuses it — the caller asked the
+	// loop to stop, so it must not pay for one more holdout evaluation.
 	var final float64
 	if n := len(res.Curve); n > 0 && (res.Curve[n-1].Inputs == l.steps || stop == StopCancelled) {
 		final = res.Curve[n-1].Quality

@@ -12,8 +12,9 @@ import (
 	"zombie/internal/rng"
 )
 
-// imageTask builds a small needle-in-haystack image task plus k-means
-// index groups — the regime where input selection matters most.
+// imageTask builds a small needle-in-haystack image task on GaussianNB
+// plus k-means index groups — the regime where input selection matters
+// most.
 func imageTask(t *testing.T, n int, seed int64) (*featurepipe.Task, *index.Groups) {
 	t.Helper()
 	cfg := corpus.DefaultImageConfig()
@@ -26,7 +27,7 @@ func imageTask(t *testing.T, n int, seed int64) (*featurepipe.Task, *index.Group
 	f := featurepipe.NewImageFeature(1, cfg)
 	task, err := featurepipe.NewTask("image", store, f,
 		func(ff featurepipe.FeatureFunc) learner.Model {
-			return learner.NewLogisticSGD(ff.Dim(), 0.3, 0.001, learner.ConstantLR)
+			return learner.NewGaussianNB(ff.Dim(), 2, 1e-3)
 		},
 		learner.MetricF1, 1, featurepipe.CostModel{}, featurepipe.TaskOptions{}, rng.New(seed+1))
 	if err != nil {
@@ -43,6 +44,8 @@ func imageTask(t *testing.T, n int, seed int64) (*featurepipe.Task, *index.Group
 	return task, groups
 }
 
+// wikiTask builds a wiki extraction task on MultinomialNB plus k-means
+// index groups over hashed text.
 func wikiTask(t testing.TB, n int, seed int64) (*featurepipe.Task, *index.Groups) {
 	t.Helper()
 	cfg := corpus.DefaultWikiConfig()
@@ -55,7 +58,7 @@ func wikiTask(t testing.TB, n int, seed int64) (*featurepipe.Task, *index.Groups
 	f := featurepipe.NewWikiFeature(3)
 	task, err := featurepipe.NewTask("wiki", store, f,
 		func(ff featurepipe.FeatureFunc) learner.Model {
-			return learner.NewLogisticSGD(ff.Dim(), 0.5, 0, learner.ConstantLR)
+			return learner.NewMultinomialNB(ff.Dim(), 2, 1)
 		},
 		learner.MetricF1, 1, featurepipe.CostModel{}, featurepipe.TaskOptions{}, rng.New(seed+1))
 	if err != nil {
@@ -453,15 +456,6 @@ func TestResultHelpers(t *testing.T) {
 	}
 	if _, _, ok := r.InputsToQuality(0.95); ok {
 		t.Fatal("unreachable quality reported reached")
-	}
-	if q := r.QualityAtInputs(30); q != 0.5 {
-		t.Fatalf("QualityAtInputs(30) = %v", q)
-	}
-	if q := r.QualityAtInputs(50); q != 0.8 {
-		t.Fatalf("QualityAtInputs(50) = %v", q)
-	}
-	if q := r.QualityAtInputs(0); q != 0 {
-		t.Fatalf("QualityAtInputs(0) = %v", q)
 	}
 	if r.UsefulRate() != 0.2 {
 		t.Fatalf("UsefulRate = %v", r.UsefulRate())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"zombie/internal/corpus"
@@ -8,33 +9,30 @@ import (
 	"zombie/internal/index"
 	"zombie/internal/learner"
 	"zombie/internal/rng"
+	"zombie/internal/trace"
 )
 
-// nbWikiTask builds a wiki task backed by MultinomialNB — an
-// order-insensitive learner, so the engine's amortized set-based
-// evaluation applies.
-func nbWikiTask(t *testing.T, n int, seed int64) (*featurepipe.Task, *index.Groups) {
+// songsTask builds a song task on the given learner and metric plus
+// k-means groups over the standardized song descriptors: 10-class
+// GaussianNB under macro-F1 is the songs workload's pairing, RidgeClosed
+// under -RMSE the year-regression pairing of examples/songs.
+func songsTask(t *testing.T, n int, seed int64, newModel func(featurepipe.FeatureFunc) learner.Model, metric learner.Metric) (*featurepipe.Task, *index.Groups) {
 	t.Helper()
-	cfg := corpus.DefaultWikiConfig()
+	cfg := corpus.DefaultSongConfig()
 	cfg.N = n
-	ins, err := corpus.GenerateWiki(cfg, rng.New(seed))
+	ins, err := corpus.GenerateSongs(cfg, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := corpus.NewMemStore(ins)
-	f := featurepipe.NewWikiFeature(3)
-	task, err := featurepipe.NewTask("wiki-nb", store, f,
-		func(ff featurepipe.FeatureFunc) learner.Model {
-			return learner.NewMultinomialNB(ff.Dim(), 2, 1)
-		},
-		learner.MetricF1, 1, featurepipe.CostModel{}, featurepipe.TaskOptions{}, rng.New(seed+1))
+	task, err := featurepipe.NewTask("songs", store, featurepipe.NewSongFeature(1, cfg), newModel,
+		metric, 0, featurepipe.CostModel{}, featurepipe.TaskOptions{}, rng.New(seed+1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouper := &index.KMeansGrouper{
-		Vectorizer: index.NewHashedText(128),
-		Config:     index.KMeansConfig{MaxIter: 10},
-	}
+	numeric := index.NewNumeric(cfg.Dim)
+	numeric.FitStandardize(store)
+	grouper := &index.KMeansGrouper{Vectorizer: numeric, Config: index.KMeansConfig{MaxIter: 10}}
 	groups, err := grouper.Group(store, 12, rng.New(seed+2))
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +44,7 @@ func nbWikiTask(t *testing.T, n int, seed int64) (*featurepipe.Task, *index.Grou
 // the engine's replay guarantee — identical config and seed, identical
 // curve.
 func TestAmortizedEvalReproducible(t *testing.T) {
-	task, groups := nbWikiTask(t, 1200, 500)
+	task, groups := wikiTask(t, 1200, 500)
 	e := mustEngine(t, Config{Seed: 5, MaxInputs: 400})
 	a, err := e.Run(task, groups)
 	if err != nil {
@@ -66,62 +64,79 @@ func TestAmortizedEvalReproducible(t *testing.T) {
 	}
 }
 
-// TestAmortizedEvalMatchesFromScratch: for an order-insensitive learner
-// the amortized scheme trains the evaluation model on exactly the example
-// set the from-scratch retrain uses, so curves agree up to floating-point
-// accumulation order.
-func TestAmortizedEvalMatchesFromScratch(t *testing.T) {
-	task, groups := nbWikiTask(t, 1200, 501)
-	amortized := mustEngine(t, Config{Seed: 9, MaxInputs: 400})
-	scratch := mustEngine(t, Config{Seed: 9, MaxInputs: 400, EvalFromScratch: true})
-	a, err := amortized.Run(task, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := scratch.Run(task, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Curve) != len(s.Curve) {
-		t.Fatalf("curve lengths differ: %d vs %d", len(a.Curve), len(s.Curve))
-	}
-	for i := range a.Curve {
-		if diff := a.Curve[i].Quality - s.Curve[i].Quality; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("curve point %d: amortized %v vs from-scratch %v",
-				i, a.Curve[i].Quality, s.Curve[i].Quality)
+// fromScratchQuality is the reference the amortized evaluation is held
+// to: a fresh model fitted, in step order, on every example the run had
+// produced by the given step — re-extracted from the inputs its step
+// trace names — and scored on the task's holdout.
+func fromScratchQuality(t *testing.T, task *featurepipe.Task, hold *learner.Holdout, events []trace.Event, step int) float64 {
+	t.Helper()
+	m := task.NewModel(task.Feature)
+	for _, ev := range events[:step] {
+		if !ev.Produced {
+			continue
 		}
+		res, err := task.Feature.Extract(task.Store.Get(ev.InputIdx))
+		if err != nil || !res.Produced {
+			t.Fatalf("step %d: re-extraction of input %d did not produce (err %v)", ev.Step, ev.InputIdx, err)
+		}
+		m.PartialFit(res.Example)
 	}
+	return hold.Quality(m)
 }
 
-// TestOrderSensitiveLearnerKeepsFromScratch: an SGD-backed task must
-// produce the same curve whether or not EvalFromScratch is set, because
-// the engine refuses to amortize order-sensitive learners.
-func TestOrderSensitiveLearnerKeepsFromScratch(t *testing.T) {
-	task, groups := wikiTask(t, 1000, 502)
-	def := mustEngine(t, Config{Seed: 3, MaxInputs: 300})
-	forced := mustEngine(t, Config{Seed: 3, MaxInputs: 300, EvalFromScratch: true})
-	a, err := def.Run(task, groups)
-	if err != nil {
-		t.Fatal(err)
+// TestAmortizedEvalMatchesFromScratch: every learner's fit is
+// order-insensitive, so replaying each evaluation's new examples into one
+// persistent model trains on exactly the example set a from-scratch refit
+// would, and every curve point agrees with the refit up to floating-point
+// accumulation order.
+func TestAmortizedEvalMatchesFromScratch(t *testing.T) {
+	gaussian := func(ff featurepipe.FeatureFunc) learner.Model {
+		return learner.NewGaussianNB(ff.Dim(), corpus.DefaultSongConfig().Genres, 1e-3)
 	}
-	b, err := forced.Run(task, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Curve) != len(b.Curve) {
-		t.Fatalf("curve lengths differ: %d vs %d", len(a.Curve), len(b.Curve))
-	}
-	for i := range a.Curve {
-		if a.Curve[i] != b.Curve[i] {
-			t.Fatalf("curve point %d differs: %+v vs %+v", i, a.Curve[i], b.Curve[i])
-		}
+	ridge := func(ff featurepipe.FeatureFunc) learner.Model { return learner.NewRidgeClosed(ff.Dim(), 1) }
+	for _, tc := range []struct {
+		name  string
+		build func() (*featurepipe.Task, *index.Groups)
+	}{
+		{"multinomial-nb/wiki", func() (*featurepipe.Task, *index.Groups) { return wikiTask(t, 1200, 501) }},
+		{"gaussian-nb/songs", func() (*featurepipe.Task, *index.Groups) {
+			return songsTask(t, 1200, 501, gaussian, learner.MetricMacroF1)
+		}},
+		{"ridge/songs", func() (*featurepipe.Task, *index.Groups) {
+			return songsTask(t, 1200, 501, ridge, learner.MetricNegRMSE)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			task, groups := tc.build()
+			res, err := mustEngine(t, Config{Seed: 9, MaxInputs: 400, TraceEvents: true}).Run(task, groups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hold, _, err := task.BuildHoldoutTolerant()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Curve) < 10 {
+				t.Fatalf("only %d curve points", len(res.Curve))
+			}
+			for i, p := range res.Curve {
+				want := fromScratchQuality(t, task, hold, res.Events.Events, p.Inputs)
+				tol := 1e-9
+				if hold.Metric == learner.MetricNegRMSE {
+					tol *= math.Abs(want)
+				}
+				if math.Abs(p.Quality-want) > tol {
+					t.Fatalf("curve point %d (%d inputs): amortized %v vs from-scratch %v", i, p.Inputs, p.Quality, want)
+				}
+			}
+		})
 	}
 }
 
 // TestEvalWorkersDeterministic: EvalWorkers is a latency knob only — any
 // worker count yields the identical curve.
 func TestEvalWorkersDeterministic(t *testing.T) {
-	task, groups := nbWikiTask(t, 1200, 503)
+	task, groups := wikiTask(t, 1200, 503)
 	seq := mustEngine(t, Config{Seed: 7, MaxInputs: 300})
 	par := mustEngine(t, Config{Seed: 7, MaxInputs: 300, EvalWorkers: 8})
 	a, err := seq.Run(task, groups)

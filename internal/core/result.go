@@ -137,23 +137,6 @@ func (r *RunResult) InputsToQuality(target float64) (inputs int, sim time.Durati
 	return 0, 0, false
 }
 
-// QualityAtInputs returns the quality of the last curve sample at or
-// before the given input count (the step-0 floor when none). It lets
-// experiments compare strategies at a fixed budget.
-func (r *RunResult) QualityAtInputs(inputs int) float64 {
-	q := 0.0
-	if len(r.Curve) > 0 {
-		q = r.Curve[0].Quality
-	}
-	for _, p := range r.Curve {
-		if p.Inputs > inputs {
-			break
-		}
-		q = p.Quality
-	}
-	return q
-}
-
 // UsefulRate returns Useful / InputsProcessed (0 for an empty run).
 func (r *RunResult) UsefulRate() float64 {
 	if r.InputsProcessed == 0 {

@@ -204,42 +204,3 @@ func TestOracleUsefulDefinitions(t *testing.T) {
 		t.Fatal("song oracle usefulness wrong")
 	}
 }
-
-func TestEvalIncrementalMode(t *testing.T) {
-	task, groups := imageTask(t, 800, 900)
-	inc := mustEngine(t, Config{Seed: 5, MaxInputs: 200, EvalIncremental: true})
-	set := mustEngine(t, Config{Seed: 5, MaxInputs: 200})
-	ri, err := inc.Run(task, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := set.Run(task, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same selection trajectory (same seed), possibly different curves.
-	if ri.InputsProcessed != rs.InputsProcessed || ri.Useful != rs.Useful {
-		t.Fatalf("eval mode changed selection: %d/%d vs %d/%d",
-			ri.InputsProcessed, ri.Useful, rs.InputsProcessed, rs.Useful)
-	}
-}
-
-func TestEvalEpochsStabilizeSGD(t *testing.T) {
-	// With an order-sensitive learner, set-based eval must still produce
-	// a usable curve; more epochs should not break determinism.
-	task, groups := imageTask(t, 800, 901)
-	for _, epochs := range []int{1, 3} {
-		e := mustEngine(t, Config{Seed: 7, MaxInputs: 150, EvalEpochs: epochs})
-		a, err := e.Run(task, groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := e.Run(task, groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.FinalQuality != b.FinalQuality {
-			t.Fatalf("epochs=%d: eval not deterministic", epochs)
-		}
-	}
-}

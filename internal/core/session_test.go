@@ -25,7 +25,7 @@ func miniWikiSession(t *testing.T, n int, seed int64) (*featurepipe.Session, *fe
 	f := featurepipe.NewWikiFeature(2)
 	task, err := featurepipe.NewTask("wiki", store, f,
 		func(ff featurepipe.FeatureFunc) learner.Model {
-			return learner.NewLogisticSGD(ff.Dim(), 0.5, 0, learner.ConstantLR)
+			return learner.NewMultinomialNB(ff.Dim(), 2, 1)
 		},
 		learner.MetricF1, 1,
 		featurepipe.CostModel{PerInput: 20 * time.Millisecond},

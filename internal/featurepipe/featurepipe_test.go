@@ -22,6 +22,13 @@ func wikiInputs(t testing.TB, n int, seed int64) []*corpus.Input {
 	return ins
 }
 
+// norm2Sq is the squared Euclidean norm of a feature vector.
+func norm2Sq(v learner.FeatureVector) float64 {
+	s := 0.0
+	v.ForEachNonZero(func(_ int, x float64) { s += x * x })
+	return s
+}
+
 func TestWikiFeatureExtract(t *testing.T) {
 	f := NewWikiFeature(4)
 	if f.Dim() != 4096 || f.NumClasses() != 2 || f.Name() != "wiki-v4" {
@@ -73,7 +80,7 @@ func TestWikiFeatureDeterministic(t *testing.T) {
 	if a.Produced != b.Produced || a.Useful != b.Useful {
 		t.Fatal("extraction not deterministic")
 	}
-	if a.Produced && a.Example.Features.Norm2Sq() != b.Example.Features.Norm2Sq() {
+	if a.Produced && norm2Sq(a.Example.Features) != norm2Sq(b.Example.Features) {
 		t.Fatal("feature vectors differ across calls")
 	}
 }
@@ -91,7 +98,7 @@ func TestWikiFeatureVersionsImproveSignal(t *testing.T) {
 	if !r3.Produced || !r2.Produced {
 		t.Fatal("marker page must produce")
 	}
-	if r3.Example.Features.Norm2Sq() <= r2.Example.Features.Norm2Sq() {
+	if norm2Sq(r3.Example.Features) <= norm2Sq(r2.Example.Features) {
 		t.Fatal("marker boost should increase feature mass")
 	}
 	mustPanic(t, "version", func() { NewWikiFeature(99) })
@@ -159,7 +166,7 @@ func TestImageFeature(t *testing.T) {
 			}
 		}
 		r2, _ := v2.Extract(in)
-		n := r2.Example.Features.Norm2Sq()
+		n := norm2Sq(r2.Example.Features)
 		if n > 1.0001 {
 			t.Fatalf("v2 should normalize, norm²=%v", n)
 		}
@@ -193,7 +200,7 @@ func newTestTask(t *testing.T, n int, seed int64) *Task {
 	f := NewWikiFeature(3)
 	task, err := NewTask("wiki", corpus.NewMemStore(ins), f,
 		func(ff FeatureFunc) learner.Model {
-			return learner.NewLogisticSGD(ff.Dim(), 0.5, 0, learner.ConstantLR)
+			return learner.NewMultinomialNB(ff.Dim(), 2, 1)
 		},
 		learner.MetricF1, 1, CostModel{}, TaskOptions{}, rng.New(seed+1))
 	if err != nil {
@@ -321,7 +328,7 @@ func TestNewTaskValidation(t *testing.T) {
 	ins := wikiInputs(t, 50, 107)
 	store := corpus.NewMemStore(ins)
 	f := NewWikiFeature(1)
-	nm := func(ff FeatureFunc) learner.Model { return learner.NewPerceptron(ff.Dim(), 2) }
+	nm := func(ff FeatureFunc) learner.Model { return learner.NewMultinomialNB(ff.Dim(), 2, 1) }
 	if _, err := NewTask("x", corpus.NewMemStore(nil), f, nm, learner.MetricF1, 1, CostModel{}, TaskOptions{}, rng.New(1)); err == nil {
 		t.Fatal("empty store should fail")
 	}

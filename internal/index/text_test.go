@@ -150,15 +150,15 @@ func TestTFIDF(t *testing.T) {
 		{Kind: corpus.TextKind, Text: "the the the"},
 	}
 	v := NewTFIDF(64)
-	if v.Fitted() {
+	if v.idf != nil {
 		t.Fatal("unfitted TFIDF claims fitted")
 	}
 	mustPanic(t, "vectorize before fit", func() {
 		v.Vectorize(docs[0])
 	})
 	v.Fit(corpus.NewMemStore(docs))
-	if !v.Fitted() || v.Docs() != 3 {
-		t.Fatalf("Fit state wrong: fitted=%v docs=%d", v.Fitted(), v.Docs())
+	if len(v.idf) != 64 {
+		t.Fatalf("Fit state wrong: %d idf buckets, want 64", len(v.idf))
 	}
 	vec := v.Vectorize(docs[0])
 	// "the" appears in every doc: its idf (and weight) must be the lowest

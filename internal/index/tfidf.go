@@ -15,9 +15,8 @@ import (
 // the k-means index groups align with topical — and therefore relevance —
 // structure rather than with page length or stopword mix.
 type TFIDF struct {
-	dim  int
-	idf  []float64
-	docs int
+	dim int
+	idf []float64
 }
 
 // NewTFIDF returns an unfitted hashed tf-idf vectorizer with the given
@@ -83,18 +82,11 @@ func (v *TFIDF) FitParallel(store corpus.Store, workers int) {
 			df[b] += n
 		}
 	}
-	v.docs = docs
 	v.idf = make([]float64, v.dim)
 	for b := range v.idf {
 		v.idf[b] = math.Log((1+float64(docs))/(1+float64(df[b]))) + 1
 	}
 }
-
-// Fitted reports whether Fit has been called.
-func (v *TFIDF) Fitted() bool { return v.idf != nil }
-
-// Docs returns the number of documents seen during Fit.
-func (v *TFIDF) Docs() int { return v.docs }
 
 // Vectorize implements Vectorizer. It panics if called before Fit, since
 // silently returning raw term frequencies would defeat the vectorizer's

@@ -271,10 +271,6 @@ func (m *MultinomialNB) Seen() int { return m.seen }
 // tables are current, prediction only reads them.
 func (m *MultinomialNB) ConcurrentPredictable() {}
 
-// OrderInsensitiveFit implements OrderInsensitive: the fitted counts are
-// sums over the example set, independent of arrival order.
-func (m *MultinomialNB) OrderInsensitiveFit() {}
-
 // Reset implements Model.
 func (m *MultinomialNB) Reset() {
 	for c := range m.featCount {
@@ -507,11 +503,6 @@ func (m *GaussianNB) Seen() int { return m.seen }
 // ConcurrentPredictable implements ConcurrentPredictor: once the score
 // tables are current, prediction only reads them and the fitted means.
 func (m *GaussianNB) ConcurrentPredictable() {}
-
-// OrderInsensitiveFit implements OrderInsensitive: the fitted moments are
-// set statistics, independent of arrival order up to floating-point
-// accumulation.
-func (m *GaussianNB) OrderInsensitiveFit() {}
 
 // Reset implements Model.
 func (m *GaussianNB) Reset() {

@@ -2,10 +2,7 @@ package learner
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-
-	"zombie/internal/rng"
 )
 
 // Metric selects the quality measure a Holdout evaluator reports. All
@@ -79,8 +76,8 @@ func NewHoldout(examples []Example, metric Metric, positive int) *Holdout {
 // == 0) scores the metric's natural floor without touching the model.
 func (h *Holdout) Quality(m Model) float64 {
 	if m.Seen() == 0 {
-		// k-NN and friends cannot predict before any example; report the
-		// floor so learning curves start at a defined point.
+		// An untrained model has nothing to predict from; report the floor
+		// so learning curves start at a defined point.
 		if h.Metric == MetricNegRMSE {
 			return negRMSEFloor(h.Examples)
 		}
@@ -203,50 +200,4 @@ func negRMSEFloor(examples []Example) float64 {
 		rm.Observe(ex.Target, 0)
 	}
 	return -rm.RMSE()
-}
-
-// StratifiedSplit partitions examples into a training pool and a holdout
-// of approximately holdoutFrac of the data, preserving per-class
-// proportions. Examples are shuffled with r before splitting. For
-// regression tasks (no meaningful Class) use Split instead. It panics if
-// holdoutFrac is outside (0,1).
-func StratifiedSplit(examples []Example, holdoutFrac float64, r *rng.RNG) (train, holdout []Example) {
-	if holdoutFrac <= 0 || holdoutFrac >= 1 {
-		panic("learner: holdoutFrac must be in (0,1)")
-	}
-	byClass := map[int][]Example{}
-	for _, ex := range examples {
-		byClass[ex.Class] = append(byClass[ex.Class], ex)
-	}
-	// Iterate classes in stable order for determinism.
-	classes := make([]int, 0, len(byClass))
-	for c := range byClass {
-		classes = append(classes, c)
-	}
-	sort.Ints(classes)
-	for _, c := range classes {
-		group := byClass[c]
-		r.Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
-		k := int(holdoutFrac * float64(len(group)))
-		if k == 0 && len(group) > 1 {
-			k = 1 // every class with 2+ examples contributes to the holdout
-		}
-		holdout = append(holdout, group[:k]...)
-		train = append(train, group[k:]...)
-	}
-	r.Shuffle(len(train), func(i, j int) { train[i], train[j] = train[j], train[i] })
-	r.Shuffle(len(holdout), func(i, j int) { holdout[i], holdout[j] = holdout[j], holdout[i] })
-	return train, holdout
-}
-
-// Split partitions examples into train/holdout without stratification.
-// It panics if holdoutFrac is outside (0,1).
-func Split(examples []Example, holdoutFrac float64, r *rng.RNG) (train, holdout []Example) {
-	if holdoutFrac <= 0 || holdoutFrac >= 1 {
-		panic("learner: holdoutFrac must be in (0,1)")
-	}
-	shuffled := append([]Example(nil), examples...)
-	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	k := int(holdoutFrac * float64(len(shuffled)))
-	return shuffled[k:], shuffled[:k]
 }

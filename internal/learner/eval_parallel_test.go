@@ -40,13 +40,13 @@ func TestQualityParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestQualityParallelRegressionDeterministic asserts regression scores are
-// identical across worker counts (chunk-order merge), and close to the
-// sequential accumulation.
-func TestQualityParallelRegressionDeterministic(t *testing.T) {
+// TestQualityParallelFallsBackForUnsafeModels: a model without the
+// ConcurrentPredictor marker (RidgeClosed solves lazily on its first
+// prediction) must still evaluate correctly — via the sequential path,
+// bit-identical to Quality.
+func TestQualityParallelFallsBackForUnsafeModels(t *testing.T) {
 	r := rng.New(11)
-	dim := 8
-	n := 3000
+	dim, n := 8, 3000
 	examples := make([]Example, n)
 	for i := range examples {
 		vec := make([]float64, dim)
@@ -57,34 +57,16 @@ func TestQualityParallelRegressionDeterministic(t *testing.T) {
 		}
 		examples[i] = Example{Features: DenseVec(vec), Target: sum + 0.1*r.NormFloat64()}
 	}
-	m := NewLinearRegSGD(dim, 0.05, 0, InvScalingLR)
-	for _, ex := range examples[:n/2] {
-		m.PartialFit(ex)
-	}
 	h := NewHoldout(examples, MetricNegRMSE, 0)
-	base := h.QualityParallel(m, 2)
-	for _, workers := range []int{3, 8, 17} {
-		if got := h.QualityParallel(m, workers); got != base {
-			t.Fatalf("workers=%d: %v != workers=2 %v", workers, got, base)
+	for _, workers := range []int{2, 3, 8, 17} {
+		m := NewRidgeClosed(dim, 1e-3)
+		for _, ex := range examples[:n/2] {
+			m.PartialFit(ex)
 		}
-	}
-	seq := h.Quality(m)
-	if diff := base - seq; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("parallel %v too far from sequential %v", base, seq)
-	}
-}
-
-// TestQualityParallelFallsBackForUnsafeModels: a model without the
-// ConcurrentPredictor marker (Perceptron reuses a scratch score buffer)
-// must still evaluate correctly — via the sequential path.
-func TestQualityParallelFallsBackForUnsafeModels(t *testing.T) {
-	h, _ := evalFixture(t, 1000)
-	p := NewPerceptron(16, 2)
-	for _, ex := range h.Examples[:200] {
-		p.PartialFit(ex)
-	}
-	if got, want := h.QualityParallel(p, 8), h.Quality(p); got != want {
-		t.Fatalf("fallback mismatch: %v != %v", got, want)
+		got := h.QualityParallel(m, workers)
+		if want := h.Quality(m); got != want {
+			t.Fatalf("workers=%d: fallback %v != sequential %v", workers, got, want)
+		}
 	}
 }
 

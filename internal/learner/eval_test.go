@@ -1,7 +1,6 @@
 package learner
 
 import (
-	"math"
 	"testing"
 
 	"zombie/internal/rng"
@@ -9,10 +8,10 @@ import (
 
 func TestHoldoutQualityClassification(t *testing.T) {
 	r := rng.New(30)
-	exs := linearlySeparable(300, r.Split("data"))
-	train, hold := StratifiedSplit(exs, 0.3, r.Split("split"))
+	train := linearlySeparable(210, r.Split("train"))
+	hold := linearlySeparable(90, r.Split("holdout"))
 	h := NewHoldout(hold, MetricAccuracy, 1)
-	m := NewLogisticSGD(2, 0.5, 0, ConstantLR)
+	m := NewGaussianNB(2, 2, 1e-3)
 	if q := h.Quality(m); q != 0 {
 		t.Fatalf("untrained quality = %v, want 0", q)
 	}
@@ -37,10 +36,10 @@ func TestHoldoutQualityRegression(t *testing.T) {
 		x := r.Range(-1, 1)
 		exs[i] = Example{Features: DenseVec([]float64{x}), Target: 4 * x}
 	}
-	train, hold := Split(exs, 0.25, r.Split("split"))
+	train, hold := exs[100:], exs[:100]
 	h := NewHoldout(hold, MetricR2, 0)
-	m := NewLinearRegSGD(1, 0.1, 0, InvScalingLR)
-	trainAll(m, train, 10)
+	m := NewRidgeClosed(1, 0.1)
+	trainAll(m, train, 1)
 	if q := h.Quality(m); q < 0.95 {
 		t.Fatalf("R2 = %v", q)
 	}
@@ -49,7 +48,7 @@ func TestHoldoutQualityRegression(t *testing.T) {
 		t.Fatalf("-RMSE = %v", q)
 	}
 	// Untrained regression floor uses the zero predictor.
-	m2 := NewLinearRegSGD(1, 0.1, 0, ConstantLR)
+	m2 := NewRidgeClosed(1, 0.1)
 	floor := hr.Quality(m2)
 	if floor >= 0 {
 		t.Fatalf("floor = %v, expected negative", floor)
@@ -59,99 +58,14 @@ func TestHoldoutQualityRegression(t *testing.T) {
 func TestHoldoutMetricModelMismatchPanics(t *testing.T) {
 	hold := []Example{{Features: DenseVec([]float64{1}), Class: 0, Target: 1}}
 	hc := NewHoldout(hold, MetricAccuracy, 0)
-	reg := NewLinearRegSGD(1, 0.1, 0, ConstantLR)
+	reg := NewRidgeClosed(1, 0.1)
 	reg.PartialFit(hold[0])
 	mustPanic(t, "classifier metric on regressor", func() { hc.Quality(reg) })
 	hr := NewHoldout(hold, MetricR2, 0)
-	cls := NewPerceptron(1, 2)
+	cls := NewGaussianNB(1, 2, 1e-3)
 	cls.PartialFit(hold[0])
 	mustPanic(t, "regressor metric on classifier", func() { hr.Quality(cls) })
 	mustPanic(t, "empty holdout", func() { NewHoldout(nil, MetricAccuracy, 0) })
-}
-
-func TestStratifiedSplitPreservesProportions(t *testing.T) {
-	r := rng.New(32)
-	exs := make([]Example, 1000)
-	for i := range exs {
-		cls := 0
-		if i%10 == 0 { // 10% positives — the skew Zombie cares about
-			cls = 1
-		}
-		exs[i] = Example{Features: DenseVec([]float64{float64(i)}), Class: cls}
-	}
-	train, hold := StratifiedSplit(exs, 0.2, r)
-	if len(train)+len(hold) != 1000 {
-		t.Fatalf("split lost examples: %d + %d", len(train), len(hold))
-	}
-	countPos := func(s []Example) int {
-		n := 0
-		for _, e := range s {
-			if e.Class == 1 {
-				n++
-			}
-		}
-		return n
-	}
-	holdPosFrac := float64(countPos(hold)) / float64(len(hold))
-	if math.Abs(holdPosFrac-0.1) > 0.03 {
-		t.Fatalf("holdout positive fraction %v, want ~0.1", holdPosFrac)
-	}
-	if countPos(hold) == 0 {
-		t.Fatal("stratified holdout lost the rare class")
-	}
-}
-
-func TestStratifiedSplitRareClassGuarantee(t *testing.T) {
-	// Two positives out of 100 with a 10% holdout: naive splitting could
-	// lose the class; stratification guarantees at least one.
-	r := rng.New(33)
-	exs := make([]Example, 100)
-	for i := range exs {
-		cls := 0
-		if i < 2 {
-			cls = 1
-		}
-		exs[i] = Example{Features: DenseVec([]float64{float64(i)}), Class: cls}
-	}
-	_, hold := StratifiedSplit(exs, 0.1, r)
-	found := false
-	for _, e := range hold {
-		if e.Class == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("rare class missing from stratified holdout")
-	}
-}
-
-func TestSplitDeterministicWithSeed(t *testing.T) {
-	exs := make([]Example, 50)
-	for i := range exs {
-		exs[i] = Example{Features: DenseVec([]float64{float64(i)}), Class: i % 2}
-	}
-	t1, h1 := Split(exs, 0.2, rng.New(99))
-	t2, h2 := Split(exs, 0.2, rng.New(99))
-	if len(t1) != len(t2) || len(h1) != len(h2) {
-		t.Fatal("sizes differ")
-	}
-	for i := range t1 {
-		if t1[i].Features.At(0) != t2[i].Features.At(0) {
-			t.Fatal("same seed produced different split")
-		}
-	}
-	// Does not mutate the input order.
-	for i := range exs {
-		if exs[i].Features.At(0) != float64(i) {
-			t.Fatal("Split mutated input slice")
-		}
-	}
-}
-
-func TestSplitValidation(t *testing.T) {
-	exs := []Example{{Features: DenseVec([]float64{1})}}
-	mustPanic(t, "frac 0", func() { Split(exs, 0, rng.New(1)) })
-	mustPanic(t, "frac 1", func() { StratifiedSplit(exs, 1, rng.New(1)) })
 }
 
 func TestMetricString(t *testing.T) {

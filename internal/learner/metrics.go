@@ -3,7 +3,6 @@ package learner
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ConfusionMatrix accumulates classification outcomes. Cell [t][p] counts
@@ -121,9 +120,8 @@ func (m *ConfusionMatrix) MacroF1() float64 {
 
 // RegressionMetrics accumulates regression outcomes online.
 type RegressionMetrics struct {
-	n         int
-	sumErr2   float64
-	sumAbsErr float64
+	n       int
+	sumErr2 float64
 	// Welford over targets for R².
 	meanY float64
 	m2Y   float64
@@ -133,32 +131,10 @@ type RegressionMetrics struct {
 func (m *RegressionMetrics) Observe(target, pred float64) {
 	err := pred - target
 	m.sumErr2 += err * err
-	m.sumAbsErr += math.Abs(err)
 	m.n++
 	delta := target - m.meanY
 	m.meanY += delta / float64(m.n)
 	m.m2Y += delta * (target - m.meanY)
-}
-
-// Merge folds other into m using the pairwise (Chan et al.) update for the
-// target variance. Merging chunk partials in a fixed order is
-// deterministic, but the floating-point sums may differ from a single
-// sequential accumulation in the last bits.
-func (m *RegressionMetrics) Merge(other *RegressionMetrics) {
-	if other.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *other
-		return
-	}
-	n1, n2 := float64(m.n), float64(other.n)
-	delta := other.meanY - m.meanY
-	m.m2Y += other.m2Y + delta*delta*n1*n2/(n1+n2)
-	m.meanY += delta * n2 / (n1 + n2)
-	m.sumErr2 += other.sumErr2
-	m.sumAbsErr += other.sumAbsErr
-	m.n += other.n
 }
 
 // N returns the number of observations.
@@ -170,14 +146,6 @@ func (m *RegressionMetrics) RMSE() float64 {
 		return 0
 	}
 	return math.Sqrt(m.sumErr2 / float64(m.n))
-}
-
-// MAE returns the mean absolute error, or 0 when empty.
-func (m *RegressionMetrics) MAE() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sumAbsErr / float64(m.n)
 }
 
 // R2 returns the coefficient of determination. A constant target series
@@ -193,56 +161,4 @@ func (m *RegressionMetrics) R2() float64 {
 		return 0
 	}
 	return 1 - m.sumErr2/m.m2Y
-}
-
-// AUC returns the area under the ROC curve for binary labels (0/1) given
-// per-example positive-class scores, computed with the rank statistic
-// (equivalent to the Mann–Whitney U). Ties in score contribute half. It
-// returns 0.5 when either class is absent, and panics on length mismatch.
-func AUC(labels []int, scores []float64) float64 {
-	if len(labels) != len(scores) {
-		panic("learner: AUC length mismatch")
-	}
-	type pair struct {
-		score float64
-		label int
-	}
-	pairs := make([]pair, len(labels))
-	var pos, neg int
-	for i := range labels {
-		if labels[i] != 0 && labels[i] != 1 {
-			panic(fmt.Sprintf("learner: AUC label %d not binary", labels[i]))
-		}
-		pairs[i] = pair{scores[i], labels[i]}
-		if labels[i] == 1 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return 0.5
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].score < pairs[j].score })
-	// Assign average ranks, handling ties.
-	ranks := make([]float64, len(pairs))
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j].score == pairs[i].score {
-			j++
-		}
-		avg := float64(i+j-1)/2 + 1 // ranks are 1-based
-		for k := i; k < j; k++ {
-			ranks[k] = avg
-		}
-		i = j
-	}
-	sumPosRanks := 0.0
-	for i, p := range pairs {
-		if p.label == 1 {
-			sumPosRanks += ranks[i]
-		}
-	}
-	u := sumPosRanks - float64(pos)*float64(pos+1)/2
-	return u / (float64(pos) * float64(neg))
 }

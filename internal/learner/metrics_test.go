@@ -110,9 +110,6 @@ func TestRegressionMetrics(t *testing.T) {
 	if m.N() != 3 {
 		t.Fatalf("N = %d", m.N())
 	}
-	if math.Abs(m.MAE()-1) > 1e-12 {
-		t.Fatalf("MAE = %v", m.MAE())
-	}
 	wantRMSE := math.Sqrt(5.0 / 3.0)
 	if math.Abs(m.RMSE()-wantRMSE) > 1e-12 {
 		t.Fatalf("RMSE = %v", m.RMSE())
@@ -124,7 +121,7 @@ func TestRegressionMetrics(t *testing.T) {
 
 func TestRegressionMetricsPerfectAndEmpty(t *testing.T) {
 	var m RegressionMetrics
-	if m.RMSE() != 0 || m.R2() != 0 || m.MAE() != 0 {
+	if m.RMSE() != 0 || m.R2() != 0 {
 		t.Fatal("empty metrics should be 0")
 	}
 	m.Observe(2, 2)
@@ -138,42 +135,5 @@ func TestRegressionMetricsPerfectAndEmpty(t *testing.T) {
 	c.Observe(1, 2)
 	if c.R2() != 0 {
 		t.Fatalf("constant-target R2 = %v", c.R2())
-	}
-}
-
-func TestAUCPerfectAndReverse(t *testing.T) {
-	labels := []int{0, 0, 1, 1}
-	if got := AUC(labels, []float64{0.1, 0.2, 0.8, 0.9}); got != 1 {
-		t.Fatalf("perfect AUC = %v", got)
-	}
-	if got := AUC(labels, []float64{0.9, 0.8, 0.2, 0.1}); got != 0 {
-		t.Fatalf("reversed AUC = %v", got)
-	}
-}
-
-func TestAUCTiesAndDegenerate(t *testing.T) {
-	// All scores equal: AUC 0.5.
-	if got := AUC([]int{0, 1, 0, 1}, []float64{0.5, 0.5, 0.5, 0.5}); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("tied AUC = %v", got)
-	}
-	// One class absent: defined as 0.5.
-	if got := AUC([]int{1, 1}, []float64{0.1, 0.9}); got != 0.5 {
-		t.Fatalf("single-class AUC = %v", got)
-	}
-	mustPanic(t, "length", func() { AUC([]int{1}, []float64{1, 2}) })
-	mustPanic(t, "label", func() { AUC([]int{2}, []float64{1}) })
-}
-
-func TestAUCInvariantToMonotoneTransform(t *testing.T) {
-	labels := []int{0, 1, 0, 1, 1, 0, 0, 1}
-	scores := []float64{0.2, 0.7, 0.4, 0.6, 0.9, 0.1, 0.5, 0.8}
-	a := AUC(labels, scores)
-	squared := make([]float64, len(scores))
-	for i, s := range scores {
-		squared[i] = s * s
-	}
-	b := AUC(labels, squared)
-	if math.Abs(a-b) > 1e-12 {
-		t.Fatalf("AUC not rank-invariant: %v vs %v", a, b)
 	}
 }

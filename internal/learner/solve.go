@@ -9,8 +9,9 @@ import (
 // w = (XᵀX + λI)⁻¹ Xᵀy via Gaussian elimination on the normal equations.
 // It accumulates XᵀX and Xᵀy incrementally (so PartialFit stays O(d²) per
 // example) and lazily re-solves when a prediction is requested after new
-// data. It is the exact baseline the SGD regressor is validated against
-// in tests, and gives experiments a deterministic regression target.
+// data. Its fitted state is a sum over the example set, so it meets the
+// Model order contract, and it gives experiments a deterministic
+// regression target.
 type RidgeClosed struct {
 	dim    int
 	lambda float64

@@ -130,32 +130,6 @@ func TestRidgeClosedUntrained(t *testing.T) {
 	}
 }
 
-func TestRidgeClosedMatchesSGDOnCleanData(t *testing.T) {
-	r := rng.New(23)
-	ridge := NewRidgeClosed(2, 1e-9)
-	sgd := NewLinearRegSGD(2, 0.05, 0, InvScalingLR)
-	exs := make([]Example, 3000)
-	for i := range exs {
-		x := []float64{r.Range(-1, 1), r.Range(-1, 1)}
-		exs[i] = Example{Features: DenseVec(x), Target: -x[0] + 2*x[1] + 3}
-	}
-	for _, ex := range exs {
-		ridge.PartialFit(ex)
-	}
-	for epoch := 0; epoch < 5; epoch++ {
-		for _, ex := range exs {
-			sgd.PartialFit(ex)
-		}
-	}
-	for _, probe := range [][]float64{{0, 0}, {1, -1}, {0.5, 0.5}} {
-		pr := ridge.Predict(DenseVec(probe))
-		ps := sgd.Predict(DenseVec(probe))
-		if math.Abs(pr-ps) > 0.2 {
-			t.Fatalf("ridge %v and SGD %v disagree at %v", pr, ps, probe)
-		}
-	}
-}
-
 func TestRidgeClosedReset(t *testing.T) {
 	m := NewRidgeClosed(1, 0.1)
 	m.PartialFit(Example{Features: DenseVec([]float64{1}), Target: 2})

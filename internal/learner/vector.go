@@ -1,15 +1,13 @@
 // Package learner is the machine-learning substrate under the Zombie
 // engine. The paper's prototype delegates model training to scikit-learn;
 // Go has no equivalent standard library, so this package implements the
-// learners Zombie needs from scratch: incremental linear models (logistic
-// and softmax SGD, perceptron, passive-aggressive, linear regression),
-// naive Bayes (multinomial and Gaussian), k-nearest-neighbors, a small
-// ridge solver, and the metrics and holdout evaluation the reward
-// functions and learning curves are computed from.
+// learners the workloads fit — naive Bayes (multinomial and Gaussian) and a
+// closed-form ridge regressor — and the metrics and holdout evaluation the
+// reward functions and learning curves are computed from.
 //
 // Everything is incremental: Zombie feeds the learner exactly one example
 // per raw input processed, so every model implements PartialFit and keeps
-// its state updatable in O(features) per example.
+// its state updatable without revisiting earlier examples.
 package learner
 
 import (
@@ -72,17 +70,6 @@ func (v FeatureVector) Dot(w []float64) float64 {
 	return linalg.Dot(v.dense, w)
 }
 
-// Axpy computes w += alpha * v into the dense weight vector w. It panics
-// on dimension mismatch. This is the SGD hot path; the sparse form touches
-// only the non-zero coordinates.
-func (v FeatureVector) Axpy(alpha float64, w []float64) {
-	if v.sparse != nil {
-		v.sparse.AxpyDense(alpha, w)
-		return
-	}
-	linalg.Axpy(alpha, v.dense, w)
-}
-
 // Dense materializes the vector as a new dense slice.
 func (v FeatureVector) Dense() []float64 {
 	if v.sparse != nil {
@@ -123,37 +110,6 @@ func (v FeatureVector) ForEachNonZero(f func(i int, x float64)) {
 	}
 }
 
-// Norm2Sq returns the squared Euclidean norm of the vector.
-func (v FeatureVector) Norm2Sq() float64 {
-	if v.sparse != nil {
-		n := v.sparse.Norm2()
-		return n * n
-	}
-	n := linalg.Norm2(v.dense)
-	return n * n
-}
-
-// SqDist returns the squared Euclidean distance to another vector of the
-// same dimension. Used by k-NN. It panics on dimension mismatch.
-func (v FeatureVector) SqDist(o FeatureVector) float64 {
-	switch {
-	case v.sparse == nil && o.sparse == nil:
-		return linalg.SqDist(v.dense, o.dense)
-	case v.sparse != nil && o.sparse == nil:
-		return v.sparse.SqDistDense(o.dense)
-	case v.sparse == nil && o.sparse != nil:
-		return o.sparse.SqDistDense(v.dense)
-	default:
-		// ||a||² - 2a·b + ||b||²
-		na, nb := v.sparse.Norm2(), o.sparse.Norm2()
-		d := na*na - 2*v.sparse.DotSparse(o.sparse) + nb*nb
-		if d < 0 {
-			return 0
-		}
-		return d
-	}
-}
-
 // Example is one labeled training or evaluation example produced by a
 // feature function. Class carries the classification label; Target carries
 // the regression target. Which one is meaningful depends on the task.
@@ -179,6 +135,14 @@ func checkClass(numClasses, class int, model string) {
 }
 
 // Model is the minimal contract the Zombie engine needs from any learner.
+//
+// A model's fitted state after PartialFit over a set of examples must not
+// depend on the order they arrived in (beyond floating-point accumulation
+// order): every learner here is a sum of per-example sufficient statistics
+// — class and feature counts, per-class moments, XᵀX and Xᵀy. The engine
+// relies on it: its learning curve scores the example set collected so far,
+// and it gets there by replaying only the newly collected examples into one
+// persistent evaluation model at each curve point, never by retraining.
 type Model interface {
 	// PartialFit folds a single example into the model.
 	PartialFit(ex Example)
@@ -213,28 +177,14 @@ type Regressor interface {
 
 // ConcurrentPredictor marks models whose prediction methods (PredictClass,
 // Predict, Proba) are read-only and therefore safe to call from many
-// goroutines at once while training is paused. Models that reuse scratch
-// buffers across calls (Perceptron, SoftmaxSGD) or
-// refit lazily at prediction time (DecisionTree, RidgeClosed) must not
-// implement it; Holdout.QualityParallel falls back to the sequential path
-// for them. The naive Bayes families qualify with one proviso: their first
+// goroutines at once while training is paused. Models that refit lazily
+// at prediction time (RidgeClosed) must not implement it;
+// Holdout.QualityParallel falls back to the sequential path for them. The
+// naive Bayes families qualify with one proviso: their first
 // prediction after a PartialFit or Reset refreshes score tables, so that
 // one call must complete before the concurrent ones start —
 // QualityParallel refreshes before it fans out.
 type ConcurrentPredictor interface {
 	// ConcurrentPredictable is a marker with no behavior.
 	ConcurrentPredictable()
-}
-
-// OrderInsensitive marks models whose fitted state after PartialFit over a
-// set of examples does not depend on the order the examples arrived in
-// (beyond floating-point accumulation order). Count- and moment-based
-// learners (the naive Bayes families) qualify; SGD-style learners, KNN
-// (FIFO eviction, insertion-order tie-breaks), and trees do not. The
-// engine's amortized set-based evaluation relies on this property and
-// falls back to from-scratch retraining for models that do not implement
-// it.
-type OrderInsensitive interface {
-	// OrderInsensitiveFit is a marker with no behavior.
-	OrderInsensitiveFit()
 }

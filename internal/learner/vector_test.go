@@ -1,7 +1,6 @@
 package learner
 
 import (
-	"math"
 	"testing"
 
 	"zombie/internal/linalg"
@@ -43,21 +42,12 @@ func TestFeatureVectorSparse(t *testing.T) {
 	mustPanic(t, "nil sparse", func() { SparseVec(nil) })
 }
 
-func TestFeatureVectorDotAxpyAgree(t *testing.T) {
+func TestFeatureVectorDotAgree(t *testing.T) {
 	w := []float64{1, 2, 3, 4}
 	dense := DenseVec([]float64{1, 0, -1, 2})
 	sparse := sv(4, map[int]float64{0: 1, 2: -1, 3: 2})
 	if dense.Dot(w) != sparse.Dot(w) {
 		t.Fatalf("dot mismatch: %v vs %v", dense.Dot(w), sparse.Dot(w))
-	}
-	w1 := []float64{0, 0, 0, 0}
-	w2 := []float64{0, 0, 0, 0}
-	dense.Axpy(2, w1)
-	sparse.Axpy(2, w2)
-	for i := range w1 {
-		if w1[i] != w2[i] {
-			t.Fatalf("axpy mismatch at %d: %v vs %v", i, w1[i], w2[i])
-		}
 	}
 }
 
@@ -74,33 +64,6 @@ func TestFeatureVectorForEachNonZero(t *testing.T) {
 		})
 		if len(gotIdx) != 2 || gotIdx[0] != 1 || gotIdx[1] != 3 || gotVal[0] != 5 || gotVal[1] != -2 {
 			t.Fatalf("ForEachNonZero gave %v %v", gotIdx, gotVal)
-		}
-	}
-}
-
-func TestFeatureVectorNorm2Sq(t *testing.T) {
-	d := DenseVec([]float64{3, 4})
-	s := sv(2, map[int]float64{0: 3, 1: 4})
-	if math.Abs(d.Norm2Sq()-25) > 1e-12 || math.Abs(s.Norm2Sq()-25) > 1e-12 {
-		t.Fatalf("Norm2Sq = %v / %v", d.Norm2Sq(), s.Norm2Sq())
-	}
-}
-
-func TestFeatureVectorSqDistAllCombos(t *testing.T) {
-	a := []float64{1, 2, 0, -1}
-	b := []float64{0, 2, 3, 1}
-	want := linalg.SqDist(a, b)
-	da, db := DenseVec(a), DenseVec(b)
-	sa := sv(4, map[int]float64{0: 1, 1: 2, 3: -1})
-	sb := sv(4, map[int]float64{1: 2, 2: 3, 3: 1})
-	for name, got := range map[string]float64{
-		"dense-dense":   da.SqDist(db),
-		"sparse-dense":  sa.SqDist(db),
-		"dense-sparse":  da.SqDist(sb),
-		"sparse-sparse": sa.SqDist(sb),
-	} {
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("%s: SqDist = %v, want %v", name, got, want)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package linalg
 import "testing"
 
 // benchVecs builds two deterministic dense vectors at the dimensionality
-// the learners actually use (LogisticSGD weights over hashed wiki text).
+// of hashed wiki text (wiki-v4 feature code, 4096 buckets).
 func benchVecs(dim int) ([]float64, []float64) {
 	a := make([]float64, dim)
 	b := make([]float64, dim)

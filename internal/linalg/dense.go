@@ -83,15 +83,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Norm1 returns the L1 norm of x.
-func Norm1(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // SqDist returns the squared Euclidean distance between a and b. It panics
 // on length mismatch. This is the k-means hot path. Like Dot, the unroll
 // keeps one sequential accumulator so the sum order (and therefore the
@@ -118,18 +109,6 @@ func SqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Cosine returns the cosine similarity of a and b, or 0 when either vector
-// is all zeros. It panics on length mismatch.
-func Cosine(a, b []float64) float64 {
-	na, nb := Norm2(a), Norm2(b)
-	if na == 0 || nb == 0 {
-		// Dot still validates lengths for the zero case.
-		_ = Dot(a, b)
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
 }
 
 // Clone returns a copy of x.
@@ -223,16 +202,6 @@ func Softmax(logits, out []float64) {
 	for i := range out {
 		out[i] /= total
 	}
-}
-
-// Sigmoid returns 1/(1+exp(-x)) computed stably for large |x|.
-func Sigmoid(x float64) float64 {
-	if x >= 0 {
-		z := math.Exp(-x)
-		return 1 / (1 + z)
-	}
-	z := math.Exp(x)
-	return z / (1 + z)
 }
 
 // Clamp limits v to [lo, hi].

@@ -50,11 +50,8 @@ func TestNorms(t *testing.T) {
 	if !almostEq(Norm2(x), 5) {
 		t.Fatalf("Norm2 = %v", Norm2(x))
 	}
-	if !almostEq(Norm1(x), 7) {
-		t.Fatalf("Norm1 = %v", Norm1(x))
-	}
-	if Norm2(nil) != 0 || Norm1(nil) != 0 {
-		t.Fatal("norms of empty vector should be 0")
+	if Norm2(nil) != 0 {
+		t.Fatal("norm of empty vector should be 0")
 	}
 }
 
@@ -77,22 +74,6 @@ func TestSqDistMatchesDefinition(t *testing.T) {
 	}, cfg); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestCosine(t *testing.T) {
-	if !almostEq(Cosine([]float64{1, 0}, []float64{1, 0}), 1) {
-		t.Fatal("parallel cosine != 1")
-	}
-	if !almostEq(Cosine([]float64{1, 0}, []float64{0, 1}), 0) {
-		t.Fatal("orthogonal cosine != 0")
-	}
-	if !almostEq(Cosine([]float64{1, 0}, []float64{-2, 0}), -1) {
-		t.Fatal("antiparallel cosine != -1")
-	}
-	if Cosine([]float64{0, 0}, []float64{1, 1}) != 0 {
-		t.Fatal("zero-vector cosine should be 0")
-	}
-	mustPanic(t, func() { Cosine([]float64{0, 0}, []float64{1}) })
 }
 
 func TestArgMaxMin(t *testing.T) {
@@ -167,24 +148,6 @@ func TestSoftmaxSumsToOneProperty(t *testing.T) {
 		return math.Abs(s-1) < 1e-9
 	}, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSigmoid(t *testing.T) {
-	if !almostEq(Sigmoid(0), 0.5) {
-		t.Fatalf("Sigmoid(0) = %v", Sigmoid(0))
-	}
-	if Sigmoid(1000) != 1 && math.Abs(Sigmoid(1000)-1) > 1e-12 {
-		t.Fatalf("Sigmoid(1000) = %v", Sigmoid(1000))
-	}
-	if Sigmoid(-1000) > 1e-12 {
-		t.Fatalf("Sigmoid(-1000) = %v", Sigmoid(-1000))
-	}
-	// Symmetry property: sigmoid(-x) = 1 - sigmoid(x).
-	for _, x := range []float64{0.1, 1, 5, 30} {
-		if !almostEq(Sigmoid(-x), 1-Sigmoid(x)) {
-			t.Fatalf("sigmoid symmetry broken at %v", x)
-		}
 	}
 }
 

@@ -2,15 +2,14 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
 // Sparse is an immutable-by-convention sparse vector in coordinate form.
 // Indices are strictly increasing and values are non-zero; NewSparse
 // establishes the invariant and the arithmetic below relies on it. The
-// feature-hashing vectorizer and the tf-idf index produce Sparse vectors;
-// the linear learners consume them without densifying.
+// feature-hashing vectorizer produces Sparse vectors; the learners consume
+// them without densifying.
 type Sparse struct {
 	Idx []int
 	Val []float64
@@ -131,52 +130,6 @@ func (s *Sparse) DotDense(d []float64) float64 {
 	return sum
 }
 
-// AxpyDense computes d += alpha * s into the dense vector d. It panics on
-// dimension mismatch.
-func (s *Sparse) AxpyDense(alpha float64, d []float64) {
-	if len(d) != s.Dim {
-		panic(fmt.Sprintf("linalg: Sparse.AxpyDense dimension mismatch %d vs %d", s.Dim, len(d)))
-	}
-	if alpha == 0 {
-		return
-	}
-	for k, i := range s.Idx {
-		d[i] += alpha * s.Val[k]
-	}
-}
-
-// DotSparse returns the inner product with another sparse vector via an
-// ordered merge. It panics on dimension mismatch.
-func (s *Sparse) DotSparse(o *Sparse) float64 {
-	if s.Dim != o.Dim {
-		panic(fmt.Sprintf("linalg: Sparse.DotSparse dimension mismatch %d vs %d", s.Dim, o.Dim))
-	}
-	sum := 0.0
-	a, b := 0, 0
-	for a < len(s.Idx) && b < len(o.Idx) {
-		switch {
-		case s.Idx[a] == o.Idx[b]:
-			sum += s.Val[a] * o.Val[b]
-			a++
-			b++
-		case s.Idx[a] < o.Idx[b]:
-			a++
-		default:
-			b++
-		}
-	}
-	return sum
-}
-
-// Norm2 returns the Euclidean norm.
-func (s *Sparse) Norm2() float64 {
-	sum := 0.0
-	for _, v := range s.Val {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
 // Scale returns a new Sparse equal to alpha * s. Scaling by zero returns an
 // empty vector of the same dimension.
 func (s *Sparse) Scale(alpha float64) *Sparse {
@@ -192,36 +145,4 @@ func (s *Sparse) Scale(alpha float64) *Sparse {
 		out.Val[k] = alpha * v
 	}
 	return out
-}
-
-// CosineSparse returns the cosine similarity between two sparse vectors,
-// or 0 when either is all zeros.
-func (s *Sparse) CosineSparse(o *Sparse) float64 {
-	ns, no := s.Norm2(), o.Norm2()
-	if ns == 0 || no == 0 {
-		return 0
-	}
-	return s.DotSparse(o) / (ns * no)
-}
-
-// SqDistDense returns the squared Euclidean distance to a dense vector,
-// computed in O(nnz + |d|) without materializing s.
-func (s *Sparse) SqDistDense(d []float64) float64 {
-	if len(d) != s.Dim {
-		panic(fmt.Sprintf("linalg: Sparse.SqDistDense dimension mismatch %d vs %d", s.Dim, len(d)))
-	}
-	// ||s-d||^2 = ||d||^2 - 2*s·d + ||s||^2
-	nd := 0.0
-	for _, v := range d {
-		nd += v * v
-	}
-	ns := 0.0
-	for _, v := range s.Val {
-		ns += v * v
-	}
-	dist := nd - 2*s.DotDense(d) + ns
-	if dist < 0 { // floating-point cancellation
-		return 0
-	}
-	return dist
 }

@@ -48,19 +48,6 @@ func (r *RNG) Split(name string) *RNG {
 	return New(int64(h.Sum64()))
 }
 
-// SplitN derives the i-th independent substream of a named family, e.g.
-// one stream per trial in an experiment sweep.
-func (r *RNG) SplitN(name string, i int) *RNG {
-	h := fnv.New64a()
-	var buf [8]byte
-	putInt64(buf[:], r.seed)
-	h.Write(buf[:])
-	h.Write([]byte(name))
-	putInt64(buf[:], int64(i))
-	h.Write(buf[:])
-	return New(int64(h.Sum64()))
-}
-
 func putInt64(b []byte, v int64) {
 	u := uint64(v)
 	for i := 0; i < 8; i++ {

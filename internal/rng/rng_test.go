@@ -48,18 +48,6 @@ func TestSplitDistinctNames(t *testing.T) {
 	}
 }
 
-func TestSplitNDistinct(t *testing.T) {
-	r := New(3)
-	seen := map[int64]bool{}
-	for i := 0; i < 100; i++ {
-		s := r.SplitN("trial", i)
-		if seen[s.Seed()] {
-			t.Fatalf("SplitN produced duplicate seed for i=%d", i)
-		}
-		seen[s.Seed()] = true
-	}
-}
-
 func TestBernoulliEdges(t *testing.T) {
 	r := New(5)
 	for i := 0; i < 100; i++ {

@@ -1,9 +1,8 @@
 // Package stats provides the online-statistics substrate used across the
-// Zombie system: Welford accumulators, exponentially weighted averages,
-// fixed-size sliding windows, histograms with percentile queries, ordinary
-// least squares over short series (the early-stopping plateau detector is
-// built on the OLS slope), and bootstrap confidence intervals for the
-// experiment harness.
+// Zombie system: Welford accumulators, fixed-size sliding windows,
+// percentiles, ordinary least squares over short series (the
+// early-stopping plateau detector is built on the OLS slope), and
+// bootstrap confidence intervals for the experiment harness.
 //
 // All types are plain values with no goroutine-safety guarantees; callers
 // that share them across goroutines must synchronize externally. The
@@ -40,13 +39,6 @@ func (o *Online) Add(x float64) {
 	delta := x - o.mean
 	o.mean += delta / float64(o.n)
 	o.m2 += delta * (x - o.mean)
-}
-
-// AddAll folds every value of xs into the accumulator.
-func (o *Online) AddAll(xs []float64) {
-	for _, x := range xs {
-		o.Add(x)
-	}
 }
 
 // N returns the number of observations.
@@ -98,40 +90,6 @@ func (o *Online) Merge(b *Online) {
 	o.n, o.mean, o.m2 = n, mean, m2
 }
 
-// EWMA is an exponentially weighted moving average. Alpha in (0, 1] is the
-// weight of the newest observation; larger alpha forgets faster.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor. It panics if
-// alpha is outside (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha must be in (0,1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds x into the average. The first observation initializes the
-// average exactly.
-func (e *EWMA) Add(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value returns the current average, or 0 before any observation.
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one observation has been added.
-func (e *EWMA) Initialized() bool { return e.init }
-
 // Counter is a simple monotone event counter with a rate helper, used by
 // the trace layer.
 type Counter struct {
@@ -140,9 +98,6 @@ type Counter struct {
 
 // Inc adds one event.
 func (c *Counter) Inc() { c.n++ }
-
-// Addn adds n events.
-func (c *Counter) Addn(n int64) { c.n += n }
 
 // Count returns the total.
 func (c *Counter) Count() int64 { return c.n }

@@ -33,69 +33,6 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// Histogram is a fixed-bin histogram over [Lo, Hi); values outside the
-// range are clamped into the edge bins so no observation is lost.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram returns a histogram with the given bin count over [lo, hi).
-// It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: Histogram bins must be positive")
-	}
-	if hi <= lo {
-		panic("stats: Histogram requires hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bin := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= len(h.Counts) {
-		bin = len(h.Counts) - 1
-	}
-	h.Counts[bin]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Quantile returns an approximate quantile (q in [0,1]) by walking the
-// cumulative counts and interpolating within the containing bin. It panics
-// when the histogram is empty or q is outside [0,1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		panic("stats: Quantile on empty Histogram")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: Quantile q must be in [0,1]")
-	}
-	target := q * float64(h.total)
-	cum := 0.0
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		next := cum + float64(c)
-		if next >= target {
-			frac := 0.5
-			if c > 0 {
-				frac = (target - cum) / float64(c)
-			}
-			return h.Lo + (float64(i)+frac)*width
-		}
-		cum = next
-	}
-	return h.Hi
-}
-
 // BootstrapMeanCI returns a two-sided bootstrap confidence interval for the
 // mean of xs at the given confidence level (e.g., 0.95), using the supplied
 // deterministic uniform source. resamples controls the number of bootstrap

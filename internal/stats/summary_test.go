@@ -29,45 +29,6 @@ func TestPercentile(t *testing.T) {
 	mustPanic(t, func() { Percentile(xs, 101) })
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("bin %d count = %d", i, c)
-		}
-	}
-	// Out-of-range values clamp into edge bins.
-	h.Add(-5)
-	h.Add(99)
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Fatalf("clamping wrong: %v", h.Counts)
-	}
-	if h.Total() != 12 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	mustPanic(t, func() { NewHistogram(0, 0, 5) })
-	mustPanic(t, func() { NewHistogram(0, 1, 0) })
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median estimate %v too far from 50", med)
-	}
-	if q := h.Quantile(1); q < 99 || q > 100 {
-		t.Fatalf("q1.0 = %v", q)
-	}
-	mustPanic(t, func() { NewHistogram(0, 1, 3).Quantile(0.5) })
-	mustPanic(t, func() { h.Quantile(1.5) })
-}
-
 func TestBootstrapMeanCI(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	xs := make([]float64, 200)

@@ -57,47 +57,24 @@ var (
 	StandardWikiSession = featurepipe.StandardWikiSession
 )
 
-// Learners. All implement Model (incremental PartialFit); classifiers
-// additionally implement PredictClass, regressors Predict.
+// Learners. All implement Model (incremental PartialFit, order-insensitive
+// fit); the naive Bayes classifiers additionally implement PredictClass,
+// the ridge regressor Predict.
 type (
-	// LRSchedule selects the SGD learning-rate schedule.
-	LRSchedule = learner.LRSchedule
 	// Holdout evaluates models against a fixed labeled set.
 	Holdout = learner.Holdout
 )
 
-// Learning-rate schedules.
-const (
-	ConstantLR   = learner.ConstantLR
-	InvScalingLR = learner.InvScalingLR
-)
-
 // Learner constructors.
 var (
-	// NewLogisticSGD returns a binary logistic classifier (SGD + L2).
-	NewLogisticSGD = learner.NewLogisticSGD
-	// NewSoftmaxSGD returns a multiclass maximum-entropy classifier.
-	NewSoftmaxSGD = learner.NewSoftmaxSGD
-	// NewPerceptron returns a multiclass perceptron.
-	NewPerceptron = learner.NewPerceptron
-	// NewPassiveAggressive returns a binary PA-I classifier.
-	NewPassiveAggressive = learner.NewPassiveAggressive
 	// NewMultinomialNB returns a multinomial naive Bayes classifier.
 	NewMultinomialNB = learner.NewMultinomialNB
 	// NewGaussianNB returns a Gaussian naive Bayes classifier.
 	NewGaussianNB = learner.NewGaussianNB
-	// NewKNN returns a k-nearest-neighbors model.
-	NewKNN = learner.NewKNN
-	// NewDecisionTree returns a CART-style classification tree.
-	NewDecisionTree = learner.NewDecisionTree
-	// NewLinearRegSGD returns an SGD linear regressor.
-	NewLinearRegSGD = learner.NewLinearRegSGD
 	// NewRidgeClosed returns a closed-form ridge regressor.
 	NewRidgeClosed = learner.NewRidgeClosed
 	// NewHoldout builds a holdout evaluator over labeled examples.
 	NewHoldout = learner.NewHoldout
-	// KFold cross-validates a model family over labeled examples.
-	KFold = learner.KFold
 	// NewCompositeFeature concatenates feature functions into one.
 	NewCompositeFeature = featurepipe.NewCompositeFeature
 )

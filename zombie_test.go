@@ -6,7 +6,6 @@ import (
 
 	"zombie/internal/corpus"
 	"zombie/internal/featurepipe"
-	"zombie/internal/learner"
 )
 
 func demoStore(t *testing.T, n int, seed int64) Store {
@@ -25,7 +24,7 @@ func demoTask(t *testing.T, store Store, seed int64) *Task {
 	cfg := corpus.DefaultImageConfig()
 	f := featurepipe.NewImageFeature(1, cfg)
 	task, err := NewTask("demo", store, f,
-		func(ff FeatureFunc) Model { return learner.NewLogisticSGD(ff.Dim(), 0.3, 0, learner.ConstantLR) },
+		func(ff FeatureFunc) Model { return NewGaussianNB(ff.Dim(), 2, 1e-3) },
 		MetricF1, 1, CostModel{}, TaskOptions{}, NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
