@@ -1,11 +1,11 @@
 # Development workflow for the zombie repo. `make ci` is the full gate the
 # first goroutines in internal/server made meaningful: the race detector
 # runs over every package, and the smoke targets prove the contracts that
-# need a live zombie-serve (telemetry, sessions, real-socket dist, trace
-# stitching, crash-resume) end to end — crash-smoke kills a -state-dir
-# server mid-run and requires the restarted process to finish the run with
-# an identical curve. The CLI's determinism contracts (cache, faults,
-# batching, shards) are Go tests in cmd/zombie. `make cover` holds the
+# need a live zombie-serve (telemetry, real-socket dist, trace stitching,
+# crash-resume) end to end — crash-smoke kills a -state-dir server mid-run
+# and requires the restarted process to finish the run with an identical
+# curve. The CLI's determinism contracts (cache, faults, batching, shards,
+# recipes) are Go tests in cmd/zombie. `make cover` holds the
 # robustness-critical packages and the learners to a coverage floor. `make loc`
 # prints the size metric ROADMAP's "least code" aim is judged by: non-test
 # Go lines per package and the repo total outside benchmark/.
@@ -54,7 +54,7 @@ define smoke_tmp
 if [ -n "$(SMOKE_DIR)" ]; then tmp="$(SMOKE_DIR)/$(1)"; rm -rf "$$tmp"; mkdir -p "$$tmp"; keep=1; else tmp=$$(mktemp -d); keep=; fi
 endef
 
-.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke fuzz-smoke bench-selftest obs-smoke session-smoke dist-smoke crash-smoke trace-smoke ci
+.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke fuzz-smoke bench-selftest obs-smoke dist-smoke crash-smoke trace-smoke ci
 
 all: build
 
@@ -126,13 +126,14 @@ cover:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
-# fuzz-smoke gives each fuzz target ten seconds beyond its checked-in seed
-# corpus: the token scanner against its Tokenize oracle, the bounded
-# k-means pass against the plain Lloyd loop it replaced, and LoadGroups
-# against arbitrary file bytes.
+# fuzz-smoke gives each fuzz target (package:target) ten seconds beyond
+# its checked-in seed corpus: the token scanner against its Tokenize
+# oracle, the bounded k-means pass against the plain Lloyd loop it
+# replaced, LoadGroups against arbitrary file bytes, and OpenJournal
+# against arbitrary journal bytes.
 fuzz-smoke:
-	@for target in FuzzScanTokens FuzzKMeansBounded FuzzLoadGroups; do \
-		$(GO) test ./internal/index -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s || exit 1; \
+	@for target in index:FuzzScanTokens index:FuzzKMeansBounded index:FuzzLoadGroups runstore:FuzzOpenJournal; do \
+		$(GO) test ./internal/$${target%%:*} -run '^$$' -fuzz "^$${target#*:}\$$" -fuzztime 10s || exit 1; \
 	done
 
 # bench-selftest compiles and tests the benchmark program against this
@@ -182,49 +183,6 @@ obs-smoke:
 	awk -v x="$$extract_ms" 'BEGIN{exit !(x > 0)}' || \
 		{ echo "obs-smoke: terminal trace phase_ms.extract not > 0 (got $$extract_ms)"; exit 1; }; \
 	echo "obs-smoke OK: $$nev trace events, extract $$extract_ms ms, both expositions served"
-
-# session-smoke proves the recipe-session workflow end to end against a
-# live zombie-serve: open a workspace, submit recipe v1, edit one part
-# and submit v2, then assert the v2 run reused cached extractions for
-# the unchanged parts (cache_hits > 0, shared_parts = 2) and was
-# warm-started from v1's arm statistics (warm_start.applied). Also
-# exercises the zombie -recipe CLI path against the same recipe file.
-# Needs curl + jq (standard on CI images).
-session-smoke:
-	@command -v curl >/dev/null && command -v jq >/dev/null || { echo "session-smoke: needs curl and jq"; exit 1; }; \
-	$(call smoke_tmp,session-smoke); pid=; trap 'kill $$pid 2>/dev/null; [ -n "$$keep" ] || rm -rf "$$tmp"' EXIT; \
-	port=$$(( $(SMOKE_PORT_BASE) + 28 )); base=http://127.0.0.1:$$port; \
-	$(GO) run ./cmd/zombie-datagen -task wiki -n 600 -out $$tmp/wiki.jsonl >/dev/null && \
-	$(GO) build -ldflags "$(LDFLAGS)" -o $$tmp/zombie-serve ./cmd/zombie-serve && \
-	{ $$tmp/zombie-serve -addr 127.0.0.1:$$port -corpus wiki=$$tmp/wiki.jsonl -log-format json >$$tmp/serve.log 2>&1 & pid=$$!; }; \
-	up=0; for i in $$(seq 1 50); do curl -sf $$base/healthz >/dev/null && { up=1; break; }; sleep 0.1; done; \
-	[ $$up = 1 ] || { echo "session-smoke: server never came up"; cat $$tmp/serve.log; exit 1; }; \
-	sid=$$(curl -sf -X POST $$base/sessions \
-		-d '{"corpus":"wiki","task":"wiki","k":8,"seed":3,"max_inputs":150,"eval_every":25}' | jq -r '.id // empty'); \
-	[ -n "$$sid" ] || { echo "session-smoke: session creation failed"; cat $$tmp/serve.log; exit 1; }; \
-	printf '%s' '{"name":"smoke","parts":[{"name":"base","kind":"wiki","version":2},{"name":"mid","kind":"wiki","version":4,"deps":["base"]},{"name":"top","kind":"wiki","version":5,"deps":["mid"]}]}' > $$tmp/rec1.json; \
-	jq '.parts[2].version = 6' $$tmp/rec1.json > $$tmp/rec2.json; \
-	for rec in rec1 rec2; do \
-		curl -sf -X POST $$base/sessions/$$sid/runs --data-binary @$$tmp/$$rec.json >/dev/null || \
-			{ echo "session-smoke: submitting $$rec failed"; cat $$tmp/serve.log; exit 1; }; \
-		state=; for i in $$(seq 1 300); do \
-			state=$$(curl -sf $$base/sessions/$$sid | jq -r '.versions[-1].state'); \
-			case $$state in done|failed) break;; esac; sleep 0.1; \
-		done; \
-		[ "$$state" = done ] || { echo "session-smoke: $$rec ended in state $$state"; curl -s $$base/sessions/$$sid; exit 1; }; \
-	done; \
-	curl -sf $$base/sessions/$$sid > $$tmp/session.json; \
-	hits=$$(jq -r '.versions[1].cache_hits' $$tmp/session.json); \
-	shared=$$(jq -r '.versions[1].shared_parts' $$tmp/session.json); \
-	applied=$$(jq -r '.versions[1].warm_start.applied' $$tmp/session.json); \
-	[ "$$hits" -gt 0 ] || { echo "session-smoke: v2 cache_hits not > 0 (got $$hits)"; cat $$tmp/session.json; exit 1; }; \
-	[ "$$shared" = 2 ] || { echo "session-smoke: v2 shared_parts != 2 (got $$shared)"; cat $$tmp/session.json; exit 1; }; \
-	[ "$$applied" = true ] || { echo "session-smoke: v2 warm_start.applied != true"; cat $$tmp/session.json; exit 1; }; \
-	$(GO) run ./cmd/zombie -corpus $$tmp/wiki.jsonl -task wiki -recipe $$tmp/rec2.json -max 150 > $$tmp/cli.out 2>&1 || \
-		{ echo "session-smoke: zombie -recipe run failed"; cat $$tmp/cli.out; exit 1; }; \
-	nparts=$$(grep -c '^recipe: part=' $$tmp/cli.out); \
-	[ "$$nparts" = 3 ] || { echo "session-smoke: zombie -recipe printed $$nparts part lines, want 3"; cat $$tmp/cli.out; exit 1; }; \
-	echo "session-smoke OK: v2 warm-started with $$hits cache hits, $$shared/3 parts reused, CLI ran $$nparts-part recipe"
 
 # dist-smoke proves the distributed determinism contract against real
 # processes and real sockets: a coordinator zombie-serve fronting two
@@ -383,4 +341,4 @@ trace-smoke:
 		|| { echo "trace-smoke: chrome trace export is empty or invalid"; exit 1; }; \
 	echo "trace-smoke OK: $$nspans spans, $$wstitched worker spans stitched under coordinator rpc spans, cost cells for 2 shards"
 
-ci: fmt-check vet lint build race cover bench-smoke fuzz-smoke bench-selftest obs-smoke session-smoke dist-smoke crash-smoke trace-smoke
+ci: fmt-check vet lint build race cover bench-smoke fuzz-smoke bench-selftest obs-smoke dist-smoke crash-smoke trace-smoke

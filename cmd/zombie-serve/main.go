@@ -59,8 +59,8 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 2, "run worker-pool size")
-	queueCap := flag.Int("queue", 64, "max queued runs before submissions get 503")
+	workers := flag.Int("workers", 2, "worker-pool size: runs and session versions executing at once, together")
+	queueCap := flag.Int("queue", 64, "max queued runs and session versions before submissions get 503")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight runs")
 	stream := flag.Bool("stream", false, "open preregistered corpora as streamed DiskStores")
 	cacheDir := flag.String("cache-dir", "", "persist the extraction cache to this directory (survives restarts)")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -55,12 +56,18 @@ func TestDeterminismContracts(t *testing.T) {
 	if err := corpus.WriteJSONL(wiki, ins); err != nil {
 		t.Fatal(err)
 	}
+	recipe := filepath.Join(dir, "recipe.json")
+	if err := os.WriteFile(recipe, []byte(`{"name":"smoke","parts":[{"name":"base","kind":"wiki","version":2},`+
+		`{"name":"mid","kind":"wiki","version":4,"deps":["base"]},{"name":"top","kind":"wiki","version":6,"deps":["mid"]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	scan := []string{"-corpus", wiki, "-task", "wiki", "-mode", "scan-sequential", "-max", "400"}
 	zom := []string{"-corpus", wiki, "-task", "wiki", "-max", "200"}
 	with := func(base []string, extra ...string) []string {
 		return append(append([]string(nil), base...), extra...)
 	}
 	chaos := with(scan, "-faults", "extract:err=0.04,panic=0.04;corpus.read:err=0.03", "-fault-seed", "7")
+	rec := []string{"-corpus", wiki, "-task", "wiki", "-recipe", recipe, "-max", "150"}
 	volatile := []string{"built ", "dist:", "cache:"}
 
 	cells := []struct {
@@ -98,6 +105,14 @@ func TestDeterminismContracts(t *testing.T) {
 			check: func(t *testing.T, stdout, _ string) {
 				if !strings.Contains(stdout, "demoted=true") {
 					t.Errorf("always-failing disk cache did not demote:\n%s", stdout)
+				}
+			},
+		},
+		{
+			name: "recipe replays", strip: volatile, a: rec, b: rec,
+			check: func(t *testing.T, stdout, _ string) {
+				if n := strings.Count("\n"+stdout, "\nrecipe: part="); n != 3 {
+					t.Errorf("%d recipe: part= lines, want 3:\n%s", n, stdout)
 				}
 			},
 		},

@@ -1,9 +1,13 @@
 package runstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -170,4 +174,79 @@ func TestJournalAppendValidation(t *testing.T) {
 	if err := j.Append(nil); err == nil {
 		t.Fatal("Append accepted an empty payload")
 	}
+}
+
+// FuzzOpenJournal: arbitrary bytes as a journal file never panic
+// OpenJournal. A file without the magic is refused; any other file replays
+// exactly its checksum-valid record prefix, as an independent frame walk
+// reads it, and an Append after that open lands where a reopen replays the
+// prefix plus the new record.
+func FuzzOpenJournal(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(append([]byte(nil), walMagic...))
+	f.Add([]byte("definitely not a journal"))
+	path := filepath.Join(f.TempDir(), "runs.wal")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got [][]byte
+		j, err := OpenJournal(path, func(p []byte) error {
+			got = append(got, bytes.Clone(p))
+			return nil
+		})
+		if len(data) > 0 && !bytes.HasPrefix(data, walMagic) {
+			if err == nil {
+				j.Close()
+				t.Fatal("OpenJournal accepted a file without the journal magic")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("OpenJournal: %v", err)
+		}
+		want := validPrefix(data)
+		if !slices.EqualFunc(got, want, bytes.Equal) || j.Records() != len(want) {
+			j.Close()
+			t.Fatalf("replayed %d records (Records %d), want the %d-record valid prefix", len(got), j.Records(), len(want))
+		}
+		appended := []byte("appended after a fuzzed open")
+		if err := j.Append(appended); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		got = nil
+		j, err = OpenJournal(path, func(p []byte) error {
+			got = append(got, bytes.Clone(p))
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("reopen after Append: %v", err)
+		}
+		j.Close()
+		if want = append(want, appended); !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Fatalf("reopen replayed %d records, want the %d-record prefix plus the appended one", len(got), len(want)-1)
+		}
+	})
+}
+
+// validPrefix walks a journal's frames after the magic and returns the
+// payloads up to the first frame that is short, out of range or fails its
+// checksum.
+func validPrefix(data []byte) [][]byte {
+	var out [][]byte
+	rest := data[min(len(data), len(walMagic)):]
+	for len(rest) >= 4 {
+		n := uint64(binary.LittleEndian.Uint32(rest))
+		if n == 0 || n > maxRecordBytes || uint64(len(rest)) < 4+n+4 {
+			break
+		}
+		payload := rest[4 : 4+n]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4+n:]) {
+			break
+		}
+		out = append(out, payload)
+		rest = rest[4+n+4:]
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -35,10 +36,10 @@ func fixtureCorpus(t *testing.T) string { return writeImageCorpus(t, 2000, 35) }
 
 // runFixtureScript drives two server processes over stateDir. The first
 // finishes run r1 (traced, with quarantines) and session s1's version 1,
-// then shuts down gracefully, so both land in state.snap. The second
-// finishes r2 (quarantines again), starts r3 and kills the server while it
-// runs, cancels r4 while it is queued behind r3, and submits version 2,
-// also running at the kill — all of that stays in runs.wal.
+// then shuts down gracefully, so both land in state.snap. The second, with
+// two workers, finishes r2 (quarantines again), starts r3 and version 2,
+// cancels r4 while it is queued behind them, and kills the server while r3
+// and version 2 run — all of that stays in runs.wal.
 func runFixtureScript(t *testing.T, stateDir, corpus string) {
 	t.Helper()
 	faulty := RunSpec{Corpus: "imgs", Task: "image", Mode: "scan-random", MaxInputs: 1200, EvalEvery: 300,
@@ -65,7 +66,7 @@ func runFixtureScript(t *testing.T, stateDir, corpus string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, _ := newDurableServer(t, stateDir, corpus, Config{Faults: slow})
+	s2, _, _ := newDurableServer(t, stateDir, corpus, Config{Faults: slow, Workers: 2})
 	r2, err := s2.Manager().Submit(faulty)
 	if err != nil {
 		t.Fatal(err)
@@ -85,13 +86,6 @@ func runFixtureScript(t *testing.T, stateDir, corpus string) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	r4, err := s2.Manager().Submit(RunSpec{Corpus: "imgs", Task: "image", MaxInputs: 1200, EvalEvery: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info, err := s2.Manager().Cancel(r4.ID); err != nil || info.State != StateCancelled {
-		t.Fatalf("cancel queued r4: %+v, %v", info, err)
-	}
 	ts2 := httptest.NewServer(s2.Handler())
 	decodeBody[map[string]any](t, postJSON(t, ts2.URL+"/sessions/"+sess.ID+"/runs", imageRecipeSpec(3)), http.StatusAccepted)
 	for {
@@ -103,6 +97,14 @@ func runFixtureScript(t *testing.T, stateDir, corpus string) {
 			t.Fatal("version 2 never started")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	// Both workers are busy, so r4 queues behind r3 and version 2.
+	r4, err := s2.Manager().Submit(RunSpec{Corpus: "imgs", Task: "image", MaxInputs: 1200, EvalEvery: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := s2.Manager().Cancel(r4.ID); err != nil || info.State != StateCancelled {
+		t.Fatalf("cancel queued r4: %+v, %v", info, err)
 	}
 	time.Sleep(20 * time.Millisecond) // let the version-start record reach the journal
 	if r3.State() != StateRunning {
@@ -262,12 +264,18 @@ func TestFixtureRecordEncodingIsStable(t *testing.T) {
 }
 
 // TestScriptJournalsWhatPR13Journaled: the current code, driven through
-// the script that produced the fixture, leaves the same snapshot and the
-// same journal records in the same order. Clocks are not injectable, so
-// wall-clock values (record times, phase_ms) are zeroed on both sides;
-// the fixture's run-quarantine records are dropped, as are the killed
-// run's curve points (how many reach the journal before the kill is a
-// race, in PR 13 as now).
+// the script that produced the fixture, leaves the same snapshot and, for
+// every run and every session version, the same journal records in the
+// same order. Only the interleaving of different owners' records may
+// differ: the server that wrote the fixture ran session versions on a
+// second pool of their own, so version 2 ran beside r3 while r4 queued
+// behind r3; versions now share the run pool, so the script gives that
+// process two workers and submits version 2 before r4, and version 2's
+// records land ahead of r4's.
+// Clocks are not injectable, so wall-clock values (record times, phase_ms)
+// are zeroed on both sides; the fixture's run-quarantine records are
+// dropped, as are the killed run's curve points (how many reach the
+// journal before the kill is a race, in PR 13 as now).
 func TestScriptJournalsWhatPR13Journaled(t *testing.T) {
 	dir := t.TempDir()
 	runFixtureScript(t, dir, fixtureCorpus(t))
@@ -284,22 +292,34 @@ func TestScriptJournalsWhatPR13Journaled(t *testing.T) {
 		t.Errorf("snapshot differs:\n got  %s\n want %s", a, b)
 	}
 
-	comparable := func(journal [][]byte) (out []any) {
+	// byOwner splits a journal into per-owner record sequences, keyed by
+	// run ID, or by session ID plus version for a session's records.
+	byOwner := func(journal [][]byte) map[string][]any {
+		out := map[string][]any{}
 		for _, payload := range journal {
 			rec := timeless(t, payload).(map[string]any)
 			if rec["t"] == "run-quarantine" || (rec["t"] == recRunPoint && rec["id"] == "r3") {
 				continue
 			}
-			out = append(out, rec)
+			owner := fmt.Sprint(rec["id"])
+			if ver, ok := rec["ver"]; ok {
+				owner += fmt.Sprintf("/v%v", ver)
+			}
+			out[owner] = append(out[owner], rec)
 		}
 		return out
 	}
-	gotRecs, wantRecs := comparable(gotJournal), comparable(wantJournal)
-	for i := 0; i < len(gotRecs) || i < len(wantRecs); i++ {
-		if i >= len(gotRecs) || i >= len(wantRecs) || !reflect.DeepEqual(gotRecs[i], wantRecs[i]) {
-			a, _ := json.Marshal(gotRecs[min(i, len(gotRecs)):])
-			b, _ := json.Marshal(wantRecs[min(i, len(wantRecs)):])
-			t.Fatalf("journals diverge at record %d:\n got  %s\n want %s", i, a, b)
+	gotRecs, wantRecs := byOwner(gotJournal), byOwner(wantJournal)
+	for owner := range wantRecs {
+		if _, ok := gotRecs[owner]; !ok {
+			gotRecs[owner] = nil
+		}
+	}
+	for owner, recs := range gotRecs {
+		if !reflect.DeepEqual(recs, wantRecs[owner]) {
+			a, _ := json.Marshal(recs)
+			b, _ := json.Marshal(wantRecs[owner])
+			t.Errorf("%s journaled differently:\n got  %s\n want %s", owner, a, b)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -31,13 +32,14 @@ var (
 	ErrShuttingDown = errors.New("server: shutting down, not accepting runs")
 )
 
-// Manager executes runs asynchronously on a parallel.Pool — the same
-// bounded worker pool the experiment harness uses for fork-join work.
-// Submit validates and enqueues; the pool's workers drain the queue;
-// Cancel stops a queued or running run; Shutdown drains in-flight work.
-// Runs are kept forever (the manager is the system of record for run
-// history); a production deployment would add retention, which is
-// deliberately out of scope here.
+// Manager executes runs and session versions asynchronously on one
+// parallel.Pool — the same bounded worker pool the experiment harness uses
+// for fork-join work — so Config.Workers bounds everything the server
+// executes at once. Submit validates and enqueues; the pool's workers
+// drain the queue; Cancel stops a queued or running run; Shutdown drains
+// in-flight work, versions included. Runs are kept forever (the manager is
+// the system of record for run history); a production deployment would
+// add retention, which is deliberately out of scope here.
 type Manager struct {
 	registry  *Registry
 	cache     *IndexCache
@@ -86,9 +88,9 @@ type RunDefaults struct {
 }
 
 // NewManager starts a pool of workers goroutines over a queue of queueCap
-// pending runs (both floored at 1) and returns the manager. store
-// receives every run lifecycle record; nil means state dies with the
-// process. A nil metrics gets a private registry.
+// pending runs and session versions (both floored at 1) and returns the
+// manager. store receives every lifecycle record; nil means state dies
+// with the process. A nil metrics gets a private registry.
 func NewManager(registry *Registry, cache *IndexCache, featCache *featcache.Cache, metrics *Metrics, store *DurableStore, workers, queueCap int, defaults RunDefaults) *Manager {
 	if metrics == nil {
 		metrics = NewMetrics(nil)
@@ -106,14 +108,6 @@ func NewManager(registry *Registry, cache *IndexCache, featCache *featcache.Cach
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		runs:       map[string]*Run{},
-	}
-}
-
-// SetLogger replaces the manager's run-lifecycle logger (a nop logger by
-// default). Call it before submitting runs.
-func (m *Manager) SetLogger(l *slog.Logger) {
-	if l != nil {
-		m.log = l
 	}
 }
 
@@ -181,13 +175,78 @@ func (m *Manager) engineConfig(spec RunSpec) (core.Config, error) {
 	return cfg, nil
 }
 
-// timeoutFor resolves a run's effective deadline: the spec's own, or the
-// server default.
-func (m *Manager) timeoutFor(spec RunSpec) time.Duration {
+// runContext is an execution's context: a child of the base context that
+// Shutdown cancels once its drain budget is spent, carrying the spec's
+// deadline — or the server default — when there is one.
+func (m *Manager) runContext(spec RunSpec) (context.Context, context.CancelFunc) {
+	timeout := m.defaults.Timeout
 	if spec.TimeoutMillis > 0 {
-		return time.Duration(spec.TimeoutMillis) * time.Millisecond
+		timeout = time.Duration(spec.TimeoutMillis) * time.Millisecond
 	}
-	return m.defaults.Timeout
+	if timeout > 0 {
+		return context.WithTimeout(m.baseCtx, timeout)
+	}
+	return context.WithCancel(m.baseCtx)
+}
+
+// validate rejects a normalized spec the engine could not run: an unknown
+// corpus, task or mode, an out-of-range knob, or an engine configuration
+// (policy and fault specs included) core.New refuses — eagerly, so
+// submission errors surface as 400s, not failed runs. Session specs
+// validate here too, as the run their versions execute (runSpec).
+func (m *Manager) validate(spec RunSpec) error {
+	if _, err := m.registry.Get(spec.Corpus); err != nil {
+		return err
+	}
+	if !slices.Contains(workload.Names(), spec.Task) {
+		return fmt.Errorf("server: unknown task %q (want one of %v)", spec.Task, workload.Names())
+	}
+	switch spec.Mode {
+	case "zombie", "scan-random", "scan-sequential", "oracle":
+	default:
+		return fmt.Errorf("server: unknown mode %q", spec.Mode)
+	}
+	if spec.K < 1 {
+		return fmt.Errorf("server: k must be >= 1, got %d", spec.K)
+	}
+	for _, knob := range []struct {
+		name  string
+		value int64
+	}{{"timeout_ms", spec.TimeoutMillis}, {"shards", int64(spec.Shards)}, {"batch", int64(spec.Batch)}, {"eval_every", int64(spec.EvalEvery)}} {
+		if knob.value < 0 {
+			return fmt.Errorf("server: %s must be >= 0, got %d", knob.name, knob.value)
+		}
+	}
+	if spec.distributed() && spec.Mode != "zombie" {
+		return fmt.Errorf("server: distributed execution (shards/dist_workers) requires mode zombie, got %q", spec.Mode)
+	}
+	if spec.Shards > 0 && len(spec.DistWorkers) > 0 && spec.Shards != len(spec.DistWorkers) {
+		return fmt.Errorf("server: shards=%d does not match %d dist_workers", spec.Shards, len(spec.DistWorkers))
+	}
+	cfg, err := m.engineConfig(spec)
+	if err != nil {
+		return err
+	}
+	_, err = core.New(cfg)
+	return err
+}
+
+// admit runs enqueue — which journals a submission and hands its task to
+// the pool — under the manager's lock, so a submission racing Shutdown is
+// either refused whole (nothing appended, nothing journaled) or enqueued
+// before the pool closes. Runs, sessions and versions all enter here.
+func (m *Manager) admit(enqueue func() error) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return ErrShuttingDown
+	}
+	return enqueue()
+}
+
+// queueFull is the error a refused pool submission surfaces as (a 503).
+func (m *Manager) queueFull() error {
+	return fmt.Errorf("%w (%d pending)", ErrQueueFull, m.pool.Cap())
 }
 
 // Submit validates the spec, assigns an ID, and enqueues the run. It
@@ -195,71 +254,32 @@ func (m *Manager) timeoutFor(spec RunSpec) time.Duration {
 // configuration, a full queue, or a shutting-down manager.
 func (m *Manager) Submit(spec RunSpec) (*Run, error) {
 	spec.normalize()
-	if _, err := m.registry.Get(spec.Corpus); err != nil {
+	if err := m.validate(spec); err != nil {
 		return nil, err
 	}
-	validTask := false
-	for _, n := range workload.Names() {
-		if spec.Task == n {
-			validTask = true
+	var run *Run
+	err := m.admit(func() error {
+		m.nextID++
+		submit := &walRecord{Type: recRunSubmit, ID: "r" + strconv.Itoa(m.nextID), Num: m.nextID, Spec: &spec, At: time.Now().UnixNano()}
+		run = newRun(newRunRecord(submit))
+		// Journal the submission before the enqueue: a worker may pick the
+		// run up (and journal its start) the instant TrySubmit returns. A
+		// failed enqueue is compensated with a discard record — the run
+		// never existed.
+		m.store.record(submit)
+		if !m.pool.TrySubmit(func() { m.execute(run) }) {
+			m.nextID-- // ID was never exposed
+			m.store.record(&walRecord{Type: recRunDiscard, ID: run.ID})
+			return m.queueFull()
 		}
-	}
-	if !validTask {
-		return nil, fmt.Errorf("server: unknown task %q (want one of %v)", spec.Task, workload.Names())
-	}
-	switch spec.Mode {
-	case "zombie", "scan-random", "scan-sequential", "oracle":
-	default:
-		return nil, fmt.Errorf("server: unknown mode %q", spec.Mode)
-	}
-	if spec.K < 1 {
-		return nil, fmt.Errorf("server: k must be >= 1, got %d", spec.K)
-	}
-	if spec.TimeoutMillis < 0 {
-		return nil, fmt.Errorf("server: timeout_ms must be >= 0, got %d", spec.TimeoutMillis)
-	}
-	if spec.Shards < 0 {
-		return nil, fmt.Errorf("server: shards must be >= 0, got %d", spec.Shards)
-	}
-	if spec.Batch < 0 {
-		return nil, fmt.Errorf("server: batch must be >= 0, got %d", spec.Batch)
-	}
-	if spec.distributed() && spec.Mode != "zombie" {
-		return nil, fmt.Errorf("server: distributed execution (shards/dist_workers) requires mode zombie, got %q", spec.Mode)
-	}
-	if spec.Shards > 0 && len(spec.DistWorkers) > 0 && spec.Shards != len(spec.DistWorkers) {
-		return nil, fmt.Errorf("server: shards=%d does not match %d dist_workers", spec.Shards, len(spec.DistWorkers))
-	}
-	// Validate the engine configuration (policy and fault specs included)
-	// eagerly so submission errors surface as 400s, not failed runs.
-	cfg, err := m.engineConfig(spec)
+		m.runs[run.ID] = run
+		m.order = append(m.order, run.ID)
+		m.metrics.RunsStarted.Add(1)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := core.New(cfg); err != nil {
-		return nil, err
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrShuttingDown
-	}
-	m.nextID++
-	submit := &walRecord{Type: recRunSubmit, ID: "r" + strconv.Itoa(m.nextID), Num: m.nextID, Spec: &spec, At: time.Now().UnixNano()}
-	run := newRun(newRunRecord(submit))
-	// Journal the submission before the enqueue: a worker may pick the run
-	// up (and journal its start) the instant TrySubmit returns. A failed
-	// enqueue is compensated with a discard record — the run never existed.
-	m.store.record(submit)
-	if !m.pool.TrySubmit(func() { m.execute(run) }) {
-		m.nextID-- // ID was never exposed
-		m.store.record(&walRecord{Type: recRunDiscard, ID: run.ID})
-		return nil, fmt.Errorf("%w (%d pending)", ErrQueueFull, m.pool.Cap())
-	}
-	m.runs[run.ID] = run
-	m.order = append(m.order, run.ID)
-	m.metrics.RunsStarted.Add(1)
 	return run, nil
 }
 
@@ -306,7 +326,8 @@ func (m *Manager) Cancel(id string) (RunInfo, error) {
 	return run.Info(), nil
 }
 
-// QueueDepth returns the number of queued-not-yet-started runs.
+// QueueDepth returns the number of runs and session versions waiting for
+// a worker.
 func (m *Manager) QueueDepth() int { return m.pool.QueueDepth() }
 
 // Running returns the number of runs currently executing.
@@ -315,13 +336,7 @@ func (m *Manager) Running() int { return int(m.running.Load()) }
 // execute runs one queued run to a terminal state.
 func (m *Manager) execute(run *Run) {
 	spec := run.rec.Spec
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if to := m.timeoutFor(spec); to > 0 {
-		ctx, cancel = context.WithTimeout(m.baseCtx, to)
-	} else {
-		ctx, cancel = context.WithCancel(m.baseCtx)
-	}
+	ctx, cancel := m.runContext(spec)
 	defer cancel()
 	started := time.Now().UnixNano()
 	// The start record carries the cancel hook a later DELETE will invoke.
@@ -430,12 +445,7 @@ func (m *Manager) runEngine(ctx context.Context, run *Run) (*core.RunResult, err
 
 	switch spec.Mode {
 	case "zombie":
-		key := IndexKey{Corpus: spec.Corpus, Strategy: grouper.Name(), K: spec.K, Seed: spec.Seed}
-		groups, err := m.cache.Get(ctx, key, func() (*index.Groups, error) {
-			return m.buildIndexWithRetry(ctx, key, cfg.Faults, func() (*index.Groups, error) {
-				return grouper.Group(store, spec.K, rng.New(spec.Seed).Split("index"))
-			})
-		})
+		groups, err := m.indexGroups(ctx, spec, store, grouper, cfg.Faults)
 		if err != nil {
 			return nil, err
 		}
@@ -505,29 +515,37 @@ const (
 	indexBuildBackoff  = 50 * time.Millisecond
 )
 
-// buildIndexWithRetry runs build with panic isolation and up to
-// indexBuildAttempts attempts, backing off between them. An injector
-// covering fault.SiteIndexBuild fails attempts deterministically, keyed
-// "corpus/strategy#attempt", which is how chaos tests exercise this path.
-func (m *Manager) buildIndexWithRetry(ctx context.Context, key IndexKey, inj *fault.Injector, build func() (*index.Groups, error)) (*index.Groups, error) {
-	var lastErr error
-	for attempt := 0; attempt < indexBuildAttempts; attempt++ {
-		if attempt > 0 {
-			m.metrics.IndexBuildRetries.Add(1)
-			select {
-			case <-time.After(indexBuildBackoff << (attempt - 1)):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		groups, err := buildIndexAttempt(key, attempt, inj, build)
-		if err == nil {
-			return groups, nil
-		}
-		lastErr = err
+// indexGroups resolves a zombie-mode execution's index — runs and session
+// workspaces alike — through the shared singleflight cache. A miss builds
+// it with panic isolation and up to indexBuildAttempts attempts, backing
+// off between them. An injector covering fault.SiteIndexBuild fails
+// attempts deterministically, keyed "corpus/strategy#attempt", which is
+// how chaos tests exercise this path.
+func (m *Manager) indexGroups(ctx context.Context, spec RunSpec, store corpus.Store, grouper index.Grouper, inj *fault.Injector) (*index.Groups, error) {
+	key := IndexKey{Corpus: spec.Corpus, Strategy: grouper.Name(), K: spec.K, Seed: spec.Seed}
+	build := func() (*index.Groups, error) {
+		return grouper.Group(store, spec.K, rng.New(spec.Seed).Split("index"))
 	}
-	return nil, fmt.Errorf("server: index build for %s/%s failed after %d attempts: %w",
-		key.Corpus, key.Strategy, indexBuildAttempts, lastErr)
+	return m.cache.Get(ctx, key, func() (*index.Groups, error) {
+		var lastErr error
+		for attempt := 0; attempt < indexBuildAttempts; attempt++ {
+			if attempt > 0 {
+				m.metrics.IndexBuildRetries.Add(1)
+				select {
+				case <-time.After(indexBuildBackoff << (attempt - 1)):
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			groups, err := buildIndexAttempt(key, attempt, inj, build)
+			if err == nil {
+				return groups, nil
+			}
+			lastErr = err
+		}
+		return nil, fmt.Errorf("server: index build for %s/%s failed after %d attempts: %w",
+			key.Corpus, key.Strategy, indexBuildAttempts, lastErr)
+	})
 }
 
 // buildIndexAttempt is one build attempt with panics flattened to errors
@@ -545,10 +563,11 @@ func buildIndexAttempt(key IndexKey, attempt int, inj *fault.Injector, build fun
 	return build()
 }
 
-// Shutdown stops intake and drains: queued and running runs continue to
-// completion unless ctx expires first, at which point every in-flight run
-// is cancelled and Shutdown waits for the workers to observe it. Returns
-// ctx.Err() when the drain was cut short.
+// Shutdown stops intake and drains: queued, parked and running runs and
+// session versions continue to completion unless ctx expires first, at
+// which point everything in flight is cancelled and Shutdown waits for
+// the workers to observe it. Returns ctx.Err() when the drain was cut
+// short.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.closed {

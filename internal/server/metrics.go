@@ -93,23 +93,14 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 // ObserveTracer wires a span tracer's per-span hook into the
 // spans_recorded / spans_dropped counters. A nil tracer is a no-op.
 func (m *Metrics) ObserveTracer(tr *otrace.Tracer) {
-	observeTracer(m.reg, tr)
-}
-
-// observeTracer is ObserveTracer against a bare registry (the session
-// hub holds the registry, not the Metrics struct). Counter declaration is
-// idempotent, so these are the same series NewMetrics declared.
-func observeTracer(reg *obs.Registry, tr *otrace.Tracer) {
-	if reg == nil || tr == nil {
+	if tr == nil {
 		return
 	}
-	recorded := reg.Counter("spans_recorded", "Timing spans recorded across all span tracers.")
-	dropped := reg.Counter("spans_dropped", "Timing spans refused by full span buffers.")
 	tr.OnSpan(func(ok bool) {
 		if ok {
-			recorded.Add(1)
+			m.SpansRecorded.Add(1)
 		} else {
-			dropped.Add(1)
+			m.SpansDropped.Add(1)
 		}
 	})
 }

@@ -330,7 +330,7 @@ func TestRejectedVersionIsNotRecovered(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s1.sessions.Shutdown(ctx); err != nil {
+	if err := s1.manager.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s1.sessions.Submit(sess, &spec); !errors.Is(err, ErrShuttingDown) {
@@ -427,5 +427,58 @@ func TestEventsAndTraceReadTheRecord(t *testing.T) {
 					trace.State, trace.Phases, info.State, info.PhaseMillis)
 			}
 		})
+	}
+}
+
+// TestRecoveredVersionsRunInOrder: a crash with session version 2
+// running and version 3 queued behind it leaves both to recover. Recover
+// re-submits them through the live path; they re-execute one at a time in
+// index order, and version 3 diffs against — and warm-starts from —
+// version 2, not version 1.
+func TestRecoveredVersionsRunInOrder(t *testing.T) {
+	state := t.TempDir()
+	corpus := writeImageCorpus(t, 500, 38)
+	slow, err := fault.Parse("extract:lat=3ms", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, _, _ := newDurableServer(t, state, corpus, Config{Faults: slow})
+	sess, err := s1.sessions.Create(SessionSpec{Corpus: "imgs", Task: "image", K: 8, Seed: 3, MaxInputs: 120, EvalEvery: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitVersion(t, s1, sess, imageRecipeSpec(2))
+	awaitVersion(t, sess, 1)
+	submitVersion(t, s1, sess, imageRecipeSpec(3))
+	submitVersion(t, s1, sess, imageRecipeSpec(2))
+	deadline := time.Now().Add(30 * time.Second)
+	for sess.Info().Versions[1].State != StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("version 2 never started")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if st := sess.Info().Versions[2].State; st != StateQueued {
+		t.Fatalf("version 3 is %s at kill time, want queued", st)
+	}
+	s1.store.freeze()
+	shutdown(t, s1, 50*time.Millisecond)
+
+	// Two workers: one dequeues version 3 while the other executes version
+	// 2, so version 3 takes the park path.
+	s2, runs, versions := newDurableServer(t, state, corpus, Config{Workers: 2})
+	defer shutdown(t, s2, 10*time.Second)
+	if runs != 0 || versions != 2 {
+		t.Fatalf("Recover() = (%d, %d), want (0, 2)", runs, versions)
+	}
+	restored, _ := s2.sessions.Get(sess.ID)
+	v3 := awaitVersion(t, restored, 3)
+	awaitVersion(t, restored, 2)
+	_, v2Finished := versionSpan(restored, 2)
+	if v3Started, _ := versionSpan(restored, 3); v3Started < v2Finished {
+		t.Fatal("recovered version 3 started before version 2 finished")
+	}
+	if !v3.WarmStart.Applied || v3.Diff == nil || !reflect.DeepEqual(v3.Diff.Changed, []string{"mid"}) {
+		t.Fatalf("recovered version 3 did not build on version 2: warm start %+v, diff %+v", v3.WarmStart, v3.Diff)
 	}
 }

@@ -394,9 +394,6 @@ func (r *Run) SpanSnapshot() (spans []otrace.Span, dropped int64, ok bool) {
 	return spans, dropped, true
 }
 
-// Tracer returns the run's span tracer (nil unless spec.Spans).
-func (r *Run) Tracer() *otrace.Tracer { return r.tracer }
-
 // TraceSnapshot returns the trace ring's retained events (oldest first)
 // and how many older ones the ring dropped. ok is false for untraced
 // runs. It is safe to call while the run executes.

@@ -65,10 +65,11 @@ import (
 
 // Config sizes the server.
 type Config struct {
-	// Workers is the run worker-pool size (default 2).
+	// Workers is the worker-pool size (default 2): it bounds runs and
+	// session versions executing at once, together.
 	Workers int
-	// QueueCap bounds queued-not-yet-running runs (default 64); a full
-	// queue rejects submissions with 503.
+	// QueueCap bounds runs and session versions queued for a worker
+	// (default 64); a full queue rejects submissions with 503.
 	QueueCap int
 	// CacheDir, when non-empty, backs the shared extraction cache with a
 	// disk segment store in that directory, so cached extractions survive
@@ -197,15 +198,16 @@ func New(cfg Config) (*Server, error) {
 		Batch:          cfg.Batch,
 		DistWorkers:    cfg.DistWorkers,
 	}
+	manager := NewManager(registry, cache, featCache, metrics, store, cfg.Workers, cfg.QueueCap, defaults)
 	s := &Server{
 		registry:  registry,
 		cache:     cache,
 		featCache: featCache,
-		manager:   NewManager(registry, cache, featCache, metrics, store, cfg.Workers, cfg.QueueCap, defaults),
-		// The session hub shares the manager's corpus registry, index cache
-		// and extraction cache: a session's whole point is reusing what
-		// earlier versions computed.
-		sessions:   NewSessionHub(registry, cache, featCache, reg, store, cfg.Workers, cfg.QueueCap, defaults),
+		manager:   manager,
+		// The session hub executes on the manager's pool and shares its
+		// corpus registry, index cache and extraction cache: a session's
+		// whole point is reusing what earlier versions computed.
+		sessions:   &SessionHub{m: manager, sessions: map[string]*Session{}},
 		store:      store,
 		metrics:    metrics,
 		obs:        reg,
@@ -217,8 +219,7 @@ func New(cfg Config) (*Server, error) {
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 	}
-	s.manager.SetLogger(cfg.Logger)
-	s.sessions.SetLogger(cfg.Logger)
+	manager.log = cfg.Logger
 	if recovered != nil {
 		// History is visible immediately; interrupted work stays parked
 		// until Recover re-queues it (the corpora it references are
@@ -227,7 +228,7 @@ func New(cfg Config) (*Server, error) {
 		s.sessions.restore(recovered)
 	}
 	// Gauges owned by other structures, sampled at exposition time.
-	reg.GaugeFunc("queue_depth", "Runs queued but not yet running.",
+	reg.GaugeFunc("queue_depth", "Runs and session versions queued but not yet picked up by a worker.",
 		func() int64 { return int64(s.manager.QueueDepth()) })
 	reg.GaugeFunc("runs_running", "Runs currently executing.",
 		func() int64 { return int64(s.manager.Running()) })
@@ -299,14 +300,12 @@ func (s *Server) Recover() (runs, versions int) {
 	return runs, versions
 }
 
-// Shutdown drains the run manager (see Manager.Shutdown), then closes any
-// streamed corpora and the extraction cache (flushing its disk index).
-// The HTTP listener should already be stopped.
+// Shutdown drains the manager's pool — runs and session versions alike
+// (see Manager.Shutdown) — then closes any streamed corpora and the
+// extraction cache (flushing its disk index). The HTTP listener should
+// already be stopped.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.manager.Shutdown(ctx)
-	if serr := s.sessions.Shutdown(ctx); err == nil {
-		err = serr
-	}
 	if cerr := s.registry.Close(); err == nil {
 		err = cerr
 	}

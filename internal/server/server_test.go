@@ -147,6 +147,8 @@ func TestRunEndpointValidation(t *testing.T) {
 
 	decodeBody[errorBody](t, postJSON(t, ts.URL+"/runs", RunSpec{Corpus: "ghost", Task: "image"}), http.StatusBadRequest)
 	decodeBody[errorBody](t, postJSON(t, ts.URL+"/runs", RunSpec{Corpus: "imgs", Task: "image", Policy: "bogus"}), http.StatusBadRequest)
+	decodeBody[errorBody](t, postJSON(t, ts.URL+"/runs", RunSpec{Corpus: "imgs", Task: "image", Batch: -1}), http.StatusBadRequest)
+	decodeBody[errorBody](t, postJSON(t, ts.URL+"/runs", RunSpec{Corpus: "imgs", Task: "image", EvalEvery: -1}), http.StatusBadRequest)
 	decodeBody[errorBody](t, mustGet(t, ts.URL+"/runs/r999"), http.StatusNotFound)
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/runs/r999", nil)

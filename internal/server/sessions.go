@@ -4,19 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
-	"zombie/internal/bandit"
 	"zombie/internal/core"
-	"zombie/internal/featcache"
-	"zombie/internal/index"
-	"zombie/internal/obs"
 	"zombie/internal/otrace"
-	"zombie/internal/parallel"
 	"zombie/internal/recipe"
 	"zombie/internal/rng"
 	"zombie/internal/workload"
@@ -74,6 +69,16 @@ func (spec *SessionSpec) normalize() {
 	}
 }
 
+// runSpec is the run every version of the session executes as, so one
+// validator, one engine config and one execution context serve both
+// specs.
+func (spec *SessionSpec) runSpec() RunSpec {
+	rs := RunSpec{Corpus: spec.Corpus, Task: spec.Task, Policy: spec.Policy, K: spec.K, Seed: spec.Seed,
+		MaxInputs: spec.MaxInputs, EvalEvery: spec.EvalEvery, EarlyStop: spec.EarlyStop, Batch: spec.Batch}
+	rs.normalize()
+	return rs
+}
+
 // sessionVersion is one submitted recipe version: its lifecycle record
 // (guarded by the session's mu, advanced through SessionHub.transition
 // only; rec.Index is immutable) and the recipe compiled from rec.Recipe.
@@ -84,19 +89,22 @@ type sessionVersion struct {
 
 // Session is a server-side recipe workspace: a fixed (corpus, task,
 // policy, k, seed) context plus an ordered history of recipe versions.
-// Versions run sequentially — each warm-starts from the previous
-// successful one — so the session serializes its own executions while
-// different sessions run concurrently on the hub's pool.
+// Versions execute one at a time in index order — each warm-starts from
+// the previous successful one — while different sessions share the
+// manager's pool (see SessionHub.dispatch).
 type Session struct {
 	ID      string
 	spec    SessionSpec
 	created time.Time
 
-	execMu sync.Mutex // serializes version runs
-
-	mu        sync.Mutex
-	workspace *recipe.Session // built lazily by the first run
-	versions  []*sessionVersion
+	mu       sync.Mutex
+	versions []*sessionVersion
+	// parked holds versions a worker dequeued while an earlier version of
+	// the session was still due or executing; dispatch runs them later.
+	parked []*sessionVersion
+	// workspace is built lazily by the first version to execute; only the
+	// executing version touches it, so it needs no lock.
+	workspace *recipe.Session
 
 	// tracer is the session's span buffer (nil unless spec.Spans), shared
 	// by every version run so the tree accumulates the whole workspace's
@@ -155,132 +163,51 @@ type sessionVersionInfo struct {
 	WallMillis  int64                 `json:"wall_ms,omitempty"`
 }
 
-// SessionHub owns the server's session workspaces and the pool their
-// version runs execute on. It shares the manager's corpus registry, index
-// cache and extraction cache — the cache sharing is what makes "edit one
-// part, pay for one part" hold across a session's versions.
+// SessionHub is the server's table of recipe workspaces. It owns no
+// workers: version runs execute on the manager's pool, and the hub reads
+// the corpus registry, both caches, metrics, store, defaults and logger
+// through the manager — the cache sharing is what makes "edit one part,
+// pay for one part" hold across a session's versions.
 type SessionHub struct {
-	registry  *Registry
-	idxCache  *IndexCache
-	featCache *featcache.Cache
-	obsReg    *obs.Registry
-	store     *DurableStore // nil without a state directory
-	defaults  RunDefaults
-	log       *slog.Logger
-
-	pool       *parallel.Pool
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
+	m *Manager
 
 	mu       sync.Mutex
 	sessions map[string]*Session
 	order    []string
 	nextID   int
-	closed   bool
-	// pending holds restored interrupted versions awaiting
-	// recoverPending (see Manager.pending).
-	pending []pendingVersion
-}
-
-// pendingVersion is one restored interrupted version awaiting re-queue.
-type pendingVersion struct {
-	s *Session
-	v *sessionVersion
-}
-
-// NewSessionHub starts a hub whose version runs execute on workers
-// goroutines over a queue of queueCap pending runs. store receives every
-// session lifecycle record; nil means state dies with the process.
-func NewSessionHub(registry *Registry, idxCache *IndexCache, featCache *featcache.Cache, obsReg *obs.Registry, store *DurableStore, workers, queueCap int, defaults RunDefaults) *SessionHub {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &SessionHub{
-		registry:   registry,
-		idxCache:   idxCache,
-		featCache:  featCache,
-		obsReg:     obsReg,
-		store:      store,
-		defaults:   defaults,
-		log:        obs.NopLogger(),
-		pool:       parallel.NewPool(workers, queueCap),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		sessions:   map[string]*Session{},
-	}
-}
-
-// SetLogger replaces the hub's lifecycle logger.
-func (h *SessionHub) SetLogger(l *slog.Logger) {
-	if l != nil {
-		h.log = l
-	}
-}
-
-// engineConfig translates a session spec into the template engine config
-// its versions run with (cache and telemetry attached at run time).
-func (h *SessionHub) engineConfig(spec SessionSpec) core.Config {
-	cfg := core.Config{
-		Policy:         bandit.Spec(spec.Policy),
-		Seed:           spec.Seed,
-		MaxInputs:      spec.MaxInputs,
-		EvalEvery:      spec.EvalEvery,
-		BatchSize:      spec.Batch,
-		MaxFailureFrac: h.defaults.MaxFailureFrac,
-		Faults:         h.defaults.Faults,
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = h.defaults.Batch
-	}
-	if spec.EarlyStop {
-		cfg.EarlyStop = core.EarlyStopConfig{Enabled: true}
-	}
-	return cfg
 }
 
 // Create validates the spec and registers an empty session.
 func (h *SessionHub) Create(spec SessionSpec) (*Session, error) {
 	spec.normalize()
-	if _, err := h.registry.Get(spec.Corpus); err != nil {
+	if err := h.m.validate(spec.runSpec()); err != nil {
 		return nil, err
-	}
-	validTask := false
-	for _, n := range workload.Names() {
-		if spec.Task == n {
-			validTask = true
-		}
-	}
-	if !validTask {
-		return nil, fmt.Errorf("server: unknown task %q (want one of %v)", spec.Task, workload.Names())
-	}
-	if spec.K < 1 {
-		return nil, fmt.Errorf("server: k must be >= 1, got %d", spec.K)
 	}
 	if d := *spec.Decay; d != d || d < 0 || d > 1 {
 		return nil, fmt.Errorf("server: decay must be in [0,1], got %v", d)
 	}
-	// Validate the engine template (policy spec included) eagerly so a bad
-	// session is a 400 at create time, not a failed first run.
-	if _, err := core.New(h.engineConfig(spec)); err != nil {
+	var s *Session
+	err := h.m.admit(func() error {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.nextID++
+		s = &Session{ID: "s" + strconv.Itoa(h.nextID), spec: spec, created: time.Now()}
+		if s.spec.Name == "" {
+			s.spec.Name = s.ID
+		}
+		if spec.Spans {
+			s.tracer = otrace.New(s.ID, otrace.DefaultCapacity)
+			h.m.metrics.ObserveTracer(s.tracer)
+		}
+		h.sessions[s.ID] = s
+		h.order = append(h.order, s.ID)
+		h.m.store.record(&walRecord{Type: recSessCreate, ID: s.ID, Num: h.nextID, Session: &s.spec, At: s.created.UnixNano()})
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return nil, ErrShuttingDown
-	}
-	h.nextID++
-	s := &Session{ID: "s" + strconv.Itoa(h.nextID), spec: spec, created: time.Now()}
-	if s.spec.Name == "" {
-		s.spec.Name = s.ID
-	}
-	if spec.Spans {
-		s.tracer = otrace.New(s.ID, otrace.DefaultCapacity)
-		observeTracer(h.obsReg, s.tracer)
-	}
-	h.sessions[s.ID] = s
-	h.order = append(h.order, s.ID)
-	h.store.record(&walRecord{Type: recSessCreate, ID: s.ID, Num: h.nextID, Session: &s.spec, At: s.created.UnixNano()})
-	h.log.Info("session created", "session", s.ID, "corpus", spec.Corpus, "task", spec.Task)
+	h.m.log.Info("session created", "session", s.ID, "corpus", spec.Corpus, "task", spec.Task)
 	return s, nil
 }
 
@@ -292,16 +219,20 @@ func (h *SessionHub) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
-// List returns session snapshots in creation order.
-func (h *SessionHub) List() []SessionInfo {
+// all returns the sessions in creation order.
+func (h *SessionHub) all() []*Session {
 	h.mu.Lock()
-	ids := make([]string, len(h.order))
-	copy(ids, h.order)
-	sessions := make([]*Session, 0, len(ids))
-	for _, id := range ids {
+	defer h.mu.Unlock()
+	sessions := make([]*Session, 0, len(h.order))
+	for _, id := range h.order {
 		sessions = append(sessions, h.sessions[id])
 	}
-	h.mu.Unlock()
+	return sessions
+}
+
+// List returns session snapshots in creation order.
+func (h *SessionHub) List() []SessionInfo {
+	sessions := h.all()
 	out := make([]SessionInfo, 0, len(sessions))
 	for _, s := range sessions {
 		out = append(out, s.Info())
@@ -317,109 +248,122 @@ func (h *SessionHub) transition(s *Session, v *sessionVersion, rec *walRecord) b
 	ok := v.rec.apply(rec)
 	s.mu.Unlock()
 	if ok {
-		h.store.record(rec)
+		h.m.store.record(rec)
 	}
 	return ok
 }
 
-// finishRecord builds the version-finish record for a version that ended
-// with err (failed) or res (done).
-func finishRecord(s *Session, v *sessionVersion, res *recipe.Version, err error) *walRecord {
-	rec := &walRecord{Type: recVerFinish, ID: s.ID, Ver: v.rec.Index, At: time.Now().UnixNano()}
-	if err != nil {
-		rec.State, rec.Err = StateFailed, err.Error()
-	} else {
-		rec.State, rec.Result = StateDone, versionDigest(res)
-	}
-	return rec
-}
-
-// Submit validates and compiles the recipe spec, then enqueues it as the
-// session's next version. The hub's lock is held throughout, so a submit
-// racing Shutdown is either rejected whole — nothing appended, nothing
-// journaled — or enqueued before the pool closes.
+// Submit validates and compiles the recipe spec, then admits it as the
+// session's next version (see Manager.admit).
 func (h *SessionHub) Submit(s *Session, spec *recipe.Spec) (int, error) {
 	compiled, err := spec.Recipe()
 	if err != nil {
 		return 0, err
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return 0, ErrShuttingDown
+	var ver int
+	err = h.m.admit(func() error {
+		s.mu.Lock()
+		ver = len(s.versions) + 1
+		submit := &walRecord{Type: recVerSubmit, ID: s.ID, Ver: ver, Recipe: spec}
+		v := &sessionVersion{rec: newVersionRecord(submit), recipe: compiled}
+		s.versions = append(s.versions, v)
+		s.mu.Unlock()
+		// Journal the submission before the enqueue: a worker may start the
+		// version the instant it is admitted.
+		h.m.store.record(submit)
+		return h.enqueue(s, v)
+	})
+	if err != nil {
+		return 0, err
 	}
-	s.mu.Lock()
-	submit := &walRecord{Type: recVerSubmit, ID: s.ID, Ver: len(s.versions) + 1, Recipe: spec}
-	v := &sessionVersion{rec: newVersionRecord(submit), recipe: compiled}
-	s.versions = append(s.versions, v)
-	s.mu.Unlock()
-	// Journal the submission before the enqueue (a worker may start the
-	// version immediately); a failed enqueue journals the failure so the
-	// version's terminal state survives a restart like any other.
-	h.store.record(submit)
-	if !h.pool.TrySubmit(func() { h.execute(s, v) }) {
-		h.transition(s, v, finishRecord(s, v, nil, ErrQueueFull))
-		return 0, fmt.Errorf("%w (%d pending)", ErrQueueFull, h.pool.Cap())
-	}
-	return submit.Ver, nil
+	return ver, nil
 }
 
-// execute runs one queued version to a terminal state. The session's
-// execMu guarantees versions run one at a time in submission order (the
-// hub pool is FIFO), which the warm-start chain depends on.
-func (h *SessionHub) execute(s *Session, v *sessionVersion) {
-	s.execMu.Lock()
-	defer s.execMu.Unlock()
-
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if h.defaults.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(h.baseCtx, h.defaults.Timeout)
-	} else {
-		ctx, cancel = context.WithCancel(h.baseCtx)
+// enqueue admits a version to the manager's pool — the one path a live
+// submit and recovery share. A full queue fails the version on its record,
+// so its terminal state survives a restart like any other.
+func (h *SessionHub) enqueue(s *Session, v *sessionVersion) error {
+	if h.m.pool.TrySubmit(func() { h.dispatch(s, v) }) {
+		return nil
 	}
-	defer cancel()
+	h.finishVersion(s, v, nil, ErrQueueFull)
+	return h.m.queueFull()
+}
 
+// dispatch is a version's pool task. A session executes one version at a
+// time, in index order, because each warm-starts from the one before; but
+// no worker ever waits for another version. The worker parks v on the
+// session and then executes parked versions for as long as the session's
+// next due one — its lowest-index unfinished version — is among them. A
+// worker whose version is not yet due (an earlier one is executing, or is
+// still on its way out of the pool queue) returns to the pool at once,
+// leaving v to whichever worker reaches the earlier version.
+func (h *SessionHub) dispatch(s *Session, v *sessionVersion) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.parked = append(s.parked, v)
+	for {
+		i := slices.IndexFunc(s.versions, func(w *sessionVersion) bool { return !w.rec.State.terminal() })
+		if i < 0 {
+			return
+		}
+		j := slices.Index(s.parked, s.versions[i])
+		if j < 0 {
+			return
+		}
+		due := s.parked[j]
+		s.parked = slices.Delete(s.parked, j, j+1)
+		s.mu.Unlock()
+		h.execute(s, due)
+		s.mu.Lock()
+	}
+}
+
+// execute runs one version to a terminal state; dispatch makes it the only
+// version of its session executing.
+func (h *SessionHub) execute(s *Session, v *sessionVersion) {
+	ctx, cancel := h.m.runContext(s.spec.runSpec())
+	defer cancel()
 	if !h.transition(s, v, &walRecord{Type: recVerStart, ID: s.ID, Ver: v.rec.Index, At: time.Now().UnixNano()}) {
 		return
 	}
-	s.mu.Lock()
-	ws := s.workspace
-	s.mu.Unlock()
-	if ws == nil {
-		built, err := h.buildWorkspace(ctx, s)
+	if s.workspace == nil {
+		ws, err := h.buildWorkspace(ctx, s)
 		if err != nil {
 			h.finishVersion(s, v, nil, err)
 			return
 		}
-		s.mu.Lock()
-		s.workspace = built
-		ws = built
-		s.mu.Unlock()
+		s.workspace = ws
 	}
-
-	res, err := ws.Submit(ctx, v.recipe)
+	res, err := s.workspace.Submit(ctx, v.recipe)
 	h.finishVersion(s, v, res, err)
 }
 
-// finishVersion records a version's terminal state.
+// finishVersion records a version's terminal state: failed with err, or
+// done with res.
 func (h *SessionHub) finishVersion(s *Session, v *sessionVersion, res *recipe.Version, err error) {
-	h.transition(s, v, finishRecord(s, v, res, err))
+	rec := &walRecord{Type: recVerFinish, ID: s.ID, Ver: v.rec.Index, At: time.Now().UnixNano(), State: StateDone}
 	if err != nil {
-		h.log.Error("session version finished", "session", s.ID, "version", v.rec.Index, "error", err.Error())
+		rec.State, rec.Err = StateFailed, err.Error()
+	} else {
+		rec.Result = versionDigest(res)
+	}
+	h.transition(s, v, rec)
+	if err != nil {
+		h.m.log.Error("session version finished", "session", s.ID, "version", v.rec.Index, "error", err.Error())
 		return
 	}
-	h.log.Info("session version finished", "session", s.ID, "version", v.rec.Index,
+	h.m.log.Info("session version finished", "session", s.ID, "version", v.rec.Index,
 		"quality", res.Run.FinalQuality, "inputs", res.Run.InputsProcessed,
 		"cache_hits", res.Run.CacheHits, "warm_start", res.WarmStart.Applied)
 }
 
 // buildWorkspace assembles the session's task, index groups (through the
-// shared singleflight cache) and recipe workspace. It runs once, under the
-// session's execMu, when the first version executes.
+// manager's index cache) and recipe workspace. The first version to
+// execute runs it.
 func (h *SessionHub) buildWorkspace(ctx context.Context, s *Session) (*recipe.Session, error) {
-	spec := s.spec
-	store, err := h.registry.Get(spec.Corpus)
+	spec := s.spec.runSpec()
+	store, err := h.m.registry.Get(spec.Corpus)
 	if err != nil {
 		return nil, err
 	}
@@ -427,20 +371,20 @@ func (h *SessionHub) buildWorkspace(ctx context.Context, s *Session) (*recipe.Se
 	if err != nil {
 		return nil, err
 	}
-	key := IndexKey{Corpus: spec.Corpus, Strategy: grouper.Name(), K: spec.K, Seed: spec.Seed}
-	groups, err := h.idxCache.Get(ctx, key, func() (*index.Groups, error) {
-		return grouper.Group(store, spec.K, rng.New(spec.Seed).Split("index"))
-	})
+	cfg, err := h.m.engineConfig(spec)
 	if err != nil {
 		return nil, err
 	}
-	cfg := h.engineConfig(spec)
-	cfg.Cache = h.featCache
-	cfg.Obs = h.obsReg
+	groups, err := h.m.indexGroups(ctx, spec, store, grouper, cfg.Faults)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Cache = h.m.featCache
+	cfg.Obs = h.m.metrics.Registry()
 	// Every version's engine shares the session tracer (nil unless the
 	// session asked for spans), so one tree spans the whole edit history.
 	cfg.Tracer = s.tracer
-	ws, err := recipe.NewSession(spec.Name, task, groups, recipe.Config{Engine: cfg, Decay: *spec.Decay})
+	ws, err := recipe.NewSession(s.spec.Name, task, groups, recipe.Config{Engine: cfg, Decay: *s.spec.Decay})
 	if err != nil {
 		return nil, err
 	}
@@ -454,7 +398,7 @@ func (h *SessionHub) buildWorkspace(ctx context.Context, s *Session) (*recipe.Se
 	for _, v := range s.versions {
 		if res := v.rec.Result; v.rec.State == StateDone && res != nil {
 			if _, err := ws.Restore(v.recipe, &core.RunResult{Arms: res.Arms}, res.WarmStart); err != nil {
-				h.log.Warn("session version restore skipped", "session", s.ID,
+				h.m.log.Warn("session version restore skipped", "session", s.ID,
 					"version", v.rec.Index, "error", err.Error())
 			}
 		}
@@ -524,23 +468,10 @@ func (s *Session) Info() SessionInfo {
 	return info
 }
 
-// SpanSnapshot returns the session tracer's recorded spans; ok is false
-// for sessions created without "spans": true.
-func (s *Session) SpanSnapshot() (spans []otrace.Span, dropped int64, ok bool) {
-	if s.tracer == nil {
-		return nil, 0, false
-	}
-	spans, dropped = s.tracer.Snapshot()
-	return spans, dropped, true
-}
-
-// Tracer returns the session's span tracer (nil unless spec.Spans).
-func (s *Session) Tracer() *otrace.Tracer { return s.tracer }
-
 // restore rebuilds the hub's session table from recovered state. Every
 // version comes back exactly as its record says — terminal versions with
 // their curves, diffs, and warm-start arms, interrupted ones as the crash
-// left them, parked until recoverPending re-queues them. Must run before
+// left them, waiting for recoverPending to re-queue them. Must run before
 // the server accepts requests — it assumes an empty session table.
 func (h *SessionHub) restore(st *persistState) {
 	h.mu.Lock()
@@ -560,7 +491,7 @@ func (h *SessionHub) restore(st *persistState) {
 			// Same policy as runs: spans are not journaled, the tracer
 			// starts empty and refills as new versions execute.
 			s.tracer = otrace.New(id, otrace.DefaultCapacity)
-			observeTracer(h.obsReg, s.tracer)
+			h.m.metrics.ObserveTracer(s.tracer)
 		}
 		for _, rec := range ps.Versions {
 			// The recipe is recompiled from its journaled spec. It compiled
@@ -571,68 +502,43 @@ func (h *SessionHub) restore(st *persistState) {
 				compiled, _ = rec.Recipe.Recipe()
 			}
 			if compiled == nil {
-				h.log.Warn("session version dropped on restore: recipe no longer compiles",
+				h.m.log.Warn("session version dropped on restore: recipe no longer compiles",
 					"session", id, "version", rec.Index)
 				continue
 			}
-			v := &sessionVersion{rec: *rec, recipe: compiled}
-			s.versions = append(s.versions, v)
-			if !rec.State.terminal() {
-				h.pending = append(h.pending, pendingVersion{s: s, v: v})
-			}
+			s.versions = append(s.versions, &sessionVersion{rec: *rec, recipe: compiled})
 		}
 		h.sessions[id] = s
 		h.order = append(h.order, id)
 	}
 }
 
-// recoverPending re-queues every restored interrupted version for
-// deterministic re-execution through the normal execute path (execMu
-// keeps per-session ordering). Call after corpora are registered.
-// Returns the number re-queued.
+// recoverPending re-submits every unfinished version — at start-up, the
+// ones a crash interrupted — through the live submit's enqueue, in session
+// then index order; dispatch re-executes them one at a time per session,
+// each warm-starting from the one before. Call it once, after the corpora
+// are registered. Returns the number re-queued.
 func (h *SessionHub) recoverPending() int {
-	h.mu.Lock()
-	pending := h.pending
-	h.pending = nil
-	h.mu.Unlock()
-
 	recovered := 0
-	for _, p := range pending {
-		p := p
-		if !h.pool.TrySubmit(func() { h.execute(p.s, p.v) }) {
-			h.transition(p.s, p.v, finishRecord(p.s, p.v, nil, errors.New("recovery re-queue failed: queue full")))
-			h.log.Error("session version recovery failed", "session", p.s.ID,
-				"version", p.v.rec.Index, "error", "queue full")
-			continue
+	for _, s := range h.all() {
+		s.mu.Lock()
+		var pending []*sessionVersion
+		for _, v := range s.versions {
+			if !v.rec.State.terminal() {
+				pending = append(pending, v)
+			}
 		}
-		recovered++
-		h.log.Info("session version recovered", "session", p.s.ID, "version", p.v.rec.Index)
+		s.mu.Unlock()
+		for _, v := range pending {
+			if err := h.enqueue(s, v); err != nil {
+				h.m.log.Error("session version recovery failed", "session", s.ID, "version", v.rec.Index, "error", err.Error())
+				continue
+			}
+			recovered++
+			h.m.log.Info("session version recovered", "session", s.ID, "version", v.rec.Index)
+		}
 	}
 	return recovered
-}
-
-// Shutdown stops intake and drains in-flight version runs (see
-// Manager.Shutdown for the contract).
-func (h *SessionHub) Shutdown(ctx context.Context) error {
-	h.mu.Lock()
-	if !h.closed {
-		h.closed = true
-		h.pool.Close()
-	}
-	h.mu.Unlock()
-	drained := make(chan struct{})
-	go func() {
-		h.pool.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-		return nil
-	case <-ctx.Done():
-		h.baseCancel()
-		<-drained
-		return ctx.Err()
-	}
 }
 
 // --- HTTP handlers ---

@@ -1,11 +1,18 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"zombie/internal/corpus"
+	"zombie/internal/fault"
+	"zombie/internal/recipe"
+	"zombie/internal/rng"
 )
 
 // pollSession fetches the session until version (1-based) reaches a
@@ -137,6 +144,8 @@ func TestSessionEndpointValidation(t *testing.T) {
 		{Corpus: "imgs", Task: "image", K: -1},
 		{Corpus: "imgs", Task: "image", Decay: &bad},
 		{Corpus: "imgs", Task: "image", Policy: "bogus"},
+		{Corpus: "imgs", Task: "image", Batch: -1},
+		{Corpus: "imgs", Task: "image", EvalEvery: -1},
 	}
 	for i, spec := range cases {
 		body := decodeBody[errorBody](t, postJSON(t, ts.URL+"/sessions", spec), http.StatusBadRequest)
@@ -215,4 +224,156 @@ func TestStrictSpecDecoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	decodeBody[errorBody](t, resp, http.StatusBadRequest)
+}
+
+// TestSessionWikiRecipeEndToEnd runs the three-part wiki recipe over HTTP
+// and edits only its top part: version 2 replays the two unchanged parts
+// from the extraction cache and warm-starts from version 1's arms.
+func TestSessionWikiRecipeEndToEnd(t *testing.T) {
+	_, ts := newTestServer(t)
+	gen := corpus.DefaultWikiConfig()
+	gen.N = 600
+	ins, err := corpus.GenerateWiki(gen, rng.New(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wiki.jsonl")
+	if err := corpus.WriteJSONL(path, ins); err != nil {
+		t.Fatal(err)
+	}
+	decodeBody[CorpusInfo](t, postJSON(t, ts.URL+"/corpora", corpusAddRequest{Name: "wiki", Path: path}), http.StatusCreated)
+	created := decodeBody[SessionInfo](t, postJSON(t, ts.URL+"/sessions",
+		SessionSpec{Corpus: "wiki", Task: "wiki", K: 8, Seed: 3, MaxInputs: 150, EvalEvery: 25}), http.StatusCreated)
+	sessURL := ts.URL + "/sessions/" + created.ID
+	for i, top := range []int{5, 6} {
+		rec := map[string]any{"name": "smoke", "parts": []map[string]any{
+			{"name": "base", "kind": "wiki", "version": 2},
+			{"name": "mid", "kind": "wiki", "version": 4, "deps": []string{"base"}},
+			{"name": "top", "kind": "wiki", "version": top, "deps": []string{"mid"}},
+		}}
+		decodeBody[map[string]any](t, postJSON(t, sessURL+"/runs", rec), http.StatusAccepted)
+		pollSession(t, sessURL, i+1)
+	}
+	v2 := decodeBody[SessionInfo](t, mustGet(t, sessURL), http.StatusOK).Versions[1]
+	if v2.CacheHits == 0 || v2.SharedParts != 2 || !v2.WarmStart.Applied {
+		t.Fatalf("v2: cache_hits=%d shared_parts=%d warm_start=%+v, want hits, 2 shared parts, applied",
+			v2.CacheHits, v2.SharedParts, v2.WarmStart)
+	}
+}
+
+// newSlowServer is a server whose every extraction sleeps 3ms, so runs and
+// versions last long enough for tests to observe them executing; it
+// serves the "imgs" image corpus.
+func newSlowServer(t *testing.T, workers int) *Server {
+	t.Helper()
+	slow, err := fault.Parse("extract:lat=3ms", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: workers, QueueCap: 16, Faults: slow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdown(t, s, 10*time.Second) })
+	if _, err := s.Registry().Add("imgs", writeImageCorpus(t, 500, 26), false); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// submitVersion submits a recipe (in its JSON form) as sess's next version.
+func submitVersion(t *testing.T, s *Server, sess *Session, rec map[string]any) {
+	t.Helper()
+	raw, _ := json.Marshal(rec)
+	var spec recipe.Spec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.sessions.Submit(sess, &spec); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// awaitVersion waits for version ver (1-based) of sess to finish done.
+func awaitVersion(t *testing.T, sess *Session, ver int) sessionVersionInfo {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		v := sess.Info().Versions[ver-1]
+		switch v.State {
+		case StateDone:
+			return v
+		case StateFailed, StateCancelled:
+			t.Fatalf("session %s version %d ended %s: %s", sess.ID, ver, v.State, v.Error)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("session %s version %d did not finish", sess.ID, ver)
+	return sessionVersionInfo{}
+}
+
+// versionSpan returns when version ver (1-based) of sess started and
+// finished executing, from its record.
+func versionSpan(sess *Session, ver int) (started, finished int64) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	rec := sess.versions[ver-1].rec
+	return rec.Started, rec.Finished
+}
+
+// TestRunsAndVersionsShareOnePool: Workers bounds runs and session
+// versions together, so with one worker a run and a version submitted
+// together never execute at the same instant.
+func TestRunsAndVersionsShareOnePool(t *testing.T) {
+	s := newSlowServer(t, 1)
+	sess, err := s.sessions.Create(SessionSpec{Corpus: "imgs", Task: "image", K: 8, Seed: 3, MaxInputs: 60, EvalEvery: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := s.Manager().Submit(RunSpec{Corpus: "imgs", Task: "image", K: 8, Seed: 3, MaxInputs: 60, EvalEvery: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitVersion(t, s, sess, imageRecipeSpec(2))
+	awaitRun(t, s, run.ID)
+	awaitVersion(t, sess, 1)
+	run.mu.Lock()
+	runStarted, runFinished := run.rec.Started, run.rec.Finished
+	run.mu.Unlock()
+	verStarted, verFinished := versionSpan(sess, 1)
+	if runStarted < verFinished && verStarted < runFinished {
+		t.Fatalf("run executed over [%d, %d] and the version over [%d, %d]: overlap on one worker",
+			runStarted, runFinished, verStarted, verFinished)
+	}
+}
+
+// TestParkedVersionFreesItsWorker: a version dequeued while its session's
+// previous version executes parks on the session instead of holding a
+// worker, so another session's version runs on the second worker
+// meanwhile — and the parked version still runs after its predecessor,
+// warm-starting from it.
+func TestParkedVersionFreesItsWorker(t *testing.T) {
+	s := newSlowServer(t, 2)
+	a, err := s.sessions.Create(SessionSpec{Corpus: "imgs", Task: "image", K: 8, Seed: 3, MaxInputs: 200, EvalEvery: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.sessions.Create(SessionSpec{Corpus: "imgs", Task: "image", K: 8, Seed: 3, MaxInputs: 20, EvalEvery: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitVersion(t, s, a, imageRecipeSpec(2))
+	submitVersion(t, s, a, imageRecipeSpec(3))
+	submitVersion(t, s, b, imageRecipeSpec(2))
+	awaitVersion(t, b, 1)
+	if st := a.Info().Versions[0].State; st != StateRunning {
+		t.Fatalf("session A's v1 is %s when session B's v1 finished, want running", st)
+	}
+	if v2 := awaitVersion(t, a, 2); !v2.WarmStart.Applied {
+		t.Fatalf("session A's v2 did not warm-start: %+v", v2.WarmStart)
+	}
+	_, v1Finished := versionSpan(a, 1)
+	if v2Started, _ := versionSpan(a, 2); v2Started < v1Finished {
+		t.Fatal("session A's v2 started before v1 finished")
+	}
 }

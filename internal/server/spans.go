@@ -54,7 +54,7 @@ func (s *Server) handleRunSpans(w http.ResponseWriter, r *http.Request) {
 	writeSpans(w, r, spanBody{
 		ID:      run.ID,
 		State:   run.State(),
-		TraceID: run.Tracer().TraceID(),
+		TraceID: run.tracer.TraceID(),
 		Dropped: dropped,
 	}, spans)
 }
@@ -69,14 +69,14 @@ func (s *Server) handleSessionSpans(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown session %q", r.PathValue("id"))
 		return
 	}
-	spans, dropped, traced := sess.SpanSnapshot()
-	if !traced {
+	if sess.tracer == nil {
 		writeError(w, http.StatusNotFound, "session %s has no span tracer (create with \"spans\": true)", sess.ID)
 		return
 	}
+	spans, dropped := sess.tracer.Snapshot()
 	writeSpans(w, r, spanBody{
 		ID:      sess.ID,
-		TraceID: sess.Tracer().TraceID(),
+		TraceID: sess.tracer.TraceID(),
 		Dropped: dropped,
 	}, spans)
 }
