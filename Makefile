@@ -1,11 +1,10 @@
 # Development workflow for the zombie repo. `make ci` is the full gate the
 # first goroutines in internal/server made meaningful: the race detector
 # runs over every package, and the smoke targets prove the contracts that
-# need a live zombie-serve (telemetry, real-socket dist, trace stitching,
-# crash-resume) end to end — crash-smoke kills a -state-dir server mid-run
-# and requires the restarted process to finish the run with an identical
-# curve. The CLI's determinism contracts (cache, faults, batching, shards,
-# recipes) are Go tests in cmd/zombie. `make cover` holds the
+# need a live zombie-serve (telemetry, real-socket dist, trace stitching)
+# end to end. The CLI's determinism contracts (cache, faults, batching,
+# shards, recipes) are Go tests in cmd/zombie, and the kill -9 resume
+# contract is a Go test in cmd/zombie-serve. `make cover` holds the
 # robustness-critical packages and the learners to a coverage floor. `make loc`
 # prints the size metric ROADMAP's "least code" aim is judged by: non-test
 # Go lines per package and the repo total outside benchmark/.
@@ -54,7 +53,7 @@ define smoke_tmp
 if [ -n "$(SMOKE_DIR)" ]; then tmp="$(SMOKE_DIR)/$(1)"; rm -rf "$$tmp"; mkdir -p "$$tmp"; keep=1; else tmp=$$(mktemp -d); keep=; fi
 endef
 
-.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke fuzz-smoke bench-selftest obs-smoke dist-smoke crash-smoke trace-smoke ci
+.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke fuzz-smoke bench-selftest obs-smoke dist-smoke trace-smoke ci
 
 all: build
 
@@ -129,11 +128,15 @@ bench-smoke:
 # fuzz-smoke gives each fuzz target (package:target) ten seconds beyond
 # its checked-in seed corpus: the token scanner against its Tokenize
 # oracle, the bounded k-means pass against the plain Lloyd loop it
-# replaced, LoadGroups against arbitrary file bytes, and OpenJournal
-# against arbitrary journal bytes.
+# replaced, LoadGroups against arbitrary file bytes, OpenJournal against
+# arbitrary journal bytes, and the server's state load path (legacy
+# translation included) against arbitrary snapshot and record bytes.
+# Minimizing a new input is capped at a second so the ten seconds go to
+# fuzzing: the state seeds are whole fixture directories, and minimizing
+# one of those under the default cap can take the entire budget.
 fuzz-smoke:
-	@for target in index:FuzzScanTokens index:FuzzKMeansBounded index:FuzzLoadGroups runstore:FuzzOpenJournal; do \
-		$(GO) test ./internal/$${target%%:*} -run '^$$' -fuzz "^$${target#*:}\$$" -fuzztime 10s || exit 1; \
+	@for target in index:FuzzScanTokens index:FuzzKMeansBounded index:FuzzLoadGroups runstore:FuzzOpenJournal server:FuzzRestoreState; do \
+		$(GO) test ./internal/$${target%%:*} -run '^$$' -fuzz "^$${target#*:}\$$" -fuzztime 10s -fuzzminimizetime 1s || exit 1; \
 	done
 
 # bench-selftest compiles and tests the benchmark program against this
@@ -235,61 +238,6 @@ dist-smoke:
 	steps=$$(jq '[.workers[].steps] | add' $$tmp/dist.info); \
 	echo "dist-smoke OK: http transport over 2 workers, $$steps worker steps, curve identical to single-process"
 
-# crash-smoke proves the durable control plane's resume contract against
-# a real process and a real kill -9: a zombie-serve run with -state-dir
-# is killed mid-curve, the restarted process re-queues the interrupted
-# run from its journal (runs_recovered >= 1 in /metrics, recovered on the
-# run itself) and finishes it, and the resumed curve is byte-identical to
-# a fresh run of the same spec. The extract:lat fault stretches the run
-# so the kill lands mid-flight deterministically; latency faults never
-# change results. Needs curl + jq (standard on CI images).
-crash-smoke:
-	@command -v curl >/dev/null && command -v jq >/dev/null || { echo "crash-smoke: needs curl and jq"; exit 1; }; \
-	$(call smoke_tmp,crash-smoke); pid=; trap 'kill -9 $$pid 2>/dev/null; wait $$pid 2>/dev/null; [ -n "$$keep" ] || rm -rf "$$tmp"' EXIT; \
-	port=$$(( $(SMOKE_PORT_BASE) + 38 )); base=http://127.0.0.1:$$port; \
-	$(GO) run ./cmd/zombie-datagen -task wiki -n 600 -out $$tmp/wiki.jsonl >/dev/null && \
-	$(GO) build -ldflags "$(LDFLAGS)" -o $$tmp/zombie-serve ./cmd/zombie-serve && \
-	{ $$tmp/zombie-serve -addr 127.0.0.1:$$port -corpus wiki=$$tmp/wiki.jsonl -state-dir $$tmp/state -log-format json >$$tmp/serve1.log 2>&1 & pid=$$!; }; \
-	up=0; for i in $$(seq 1 50); do curl -sf $$base/healthz >/dev/null && { up=1; break; }; sleep 0.1; done; \
-	[ $$up = 1 ] || { echo "crash-smoke: server never came up"; cat $$tmp/serve1.log; exit 1; }; \
-	spec='{"corpus":"wiki","task":"wiki","max_inputs":400,"eval_every":10,"faults":"extract:lat=5ms","fault_seed":7}'; \
-	id=$$(curl -sf -X POST $$base/runs -d "$$spec" | jq -r '.id // empty'); \
-	[ -n "$$id" ] || { echo "crash-smoke: run submission failed"; cat $$tmp/serve1.log; exit 1; }; \
-	mid=0; state=; pts=0; for i in $$(seq 1 400); do \
-		info=$$(curl -sf $$base/runs/$$id); \
-		state=$$(echo "$$info" | jq -r .state); pts=$$(echo "$$info" | jq -r '.curve_points // 0'); \
-		if [ "$$state" = running ] && [ "$$pts" -ge 2 ]; then mid=1; break; fi; \
-		case $$state in done|failed|cancelled) break;; esac; sleep 0.05; \
-	done; \
-	[ $$mid = 1 ] || { echo "crash-smoke: never caught the run mid-curve (state=$$state points=$$pts)"; cat $$tmp/serve1.log; exit 1; }; \
-	kill -9 $$pid; wait $$pid 2>/dev/null; \
-	{ $$tmp/zombie-serve -addr 127.0.0.1:$$port -corpus wiki=$$tmp/wiki.jsonl -state-dir $$tmp/state -log-format json >$$tmp/serve2.log 2>&1 & pid=$$!; }; \
-	up=0; for i in $$(seq 1 50); do curl -sf $$base/healthz >/dev/null && { up=1; break; }; sleep 0.1; done; \
-	[ $$up = 1 ] || { echo "crash-smoke: restarted server never came up"; cat $$tmp/serve2.log; exit 1; }; \
-	state=; for i in $$(seq 1 600); do \
-		state=$$(curl -sf $$base/runs/$$id | jq -r .state); \
-		case $$state in done|failed|cancelled) break;; esac; sleep 0.05; \
-	done; \
-	[ "$$state" = done ] || { echo "crash-smoke: resumed run ended in state $$state"; curl -s $$base/runs/$$id; cat $$tmp/serve2.log; exit 1; }; \
-	recov=$$(curl -sf $$base/runs/$$id | jq -r '.recovered // 0'); \
-	[ "$$recov" -ge 1 ] || { echo "crash-smoke: resumed run reports recovered=$$recov, want >= 1"; curl -s $$base/runs/$$id; exit 1; }; \
-	metric=$$(curl -sf $$base/metrics | jq -r '.runs_recovered // 0'); \
-	[ "$$metric" -ge 1 ] || { echo "crash-smoke: /metrics runs_recovered = $$metric, want >= 1"; curl -s $$base/metrics; exit 1; }; \
-	ref=$$(curl -sf -X POST $$base/runs -d "$$spec" | jq -r '.id // empty'); \
-	[ -n "$$ref" ] || { echo "crash-smoke: reference submission failed"; cat $$tmp/serve2.log; exit 1; }; \
-	state=; for i in $$(seq 1 600); do \
-		state=$$(curl -sf $$base/runs/$$ref | jq -r .state); \
-		case $$state in done|failed|cancelled) break;; esac; sleep 0.05; \
-	done; \
-	[ "$$state" = done ] || { echo "crash-smoke: reference run ended in state $$state"; curl -s $$base/runs/$$ref; exit 1; }; \
-	curl -sf $$base/runs/$$id/curve | jq .curve > $$tmp/resumed.curve && \
-	curl -sf $$base/runs/$$ref/curve | jq .curve > $$tmp/reference.curve && \
-	if ! cmp -s $$tmp/resumed.curve $$tmp/reference.curve; then \
-		echo "crash-smoke: resumed curve diverged from a fresh run of the same spec"; \
-		diff $$tmp/resumed.curve $$tmp/reference.curve; exit 1; \
-	fi; \
-	echo "crash-smoke OK: killed mid-run at $$pts curve points, $$metric run(s) recovered, resumed curve byte-identical to a fresh run"
-
 # trace-smoke proves cross-process span stitching end to end: a live
 # coordinator + 2 worker processes run a sharded traced run, and the
 # coordinator's /runs/{id}/spans tree must contain the workers' spans
@@ -341,4 +289,4 @@ trace-smoke:
 		|| { echo "trace-smoke: chrome trace export is empty or invalid"; exit 1; }; \
 	echo "trace-smoke OK: $$nspans spans, $$wstitched worker spans stitched under coordinator rpc spans, cost cells for 2 shards"
 
-ci: fmt-check vet lint build race cover bench-smoke fuzz-smoke bench-selftest obs-smoke dist-smoke crash-smoke trace-smoke
+ci: fmt-check vet lint build race cover bench-smoke fuzz-smoke bench-selftest obs-smoke dist-smoke trace-smoke

@@ -103,8 +103,7 @@ func (c *CacheCounters) Parts() []PartCost {
 // each part is wrapped individually and the concatenation is recomputed
 // from the parts' (cached) vectors. This is where cross-version reuse
 // pays — an engineering session that edits one sub-feature reuses every
-// other part's cached vectors, mirroring how featurepipe.Session versions
-// v1→vN typically share most of their parts.
+// other part's cached vectors (recipe.Diff's shared_parts counts them).
 //
 // Cached results are shared by reference across runs; consumers must
 // treat them as immutable (every learner does — features are read-only

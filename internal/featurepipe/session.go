@@ -36,64 +36,6 @@ func NewSession(name string, thinkTimeMinutes float64, versions ...FeatureFunc) 
 	return &Session{Name: name, Versions: versions, ThinkTimeMinutes: thinkTimeMinutes}, nil
 }
 
-// Transition is the bookkeeping for one version step of a session: how
-// many of the new version's parts carry a fingerprint already present in
-// the previous version. This is exactly the quantity the part-level
-// extraction cache exploits — SharedParts/TotalParts of the next
-// iteration's extraction work was already computed by the previous one. A
-// non-composite version counts as a single part.
-type Transition struct {
-	// From and To are the version names on either side of the step.
-	From, To string
-	// SharedParts of the To version's TotalParts match a part fingerprint
-	// of the From version.
-	SharedParts int
-	TotalParts  int
-}
-
-// Transitions returns the session's version-transition bookkeeping, one
-// entry per consecutive version pair (empty for single-version sessions).
-func (s *Session) Transitions() []Transition {
-	if len(s.Versions) < 2 {
-		return nil
-	}
-	out := make([]Transition, 0, len(s.Versions)-1)
-	for i := 1; i < len(s.Versions); i++ {
-		remaining := map[string]int{}
-		for _, fp := range partFingerprints(s.Versions[i-1]) {
-			remaining[fp]++
-		}
-		cur := partFingerprints(s.Versions[i])
-		shared := 0
-		for _, fp := range cur {
-			if remaining[fp] > 0 {
-				remaining[fp]--
-				shared++
-			}
-		}
-		out = append(out, Transition{
-			From:        s.Versions[i-1].Name(),
-			To:          s.Versions[i].Name(),
-			SharedParts: shared,
-			TotalParts:  len(cur),
-		})
-	}
-	return out
-}
-
-// partFingerprints returns the cache-relevant identity of f: its parts'
-// fingerprints for a composite, its own fingerprint otherwise.
-func partFingerprints(f FeatureFunc) []string {
-	if comp, ok := f.(*CompositeFeature); ok {
-		fps := make([]string, len(comp.parts))
-		for i, p := range comp.parts {
-			fps[i] = FingerprintOf(p)
-		}
-		return fps
-	}
-	return []string{FingerprintOf(f)}
-}
-
 // StandardWikiSession returns the 8-iteration wiki engineering session
 // used by experiment T3: the engineer starts with a low-capacity hashed
 // bag of words and incrementally widens the hash space, boosts the

@@ -91,8 +91,11 @@ func (s *Session) Versions() []*Version { return append([]*Version(nil), s.versi
 // Submit runs one recipe version: it diffs the recipe against the
 // previous version, warm-starts the bandit from the previous version's
 // arm statistics (Config.Decay > 0), runs the engine, and records the
-// version. Unchanged parts are served by the extraction cache when the
-// engine config carries one — the engine's cache counters in the returned
+// version — unless the run was cancelled or tripped the failure budget:
+// partial arms and a recipe that never reached a verdict are nothing to
+// build on, so the next version starts from the latest one that did.
+// Unchanged parts are served by the extraction cache when the engine
+// config carries one — the engine's cache counters in the returned
 // version's Run show the reuse.
 func (s *Session) Submit(ctx context.Context, r *Recipe) (*Version, error) {
 	if r == nil {
@@ -126,7 +129,9 @@ func (s *Session) Submit(ctx context.Context, r *Recipe) (*Version, error) {
 		Run:       res,
 		WarmStart: ws,
 	}
-	s.versions = append(s.versions, v)
+	if res.Stop != core.StopCancelled && res.Stop != core.StopFailed {
+		s.versions = append(s.versions, v)
+	}
 	return v, nil
 }
 

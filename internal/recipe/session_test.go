@@ -193,3 +193,52 @@ func TestSessionRejectsClassMismatch(t *testing.T) {
 		t.Fatal("song recipe against wiki task: want class-mismatch error")
 	}
 }
+
+// TestSessionSkipsVersionsWithoutVerdict: a cancelled version is not
+// recorded, so the next version diffs against and warm-starts from the
+// last version that reached a verdict — exactly as if the cancelled one
+// had never been submitted.
+func TestSessionSkipsVersionsWithoutVerdict(t *testing.T) {
+	task, groups := wikiFixture(t, 400, 31)
+	v1r, err := New("rec", wikiParts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := wikiParts()
+	edited[2].Version = 6
+	v2r, err := New("rec", edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(cancelFirst bool) *Version {
+		s, err := NewSession("skip", task, groups, Config{Engine: testEngineConfig(nil), Decay: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Submit(context.Background(), v1r); err != nil {
+			t.Fatal(err)
+		}
+		if cancelFirst {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			v, err := s.Submit(ctx, v2r)
+			if err != nil || v.Run.Stop != core.StopCancelled {
+				t.Fatalf("cancelled submit: %v, %+v", err, v)
+			}
+		}
+		v, err := s.Submit(context.Background(), v2r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Versions()) != 2 {
+			t.Fatalf("session recorded %d versions, want 2", len(s.Versions()))
+		}
+		return v
+	}
+	want, got := run(false), run(true)
+	if !reflect.DeepEqual(got.Diff, want.Diff) || got.WarmStart != want.WarmStart ||
+		!reflect.DeepEqual(got.Run.Curve, want.Run.Curve) || !reflect.DeepEqual(got.Run.Arms, want.Run.Arms) {
+		t.Fatalf("version after a cancelled one did not build on v1:\n got  %+v %+v\n want %+v %+v",
+			got.Diff, got.WarmStart, want.Diff, want.WarmStart)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,18 +19,22 @@ import (
 	"zombie/internal/runstore"
 )
 
-// testdata/state-pr13 is a state directory written by the PR 13 server
-// (commit a86fe96, the last one with the RunStore interface, the persist*
-// mirror types and the run-quarantine record): runFixtureScript below was
-// run there — with the store reached through s.store.(*DurableStore) — and
-// the two files it left were copied here unmodified. The tests in this
-// file hold the current code to that directory: it must restore it, its
-// record encoding must be byte-stable, and the same script must journal
-// the same records.
+// The testdata/state-* directories are state directories older servers
+// wrote: runFixtureScript below was run there and the two files it left
+// were copied here unmodified, with the GET /runs and GET /sessions
+// listings that server served over them as the goldens. state-pr13 comes
+// from commit a86fe96, the last one with the RunStore interface, the
+// persist* mirror types and the run-quarantine record (its script reached
+// the store through s.store.(*DurableStore)); state-pr33 from commit
+// 8f8ebd4, the last one to journal session versions as version-* records.
+// The tests in this file hold the current code to both: it must restore
+// them, their record encoding must be byte-stable, and the same script
+// must journal the same runs.
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files from the current code")
 
-const fixtureDir = "testdata/state-pr13"
+// fixtures lists the checked-in state directories, oldest first.
+var fixtures = []string{"testdata/state-pr13", "testdata/state-pr33"}
 
 // fixtureCorpus is the corpus every fixture run and session refers to.
 func fixtureCorpus(t *testing.T) string { return writeImageCorpus(t, 2000, 35) }
@@ -106,7 +111,7 @@ func runFixtureScript(t *testing.T, stateDir, corpus string) {
 	if info, err := s2.Manager().Cancel(r4.ID); err != nil || info.State != StateCancelled {
 		t.Fatalf("cancel queued r4: %+v, %v", info, err)
 	}
-	time.Sleep(20 * time.Millisecond) // let the version-start record reach the journal
+	time.Sleep(20 * time.Millisecond) // let version 2's start record reach the journal
 	if r3.State() != StateRunning {
 		t.Fatalf("r3 is %s at kill time, want running", r3.State())
 	}
@@ -115,13 +120,13 @@ func runFixtureScript(t *testing.T, stateDir, corpus string) {
 	shutdown(t, s2, 50*time.Millisecond)
 }
 
-// copyFixture copies the checked-in state directory somewhere writable
+// copyFixture copies a checked-in state directory somewhere writable
 // (opening a state directory appends to it).
-func copyFixture(t *testing.T) string {
+func copyFixture(t testing.TB, fixture string) string {
 	t.Helper()
 	dir := t.TempDir()
 	for _, name := range []string{"runs.wal", "state.snap"} {
-		b, err := os.ReadFile(filepath.Join(fixtureDir, name))
+		b, err := os.ReadFile(filepath.Join(fixture, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +139,7 @@ func copyFixture(t *testing.T) string {
 
 // readState returns a state directory's snapshot body and journal payloads
 // (the records appended after that snapshot), raw.
-func readState(t *testing.T, dir string) (snapshot []byte, journal [][]byte) {
+func readState(t testing.TB, dir string) (snapshot []byte, journal [][]byte) {
 	t.Helper()
 	st, err := runstore.Open(dir,
 		func(state []byte) error { snapshot = bytes.Clone(state); return nil },
@@ -146,181 +151,211 @@ func readState(t *testing.T, dir string) (snapshot []byte, journal [][]byte) {
 	return snapshot, journal
 }
 
-// TestFixtureRestoresToGolden: the PR 13 state directory opens under the
-// current code, serves the golden run and session listings before Recover
-// (interrupted work shown as the crash left it), and Recover re-queues
-// exactly the killed run and the killed version, which then finish.
+// TestFixtureRestoresToGolden: each fixture state directory opens under
+// the current code, serves the golden run and session listings before
+// Recover (interrupted work shown as the crash left it), and Recover
+// re-queues exactly the killed run and the killed version, which then
+// finish.
 func TestFixtureRestoresToGolden(t *testing.T) {
-	s, err := New(Config{StateDir: copyFixture(t), Workers: 1, QueueCap: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(t, s, 10*time.Second)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	for path, golden := range map[string]string{"/runs": "runs.golden.json", "/sessions": "sessions.golden.json"} {
-		resp := mustGet(t, ts.URL+path)
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		golden = filepath.Join(fixtureDir, golden)
-		if *updateGolden {
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
+	for _, fixture := range fixtures {
+		t.Run(filepath.Base(fixture), func(t *testing.T) {
+			s, err := New(Config{StateDir: copyFixture(t, fixture), Workers: 1, QueueCap: 16})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("GET %s differs from %s:\n%s", path, golden, got)
-		}
-	}
+			defer shutdown(t, s, 10*time.Second)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	if _, err := s.Registry().Add("imgs", fixtureCorpus(t), false); err != nil {
-		t.Fatal(err)
-	}
-	if runs, versions := s.Recover(); runs != 1 || versions != 1 {
-		t.Fatalf("Recover() = (%d, %d), want (1, 1)", runs, versions)
-	}
-	if info := awaitRun(t, s, "r3"); info.Recovered != 1 || info.CurvePoints != 11 {
-		t.Fatalf("recovered r3: %+v", info)
-	}
-	info := pollSession(t, ts.URL+"/sessions/s1", 2)
-	if v2 := info.Versions[1]; !v2.WarmStart.Applied || !reflect.DeepEqual(v2.Diff.Changed, []string{"mid"}) {
-		t.Fatalf("recovered version 2 did not build on version 1's persisted arms: %+v", v2)
+			for path, golden := range map[string]string{"/runs": "runs.golden.json", "/sessions": "sessions.golden.json"} {
+				resp := mustGet(t, ts.URL+path)
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				golden = filepath.Join(fixture, golden)
+				if *updateGolden {
+					if err := os.WriteFile(golden, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(golden)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("GET %s differs from %s:\n%s", path, golden, got)
+				}
+			}
+
+			if _, err := s.Registry().Add("imgs", fixtureCorpus(t), false); err != nil {
+				t.Fatal(err)
+			}
+			if runs, versions := s.Recover(); runs != 1 || versions != 1 {
+				t.Fatalf("Recover() = (%d, %d), want (1, 1)", runs, versions)
+			}
+			if info := awaitRun(t, s, "r3"); info.Recovered != 1 || info.CurvePoints != 11 {
+				t.Fatalf("recovered r3: %+v", info)
+			}
+			info := pollSession(t, ts.URL+"/sessions/s1", 2)
+			if v2 := info.Versions[1]; !v2.WarmStart.Applied || !reflect.DeepEqual(v2.Diff.Changed, []string{"mid"}) {
+				t.Fatalf("recovered version 2 did not build on version 1's persisted arms: %+v", v2)
+			}
+		})
 	}
 }
 
-// TestFixtureRecordEncodingIsStable: every journal payload the PR 13 server
-// wrote decodes into today's walRecord and re-encodes to the same bytes —
-// field names, order and omissions are the on-disk contract. The retired
-// run-quarantine records decode too and the reducer skips them. The
-// snapshot re-encodes to the same document minus the per-run quarantine
-// counter those records fed.
+// TestFixtureRecordEncodingIsStable: every journal payload a fixture
+// server wrote decodes into today's walRecord and re-encodes to the same
+// bytes — field names, order and omissions are the on-disk contract — and
+// applies, the version-* records through the legacy translation. The
+// snapshot decodes and re-encodes to the same document. state-pr13 also
+// holds the retired run-quarantine records, which decode too and which
+// the reducer skips, and a per-run quarantine counter those records fed,
+// which the re-encoded snapshot drops.
 func TestFixtureRecordEncodingIsStable(t *testing.T) {
-	snapshot, journal := readState(t, copyFixture(t))
-	st := newPersistState()
-	if err := json.Unmarshal(snapshot, st); err != nil {
-		t.Fatal(err)
-	}
-	quarantine := 0
-	for i, payload := range journal {
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		again, err := json.Marshal(&rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, payload) {
-			t.Errorf("record %d re-encodes differently:\n was %s\n now %s", i, payload, again)
-		}
-		before, _ := json.Marshal(st)
-		applied := st.apply(&rec)
-		if rec.Type == "run-quarantine" {
-			quarantine++
-			if after, _ := json.Marshal(st); applied || !bytes.Equal(before, after) {
-				t.Errorf("record %d: retired run-quarantine record was not skipped", i)
+	for _, fixture := range fixtures {
+		t.Run(filepath.Base(fixture), func(t *testing.T) {
+			retired := fixture == fixtures[0]
+			snapshot, journal := readState(t, copyFixture(t, fixture))
+			st := newPersistState()
+			if err := json.Unmarshal(snapshot, st); err != nil {
+				t.Fatal(err)
 			}
-		} else if !applied {
-			t.Errorf("record %d (%s) rejected on replay", i, rec.Type)
-		}
-	}
-	if quarantine == 0 {
-		t.Fatal("fixture journal holds no run-quarantine record")
-	}
+			quarantine := 0
+			for i, payload := range journal {
+				var rec walRecord
+				if err := json.Unmarshal(payload, &rec); err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				again, err := json.Marshal(&rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again, payload) {
+					t.Errorf("record %d re-encodes differently:\n was %s\n now %s", i, payload, again)
+				}
+				before, _ := json.Marshal(st)
+				applied := st.apply(&rec)
+				if rec.Type == "run-quarantine" {
+					quarantine++
+					if after, _ := json.Marshal(st); applied || !bytes.Equal(before, after) {
+						t.Errorf("record %d: retired run-quarantine record was not skipped", i)
+					}
+				} else if !applied {
+					t.Errorf("record %d (%s) rejected on replay", i, rec.Type)
+				}
+			}
+			if (quarantine > 0) != retired {
+				t.Fatalf("fixture journal holds %d run-quarantine records", quarantine)
+			}
 
-	var was, now any
-	if err := json.Unmarshal(snapshot, &was); err != nil {
-		t.Fatal(err)
-	}
-	dropped := 0
-	for _, run := range was.(map[string]any)["runs"].(map[string]any) {
-		if _, ok := run.(map[string]any)["quarantined"]; ok {
-			delete(run.(map[string]any), "quarantined")
-			dropped++
-		}
-	}
-	if dropped == 0 {
-		t.Fatal("fixture snapshot holds no per-run quarantine counter")
-	}
-	var decoded persistState
-	if err := json.Unmarshal(snapshot, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	again, _ := json.Marshal(&decoded)
-	if err := json.Unmarshal(again, &now); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(was, now) {
-		t.Errorf("snapshot re-encodes differently:\n was %s\n now %s", snapshot, again)
+			var was, now any
+			if err := json.Unmarshal(snapshot, &was); err != nil {
+				t.Fatal(err)
+			}
+			dropped := 0
+			for _, run := range was.(map[string]any)["runs"].(map[string]any) {
+				if _, ok := run.(map[string]any)["quarantined"]; ok {
+					delete(run.(map[string]any), "quarantined")
+					dropped++
+				}
+			}
+			if (dropped > 0) != retired {
+				t.Fatalf("fixture snapshot holds %d per-run quarantine counters", dropped)
+			}
+			var decoded persistState
+			if err := json.Unmarshal(snapshot, &decoded); err != nil {
+				t.Fatal(err)
+			}
+			again, _ := json.Marshal(&decoded)
+			if err := json.Unmarshal(again, &now); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(was, now) {
+				t.Errorf("snapshot re-encodes differently:\n was %s\n now %s", snapshot, again)
+			}
+		})
 	}
 }
 
 // TestScriptJournalsWhatPR13Journaled: the current code, driven through
-// the script that produced the fixture, leaves the same snapshot and, for
-// every run and every session version, the same journal records in the
-// same order. Only the interleaving of different owners' records may
-// differ: the server that wrote the fixture ran session versions on a
-// second pool of their own, so version 2 ran beside r3 while r4 queued
-// behind r3; versions now share the run pool, so the script gives that
-// process two workers and submits version 2 before r4, and version 2's
-// records land ahead of r4's.
+// the script that produced the fixtures, journals the same records as the
+// state-pr13 server for every POST /runs run, in the same order. Only the
+// interleaving of different runs' records may differ: the server that
+// wrote state-pr13 ran session versions on a second pool of their own, so
+// version 2 ran beside r3 while r4 queued behind r3; versions now share
+// the run pool, so the script gives that process two workers and submits
+// version 2 before r4. Session versions journal run-* records now, not
+// the version-* records of the fixture, so for them the test compares
+// reductions: the script's directory and the fixture's, each opened by
+// the current code, reduce to the same state.
 // Clocks are not injectable, so wall-clock values (record times, phase_ms)
-// are zeroed on both sides; the fixture's run-quarantine records are
-// dropped, as are the killed run's curve points (how many reach the
-// journal before the kill is a race, in PR 13 as now).
+// are ignored on both sides; the fixture's run-quarantine records are
+// dropped, as are the curve points of the killed run r3 and the killed
+// version s1.v2 (how many reach the journal before the kill is a race).
+// A legacy version record never carried a strategy or phase_ms, so the
+// version runs' digests are compared without them.
 func TestScriptJournalsWhatPR13Journaled(t *testing.T) {
 	dir := t.TempDir()
 	runFixtureScript(t, dir, fixtureCorpus(t))
-	gotSnap, gotJournal := readState(t, dir)
-	wantSnap, wantJournal := readState(t, copyFixture(t))
+	fixture := copyFixture(t, fixtures[0])
+	_, gotJournal := readState(t, dir)
+	_, wantJournal := readState(t, fixture)
 
-	got, want := timeless(t, gotSnap), timeless(t, wantSnap)
-	for _, run := range want.(map[string]any)["runs"].(map[string]any) {
-		delete(run.(map[string]any), "quarantined")
-	}
-	if !reflect.DeepEqual(got, want) {
-		a, _ := json.Marshal(got)
-		b, _ := json.Marshal(want)
-		t.Errorf("snapshot differs:\n got  %s\n want %s", a, b)
-	}
-
-	// byOwner splits a journal into per-owner record sequences, keyed by
-	// run ID, or by session ID plus version for a session's records.
-	byOwner := func(journal [][]byte) map[string][]any {
+	// byRun splits a journal's POST /runs records by run ID.
+	byRun := func(journal [][]byte) map[string][]any {
 		out := map[string][]any{}
 		for _, payload := range journal {
 			rec := timeless(t, payload).(map[string]any)
-			if rec["t"] == "run-quarantine" || (rec["t"] == recRunPoint && rec["id"] == "r3") {
+			id := fmt.Sprint(rec["id"])
+			if !strings.HasPrefix(id, "r") || rec["t"] == "run-quarantine" || (rec["t"] == recRunPoint && id == "r3") {
 				continue
 			}
-			owner := fmt.Sprint(rec["id"])
-			if ver, ok := rec["ver"]; ok {
-				owner += fmt.Sprintf("/v%v", ver)
-			}
-			out[owner] = append(out[owner], rec)
+			out[id] = append(out[id], rec)
 		}
 		return out
 	}
-	gotRecs, wantRecs := byOwner(gotJournal), byOwner(wantJournal)
-	for owner := range wantRecs {
-		if _, ok := gotRecs[owner]; !ok {
-			gotRecs[owner] = nil
+	gotRecs, wantRecs := byRun(gotJournal), byRun(wantJournal)
+	for id := range wantRecs {
+		if _, ok := gotRecs[id]; !ok {
+			gotRecs[id] = nil
 		}
 	}
-	for owner, recs := range gotRecs {
-		if !reflect.DeepEqual(recs, wantRecs[owner]) {
+	for id, recs := range gotRecs {
+		if !reflect.DeepEqual(recs, wantRecs[id]) {
 			a, _ := json.Marshal(recs)
-			b, _ := json.Marshal(wantRecs[owner])
-			t.Errorf("%s journaled differently:\n got  %s\n want %s", owner, a, b)
+			b, _ := json.Marshal(wantRecs[id])
+			t.Errorf("%s journaled differently:\n got  %s\n want %s", id, a, b)
 		}
+	}
+
+	reduce := func(dir string) any {
+		ds, st, err := OpenDurableStore(dir, nil, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		doc := timeless(t, mustJSON(t, st))
+		for id, run := range doc.(map[string]any)["runs"].(map[string]any) {
+			run := run.(map[string]any)
+			if id == "r3" || id == "s1.v2" {
+				delete(run, "curve")
+			}
+			if sum, ok := run["summary"].(map[string]any); ok && strings.HasPrefix(id, "s1.") {
+				delete(sum, "strategy")
+				delete(sum, "phase_ms")
+			}
+		}
+		return doc
+	}
+	if got, want := reduce(dir), reduce(fixture); !reflect.DeepEqual(got, want) {
+		a, _ := json.Marshal(got)
+		b, _ := json.Marshal(want)
+		t.Errorf("state differs:\n got  %s\n want %s", a, b)
 	}
 }
 

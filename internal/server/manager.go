@@ -20,7 +20,9 @@ import (
 	"zombie/internal/featurepipe"
 	"zombie/internal/index"
 	"zombie/internal/obs"
+	"zombie/internal/otrace"
 	"zombie/internal/parallel"
+	"zombie/internal/recipe"
 	"zombie/internal/rng"
 	"zombie/internal/workload"
 )
@@ -244,11 +246,6 @@ func (m *Manager) admit(enqueue func() error) error {
 	return enqueue()
 }
 
-// queueFull is the error a refused pool submission surfaces as (a 503).
-func (m *Manager) queueFull() error {
-	return fmt.Errorf("%w (%d pending)", ErrQueueFull, m.pool.Cap())
-}
-
 // Submit validates the spec, assigns an ID, and enqueues the run. It
 // returns an error for unknown corpora/tasks/modes, invalid engine
 // configuration, a full queue, or a shutting-down manager.
@@ -262,25 +259,33 @@ func (m *Manager) Submit(spec RunSpec) (*Run, error) {
 		m.nextID++
 		submit := &walRecord{Type: recRunSubmit, ID: "r" + strconv.Itoa(m.nextID), Num: m.nextID, Spec: &spec, At: time.Now().UnixNano()}
 		run = newRun(newRunRecord(submit))
-		// Journal the submission before the enqueue: a worker may pick the
-		// run up (and journal its start) the instant TrySubmit returns. A
-		// failed enqueue is compensated with a discard record — the run
-		// never existed.
-		m.store.record(submit)
-		if !m.pool.TrySubmit(func() { m.execute(run) }) {
+		run.task = func() { m.execute(run) }
+		if err := m.enqueue(submit, run); err != nil {
 			m.nextID-- // ID was never exposed
-			m.store.record(&walRecord{Type: recRunDiscard, ID: run.ID})
-			return m.queueFull()
+			return err
 		}
-		m.runs[run.ID] = run
 		m.order = append(m.order, run.ID)
-		m.metrics.RunsStarted.Add(1)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return run, nil
+}
+
+// enqueue, called under admit, journals a run's or version's submission
+// and hands its task to the pool — journal first, as a worker may start
+// the run the instant TrySubmit returns. A full queue is compensated with
+// a discard record: the run never existed.
+func (m *Manager) enqueue(submit *walRecord, run *Run) error {
+	m.store.record(submit)
+	if !m.pool.TrySubmit(run.task) {
+		m.store.record(&walRecord{Type: recRunDiscard, ID: run.ID})
+		return fmt.Errorf("%w (%d pending)", ErrQueueFull, m.pool.Cap())
+	}
+	m.runs[run.ID] = run
+	m.metrics.RunsStarted.Add(1)
+	return nil
 }
 
 // Get returns the run by ID.
@@ -333,7 +338,8 @@ func (m *Manager) QueueDepth() int { return m.pool.QueueDepth() }
 // Running returns the number of runs currently executing.
 func (m *Manager) Running() int { return int(m.running.Load()) }
 
-// execute runs one queued run to a terminal state.
+// execute runs one queued run or session version to a terminal state:
+// start, engine call, outcome, counters, finish and logs.
 func (m *Manager) execute(run *Run) {
 	spec := run.rec.Spec
 	ctx, cancel := m.runContext(spec)
@@ -349,7 +355,16 @@ func (m *Manager) execute(run *Run) {
 		"task", spec.Task, "mode", spec.Mode)
 
 	// Exactly one of res and err is set.
-	res, err := m.runEngine(ctx, run)
+	var res *core.RunResult
+	var ver *recipe.Version
+	var err error
+	if run.session != nil {
+		if ver, err = m.runVersion(ctx, run); err == nil {
+			res = ver.Run
+		}
+	} else {
+		res, err = m.runEngine(ctx, run)
+	}
 	finished := time.Now().UnixNano()
 	// Counters move before the finish transition closes Done, so whoever
 	// waits on the run reads them settled.
@@ -392,7 +407,7 @@ func (m *Manager) execute(run *Run) {
 	// The digest is taken here, once, from the engine result; everything
 	// that reports on the run afterwards reads the record.
 	m.transition(run, &walRecord{Type: recRunFinish, ID: run.ID, At: finished, State: state, Err: errMsg,
-		Summary: runDigest(res), TimedOut: timedOut, result: res})
+		Summary: runDigest(res, ver), TimedOut: timedOut, result: res})
 	if errMsg != "" {
 		m.log.Error("run finished", "run", run.ID, "state", state,
 			"wall_ms", wall, "error", errMsg)
@@ -403,40 +418,42 @@ func (m *Manager) execute(run *Run) {
 	}
 }
 
-// runEngine assembles the task, resolves the index through the shared
-// cache, and executes the engine loop with the run's live-curve bridge.
-func (m *Manager) runEngine(ctx context.Context, run *Run) (*core.RunResult, error) {
-	spec := run.rec.Spec // immutable after Submit
+// prepare assembles what any execution — a run or a session's workspace —
+// needs: the corpus, the task and its index grouper, and the engine
+// config over the shared extraction cache (results are byte-identical
+// either way, see core.Config.Cache, so it is purely a wall-clock win
+// across repeated runs), the telemetry registry, the span tracer (nil
+// unless asked for; distributed runs thread it through the coordinator so
+// worker-side spans stitch into one tree) and the live-curve bridge.
+func (m *Manager) prepare(spec RunSpec, tracer *otrace.Tracer, progress func(core.CurvePoint)) (corpus.Store, *featurepipe.Task, index.Grouper, core.Config, error) {
 	store, err := m.registry.Get(spec.Corpus)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, core.Config{}, err
 	}
 	task, grouper, err := workload.Build(spec.Task, store, spec.FeatureVersion, rng.New(spec.Seed).Split("task"))
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, core.Config{}, err
 	}
-
 	cfg, err := m.engineConfig(spec)
+	cfg.Cache, cfg.Obs, cfg.Tracer, cfg.Progress = m.featCache, m.metrics.Registry(), tracer, progress
+	return store, task, grouper, cfg, err
+}
+
+// runEngine resolves the run's index through the shared cache when its
+// mode needs one and executes the engine loop.
+func (m *Manager) runEngine(ctx context.Context, run *Run) (*core.RunResult, error) {
+	spec := run.rec.Spec // immutable after Submit
+	store, task, grouper, cfg, err := m.prepare(spec, run.tracer, func(p core.CurvePoint) {
+		m.transition(run, &walRecord{Type: recRunPoint, ID: run.ID, Point: &p})
+	})
 	if err != nil {
 		return nil, err
 	}
-	cfg.Progress = func(p core.CurvePoint) {
-		m.transition(run, &walRecord{Type: recRunPoint, ID: run.ID, Point: &p})
-	}
-	cfg.Obs = m.metrics.Registry()
 	if spec.Trace {
 		// Bridge step events into the trace ring and the SSE stream.
 		// Config.Event is observational by contract: no run output changes.
 		cfg.Event = run.appendEvent
 	}
-	// Every run shares the server's extraction cache; results are
-	// byte-identical either way (see core.Config.Cache), so this is purely
-	// a wall-clock win across a session's repeated runs.
-	cfg.Cache = m.featCache
-	// The span tracer (nil unless the spec asked for spans) brackets the
-	// engine's phases; distributed runs thread the same tracer through the
-	// coordinator so worker-side spans stitch into one tree.
-	cfg.Tracer = run.tracer
 	m.metrics.ObserveTracer(run.tracer)
 	eng, err := core.New(cfg)
 	if err != nil {
@@ -591,49 +608,48 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 }
 
-// restore rebuilds the manager's run table from recovered state. Every
-// run comes back exactly as its record says — terminal runs with their
-// full history, interrupted (queued or running at crash time) runs as the
-// crash left them, parked until recoverPending requeues them. It must run
-// before the server starts accepting requests — it assumes an empty run
-// table.
+// restore rebuilds the manager's run table from recovered state — the
+// POST /runs runs here, the versions through SessionHub.restore. Every run
+// comes back exactly as its record says; interrupted ones (queued or
+// running at crash time) wait for recoverPending. It must run before the
+// server accepts requests — it assumes an empty run table.
 func (m *Manager) restore(st *persistState) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.nextID = max(m.nextID, st.NextRunID)
 	for _, id := range st.RunOrder {
-		rec := st.Runs[id]
-		if rec == nil {
-			continue
-		}
-		run := newRun(*rec)
-		m.runs[id] = run
-		m.order = append(m.order, id)
-		if !rec.State.terminal() {
-			m.pending = append(m.pending, run)
+		if rec := st.Runs[id]; rec != nil {
+			run := newRun(*rec)
+			run.task = func() { m.execute(run) }
+			m.adopt(run)
+			m.order = append(m.order, id)
 		}
 	}
 }
 
-// recoverPending re-queues every restored interrupted run for
-// deterministic re-execution: the engine is a pure function of the spec,
-// so the re-run's curve is byte-identical to what an uninterrupted run
-// would have produced. The requeue record resets the run to queued and
-// drops its stale partial curve (the engine re-emits the complete curve
-// from scratch). It is separate from restore because the runs' corpora
-// are registered by the embedder after the server is built; call it once
-// registration is done. Returns the number re-queued.
-func (m *Manager) recoverPending() int {
+// adopt adds a restored run to the run table, and to the pending runs
+// when the crash interrupted it. Like restore, it runs before serving.
+func (m *Manager) adopt(run *Run) {
+	m.runs[run.ID] = run
+	if !run.rec.State.terminal() {
+		m.pending = append(m.pending, run)
+	}
+}
+
+// recoverPending re-queues every restored interrupted run — POST /runs
+// runs, then versions in session and index order — for deterministic
+// re-execution: the re-run's curve is byte-identical to an uninterrupted
+// one. The requeue record resets the run to queued and drops its stale
+// partial curve. It is separate from restore because the embedder
+// registers the runs' corpora after the server is built; call it once
+// that is done. Returns the numbers of runs and of versions re-queued.
+func (m *Manager) recoverPending() (runs, versions int) {
 	m.mu.Lock()
 	pending := m.pending
 	m.pending = nil
 	m.mu.Unlock()
 
-	recovered := 0
 	for _, run := range pending {
-		run := run
 		m.transition(run, &walRecord{Type: recRunRequeue, ID: run.ID})
-		if !m.pool.TrySubmit(func() { m.execute(run) }) {
+		if !m.pool.TrySubmit(run.task) {
 			// A recovery flood larger than the queue: fail the overflow runs
 			// loudly rather than dropping them silently. Clients see why.
 			m.transition(run, &walRecord{Type: recRunFinish, ID: run.ID, At: time.Now().UnixNano(),
@@ -642,12 +658,17 @@ func (m *Manager) recoverPending() int {
 			m.log.Error("run recovery failed", "run", run.ID, "error", "queue full")
 			continue
 		}
-		recovered++
-		m.metrics.RunsRecovered.Add(1)
+		if run.session != nil {
+			versions++
+			m.metrics.VersionsRecovered.Add(1)
+		} else {
+			runs++
+			m.metrics.RunsRecovered.Add(1)
+		}
 		m.log.Info("run recovered", "run", run.ID, "corpus", run.rec.Spec.Corpus,
 			"task", run.rec.Spec.Task, "requeues", run.Info().Recovered)
 	}
-	return recovered
+	return runs, versions
 }
 
 // stateCounts summarizes run states (for /healthz).

@@ -359,7 +359,7 @@ func TestRejectedVersionIsNotRecovered(t *testing.T) {
 // run never produced one; and phase_ms comes from the digest, so a restored
 // traced run serves it on /trace exactly as on /runs/{id}.
 func TestEventsAndTraceReadTheRecord(t *testing.T) {
-	s, err := New(Config{StateDir: copyFixture(t), Workers: 1, QueueCap: 16})
+	s, err := New(Config{StateDir: copyFixture(t, fixtures[0]), Workers: 1, QueueCap: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

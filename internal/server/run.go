@@ -8,6 +8,7 @@ import (
 	"zombie/internal/core"
 	"zombie/internal/dist"
 	"zombie/internal/otrace"
+	"zombie/internal/recipe"
 	"zombie/internal/trace"
 )
 
@@ -130,6 +131,13 @@ type Run struct {
 	// (nil for a restored run: Info renders from rec.Summary either way).
 	result *core.RunResult
 	cancel context.CancelFunc
+	// task is the run's pool task: Manager.execute for a POST /runs run,
+	// SessionHub.dispatch for a session version. session and recipe are
+	// set for a version only: the session it belongs to and the compiled
+	// recipe its engine call runs (see Manager.runVersion).
+	task    func()
+	session *Session
+	recipe  *recipe.Recipe
 	// distTransport / distWorkers record the distribution summary for
 	// sharded runs, set by the manager before the run finishes.
 	distTransport string
@@ -155,7 +163,8 @@ type Run struct {
 // one at submit, a decoded one at restore. Terminal runs come back with
 // their history and a closed Done channel; interrupted (queued/running)
 // runs come back as the crash left them, for Manager.recoverPending to
-// requeue.
+// requeue. The owner sets the pool task (and, for a session version, the
+// session and recipe) before the run is enqueued.
 func newRun(rec runRecord) *Run {
 	r := &Run{
 		ID:   rec.ID,

@@ -28,8 +28,11 @@
 //	                             per-version curves, diffs, cache-reuse
 //	                             and warm-start stats
 //	POST   /sessions/{id}/runs   submit a recipe version (recipe.Spec
-//	                             JSON) -> 202; versions run sequentially,
-//	                             each warm-starting from the previous
+//	                             JSON) -> 202; version N is the run
+//	                             {id}.vN (info, curve, DELETE via
+//	                             /runs/{id}.vN, not listed by GET /runs);
+//	                             versions run in order, each building on
+//	                             the latest done one
 //	POST   /dist/{init,holdout,step-batch,finish}
 //	                             distributed-run worker endpoints: a
 //	                             coordinator drives this server's corpus
@@ -131,7 +134,6 @@ type Server struct {
 	// snapshot rotations, and the startup recovery replay. Served at
 	// GET /spans.
 	procTracer *otrace.Tracer
-	log        *slog.Logger
 	// httpSeconds times every request the handler serves (SSE streams
 	// included, observed at disconnect).
 	httpSeconds *obs.Histogram
@@ -212,7 +214,6 @@ func New(cfg Config) (*Server, error) {
 		metrics:    metrics,
 		obs:        reg,
 		procTracer: procTracer,
-		log:        cfg.Logger,
 		httpSeconds: reg.Histogram("zombie_http_request_seconds",
 			"HTTP request service time (streaming requests observe at disconnect).",
 			obs.LatencyBuckets),
@@ -289,15 +290,9 @@ func (s *Server) Manager() *Manager { return s.manager }
 // uninterrupted runs. Call it once after registering the corpora the
 // restored state references — recovering earlier would fail every run
 // with "unknown corpus". A server without a StateDir recovers nothing.
+// Each re-queued run and version is logged ("run recovered").
 func (s *Server) Recover() (runs, versions int) {
-	runs = s.manager.recoverPending()
-	versions = s.sessions.recoverPending()
-	s.metrics.VersionsRecovered.Add(int64(versions))
-	if runs > 0 || versions > 0 {
-		s.log.Info("control-plane state recovered", "runs_requeued", runs,
-			"versions_requeued", versions)
-	}
-	return runs, versions
+	return s.manager.recoverPending()
 }
 
 // Shutdown drains the manager's pool — runs and session versions alike
@@ -337,6 +332,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+}
+
+// writeSubmitError answers a refused submission: 503 when the server is
+// overloaded or shutting down, 400 for a bad spec.
+func writeSubmitError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrShuttingDown) {
+		status = http.StatusServiceUnavailable
+	}
+	writeError(w, status, "%v", err)
 }
 
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -462,11 +467,7 @@ func (s *Server) handleRunSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	run, err := s.manager.Submit(spec)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrShuttingDown) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "%v", err)
+		writeSubmitError(w, err)
 		return
 	}
 	w.Header().Set("Location", "/runs/"+run.ID)

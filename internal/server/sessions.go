@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -11,10 +10,9 @@ import (
 	"time"
 
 	"zombie/internal/core"
+	"zombie/internal/corpus"
 	"zombie/internal/otrace"
 	"zombie/internal/recipe"
-	"zombie/internal/rng"
-	"zombie/internal/workload"
 )
 
 // defaultSessionDecay is the warm-start decay a session spec inherits when
@@ -53,16 +51,10 @@ type SessionSpec struct {
 	Spans bool `json:"spans,omitempty"`
 }
 
+// normalize fills spec defaults in place: RunSpec's, and the decay.
 func (spec *SessionSpec) normalize() {
-	if spec.Policy == "" {
-		spec.Policy = "eps-greedy:0.1"
-	}
-	if spec.K == 0 {
-		spec.K = 32
-	}
-	if spec.Seed == 0 {
-		spec.Seed = 1
-	}
+	rs := spec.runSpec()
+	spec.Policy, spec.K, spec.Seed = rs.Policy, rs.K, rs.Seed
 	if spec.Decay == nil {
 		d := defaultSessionDecay
 		spec.Decay = &d
@@ -79,32 +71,27 @@ func (spec *SessionSpec) runSpec() RunSpec {
 	return rs
 }
 
-// sessionVersion is one submitted recipe version: its lifecycle record
-// (guarded by the session's mu, advanced through SessionHub.transition
-// only; rec.Index is immutable) and the recipe compiled from rec.Recipe.
-type sessionVersion struct {
-	rec    versionRecord
-	recipe *recipe.Recipe
-}
-
 // Session is a server-side recipe workspace: a fixed (corpus, task,
-// policy, k, seed) context plus an ordered history of recipe versions.
-// Versions execute one at a time in index order — each warm-starts from
-// the previous successful one — while different sessions share the
-// manager's pool (see SessionHub.dispatch).
+// policy, k, seed) context plus an ordered history of recipe versions,
+// each a run (ID <session>.v<N>) in the manager's run table. Versions
+// execute one at a time in index order — each warm-starts from the latest
+// done one — while different sessions share the manager's pool (see
+// SessionHub.dispatch).
 type Session struct {
 	ID      string
 	spec    SessionSpec
 	created time.Time
 
 	mu       sync.Mutex
-	versions []*sessionVersion
+	versions []*Run
 	// parked holds versions a worker dequeued while an earlier version of
 	// the session was still due or executing; dispatch runs them later.
-	parked []*sessionVersion
-	// workspace is built lazily by the first version to execute; only the
-	// executing version touches it, so it needs no lock.
+	parked []*Run
+	// workspace is built lazily by the first version to execute; executing
+	// is the version it is running. Only the executing version touches
+	// either, so they need no lock.
 	workspace *recipe.Session
+	executing *Run
 
 	// tracer is the session's span buffer (nil unless spec.Spans), shared
 	// by every version run so the tree accumulates the whole workspace's
@@ -139,10 +126,10 @@ type sessionPartInfo struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// sessionVersionInfo is the wire form of one recipe version: state, the
-// compiled recipe, the diff against the previous version, the learning
-// curve, and the cache-reuse + warm-start stats the workspace exists to
-// surface.
+// sessionVersionInfo is the wire form of one recipe version, rendered
+// from its run record: state, the compiled recipe, the diff against the
+// latest done version before it, the learning curve, and the cache-reuse
+// + warm-start stats the workspace exists to surface.
 type sessionVersionInfo struct {
 	Version     int                   `json:"version"`
 	State       RunState              `json:"state"`
@@ -164,10 +151,11 @@ type sessionVersionInfo struct {
 }
 
 // SessionHub is the server's table of recipe workspaces. It owns no
-// workers: version runs execute on the manager's pool, and the hub reads
-// the corpus registry, both caches, metrics, store, defaults and logger
-// through the manager — the cache sharing is what makes "edit one part,
-// pay for one part" hold across a session's versions.
+// workers and no lifecycle: versions are runs the manager executes on its
+// pool, and the hub reads the corpus registry, both caches, metrics,
+// store, defaults and logger through the manager — the cache sharing is
+// what makes "edit one part, pay for one part" hold across a session's
+// versions.
 type SessionHub struct {
 	m *Manager
 
@@ -191,16 +179,11 @@ func (h *SessionHub) Create(spec SessionSpec) (*Session, error) {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		h.nextID++
-		s = &Session{ID: "s" + strconv.Itoa(h.nextID), spec: spec, created: time.Now()}
-		if s.spec.Name == "" {
-			s.spec.Name = s.ID
+		id := "s" + strconv.Itoa(h.nextID)
+		if spec.Name == "" {
+			spec.Name = id
 		}
-		if spec.Spans {
-			s.tracer = otrace.New(s.ID, otrace.DefaultCapacity)
-			h.m.metrics.ObserveTracer(s.tracer)
-		}
-		h.sessions[s.ID] = s
-		h.order = append(h.order, s.ID)
+		s = h.addLocked(id, spec, time.Now())
 		h.m.store.record(&walRecord{Type: recSessCreate, ID: s.ID, Num: h.nextID, Session: &s.spec, At: s.created.UnixNano()})
 		return nil
 	})
@@ -211,6 +194,20 @@ func (h *SessionHub) Create(spec SessionSpec) (*Session, error) {
 	return s, nil
 }
 
+// addLocked registers a new or restored session, with a span tracer when
+// its spec asks for spans — spans are not journaled, so a restored
+// session's tracer starts empty. h.mu must be held.
+func (h *SessionHub) addLocked(id string, spec SessionSpec, created time.Time) *Session {
+	s := &Session{ID: id, spec: spec, created: created}
+	if spec.Spans {
+		s.tracer = otrace.New(id, otrace.DefaultCapacity)
+		h.m.metrics.ObserveTracer(s.tracer)
+	}
+	h.sessions[id] = s
+	h.order = append(h.order, id)
+	return s
+}
+
 // Get returns the session by ID.
 func (h *SessionHub) Get(id string) (*Session, bool) {
 	h.mu.Lock()
@@ -219,59 +216,47 @@ func (h *SessionHub) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
-// all returns the sessions in creation order.
-func (h *SessionHub) all() []*Session {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	sessions := make([]*Session, 0, len(h.order))
-	for _, id := range h.order {
-		sessions = append(sessions, h.sessions[id])
-	}
-	return sessions
-}
-
 // List returns session snapshots in creation order.
 func (h *SessionHub) List() []SessionInfo {
-	sessions := h.all()
-	out := make([]SessionInfo, 0, len(sessions))
-	for _, s := range sessions {
-		out = append(out, s.Info())
+	h.mu.Lock()
+	sessions := make([]*Session, len(h.order))
+	for i, id := range h.order {
+		sessions[i] = h.sessions[id]
+	}
+	h.mu.Unlock()
+	out := make([]SessionInfo, len(sessions))
+	for i, s := range sessions {
+		out[i] = s.Info()
 	}
 	return out
 }
 
-// transition applies rec to the version under its session's lock and, when
-// the version's reducer accepted it, hands the same record to the store —
-// the one way a live version changes lifecycle state.
-func (h *SessionHub) transition(s *Session, v *sessionVersion, rec *walRecord) bool {
-	s.mu.Lock()
-	ok := v.rec.apply(rec)
-	s.mu.Unlock()
-	if ok {
-		h.m.store.record(rec)
-	}
-	return ok
-}
-
 // Submit validates and compiles the recipe spec, then admits it as the
-// session's next version (see Manager.admit).
+// session's next version: a run with ID <session>.v<N> journaled and
+// enqueued through Manager.enqueue like any other (see Manager.admit).
 func (h *SessionHub) Submit(s *Session, spec *recipe.Spec) (int, error) {
 	compiled, err := spec.Recipe()
 	if err != nil {
 		return 0, err
 	}
+	if got, want := compiled.Feature().NumClasses(), taskClasses(s.spec.Task); got != want {
+		return 0, fmt.Errorf("server: recipe %s has %d classes, task %s expects %d", compiled.Name(), got, s.spec.Task, want)
+	}
+	runSpec := s.spec.runSpec()
 	var ver int
 	err = h.m.admit(func() error {
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		ver = len(s.versions) + 1
-		submit := &walRecord{Type: recVerSubmit, ID: s.ID, Ver: ver, Recipe: spec}
-		v := &sessionVersion{rec: newVersionRecord(submit), recipe: compiled}
+		submit := &walRecord{Type: recRunSubmit, ID: versionRunID(s.ID, ver), At: time.Now().UnixNano(),
+			Spec: &runSpec, Ver: ver, Recipe: spec}
+		v := newRun(newRunRecord(submit))
+		h.attach(s, v, compiled)
+		if err := h.m.enqueue(submit, v); err != nil {
+			return err
+		}
 		s.versions = append(s.versions, v)
-		s.mu.Unlock()
-		// Journal the submission before the enqueue: a worker may start the
-		// version the instant it is admitted.
-		h.m.store.record(submit)
-		return h.enqueue(s, v)
+		return nil
 	})
 	if err != nil {
 		return 0, err
@@ -279,31 +264,41 @@ func (h *SessionHub) Submit(s *Session, spec *recipe.Spec) (int, error) {
 	return ver, nil
 }
 
-// enqueue admits a version to the manager's pool — the one path a live
-// submit and recovery share. A full queue fails the version on its record,
-// so its terminal state survives a restart like any other.
-func (h *SessionHub) enqueue(s *Session, v *sessionVersion) error {
-	if h.m.pool.TrySubmit(func() { h.dispatch(s, v) }) {
-		return nil
+// taskClasses is the class count of the task's learner (see
+// workload.Build), which every version's recipe must match.
+func taskClasses(task string) int {
+	if task == "songs" {
+		return corpus.DefaultSongConfig().Genres
 	}
-	h.finishVersion(s, v, nil, ErrQueueFull)
-	return h.m.queueFull()
+	return 2 // wiki and image are binary
+}
+
+// attach makes v a version of s: its engine call is the session
+// workspace's (compiled is nil for a restored recipe that no longer
+// compiles, which fails the version if it ever executes), and its pool
+// task is dispatch.
+func (h *SessionHub) attach(s *Session, v *Run, compiled *recipe.Recipe) {
+	v.session, v.recipe = s, compiled
+	v.task = func() { h.dispatch(v) }
 }
 
 // dispatch is a version's pool task. A session executes one version at a
-// time, in index order, because each warm-starts from the one before; but
+// time, in index order, because each builds on the ones before it; but
 // no worker ever waits for another version. The worker parks v on the
 // session and then executes parked versions for as long as the session's
 // next due one — its lowest-index unfinished version — is among them. A
 // worker whose version is not yet due (an earlier one is executing, or is
 // still on its way out of the pool queue) returns to the pool at once,
-// leaving v to whichever worker reaches the earlier version.
-func (h *SessionHub) dispatch(s *Session, v *sessionVersion) {
+// leaving v to whichever worker reaches the earlier version. A version
+// cancelled while queued or parked is finished, so it is never due.
+func (h *SessionHub) dispatch(v *Run) {
+	s := v.session
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.parked = append(s.parked, v)
 	for {
-		i := slices.IndexFunc(s.versions, func(w *sessionVersion) bool { return !w.rec.State.terminal() })
+		s.parked = slices.DeleteFunc(s.parked, func(w *Run) bool { return w.State().terminal() })
+		i := slices.IndexFunc(s.versions, func(w *Run) bool { return !w.State().terminal() })
 		if i < 0 {
 			return
 		}
@@ -314,92 +309,63 @@ func (h *SessionHub) dispatch(s *Session, v *sessionVersion) {
 		due := s.parked[j]
 		s.parked = slices.Delete(s.parked, j, j+1)
 		s.mu.Unlock()
-		h.execute(s, due)
+		h.m.execute(due)
 		s.mu.Lock()
 	}
 }
 
-// execute runs one version to a terminal state; dispatch makes it the only
-// version of its session executing.
-func (h *SessionHub) execute(s *Session, v *sessionVersion) {
-	ctx, cancel := h.m.runContext(s.spec.runSpec())
-	defer cancel()
-	if !h.transition(s, v, &walRecord{Type: recVerStart, ID: s.ID, Ver: v.rec.Index, At: time.Now().UnixNano()}) {
-		return
-	}
+// runVersion is a version's engine call, the one step of Manager.execute
+// that differs from a run's: the session workspace — built by the first
+// version to execute — runs the recipe, warm-starting from and diffing
+// against the latest done version.
+func (m *Manager) runVersion(ctx context.Context, v *Run) (*recipe.Version, error) {
+	s := v.session
 	if s.workspace == nil {
-		ws, err := h.buildWorkspace(ctx, s)
+		ws, err := m.buildWorkspace(ctx, s)
 		if err != nil {
-			h.finishVersion(s, v, nil, err)
-			return
+			return nil, err
 		}
 		s.workspace = ws
 	}
-	res, err := s.workspace.Submit(ctx, v.recipe)
-	h.finishVersion(s, v, res, err)
+	s.executing = v
+	return s.workspace.Submit(ctx, v.recipe)
 }
 
-// finishVersion records a version's terminal state: failed with err, or
-// done with res.
-func (h *SessionHub) finishVersion(s *Session, v *sessionVersion, res *recipe.Version, err error) {
-	rec := &walRecord{Type: recVerFinish, ID: s.ID, Ver: v.rec.Index, At: time.Now().UnixNano(), State: StateDone}
-	if err != nil {
-		rec.State, rec.Err = StateFailed, err.Error()
-	} else {
-		rec.Result = versionDigest(res)
-	}
-	h.transition(s, v, rec)
-	if err != nil {
-		h.m.log.Error("session version finished", "session", s.ID, "version", v.rec.Index, "error", err.Error())
-		return
-	}
-	h.m.log.Info("session version finished", "session", s.ID, "version", v.rec.Index,
-		"quality", res.Run.FinalQuality, "inputs", res.Run.InputsProcessed,
-		"cache_hits", res.Run.CacheHits, "warm_start", res.WarmStart.Applied)
-}
-
-// buildWorkspace assembles the session's task, index groups (through the
-// manager's index cache) and recipe workspace. The first version to
-// execute runs it.
-func (h *SessionHub) buildWorkspace(ctx context.Context, s *Session) (*recipe.Session, error) {
+// buildWorkspace assembles the session's recipe workspace over its task
+// and index groups (through the manager's index cache). Every version's
+// engine shares the session tracer (nil unless the session asked for
+// spans), so one tree spans the whole edit history; its curve points go
+// to whichever version is executing.
+func (m *Manager) buildWorkspace(ctx context.Context, s *Session) (*recipe.Session, error) {
 	spec := s.spec.runSpec()
-	store, err := h.m.registry.Get(spec.Corpus)
+	store, task, grouper, cfg, err := m.prepare(spec, s.tracer, func(p core.CurvePoint) {
+		m.transition(s.executing, &walRecord{Type: recRunPoint, ID: s.executing.ID, Point: &p})
+	})
 	if err != nil {
 		return nil, err
 	}
-	task, grouper, err := workload.Build(spec.Task, store, 0, rng.New(spec.Seed).Split("task"))
+	groups, err := m.indexGroups(ctx, spec, store, grouper, cfg.Faults)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := h.m.engineConfig(spec)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := h.m.indexGroups(ctx, spec, store, grouper, cfg.Faults)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Cache = h.m.featCache
-	cfg.Obs = h.m.metrics.Registry()
-	// Every version's engine shares the session tracer (nil unless the
-	// session asked for spans), so one tree spans the whole edit history.
-	cfg.Tracer = s.tracer
 	ws, err := recipe.NewSession(s.spec.Name, task, groups, recipe.Config{Engine: cfg, Decay: *s.spec.Decay})
 	if err != nil {
 		return nil, err
 	}
-	// Re-seed the workspace with the session's restored done versions so
-	// the next submission diffs against — and warm-starts from the
-	// persisted arm snapshots of — pre-restart history, exactly as if the
-	// process had never died. (The arms are all the workspace reads of a
-	// restored run.)
+	// Re-seed the workspace with the session's done versions from earlier
+	// processes, so the next version diffs against — and warm-starts from
+	// the persisted arm snapshots of — the latest done one, exactly as the
+	// live workspace records only versions that end done. (The arms are
+	// all the workspace reads of a restored run.)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, v := range s.versions {
-		if res := v.rec.Result; v.rec.State == StateDone && res != nil {
-			if _, err := ws.Restore(v.recipe, &core.RunResult{Arms: res.Arms}, res.WarmStart); err != nil {
-				h.m.log.Warn("session version restore skipped", "session", s.ID,
-					"version", v.rec.Index, "error", err.Error())
+		v.mu.Lock()
+		rec := v.rec
+		v.mu.Unlock()
+		if sum := rec.Summary; rec.State == StateDone && sum != nil && sum.WarmStart != nil {
+			if _, err := ws.Restore(v.recipe, &core.RunResult{Arms: sum.Arms}, *sum.WarmStart); err != nil {
+				m.log.Warn("session version restore skipped", "run", v.ID, "error", err.Error())
 			}
 		}
 	}
@@ -423,13 +389,25 @@ func (s *Session) Info() SessionInfo {
 		Versions:    make([]sessionVersionInfo, 0, len(s.versions)),
 	}
 	for _, v := range s.versions {
-		rec := &v.rec
-		vi := sessionVersionInfo{
-			Version: rec.Index,
-			State:   rec.State,
-			Error:   rec.Err,
-			Recipe:  v.recipe.Name(),
-		}
+		info.Versions = append(info.Versions, v.versionInfo())
+	}
+	if s.tracer != nil {
+		info.Spans = s.tracer.Len()
+		info.SpansDropped = s.tracer.Dropped()
+	}
+	return info
+}
+
+// versionInfo renders a version's wire form from its run record.
+func (v *Run) versionInfo() sessionVersionInfo {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	rec := &v.rec
+	vi := sessionVersionInfo{Version: rec.Ver, State: rec.State, Error: rec.Err}
+	if rec.Recipe != nil {
+		vi.Recipe = rec.Recipe.Name
+	}
+	if v.recipe != nil {
 		for _, p := range v.recipe.Parts() {
 			ver := p.Version
 			if ver == 0 {
@@ -440,39 +418,38 @@ func (s *Session) Info() SessionInfo {
 				Fingerprint: v.recipe.PartFingerprints()[p.Name],
 			})
 		}
-		if res := rec.Result; res != nil {
+	}
+	for _, p := range rec.Curve {
+		vi.Curve = append(vi.Curve, toCurveJSON(p))
+	}
+	if sum := rec.Summary; sum != nil {
+		if v.recipe != nil {
 			vi.Fingerprint = v.recipe.Fingerprint()
-			vi.Curve = make([]curvePointJSON, len(res.Curve))
-			for i, p := range res.Curve {
-				vi.Curve[i] = toCurveJSON(p)
-			}
-			vi.Final = res.Final
-			vi.Inputs = res.Inputs
-			vi.Stop = core.StopReason(res.Stop).String()
-			vi.CacheHits = res.CacheHits
-			vi.CacheMisses = res.CacheMisses
-			if d := res.Diff; d != nil {
-				vi.Diff = d
-				vi.SharedParts = d.SharedParts
-				vi.TotalParts = d.TotalParts
-			}
-			vi.WarmStart = res.WarmStart
-			vi.WallMillis = wallMillis(rec.Started, rec.Finished)
 		}
-		info.Versions = append(info.Versions, vi)
+		vi.Final = sum.FinalQuality
+		vi.Inputs = sum.InputsProcessed
+		vi.Stop = sum.Stop
+		vi.CacheHits = sum.CacheHits
+		vi.CacheMisses = sum.CacheMisses
+		if d := sum.Diff; d != nil {
+			vi.Diff = d
+			vi.SharedParts = d.SharedParts
+			vi.TotalParts = d.TotalParts
+		}
+		if ws := sum.WarmStart; ws != nil {
+			vi.WarmStart = *ws
+		}
+		vi.WallMillis = wallMillis(rec.Started, rec.Finished)
 	}
-	if s.tracer != nil {
-		info.Spans = s.tracer.Len()
-		info.SpansDropped = s.tracer.Dropped()
-	}
-	return info
+	return vi
 }
 
-// restore rebuilds the hub's session table from recovered state. Every
-// version comes back exactly as its record says — terminal versions with
-// their curves, diffs, and warm-start arms, interrupted ones as the crash
-// left them, waiting for recoverPending to re-queue them. Must run before
-// the server accepts requests — it assumes an empty session table.
+// restore rebuilds the hub's session table from recovered state, and
+// hands each session's version runs <session>.v1, .v2, … to the manager's
+// run table — terminal ones with their curves, diffs and warm-start arms,
+// interrupted ones as the crash left them, for Manager.recoverPending to
+// requeue. Must run after Manager.restore and before the server accepts
+// requests — it assumes an empty session table.
 func (h *SessionHub) restore(st *persistState) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -482,63 +459,23 @@ func (h *SessionHub) restore(st *persistState) {
 		if ps == nil {
 			continue
 		}
-		s := &Session{ID: id, spec: ps.Spec, created: time.Unix(0, ps.Created)}
-		if s.spec.Decay == nil {
-			d := defaultSessionDecay
-			s.spec.Decay = &d
-		}
-		if s.spec.Spans {
-			// Same policy as runs: spans are not journaled, the tracer
-			// starts empty and refills as new versions execute.
-			s.tracer = otrace.New(id, otrace.DefaultCapacity)
-			h.m.metrics.ObserveTracer(s.tracer)
-		}
-		for _, rec := range ps.Versions {
+		ps.Spec.normalize()
+		s := h.addLocked(id, ps.Spec, time.Unix(0, ps.Created))
+		for ver := 1; st.Runs[versionRunID(id, ver)] != nil; ver++ {
+			v := newRun(*st.Runs[versionRunID(id, ver)])
 			// The recipe is recompiled from its journaled spec. It compiled
 			// when journaled, so a failure means a code change between
-			// processes — the version is dropped rather than served broken.
+			// processes; the version keeps its history and fails if it
+			// executes again.
 			var compiled *recipe.Recipe
-			if rec.Recipe != nil {
-				compiled, _ = rec.Recipe.Recipe()
+			if v.rec.Recipe != nil {
+				compiled, _ = v.rec.Recipe.Recipe()
 			}
-			if compiled == nil {
-				h.m.log.Warn("session version dropped on restore: recipe no longer compiles",
-					"session", id, "version", rec.Index)
-				continue
-			}
-			s.versions = append(s.versions, &sessionVersion{rec: *rec, recipe: compiled})
-		}
-		h.sessions[id] = s
-		h.order = append(h.order, id)
-	}
-}
-
-// recoverPending re-submits every unfinished version — at start-up, the
-// ones a crash interrupted — through the live submit's enqueue, in session
-// then index order; dispatch re-executes them one at a time per session,
-// each warm-starting from the one before. Call it once, after the corpora
-// are registered. Returns the number re-queued.
-func (h *SessionHub) recoverPending() int {
-	recovered := 0
-	for _, s := range h.all() {
-		s.mu.Lock()
-		var pending []*sessionVersion
-		for _, v := range s.versions {
-			if !v.rec.State.terminal() {
-				pending = append(pending, v)
-			}
-		}
-		s.mu.Unlock()
-		for _, v := range pending {
-			if err := h.enqueue(s, v); err != nil {
-				h.m.log.Error("session version recovery failed", "session", s.ID, "version", v.rec.Index, "error", err.Error())
-				continue
-			}
-			recovered++
-			h.m.log.Info("session version recovered", "session", s.ID, "version", v.rec.Index)
+			h.attach(s, v, compiled)
+			s.versions = append(s.versions, v)
+			h.m.adopt(v)
 		}
 	}
-	return recovered
 }
 
 // --- HTTP handlers ---
@@ -550,11 +487,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := s.sessions.Create(spec)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrShuttingDown) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "%v", err)
+		writeSubmitError(w, err)
 		return
 	}
 	w.Header().Set("Location", "/sessions/"+sess.ID)
@@ -586,11 +519,7 @@ func (s *Server) handleSessionRun(w http.ResponseWriter, r *http.Request) {
 	}
 	version, err := s.sessions.Submit(sess, &spec)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrShuttingDown) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "%v", err)
+		writeSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -169,6 +170,15 @@ func TestSessionEndpointValidation(t *testing.T) {
 	if body.Error == "" {
 		t.Fatal("cycle rejection carried no reason")
 	}
+	// So is a recipe whose label space is not the session task's.
+	songs := map[string]any{"name": "bad", "parts": []map[string]any{{"name": "a", "kind": "song"}}}
+	body = decodeBody[errorBody](t, postJSON(t, ts.URL+"/sessions/"+created.ID+"/runs", songs), http.StatusBadRequest)
+	if !strings.Contains(body.Error, "has 10 classes, task image expects 2") {
+		t.Fatalf("class-mismatch rejection = %q", body.Error)
+	}
+	if n := len(decodeBody[SessionInfo](t, mustGet(t, ts.URL+"/sessions/"+created.ID), http.StatusOK).Versions); n != 0 {
+		t.Fatalf("rejected recipes left %d versions", n)
+	}
 }
 
 // TestStrictSpecDecoding pins the request-body contract on every POST
@@ -316,9 +326,11 @@ func awaitVersion(t *testing.T, sess *Session, ver int) sessionVersionInfo {
 // finished executing, from its record.
 func versionSpan(sess *Session, ver int) (started, finished int64) {
 	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	rec := sess.versions[ver-1].rec
-	return rec.Started, rec.Finished
+	v := sess.versions[ver-1]
+	sess.mu.Unlock()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.rec.Started, v.rec.Finished
 }
 
 // TestRunsAndVersionsShareOnePool: Workers bounds runs and session
@@ -376,4 +388,185 @@ func TestParkedVersionFreesItsWorker(t *testing.T) {
 	if v2Started, _ := versionSpan(a, 2); v2Started < v1Finished {
 		t.Fatal("session A's v2 started before v1 finished")
 	}
+}
+
+// TestVersionIsARun: a session version is the run <session>.v<N> — served
+// by the run endpoints, cancellable with DELETE, kept out of GET /runs —
+// and its outcome maps exactly like a run's: over the server's run
+// timeout it ends cancelled and timed_out, over the failure budget it
+// ends failed with the budget message.
+func TestVersionIsARun(t *testing.T) {
+	slow, err := fault.Parse("extract:lat=2ms", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panics, err := fault.Parse("extract:panic=0.9", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		cfg     Config
+		state   RunState
+		timeout bool
+		err     string
+	}{
+		{"run timeout", Config{RunTimeout: 400 * time.Millisecond, Faults: slow}, StateCancelled, true, ""},
+		{"failure budget", Config{MaxFailureFrac: 0.25, Faults: panics}, StateFailed, false, "failure budget exceeded"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Workers, tc.cfg.QueueCap = 1, 16
+			s, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdown(t, s, 10*time.Second)
+			if _, err := s.Registry().Add("imgs", writeImageCorpus(t, 1500, 27), false); err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			sess, err := s.sessions.Create(SessionSpec{Corpus: "imgs", Task: "image", K: 8, Seed: 3, MaxInputs: 400, EvalEvery: 50})
+			if err != nil {
+				t.Fatal(err)
+			}
+			submitVersion(t, s, sess, imageRecipeSpec(2))
+			v1, ok := s.Manager().Get(sess.ID + ".v1")
+			if !ok {
+				t.Fatalf("version 1 is not run %s.v1", sess.ID)
+			}
+			<-v1.Done()
+			info := decodeBody[RunInfo](t, mustGet(t, ts.URL+"/runs/"+v1.ID), http.StatusOK)
+			if info.State != tc.state || info.TimedOut != tc.timeout || !strings.Contains(info.Error, tc.err) || info.Stop == "" {
+				t.Fatalf("version run: %+v", info)
+			}
+			if vi := sess.Info().Versions[0]; vi.State != tc.state || vi.Error != info.Error || len(vi.Curve) != info.CurvePoints {
+				t.Fatalf("session view of the version: %+v", vi)
+			}
+			if runs := decodeBody[[]RunInfo](t, mustGet(t, ts.URL+"/runs"), http.StatusOK); len(runs) != 0 {
+				t.Fatalf("GET /runs lists session versions: %+v", runs)
+			}
+		})
+	}
+}
+
+// TestCancelQueuedVersion: DELETE on a queued version cancels it, and the
+// session's later versions still run in index order without waiting on it.
+func TestCancelQueuedVersion(t *testing.T) {
+	s := newSlowServer(t, 1)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	sess, err := s.sessions.Create(SessionSpec{Corpus: "imgs", Task: "image", K: 8, Seed: 3, MaxInputs: 60, EvalEvery: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mid := range []int{2, 3, 3} {
+		submitVersion(t, s, sess, imageRecipeSpec(mid))
+	}
+	info := decodeBody[RunInfo](t, doDelete(t, ts.URL+"/runs/"+sess.ID+".v2"), http.StatusOK)
+	if info.State != StateCancelled {
+		t.Fatalf("DELETE on queued version 2: %+v", info)
+	}
+	v3 := awaitVersion(t, sess, 3)
+	_, v1Finished := versionSpan(sess, 1)
+	if v3Started, _ := versionSpan(sess, 3); v3Started < v1Finished {
+		t.Fatal("version 3 started before version 1 finished")
+	}
+	if got := sess.Info().Versions[1].State; got != StateCancelled {
+		t.Fatalf("version 2 is %s, want cancelled", got)
+	}
+	if !v3.WarmStart.Applied || v3.Diff == nil || !reflect.DeepEqual(v3.Diff.Changed, []string{"mid"}) {
+		t.Fatalf("version 3 did not build on version 1: warm start %+v, diff %+v", v3.WarmStart, v3.Diff)
+	}
+}
+
+// TestVersionBuildsOnLatestDone: a version warm-starts from, and diffs
+// against, the session's latest done version — a cancelled one in between
+// counts for nothing, in the live workspace and in the one a restarted
+// server rebuilds alike. Each such version's curve and warm start are
+// byte-identical to the same recipe submitted right after that done
+// version in a session that never saw the cancelled one.
+func TestVersionBuildsOnLatestDone(t *testing.T) {
+	state := t.TempDir()
+	corpus := writeImageCorpus(t, 500, 39)
+	slow, err := fault.Parse("extract:lat=3ms", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := SessionSpec{Corpus: "imgs", Task: "image", K: 8, Seed: 3, MaxInputs: 120, EvalEvery: 40}
+	cancelRunning := func(s *Server, sess *Session, mid int) {
+		t.Helper()
+		submitVersion(t, s, sess, imageRecipeSpec(mid))
+		ver := len(sess.Info().Versions)
+		v, _ := s.Manager().Get(versionRunID(sess.ID, ver))
+		deadline := time.Now().Add(30 * time.Second)
+		for len(v.Curve()) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("version %d never produced a curve point", ver)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if info, err := s.Manager().Cancel(v.ID); err != nil || info.State != StateRunning {
+			t.Fatalf("cancel running version %d: %+v, %v", ver, info, err)
+		}
+		if <-v.Done(); v.State() != StateCancelled {
+			t.Fatalf("version %d is %s, want cancelled", ver, v.State())
+		}
+	}
+
+	// The reference session: mid 2, 3, 2 with nothing cancelled.
+	s1, _, _ := newDurableServer(t, state, corpus, Config{Faults: slow})
+	ref, err := s1.sessions.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, mid := range []int{2, 3, 2} {
+		submitVersion(t, s1, ref, imageRecipeSpec(mid))
+		awaitVersion(t, ref, i+1)
+	}
+	want := ref.Info().Versions
+
+	// Live: v2 is cancelled mid-run, so v3 builds on v1.
+	sess, err := s1.sessions.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitVersion(t, s1, sess, imageRecipeSpec(2))
+	awaitVersion(t, sess, 1)
+	cancelRunning(s1, sess, 3)
+	submitVersion(t, s1, sess, imageRecipeSpec(3))
+	sameVersion(t, awaitVersion(t, sess, 3), want[1])
+
+	// Restart with v4 cancelled: v5 builds on v3.
+	cancelRunning(s1, sess, 2)
+	shutdown(t, s1, 10*time.Second)
+	s2, _, _ := newDurableServer(t, state, corpus, Config{Faults: slow})
+	defer shutdown(t, s2, 10*time.Second)
+	restored, _ := s2.sessions.Get(sess.ID)
+	submitVersion(t, s2, restored, imageRecipeSpec(2))
+	sameVersion(t, awaitVersion(t, restored, 5), want[2])
+}
+
+// sameVersion fails unless got ran exactly as want did: same diff, warm
+// start, curve and final quality.
+func sameVersion(t *testing.T, got, want sessionVersionInfo) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Diff, want.Diff) || got.WarmStart != want.WarmStart ||
+		!reflect.DeepEqual(got.Curve, want.Curve) || got.Final != want.Final {
+		t.Fatalf("version %d did not build on the latest done version:\n got  %+v\n want %+v", got.Version, got, want)
+	}
+}
+
+func doDelete(t *testing.T, url string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }

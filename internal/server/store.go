@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -22,7 +24,9 @@ import (
 // Journal record types, one per lifecycle transition. ("run-quarantine",
 // journaled per quarantined input until PR 13, is retired: nothing read
 // its reduction. Journals that still hold it replay — unknown types are
-// skipped.)
+// skipped.) A session version is a run (ID <session>.v<N>) and journals
+// run-* records; the version-* types are what versions journaled before
+// that, and only persistState.applyLegacy reads them.
 const (
 	recRunSubmit  = "run-submit"
 	recRunDiscard = "run-discard"
@@ -44,7 +48,7 @@ type walRecord struct {
 	// ID is the run ID for run-* records, the session ID for the rest.
 	ID string `json:"id,omitempty"`
 	// Num is the ID's numeric suffix (submit/create records), feeding
-	// next-ID recovery.
+	// next-ID recovery; a version's run-submit carries none.
 	Num int `json:"num,omitempty"`
 	// At is the transition's wall-clock time in unix nanoseconds.
 	At int64 `json:"at,omitempty"`
@@ -56,10 +60,12 @@ type walRecord struct {
 	Summary  *runSummary      `json:"summary,omitempty"`
 	TimedOut bool             `json:"timed_out,omitempty"`
 
+	// Session is a session-create's spec. Ver and Recipe are a version's
+	// index and recipe, on its run-submit (and on legacy version-* records).
 	Session *SessionSpec   `json:"session,omitempty"`
 	Ver     int            `json:"ver,omitempty"`
 	Recipe  *recipe.Spec   `json:"recipe,omitempty"`
-	Result  *versionResult `json:"result,omitempty"`
+	Result  *versionResult `json:"result,omitempty"` // legacy version-finish only
 
 	// Process-local attachments a live transition hands its owner together
 	// with the record (Run.transition installs them under the same lock);
@@ -82,16 +88,23 @@ type runSummary struct {
 	CacheMisses     int64              `json:"cache_misses,omitempty"`
 	Quarantined     int                `json:"quarantined,omitempty"`
 	PhaseMillis     map[string]float64 `json:"phase_ms,omitempty"`
+	// A session version's digest also keeps what the next version reads:
+	// the arm snapshots it warm-starts from, and this version's diff and
+	// warm start for the session view.
+	Arms      []bandit.ArmSnapshot   `json:"arms,omitempty"`
+	Diff      *recipe.Diff           `json:"diff,omitempty"`
+	WarmStart *recipe.WarmStartStats `json:"warm_start,omitempty"`
 }
 
 // runDigest digests an engine result for the run-finish record, nil when
 // the run finished without one (failed before the engine produced it, or
-// cancelled while queued).
-func runDigest(res *core.RunResult) *runSummary {
+// cancelled while queued). ver is the recipe version a session version's
+// result came from, nil for every other run.
+func runDigest(res *core.RunResult, ver *recipe.Version) *runSummary {
 	if res == nil {
 		return nil
 	}
-	return &runSummary{
+	sum := &runSummary{
 		InputsProcessed: res.InputsProcessed,
 		FinalQuality:    res.FinalQuality,
 		Stop:            res.Stop.String(),
@@ -101,38 +114,11 @@ func runDigest(res *core.RunResult) *runSummary {
 		Quarantined:     len(res.Quarantined),
 		PhaseMillis:     res.Phases.Millis(),
 	}
-}
-
-// versionResult is the digest of one done recipe version: the curve and
-// stats its info renders from, plus the arm snapshots the next version's
-// warm-start needs.
-type versionResult struct {
-	Curve       []core.CurvePoint     `json:"curve,omitempty"`
-	Final       float64               `json:"final"`
-	Inputs      int                   `json:"inputs"`
-	Stop        int                   `json:"stop"`
-	CacheHits   int64                 `json:"cache_hits,omitempty"`
-	CacheMisses int64                 `json:"cache_misses,omitempty"`
-	Diff        *recipe.Diff          `json:"diff,omitempty"`
-	WarmStart   recipe.WarmStartStats `json:"warm_start"`
-	Arms        []bandit.ArmSnapshot  `json:"arms,omitempty"`
-}
-
-// versionDigest digests a finished version for the version-finish record.
-func versionDigest(res *recipe.Version) *versionResult {
-	run := res.Run
-	d := res.Diff
-	return &versionResult{
-		Curve:       append([]core.CurvePoint(nil), run.Curve...),
-		Final:       run.FinalQuality,
-		Inputs:      run.InputsProcessed,
-		Stop:        int(run.Stop),
-		CacheHits:   run.CacheHits,
-		CacheMisses: run.CacheMisses,
-		Diff:        &d,
-		WarmStart:   res.WarmStart,
-		Arms:        append([]bandit.ArmSnapshot(nil), run.Arms...),
+	if ver != nil {
+		sum.Arms = res.Arms
+		sum.Diff, sum.WarmStart = &ver.Diff, &ver.WarmStart
 	}
+	return sum
 }
 
 // --- lifecycle records and their reducers ---
@@ -153,11 +139,20 @@ type runRecord struct {
 	Summary   *runSummary       `json:"summary,omitempty"`
 	TimedOut  bool              `json:"timed_out,omitempty"`
 	Recovered int               `json:"recovered,omitempty"`
+	// Ver and Recipe are set for a session version: its 1-based index in
+	// the session and the recipe it runs.
+	Ver    int          `json:"ver,omitempty"`
+	Recipe *recipe.Spec `json:"recipe,omitempty"`
 }
 
 // newRunRecord is the run-submit transition: a queued run.
 func newRunRecord(rec *walRecord) runRecord {
-	return runRecord{ID: rec.ID, Spec: *rec.Spec, State: StateQueued, Created: rec.At}
+	return runRecord{ID: rec.ID, Spec: *rec.Spec, State: StateQueued, Created: rec.At, Ver: rec.Ver, Recipe: rec.Recipe}
+}
+
+// versionRunID is the run ID of a session's version ver.
+func versionRunID(sessionID string, ver int) string {
+	return sessionID + ".v" + strconv.Itoa(ver)
 }
 
 // apply is the run state machine: queued → running → {done, failed,
@@ -208,53 +203,12 @@ func (r *runRecord) apply(rec *walRecord) bool {
 	return true
 }
 
-// versionRecord is one recipe version's serialisable lifecycle.
-type versionRecord struct {
-	Index    int            `json:"index"`
-	State    RunState       `json:"state"`
-	Err      string         `json:"err,omitempty"`
-	Recipe   *recipe.Spec   `json:"recipe,omitempty"`
-	Started  int64          `json:"started,omitempty"`
-	Finished int64          `json:"finished,omitempty"`
-	Result   *versionResult `json:"result,omitempty"`
-}
-
-// newVersionRecord is the version-submit transition: a queued version.
-func newVersionRecord(rec *walRecord) versionRecord {
-	return versionRecord{Index: rec.Ver, State: StateQueued, Recipe: rec.Recipe}
-}
-
-// apply is the version state machine: queued → running → {done, failed},
-// with queued → failed for a version that never got a worker. A start
-// from running is legal: it is how an interrupted version re-executes
-// after a restart (versions have no requeue record). Reports whether rec
-// applied, as runRecord.apply does.
-func (v *versionRecord) apply(rec *walRecord) bool {
-	if v.State.terminal() {
-		return false
-	}
-	switch rec.Type {
-	case recVerStart:
-		v.State = StateRunning
-		v.Started = rec.At
-	case recVerFinish:
-		if !rec.State.terminal() {
-			return false
-		}
-		v.State = rec.State
-		v.Err = rec.Err
-		v.Finished = rec.At
-		v.Result = rec.Result
-	default:
-		return false
-	}
-	return true
-}
-
 // persistState is the control plane's durable state: the reduction of
 // every journaled transition. The durable store applies each record to
 // its own copy as it journals, and recovery applies snapshot + journal
 // through the same apply method — replay equivalence by construction.
+// RunOrder lists POST /runs submissions only; a session's versions are
+// found by their IDs.
 type persistState struct {
 	NextRunID     int                        `json:"next_run_id,omitempty"`
 	NextSessionID int                        `json:"next_session_id,omitempty"`
@@ -265,9 +219,11 @@ type persistState struct {
 }
 
 type persistSession struct {
-	ID       string           `json:"id"`
-	Spec     SessionSpec      `json:"spec"`
-	Created  int64            `json:"created"`
+	ID      string      `json:"id"`
+	Spec    SessionSpec `json:"spec"`
+	Created int64       `json:"created"`
+	// Versions is the legacy snapshot form of the session's versions;
+	// restore moves it into Runs, and nothing writes it.
 	Versions []*versionRecord `json:"versions,omitempty"`
 }
 
@@ -290,18 +246,17 @@ func (st *persistState) apply(rec *walRecord) bool {
 		}
 		r := newRunRecord(rec)
 		st.Runs[rec.ID] = &r
-		st.RunOrder = append(st.RunOrder, rec.ID)
-		st.NextRunID = max(st.NextRunID, rec.Num)
+		if rec.Ver == 0 {
+			st.RunOrder = append(st.RunOrder, rec.ID)
+			st.NextRunID = max(st.NextRunID, rec.Num)
+		}
 	case recRunDiscard:
 		if st.Runs[rec.ID] == nil {
 			return false
 		}
 		delete(st.Runs, rec.ID)
-		for i := len(st.RunOrder) - 1; i >= 0; i-- {
-			if st.RunOrder[i] == rec.ID {
-				st.RunOrder = append(st.RunOrder[:i], st.RunOrder[i+1:]...)
-				break
-			}
+		if i := slices.Index(st.RunOrder, rec.ID); i >= 0 {
+			st.RunOrder = slices.Delete(st.RunOrder, i, i+1)
 		}
 	case recRunStart, recRunPoint, recRunRequeue, recRunFinish:
 		r := st.Runs[rec.ID]
@@ -313,32 +268,125 @@ func (st *persistState) apply(rec *walRecord) bool {
 		st.Sessions[rec.ID] = &persistSession{ID: rec.ID, Spec: *rec.Session, Created: rec.At}
 		st.SessionOrder = append(st.SessionOrder, rec.ID)
 		st.NextSessionID = max(st.NextSessionID, rec.Num)
-	case recVerSubmit:
-		s := st.Sessions[rec.ID]
-		if s == nil {
-			return false
-		}
-		v := newVersionRecord(rec)
-		s.Versions = append(s.Versions, &v)
-	case recVerStart, recVerFinish:
-		v := st.version(rec.ID, rec.Ver)
-		return v != nil && v.apply(rec)
 	default:
-		return false
+		return st.applyLegacy(rec)
 	}
 	return true
 }
 
-func (st *persistState) version(sessionID string, index int) *versionRecord {
-	s := st.Sessions[sessionID]
-	if s == nil {
+// --- the legacy version format ---
+
+// versionRecord and versionResult are how a session version was
+// persisted before versions became runs: a snapshot's
+// sessions[].versions list, and a version-finish record's digest. They
+// are decoded, translated onto runs and never written.
+type versionRecord struct {
+	Index    int            `json:"index"`
+	State    RunState       `json:"state"`
+	Err      string         `json:"err,omitempty"`
+	Recipe   *recipe.Spec   `json:"recipe,omitempty"`
+	Started  int64          `json:"started,omitempty"`
+	Finished int64          `json:"finished,omitempty"`
+	Result   *versionResult `json:"result,omitempty"`
+}
+
+type versionResult struct {
+	Curve       []core.CurvePoint     `json:"curve,omitempty"`
+	Final       float64               `json:"final"`
+	Inputs      int                   `json:"inputs"`
+	Stop        int                   `json:"stop"`
+	CacheHits   int64                 `json:"cache_hits,omitempty"`
+	CacheMisses int64                 `json:"cache_misses,omitempty"`
+	Diff        *recipe.Diff          `json:"diff,omitempty"`
+	WarmStart   recipe.WarmStartStats `json:"warm_start"`
+	Arms        []bandit.ArmSnapshot  `json:"arms,omitempty"`
+}
+
+// summary is the run digest a legacy version result translates to.
+func (v *versionResult) summary() *runSummary {
+	if v == nil {
 		return nil
 	}
-	for _, v := range s.Versions {
-		if v.Index == index {
-			return v
+	ws := v.WarmStart
+	return &runSummary{InputsProcessed: v.Inputs, FinalQuality: v.Final, Stop: core.StopReason(v.Stop).String(),
+		CacheHits: v.CacheHits, CacheMisses: v.CacheMisses, Arms: v.Arms, Diff: v.Diff, WarmStart: &ws}
+}
+
+// applyLegacy is the one legacy translation: a version-* record becomes
+// the run transition it stands for on run <session>.v<N> (any other type
+// is unknown, and skipped). A version-start on a running version was the
+// old restart, so it is a requeue plus a start; a version-finish carries
+// the curve its run never journaled as points.
+func (st *persistState) applyLegacy(rec *walRecord) bool {
+	s := st.Sessions[rec.ID]
+	if s == nil {
+		return false
+	}
+	id := versionRunID(rec.ID, rec.Ver)
+	r := st.Runs[id]
+	switch {
+	case rec.Type == recVerSubmit:
+		spec := s.Spec.runSpec()
+		return st.apply(&walRecord{Type: recRunSubmit, ID: id, Spec: &spec, Ver: rec.Ver, Recipe: rec.Recipe})
+	case r == nil:
+		return false
+	case rec.Type == recVerStart:
+		if r.State == StateRunning {
+			r.apply(&walRecord{Type: recRunRequeue})
+		}
+		return r.apply(&walRecord{Type: recRunStart, At: rec.At})
+	case rec.Type == recVerFinish && r.apply(&walRecord{Type: recRunFinish, At: rec.At, State: rec.State, Err: rec.Err, Summary: rec.Result.summary()}):
+		if rec.Result != nil {
+			r.Curve = rec.Result.Curve
+		}
+		return true
+	}
+	return false
+}
+
+// applyLegacyVersions translates a legacy snapshot's version list for
+// session sid: each version as the records that left it in its state.
+func (st *persistState) applyLegacyVersions(sid string, versions []*versionRecord) {
+	for _, v := range versions {
+		if v == nil {
+			continue
+		}
+		st.applyLegacy(&walRecord{Type: recVerSubmit, ID: sid, Ver: v.Index, Recipe: v.Recipe})
+		if v.State != StateQueued {
+			st.applyLegacy(&walRecord{Type: recVerStart, ID: sid, Ver: v.Index, At: v.Started})
+		}
+		st.applyLegacy(&walRecord{Type: recVerFinish, ID: sid, Ver: v.Index, At: v.Finished, State: v.State, Err: v.Err, Result: v.Result})
+	}
+}
+
+// restore loads a snapshot body; a legacy snapshot's version lists go
+// through the legacy translation into runs.
+func (st *persistState) restore(snapshot []byte) error {
+	if err := json.Unmarshal(snapshot, st); err != nil {
+		return err
+	}
+	if st.Runs == nil {
+		st.Runs = map[string]*runRecord{}
+	}
+	if st.Sessions == nil {
+		st.Sessions = map[string]*persistSession{}
+	}
+	for sid, s := range st.Sessions {
+		if s != nil {
+			st.applyLegacyVersions(sid, s.Versions)
+			s.Versions = nil
 		}
 	}
+	return nil
+}
+
+// replay decodes one journal payload and applies it.
+func (st *persistState) replay(payload []byte) error {
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return fmt.Errorf("server: decode journal record: %w", err)
+	}
+	st.apply(&rec)
 	return nil
 }
 
@@ -421,17 +469,7 @@ func OpenDurableStore(dir string, metrics *Metrics, faults *fault.Injector, log 
 		snapStop: make(chan struct{}),
 		snapDone: make(chan struct{}),
 	}
-	st, err := runstore.OpenTraced(dir,
-		func(state []byte) error { return json.Unmarshal(state, ds.state) },
-		func(payload []byte) error {
-			var rec walRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return fmt.Errorf("server: decode journal record: %w", err)
-			}
-			ds.state.apply(&rec)
-			return nil
-		},
-		tracer)
+	st, err := runstore.OpenTraced(dir, ds.state.restore, ds.state.replay, tracer)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"zombie/internal/bandit"
 	"zombie/internal/core"
 	"zombie/internal/recipe"
 )
@@ -30,6 +31,11 @@ func TestReducerSequences(t *testing.T) {
 	verDone := walRecord{Type: recVerFinish, ID: "s1", Ver: 1, At: 30, State: StateDone,
 		Result: &versionResult{Curve: []core.CurvePoint{*point(0), *point(40)}, Final: 0.4, Inputs: 40, Stop: 1}}
 	verFailed := walRecord{Type: recVerFinish, ID: "s1", Ver: 1, At: 12, State: StateFailed, Err: ErrQueueFull.Error()}
+	vrSubmit := walRecord{Type: recRunSubmit, ID: "s1.v1", At: 10, Spec: spec, Ver: 1, Recipe: &recipe.Spec{Name: "rec"}}
+	vrStart := walRecord{Type: recRunStart, ID: "s1.v1", At: 20}
+	vrDone := walRecord{Type: recRunFinish, ID: "s1.v1", At: 30, State: StateDone, Summary: &runSummary{InputsProcessed: 40,
+		Arms: []bandit.ArmSnapshot{{Arm: 0, Pulls: 3, Mean: 0.5}}, Diff: &recipe.Diff{Added: []string{"a"}, TotalParts: 1},
+		WarmStart: &recipe.WarmStartStats{Decay: 0.5}}}
 
 	type step struct {
 		rec   walRecord
@@ -61,6 +67,14 @@ func TestReducerSequences(t *testing.T) {
 		{"version start crash start finish", []step{no(verSubmit), ok(create), no(verStart), ok(verSubmit), ok(verStart),
 			{rec: verStart, legal: true, crash: true}, ok(verDone), no(verDone), no(verStart),
 			no(walRecord{Type: recVerStart, ID: "s1", Ver: 2, At: 40})}},
+		{"version run crash requeue finish", []step{ok(create), ok(vrSubmit), ok(vrStart),
+			ok(walRecord{Type: recRunPoint, ID: "s1.v1", Point: point(0)}),
+			{rec: walRecord{Type: recRunRequeue, ID: "s1.v1"}, legal: true, crash: true},
+			ok(vrStart), ok(walRecord{Type: recRunPoint, ID: "s1.v1", Point: point(40)}), ok(vrDone), no(vrStart)}},
+		{"version run discarded, index reused", []step{ok(create), ok(vrSubmit), ok(walRecord{Type: recRunDiscard, ID: "s1.v1"}),
+			no(vrStart), ok(vrSubmit), ok(walRecord{Type: recRunFinish, ID: "s1.v1", At: 15, State: StateCancelled})}},
+		{"legacy version then run records", []step{ok(create), ok(verSubmit), ok(vrStart),
+			ok(walRecord{Type: recRunPoint, ID: "s1.v1", Point: point(0)}), ok(verDone), no(vrDone)}},
 	}
 
 	for _, tc := range cases {
@@ -115,11 +129,65 @@ func TestReducerSequences(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// FuzzRestoreState feeds arbitrary snapshot bodies and journal payloads
+// (newline-separated) through the load path OpenDurableStore runs —
+// snapshot decode with the legacy version lists moved into runs, then
+// every record replayed, version-* records through the legacy translation
+// — and requires that it never panics and that the state it loads is a
+// fixed point of encode → decode → encode. Seeds: both fixture
+// directories, and a snapshot and journal in the current format.
+func FuzzRestoreState(f *testing.F) {
+	for _, fixture := range fixtures {
+		snapshot, journal := readState(f, copyFixture(f, fixture))
+		f.Add(snapshot, bytes.Join(journal, []byte("\n")))
+	}
+	spec := &RunSpec{Corpus: "imgs", Task: "image", Mode: "zombie", Policy: "eps-greedy:0.1", K: 8, Seed: 1}
+	records := []walRecord{
+		{Type: recSessCreate, ID: "s1", Num: 1, At: 10, Session: &SessionSpec{Corpus: "imgs", Task: "image", K: 8}},
+		{Type: recRunSubmit, ID: "s1.v1", At: 11, Spec: spec, Ver: 1, Recipe: &recipe.Spec{Name: "rec", Parts: []recipe.Part{{Name: "a", Kind: "image"}}}},
+		{Type: recRunStart, ID: "s1.v1", At: 12},
+		{Type: recRunPoint, ID: "s1.v1", Point: &core.CurvePoint{Inputs: 10, Quality: 0.5}},
+		{Type: recRunFinish, ID: "s1.v1", At: 13, State: StateDone, Summary: &runSummary{InputsProcessed: 10, Stop: "budget",
+			Arms: []bandit.ArmSnapshot{{Arm: 1, Pulls: 4, Mean: 0.25}}, Diff: &recipe.Diff{Added: []string{"a"}, TotalParts: 1},
+			WarmStart: &recipe.WarmStartStats{Decay: 0.5}}},
+		{Type: recRunSubmit, ID: "r1", Num: 1, At: 14, Spec: spec},
+		{Type: recRunStart, ID: "r1", At: 15},
+	}
+	st := newPersistState()
+	var journal [][]byte
+	for i := range records {
+		st.apply(&records[i])
+		journal = append(journal, mustJSON(f, &records[i]))
+	}
+	f.Add(mustJSON(f, st), bytes.Join(journal[len(journal)-2:], []byte("\n")))
+	f.Add([]byte(nil), bytes.Join(journal, []byte("\n")))
+
+	f.Fuzz(func(t *testing.T, snapshot, journal []byte) {
+		st := newPersistState()
+		if len(snapshot) > 0 && st.restore(snapshot) != nil {
+			return // OpenDurableStore refuses a corrupt snapshot
+		}
+		for _, payload := range bytes.Split(journal, []byte("\n")) {
+			if st.replay(payload) != nil {
+				return // and an undecodable journal record
+			}
+		}
+		once := mustJSON(t, st)
+		again := newPersistState()
+		if err := again.restore(once); err != nil {
+			t.Fatalf("loaded state does not decode: %v\n%s", err, once)
+		}
+		if twice := mustJSON(t, again); !bytes.Equal(once, twice) {
+			t.Fatalf("encode → decode → encode is not a fixed point:\n once  %s\n twice %s", once, twice)
+		}
+	})
 }
