@@ -1,10 +1,11 @@
 # Development workflow for the zombie repo. `make ci` is the full gate the
 # first goroutines in internal/server made meaningful: the race detector
-# runs over every package, and the smoke targets prove the contracts that
-# need a live zombie-serve (telemetry, real-socket dist, trace stitching)
-# end to end. The CLI's determinism contracts (cache, faults, batching,
-# shards, recipes) are Go tests in cmd/zombie, and the kill -9 resume
-# contract is a Go test in cmd/zombie-serve. `make cover` holds the
+# runs over every package, and obs-smoke proves the telemetry contract
+# against a live zombie-serve end to end. The CLI's determinism contracts
+# (cache, faults, batching, shards, recipes) are Go tests in cmd/zombie;
+# the kill -9 resume contract and the real-socket dist contract (curve
+# identity and trace stitching across a coordinator and two worker
+# processes) are Go tests in cmd/zombie-serve. `make cover` holds the
 # robustness-critical packages and the learners to a coverage floor. `make loc`
 # prints the size metric ROADMAP's "least code" aim is judged by: non-test
 # Go lines per package and the repo total outside benchmark/.
@@ -53,7 +54,7 @@ define smoke_tmp
 if [ -n "$(SMOKE_DIR)" ]; then tmp="$(SMOKE_DIR)/$(1)"; rm -rf "$$tmp"; mkdir -p "$$tmp"; keep=1; else tmp=$$(mktemp -d); keep=; fi
 endef
 
-.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke fuzz-smoke bench-selftest obs-smoke dist-smoke trace-smoke ci
+.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke fuzz-smoke bench-selftest obs-smoke ci
 
 all: build
 
@@ -128,14 +129,14 @@ bench-smoke:
 # fuzz-smoke gives each fuzz target (package:target) ten seconds beyond
 # its checked-in seed corpus: the token scanner against its Tokenize
 # oracle, the bounded k-means pass against the plain Lloyd loop it
-# replaced, LoadGroups against arbitrary file bytes, OpenJournal against
-# arbitrary journal bytes, and the server's state load path (legacy
+# replaced, LoadGroups against arbitrary file bytes, the fault spec's
+# Parse/String round trip, OpenJournal against arbitrary journal bytes, and the server's state load path (legacy
 # translation included) against arbitrary snapshot and record bytes.
 # Minimizing a new input is capped at a second so the ten seconds go to
 # fuzzing: the state seeds are whole fixture directories, and minimizing
 # one of those under the default cap can take the entire budget.
 fuzz-smoke:
-	@for target in index:FuzzScanTokens index:FuzzKMeansBounded index:FuzzLoadGroups runstore:FuzzOpenJournal server:FuzzRestoreState; do \
+	@for target in index:FuzzScanTokens index:FuzzKMeansBounded index:FuzzLoadGroups fault:FuzzFaultSpec runstore:FuzzOpenJournal server:FuzzRestoreState; do \
 		$(GO) test ./internal/$${target%%:*} -run '^$$' -fuzz "^$${target#*:}\$$" -fuzztime 10s -fuzzminimizetime 1s || exit 1; \
 	done
 
@@ -187,106 +188,4 @@ obs-smoke:
 		{ echo "obs-smoke: terminal trace phase_ms.extract not > 0 (got $$extract_ms)"; exit 1; }; \
 	echo "obs-smoke OK: $$nev trace events, extract $$extract_ms ms, both expositions served"
 
-# dist-smoke proves the distributed determinism contract against real
-# processes and real sockets: a coordinator zombie-serve fronting two
-# worker zombie-serve processes over loopback HTTP must produce a
-# learning curve byte-identical to its own single-process run of the
-# same spec, and the run must report the http transport with both
-# workers executing. Needs curl + jq (standard on CI images).
-dist-smoke:
-	@command -v curl >/dev/null && command -v jq >/dev/null || { echo "dist-smoke: needs curl and jq"; exit 1; }; \
-	$(call smoke_tmp,dist-smoke); pids=; trap 'kill $$pids 2>/dev/null; [ -n "$$keep" ] || rm -rf "$$tmp"' EXIT; \
-	cport=$$(( $(SMOKE_PORT_BASE) + 18 )); wport1=$$(( $(SMOKE_PORT_BASE) + 19 )); wport2=$$(( $(SMOKE_PORT_BASE) + 20 )); \
-	base=http://127.0.0.1:$$cport; w1=http://127.0.0.1:$$wport1; w2=http://127.0.0.1:$$wport2; \
-	$(GO) run ./cmd/zombie-datagen -task wiki -n 600 -out $$tmp/wiki.jsonl >/dev/null && \
-	$(GO) build -ldflags "$(LDFLAGS)" -o $$tmp/zombie-serve ./cmd/zombie-serve && \
-	{ $$tmp/zombie-serve -addr 127.0.0.1:$$wport1 -corpus wiki=$$tmp/wiki.jsonl >$$tmp/w1.log 2>&1 & pids="$$pids $$!"; }; \
-	{ $$tmp/zombie-serve -addr 127.0.0.1:$$wport2 -corpus wiki=$$tmp/wiki.jsonl >$$tmp/w2.log 2>&1 & pids="$$pids $$!"; }; \
-	{ $$tmp/zombie-serve -addr 127.0.0.1:$$cport -corpus wiki=$$tmp/wiki.jsonl \
-		-dist-workers $$w1,$$w2 >$$tmp/coord.log 2>&1 & pids="$$pids $$!"; }; \
-	for b in $$base $$w1 $$w2; do \
-		up=0; for i in $$(seq 1 50); do curl -sf $$b/healthz >/dev/null && { up=1; break; }; sleep 0.1; done; \
-		[ $$up = 1 ] || { echo "dist-smoke: $$b never came up"; cat $$tmp/*.log; exit 1; }; \
-	done; \
-	spec='{"corpus":"wiki","task":"wiki","max_inputs":150,"eval_every":25,"seed":9}'; \
-	dspec='{"corpus":"wiki","task":"wiki","max_inputs":150,"eval_every":25,"seed":9,"shards":2}'; \
-	id1=$$(curl -sf -X POST $$base/runs -d "$$spec" | jq -r '.id // empty'); \
-	id2=$$(curl -sf -X POST $$base/runs -d "$$dspec" | jq -r '.id // empty'); \
-	[ -n "$$id1" ] && [ -n "$$id2" ] || { echo "dist-smoke: run submission failed"; cat $$tmp/coord.log; exit 1; }; \
-	for id in $$id1 $$id2; do \
-		state=; for i in $$(seq 1 300); do \
-			state=$$(curl -sf $$base/runs/$$id | jq -r .state); \
-			case $$state in done|failed|cancelled) break;; esac; sleep 0.1; \
-		done; \
-		[ "$$state" = done ] || { echo "dist-smoke: run $$id ended in state $$state"; \
-			curl -s $$base/runs/$$id; cat $$tmp/coord.log; exit 1; }; \
-	done; \
-	curl -sf $$base/runs/$$id2 > $$tmp/dist.info; \
-	transport=$$(jq -r '.transport // empty' $$tmp/dist.info); \
-	nworkers=$$(jq '.workers | length' $$tmp/dist.info); \
-	busy=$$(jq '[.workers[] | select(.steps > 0)] | length' $$tmp/dist.info); \
-	if [ "$$transport" != http ] || [ "$$nworkers" != 2 ] || [ "$$busy" != 2 ]; then \
-		echo "dist-smoke: sharded run reports transport=$$transport workers=$$nworkers busy=$$busy, want http/2/2"; \
-		cat $$tmp/dist.info; exit 1; \
-	fi; \
-	curl -sf $$base/runs/$$id1/curve | jq .curve > $$tmp/single.curve && \
-	curl -sf $$base/runs/$$id2/curve | jq .curve > $$tmp/dist.curve && \
-	if ! cmp -s $$tmp/single.curve $$tmp/dist.curve; then \
-		echo "dist-smoke: sharded curve diverged from single-process"; \
-		diff $$tmp/single.curve $$tmp/dist.curve; exit 1; \
-	fi; \
-	steps=$$(jq '[.workers[].steps] | add' $$tmp/dist.info); \
-	echo "dist-smoke OK: http transport over 2 workers, $$steps worker steps, curve identical to single-process"
-
-# trace-smoke proves cross-process span stitching end to end: a live
-# coordinator + 2 worker processes run a sharded traced run, and the
-# coordinator's /runs/{id}/spans tree must contain the workers' spans
-# (worker.step_batch / worker.holdout, shipped back over
-# HTTP and re-parented via traceparent) strictly underneath the
-# coordinator's dist.* rpc spans, which in turn hang off the engine's
-# batch spans. Also checks per-shard cost cells and the chrome export.
-# Needs curl + jq (standard on CI images).
-trace-smoke:
-	@command -v curl >/dev/null && command -v jq >/dev/null || { echo "trace-smoke: needs curl and jq"; exit 1; }; \
-	$(call smoke_tmp,trace-smoke); pids=; trap 'kill $$pids 2>/dev/null; [ -n "$$keep" ] || rm -rf "$$tmp"' EXIT; \
-	cport=$$(( $(SMOKE_PORT_BASE) + 24 )); wport1=$$(( $(SMOKE_PORT_BASE) + 25 )); wport2=$$(( $(SMOKE_PORT_BASE) + 26 )); \
-	base=http://127.0.0.1:$$cport; w1=http://127.0.0.1:$$wport1; w2=http://127.0.0.1:$$wport2; \
-	$(GO) run ./cmd/zombie-datagen -task wiki -n 600 -out $$tmp/wiki.jsonl >/dev/null && \
-	$(GO) build -ldflags "$(LDFLAGS)" -o $$tmp/zombie-serve ./cmd/zombie-serve && \
-	{ $$tmp/zombie-serve -addr 127.0.0.1:$$wport1 -corpus wiki=$$tmp/wiki.jsonl >$$tmp/w1.log 2>&1 & pids="$$pids $$!"; }; \
-	{ $$tmp/zombie-serve -addr 127.0.0.1:$$wport2 -corpus wiki=$$tmp/wiki.jsonl >$$tmp/w2.log 2>&1 & pids="$$pids $$!"; }; \
-	{ $$tmp/zombie-serve -addr 127.0.0.1:$$cport -corpus wiki=$$tmp/wiki.jsonl \
-		-dist-workers $$w1,$$w2 >$$tmp/coord.log 2>&1 & pids="$$pids $$!"; }; \
-	for b in $$base $$w1 $$w2; do \
-		up=0; for i in $$(seq 1 50); do curl -sf $$b/healthz >/dev/null && { up=1; break; }; sleep 0.1; done; \
-		[ $$up = 1 ] || { echo "trace-smoke: $$b never came up"; cat $$tmp/*.log; exit 1; }; \
-	done; \
-	spec='{"corpus":"wiki","task":"wiki","max_inputs":150,"eval_every":25,"seed":9,"shards":2,"spans":true}'; \
-	id=$$(curl -sf -X POST $$base/runs -d "$$spec" | jq -r '.id // empty'); \
-	[ -n "$$id" ] || { echo "trace-smoke: run submission failed"; cat $$tmp/coord.log; exit 1; }; \
-	state=; for i in $$(seq 1 300); do \
-		state=$$(curl -sf $$base/runs/$$id | jq -r .state); \
-		case $$state in done|failed|cancelled) break;; esac; sleep 0.1; \
-	done; \
-	[ "$$state" = done ] || { echo "trace-smoke: run $$id ended in state $$state"; \
-		curl -s $$base/runs/$$id; cat $$tmp/coord.log; exit 1; }; \
-	curl -sf $$base/runs/$$id/spans > $$tmp/spans.json || { echo "trace-smoke: spans fetch failed"; cat $$tmp/coord.log; exit 1; }; \
-	nspans=$$(jq -r .spans $$tmp/spans.json); \
-	[ "$$nspans" -gt 0 ] || { echo "trace-smoke: traced run recorded $$nspans spans"; cat $$tmp/spans.json; exit 1; }; \
-	wtotal=$$(jq '[.tree[] | .. | objects | select(.name? // "" | startswith("worker."))] | length' $$tmp/spans.json); \
-	wstitched=$$(jq '[.tree[] | .. | objects | select(.name? // "" | startswith("dist.")) | .children[]? | select(.name | startswith("worker."))] | length' $$tmp/spans.json); \
-	if [ "$$wtotal" -lt 1 ] || [ "$$wstitched" != "$$wtotal" ]; then \
-		echo "trace-smoke: $$wstitched of $$wtotal worker spans sit under dist.* rpc spans, want all and >= 1"; \
-		jq '.tree[0]' $$tmp/spans.json; exit 1; \
-	fi; \
-	underbatch=$$(jq '[.tree[] | .. | objects | select(.name? == "batch") | .children[]? | select(.name | startswith("dist."))] | length' $$tmp/spans.json); \
-	[ "$$underbatch" -ge 1 ] || { echo "trace-smoke: no dist.* rpc spans under the engine's batch spans"; \
-		jq '.tree[0]' $$tmp/spans.json; exit 1; }; \
-	nshards=$$(jq '[.cost.cells[] | select(.shard >= 0) | .shard] | unique | length' $$tmp/spans.json); \
-	[ "$$nshards" = 2 ] || { echo "trace-smoke: cost cells cover $$nshards shards, want 2"; \
-		jq .cost $$tmp/spans.json; exit 1; }; \
-	curl -sf "$$base/runs/$$id/spans?format=chrome" | jq -e '.traceEvents | length > 0' >/dev/null \
-		|| { echo "trace-smoke: chrome trace export is empty or invalid"; exit 1; }; \
-	echo "trace-smoke OK: $$nspans spans, $$wstitched worker spans stitched under coordinator rpc spans, cost cells for 2 shards"
-
-ci: fmt-check vet lint build race cover bench-smoke fuzz-smoke bench-selftest obs-smoke dist-smoke trace-smoke
+ci: fmt-check vet lint build race cover bench-smoke fuzz-smoke bench-selftest obs-smoke

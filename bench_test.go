@@ -114,13 +114,13 @@ func BenchmarkEngineZombieRun(b *testing.B) {
 // budget, isolating the bandit's overhead.
 func BenchmarkEngineScanRun(b *testing.B) {
 	task, _ := benchTask(b)
-	eng, err := NewEngine(Config{Seed: 4, MaxInputs: 500})
+	eng, err := NewEngine(Config{Mode: ModeScanRandom, Seed: 4, MaxInputs: 500})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.RunScan(task, true); err != nil {
+		if _, err := eng.Run(task, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

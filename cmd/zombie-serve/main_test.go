@@ -28,20 +28,7 @@ import (
 // results.
 func TestKillResumesRunAndVersion(t *testing.T) {
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "zombie-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build zombie-serve: %v\n%s", err, out)
-	}
-	gen := corpus.DefaultWikiConfig()
-	gen.N = 600
-	ins, err := corpus.GenerateWiki(gen, rng.New(41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wiki := filepath.Join(dir, "wiki.jsonl")
-	if err := corpus.WriteJSONL(wiki, ins); err != nil {
-		t.Fatal(err)
-	}
+	bin, wiki := buildServer(t, dir), writeWiki(t, dir)
 	base := "http://" + freeAddr(t)
 	args := []string{"-addr", base[len("http://"):], "-corpus", "wiki=" + wiki, "-state-dir", filepath.Join(dir, "state"),
 		"-workers", "2", "-faults", "extract:lat=3ms", "-log-format", "json"}
@@ -96,6 +83,32 @@ func TestKillResumesRunAndVersion(t *testing.T) {
 			t.Fatalf("resumed %s curve diverged from a fresh submission:\n%s\nvs\n%s", resumed, a, b)
 		}
 	}
+}
+
+// buildServer builds this package's binary into dir.
+func buildServer(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "zombie-serve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build zombie-serve: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// writeWiki writes a 600-page wiki corpus into dir and returns its path.
+func writeWiki(t *testing.T, dir string) string {
+	t.Helper()
+	gen := corpus.DefaultWikiConfig()
+	gen.N = 600
+	ins, err := corpus.GenerateWiki(gen, rng.New(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wiki := filepath.Join(dir, "wiki.jsonl")
+	if err := corpus.WriteJSONL(wiki, ins); err != nil {
+		t.Fatal(err)
+	}
+	return wiki
 }
 
 // freeAddr returns a loopback address nothing is listening on.

@@ -148,29 +148,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		task = task.WithFeature(rec.Feature())
 	}
 
-	var groups *index.Groups
-	if *mode == "zombie" || *sessionMode {
-		if *indexPath != "" {
-			groups, err = index.LoadGroups(*indexPath)
-		} else {
-			start := time.Now()
-			groups, err = grouper.Group(store, *k, rng.New(*seed).Split("index"))
-			if err == nil {
-				fmt.Fprintf(stdout, "built %s index: k=%d in %s\n", groups.Strategy, groups.K(), time.Since(start).Round(time.Millisecond))
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if *saveIndex != "" {
-			if err := groups.Save(*saveIndex); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "saved index to %s\n", *saveIndex)
-		}
-	}
-
 	cfg := core.Config{
+		Mode:           core.Mode(*mode),
 		Policy:         bandit.Spec(*policy),
 		Seed:           *seed,
 		MaxInputs:      *maxInputs,
@@ -209,6 +188,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	var groups *index.Groups
+	if eng.Config().Mode == core.ModeZombie || *sessionMode {
+		if *indexPath != "" {
+			groups, err = index.LoadGroups(*indexPath)
+		} else {
+			start := time.Now()
+			groups, err = grouper.Group(store, *k, rng.New(*seed).Split("index"))
+			if err == nil {
+				fmt.Fprintf(stdout, "built %s index: k=%d in %s\n", groups.Strategy, groups.K(), time.Since(start).Round(time.Millisecond))
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if *saveIndex != "" {
+			if err := groups.Save(*saveIndex); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "saved index to %s\n", *saveIndex)
+		}
+	}
+
 	if *sessionMode {
 		if err := runSession(stdout, eng, task, groups); err != nil {
 			return err
@@ -222,11 +223,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var res *core.RunResult
 	var dres *dist.Result
-	switch {
-	case *shards > 0:
-		if *mode != "zombie" {
-			return fmt.Errorf("-shards requires -mode zombie, got %q", *mode)
-		}
+	if *shards > 0 {
 		// The dist workers own the per-step read + extract work (and the
 		// extraction cache, when enabled); the engine's policy, learner, and
 		// curve run unchanged coordinator-side, which is why the output below
@@ -240,26 +237,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			FeatureVersion: *version,
 			Seed:           *seed,
 			Shards:         *shards,
-			FaultSpec:      *faultSpec,
-			FaultSeed:      *faultSeed,
-			Tracer:         tracer,
 		}, task, groups)
 		if err == nil {
 			res = dres.RunResult
 		}
-	default:
-		switch *mode {
-		case "zombie":
-			res, err = eng.Run(task, groups)
-		case "scan-random":
-			res, err = eng.RunScan(task, true)
-		case "scan-sequential":
-			res, err = eng.RunScan(task, false)
-		case "oracle":
-			res, err = eng.RunOracle(task)
-		default:
-			return fmt.Errorf("unknown mode %q", *mode)
-		}
+	} else {
+		res, err = eng.Run(task, groups)
 	}
 	if err != nil {
 		return err

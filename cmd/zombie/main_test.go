@@ -116,6 +116,12 @@ func TestDeterminismContracts(t *testing.T) {
 				}
 			},
 		},
+		{name: "empty -mode == zombie", a: zom, b: with(zom, "-mode", ""), strip: []string{"built "},
+			check: func(t *testing.T, stdout, _ string) {
+				if !strings.HasPrefix(stdout, "built ") {
+					t.Errorf("empty -mode built no index:\n%s", stdout)
+				}
+			}},
 		{name: "batch 8 replays", strip: volatile, a: with(zom, "-batch", "8"), b: with(zom, "-batch", "8")},
 		{name: "batch 8 == batch 8 over 2 shards", strip: volatile,
 			a: with(zom, "-batch", "8"), b: with(zom, "-batch", "8", "-shards", "2")},
@@ -133,6 +139,12 @@ func TestDeterminismContracts(t *testing.T) {
 			},
 		},
 	}
+	t.Run("sharded oracle rejected", func(t *testing.T) {
+		args := with(zom, "-mode", "oracle", "-shards", "2")
+		if err := run(args, new(bytes.Buffer), new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "requires mode zombie") {
+			t.Errorf("zombie %s: err = %v, want the sharded-mode error", strings.Join(args, " "), err)
+		}
+	})
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
 			a, _ := invoke(t, c.a...)

@@ -94,27 +94,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	eng, err := zombie.NewEngine(zombie.Config{
+	cfg := zombie.Config{
 		Policy:    "eps-greedy:0.1",
 		Seed:      33,
 		EarlyStop: zombie.EarlyStopConfig{Enabled: true, MinInputs: 400},
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
-
-	z, err := eng.Run(task, groups)
-	if err != nil {
-		log.Fatal(err)
+	run := func(mode zombie.Mode) *zombie.Result {
+		cfg.Mode = mode
+		eng, err := zombie.NewEngine(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := eng.Run(task, groups)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	s, err := eng.RunScan(task, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	o, err := eng.RunOracle(task)
-	if err != nil {
-		log.Fatal(err)
-	}
+	z, s, o := run(zombie.ModeZombie), run(zombie.ModeScanRandom), run(zombie.ModeOracle)
 
 	fmt.Println("zombie:", z.Summary())
 	fmt.Println("scan:  ", s.Summary())

@@ -46,19 +46,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. One engine, two input orders.
-	eng, err := zombie.NewEngine(zombie.Config{Policy: "eps-greedy:0.1", Seed: 4})
-	if err != nil {
-		log.Fatal(err)
+	// 4. One config, two input orders: the bandit and the random scan.
+	run := func(mode zombie.Mode) *zombie.Result {
+		eng, err := zombie.NewEngine(zombie.Config{Mode: mode, Policy: "eps-greedy:0.1", Seed: 4})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := eng.Run(task, groups)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	z, err := eng.Run(task, groups)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s, err := eng.RunScan(task, true)
-	if err != nil {
-		log.Fatal(err)
-	}
+	z, s := run(zombie.ModeZombie), run(zombie.ModeScanRandom)
 
 	fmt.Println("zombie:", z.Summary())
 	fmt.Println("scan:  ", s.Summary())

@@ -50,11 +50,11 @@ func main() {
 	}
 
 	// Scan reference.
-	ref, err := zombie.NewEngine(zombie.Config{Seed: 23})
+	ref, err := zombie.NewEngine(zombie.Config{Mode: zombie.ModeScanRandom, Seed: 23})
 	if err != nil {
 		log.Fatal(err)
 	}
-	scan, err := ref.RunScan(task, true)
+	scan, err := ref.Run(task, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,6 @@ func allPolicies(n int, r *rng.RNG) []Policy {
 		NewEpsilonGreedy(n, 0.5, 0.01, cfg, r.Split("decay")),
 		NewUCB1(n, 1, cfg, r.Split("ucb")),
 		NewThompsonBernoulli(n, cfg, r.Split("ts")),
-		NewThompsonGaussian(n, 1, cfg, r.Split("tsg")),
 		NewSoftmax(n, 0.1, cfg, r.Split("sm")),
 		NewEXP3(n, 0.1, cfg, r.Split("exp3")),
 		NewRoundRobin(n, cfg),
@@ -67,7 +66,6 @@ func TestAdaptivePoliciesFindBestArm(t *testing.T) {
 		NewEpsilonGreedy(4, 0.1, 0, DefaultStats(), r.Split("eg")),
 		NewUCB1(4, 1, DefaultStats(), r.Split("ucb")),
 		NewThompsonBernoulli(4, DefaultStats(), r.Split("ts")),
-		NewThompsonGaussian(4, 1, DefaultStats(), r.Split("tsg")),
 		NewSoftmax(4, 0.05, DefaultStats(), r.Split("sm")),
 		NewEXP3(4, 0.1, DefaultStats(), r.Split("exp3")),
 	}
@@ -227,7 +225,6 @@ func TestConstructorValidation(t *testing.T) {
 	mustPanic(t, "bad temperature", func() { NewSoftmax(2, 0, DefaultStats(), r) })
 	mustPanic(t, "bad gamma", func() { NewEXP3(2, 0, DefaultStats(), r) })
 	mustPanic(t, "bad gamma hi", func() { NewEXP3(2, 1.1, DefaultStats(), r) })
-	mustPanic(t, "bad prior", func() { NewThompsonGaussian(2, 0, DefaultStats(), r) })
 }
 
 func TestSnapshotMeansMatchRewards(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 //	sw-ucb[:<window>[:<c>]] sliding-window UCB, defaults 200, 1
 //	d-ucb[:<gamma>[:<c>]]   discounted UCB, defaults 0.99, 1
 //	thompson                Beta–Bernoulli Thompson sampling
-//	thompson-gaussian[:<σ>] Gaussian Thompson, default prior σ=1
 //	softmax:<temperature>
 //	exp3:<γ>
 //	round-robin
@@ -37,7 +36,6 @@ func KnownSpecs() []string {
 		"sw-ucb:200:1",
 		"d-ucb:0.99:1",
 		"thompson",
-		"thompson-gaussian:1",
 		"softmax:0.1",
 		"exp3:0.1",
 		"round-robin",
@@ -125,15 +123,6 @@ func (s Spec) Build(n int, cfg StatsConfig, r *rng.RNG) (Policy, error) {
 		return NewDUCB(n, gamma, c, r), nil
 	case "thompson":
 		return NewThompsonBernoulli(n, cfg, r), nil
-	case "thompson-gaussian":
-		sd, err := argf(1, 1)
-		if err != nil {
-			return nil, err
-		}
-		if sd <= 0 {
-			return nil, fmt.Errorf("bandit: spec %q: sigma must be > 0", s)
-		}
-		return NewThompsonGaussian(n, sd, cfg, r), nil
 	case "softmax":
 		temp, err := argf(1, 0.1)
 		if err != nil {

@@ -20,7 +20,6 @@ func TestSpecBuildKnown(t *testing.T) {
 		{"ucb1", "ucb1(1.00)"},
 		{"ucb1:2.5", "ucb1(2.50)"},
 		{"thompson", "thompson"},
-		{"thompson-gaussian:0.5", "thompson-gaussian"},
 		{"softmax:0.2", "softmax(0.20)"},
 		{"exp3:0.3", "exp3(0.30)"},
 		{"round-robin", "round-robin"},
@@ -50,7 +49,6 @@ func TestSpecBuildErrors(t *testing.T) {
 		"softmax:0",
 		"exp3:0",
 		"exp3:2",
-		"thompson-gaussian:0",
 	} {
 		if _, err := spec.Build(3, DefaultStats(), r); err == nil {
 			t.Errorf("spec %q: expected error", spec)

@@ -90,79 +90,3 @@ func (p *ThompsonBernoulli) Reset() {
 		p.beta[i] = p.PriorBeta
 	}
 }
-
-// ThompsonGaussian implements Thompson sampling with a Gaussian posterior
-// over each arm's mean reward (known-variance approximation). It handles
-// rewards of any scale, which matters for the quality-delta reward whose
-// magnitude shrinks as the learning curve flattens.
-type ThompsonGaussian struct {
-	*arms
-	sum  []float64
-	sum2 []float64
-	r    *rng.RNG
-	// PriorStd is the standard deviation assumed before any observation.
-	PriorStd float64
-}
-
-// NewThompsonGaussian returns a Gaussian Thompson-sampling policy. It
-// panics if priorStd <= 0.
-func NewThompsonGaussian(n int, priorStd float64, cfg StatsConfig, r *rng.RNG) *ThompsonGaussian {
-	if priorStd <= 0 {
-		panic("bandit: ThompsonGaussian priorStd must be > 0")
-	}
-	return &ThompsonGaussian{
-		arms:     newArms(n, cfg),
-		sum:      make([]float64, n),
-		sum2:     make([]float64, n),
-		r:        r,
-		PriorStd: priorStd,
-	}
-}
-
-// Name implements Policy.
-func (p *ThompsonGaussian) Name() string { return "thompson-gaussian" }
-
-// NumArms implements Policy.
-func (p *ThompsonGaussian) NumArms() int { return p.n() }
-
-// Select implements Policy.
-func (p *ThompsonGaussian) Select(eligible []bool) int {
-	idx := checkEligible(p.n(), eligible)
-	best := math.Inf(-1)
-	bestArm := idx[0]
-	for _, i := range idx {
-		n := float64(p.pulls[i])
-		var mean, std float64
-		if n == 0 {
-			mean, std = 0, p.PriorStd
-		} else {
-			mean = p.sum[i] / n
-			// Posterior std of the mean shrinks as 1/sqrt(n).
-			std = p.PriorStd / math.Sqrt(n)
-		}
-		draw := p.r.Gaussian(mean, std)
-		if draw > best {
-			best = draw
-			bestArm = i
-		}
-	}
-	return bestArm
-}
-
-// Update implements Policy.
-func (p *ThompsonGaussian) Update(arm int, reward float64) {
-	p.update(arm, reward)
-	p.sum[arm] += reward
-	p.sum2[arm] += reward * reward
-}
-
-// Snapshot implements Policy.
-func (p *ThompsonGaussian) Snapshot() []ArmSnapshot { return p.snapshot() }
-
-// Reset implements Policy.
-func (p *ThompsonGaussian) Reset() {
-	p.reset()
-	for i := range p.sum {
-		p.sum[i], p.sum2[i] = 0, 0
-	}
-}

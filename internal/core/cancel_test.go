@@ -54,10 +54,10 @@ func TestRunContextCancelledMidLoop(t *testing.T) {
 
 func TestRunScanContextPreCancelled(t *testing.T) {
 	task, _ := imageTask(t, 500, 211)
-	e := mustEngine(t, Config{Seed: 1})
+	e := mustEngine(t, Config{Seed: 1, Mode: ModeScanRandom})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := e.RunScanContext(ctx, task, true)
+	res, err := e.RunContext(ctx, task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,9 +92,33 @@ func (c EarlyStopConfig) withDefaults() EarlyStopConfig {
 	return c
 }
 
+// Mode selects the input source the loop draws from: the paper's bandit
+// over index groups, or one of the baselines it is measured against. Every
+// mode runs the same loop, so measured differences isolate input
+// selection.
+type Mode string
+
+const (
+	// ModeZombie selects inputs through the index groups under the
+	// configured bandit policy (the default).
+	ModeZombie Mode = "zombie"
+	// ModeScanRandom processes the pool in seeded shuffled order — the
+	// paper's primary baseline (uniform sampling without replacement).
+	ModeScanRandom Mode = "scan-random"
+	// ModeScanSequential processes the pool in ascending store order.
+	ModeScanSequential Mode = "scan-sequential"
+	// ModeOracle processes ground-truth useful inputs first: the skyline
+	// no realizable selector can beat.
+	ModeOracle Mode = "oracle"
+)
+
 // Config parameterizes an engine. The zero value plus a Policy is usable;
 // New fills in defaults.
 type Config struct {
+	// Mode selects the input source (default ModeZombie). Scans and the
+	// oracle ignore the groups a run is handed, and with them Policy,
+	// PolicyStats and WarmStart.
+	Mode Mode
 	// Policy names the bandit policy (see bandit.Spec). Default
 	// "eps-greedy:0.1", the paper's workhorse.
 	Policy bandit.Spec
@@ -157,7 +181,6 @@ type Config struct {
 	// Update(arm, Mean) calls (see bandit.Seed); seeding consumes no
 	// randomness, so a warm-started run is a pure function of
 	// (Config, snapshots). Snapshot arms must index into the run's groups.
-	// Ignored by scans and the oracle, which have no policy to seed.
 	WarmStart []bandit.ArmSnapshot
 	// WarmStartDecay scales trust in WarmStart, in [0,1]: 1 replays every
 	// historical pull, 0 disables seeding entirely. The decay-0 identity
@@ -229,6 +252,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.Mode == "" {
+		c.Mode = ModeZombie
+	}
 	if c.Policy == "" {
 		c.Policy = "eps-greedy:0.1"
 	}
@@ -261,6 +287,12 @@ type Engine struct {
 // New validates the configuration and returns an engine.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
+	switch cfg.Mode {
+	case ModeZombie, ModeScanRandom, ModeScanSequential, ModeOracle:
+	default:
+		return nil, fmt.Errorf("core: unknown mode %q (want %s, %s, %s or %s)",
+			cfg.Mode, ModeZombie, ModeScanRandom, ModeScanSequential, ModeOracle)
+	}
 	if cfg.MaxInputs < 0 {
 		return nil, fmt.Errorf("core: MaxInputs must be >= 0, got %d", cfg.MaxInputs)
 	}

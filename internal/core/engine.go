@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"zombie/internal/corpus"
 	"zombie/internal/fault"
 	"zombie/internal/featurepipe"
 	"zombie/internal/index"
@@ -16,8 +15,9 @@ import (
 	"zombie/internal/trace"
 )
 
-// Run executes the Zombie inner loop over the task's input pool, selecting
-// inputs through the index groups with the configured bandit policy.
+// Run executes the inner loop over the task's input pool, drawing inputs
+// from the source Config.Mode names: the index groups under the bandit
+// policy (zombie), or a scan or oracle order that ignores groups.
 func (e *Engine) Run(task *featurepipe.Task, groups *index.Groups) (*RunResult, error) {
 	return e.RunContext(context.Background(), task, groups)
 }
@@ -31,17 +31,12 @@ func (e *Engine) RunContext(ctx context.Context, task *featurepipe.Task, groups 
 
 // RunWithExecutor is RunContext with step execution delegated to exec —
 // the entry point the distributed coordinator uses. The RNG derivation,
-// policy construction and loop are exactly RunContext's, so any executor
+// input source and loop are exactly RunContext's, so any executor
 // producing the same step outcomes yields a byte-identical curve; task
 // must be the unwrapped task (the executor owns cache and fault
 // wrapping).
 func (e *Engine) RunWithExecutor(ctx context.Context, task *featurepipe.Task, groups *index.Groups, exec Executor) (*RunResult, error) {
-	r := rng.New(e.cfg.Seed).Split("run:" + task.Name + ":" + task.Feature.Name())
-	src, err := newBanditSource(groups, task.PoolSet(), e.cfg.Policy, e.cfg.PolicyStats, r.Split("policy"))
-	if err != nil {
-		return nil, err
-	}
-	seeded, err := src.warmStart(e.cfg.WarmStart, e.cfg.WarmStartDecay)
+	src, r, seeded, err := e.source(task, groups)
 	if err != nil {
 		return nil, err
 	}
@@ -52,54 +47,29 @@ func (e *Engine) RunWithExecutor(ctx context.Context, task *featurepipe.Task, gr
 	return res, err
 }
 
-// RunScan executes the same loop over a fixed input order: the sequential
-// baseline (shuffle=false) or the paper's random-sampling baseline
-// (shuffle=true).
-func (e *Engine) RunScan(task *featurepipe.Task, shuffle bool) (*RunResult, error) {
-	return e.RunScanContext(context.Background(), task, shuffle)
-}
-
-// RunScanContext is RunScan with cancellation (see RunContext).
-func (e *Engine) RunScanContext(ctx context.Context, task *featurepipe.Task, shuffle bool) (*RunResult, error) {
-	r := rng.New(e.cfg.Seed).Split("scan:" + task.Name + ":" + task.Feature.Name())
-	var src inputSource
-	if shuffle {
-		src = newRandomScan(task.PoolIdx, r.Split("order"))
-	} else {
-		src = newSequentialScan(task.PoolIdx)
+// source builds the input source Config.Mode names and the run's RNG,
+// which each mode derives under its own label; a zombie source is
+// warm-started, and seeded counts the synthetic pulls that took.
+func (e *Engine) source(task *featurepipe.Task, groups *index.Groups) (src inputSource, r *rng.RNG, seeded int64, err error) {
+	id := task.Name + ":" + task.Feature.Name()
+	switch e.cfg.Mode {
+	case ModeScanRandom:
+		r = rng.New(e.cfg.Seed).Split("scan:" + id)
+		return newRandomScan(task.PoolIdx, r.Split("order")), r, 0, nil
+	case ModeScanSequential:
+		r = rng.New(e.cfg.Seed).Split("scan:" + id)
+		return newSequentialScan(task.PoolIdx), r, 0, nil
+	case ModeOracle:
+		r = rng.New(e.cfg.Seed).Split("oracle:" + id)
+		return newOracleScan(task, r.Split("order")), r, 0, nil
 	}
-	return e.loop(ctx, task, src, r, NewLocalExecutor(task, e.cfg.Cache, e.cfg.Faults))
-}
-
-// RunOracle executes the loop over the ground-truth-best order: all
-// useful inputs first. No realizable selector can beat it; experiments use
-// it as the skyline.
-func (e *Engine) RunOracle(task *featurepipe.Task) (*RunResult, error) {
-	return e.RunOracleContext(context.Background(), task)
-}
-
-// RunOracleContext is RunOracle with cancellation (see RunContext).
-func (e *Engine) RunOracleContext(ctx context.Context, task *featurepipe.Task) (*RunResult, error) {
-	r := rng.New(e.cfg.Seed).Split("oracle:" + task.Name + ":" + task.Feature.Name())
-	var useful, rest []int
-	for _, idx := range task.PoolIdx {
-		if oracleUseful(task.Store.Get(idx), task.Feature) {
-			useful = append(useful, idx)
-		} else {
-			rest = append(rest, idx)
-		}
+	r = rng.New(e.cfg.Seed).Split("run:" + id)
+	bs, err := newBanditSource(groups, task.PoolSet(), e.cfg.Policy, e.cfg.PolicyStats, r.Split("policy"))
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	src := newOracleScan(useful, rest, r.Split("order"))
-	return e.loop(ctx, task, src, r, NewLocalExecutor(task, e.cfg.Cache, e.cfg.Faults))
-}
-
-// oracleUseful mirrors the task feature functions' usefulness definitions
-// at the ground-truth level, without paying for extraction.
-func oracleUseful(in *corpus.Input, f featurepipe.FeatureFunc) bool {
-	if sf, ok := f.(*featurepipe.SongFeature); ok {
-		return in.Truth.Class >= sf.Genres/2
-	}
-	return in.Truth.Class == 1
+	seeded, err = bs.warmStart(e.cfg.WarmStart, e.cfg.WarmStartDecay)
+	return bs, r, seeded, err
 }
 
 // failureGraceSteps is how many steps a run processes before the failure

@@ -88,6 +88,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Policy: "bogus"}); err == nil {
 		t.Fatal("bad policy spec should fail")
 	}
+	if _, err := New(Config{Mode: "bogus"}); err == nil {
+		t.Fatal("unknown mode should fail")
+	}
 	if _, err := New(Config{MaxInputs: -1}); err == nil {
 		t.Fatal("negative MaxInputs should fail")
 	}
@@ -226,7 +229,7 @@ func TestZombieBeatsRandomScanOnSkewedTask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := e.RunScan(task, true)
+		s, err := mustEngine(t, Config{Seed: seed, MaxInputs: budget, Mode: ModeScanRandom}).Run(task, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +253,7 @@ func TestOracleDominatesZombie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := e.RunOracle(task)
+	o, err := mustEngine(t, Config{Seed: 9, MaxInputs: budget, Mode: ModeOracle}).Run(task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,8 +339,7 @@ func TestEarlyStopDisabledRunsToExhaustion(t *testing.T) {
 
 func TestScanSequentialVsRandomOrders(t *testing.T) {
 	task, _ := imageTask(t, 800, 208)
-	e := mustEngine(t, Config{Seed: 15, MaxInputs: 100, TraceEvents: true})
-	seq, err := e.RunScan(task, false)
+	seq, err := mustEngine(t, Config{Seed: 15, MaxInputs: 100, TraceEvents: true, Mode: ModeScanSequential}).Run(task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +351,7 @@ func TestScanSequentialVsRandomOrders(t *testing.T) {
 		}
 		prev = ev.InputIdx
 	}
-	rnd, err := e.RunScan(task, true)
+	rnd, err := mustEngine(t, Config{Seed: 15, MaxInputs: 100, TraceEvents: true, Mode: ModeScanRandom}).Run(task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,36 +71,26 @@ func (e *Engine) RunSessionContext(ctx context.Context, s *featurepipe.Session, 
 	out := &SessionResult{Name: s.Name}
 	thinkPer := time.Duration(s.ThinkTimeMinutes * float64(time.Minute))
 
+	// Both arms run under the engine's config, the session fixing only
+	// what it compares: the mode, and no early stop for the scan engineer
+	// who processes the whole corpus.
+	cfg := e.cfg
 	if useZombie {
 		if groups == nil {
 			return nil, fmt.Errorf("core: zombie session requires groups")
 		}
 		out.Mode = "zombie"
 		out.IndexBuild = groups.BuildTime
+		cfg.Mode = ModeZombie
 	} else {
 		out.Mode = "scan"
-	}
-
-	scanEngine := e
-	if !useZombie {
-		cfg := e.cfg
+		cfg.Mode = ModeScanRandom
 		cfg.EarlyStop.Enabled = false
-		var err error
-		scanEngine, err = New(cfg)
-		if err != nil {
-			return nil, err
-		}
 	}
+	eng := &Engine{cfg: cfg}
 
 	for i, version := range s.Versions {
-		task := base.WithFeature(version)
-		var run *RunResult
-		var err error
-		if useZombie {
-			run, err = e.RunContext(ctx, task, groups)
-		} else {
-			run, err = scanEngine.RunScanContext(ctx, task, true)
-		}
+		run, err := eng.RunContext(ctx, base.WithFeature(version), groups)
 		if err != nil {
 			return nil, fmt.Errorf("core: session %s iteration %d (%s): %w", s.Name, i, version.Name(), err)
 		}

@@ -5,6 +5,8 @@ import (
 	"sort"
 
 	"zombie/internal/bandit"
+	"zombie/internal/corpus"
+	"zombie/internal/featurepipe"
 	"zombie/internal/index"
 	"zombie/internal/rng"
 )
@@ -177,12 +179,26 @@ func newRandomScan(pool []int, r *rng.RNG) *scanSource {
 }
 
 // newOracleScan processes ground-truth useful inputs first — the skyline
-// no selector can beat. usefulFirst lists pool indices with Truth-level
-// usefulness; rest is everything else.
-func newOracleScan(usefulFirst, rest []int, r *rng.RNG) *scanSource {
-	a := append([]int(nil), usefulFirst...)
-	b := append([]int(nil), rest...)
-	r.ShuffleInts(a)
-	r.ShuffleInts(b)
-	return &scanSource{order: append(a, b...), label: "scan(oracle)"}
+// no selector can beat — each part in seeded shuffled order.
+func newOracleScan(task *featurepipe.Task, r *rng.RNG) *scanSource {
+	var useful, rest []int
+	for _, idx := range task.PoolIdx {
+		if oracleUseful(task.Store.Get(idx), task.Feature) {
+			useful = append(useful, idx)
+		} else {
+			rest = append(rest, idx)
+		}
+	}
+	r.ShuffleInts(useful)
+	r.ShuffleInts(rest)
+	return &scanSource{order: append(useful, rest...), label: "scan(oracle)"}
+}
+
+// oracleUseful mirrors the task feature functions' usefulness definitions
+// at the ground-truth level, without paying for extraction.
+func oracleUseful(in *corpus.Input, f featurepipe.FeatureFunc) bool {
+	if sf, ok := f.(*featurepipe.SongFeature); ok {
+		return in.Truth.Class >= sf.Genres/2
+	}
+	return in.Truth.Class == 1
 }

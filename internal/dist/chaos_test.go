@@ -44,18 +44,17 @@ func deadWorkerSeed(t *testing.T, spec string) int64 {
 func TestDeadWorkerTripsFailureBudget(t *testing.T) {
 	const spec = "dist.step:err=0.5"
 	const seed, maxInputs, shards = 11, 80, 2
-	fseed := deadWorkerSeed(t, spec)
-	store, task, groups := testSetup(t, 160, seed)
-	eng, err := core.New(core.Config{Seed: seed, MaxInputs: maxInputs, MaxFailureFrac: 0.25})
+	inj, err := fault.Parse(spec, deadWorkerSeed(t, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
+	store, task, groups := testSetup(t, 160, seed)
 	reg := obs.NewRegistry()
-	dspec := Spec{
-		RunID: "t-chaos", Task: "wiki", Seed: seed, Shards: shards,
-		FaultSpec: spec, FaultSeed: fseed,
-		Obs: reg,
+	eng, err := core.New(core.Config{Seed: seed, MaxInputs: maxInputs, MaxFailureFrac: 0.25, Faults: inj, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
 	}
+	dspec := Spec{RunID: "t-chaos", Task: "wiki", Seed: seed, Shards: shards}
 
 	local := NewLocalTransport(store, shards, nil, nil)
 	defer local.Close()
@@ -119,12 +118,18 @@ func TestLatencyInjectionPreservesBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	inj, err := fault.Parse("dist.step:lat=2ms,latp=1", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := core.New(core.Config{Seed: seed, MaxInputs: maxInputs, Faults: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := NewLocalTransport(store, shards, nil, nil)
 	defer tr.Close()
-	res, err := Run(context.Background(), eng, tr, Spec{
-		RunID: "t-lat", Task: "wiki", Seed: seed, Shards: shards,
-		FaultSpec: "dist.step:lat=2ms,latp=1", FaultSeed: 5,
-	}, task, groups)
+	res, err := Run(context.Background(), slow, tr,
+		Spec{RunID: "t-lat", Task: "wiki", Seed: seed, Shards: shards}, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +201,14 @@ func TestWholeCallFailuresRetry(t *testing.T) {
 	local := NewLocalTransport(store, shards, nil, nil)
 	defer local.Close()
 	reg := obs.NewRegistry()
-	res, err := Run(context.Background(), eng,
+	observed, err := core.New(core.Config{Seed: seed, MaxInputs: maxInputs, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), observed,
 		swapClient(local, 1, &flakyClient{Client: local.Clients()[1], fail: lost}),
 		Spec{RunID: "t-flaky", Task: "wiki", Seed: seed, Shards: shards,
-			Attempts: lost + 1, Backoff: time.Millisecond, Obs: reg},
+			Attempts: lost + 1, Backoff: time.Millisecond},
 		task, groups)
 	if err != nil {
 		t.Fatal(err)

@@ -41,9 +41,9 @@ import (
 
 // Spec parameterizes one distributed run. The (Corpus, Task,
 // FeatureVersion, Seed) quadruple is the task identity every worker
-// rebuilds independently; FaultSpec/FaultSeed ship the run's fault plan
-// to the workers (injection decisions are pure hashes, so every worker
-// and the coordinator agree on them).
+// rebuilds independently. Everything else about the run — its fault plan,
+// metrics registry and span tracer — is read from the engine's Config, so
+// a sharded run executes the same plan as a single-process one.
 type Spec struct {
 	RunID          string
 	Corpus         string
@@ -51,19 +51,6 @@ type Spec struct {
 	FeatureVersion int
 	Seed           int64
 	Shards         int
-	FaultSpec      string
-	FaultSeed      int64
-	// Obs receives coordinator-side metrics (dist_rpc_seconds{method});
-	// nil for none.
-	Obs *obs.Registry
-	// Tracer receives the run's spans (nil for no tracing). The
-	// coordinator opens one "dist.<method>" rpc span per worker call —
-	// parented under the engine's batch/holdout span when the call context
-	// carries one — propagates it as a traceparent on the request, and
-	// stitches the worker's returned spans underneath it, so the span tree
-	// covers both sides of every RPC. Purely observational: the curve,
-	// arms, and quarantine lists are byte-identical with or without it.
-	Tracer *otrace.Tracer
 	// Attempts and Backoff tune the per-call retry loop (defaults 3 and
 	// 25ms; backoff doubles per attempt).
 	Attempts int
@@ -98,14 +85,34 @@ type Result struct {
 	Map       *ShardMap     `json:"-"`
 }
 
+// CheckMode rejects a mode Run cannot shard: every mode but zombie.
+func CheckMode(mode core.Mode) error {
+	if mode != core.ModeZombie {
+		return fmt.Errorf("dist: sharded execution requires mode %s, got %q", core.ModeZombie, mode)
+	}
+	return nil
+}
+
 // Run executes one distributed run: initialize every worker's shard view,
 // then drive eng's unchanged loop with a coordinator executor that routes
 // each step to the owning worker. task and groups are the coordinator's
 // own (unwrapped) task and index groups — identical to what a
 // single-process run would use, which is what makes the curves
 // comparable byte-for-byte.
+//
+// The engine's Config supplies the rest of the plan. Its Faults ship to
+// every worker (injection decisions are pure hashes, so workers and
+// coordinator agree on them). Its Obs receives coordinator-side metrics
+// (dist_rpc_seconds{method}). Its Tracer gets one "dist.<method>" rpc span
+// per worker call — parented under the engine's batch/holdout span when
+// the call context carries one — propagated as a traceparent on the
+// request, with the worker's returned spans stitched underneath, so the
+// span tree covers both sides of every RPC.
 func Run(ctx context.Context, eng *core.Engine, tr Transport, spec Spec, task *featurepipe.Task, groups *index.Groups) (*Result, error) {
-	c, err := newCoordinator(tr, spec, task, groups)
+	if err := CheckMode(eng.Config().Mode); err != nil {
+		return nil, err
+	}
+	c, err := newCoordinator(tr, spec, eng.Config(), task, groups)
 	if err != nil {
 		return nil, err
 	}
@@ -125,6 +132,7 @@ func Run(ctx context.Context, eng *core.Engine, tr Transport, spec Spec, task *f
 // coordinator implements core.Executor over a Transport and a ShardMap.
 type coordinator struct {
 	spec    Spec
+	cfg     core.Config // the engine's: faults, obs and tracer
 	clients []Client
 	task    *featurepipe.Task
 	sm      *ShardMap
@@ -176,7 +184,7 @@ type slot struct {
 	j int
 }
 
-func newCoordinator(tr Transport, spec Spec, task *featurepipe.Task, groups *index.Groups) (*coordinator, error) {
+func newCoordinator(tr Transport, spec Spec, cfg core.Config, task *featurepipe.Task, groups *index.Groups) (*coordinator, error) {
 	if spec.RunID == "" {
 		return nil, fmt.Errorf("dist: empty run ID")
 	}
@@ -197,7 +205,7 @@ func newCoordinator(tr Transport, spec Spec, task *featurepipe.Task, groups *ind
 	if err != nil {
 		return nil, err
 	}
-	c := &coordinator{spec: spec, clients: clients, task: task, sm: sm, rpc: map[string]*obs.Histogram{},
+	c := &coordinator{spec: spec, cfg: cfg, clients: clients, task: task, sm: sm, rpc: map[string]*obs.Histogram{},
 		calls: make([]shardCalls, spec.Shards), last: make([]*flight, spec.Shards),
 		slots: map[int]slot{}, miss: make([][]int, spec.Shards)}
 	// Groups the engine will reject get no tables: every batch is demand-fetched.
@@ -205,10 +213,10 @@ func newCoordinator(tr Transport, spec Spec, task *featurepipe.Task, groups *ind
 		c.assign, c.members = groups.Assign, core.PoolMembers(groups, task.PoolSet())
 		c.cursor, c.front = make([]int, groups.K()), make([]int, groups.K())
 	}
-	if spec.Obs != nil {
+	if cfg.Obs != nil {
 		const name, help = "dist_rpc_seconds", "Coordinator-side worker call latency by method."
 		for _, method := range []string{"init", "holdout", "step-batch", "finish"} {
-			c.rpc[method] = spec.Obs.HistogramL(name, help, "method", method, obs.LatencyBuckets)
+			c.rpc[method] = cfg.Obs.HistogramL(name, help, "method", method, obs.LatencyBuckets)
 		}
 	}
 	return c, nil
@@ -255,10 +263,10 @@ func (c *coordinator) withRetry(ctx context.Context, method string, shard int, c
 // and this is far off the hot path — so a clean run exports no error
 // series at all.
 func (c *coordinator) noteRPCError(method string, shard int) {
-	if c.spec.Obs == nil {
+	if c.cfg.Obs == nil {
 		return
 	}
-	c.spec.Obs.CounterL("dist_rpc_errors",
+	c.cfg.Obs.CounterL("dist_rpc_errors",
 		"Errored coordinator-side worker call attempts by method and worker.",
 		obs.Label{Key: "method", Value: method},
 		obs.Label{Key: "worker", Value: strconv.Itoa(shard)},
@@ -273,7 +281,7 @@ func (c *coordinator) noteRPCError(method string, shard int) {
 func (c *coordinator) startRPC(ctx context.Context, name string, shard int, attrs ...otrace.Attr) (*otrace.Tracer, *otrace.SpanRef) {
 	tr, parent := otrace.FromContext(ctx)
 	if tr == nil {
-		tr = c.spec.Tracer
+		tr = c.cfg.Tracer
 	}
 	if tr == nil {
 		return nil, nil
@@ -302,8 +310,8 @@ func (c *coordinator) init(ctx context.Context) error {
 			Seed:           c.spec.Seed,
 			Shards:         c.spec.Shards,
 			Shard:          i,
-			FaultSpec:      c.spec.FaultSpec,
-			FaultSeed:      c.spec.FaultSeed,
+			FaultSpec:      c.cfg.Faults.String(),
+			FaultSeed:      c.cfg.Faults.Seed(),
 		}
 		tr, ref := c.startRPC(ctx, "dist.init", i)
 		req.Traceparent = tr.Traceparent(ref.ID())
@@ -627,9 +635,9 @@ func (c *coordinator) finish(ctx context.Context) {
 			c.stats.CacheMisses += r.CacheMisses
 			c.stats.CacheLookupNanos += r.CacheLookupNanos
 		}
-		if c.spec.Obs != nil {
+		if c.cfg.Obs != nil {
 			for i, outcome := range []string{"hit", "miss", "wasted"} {
-				c.spec.Obs.CounterL("dist_readahead_inputs",
+				c.cfg.Obs.CounterL("dist_readahead_inputs",
 					"Pool inputs consumed from a speculative call, demand-fetched, or fetched ahead and never consumed.",
 					obs.Label{Key: "outcome", Value: outcome}).Add(ahead[i])
 			}

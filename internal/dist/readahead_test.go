@@ -26,7 +26,7 @@ import (
 func runDemandOnly(t *testing.T, eng *core.Engine, tr Transport, spec Spec, task *featurepipe.Task, groups *index.Groups) *Result {
 	t.Helper()
 	ctx := context.Background()
-	c, err := newCoordinator(tr, spec, task, nil)
+	c, err := newCoordinator(tr, spec, eng.Config(), task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestReadAheadIdentity(t *testing.T) {
 							var executed atomic.Int64
 							tr := tp.open(t, shards)
 							defer tr.Close()
-							spec := Spec{RunID: "t-demand", Task: "wiki", Seed: seed, Shards: shards, FaultSpec: f.spec, FaultSeed: f.seed}
+							spec := Spec{RunID: "t-demand", Task: "wiki", Seed: seed, Shards: shards}
 							want := runDemandOnly(t, eng, tr, spec, task, groups)
 							spec.RunID = "t-ahead"
 							got, err := Run(context.Background(), eng, spyOnFinish(tr, &executed), spec, task, groups)
@@ -274,7 +274,7 @@ func TestFlightSpans(t *testing.T) {
 	httpT := newHTTPTestTransport(t, store, shards)
 	defer httpT.Close()
 	res, err := Run(context.Background(), tracedEngine(t, seed, maxInputs, batch, tr), httpT,
-		Spec{RunID: "t-flights", Task: "wiki", Seed: seed, Shards: shards, Tracer: tr}, task, groups)
+		Spec{RunID: "t-flights", Task: "wiki", Seed: seed, Shards: shards}, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestTracingIdentityOverHTTPShards(t *testing.T) {
 		traced, err := Run(context.Background(),
 			tracedEngine(t, seed, maxInputs, batch, tr),
 			newHTTPTestTransport(t, store, shards),
-			Spec{RunID: "t-traced", Task: "wiki", Seed: seed, Shards: shards, Tracer: tr}, task, groups)
+			Spec{RunID: "t-traced", Task: "wiki", Seed: seed, Shards: shards}, task, groups)
 		if err != nil {
 			t.Fatalf("shards=%d traced: %v", shards, err)
 		}
@@ -69,7 +69,7 @@ func TestDistSpanStitching(t *testing.T) {
 	defer local.Close()
 	if _, err := Run(context.Background(),
 		tracedEngine(t, seed, maxInputs, batch, tr), local,
-		Spec{RunID: "t-stitch", Task: "wiki", Seed: seed, Shards: shards, Tracer: tr}, task, groups); err != nil {
+		Spec{RunID: "t-stitch", Task: "wiki", Seed: seed, Shards: shards}, task, groups); err != nil {
 		t.Fatal(err)
 	}
 

@@ -29,7 +29,8 @@ import (
 // task from (corpus, task, feature version, seed) — the same triple every
 // front end uses, so all workers and the coordinator hold byte-identical
 // tasks — compute the shard map, and wrap its executor with the run's
-// fault injector.
+// fault injector, shipped as its String() rendering and Seed() (a
+// rendering Parse reads back to the same decisions; see FuzzFaultSpec).
 type InitRequest struct {
 	RunID          string `json:"run_id"`
 	Corpus         string `json:"corpus"`

@@ -83,15 +83,11 @@ func policyFor(w *Workload, requested bandit.Spec) bandit.Spec {
 // locates the first curve point of each at targetFrac of the scan's final
 // quality.
 func compareToTarget(w *Workload, groups *index.Groups, policy bandit.Spec, targetFrac float64, seed int64, mutate func(*core.Config)) (*comparison, error) {
-	eng, err := engineFor(policyFor(w, policy), seed, withWorkloadDefaults(w, mutate))
-	if err != nil {
-		return nil, err
-	}
-	scan, err := eng.RunScan(w.Task, true)
+	scan, err := runStrategy(w, groups, core.ModeScanRandom, policy, seed, mutate)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: scan run: %w", err)
 	}
-	zombie, err := eng.Run(w.Task, groups)
+	zombie, err := runStrategy(w, groups, core.ModeZombie, policy, seed, mutate)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: zombie run: %w", err)
 	}
@@ -140,24 +136,17 @@ func withWorkloadDefaults(w *Workload, mutate func(*core.Config)) func(*core.Con
 	}
 }
 
-// runStrategy executes one named selection strategy on a workload: the
-// zombie policies, the scans, or the oracle. Used by the ablations that
-// sweep strategies.
-func runStrategy(w *Workload, groups *index.Groups, strategy string, policy bandit.Spec, seed int64, mutate func(*core.Config)) (*core.RunResult, error) {
-	eng, err := engineFor(policyFor(w, policy), seed, withWorkloadDefaults(w, mutate))
+// runStrategy executes one selection strategy on a workload: the zombie
+// policies, the scans, or the oracle.
+func runStrategy(w *Workload, groups *index.Groups, mode core.Mode, policy bandit.Spec, seed int64, mutate func(*core.Config)) (*core.RunResult, error) {
+	eng, err := engineFor(policyFor(w, policy), seed, withWorkloadDefaults(w, func(c *core.Config) {
+		c.Mode = mode
+		if mutate != nil {
+			mutate(c)
+		}
+	}))
 	if err != nil {
 		return nil, err
 	}
-	switch strategy {
-	case "zombie":
-		return eng.Run(w.Task, groups)
-	case "scan-random":
-		return eng.RunScan(w.Task, true)
-	case "scan-sequential":
-		return eng.RunScan(w.Task, false)
-	case "oracle":
-		return eng.RunOracle(w.Task)
-	default:
-		return nil, fmt.Errorf("experiments: unknown strategy %q", strategy)
-	}
+	return eng.Run(w.Task, groups)
 }

@@ -23,7 +23,7 @@ func F1LearningCurves(cfg Config, w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "=== F1: Learning curves (quality vs inputs processed) ==="); err != nil {
 		return err
 	}
-	strategies := []string{"zombie", "scan-random", "scan-sequential", "oracle"}
+	strategies := []core.Mode{core.ModeZombie, core.ModeScanRandom, core.ModeScanSequential, core.ModeOracle}
 	// Every (workload, strategy) run is independent; fan them all out and
 	// emit the series in the original nested order.
 	perWorkload, err := parallel.MapErr(cfg.Parallel, len(workloads), func(i int) ([]*trace.Series, error) {
@@ -37,7 +37,7 @@ func F1LearningCurves(cfg Config, w io.Writer) error {
 			if err != nil {
 				return nil, err
 			}
-			s := &trace.Series{Name: wl.Task.Name + "/" + strategies[j]}
+			s := &trace.Series{Name: wl.Task.Name + "/" + string(strategies[j])}
 			for _, p := range downsampleCurve(res.Curve, 40) {
 				s.AddPoint(float64(p.Inputs), p.Quality)
 			}

@@ -114,7 +114,7 @@ func (r Rule) validate() error {
 		name string
 		v    float64
 	}{{"err", r.ErrRate}, {"panic", r.PanicRate}, {"latency", r.LatencyRate}} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN included
 			return fmt.Errorf("fault: %s: %s rate %v out of [0,1]", r.Site, p.name, p.v)
 		}
 	}
@@ -310,8 +310,10 @@ func (inj *Injector) Covers(site Site) bool {
 	return ok
 }
 
-// String renders the active rules in the Parse syntax, sites sorted, so
-// logs and /healthz can echo the effective fault plan.
+// String renders the rules in the Parse syntax, sites sorted, so logs can
+// echo the effective fault plan and the dist wire can ship it: Parse reads
+// the rendering back, with the same seed, to an injector that makes every
+// decision this one does (FuzzFaultSpec).
 func (inj *Injector) String() string {
 	if inj == nil || len(inj.rules) == 0 {
 		return ""
@@ -336,9 +338,15 @@ func (inj *Injector) String() string {
 		if r.PanicRate > 0 {
 			parts = append(parts, "panic="+strconv.FormatFloat(r.PanicRate, 'g', -1, 64))
 		}
-		if r.Latency > 0 && r.LatencyRate > 0 {
-			parts = append(parts, "lat="+r.Latency.String(),
-				"latp="+strconv.FormatFloat(r.LatencyRate, 'g', -1, 64))
+		if r.Latency > 0 {
+			parts = append(parts, "lat="+r.Latency.String())
+		}
+		if r.Latency > 0 || r.LatencyRate > 0 {
+			parts = append(parts, "latp="+strconv.FormatFloat(r.LatencyRate, 'g', -1, 64))
+		}
+		if len(parts) == 0 {
+			// A rule that never fires still covers its site.
+			parts = append(parts, "err=0")
 		}
 		b.WriteString(strings.Join(parts, ","))
 	}

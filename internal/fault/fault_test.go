@@ -229,3 +229,55 @@ func TestConcurrentUseIsRaceFree(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// FuzzFaultSpec: every spec Parse accepts renders, through String and
+// Seed, to a spec Parse reads back to the same injector — the same
+// rendering and the same Check decision on every probed (site, id). The
+// dist wire ships the rendering, not the spec a client typed, so a worker
+// faults exactly the inputs the coordinator's own run would.
+func FuzzFaultSpec(f *testing.F) {
+	for _, spec := range []string{
+		"extract:err=0.04,panic=0.04; corpus.read:err=0.03;cache.write:err=1",
+		"extract:lat=5ms",
+		"dist.step:lat=2ms,latp=1",
+		"extract:err=0",
+		"extract:latp=0.5",
+		"index.build:lat=1ms,latp=0;journal.write:panic=1",
+		"extract:err=NaN",
+		"",
+	} {
+		f.Add(spec, int64(7))
+	}
+	ids := []string{"", "0", "17", "w0", "w1", "img-000003", "corpus/kmeans#1"}
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		inj, err := Parse(spec, seed)
+		if err != nil {
+			return
+		}
+		back, err := Parse(inj.String(), inj.Seed())
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, its rendering %q did not: %v", spec, inj.String(), err)
+		}
+		if back.String() != inj.String() {
+			t.Fatalf("rendering drifted: %q -> %q", inj.String(), back.String())
+		}
+		sites := []Site{SiteExtract, SiteCorpusRead, SiteCacheRead, SiteCacheWrite, SiteIndexBuild, SiteDistStep, SiteJournalWrite}
+		if inj != nil {
+			for s := range inj.rules {
+				sites = append(sites, s)
+			}
+		}
+		for _, site := range sites {
+			if inj.Covers(site) != back.Covers(site) {
+				t.Fatalf("%q: Covers(%s) %v vs %v after round trip", spec, site, inj.Covers(site), back.Covers(site))
+			}
+			for _, id := range ids {
+				k1, d1, ok1 := inj.Check(site, id)
+				k2, d2, ok2 := back.Check(site, id)
+				if k1 != k2 || d1 != d2 || ok1 != ok2 {
+					t.Fatalf("%q: Check(%s, %q) = (%v %v %v), round trip (%v %v %v)", spec, site, id, k1, d1, ok1, k2, d2, ok2)
+				}
+			}
+		}
+	})
+}

@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"zombie/internal/core"
+	"zombie/internal/fault"
 )
 
 // newWorkerServer boots a full Server with the named corpus registered —
@@ -72,6 +75,39 @@ func TestDistributedRunMatchesSingleProcess(t *testing.T) {
 		if ri.FinalQuality != wi.FinalQuality || ri.InputsProcessed != wi.InputsProcessed || ri.Stop != wi.Stop {
 			t.Fatalf("%s summary diverged: %+v vs %+v", name, ri, wi)
 		}
+	}
+}
+
+// TestDefaultFaultsReachShards: the server's default fault plan is part of
+// every run's engine config, so a sharded run's workers inject the same
+// faults the single-process run does — equal curve, error count and
+// quarantine list at shards 0 and 2.
+func TestDefaultFaultsReachShards(t *testing.T) {
+	inj, err := fault.Parse("extract:err=0.05", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServerWith(t, Config{Workers: 2, QueueCap: 16, Faults: inj})
+	if _, err := s.Registry().Add("imgs", writeImageCorpus(t, 600, 21), false); err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]*core.RunResult, 2)
+	for i, shards := range []int{0, 2} {
+		run := submitAndWait(t, s.Manager(), RunSpec{Corpus: "imgs", Task: "image",
+			MaxInputs: 300, EvalEvery: 50, Seed: 5, Shards: shards})
+		if st := run.State(); st != StateDone {
+			t.Fatalf("shards=%d: run ended %s: %s", shards, st, run.Info().Error)
+		}
+		runs[i] = run.Result()
+	}
+	ref, sharded := runs[0], runs[1]
+	if ref.Errors == 0 {
+		t.Fatal("the default fault plan injected no extraction errors")
+	}
+	if !reflect.DeepEqual(ref.Curve, sharded.Curve) || ref.Errors != sharded.Errors ||
+		!reflect.DeepEqual(ref.Quarantined, sharded.Quarantined) {
+		t.Fatalf("shards=2 diverged from shards=0 under default faults:\nerrors %d vs %d\ncurve %+v\nvs    %+v\nquarantine %+v\nvs         %+v",
+			ref.Errors, sharded.Errors, ref.Curve, sharded.Curve, ref.Quarantined, sharded.Quarantined)
 	}
 }
 

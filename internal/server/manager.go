@@ -148,6 +148,7 @@ func (spec *RunSpec) normalize() {
 // rejects a malformed one as a 400.
 func (m *Manager) engineConfig(spec RunSpec) (core.Config, error) {
 	cfg := core.Config{
+		Mode:           core.Mode(spec.Mode),
 		Policy:         bandit.Spec(spec.Policy),
 		Seed:           spec.Seed,
 		MaxInputs:      spec.MaxInputs,
@@ -192,9 +193,10 @@ func (m *Manager) runContext(spec RunSpec) (context.Context, context.CancelFunc)
 }
 
 // validate rejects a normalized spec the engine could not run: an unknown
-// corpus, task or mode, an out-of-range knob, or an engine configuration
-// (policy and fault specs included) core.New refuses — eagerly, so
-// submission errors surface as 400s, not failed runs. Session specs
+// corpus or task, an out-of-range knob, an engine configuration (mode,
+// policy and fault specs included) core.New refuses, or a sharded mode
+// dist.CheckMode refuses — eagerly, so submission errors surface as 400s,
+// not failed runs. Session specs
 // validate here too, as the run their versions execute (runSpec).
 func (m *Manager) validate(spec RunSpec) error {
 	if _, err := m.registry.Get(spec.Corpus); err != nil {
@@ -202,11 +204,6 @@ func (m *Manager) validate(spec RunSpec) error {
 	}
 	if !slices.Contains(workload.Names(), spec.Task) {
 		return fmt.Errorf("server: unknown task %q (want one of %v)", spec.Task, workload.Names())
-	}
-	switch spec.Mode {
-	case "zombie", "scan-random", "scan-sequential", "oracle":
-	default:
-		return fmt.Errorf("server: unknown mode %q", spec.Mode)
 	}
 	if spec.K < 1 {
 		return fmt.Errorf("server: k must be >= 1, got %d", spec.K)
@@ -219,9 +216,6 @@ func (m *Manager) validate(spec RunSpec) error {
 			return fmt.Errorf("server: %s must be >= 0, got %d", knob.name, knob.value)
 		}
 	}
-	if spec.distributed() && spec.Mode != "zombie" {
-		return fmt.Errorf("server: distributed execution (shards/dist_workers) requires mode zombie, got %q", spec.Mode)
-	}
 	if spec.Shards > 0 && len(spec.DistWorkers) > 0 && spec.Shards != len(spec.DistWorkers) {
 		return fmt.Errorf("server: shards=%d does not match %d dist_workers", spec.Shards, len(spec.DistWorkers))
 	}
@@ -229,8 +223,10 @@ func (m *Manager) validate(spec RunSpec) error {
 	if err != nil {
 		return err
 	}
-	_, err = core.New(cfg)
-	return err
+	if _, err := core.New(cfg); err != nil || !spec.distributed() {
+		return err
+	}
+	return dist.CheckMode(cfg.Mode) // normalize left no empty mode
 }
 
 // admit runs enqueue — which journals a submission and hands its task to
@@ -460,25 +456,17 @@ func (m *Manager) runEngine(ctx context.Context, run *Run) (*core.RunResult, err
 		return nil, err
 	}
 
-	switch spec.Mode {
-	case "zombie":
-		groups, err := m.indexGroups(ctx, spec, store, grouper, cfg.Faults)
-		if err != nil {
-			return nil, err
-		}
-		if spec.distributed() {
-			return m.runDist(ctx, run, eng, store, task, groups)
-		}
-		return eng.RunContext(ctx, task, groups)
-	case "scan-random":
-		return eng.RunScanContext(ctx, task, true)
-	case "scan-sequential":
-		return eng.RunScanContext(ctx, task, false)
-	case "oracle":
-		return eng.RunOracleContext(ctx, task)
-	default:
-		return nil, fmt.Errorf("server: unknown mode %q", spec.Mode)
+	if cfg.Mode != core.ModeZombie {
+		return eng.RunContext(ctx, task, nil)
 	}
+	groups, err := m.indexGroups(ctx, spec, store, grouper, cfg.Faults)
+	if err != nil {
+		return nil, err
+	}
+	if spec.distributed() {
+		return m.runDist(ctx, run, eng, store, task, groups)
+	}
+	return eng.RunContext(ctx, task, groups)
 }
 
 // runDist executes a sharded zombie run through internal/dist. The index
@@ -509,10 +497,6 @@ func (m *Manager) runDist(ctx context.Context, run *Run, eng *core.Engine, store
 		FeatureVersion: spec.FeatureVersion,
 		Seed:           spec.Seed,
 		Shards:         shards,
-		FaultSpec:      spec.Faults,
-		FaultSeed:      spec.FaultSeed,
-		Obs:            m.metrics.Registry(),
-		Tracer:         run.tracer,
 	}, task, groups)
 	if err != nil {
 		return nil, err

@@ -93,7 +93,7 @@ type RunSpec struct {
 }
 
 // distributed reports whether the spec asks for the sharded execution
-// path (which requires mode zombie; Submit enforces that).
+// path (mode zombie only; validate applies dist.CheckMode).
 func (s *RunSpec) distributed() bool {
 	return s.Shards > 0 || len(s.DistWorkers) > 0
 }

@@ -103,9 +103,6 @@ type Config struct {
 	// Faults injects deterministic failures into every run without its own
 	// faults spec — chaos deployments only; normally nil. It is also passed
 	// to the extraction cache, covering the cache.read/cache.write sites.
-	// Distributed runs are the exception: their workers rebuild injectors
-	// from the run's own faults spec string, so this default does not reach
-	// them.
 	Faults *fault.Injector
 	// DistWorkers lists worker base URLs (other zombie-serve processes
 	// serving /dist/*) that sharded runs execute over by default: a run

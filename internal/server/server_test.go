@@ -16,7 +16,12 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Config{Workers: 2, QueueCap: 16})
+	return newTestServerWith(t, Config{Workers: 2, QueueCap: 16})
+}
+
+func newTestServerWith(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +153,15 @@ func TestRunEndpointValidation(t *testing.T) {
 	decodeBody[errorBody](t, postJSON(t, ts.URL+"/runs", RunSpec{Corpus: "ghost", Task: "image"}), http.StatusBadRequest)
 	decodeBody[errorBody](t, postJSON(t, ts.URL+"/runs", RunSpec{Corpus: "imgs", Task: "image", Policy: "bogus"}), http.StatusBadRequest)
 	decodeBody[errorBody](t, postJSON(t, ts.URL+"/runs", RunSpec{Corpus: "imgs", Task: "image", Batch: -1}), http.StatusBadRequest)
+	for _, spec := range []RunSpec{
+		{Corpus: "imgs", Task: "image", Mode: "bogus"},
+		{Corpus: "imgs", Task: "image", Mode: "oracle", Shards: 2},
+	} {
+		body := decodeBody[errorBody](t, postJSON(t, ts.URL+"/runs", spec), http.StatusBadRequest)
+		if !strings.Contains(body.Error, spec.Mode) {
+			t.Errorf("mode %q: error %q does not name it", spec.Mode, body.Error)
+		}
+	}
 	decodeBody[errorBody](t, postJSON(t, ts.URL+"/runs", RunSpec{Corpus: "imgs", Task: "image", EvalEvery: -1}), http.StatusBadRequest)
 	decodeBody[errorBody](t, mustGet(t, ts.URL+"/runs/r999"), http.StatusNotFound)
 

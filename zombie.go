@@ -124,8 +124,10 @@ var (
 
 // Engine surface.
 type (
-	// Config parameterizes the engine (policy, reward, early stop).
+	// Config parameterizes the engine (mode, policy, reward, early stop).
 	Config = core.Config
+	// Mode selects the input source: zombie, a scan, or the oracle.
+	Mode = core.Mode
 	// EarlyStopConfig tunes plateau detection.
 	EarlyStopConfig = core.EarlyStopConfig
 	// RewardKind selects the reward function.
@@ -143,6 +145,15 @@ type (
 	// ArmStat is a point-in-time view of one index group's bandit
 	// statistics, as reported in Result.Arms.
 	ArmStat = bandit.ArmSnapshot
+)
+
+// Modes: the bandit over index groups and the baselines it is measured
+// against, all over the same loop.
+const (
+	ModeZombie         = core.ModeZombie
+	ModeScanRandom     = core.ModeScanRandom
+	ModeScanSequential = core.ModeScanSequential
+	ModeOracle         = core.ModeOracle
 )
 
 // Reward kinds.

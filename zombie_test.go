@@ -60,7 +60,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if !strings.Contains(res.Summary(), "zombie(") {
 		t.Fatalf("summary missing strategy: %s", res.Summary())
 	}
-	scan, err := eng.RunScan(task, true)
+	cfg := eng.Config()
+	cfg.Mode = ModeScanRandom
+	scanEng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := scanEng.Run(task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
