@@ -85,11 +85,13 @@ func TestKillResumesRunAndVersion(t *testing.T) {
 	}
 }
 
-// buildServer builds this package's binary into dir.
-func buildServer(t *testing.T, dir string) string {
+// buildServer builds this package's binary into dir, passing flags
+// (e.g. -ldflags) to go build.
+func buildServer(t *testing.T, dir string, flags ...string) string {
 	t.Helper()
 	bin := filepath.Join(dir, "zombie-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+	args := append(append([]string{"build", "-o", bin}, flags...), ".")
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
 		t.Fatalf("build zombie-serve: %v\n%s", err, out)
 	}
 	return bin

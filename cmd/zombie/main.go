@@ -123,10 +123,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *recipePath != "" {
-		if *sessionMode {
+	if *sessionMode {
+		// The session runs both arms itself — zombie and a random scan, in
+		// process — so a flag that picks the mode or the transport would be
+		// silently ignored.
+		switch {
+		case *recipePath != "":
 			return fmt.Errorf("-recipe and -session are mutually exclusive")
+		case *shards > 0:
+			return fmt.Errorf("-shards and -session are mutually exclusive")
+		case core.Mode(*mode) != core.ModeZombie && *mode != "":
+			return fmt.Errorf("-mode %s and -session are mutually exclusive (the session compares zombie with a random scan)", *mode)
 		}
+	}
+	if *recipePath != "" {
 		spec, err := recipe.ParseSpecFile(*recipePath)
 		if err != nil {
 			return err
@@ -211,7 +221,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *sessionMode {
-		if err := runSession(stdout, eng, task, groups); err != nil {
+		if err := runSession(stdout, eng.Config(), task, groups); err != nil {
 			return err
 		}
 		printCacheStats(stdout, fcache)
@@ -368,30 +378,43 @@ func printCacheStats(stdout io.Writer, c *featcache.Cache) {
 }
 
 // runSession replays the standard wiki engineering session under both the
-// scan baseline and zombie, printing the engineer-wait comparison.
-func runSession(stdout io.Writer, eng *core.Engine, task *featurepipe.Task, groups *index.Groups) error {
-	session := featurepipe.StandardWikiSession()
-	if task.Feature.NumClasses() != session.Versions[0].NumClasses() {
+// scan baseline and zombie, printing the engineer-wait comparison. Each
+// arm is a recipe session with warm-starting off, so every version runs
+// as a cold run would: zombie under the engine's configuration, the scan
+// as a full random pass with no early stop.
+func runSession(stdout io.Writer, cfg core.Config, task *featurepipe.Task, groups *index.Groups) error {
+	versions := recipe.WikiVersions()
+	if task.Feature.NumClasses() != versions[0].Feature().NumClasses() {
 		return fmt.Errorf("-session supports the wiki task only")
 	}
-	scan, err := eng.RunSession(session, task, nil, false)
-	if err != nil {
-		return err
+	scanCfg := cfg
+	scanCfg.Mode = core.ModeScanRandom
+	scanCfg.EarlyStop.Enabled = false
+	var arms [2][]*recipe.Version
+	for i, engCfg := range []core.Config{scanCfg, cfg} {
+		s, err := recipe.NewSession("session", task, groups, recipe.Config{Engine: engCfg})
+		if err != nil {
+			return err
+		}
+		for _, r := range versions {
+			v, err := s.Submit(context.Background(), r)
+			if err != nil {
+				return err
+			}
+			arms[i] = append(arms[i], v)
+		}
 	}
-	zom, err := eng.RunSession(session, task, groups, true)
-	if err != nil {
-		return err
-	}
+	scan, zom := arms[0], arms[1]
 	fmt.Fprintf(stdout, "%-10s %12s %8s %14s %8s %s\n", "version", "scan-inputs", "scan-q", "zombie-inputs", "zombie-q", "stop")
-	for i := range scan.Iterations {
-		s := scan.Iterations[i].Run
-		z := zom.Iterations[i].Run
+	for i := range scan {
+		s, z := scan[i].Run, zom[i].Run
 		fmt.Fprintf(stdout, "%-10s %12d %8.3f %14d %8.3f %s\n",
-			scan.Iterations[i].Version, s.InputsProcessed, s.FinalQuality,
+			scan[i].Recipe.Name(), s.InputsProcessed, s.FinalQuality,
 			z.InputsProcessed, z.FinalQuality, z.Stop)
 	}
+	scanWait := recipe.EngineerWait(0, scan).Total()
+	zomWait := recipe.EngineerWait(groups.BuildTime, zom).Total()
 	fmt.Fprintf(stdout, "scan total %s | zombie total %s | speedup %.2fx\n",
-		scan.TotalTime().Round(time.Second), zom.TotalTime().Round(time.Second),
-		float64(scan.TotalTime())/float64(zom.TotalTime()))
+		scanWait.Round(time.Second), zomWait.Round(time.Second), float64(scanWait)/float64(zomWait))
 	return nil
 }

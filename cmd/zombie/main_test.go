@@ -139,12 +139,22 @@ func TestDeterminismContracts(t *testing.T) {
 			},
 		},
 	}
-	t.Run("sharded oracle rejected", func(t *testing.T) {
-		args := with(zom, "-mode", "oracle", "-shards", "2")
-		if err := run(args, new(bytes.Buffer), new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "requires mode zombie") {
-			t.Errorf("zombie %s: err = %v, want the sharded-mode error", strings.Join(args, " "), err)
-		}
-	})
+	// Flag combinations one of the flags would silently ignore are refused.
+	for _, c := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"sharded oracle rejected", with(zom, "-mode", "oracle", "-shards", "2"), "requires mode zombie"},
+		{"sharded session rejected", with(zom, "-session", "-shards", "2"), "-shards and -session are mutually exclusive"},
+		{"oracle session rejected", with(zom, "-session", "-mode", "oracle"), "-mode oracle and -session are mutually exclusive"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := run(c.args, new(bytes.Buffer), new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("zombie %s: err = %v, want %q", strings.Join(c.args, " "), err, c.want)
+			}
+		})
+	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
 			a, _ := invoke(t, c.a...)

@@ -56,13 +56,10 @@ func TestEndToEndEngineeringWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 4. An engineering session: three feature-code versions.
-	session, err := NewSession("it", 5,
-		NewWikiFeature(4), NewWikiFeature(6), NewWikiFeature(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	task, err := NewTask("wiki", store, session.Versions[0],
+	// 4. An engineering session: three feature-code versions, each run
+	// under Zombie and under the status-quo full random scan.
+	versions := []FeatureFunc{NewWikiFeature(4), NewWikiFeature(6), NewWikiFeature(8)}
+	task, err := NewTask("wiki", store, versions[0],
 		func(f FeatureFunc) Model { return NewMultinomialNB(f.Dim(), 2, 1) },
 		MetricF1, 1,
 		CostModel{PerInput: 100 * time.Millisecond},
@@ -70,52 +67,58 @@ func TestEndToEndEngineeringWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(Config{
+	cfg := Config{
 		Policy:    "eps-greedy:0.1",
 		Seed:      7003,
 		EarlyStop: EarlyStopConfig{Enabled: true, MinInputs: 300},
-	})
+	}
+	zomEng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	zom, err := eng.RunSession(session, task, groups, true)
+	cfg.Mode = ModeScanRandom
+	cfg.EarlyStop.Enabled = false
+	scanEng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := eng.RunSession(session, task, nil, false)
-	if err != nil {
-		t.Fatal(err)
+	session := func(eng *Engine) (runs []*Result, inputs int, wait time.Duration) {
+		for _, v := range versions {
+			res, err := eng.Run(task.WithFeature(v), groups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, res)
+			inputs += res.InputsProcessed
+			wait += res.SimTime
+		}
+		return runs, inputs, wait
 	}
+	zom, zomInputs, zomWait := session(zomEng)
+	scan, scanInputs, scanWait := session(scanEng)
 
 	// 5. Economics: zombie processes a fraction of the inputs and waits
 	// less; per-version quality stays within tolerance of the full scan.
-	if zom.TotalInputs() >= scan.TotalInputs()/2 {
-		t.Fatalf("zombie processed %d inputs vs scan %d; expected a large cut",
-			zom.TotalInputs(), scan.TotalInputs())
+	if zomInputs >= scanInputs/2 {
+		t.Fatalf("zombie processed %d inputs vs scan %d; expected a large cut", zomInputs, scanInputs)
 	}
-	if zom.TotalTime() >= scan.TotalTime() {
-		t.Fatalf("zombie total %v vs scan %v", zom.TotalTime(), scan.TotalTime())
+	if zomWait+groups.BuildTime >= scanWait {
+		t.Fatalf("zombie wait %v (index %v) vs scan %v", zomWait, groups.BuildTime, scanWait)
 	}
-	for i := range zom.Iterations {
-		zq := zom.Iterations[i].Run.FinalQuality
-		sq := scan.Iterations[i].Run.FinalQuality
-		if sq-zq > 0.2 {
-			t.Fatalf("iteration %d: zombie F1 %.3f too far below scan %.3f", i, zq, sq)
+	for i := range zom {
+		if sq, zq := scan[i].FinalQuality, zom[i].FinalQuality; sq-zq > 0.2 {
+			t.Fatalf("version %d: zombie F1 %.3f too far below scan %.3f", i, zq, sq)
 		}
 	}
 
 	// 6. Determinism: the whole session replays identically.
-	again, err := eng.RunSession(session, task, groups, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.TotalInputs() != zom.TotalInputs() || again.ProcessingTime != zom.ProcessingTime {
+	again, againInputs, againWait := session(zomEng)
+	if againInputs != zomInputs || againWait != zomWait {
 		t.Fatal("session replay diverged")
 	}
-	for i := range zom.Iterations {
-		if again.Iterations[i].Run.FinalQuality != zom.Iterations[i].Run.FinalQuality {
-			t.Fatalf("iteration %d quality diverged on replay", i)
+	for i := range zom {
+		if again[i].FinalQuality != zom[i].FinalQuality {
+			t.Fatalf("version %d quality diverged on replay", i)
 		}
 	}
 

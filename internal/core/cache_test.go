@@ -93,18 +93,25 @@ func TestCacheRunsAreByteIdentical(t *testing.T) {
 // parts reuse the shared parts' extractions run over run.
 func TestCacheSharedAcrossSessionVersions(t *testing.T) {
 	task, groups := wikiTask(t, 900, 231)
-	session := featurepipe.CompositeWikiSession()
+	version := func(name string, top int) featurepipe.FeatureFunc {
+		c, err := featurepipe.NewCompositeFeature(name,
+			featurepipe.NewWikiFeature(2), featurepipe.NewWikiFeature(4), featurepipe.NewWikiFeature(top))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	cache := mustCache(t, featcache.Config{})
 	e := mustEngine(t, Config{Seed: 13, MaxInputs: 200, Cache: cache})
 
-	v1, err := e.Run(task.WithFeature(session.Versions[0]), groups)
+	v1, err := e.Run(task.WithFeature(version("cwiki-v1", 5)), groups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v1.CacheHits != 0 {
 		t.Fatalf("first version hit a cold cache %d times", v1.CacheHits)
 	}
-	v2, err := e.Run(task.WithFeature(session.Versions[1]), groups)
+	v2, err := e.Run(task.WithFeature(version("cwiki-v2", 6)), groups)
 	if err != nil {
 		t.Fatal(err)
 	}

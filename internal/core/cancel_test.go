@@ -87,20 +87,3 @@ func TestProgressCallbackSeesEveryCurvePoint(t *testing.T) {
 		}
 	}
 }
-
-func TestRunSessionContextCancelled(t *testing.T) {
-	sess, task, groups := miniWikiSession(t, 600, 213)
-	e := mustEngine(t, Config{Seed: 3, MaxInputs: 60, EvalEvery: 20})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := e.RunSessionContext(ctx, sess, task, groups, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Iterations) != 1 {
-		t.Fatalf("cancelled session ran %d iterations, want 1", len(res.Iterations))
-	}
-	if res.Iterations[0].Run.Stop != StopCancelled {
-		t.Fatalf("iteration stop = %s", res.Iterations[0].Run.Stop)
-	}
-}

@@ -3,17 +3,40 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
-	"zombie/internal/core"
 	"zombie/internal/featcache"
 	"zombie/internal/featurepipe"
+	"zombie/internal/recipe"
 )
+
+// cacheRecipes is the composite wiki session C1 replays: four versions
+// of three parts each, one part edited per step — the session shape under
+// which part-level extraction caching pays, since two thirds of every
+// version's extraction work was already computed by the previous one. The
+// chain base → mid → top fixes the compiled part order.
+func cacheRecipes() []*recipe.Recipe {
+	versions := [][3]int{{2, 4, 5}, {2, 4, 6}, {3, 4, 6}, {3, 4, 8}}
+	out := make([]*recipe.Recipe, len(versions))
+	for i, v := range versions {
+		r, err := recipe.New(fmt.Sprintf("cwiki-v%d", i+1), []recipe.Part{
+			{Name: "base", Kind: "wiki", Version: v[0]},
+			{Name: "mid", Kind: "wiki", Version: v[1], Deps: []string{"base"}},
+			{Name: "top", Kind: "wiki", Version: v[2], Deps: []string{"mid"}},
+		})
+		if err != nil {
+			panic(err) // static construction cannot fail
+		}
+		out[i] = r
+	}
+	return out
+}
 
 // runCacheIterations replays the composite wiki session twice through one
 // shared extraction cache: the cold pass populates it, the warm pass
 // replays the identical session against it. The results are deterministic
 // (the cache only elides recomputation, it never changes an answer).
-func runCacheIterations(cfg Config) (cold, warm *core.SessionResult, err error) {
+func runCacheIterations(cfg Config) (cold, warm []*recipe.Version, err error) {
 	cfg = cfg.withDefaults()
 	wl, err := WikiWorkload(cfg)
 	if err != nil {
@@ -28,53 +51,34 @@ func runCacheIterations(cfg Config) (cold, warm *core.SessionResult, err error) 
 		return nil, nil, err
 	}
 	defer cache.Close()
-	session := featurepipe.CompositeWikiSession()
-	eng, err := engineFor("eps-greedy:0.1", cfg.Seed+2, func(c *core.Config) {
-		c.Cache = cache
-		// Coarse eval cadence: holdout scoring is model work the cache
-		// cannot elide, so a tight cadence would dilute the measured
-		// extraction speedup. Cold and warm passes share the cadence, so
-		// determinism is unaffected.
-		c.EvalEvery = 100
-		c.EarlyStop = core.EarlyStopConfig{
-			Enabled:        true,
-			Window:         8,
-			SlopeThreshold: 0.002,
-			Patience:       2,
-			MinInputs:      400,
-		}
-	})
-	if err != nil {
+	engCfg := sessionConfig(cfg.Seed + 2)
+	engCfg.Cache = cache
+	// Coarse eval cadence: holdout scoring is model work the cache cannot
+	// elide, so a tight cadence would dilute the measured extraction
+	// speedup. Cold and warm passes share the cadence, so determinism is
+	// unaffected.
+	engCfg.EvalEvery = 100
+	if cold, err = replaySession("cold", wl.Task, groups, engCfg, cacheRecipes()); err != nil {
 		return nil, nil, err
 	}
-	cold, err = eng.RunSession(session, wl.Task, groups, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	warm, err = eng.RunSession(session, wl.Task, groups, true)
-	if err != nil {
+	if warm, err = replaySession("warm", wl.Task, groups, engCfg, cacheRecipes()); err != nil {
 		return nil, nil, err
 	}
 	return cold, warm, nil
 }
 
-// sessionsMatch reports whether two session results are observably
+// sessionsMatch reports whether two session passes are observably
 // identical: same per-version inputs, qualities, stop reasons, and full
 // learning curves. This is the cache determinism contract.
-func sessionsMatch(a, b *core.SessionResult) bool {
-	if len(a.Iterations) != len(b.Iterations) {
+func sessionsMatch(a, b []*recipe.Version) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i := range a.Iterations {
-		ra, rb := a.Iterations[i].Run, b.Iterations[i].Run
+	for i := range a {
+		ra, rb := a[i].Run, b[i].Run
 		if ra.InputsProcessed != rb.InputsProcessed || ra.FinalQuality != rb.FinalQuality ||
-			ra.Stop != rb.Stop || len(ra.Curve) != len(rb.Curve) {
+			ra.Stop != rb.Stop || !slices.Equal(ra.Curve, rb.Curve) {
 			return false
-		}
-		for j := range ra.Curve {
-			if ra.Curve[j] != rb.Curve[j] {
-				return false
-			}
 		}
 	}
 	return true
@@ -82,10 +86,10 @@ func sessionsMatch(a, b *core.SessionResult) bool {
 
 // sessionCacheTraffic sums the extraction-cache hit/miss counters over a
 // session's runs.
-func sessionCacheTraffic(s *core.SessionResult) (hits, misses int64) {
-	for _, it := range s.Iterations {
-		hits += it.Run.CacheHits
-		misses += it.Run.CacheMisses
+func sessionCacheTraffic(versions []*recipe.Version) (hits, misses int64) {
+	for _, v := range versions {
+		hits += v.Run.CacheHits
+		misses += v.Run.CacheMisses
 	}
 	return hits, misses
 }
@@ -109,12 +113,12 @@ func C1CacheWarm(cfg Config, w io.Writer) error {
 	}
 	for _, pass := range []struct {
 		label string
-		s     *core.SessionResult
+		s     []*recipe.Version
 	}{{"cold", cold}, {"warm", warm}} {
-		for _, it := range pass.s.Iterations {
-			table.AddRow(pass.label, it.Version,
-				d(it.Run.InputsProcessed), f(it.Run.FinalQuality),
-				fmt.Sprintf("%d", it.Run.CacheHits), fmt.Sprintf("%d", it.Run.CacheMisses))
+		for _, v := range pass.s {
+			table.AddRow(pass.label, v.Recipe.Name(),
+				d(v.Run.InputsProcessed), f(v.Run.FinalQuality),
+				fmt.Sprintf("%d", v.Run.CacheHits), fmt.Sprintf("%d", v.Run.CacheMisses))
 		}
 	}
 	coldHits, coldMisses := sessionCacheTraffic(cold)

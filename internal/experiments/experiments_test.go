@@ -302,6 +302,21 @@ func TestC1Output(t *testing.T) {
 	}
 }
 
+// TestCacheRecipesEditOnePart pins the shape C1 depends on: each version
+// of the composite session edits exactly one of its three parts, so two of
+// them are already in the cache from the version before.
+func TestCacheRecipesEditOnePart(t *testing.T) {
+	rs := cacheRecipes()
+	if len(rs) != 4 {
+		t.Fatalf("%d versions, want 4", len(rs))
+	}
+	for i := 1; i < len(rs); i++ {
+		if d := rs[i].DiffFrom(rs[i-1]); d.TotalParts != 3 || d.SharedParts != 2 || len(d.Changed) != 1 {
+			t.Errorf("%s -> %s: %+v, want one of three parts changed", rs[i-1].Name(), rs[i].Name(), d)
+		}
+	}
+}
+
 // TestS1Output runs the warm-vs-cold session experiment. The experiment
 // asserts its own claim internally (positive total inputs saved across
 // independent corpus draws, unless the scale is degenerate), so a clean

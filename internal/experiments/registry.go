@@ -11,54 +11,19 @@ import (
 	"zombie/internal/rng"
 )
 
-// buildNamedGroups builds groups for a workload with a named strategy;
-// used by the indexing ablation. "default" uses the workload's grouper.
-// workers bounds the goroutines the k-means and tf-idf builds may use;
-// the built groups are identical for any count.
+// buildNamedGroups builds groups for a workload with a named strategy
+// (see index.NamedGrouper); used by the indexing ablation. "default" uses
+// the workload's grouper. workers bounds the goroutines the k-means and
+// tf-idf builds may use; the built groups are identical for any count.
 func buildNamedGroups(wl *Workload, strategy string, k int, seed int64, workers int) (*index.Groups, error) {
-	r := rng.New(seed)
-	switch strategy {
-	case "default":
+	if strategy == "default" {
 		return wl.Groups(k, seed)
-	case "kmeans-text":
-		g := &index.KMeansGrouper{Vectorizer: index.NewHashedText(256), Config: index.KMeansConfig{MaxIter: 25, Workers: workers}}
-		return g.Group(wl.Store, k, r)
-	case "kmeans-tfidf":
-		tfidf := index.NewTFIDF(256)
-		tfidf.FitParallel(wl.Store, workers)
-		g := &index.KMeansGrouper{Vectorizer: tfidf, Config: index.KMeansConfig{MaxIter: 25, Workers: workers}}
-		return g.Group(wl.Store, k, r)
-	case "lsh-text":
-		g := &index.LSHGrouper{Vectorizer: index.NewHashedText(256)}
-		return g.Group(wl.Store, k, r)
-	case "kmeans-numeric":
-		dim := 0
-		for i := 0; i < wl.Store.Len(); i++ {
-			if v := wl.Store.Get(i).Values; len(v) > 0 {
-				dim = len(v)
-				break
-			}
-		}
-		if dim == 0 {
-			return nil, fmt.Errorf("experiments: kmeans-numeric needs numeric inputs")
-		}
-		v := index.NewNumeric(dim)
-		v.FitStandardize(wl.Store)
-		g := &index.KMeansGrouper{Vectorizer: v, Config: index.KMeansConfig{MaxIter: 25, Workers: workers}}
-		return g.Group(wl.Store, k, r)
-	case "hash":
-		return index.HashGrouper{}.Group(wl.Store, k, r)
-	case "random":
-		return index.RandomGrouper{}.Group(wl.Store, k, r)
-	case "oracle":
-		return index.OracleGrouper{}.Group(wl.Store, k, r)
-	default:
-		if len(strategy) > len("attribute:") && strategy[:len("attribute:")] == "attribute:" {
-			g := &index.AttributeGrouper{Attr: strategy[len("attribute:"):]}
-			return g.Group(wl.Store, k, r)
-		}
-		return nil, fmt.Errorf("experiments: unknown index strategy %q", strategy)
 	}
+	g, err := index.NamedGrouper(wl.Store, strategy, index.KMeansConfig{MaxIter: 25, Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return g.Group(wl.Store, k, rng.New(seed))
 }
 
 // Runner executes one experiment, writing its tables/series to w.

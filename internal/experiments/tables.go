@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -8,7 +9,9 @@ import (
 	"zombie/internal/core"
 	"zombie/internal/corpus"
 	"zombie/internal/featurepipe"
+	"zombie/internal/index"
 	"zombie/internal/parallel"
+	"zombie/internal/recipe"
 )
 
 // T1DatasetStats reproduces the dataset-statistics table: corpus sizes,
@@ -151,59 +154,78 @@ func T3Session(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	session := featurepipe.StandardWikiSession()
-	eng, err := engineFor("eps-greedy:0.1", cfg.Seed+2, func(c *core.Config) {
-		c.EarlyStop = core.EarlyStopConfig{
-			Enabled:        true,
-			Window:         8,
-			SlopeThreshold: 0.002,
-			Patience:       2,
-			MinInputs:      400,
-		}
-	})
-	if err != nil {
-		return err
-	}
-	// The two sessions are independent (the engine is immutable and each
-	// run derives its own RNG substreams), so they can race.
-	sessions, err := parallel.MapErr(cfg.Parallel, 2, func(i int) (*core.SessionResult, error) {
+	engCfg := sessionConfig(cfg.Seed + 2)
+	// The status-quo engineer scans the whole corpus every version: a
+	// random scan with no early stop, handed the same groups it ignores.
+	scanCfg := engCfg
+	scanCfg.Mode = core.ModeScanRandom
+	scanCfg.EarlyStop.Enabled = false
+	// The two sessions are independent (each run derives its own RNG
+	// substreams), so they can race.
+	arms, err := parallel.MapErr(cfg.Parallel, 2, func(i int) ([]*recipe.Version, error) {
 		if i == 0 {
-			return eng.RunSession(session, wl.Task, groups, true)
+			return replaySession("zombie", wl.Task, groups, engCfg, recipe.WikiVersions())
 		}
-		return eng.RunSession(session, wl.Task, nil, false)
+		return replaySession("scan", wl.Task, groups, scanCfg, recipe.WikiVersions())
 	})
 	if err != nil {
 		return err
 	}
-	zombie, scan := sessions[0], sessions[1]
+	zombie, scan := arms[0], arms[1]
 	table := &Table{
 		ID:     "T3",
 		Title:  "End-to-end engineering session (8 feature versions, wiki task)",
 		Header: []string{"iteration", "scan-inputs", "scan-q", "zombie-inputs", "zombie-q", "zombie-stop"},
 	}
-	for i := range scan.Iterations {
-		si := scan.Iterations[i].Run
-		zi := zombie.Iterations[i].Run
+	for i := range scan {
+		si, zi := scan[i].Run, zombie[i].Run
 		table.AddRow(
-			scan.Iterations[i].Version,
+			scan[i].Recipe.Name(),
 			d(si.InputsProcessed), f(si.FinalQuality),
 			d(zi.InputsProcessed), f(zi.FinalQuality),
 			zi.Stop.String(),
 		)
 	}
+	scanWait := recipe.EngineerWait(0, scan)
+	zombieWait := recipe.EngineerWait(groups.BuildTime, zombie)
 	ratio := 0.0
-	if zombie.TotalTime() > 0 {
-		ratio = float64(scan.TotalTime()) / float64(zombie.TotalTime())
+	if zombieWait.Total() > 0 {
+		ratio = float64(scanWait.Total()) / float64(zombieWait.Total())
 	}
 	table.Notes = append(table.Notes,
 		fmt.Sprintf("scan session total: %s (processing %s + think %s)",
-			scan.TotalTime().Round(time.Minute), scan.ProcessingTime.Round(time.Minute), scan.ThinkTime.Round(time.Minute)),
+			scanWait.Total().Round(time.Minute), scanWait.Processing.Round(time.Minute), scanWait.Think.Round(time.Minute)),
 		fmt.Sprintf("zombie session total: %s (index %s + processing %s + think %s)",
-			zombie.TotalTime().Round(time.Minute), zombie.IndexBuild.Round(time.Second),
-			zombie.ProcessingTime.Round(time.Minute), zombie.ThinkTime.Round(time.Minute)),
+			zombieWait.Total().Round(time.Minute), zombieWait.Index.Round(time.Second),
+			zombieWait.Processing.Round(time.Minute), zombieWait.Think.Round(time.Minute)),
 		fmt.Sprintf("session speedup %.2fx (paper shape: 8h -> 5h, i.e. 1.6x)", ratio),
 	)
 	return table.Fprint(w)
+}
+
+// sessionConfig is the engine T3 and C1 replay their zombie versions
+// with: eps-greedy(0.1) and plateau early stopping.
+func sessionConfig(seed int64) core.Config {
+	return core.Config{Policy: "eps-greedy:0.1", Seed: seed, EarlyStop: core.EarlyStopConfig{
+		Enabled: true, Window: 8, SlopeThreshold: 0.002, Patience: 2, MinInputs: 400,
+	}}
+}
+
+// replaySession submits the recipes in order to a fresh session with
+// warm-starting off (Decay 0), so every version runs exactly as a cold
+// run would, and returns the versions.
+func replaySession(name string, task *featurepipe.Task, groups *index.Groups, engCfg core.Config, recipes []*recipe.Recipe) ([]*recipe.Version, error) {
+	s, err := recipe.NewSession(name, task, groups, recipe.Config{Engine: engCfg})
+	if err != nil {
+		return nil, err
+	}
+	versions := make([]*recipe.Version, len(recipes))
+	for i, r := range recipes {
+		if versions[i], err = s.Submit(context.Background(), r); err != nil {
+			return nil, err
+		}
+	}
+	return versions, nil
 }
 
 // T4IndexCost reproduces the index amortization table: what the offline

@@ -1,7 +1,6 @@
 package featurepipe
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -216,34 +215,5 @@ func TestFingerprintsDistinguishVersions(t *testing.T) {
 	// The fallback path covers types without Fingerprinter.
 	if FingerprintOf(&badDimFeature{FuncCore{FuncName: "x", FuncDim: 1, Classes: 2}}) == "" {
 		t.Fatal("fallback fingerprint empty")
-	}
-}
-
-func TestSessionTransitions(t *testing.T) {
-	s := CompositeWikiSession()
-	if len(s.Versions) != 4 {
-		t.Fatalf("composite session has %d versions", len(s.Versions))
-	}
-	// Each step edits exactly one of three parts: two of the new version's
-	// part fingerprints already belong to the previous version, the shape
-	// the part-level cache (and C1) depends on.
-	parts := func(f FeatureFunc) []string {
-		var fps []string
-		for _, p := range f.(*CompositeFeature).parts {
-			fps = append(fps, FingerprintOf(p))
-		}
-		return fps
-	}
-	for i := 1; i < len(s.Versions); i++ {
-		prev, cur := parts(s.Versions[i-1]), parts(s.Versions[i])
-		shared := 0
-		for _, fp := range cur {
-			if slices.Contains(prev, fp) {
-				shared++
-			}
-		}
-		if len(cur) != 3 || shared != 2 {
-			t.Fatalf("%s → %s shares %d/%d parts, want 2/3", s.Versions[i-1].Name(), s.Versions[i].Name(), shared, len(cur))
-		}
 	}
 }

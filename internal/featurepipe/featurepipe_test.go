@@ -358,27 +358,6 @@ func TestWithFeature(t *testing.T) {
 	}
 }
 
-func TestSession(t *testing.T) {
-	s := StandardWikiSession()
-	if len(s.Versions) != 8 {
-		t.Fatalf("standard session has %d versions", len(s.Versions))
-	}
-	for i, v := range s.Versions {
-		if v.Name() == "" || v.Dim() <= 0 {
-			t.Fatalf("version %d malformed", i)
-		}
-	}
-	if _, err := NewSession("x", 5); err == nil {
-		t.Fatal("empty session should fail")
-	}
-	if _, err := NewSession("x", 5, nil); err == nil {
-		t.Fatal("nil version should fail")
-	}
-	if _, err := NewSession("x", -1, NewWikiFeature(1)); err == nil {
-		t.Fatal("negative think time should fail")
-	}
-}
-
 func TestFaultyFeature(t *testing.T) {
 	inner := NewWikiFeature(1)
 	f := &FaultyFeature{Inner: inner, ErrPct: 30, PanicPct: 10}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"zombie/internal/corpus"
@@ -274,6 +275,63 @@ func (OracleGrouper) Group(store corpus.Store, k int, r *rng.RNG) (*Groups, erro
 	out := fromAssign("oracle", assign, k)
 	out.BuildTime = time.Since(start)
 	return out, nil
+}
+
+// NamedGrouper returns the grouper a built-in strategy name selects:
+// kmeans-text, kmeans-tfidf, kmeans-numeric, lsh-text, lsh-numeric,
+// attribute:<key>, hash, random or oracle. Strategies with fitted
+// vectorizers (tf-idf weights, numeric standardization) fit them on store
+// here; the numeric ones take their dimensionality from the store's first
+// numeric input. cfg tunes every k-means strategy, and its Workers bounds
+// the tf-idf fit as well.
+func NamedGrouper(store corpus.Store, strategy string, cfg KMeansConfig) (Grouper, error) {
+	if key, ok := strings.CutPrefix(strategy, "attribute:"); ok && key != "" {
+		return &AttributeGrouper{Attr: key}, nil
+	}
+	switch strategy {
+	case "kmeans-text":
+		return &KMeansGrouper{Vectorizer: NewHashedText(256), Config: cfg}, nil
+	case "kmeans-tfidf":
+		tfidf := NewTFIDF(256)
+		tfidf.FitParallel(store, cfg.Workers)
+		return &KMeansGrouper{Vectorizer: tfidf, Config: cfg}, nil
+	case "kmeans-numeric":
+		v, err := fittedNumeric(store, strategy)
+		if err != nil {
+			return nil, err
+		}
+		return &KMeansGrouper{Vectorizer: v, Config: cfg}, nil
+	case "lsh-text":
+		return &LSHGrouper{Vectorizer: NewHashedText(256)}, nil
+	case "lsh-numeric":
+		v, err := fittedNumeric(store, strategy)
+		if err != nil {
+			return nil, err
+		}
+		return &LSHGrouper{Vectorizer: v}, nil
+	case "hash":
+		return HashGrouper{}, nil
+	case "random":
+		return RandomGrouper{}, nil
+	case "oracle":
+		return OracleGrouper{}, nil
+	case "attribute", "attribute:":
+		return nil, fmt.Errorf("index: attribute strategy needs a key, e.g. %q", "attribute:category")
+	}
+	return nil, fmt.Errorf("index: unknown index strategy %q", strategy)
+}
+
+// fittedNumeric is a standardized numeric vectorizer over the
+// dimensionality of the store's first numeric input.
+func fittedNumeric(store corpus.Store, strategy string) (*Numeric, error) {
+	for i := 0; i < store.Len(); i++ {
+		if in := store.Get(i); in.Kind == corpus.NumericKind && len(in.Values) > 0 {
+			v := NewNumeric(len(in.Values))
+			v.FitStandardize(store)
+			return v, nil
+		}
+	}
+	return nil, fmt.Errorf("index: %s needs numeric inputs", strategy)
 }
 
 // Save persists the groups to path with encoding/gob.

@@ -353,3 +353,46 @@ func TestFromAssignPropertyEveryInputOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNamedGrouper pins the strategy table: each built-in name selects its
+// grouper, k-means strategies carry the caller's config, and a bad name or
+// a keyless attribute strategy is refused.
+func TestNamedGrouper(t *testing.T) {
+	text := corpus.NewMemStore([]*corpus.Input{{ID: "a", Kind: corpus.TextKind, Text: "born infobox"}})
+	num := corpus.NewMemStore([]*corpus.Input{{ID: "b", Kind: corpus.NumericKind, Values: []float64{1, 2}}})
+	cfg := KMeansConfig{MaxIter: 25, Workers: 1}
+	for _, c := range []struct {
+		strategy string
+		store    corpus.Store
+		want     string
+	}{
+		{"kmeans-text", text, "kmeans(hashed-text)"},
+		{"kmeans-tfidf", text, "kmeans(tfidf)"},
+		{"kmeans-numeric", num, "kmeans(numeric)"},
+		{"lsh-text", text, "lsh(hashed-text)"},
+		{"lsh-numeric", num, "lsh(numeric)"},
+		{"attribute:category", text, "attribute(category)"},
+		{"hash", text, "hash"},
+		{"random", text, "random"},
+		{"oracle", text, "oracle"},
+	} {
+		g, err := NamedGrouper(c.store, c.strategy, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.strategy, err)
+		}
+		if g.Name() != c.want {
+			t.Errorf("%s: grouper %s, want %s", c.strategy, g.Name(), c.want)
+		}
+		if km, ok := g.(*KMeansGrouper); ok && km.Config != cfg {
+			t.Errorf("%s: config %+v, want %+v", c.strategy, km.Config, cfg)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "attribute", "attribute:", "attributecategory"} {
+		if _, err := NamedGrouper(text, bad, cfg); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+	if _, err := NamedGrouper(text, "kmeans-numeric", cfg); err == nil {
+		t.Error("kmeans-numeric over a text corpus accepted")
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"zombie/internal/featurepipe"
 )
 
 func wikiParts() []Part {
@@ -176,5 +178,22 @@ func TestParseSpec(t *testing.T) {
 	}
 	if _, err := ParseSpecBytes([]byte(`{"name":"rec","parts":[]} {"trailing":true}`)); err == nil {
 		t.Error("trailing document: want error")
+	}
+}
+
+// TestWikiVersions pins the standard session's recipes: eight single-part
+// recipes that compile to the wiki feature of the same version, so the
+// run labels and fingerprints are those of featurepipe.NewWikiFeature.
+func TestWikiVersions(t *testing.T) {
+	rs := WikiVersions()
+	if len(rs) != 8 {
+		t.Fatalf("%d versions, want 8", len(rs))
+	}
+	for i, r := range rs {
+		want := featurepipe.NewWikiFeature(i + 1)
+		if r.Name() != want.Name() || r.Feature().Name() != want.Name() || r.Fingerprint() != featurepipe.FingerprintOf(want) {
+			t.Errorf("version %d: recipe %s compiles to %s (%s), want %s (%s)", i+1,
+				r.Name(), r.Feature().Name(), r.Fingerprint(), want.Name(), featurepipe.FingerprintOf(want))
+		}
 	}
 }

@@ -3,6 +3,7 @@ package recipe
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"zombie/internal/core"
 	"zombie/internal/featurepipe"
@@ -169,4 +170,53 @@ func (s *Session) prevRecipe() *Recipe {
 		return v.Recipe
 	}
 	return nil
+}
+
+// WikiVersions returns the standard wiki engineering session that
+// experiment T3 and `zombie -session` replay: eight single-part recipes,
+// wiki-v1 … wiki-v8, in which the engineer starts from a low-capacity
+// hashed bag of words and widens the hash space, boosts the
+// infobox-marker signal and adds bigrams. A single-part recipe compiles
+// to the part itself, so version N runs as featurepipe.NewWikiFeature(N).
+func WikiVersions() []*Recipe {
+	out := make([]*Recipe, 8)
+	for v := range out {
+		r, err := New(fmt.Sprintf("wiki-v%d", v+1), []Part{{Name: "wiki", Kind: "wiki", Version: v + 1}})
+		if err != nil {
+			panic(err) // static construction cannot fail
+		}
+		out[v] = r
+	}
+	return out
+}
+
+// thinkTime is the engineer's fixed time between versions (reading
+// results, editing code). Both arms of a comparison pay it per version,
+// which dilutes the relative speed-up exactly as in the paper's
+// 8 h → 5 h arithmetic.
+const thinkTime = 10 * time.Minute
+
+// Wait is what a session costs the engineer — the paper's end-to-end
+// unit of account.
+type Wait struct {
+	// Index is the one-time index build (zero for a scan session).
+	Index time.Duration
+	// Processing sums the versions' simulated processing time.
+	Processing time.Duration
+	// Think is the engineer's ten minutes per version.
+	Think time.Duration
+}
+
+// Total is the engineer's whole wait: index + processing + think time.
+func (w Wait) Total() time.Duration { return w.Index + w.Processing + w.Think }
+
+// EngineerWait accounts a session's versions: the index build charged
+// once, each version's simulated processing, and ten minutes of think
+// time per version.
+func EngineerWait(indexBuild time.Duration, versions []*Version) Wait {
+	w := Wait{Index: indexBuild, Think: time.Duration(len(versions)) * thinkTime}
+	for _, v := range versions {
+		w.Processing += v.Run.SimTime
+	}
+	return w
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"zombie/internal/core"
 	"zombie/internal/corpus"
@@ -240,5 +241,101 @@ func TestSessionSkipsVersionsWithoutVerdict(t *testing.T) {
 		!reflect.DeepEqual(got.Run.Curve, want.Run.Curve) || !reflect.DeepEqual(got.Run.Arms, want.Run.Arms) {
 		t.Fatalf("version after a cancelled one did not build on v1:\n got  %+v %+v\n want %+v %+v",
 			got.Diff, got.WarmStart, want.Diff, want.WarmStart)
+	}
+}
+
+// TestSessionScanVsZombie replays two versions as the paper's end-to-end
+// comparison does: a zombie session with early stop against a random-scan
+// session without it, both with warm-starting off.
+func TestSessionScanVsZombie(t *testing.T) {
+	task, groups := wikiFixture(t, 2500, 400)
+	zomCfg := core.Config{
+		Seed: 1,
+		EarlyStop: core.EarlyStopConfig{
+			Enabled: true, Window: 6, SlopeThreshold: 0.004, Patience: 2, MinInputs: 250,
+		},
+	}
+	scanCfg := zomCfg
+	scanCfg.Mode = core.ModeScanRandom
+	scanCfg.EarlyStop.Enabled = false
+	replay := func(cfg core.Config) []*Version {
+		s, err := NewSession("arm", task, groups, Config{Engine: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range WikiVersions()[6:] {
+			if _, err := s.Submit(context.Background(), r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.Versions()
+	}
+	zombie, scan := replay(zomCfg), replay(scanCfg)
+	if len(zombie) != 2 || len(scan) != 2 {
+		t.Fatalf("versions: %d vs %d", len(zombie), len(scan))
+	}
+	inputs := func(vs []*Version) (n int) {
+		for _, v := range vs {
+			n += v.Run.InputsProcessed
+		}
+		return n
+	}
+	// The scan processes the full pool every version.
+	for i, v := range scan {
+		if v.Run.InputsProcessed != len(task.PoolIdx) || v.Run.Stop == core.StopEarly {
+			t.Fatalf("scan version %d processed %d of %d, stop %s", i, v.Run.InputsProcessed, len(task.PoolIdx), v.Run.Stop)
+		}
+	}
+	// Zombie processes less in total and therefore waits less, index build
+	// included.
+	if inputs(zombie) >= inputs(scan) {
+		t.Fatalf("zombie processed %d inputs vs scan %d", inputs(zombie), inputs(scan))
+	}
+	zw, sw := EngineerWait(groups.BuildTime, zombie), EngineerWait(0, scan)
+	if zw.Total() >= sw.Total() {
+		t.Fatalf("zombie wait %v vs scan %v", zw.Total(), sw.Total())
+	}
+	if zw.Think != sw.Think {
+		t.Fatal("think time should match across arms")
+	}
+	// Quality parity: zombie's last version within tolerance of the scan's.
+	if zq, sq := zombie[1].Run.FinalQuality, scan[1].Run.FinalQuality; sq-zq > 0.12 {
+		t.Fatalf("zombie session lost too much quality: %.3f vs %.3f", zq, sq)
+	}
+}
+
+func TestNewSessionValidation(t *testing.T) {
+	task, groups := wikiFixture(t, 200, 401)
+	ok := Config{Engine: testEngineConfig(nil)}
+	for _, c := range []struct {
+		name   string
+		sess   string
+		task   *featurepipe.Task
+		groups *index.Groups
+		cfg    Config
+	}{
+		{"no name", "", task, groups, ok},
+		{"no task", "s", nil, groups, ok},
+		{"no groups", "s", task, nil, ok},
+		{"decay above 1", "s", task, groups, Config{Engine: ok.Engine, Decay: 1.5}},
+		{"bad engine", "s", task, groups, Config{Engine: core.Config{Mode: "bogus"}}},
+	} {
+		if _, err := NewSession(c.sess, c.task, c.groups, c.cfg); err == nil {
+			t.Errorf("%s: NewSession accepted it", c.name)
+		}
+	}
+}
+
+func TestEngineerWait(t *testing.T) {
+	versions := []*Version{
+		{Run: &core.RunResult{SimTime: 10 * time.Minute}},
+		{Run: &core.RunResult{SimTime: 20 * time.Minute}},
+	}
+	w := EngineerWait(2*time.Minute, versions)
+	if w != (Wait{Index: 2 * time.Minute, Processing: 30 * time.Minute, Think: 2 * thinkTime}) {
+		t.Fatalf("EngineerWait = %+v", w)
+	}
+	if w.Total() != 52*time.Minute {
+		t.Fatalf("Total = %v", w.Total())
 	}
 }

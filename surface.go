@@ -49,12 +49,11 @@ type (
 	FaultyFeature = featurepipe.FaultyFeature
 )
 
-// Feature-code constructors and the canonical engineering session.
+// Feature-code constructors.
 var (
-	NewWikiFeature      = featurepipe.NewWikiFeature
-	NewSongFeature      = featurepipe.NewSongFeature
-	NewImageFeature     = featurepipe.NewImageFeature
-	StandardWikiSession = featurepipe.StandardWikiSession
+	NewWikiFeature  = featurepipe.NewWikiFeature
+	NewSongFeature  = featurepipe.NewSongFeature
+	NewImageFeature = featurepipe.NewImageFeature
 )
 
 // Learners. All implement Model (incremental PartialFit, order-insensitive

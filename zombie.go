@@ -27,9 +27,6 @@
 package zombie
 
 import (
-	"fmt"
-	"strings"
-
 	"zombie/internal/bandit"
 	"zombie/internal/core"
 	"zombie/internal/corpus"
@@ -83,15 +80,10 @@ type (
 	Task = featurepipe.Task
 	// TaskOptions configures NewTask.
 	TaskOptions = featurepipe.TaskOptions
-	// Session is an ordered series of feature-code versions.
-	Session = featurepipe.Session
 )
 
 // NewTask reserves a holdout and assembles a Task; see featurepipe.NewTask.
 var NewTask = featurepipe.NewTask
-
-// NewSession builds a feature-engineering session.
-var NewSession = featurepipe.NewSession
 
 // Learner surface (models plug into Task.NewModel).
 type (
@@ -138,8 +130,6 @@ type (
 	Result = core.RunResult
 	// CurvePoint is one learning-curve sample.
 	CurvePoint = core.CurvePoint
-	// SessionResult reports a whole engineering session.
-	SessionResult = core.SessionResult
 	// StopReason records why a run ended.
 	StopReason = core.StopReason
 	// ArmStat is a point-in-time view of one index group's bandit
@@ -219,64 +209,11 @@ const (
 // strategy. The attribute strategy takes its Meta key after a colon, e.g.
 // "attribute:category". Construction is deterministic in seed.
 func BuildIndex(store Store, strategy IndexStrategy, k int, seed int64) (*Groups, error) {
-	g, err := grouperFor(store, strategy)
+	g, err := index.NamedGrouper(store, string(strategy), index.KMeansConfig{})
 	if err != nil {
 		return nil, err
 	}
 	return g.Group(store, k, rng.New(seed))
-}
-
-func grouperFor(store Store, strategy IndexStrategy) (Grouper, error) {
-	s := string(strategy)
-	switch {
-	case s == string(IndexKMeansText):
-		return &index.KMeansGrouper{Vectorizer: index.NewHashedText(256)}, nil
-	case s == string(IndexKMeansTFIDF):
-		tfidf := index.NewTFIDF(256)
-		tfidf.Fit(store)
-		return &index.KMeansGrouper{Vectorizer: tfidf}, nil
-	case s == string(IndexKMeansNumeric):
-		dim := numericDim(store)
-		if dim == 0 {
-			return nil, fmt.Errorf("zombie: %s needs numeric inputs", strategy)
-		}
-		v := index.NewNumeric(dim)
-		v.FitStandardize(store)
-		return &index.KMeansGrouper{Vectorizer: v}, nil
-	case s == string(IndexLSHText):
-		return &index.LSHGrouper{Vectorizer: index.NewHashedText(256)}, nil
-	case s == string(IndexLSHNumeric):
-		dim := numericDim(store)
-		if dim == 0 {
-			return nil, fmt.Errorf("zombie: %s needs numeric inputs", strategy)
-		}
-		v := index.NewNumeric(dim)
-		v.FitStandardize(store)
-		return &index.LSHGrouper{Vectorizer: v}, nil
-	case strings.HasPrefix(s, string(IndexAttribute)):
-		key := strings.TrimPrefix(s, string(IndexAttribute))
-		key = strings.TrimPrefix(key, ":")
-		if key == "" {
-			return nil, fmt.Errorf("zombie: attribute strategy needs a key, e.g. %q", "attribute:category")
-		}
-		return &index.AttributeGrouper{Attr: key}, nil
-	case s == string(IndexHash):
-		return index.HashGrouper{}, nil
-	case s == string(IndexRandom):
-		return index.RandomGrouper{}, nil
-	default:
-		return nil, fmt.Errorf("zombie: unknown index strategy %q", strategy)
-	}
-}
-
-// numericDim returns the dimensionality of the first numeric input, or 0.
-func numericDim(store Store) int {
-	for i := 0; i < store.Len(); i++ {
-		if in := store.Get(i); in.Kind == corpus.NumericKind {
-			return len(in.Values)
-		}
-	}
-	return 0
 }
 
 // NewRNG returns the deterministic random source used across the system.
