@@ -155,13 +155,6 @@ type Config struct {
 	// deterministic for a given (seed, K) at any shard count, transport,
 	// parallelism or cache state; see DESIGN.md §13.
 	BatchSize int
-	// EvalWorkers bounds the goroutines used per holdout evaluation
-	// (default 1 = sequential). Quality scores are deterministic for any
-	// worker count — see learner.(*Holdout).QualityParallel — so this is
-	// purely a latency knob for large holdouts. Leave it at 1 when many
-	// runs already execute concurrently (the experiment harness's
-	// -parallel saturates cores at the run level).
-	EvalWorkers int
 	// EarlyStop configures plateau detection.
 	EarlyStop EarlyStopConfig
 	// MaxInputs caps processed inputs; 0 means run to exhaustion (or
@@ -266,9 +259,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
-	}
-	if c.EvalWorkers <= 0 {
-		c.EvalWorkers = 1
 	}
 	if c.MaxFailureFrac <= 0 {
 		c.MaxFailureFrac = 0.5

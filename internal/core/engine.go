@@ -10,6 +10,7 @@ import (
 	"zombie/internal/index"
 	"zombie/internal/learner"
 	"zombie/internal/otrace"
+	"zombie/internal/parallel"
 	"zombie/internal/rng"
 	"zombie/internal/stats"
 	"zombie/internal/trace"
@@ -34,8 +35,10 @@ func (e *Engine) RunContext(ctx context.Context, task *featurepipe.Task, groups 
 // input source and loop are exactly RunContext's, so any executor
 // producing the same step outcomes yields a byte-identical curve; task
 // must be the unwrapped task (the executor owns cache and fault
-// wrapping).
+// wrapping). The run holds a slot of the process-wide helper budget, so
+// its holdout build and evaluation borrow only cores no run is using.
 func (e *Engine) RunWithExecutor(ctx context.Context, task *featurepipe.Task, groups *index.Groups, exec Executor) (*RunResult, error) {
+	defer parallel.Hold()()
 	src, r, seeded, err := e.source(task, groups)
 	if err != nil {
 		return nil, err
@@ -490,17 +493,7 @@ func (l *loopRun) evaluate() float64 {
 		}
 		l.pending = l.pending[:0]
 	}
-	return l.quality(l.evalModel)
-}
-
-// quality scores a model against the holdout, fanning the prediction pass
-// out over EvalWorkers goroutines when configured. Scores are
-// deterministic for any worker count.
-func (l *loopRun) quality(m learner.Model) float64 {
-	if l.cfg.EvalWorkers > 1 {
-		return l.holdout.QualityParallel(m, l.cfg.EvalWorkers)
-	}
-	return l.holdout.Quality(m)
+	return l.holdout.QualityParallel(l.evalModel)
 }
 
 // record appends a curve point and mirrors it to the Progress hook.

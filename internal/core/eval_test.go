@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"zombie/internal/corpus"
@@ -133,28 +136,73 @@ func TestAmortizedEvalMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestEvalWorkersDeterministic: EvalWorkers is a latency knob only — any
-// worker count yields the identical curve.
-func TestEvalWorkersDeterministic(t *testing.T) {
-	task, groups := wikiTask(t, 1200, 503)
-	seq := mustEngine(t, Config{Seed: 7, MaxInputs: 300})
-	par := mustEngine(t, Config{Seed: 7, MaxInputs: 300, EvalWorkers: 8})
-	a, err := seq.Run(task, groups)
-	if err != nil {
-		t.Fatal(err)
+// atProcs runs fn at GOMAXPROCS procs — the size of the helper budget the
+// holdout build and evaluation borrow from — and restores the setting.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// TestRunIdenticalAcrossGOMAXPROCS: how many idle cores a run borrows is
+// invisible in its result. A classification run (build and eval share
+// out), a regression run (eval stays on the loop goroutine) and faulted
+// runs at K=1 and K=16 give the same curve, arms, quarantine list and
+// final quality at GOMAXPROCS 1 and 4; two runs at once at GOMAXPROCS 2,
+// which leave each other nothing to borrow, match their sequential twins.
+func TestRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	nb := func(f featurepipe.FeatureFunc) learner.Model { return learner.NewGaussianNB(f.Dim(), 10, 1e-3) }
+	ridge := func(f featurepipe.FeatureFunc) learner.Model { return learner.NewRidgeClosed(f.Dim(), 1e-3) }
+	classify, classifyGroups := songsTask(t, 4000, 510, nb, learner.MetricMacroF1)
+	regress, regressGroups := songsTask(t, 3000, 511, ridge, learner.MetricNegRMSE)
+	faulted, faultedGroups := wikiTask(t, 3000, 512)
+	faults := mustInjector(t, "extract:err=0.05,panic=0.03;corpus.read:err=0.02", 13)
+	cells := []struct {
+		name   string
+		task   *featurepipe.Task
+		groups *index.Groups
+		cfg    Config
+	}{
+		{"classify", classify, classifyGroups, Config{Seed: 7, MaxInputs: 600, TraceEvents: true}},
+		{"regress", regress, regressGroups, Config{Seed: 7, MaxInputs: 400}},
+		{"faulted-k1", faulted, faultedGroups, Config{Seed: 7, MaxInputs: 400, Faults: faults}},
+		{"faulted-k16", faulted, faultedGroups, Config{Seed: 7, MaxInputs: 400, BatchSize: 16, Faults: faults}},
 	}
-	b, err := par.Run(task, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Curve) != len(b.Curve) {
-		t.Fatalf("curve lengths differ: %d vs %d", len(a.Curve), len(b.Curve))
-	}
-	for i := range a.Curve {
-		if a.Curve[i] != b.Curve[i] {
-			t.Fatalf("curve point %d differs: %+v vs %+v", i, a.Curve[i], b.Curve[i])
+	run := func(i int) *RunResult {
+		c := cells[i]
+		res, err := mustEngine(t, c.cfg).RunWithExecutor(context.Background(), c.task, c.groups,
+			NewLocalExecutor(c.task, nil, c.cfg.Faults))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
+		return res
 	}
+	want := make([]*RunResult, len(cells))
+	atProcs(1, func() {
+		for i := range cells {
+			want[i] = run(i)
+		}
+	})
+	if len(want[0].Curve) < 10 || len(want[2].Quarantined) == 0 {
+		t.Fatalf("cells too small to say anything: %d curve points, %d quarantined",
+			len(want[0].Curve), len(want[2].Quarantined))
+	}
+	atProcs(4, func() {
+		for i, c := range cells {
+			assertIdenticalResults(t, c.name+" at GOMAXPROCS 4", want[i], run(i))
+		}
+	})
+	atProcs(2, func() {
+		got := make([]*RunResult, 2)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() { defer wg.Done(); got[i] = run(2 * i) }()
+		}
+		wg.Wait()
+		for i, res := range got {
+			assertIdenticalResults(t, cells[2*i].name+" beside another run", want[2*i], res)
+		}
+	})
 }
 
 // TestSubsampleHoldoutGuards: n <= 0 and n >= len both reuse the full

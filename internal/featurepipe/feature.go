@@ -1,9 +1,9 @@
 // Package featurepipe models the feature-engineering side of Zombie: the
 // engineer-written feature code that turns a raw input into a training
 // example, the (simulated) cost of running that code over one input, the
-// Task bundle the engine executes against, and the Session abstraction
-// that strings together the engineer's successive feature-code versions —
-// the trial-and-error outer loop whose inner loop Zombie accelerates.
+// Task bundle the engine executes against, and the cache, fault and
+// composite wrappers extraction goes through. The engineer's successive
+// versions, the outer loop around Zombie's, are recipe.Session's.
 package featurepipe
 
 import (
@@ -31,7 +31,8 @@ type Result struct {
 
 // FeatureFunc is one version of the engineer's feature code. Extract must
 // be deterministic and side-effect free: the engine may replay it, and
-// per-run reproducibility depends on it.
+// per-run reproducibility depends on it. It may be called concurrently:
+// holdout builds, in-process dist shards and server runs all do.
 type FeatureFunc interface {
 	// Name identifies the feature-code version in traces and tables.
 	Name() string

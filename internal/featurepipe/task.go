@@ -5,6 +5,7 @@ import (
 
 	"zombie/internal/corpus"
 	"zombie/internal/learner"
+	"zombie/internal/parallel"
 	"zombie/internal/rng"
 )
 
@@ -119,6 +120,9 @@ func splitIndices(store corpus.Store, frac float64, stratify bool, r *rng.RNG) (
 	return pool, holdout
 }
 
+// holdoutChunkSize is how many holdout inputs one share of the build takes.
+const holdoutChunkSize = 64
+
 // HoldoutSkip records one holdout input dropped by the tolerant build:
 // which input, and why its extraction failed.
 type HoldoutSkip struct {
@@ -135,19 +139,30 @@ type HoldoutSkip struct {
 // corrupt records cannot deny quality measurement for the whole run. The
 // skips are returned — never swallowed — because the caller (the engine)
 // must surface them as quarantined inputs. Building still fails when no
-// example survives: a holdout of zero examples measures nothing.
+// example survives: a holdout of zero examples measures nothing. Chunks
+// of HoldoutIdx are extracted on any idle cores (parallel.ShareChunks) and
+// concatenated in chunk order, so the result is in HoldoutIdx order.
 func (t *Task) BuildHoldoutTolerant() (*learner.Holdout, []HoldoutSkip, error) {
+	type chunk struct {
+		examples []learner.Example
+		skips    []HoldoutSkip
+	}
+	chunks := parallel.ShareChunks(len(t.HoldoutIdx), holdoutChunkSize, func(lo, hi int) (c chunk) {
+		for _, idx := range t.HoldoutIdx[lo:hi] {
+			res, id, err := t.ExtractHoldout(idx)
+			if err != nil {
+				c.skips = append(c.skips, HoldoutSkip{InputID: id, Reason: err.Error()})
+			} else if res.Produced {
+				c.examples = append(c.examples, res.Example)
+			}
+		}
+		return c
+	})
 	examples := make([]learner.Example, 0, len(t.HoldoutIdx))
 	var skips []HoldoutSkip
-	for _, idx := range t.HoldoutIdx {
-		res, id, err := t.holdoutExtract(idx)
-		if err != nil {
-			skips = append(skips, HoldoutSkip{InputID: id, Reason: err.Error()})
-			continue
-		}
-		if res.Produced {
-			examples = append(examples, res.Example)
-		}
+	for _, c := range chunks {
+		examples = append(examples, c.examples...)
+		skips = append(skips, c.skips...)
 	}
 	if len(examples) == 0 {
 		return nil, skips, fmt.Errorf("featurepipe: task %s: holdout produced no examples (%d of %d inputs skipped)",
@@ -156,19 +171,12 @@ func (t *Task) BuildHoldoutTolerant() (*learner.Holdout, []HoldoutSkip, error) {
 	return learner.NewHoldout(examples, t.Metric, t.Positive), skips, nil
 }
 
-// ExtractHoldout reads and extracts the holdout input at store index idx
-// with the tolerant build's exact isolation and ID semantics — the
-// per-input unit BuildHoldoutTolerant is made of, exported so a
-// distributed worker can extract just the holdout inputs it owns while
-// the coordinator merges examples and skips in global HoldoutIdx order.
+// ExtractHoldout reads and extracts the holdout input at store index idx,
+// with panic isolation around both the read and the feature code: the
+// unit BuildHoldoutTolerant is made of, exported so a distributed worker
+// can extract the holdout inputs it owns. The input ID is best-effort:
+// "#<idx>" when the read itself failed.
 func (t *Task) ExtractHoldout(idx int) (res Result, id string, err error) {
-	return t.holdoutExtract(idx)
-}
-
-// holdoutExtract reads and extracts one holdout input with panic
-// isolation around both the store read and the feature code. The input
-// ID is best-effort: "#<idx>" when the read itself failed.
-func (t *Task) holdoutExtract(idx int) (res Result, id string, err error) {
 	var in *corpus.Input
 	defer func() {
 		if p := recover(); p != nil {

@@ -3,6 +3,7 @@ package learner
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"zombie/internal/linalg"
@@ -190,7 +191,7 @@ func (p *nbPair) check(t *testing.T, stage string, h *Holdout) {
 	if q := h.Quality(p.model); q != wantQ {
 		t.Fatalf("%s/%s: Quality %v != reference %v", p.name, stage, q, wantQ)
 	}
-	if q := h.QualityParallel(p.model, 4); q != wantQ {
+	if q := h.QualityParallel(p.model); q != wantQ {
 		t.Fatalf("%s/%s: QualityParallel %v != reference %v", p.name, stage, q, wantQ)
 	}
 }
@@ -424,6 +425,7 @@ func TestMultinomialTouchTrackingBounded(t *testing.T) {
 // do not exist yet (and then on one whose tables are stale): the refresh
 // must happen before the chunks start, which -race -count=10 checks.
 func TestQualityParallelFreshlyFitted(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	forEachPreparedCase(t, func(t *testing.T, pc preparedCase, r *rng.RNG) {
 		h := NewHoldout(pc.examples(r, 4*evalChunkSize+17), MetricMacroF1, 1)
 		train := pc.examples(r, 80)
@@ -433,7 +435,7 @@ func TestQualityParallelFreshlyFitted(t *testing.T) {
 				par.PartialFit(ex)
 				seq.PartialFit(ex)
 			}
-			if got, want := h.QualityParallel(par, 4), h.Quality(seq); got != want {
+			if got, want := h.QualityParallel(par), h.Quality(seq); got != want {
 				t.Fatalf("QualityParallel %v != Quality %v", got, want)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"zombie/internal/linalg"
-	"zombie/internal/parallel"
 	"zombie/internal/rng"
 )
 
@@ -25,11 +24,10 @@ func BenchmarkHoldoutQuality(b *testing.B) {
 
 func BenchmarkHoldoutQualityParallel(b *testing.B) {
 	h, m := evalFixture(b, 2000)
-	workers := parallel.Workers(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.QualityParallel(m, workers)
+		h.QualityParallel(m)
 	}
 }
 

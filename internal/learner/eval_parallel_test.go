@@ -1,6 +1,7 @@
 package learner
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -28,15 +29,25 @@ func evalFixture(t testing.TB, n int) (*Holdout, Model) {
 	return NewHoldout(examples, MetricF1, 1), m
 }
 
+// atProcs runs fn at GOMAXPROCS procs, so QualityParallel's helper budget
+// is procs slots, and restores the setting.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
 // TestQualityParallelMatchesSequential asserts bit-identical classification
-// scores for every worker count — the engine's determinism depends on it.
+// scores however many helpers are free — the engine's determinism depends
+// on it.
 func TestQualityParallelMatchesSequential(t *testing.T) {
 	h, m := evalFixture(t, 2000)
 	want := h.Quality(m)
-	for _, workers := range []int{1, 2, 3, 8, 32} {
-		if got := h.QualityParallel(m, workers); got != want {
-			t.Fatalf("workers=%d: %v != sequential %v", workers, got, want)
-		}
+	for _, procs := range []int{1, 2, 3, 8, 32} {
+		atProcs(procs, func() {
+			if got := h.QualityParallel(m); got != want {
+				t.Fatalf("GOMAXPROCS=%d: %v != sequential %v", procs, got, want)
+			}
+		})
 	}
 }
 
@@ -58,14 +69,15 @@ func TestQualityParallelFallsBackForUnsafeModels(t *testing.T) {
 		examples[i] = Example{Features: DenseVec(vec), Target: sum + 0.1*r.NormFloat64()}
 	}
 	h := NewHoldout(examples, MetricNegRMSE, 0)
-	for _, workers := range []int{2, 3, 8, 17} {
+	for _, procs := range []int{2, 3, 8, 17} {
 		m := NewRidgeClosed(dim, 1e-3)
 		for _, ex := range examples[:n/2] {
 			m.PartialFit(ex)
 		}
-		got := h.QualityParallel(m, workers)
+		var got float64
+		atProcs(procs, func() { got = h.QualityParallel(m) })
 		if want := h.Quality(m); got != want {
-			t.Fatalf("workers=%d: fallback %v != sequential %v", workers, got, want)
+			t.Fatalf("GOMAXPROCS=%d: fallback %v != sequential %v", procs, got, want)
 		}
 	}
 }
@@ -74,6 +86,7 @@ func TestQualityParallelFallsBackForUnsafeModels(t *testing.T) {
 // evaluations of one shared model; `make race` runs this under the race
 // detector, which is the real assertion.
 func TestQualityParallelConcurrentCallers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	h, m := evalFixture(t, 4000)
 	want := h.Quality(m)
 	var wg sync.WaitGroup
@@ -82,7 +95,7 @@ func TestQualityParallelConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- h.QualityParallel(m, 4)
+			errs <- h.QualityParallel(m)
 		}()
 	}
 	wg.Wait()

@@ -179,11 +179,11 @@ type Regressor interface {
 // Predict, Proba) are read-only and therefore safe to call from many
 // goroutines at once while training is paused. Models that refit lazily
 // at prediction time (RidgeClosed) must not implement it;
-// Holdout.QualityParallel falls back to the sequential path for them. The
-// naive Bayes families qualify with one proviso: their first
-// prediction after a PartialFit or Reset refreshes score tables, so that
-// one call must complete before the concurrent ones start —
-// QualityParallel refreshes before it fans out.
+// Holdout.QualityParallel — which every engine evaluation goes through —
+// scores them on the caller alone. The naive Bayes families qualify with
+// one proviso: their first prediction after a PartialFit or Reset
+// refreshes score tables, so that one call must complete before the
+// concurrent ones start — QualityParallel refreshes before it shares out.
 type ConcurrentPredictor interface {
 	// ConcurrentPredictable is a marker with no behavior.
 	ConcurrentPredictable()

@@ -1,7 +1,8 @@
 // Package parallel provides the bounded-concurrency primitives shared by
 // the rest of the system: ordered fan-out/fan-in over index spaces for the
-// experiment harness and the engine hot paths, fixed-granularity chunking
-// for deterministic reductions, and a fixed-size worker pool backing the
+// experiment harness and the index build, fixed-granularity chunking for
+// deterministic reductions, the process-wide budget a run borrows idle
+// cores from (Hold, Share), and a fixed-size worker pool backing the
 // serving layer.
 //
 // Determinism contract: every helper returns (or hands the caller) results
@@ -122,4 +123,69 @@ func MapChunks[T any](workers, n, chunkSize int, fn func(lo, hi int) T) []T {
 		lo, hi := ChunkBounds(n, chunkSize, i)
 		return fn(lo, hi)
 	})
+}
+
+// busy counts goroutines doing runs' work process-wide: one per held run
+// plus one per borrowed helper. Helpers are borrowed only while busy <
+// GOMAXPROCS, so two held runs on two cores leave nothing to borrow.
+var busy atomic.Int64
+
+// Hold counts the caller as one running run until release; every engine
+// run holds one slot throughout. It never waits: a run that starts while
+// helpers are out shares the cores with them until their Share returns.
+func Hold() (release func()) {
+	busy.Add(1)
+	return func() { busy.Add(-1) }
+}
+
+// borrow takes a helper slot if one is free.
+func borrow() bool {
+	if busy.Add(1) <= int64(runtime.GOMAXPROCS(0)) {
+		return true
+	}
+	busy.Add(-1)
+	return false
+}
+
+// Share runs fn(i) for every i in [0, n) on the caller plus as many helper
+// goroutines as the budget has free; with none free, everything runs
+// inline. The caller counts only if it holds a slot. fn writes to
+// per-index slots and should not panic: the first panic is re-raised on
+// the caller once every helper has stopped. Nested calls are safe.
+func Share(n int, fn func(i int)) {
+	var next atomic.Int64
+	var failure atomic.Pointer[any]
+	work := func() {
+		defer func() {
+			if p := recover(); p != nil {
+				failure.CompareAndSwap(nil, &p)
+			}
+		}()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for h := 1; h < n && borrow(); h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer busy.Add(-1)
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if p := failure.Load(); p != nil {
+		panic(*p)
+	}
+}
+
+// ShareChunks is MapChunks over Share: fn runs over fixed-size chunks of
+// [0, n) and the results come back in chunk order, so a left-to-right fold
+// is identical however many helpers were free.
+func ShareChunks[T any](n, chunkSize int, fn func(lo, hi int) T) []T {
+	out := make([]T, NumChunks(n, chunkSize))
+	Share(len(out), func(i int) { out[i] = fn(ChunkBounds(n, chunkSize, i)) })
+	return out
 }
