@@ -110,14 +110,15 @@ bench-smoke:
 # oracle, the bounded k-means pass against the plain Lloyd loop it
 # replaced, LoadGroups against arbitrary file bytes, the fault spec's
 # Parse/String round trip, the recipe spec's parse and JSON round trip,
-# OpenJournal against arbitrary journal bytes, and the server's state load
+# OpenJournal against arbitrary journal bytes, the server's state load
 # path (legacy translation included) against arbitrary snapshot and
-# record bytes.
+# record bytes, and GaussianNB's certified holdout argmax against its
+# exact predict over arbitrary moments, priors and features.
 # Minimizing a new input is capped at a second so the ten seconds go to
 # fuzzing: the state seeds are whole fixture directories, and minimizing
 # one of those under the default cap can take the entire budget.
 fuzz-smoke:
-	@for target in index:FuzzScanTokens index:FuzzKMeansBounded index:FuzzLoadGroups fault:FuzzFaultSpec recipe:FuzzRecipeSpec runstore:FuzzOpenJournal server:FuzzRestoreState; do \
+	@for target in index:FuzzScanTokens index:FuzzKMeansBounded index:FuzzLoadGroups fault:FuzzFaultSpec recipe:FuzzRecipeSpec runstore:FuzzOpenJournal server:FuzzRestoreState learner:FuzzGaussianCertifiedArgmax; do \
 		$(GO) test ./internal/$${target%%:*} -run '^$$' -fuzz "^$${target#*:}\$$" -fuzztime 10s -fuzzminimizetime 1s || exit 1; \
 	done
 

@@ -2,6 +2,7 @@ package learner
 
 import (
 	"math"
+	"sync"
 
 	"zombie/internal/linalg"
 )
@@ -128,8 +129,8 @@ func (t *multinomialTables) touch(c int, v FeatureVector) {
 	}
 }
 
-// prepare implements blockClassifier.
-func (m *MultinomialNB) prepare() {
+// prepare implements blockClassifier; a pass only reads the tables.
+func (m *MultinomialNB) prepare(*Holdout) sync.Locker {
 	t := m.tab
 	if t == nil {
 		classes, dim := len(m.featCount), len(m.featCount[0])
@@ -148,7 +149,7 @@ func (m *MultinomialNB) prepare() {
 		m.tab = t
 	}
 	if !t.stale {
-		return
+		return noLock{}
 	}
 	t.stale = false
 	logPriors(m.classCount, t.prior)
@@ -175,6 +176,7 @@ func (m *MultinomialNB) prepare() {
 			}
 		}
 	}
+	return noLock{}
 }
 
 // scorePair returns the unnormalized log posteriors of classes c0 and c1
@@ -227,7 +229,7 @@ func (t *multinomialTables) predict(v FeatureVector) int {
 
 // logJoint writes the unnormalized log posterior of every class into out.
 func (m *MultinomialNB) logJoint(v FeatureVector, out []float64) {
-	m.prepare()
+	m.prepare(nil)
 	last := len(out) - 1
 	for c := 0; c <= last; c += 2 {
 		c1 := min(c+1, last)
@@ -236,8 +238,9 @@ func (m *MultinomialNB) logJoint(v FeatureVector, out []float64) {
 }
 
 // observeBlock implements blockClassifier.
-func (m *MultinomialNB) observeBlock(cm *ConfusionMatrix, examples []Example) {
+func (m *MultinomialNB) observeBlock(cm *ConfusionMatrix, h *Holdout, lo, hi int) {
 	dim := len(m.featCount[0])
+	examples := h.Examples[lo:hi]
 	for i := range examples {
 		ex := &examples[i]
 		checkDim(dim, ex.Features, "MultinomialNB")
@@ -248,7 +251,7 @@ func (m *MultinomialNB) observeBlock(cm *ConfusionMatrix, examples []Example) {
 // PredictClass implements Classifier.
 func (m *MultinomialNB) PredictClass(v FeatureVector) int {
 	checkDim(len(m.featCount[0]), v, "MultinomialNB")
-	m.prepare()
+	m.prepare(nil)
 	return m.tab.predict(v)
 }
 
@@ -298,18 +301,21 @@ type GaussianNB struct {
 	m2         [][]float64
 	varFloor   float64
 	seen       int
+	gen        []uint64        // [class] bumped by PartialFit and Reset; from 1
 	tab        *gaussianTables // nil until the model is first scored
+	scores     *holdoutScores  // nil until the model is first scored on a holdout
+	pass       sync.Mutex      // held by a holdout pass, prepare to last block
 }
 
 // gaussianTables is what GaussianNB scoring needs of the fitted moments
 // besides the means. A PartialFit moves every variance of its class (the
-// n-1 divisor changes), so staleness is tracked per class.
+// n-1 divisor), so the tables are refreshed per class.
 type gaussianTables struct {
 	prior   []float64   // [class] log smoothed class prior
 	logNorm [][]float64 // [class][feature] -0.5·log(2π·var)
 	twoVar  [][]float64 // [class][feature] 2·var
-	stale   []bool      // [class] fitted or reset since the last prepare
-	any     bool        // some class is stale
+	posNorm []float64   // [class] Σ |logNorm| + logNorm, NaN if a twoVar ≤ 0
+	gen     []uint64    // [class] the model generation the rows reflect
 }
 
 // NewGaussianNB returns a Gaussian NB over dim features. varFloor guards
@@ -326,10 +332,12 @@ func NewGaussianNB(dim, numClasses int, varFloor float64) *GaussianNB {
 		mean:       make([][]float64, numClasses),
 		m2:         make([][]float64, numClasses),
 		varFloor:   varFloor,
+		gen:        make([]uint64, numClasses),
 	}
 	for c := 0; c < numClasses; c++ {
 		m.mean[c] = make([]float64, dim)
 		m.m2[c] = make([]float64, dim)
+		m.gen[c] = 1
 	}
 	return m
 }
@@ -364,13 +372,11 @@ func (m *GaussianNB) PartialFit(ex Example) {
 		}
 	}
 	m.seen++
-	if t := m.tab; t != nil {
-		t.stale[c], t.any = true, true
-	}
+	m.gen[c]++
 }
 
-// prepare implements blockClassifier.
-func (m *GaussianNB) prepare() {
+// refresh recomputes the score tables of the classes fitted or reset since.
+func (m *GaussianNB) refresh() {
 	t := m.tab
 	if t == nil {
 		classes, dim := len(m.mean), len(m.mean[0])
@@ -378,28 +384,24 @@ func (m *GaussianNB) prepare() {
 			prior:   make([]float64, classes),
 			logNorm: make([][]float64, classes),
 			twoVar:  make([][]float64, classes),
-			stale:   make([]bool, classes),
-			any:     true,
+			posNorm: make([]float64, classes),
+			gen:     make([]uint64, classes),
 		}
-		for c := range t.stale {
+		for c := range t.gen {
 			t.logNorm[c] = make([]float64, dim)
 			t.twoVar[c] = make([]float64, dim)
-			t.stale[c] = true
 		}
 		m.tab = t
 	}
-	if !t.any {
-		return
-	}
-	t.any = false
-	logPriors(m.classCount, t.prior)
-	for c, stale := range t.stale {
-		if !stale {
+	moved := false
+	for c, g := range m.gen {
+		if t.gen[c] == g {
 			continue
 		}
-		t.stale[c] = false
+		t.gen[c], moved = g, true
 		n := m.classCount[c]
 		ln, tv := t.logNorm[c], t.twoVar[c]
+		pos := 0.0
 		for i, m2 := range m.m2[c] {
 			variance := m.varFloor
 			if n >= 2 {
@@ -407,7 +409,14 @@ func (m *GaussianNB) prepare() {
 			}
 			ln[i] = -0.5 * math.Log(2*math.Pi*variance)
 			tv[i] = 2 * variance
+			if pos += 2 * max(ln[i], 0); !(tv[i] > 0) {
+				pos = math.NaN()
+			}
 		}
+		t.posNorm[c] = pos
+	}
+	if moved {
+		logPriors(m.classCount, t.prior)
 	}
 }
 
@@ -421,13 +430,14 @@ func denseOf(v FeatureVector) []float64 {
 	return v.dense
 }
 
-// scorePair returns the unnormalized log posteriors of classes c0 and c1
-// (which may be equal) for the dense x, accumulated side by side so the
-// two dependency chains overlap: prior + Σ (logNorm − d²/twoVar) in
-// increasing index order, d = x − mean.
-func (m *GaussianNB) scorePair(x []float64, c0, c1 int) (s0, s1 float64) {
+// sumPair sums the terms logNorm − d²/twoVar, d = x − mean, of classes c0
+// and c1 (which may be equal) in index order, side by side so the chains
+// overlap: from the log priors the log posteriors, from zero likelihoods.
+func (m *GaussianNB) sumPair(x []float64, c0, c1 int, fromPrior bool) (s0, s1 float64) {
 	t := m.tab
-	s0, s1 = t.prior[c0], t.prior[c1]
+	if fromPrior {
+		s0, s1 = t.prior[c0], t.prior[c1]
+	}
 	n := len(x)
 	mu0, ln0, tv0 := m.mean[c0][:n], t.logNorm[c0][:n], t.twoVar[c0][:n]
 	mu1, ln1, tv1 := m.mean[c1][:n], t.logNorm[c1][:n], t.twoVar[c1][:n]
@@ -446,7 +456,7 @@ func (m *GaussianNB) predict(x []float64) int {
 	best, bestC := 0.0, 0
 	for c := 0; c <= last; c += 2 {
 		c1 := min(c+1, last)
-		s0, s1 := m.scorePair(x, c, c1)
+		s0, s1 := m.sumPair(x, c, c1, true)
 		if c == 0 || s0 > best {
 			best, bestC = s0, c
 		}
@@ -459,29 +469,19 @@ func (m *GaussianNB) predict(x []float64) int {
 
 // logJoint writes the unnormalized log posterior of every class into out.
 func (m *GaussianNB) logJoint(v FeatureVector, out []float64) {
-	m.prepare()
+	m.refresh()
 	x := denseOf(v)
 	last := len(out) - 1
 	for c := 0; c <= last; c += 2 {
 		c1 := min(c+1, last)
-		out[c], out[c1] = m.scorePair(x, c, c1)
-	}
-}
-
-// observeBlock implements blockClassifier.
-func (m *GaussianNB) observeBlock(cm *ConfusionMatrix, examples []Example) {
-	dim := len(m.mean[0])
-	for i := range examples {
-		ex := &examples[i]
-		checkDim(dim, ex.Features, "GaussianNB")
-		cm.Observe(ex.Class, m.predict(denseOf(ex.Features)))
+		out[c], out[c1] = m.sumPair(x, c, c1, true)
 	}
 }
 
 // PredictClass implements Classifier.
 func (m *GaussianNB) PredictClass(v FeatureVector) int {
 	checkDim(len(m.mean[0]), v, "GaussianNB")
-	m.prepare()
+	m.refresh()
 	return m.predict(denseOf(v))
 }
 
@@ -501,7 +501,8 @@ func (m *GaussianNB) NumClasses() int { return len(m.mean) }
 func (m *GaussianNB) Seen() int { return m.seen }
 
 // ConcurrentPredictable implements ConcurrentPredictor: once the score
-// tables are current, prediction only reads them and the fitted means.
+// tables are current, prediction only reads them and the fitted means,
+// and a holdout block writes only the cached rows of its own examples.
 func (m *GaussianNB) ConcurrentPredictable() {}
 
 // Reset implements Model.
@@ -510,12 +511,7 @@ func (m *GaussianNB) Reset() {
 		linalg.Zero(m.mean[c])
 		linalg.Zero(m.m2[c])
 		m.classCount[c] = 0
+		m.gen[c]++
 	}
 	m.seen = 0
-	if t := m.tab; t != nil {
-		t.any = true
-		for c := range t.stale {
-			t.stale[c] = true
-		}
-	}
 }

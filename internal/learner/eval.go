@@ -85,9 +85,9 @@ func (h *Holdout) Quality(m Model) float64 {
 	}
 	if h.Metric.IsClassification() {
 		c := h.classifier(m)
-		prepareScores(c)
+		defer prepareScores(c, h).Unlock()
 		cm := getConfusion(c.NumClasses())
-		observeClassified(cm, c, h.Examples)
+		observeClassified(cm, c, h, 0, len(h.Examples))
 		q := h.scoreClassification(cm)
 		confusionPool.Put(cm)
 		return q
@@ -117,38 +117,44 @@ func getConfusion(classes int) *ConfusionMatrix {
 }
 
 // blockClassifier is a Classifier that predicts from tables derived from
-// its fitted state, and a whole example slice per call: the evaluator
-// refreshes the tables once, sequentially, then scores the holdout — in
-// one block, or under QualityParallel in disjoint chunks from several
-// goroutines — without the model writing anything.
+// its fitted state, a range of holdout examples per call: the evaluator
+// refreshes the tables once, sequentially, then scores the holdout in one
+// block or, under QualityParallel, in disjoint chunks on several goroutines.
 type blockClassifier interface {
 	Classifier
-	// prepare brings the score tables up to date with the fitted state. It
-	// writes to the model, so it must not run concurrently with any other
-	// method; with nothing fitted since the last call it only reads.
-	prepare()
-	// observeBlock adds one cm.Observe(ex.Class, predicted) per example,
-	// predicting exactly the class PredictClass returns. It only reads the
-	// model, and requires that prepare ran after the last PartialFit or
-	// Reset.
-	observeBlock(cm *ConfusionMatrix, examples []Example)
+	// prepare brings the tables up to date and readies the model to score
+	// h. It must not run concurrently with any method but another pass's
+	// prepare: it returns the lock its pass holds until its blocks end.
+	prepare(h *Holdout) sync.Locker
+	// observeBlock adds one cm.Observe(ex.Class, predicted) per example of
+	// h.Examples[lo:hi], predicting exactly what PredictClass would, and
+	// writes at most those examples' state. prepare(h) must have run.
+	observeBlock(cm *ConfusionMatrix, h *Holdout, lo, hi int)
 }
 
-// prepareScores refreshes the score tables of a model that keeps them.
-func prepareScores(c Classifier) {
+// prepareScores readies a model that keeps score tables to score h and
+// returns the lock its pass holds.
+func prepareScores(c Classifier, h *Holdout) sync.Locker {
 	if bc, ok := c.(blockClassifier); ok {
-		bc.prepare()
+		return bc.prepare(h)
 	}
+	return noLock{}
 }
 
-// observeClassified fills cm with one Observe per example, in one block
-// call when the model supports it. The caller has run prepareScores.
-func observeClassified(cm *ConfusionMatrix, c Classifier, examples []Example) {
+// noLock is the pass lock of a model whose passes write nothing.
+type noLock struct{}
+
+func (noLock) Lock()   {}
+func (noLock) Unlock() {}
+
+// observeClassified fills cm with one Observe per example of h.Examples[lo:hi],
+// in one block call when the model supports it, after prepareScores.
+func observeClassified(cm *ConfusionMatrix, c Classifier, h *Holdout, lo, hi int) {
 	if bc, ok := c.(blockClassifier); ok {
-		bc.observeBlock(cm, examples)
+		bc.observeBlock(cm, h, lo, hi)
 		return
 	}
-	for _, ex := range examples {
+	for _, ex := range h.Examples[lo:hi] {
 		cm.Observe(ex.Class, c.PredictClass(ex.Features))
 	}
 }

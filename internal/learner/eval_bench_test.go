@@ -91,6 +91,36 @@ func BenchmarkHoldoutQualityAfterFitGaussian(b *testing.B) {
 	benchmarkQualityAfterFit(b, h, m)
 }
 
+// BenchmarkHoldoutQualityFewClassesStale is the songs workload's cadence:
+// a 10-class GaussianNB over a 2 000-example holdout, 25 fits of two
+// classes between passes, so the holdout pass re-sums 2 of 10 classes.
+func BenchmarkHoldoutQualityFewClassesStale(b *testing.B) {
+	const classes, dim = 10, 12
+	r := rng.New(17)
+	h := NewHoldout(gaussianStream(r, 2000, classes, dim), MetricMacroF1, 0)
+	train := gaussianStream(r, 4000, classes, dim)
+	m := NewGaussianNB(dim, classes, 1e-3)
+	for _, ex := range train {
+		m.PartialFit(ex)
+	}
+	step := 0
+	round := func() {
+		for i := 0; i < 25; i++ {
+			ex := train[(25*step+i)%len(train)]
+			ex.Class = (2*step + i%2) % classes
+			m.PartialFit(ex)
+		}
+		step++
+		h.Quality(m)
+	}
+	h.Quality(m) // binds the holdout rows
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
 func BenchmarkHoldoutQualityAfterFitMultinomial(b *testing.B) {
 	examples, m := multinomialFixture(2000)
 	benchmarkQualityAfterFit(b, NewHoldout(examples, MetricF1, 1), m)

@@ -25,11 +25,11 @@ func (h *Holdout) QualityParallel(m Model) float64 {
 		return h.Quality(m)
 	}
 	c := h.classifier(m)
-	// Refresh score tables here, once: the chunks below only read.
-	prepareScores(c)
+	// Refresh score tables here, once: each chunk writes only its own rows.
+	defer prepareScores(c, h).Unlock()
 	parts := parallel.ShareChunks(len(h.Examples), evalChunkSize, func(lo, hi int) *ConfusionMatrix {
 		cm := getConfusion(c.NumClasses())
-		observeClassified(cm, c, h.Examples[lo:hi])
+		observeClassified(cm, c, h, lo, hi)
 		return cm
 	})
 	cm := parts[0]
