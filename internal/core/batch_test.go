@@ -8,14 +8,14 @@ import (
 )
 
 // assertIdenticalResults is reflect.DeepEqual over everything the
-// determinism contract covers: only wall-clock fields (WallTime, Phases)
-// are stripped before comparing.
-func assertIdenticalResults(t *testing.T, label string, a, b *RunResult) {
+// determinism contract covers, step events included: only wall-clock
+// fields (WallTime, Phases) are stripped before comparing.
+func assertIdenticalResults(t *testing.T, label string, a, b tracedRun) {
 	t.Helper()
-	ca, cb := *a, *b
+	ca, cb := *a.RunResult, *b.RunResult
 	ca.WallTime, cb.WallTime = 0, 0
 	ca.Phases, cb.Phases = PhaseBreakdown{}, PhaseBreakdown{}
-	if !reflect.DeepEqual(ca, cb) {
+	if !reflect.DeepEqual(ca, cb) || !reflect.DeepEqual(a.Events, b.Events) {
 		t.Fatalf("%s: results differ:\n%s\n%s", label, a.Summary(), b.Summary())
 	}
 }
@@ -27,15 +27,15 @@ func assertIdenticalResults(t *testing.T, label string, a, b *RunResult) {
 func TestBatchSizeOneMatchesDefault(t *testing.T) {
 	task, groups := wikiTask(t, 1200, 240)
 	for _, reward := range []RewardKind{RewardUsefulness, RewardQualityDelta, RewardHybrid} {
-		cfg := Config{Seed: 9, MaxInputs: 300, Reward: reward, TraceEvents: true}
-		base, err := mustEngine(t, cfg).Run(task, groups)
+		cfg := Config{Seed: 9, MaxInputs: 300, Reward: reward}
+		base, err := runTraced(t, cfg, task, groups)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 0, -3} {
 			cfgK := cfg
 			cfgK.BatchSize = k
-			got, err := mustEngine(t, cfgK).Run(task, groups)
+			got, err := runTraced(t, cfgK, task, groups)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,12 +50,12 @@ func TestBatchSizeOneMatchesDefault(t *testing.T) {
 // (otherwise the knob would be dead).
 func TestBatchRunsAreDeterministic(t *testing.T) {
 	task, groups := wikiTask(t, 1200, 241)
-	cfg := Config{Seed: 3, MaxInputs: 300, Reward: RewardQualityDelta, BatchSize: 16, TraceEvents: true}
-	a, err := mustEngine(t, cfg).Run(task, groups)
+	cfg := Config{Seed: 3, MaxInputs: 300, Reward: RewardQualityDelta, BatchSize: 16}
+	a, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mustEngine(t, cfg).Run(task, groups)
+	b, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestBatchRunsAreDeterministic(t *testing.T) {
 
 	cfg1 := cfg
 	cfg1.BatchSize = 1
-	single, err := mustEngine(t, cfg1).Run(task, groups)
+	single, err := runTraced(t, cfg1, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestBatchRunsAreDeterministic(t *testing.T) {
 		t.Fatalf("batching changed the input budget: %d vs %d", a.InputsProcessed, single.InputsProcessed)
 	}
 	sameArm := true
-	for i := range a.Events.Events {
-		if a.Events.Events[i].Arm != single.Events.Events[i].Arm {
+	for i := range a.Events {
+		if a.Events[i].Arm != single.Events[i].Arm {
 			sameArm = false
 			break
 		}
@@ -91,7 +91,7 @@ func TestPartialBatches(t *testing.T) {
 
 	// MaxInputs not a multiple of K: the last batch is clamped to the
 	// remaining budget.
-	got, err := mustEngine(t, Config{Seed: 4, MaxInputs: 100, BatchSize: 7, TraceEvents: true}).Run(task, groups)
+	got, err := mustEngine(t, Config{Seed: 4, MaxInputs: 100, BatchSize: 7}).Run(task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPartialBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exhaustK, err := mustEngine(t, Config{Seed: 4, BatchSize: 512, TraceEvents: true}).Run(task, groups)
+	exhaustK, err := runTraced(t, Config{Seed: 4, BatchSize: 512}, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestPartialBatches(t *testing.T) {
 			exhaustK.InputsProcessed, exhaust1.InputsProcessed, exhaustK.Stop)
 	}
 	seen := map[int]bool{}
-	for _, ev := range exhaustK.Events.Events {
+	for _, ev := range exhaustK.Events {
 		if seen[ev.InputIdx] {
 			t.Fatalf("input %d processed twice", ev.InputIdx)
 		}
@@ -161,20 +161,20 @@ func TestBatchCurveOnBoundaries(t *testing.T) {
 // off, cold, and warm.
 func TestBatchCacheStatesIdentical(t *testing.T) {
 	task, groups := wikiTask(t, 1200, 244)
-	cfg := Config{Seed: 12, MaxInputs: 300, BatchSize: 8, TraceEvents: true}
+	cfg := Config{Seed: 12, MaxInputs: 300, BatchSize: 8}
 
-	base, err := mustEngine(t, cfg).Run(task, groups)
+	base, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := mustCache(t, featcache.Config{})
 	cfgCached := cfg
 	cfgCached.Cache = cache
-	cold, err := mustEngine(t, cfgCached).Run(task, groups)
+	cold, err := runTraced(t, cfgCached, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := mustEngine(t, cfgCached).Run(task, groups)
+	warm, err := runTraced(t, cfgCached, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func mustCache(t *testing.T, cfg featcache.Config) *featcache.Cache {
 
 // identicalRuns asserts two results are byte-identical in everything the
 // experiment tables and curve output are built from.
-func identicalRuns(t *testing.T, label string, a, b *RunResult) {
+func identicalRuns(t *testing.T, label string, a, b tracedRun) {
 	t.Helper()
 	if a.InputsProcessed != b.InputsProcessed || a.FinalQuality != b.FinalQuality ||
 		a.Produced != b.Produced || a.Useful != b.Useful || a.Errors != b.Errors ||
@@ -35,8 +35,8 @@ func identicalRuns(t *testing.T, label string, a, b *RunResult) {
 			t.Fatalf("%s: curve diverged at %d: %+v vs %+v", label, i, a.Curve[i], b.Curve[i])
 		}
 	}
-	for i := range a.Events.Events {
-		ea, eb := a.Events.Events[i], b.Events.Events[i]
+	for i := range a.Events {
+		ea, eb := a.Events[i], b.Events[i]
 		// CacheHit is a cache-traffic diagnostic, like the RunResult
 		// counters: it legitimately differs between cache-off, cold and
 		// warm runs and is excluded from the determinism contract.
@@ -53,9 +53,9 @@ func identicalRuns(t *testing.T, label string, a, b *RunResult) {
 // only the cache-traffic diagnostics may differ.
 func TestCacheRunsAreByteIdentical(t *testing.T) {
 	task, groups := wikiTask(t, 1200, 230)
-	cfg := Config{Seed: 11, MaxInputs: 300, TraceEvents: true}
+	cfg := Config{Seed: 11, MaxInputs: 300}
 
-	base, err := mustEngine(t, cfg).Run(task, groups)
+	base, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCacheRunsAreByteIdentical(t *testing.T) {
 	cache := mustCache(t, featcache.Config{})
 	cfgCached := cfg
 	cfgCached.Cache = cache
-	cold, err := mustEngine(t, cfgCached).Run(task, groups)
+	cold, err := runTraced(t, cfgCached, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCacheRunsAreByteIdentical(t *testing.T) {
 		t.Fatal("cold run recorded no misses")
 	}
 
-	warm, err := mustEngine(t, cfgCached).Run(task, groups)
+	warm, err := runTraced(t, cfgCached, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +143,12 @@ func TestSafeExtractNamesFeatureAndInput(t *testing.T) {
 		exempt[task.Store.Get(i).ID] = true
 	}
 	task.Feature = &featurepipe.FaultyFeature{Inner: task.Feature, PanicPct: 20, Exempt: exempt}
-	res, err := mustEngine(t, Config{Seed: 23, MaxInputs: 300, TraceEvents: true}).Run(task, groups)
+	res, err := runTraced(t, Config{Seed: 23, MaxInputs: 300}, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := false
-	for _, ev := range res.Events.Events {
+	for _, ev := range res.Events {
 		if ev.Err == "" {
 			continue
 		}

@@ -71,9 +71,9 @@ func TestFaultedRunQuarantinesAndCompletes(t *testing.T) {
 // the same fault seed must agree on everything, quarantine list included.
 func TestFaultedRunsAreDeterministic(t *testing.T) {
 	task, groups := wikiTask(t, 1000, 302)
-	run := func() *RunResult {
+	run := func() tracedRun {
 		inj := mustInjector(t, "extract:err=0.05,panic=0.05;corpus.read:err=0.05", 11)
-		res, err := mustEngine(t, Config{Seed: 33, MaxInputs: 300, TraceEvents: true, Faults: inj}).Run(task, groups)
+		res, err := runTraced(t, Config{Seed: 33, MaxInputs: 300, Faults: inj}, task, groups)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,19 +97,19 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 func TestFaultedRunIsCacheInvariant(t *testing.T) {
 	task, groups := wikiTask(t, 900, 303)
 	spec, fseed := "extract:err=0.06,panic=0.04", int64(13)
-	base, err := mustEngine(t, Config{Seed: 35, MaxInputs: 250, TraceEvents: true,
-		Faults: mustInjector(t, spec, fseed)}).Run(task, groups)
+	base, err := runTraced(t, Config{Seed: 35, MaxInputs: 250,
+		Faults: mustInjector(t, spec, fseed)}, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := mustCache(t, featcache.Config{})
-	cfg := Config{Seed: 35, MaxInputs: 250, TraceEvents: true,
+	cfg := Config{Seed: 35, MaxInputs: 250,
 		Faults: mustInjector(t, spec, fseed), Cache: cache}
-	cold, err := mustEngine(t, cfg).Run(task, groups)
+	cold, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := mustEngine(t, cfg).Run(task, groups)
+	warm, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,11 +134,9 @@ type Config struct {
 	RewardSubsample int
 	// EvalEvery evaluates the full holdout every N processed inputs
 	// (default 25). Smaller is a finer learning curve but more eval cost.
-	// Each evaluation scores the example set collected so far: one
-	// persistent evaluation model absorbs the examples collected since the
-	// previous evaluation, each delta replayed in a deterministically
-	// shuffled order, so a run trains it on every example exactly once
-	// (see learner.Model for the order contract this relies on).
+	// Each evaluation scores the run's one model, which has fitted every
+	// example collected so far exactly once (see learner.Model for why
+	// the order they arrived in does not matter).
 	EvalEvery int
 	// BatchSize is how many inputs the loop pops per arm pull (default 1;
 	// values <= 0 also mean 1, like RewardSubsample's floor). Every pull is
@@ -209,8 +207,6 @@ type Config struct {
 	// of (seed, site, id), two runs with the same engine seed and fault
 	// seed are byte-identical, quarantine list included.
 	Faults *fault.Injector
-	// TraceEvents records a step-level trace into the result.
-	TraceEvents bool
 	// Progress, when non-nil, is invoked synchronously from the run
 	// goroutine each time a learning-curve point is appended (including
 	// the step-0 floor and the final point). Long-lived consumers — the
@@ -218,10 +214,10 @@ type Config struct {
 	// for as long as the callback runs.
 	Progress func(CurvePoint)
 	// Event, when non-nil, is invoked synchronously from the run goroutine
-	// for every step event, whether or not TraceEvents retains them in the
-	// result. The serving layer bridges this into each run's bounded trace
-	// ring and SSE trace frames. Like Progress, the callback must not
-	// block.
+	// for every step, in step order: it is the engine's only step-event
+	// channel, and the result keeps no copy. The serving layer bridges it
+	// into each run's bounded trace ring and SSE trace frames. Like
+	// Progress, the callback must not block.
 	Event func(trace.Event)
 	// Obs, when non-nil, is the process-wide telemetry registry the run
 	// observes into: per-phase latency histograms (zombie_phase_seconds)

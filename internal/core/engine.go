@@ -118,19 +118,10 @@ type loopRun struct {
 	// measure before and after each batch trains; nil under
 	// RewardUsefulness.
 	rewardHold *learner.Holdout
-	model      learner.Model
-
-	// The curve scores the example set collected so far, independent of
-	// the stream order the bandit imposed: one persistent evaluation model
-	// replays, at each evaluation point, only the examples collected since
-	// the previous one in a deterministically shuffled order — O(n) total
-	// training work per run. Replay is exact in example-set semantics
-	// because every learner's fit is order-insensitive (learner.Model).
-	pending   []learner.Example // examples not yet replayed into evalModel
-	evalModel learner.Model
-	evalRNG   *rng.RNG
-
-	events *trace.Log // in-result step log; nil unless TraceEvents
+	// model is the run's one incremental model: every produced example is
+	// fitted into it once, and both the reward bracket and the curve
+	// score it as it stands.
+	model learner.Model
 
 	steps   int
 	simTime time.Duration
@@ -202,7 +193,7 @@ func (e *Engine) loop(ctx context.Context, task *featurepipe.Task, src inputSour
 	}
 }
 
-// start builds the run's holdout, models and scratch and records the
+// start builds the run's holdout, model and scratch and records the
 // curve's zero point.
 func (l *loopRun) start(ctx context.Context, r *rng.RNG) error {
 	l.runRef = l.tracer.Start(0, "run",
@@ -230,11 +221,6 @@ func (l *loopRun) start(ctx context.Context, r *rng.RNG) error {
 		l.rewardHold = subsampleHoldout(holdout, l.cfg.RewardSubsample, r.Split("reward-subsample"))
 	}
 	l.model = l.task.NewModel(l.task.Feature)
-	l.evalModel = l.task.NewModel(l.task.Feature)
-	l.evalRNG = r.Split("eval")
-	if l.cfg.TraceEvents {
-		l.events = &trace.Log{}
-	}
 	l.notes = make([]stepNote, 0, l.cfg.BatchSize)
 
 	eRef := l.tracer.Start(l.runRef.ID(), "eval", otrace.Int("inputs", 0))
@@ -422,7 +408,6 @@ func (l *loopRun) train(ex learner.Example) {
 	l.model.PartialFit(ex)
 	l.b.trained++
 	l.spend(phTrain, time.Since(tTrain))
-	l.pending = append(l.pending, ex)
 }
 
 // settle closes the reward bracket: one "after" measurement for the whole
@@ -463,37 +448,29 @@ func bracketReward(kind RewardKind, useful, before, after, scale float64) float6
 	return 0.5*useful + 0.5*delta // RewardHybrid
 }
 
-// credit feeds the arm once per input and emits the step events, in
-// input order: into the in-result log (nil-safe when tracing is off) and
-// to the Event hook — the serving layer's live trace ring.
+// credit feeds the arm once per input and, in input order, hands each
+// step event to the Event hook — the engine's only step channel.
 func (l *loopRun) credit() {
 	for j, idx := range l.b.idxs {
 		out, note := &l.b.outs[j], &l.notes[j]
 		l.src.feedback(l.b.arm, note.reward)
-		ev := trace.Event{
-			Step: l.b.first + 1 + j, InputIdx: idx, Arm: l.b.arm, Reward: note.reward,
-			Produced: out.Res.Produced, Useful: out.Res.Useful, Err: note.errMsg,
-			SimTime: note.simAt, CacheHit: out.CacheHit,
-			Quarantined: l.b.errs[j] != nil || out.ReadErr != "" || out.Panicked,
-		}
-		l.events.Record(ev)
 		if l.cfg.Event != nil {
-			l.cfg.Event(ev)
+			l.cfg.Event(trace.Event{
+				Step: l.b.first + 1 + j, InputIdx: idx, Arm: l.b.arm, Reward: note.reward,
+				Produced: out.Res.Produced, Useful: out.Res.Useful, Err: note.errMsg,
+				SimTime: note.simAt, CacheHit: out.CacheHit,
+				Quarantined: l.b.errs[j] != nil || out.ReadErr != "" || out.Panicked,
+			})
 		}
 	}
 }
 
-// evaluate scores the example set collected so far against the holdout.
+// evaluate scores the model, trained on every example produced so far,
+// against the holdout.
 func (l *loopRun) evaluate() float64 {
 	tEval := time.Now()
 	defer func() { l.spend(phEval, time.Since(tEval)) }()
-	if len(l.pending) > 0 {
-		for _, i := range l.evalRNG.Perm(len(l.pending)) {
-			l.evalModel.PartialFit(l.pending[i])
-		}
-		l.pending = l.pending[:0]
-	}
-	return l.holdout.QualityParallel(l.evalModel)
+	return l.holdout.QualityParallel(l.model)
 }
 
 // record appends a curve point and mirrors it to the Progress hook.
@@ -545,7 +522,6 @@ func (l *loopRun) finish(stop StopReason) *RunResult {
 	res.WallTime = time.Since(l.wallStart)
 	res.Stop = stop
 	res.Arms = l.src.arms()
-	res.Events = l.events
 	st := l.exec.Stats()
 	res.CacheHits = st.CacheHits
 	res.CacheMisses = st.CacheMisses

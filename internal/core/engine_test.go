@@ -10,6 +10,7 @@ import (
 	"zombie/internal/index"
 	"zombie/internal/learner"
 	"zombie/internal/rng"
+	"zombie/internal/trace"
 )
 
 // imageTask builds a small needle-in-haystack image task on GaussianNB
@@ -84,6 +85,22 @@ func mustEngine(t testing.TB, cfg Config) *Engine {
 	return e
 }
 
+// tracedRun is a run's result with the step events it emitted.
+type tracedRun struct {
+	*RunResult
+	Events []trace.Event
+}
+
+// runTraced runs cfg over task and groups, collecting every step event
+// through Config.Event — the engine's only step channel.
+func runTraced(t testing.TB, cfg Config, task *featurepipe.Task, groups *index.Groups) (tracedRun, error) {
+	t.Helper()
+	var events []trace.Event
+	cfg.Event = func(ev trace.Event) { events = append(events, ev) }
+	res, err := mustEngine(t, cfg).Run(task, groups)
+	return tracedRun{res, events}, err
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Policy: "bogus"}); err == nil {
 		t.Fatal("bad policy spec should fail")
@@ -109,8 +126,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestRunBasicAccounting(t *testing.T) {
 	task, groups := imageTask(t, 2000, 200)
-	e := mustEngine(t, Config{Seed: 1, MaxInputs: 400, TraceEvents: true})
-	res, err := e.Run(task, groups)
+	res, err := runTraced(t, Config{Seed: 1, MaxInputs: 400}, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +139,8 @@ func TestRunBasicAccounting(t *testing.T) {
 	if res.Useful == 0 {
 		t.Fatal("run found no useful inputs at all")
 	}
-	if res.Events.Len() != 400 {
-		t.Fatalf("trace has %d events", res.Events.Len())
+	if len(res.Events) != 400 {
+		t.Fatalf("trace has %d events", len(res.Events))
 	}
 	// Arm pulls sum to steps.
 	total := int64(0)
@@ -148,20 +164,20 @@ func TestRunBasicAccounting(t *testing.T) {
 
 func TestRunDeterministicReplay(t *testing.T) {
 	task, groups := imageTask(t, 1500, 201)
-	e := mustEngine(t, Config{Seed: 7, MaxInputs: 300, TraceEvents: true})
-	a, err := e.Run(task, groups)
+	cfg := Config{Seed: 7, MaxInputs: 300}
+	a, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Run(task, groups)
+	b, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.InputsProcessed != b.InputsProcessed || a.FinalQuality != b.FinalQuality {
 		t.Fatal("replay differs at summary level")
 	}
-	for i := range a.Events.Events {
-		ea, eb := a.Events.Events[i], b.Events.Events[i]
+	for i := range a.Events {
+		ea, eb := a.Events[i], b.Events[i]
 		if ea.InputIdx != eb.InputIdx || ea.Arm != eb.Arm || ea.Reward != eb.Reward {
 			t.Fatalf("replay diverged at step %d: %+v vs %+v", i, ea, eb)
 		}
@@ -170,15 +186,15 @@ func TestRunDeterministicReplay(t *testing.T) {
 
 func TestRunSeedChangesTrajectory(t *testing.T) {
 	task, groups := imageTask(t, 1500, 202)
-	a, _ := mustEngine(t, Config{Seed: 1, MaxInputs: 200, TraceEvents: true}).Run(task, groups)
-	b, _ := mustEngine(t, Config{Seed: 2, MaxInputs: 200, TraceEvents: true}).Run(task, groups)
+	a, _ := runTraced(t, Config{Seed: 1, MaxInputs: 200}, task, groups)
+	b, _ := runTraced(t, Config{Seed: 2, MaxInputs: 200}, task, groups)
 	same := 0
-	for i := range a.Events.Events {
-		if a.Events.Events[i].InputIdx == b.Events.Events[i].InputIdx {
+	for i := range a.Events {
+		if a.Events[i].InputIdx == b.Events[i].InputIdx {
 			same++
 		}
 	}
-	if same == len(a.Events.Events) {
+	if same == len(a.Events) {
 		t.Fatal("different seeds produced identical trajectories")
 	}
 }
@@ -189,12 +205,11 @@ func TestZombieNeverProcessesHoldout(t *testing.T) {
 	for _, i := range task.HoldoutIdx {
 		holdoutSet[i] = true
 	}
-	e := mustEngine(t, Config{Seed: 3, TraceEvents: true})
-	res, err := e.Run(task, groups)
+	res, err := runTraced(t, Config{Seed: 3}, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range res.Events.Events {
+	for _, ev := range res.Events {
 		if holdoutSet[ev.InputIdx] {
 			t.Fatalf("step %d processed holdout input %d", ev.Step, ev.InputIdx)
 		}
@@ -204,7 +219,7 @@ func TestZombieNeverProcessesHoldout(t *testing.T) {
 		t.Fatalf("exhaustion wrong: %d of %d, stop=%s", res.InputsProcessed, len(task.PoolIdx), res.Stop)
 	}
 	seen := map[int]int{}
-	for _, ev := range res.Events.Events {
+	for _, ev := range res.Events {
 		seen[ev.InputIdx]++
 	}
 	for idx, n := range seen {
@@ -339,25 +354,25 @@ func TestEarlyStopDisabledRunsToExhaustion(t *testing.T) {
 
 func TestScanSequentialVsRandomOrders(t *testing.T) {
 	task, _ := imageTask(t, 800, 208)
-	seq, err := mustEngine(t, Config{Seed: 15, MaxInputs: 100, TraceEvents: true, Mode: ModeScanSequential}).Run(task, nil)
+	seq, err := runTraced(t, Config{Seed: 15, MaxInputs: 100, Mode: ModeScanSequential}, task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Sequential scan must process pool indices in ascending order.
 	prev := -1
-	for _, ev := range seq.Events.Events {
+	for _, ev := range seq.Events {
 		if ev.InputIdx <= prev {
 			t.Fatalf("sequential scan out of order: %d after %d", ev.InputIdx, prev)
 		}
 		prev = ev.InputIdx
 	}
-	rnd, err := mustEngine(t, Config{Seed: 15, MaxInputs: 100, TraceEvents: true, Mode: ModeScanRandom}).Run(task, nil)
+	rnd, err := runTraced(t, Config{Seed: 15, MaxInputs: 100, Mode: ModeScanRandom}, task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ordered := true
 	prev = -1
-	for _, ev := range rnd.Events.Events {
+	for _, ev := range rnd.Events {
 		if ev.InputIdx <= prev {
 			ordered = false
 			break

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -19,7 +18,7 @@ import (
 // k-means groups over the standardized song descriptors: 10-class
 // GaussianNB under macro-F1 is the songs workload's pairing, RidgeClosed
 // under -RMSE the year-regression pairing of examples/songs.
-func songsTask(t *testing.T, n int, seed int64, newModel func(featurepipe.FeatureFunc) learner.Model, metric learner.Metric) (*featurepipe.Task, *index.Groups) {
+func songsTask(t testing.TB, n int, seed int64, newModel func(featurepipe.FeatureFunc) learner.Model, metric learner.Metric) (*featurepipe.Task, *index.Groups) {
 	t.Helper()
 	cfg := corpus.DefaultSongConfig()
 	cfg.N = n
@@ -67,10 +66,10 @@ func TestAmortizedEvalReproducible(t *testing.T) {
 	}
 }
 
-// fromScratchQuality is the reference the amortized evaluation is held
-// to: a fresh model fitted, in step order, on every example the run had
-// produced by the given step — re-extracted from the inputs its step
-// trace names — and scored on the task's holdout.
+// fromScratchQuality is the reference the curve is held to: a fresh model
+// fitted, in step order, on every example the run had produced by the
+// given step — re-extracted from the inputs its step events name — and
+// scored on the task's holdout.
 func fromScratchQuality(t *testing.T, task *featurepipe.Task, hold *learner.Holdout, events []trace.Event, step int) float64 {
 	t.Helper()
 	m := task.NewModel(task.Feature)
@@ -87,31 +86,41 @@ func fromScratchQuality(t *testing.T, task *featurepipe.Task, hold *learner.Hold
 	return hold.Quality(m)
 }
 
-// TestAmortizedEvalMatchesFromScratch: every learner's fit is
-// order-insensitive, so replaying each evaluation's new examples into one
-// persistent model trains on exactly the example set a from-scratch refit
-// would, and every curve point agrees with the refit up to floating-point
-// accumulation order.
+// TestAmortizedEvalMatchesFromScratch: a curve point scores the run's one
+// model, which fits each produced example once as it arrives. It must
+// agree with a fresh model refitted on the same examples, up to
+// floating-point accumulation order, for both NB families and ridge. The
+// quality-delta cells also score that model on the reward subsample inside
+// every batch, at K=1 and K=16: one model on two holdouts, which
+// GaussianNB's incremental holdout rows must keep apart.
 func TestAmortizedEvalMatchesFromScratch(t *testing.T) {
 	gaussian := func(ff featurepipe.FeatureFunc) learner.Model {
 		return learner.NewGaussianNB(ff.Dim(), corpus.DefaultSongConfig().Genres, 1e-3)
 	}
 	ridge := func(ff featurepipe.FeatureFunc) learner.Model { return learner.NewRidgeClosed(ff.Dim(), 1) }
+	wiki := func() (*featurepipe.Task, *index.Groups) { return wikiTask(t, 1200, 501) }
+	songs := func() (*featurepipe.Task, *index.Groups) {
+		return songsTask(t, 1200, 501, gaussian, learner.MetricMacroF1)
+	}
 	for _, tc := range []struct {
-		name  string
-		build func() (*featurepipe.Task, *index.Groups)
+		name   string
+		build  func() (*featurepipe.Task, *index.Groups)
+		reward RewardKind
+		batch  int
 	}{
-		{"multinomial-nb/wiki", func() (*featurepipe.Task, *index.Groups) { return wikiTask(t, 1200, 501) }},
-		{"gaussian-nb/songs", func() (*featurepipe.Task, *index.Groups) {
-			return songsTask(t, 1200, 501, gaussian, learner.MetricMacroF1)
-		}},
+		{"multinomial-nb/wiki", wiki, RewardUsefulness, 1},
+		{"multinomial-nb/wiki/quality-delta-k1", wiki, RewardQualityDelta, 1},
+		{"multinomial-nb/wiki/quality-delta-k16", wiki, RewardQualityDelta, 16},
+		{"gaussian-nb/songs", songs, RewardUsefulness, 1},
+		{"gaussian-nb/songs/quality-delta-k1", songs, RewardQualityDelta, 1},
+		{"gaussian-nb/songs/quality-delta-k16", songs, RewardQualityDelta, 16},
 		{"ridge/songs", func() (*featurepipe.Task, *index.Groups) {
 			return songsTask(t, 1200, 501, ridge, learner.MetricNegRMSE)
-		}},
+		}, RewardUsefulness, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			task, groups := tc.build()
-			res, err := mustEngine(t, Config{Seed: 9, MaxInputs: 400, TraceEvents: true}).Run(task, groups)
+			res, err := runTraced(t, Config{Seed: 9, MaxInputs: 400, Reward: tc.reward, BatchSize: tc.batch}, task, groups)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +132,7 @@ func TestAmortizedEvalMatchesFromScratch(t *testing.T) {
 				t.Fatalf("only %d curve points", len(res.Curve))
 			}
 			for i, p := range res.Curve {
-				want := fromScratchQuality(t, task, hold, res.Events.Events, p.Inputs)
+				want := fromScratchQuality(t, task, hold, res.Events, p.Inputs)
 				tol := 1e-9
 				if hold.Metric == learner.MetricNegRMSE {
 					tol *= math.Abs(want)
@@ -162,21 +171,20 @@ func TestRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		groups *index.Groups
 		cfg    Config
 	}{
-		{"classify", classify, classifyGroups, Config{Seed: 7, MaxInputs: 600, TraceEvents: true}},
+		{"classify", classify, classifyGroups, Config{Seed: 7, MaxInputs: 600}},
 		{"regress", regress, regressGroups, Config{Seed: 7, MaxInputs: 400}},
 		{"faulted-k1", faulted, faultedGroups, Config{Seed: 7, MaxInputs: 400, Faults: faults}},
 		{"faulted-k16", faulted, faultedGroups, Config{Seed: 7, MaxInputs: 400, BatchSize: 16, Faults: faults}},
 	}
-	run := func(i int) *RunResult {
+	run := func(i int) tracedRun {
 		c := cells[i]
-		res, err := mustEngine(t, c.cfg).RunWithExecutor(context.Background(), c.task, c.groups,
-			NewLocalExecutor(c.task, nil, c.cfg.Faults))
+		res, err := runTraced(t, c.cfg, c.task, c.groups)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		return res
 	}
-	want := make([]*RunResult, len(cells))
+	want := make([]tracedRun, len(cells))
 	atProcs(1, func() {
 		for i := range cells {
 			want[i] = run(i)
@@ -192,7 +200,7 @@ func TestRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		}
 	})
 	atProcs(2, func() {
-		got := make([]*RunResult, 2)
+		got := make([]tracedRun, 2)
 		var wg sync.WaitGroup
 		for i := range got {
 			wg.Add(1)

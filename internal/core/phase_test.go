@@ -44,14 +44,14 @@ func TestPhaseBreakdownCoversRun(t *testing.T) {
 // registry fills the phase and run histograms.
 func TestPhasesAreObservational(t *testing.T) {
 	task, groups := wikiTask(t, 1000, 502)
-	cfg := Config{Seed: 43, MaxInputs: 250, TraceEvents: true}
-	plain, err := mustEngine(t, cfg).Run(task, groups)
+	cfg := Config{Seed: 43, MaxInputs: 250}
+	plain, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	observed, err := mustEngine(t, cfg).Run(task, groups)
+	observed, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +68,9 @@ func TestPhasesAreObservational(t *testing.T) {
 	}
 }
 
-// TestEventCallbackSeesEveryStep: Config.Event must fire for each step
-// event even when TraceEvents is off, and must deliver exactly the
-// events a traced run retains.
+// TestEventCallbackSeesEveryStep: Config.Event is the engine's only step
+// channel, so it must fire once per processed input, in step order, and
+// replay identically.
 func TestEventCallbackSeesEveryStep(t *testing.T) {
 	task, groups := wikiTask(t, 1000, 503)
 	cfg := Config{Seed: 47, MaxInputs: 200}
@@ -81,25 +81,23 @@ func TestEventCallbackSeesEveryStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Events != nil {
-		t.Fatal("TraceEvents off but result retained a trace")
-	}
 	if len(streamed) != res.InputsProcessed {
 		t.Fatalf("callback saw %d events, processed %d inputs", len(streamed), res.InputsProcessed)
 	}
 
-	cfg.Event = nil
-	cfg.TraceEvents = true
-	traced, err := mustEngine(t, cfg).Run(task, groups)
+	traced, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traced.Events.Events) != len(streamed) {
-		t.Fatalf("trace has %d events, callback saw %d", len(traced.Events.Events), len(streamed))
+	if len(traced.Events) != len(streamed) {
+		t.Fatalf("trace has %d events, callback saw %d", len(traced.Events), len(streamed))
 	}
 	for i := range streamed {
-		if streamed[i] != traced.Events.Events[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, streamed[i], traced.Events.Events[i])
+		if streamed[i].Step != i+1 {
+			t.Fatalf("event %d is step %d", i, streamed[i].Step)
+		}
+		if streamed[i] != traced.Events[i] {
+			t.Fatalf("event %d differs: %+v vs %+v", i, streamed[i], traced.Events[i])
 		}
 	}
 }
@@ -110,13 +108,13 @@ func TestEventCallbackSeesEveryStep(t *testing.T) {
 func TestCacheLookupPhaseAndHitFlags(t *testing.T) {
 	task, groups := wikiTask(t, 900, 504)
 	cache := mustCache(t, featcache.Config{})
-	cfg := Config{Seed: 53, MaxInputs: 200, TraceEvents: true, Cache: cache}
+	cfg := Config{Seed: 53, MaxInputs: 200, Cache: cache}
 
-	cold, err := mustEngine(t, cfg).Run(task, groups)
+	cold, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := mustEngine(t, cfg).Run(task, groups)
+	warm, err := runTraced(t, cfg, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +128,9 @@ func TestCacheLookupPhaseAndHitFlags(t *testing.T) {
 		t.Fatalf("cache-lookup %v exceeds the phases it overlaps (%v)",
 			warm.Phases.CacheLookup, max)
 	}
-	hitSteps := func(r *RunResult) int {
+	hitSteps := func(r tracedRun) int {
 		n := 0
-		for _, ev := range r.Events.Events {
+		for _, ev := range r.Events {
 			if ev.CacheHit {
 				n++
 			}

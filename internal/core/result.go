@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"zombie/internal/bandit"
-	"zombie/internal/trace"
 )
 
 // StopReason records why a run ended.
@@ -121,8 +120,6 @@ type RunResult struct {
 	// from Config.WarmStart before the first real selection (0 for cold
 	// runs and scans). Seeded pulls are included in Arms' pull counts.
 	WarmStartPulls int64
-	// Events is the step trace when Config.TraceEvents was set.
-	Events *trace.Log
 }
 
 // InputsToQuality returns the first curve point at or above the target

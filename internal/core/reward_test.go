@@ -110,11 +110,11 @@ func TestRewardHybridAverages(t *testing.T) {
 // an input that produced no example earns nothing.
 func TestHybridRewardLiveBracket(t *testing.T) {
 	task, groups := wikiTask(t, 900, 77)
-	res, err := mustEngine(t, Config{Seed: 5, MaxInputs: 200, Reward: RewardHybrid, TraceEvents: true}).Run(task, groups)
+	res, err := runTraced(t, Config{Seed: 5, MaxInputs: 200, Reward: RewardHybrid}, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := res.Events.Events
+	evs := res.Events
 	if len(evs) != 200 {
 		t.Fatalf("traced %d steps, want 200", len(evs))
 	}

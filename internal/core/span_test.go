@@ -21,15 +21,15 @@ func TestTracingObservational(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Seed: 11, MaxInputs: 200, BatchSize: 4, Faults: faults, TraceEvents: true}
+	base := Config{Seed: 11, MaxInputs: 200, BatchSize: 4, Faults: faults}
 
-	plain, err := mustEngine(t, base).Run(task, groups)
+	plain, err := runTraced(t, base, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	traced := base
 	traced.Tracer = otrace.New("test-run", 0)
-	withSpans, err := mustEngine(t, traced).Run(task, groups)
+	withSpans, err := runTraced(t, traced, task, groups)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,8 +303,13 @@ type GaussianNB struct {
 	seen       int
 	gen        []uint64        // [class] bumped by PartialFit and Reset; from 1
 	tab        *gaussianTables // nil until the model is first scored
-	scores     *holdoutScores  // nil until the model is first scored on a holdout
-	pass       sync.Mutex      // held by a holdout pass, prepare to last block
+	// scores holds the rows of the holdout last scored and prevScores those
+	// of the one before, so one model scored alternately on two holdouts
+	// (the reward subsample and the curve holdout) keeps both; nil until
+	// used.
+	scores, prevScores *holdoutScores
+	rowBuilds          int        // holdout rows built so far, for tests
+	pass               sync.Mutex // held by a holdout pass, prepare to last block
 }
 
 // gaussianTables is what GaussianNB scoring needs of the fitted moments

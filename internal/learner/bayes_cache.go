@@ -45,13 +45,16 @@ func (m *GaussianNB) prepare(h *Holdout) sync.Locker {
 	m.pass.Lock()
 	m.refresh()
 	classes, n := len(m.mean), len(h.Examples)
-	s := m.scores
-	if s == nil || len(s.examples) != n || n > 0 && &s.examples[0] != &h.Examples[0] {
-		s = &holdoutScores{examples: h.Examples, gen: make([]uint64, classes), seen: make([]uint64, classes),
-			sums: make([]float64, n*classes), win: make([]int32, n), top: make([]float64, n),
-			hi: make([]float64, classes), lo: make([]float64, classes)}
-		m.scores = s
+	if !m.scores.holds(h) {
+		if !m.prevScores.holds(h) { // rows for h replace the older set
+			m.prevScores = &holdoutScores{examples: h.Examples, gen: make([]uint64, classes), seen: make([]uint64, classes),
+				sums: make([]float64, n*classes), win: make([]int32, n), top: make([]float64, n),
+				hi: make([]float64, classes), lo: make([]float64, classes)}
+			m.rowBuilds++
+		}
+		m.scores, m.prevScores = m.prevScores, m.scores
 	}
+	s := m.scores
 	moved := 0
 	for c, g := range m.gen {
 		if s.seen[c] != g {
@@ -121,6 +124,12 @@ func (m *GaussianNB) observeBlock(cm *ConfusionMatrix, h *Holdout, lo, hi int) {
 		s.top[e] = top
 		cm.Observe(ex.Class, w)
 	}
+}
+
+// holds reports whether s describes h's example slice (false for nil s).
+func (s *holdoutScores) holds(h *Holdout) bool {
+	n := len(h.Examples)
+	return s != nil && len(s.examples) == n && (n == 0 || &s.examples[0] == &h.Examples[0])
 }
 
 // bounded returns l, or +Inf when its bound (posNorm K) is not trusted.

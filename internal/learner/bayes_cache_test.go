@@ -293,8 +293,8 @@ func TestIncrementalGaussianPriorUlp(t *testing.T) {
 }
 
 // TestIncrementalGaussianRebindsHoldout: rows are keyed by the example
-// slice, so a holdout of the same length but other examples rebuilds them,
-// and one scored again keeps them.
+// slice, so a holdout of the same length but other examples gets rows of
+// its own, and one scored again keeps them.
 func TestIncrementalGaussianRebindsHoldout(t *testing.T) {
 	r := rng.New(9)
 	m := NewGaussianNB(4, 3, 1e-3)
@@ -310,6 +310,39 @@ func TestIncrementalGaussianRebindsHoldout(t *testing.T) {
 	rows := m.scores
 	if checkIncremental(t, "holdout b again", m, b); m.scores != rows {
 		t.Fatal("scoring the same holdout again rebuilt its rows")
+	}
+}
+
+// TestIncrementalGaussianTwoHoldoutSlots scores one model the way a
+// quality-delta run does — the reward subsample around every few fits, the
+// curve holdout every so often — and requires exact predictions on every
+// pass from rows built once per holdout. A third holdout evicts the one
+// scored least recently, which then builds its rows again.
+func TestIncrementalGaussianTwoHoldoutSlots(t *testing.T) {
+	r := rng.New(11)
+	m := NewGaussianNB(4, 5, 1e-3)
+	stream := gaussianStream(r, 400, 5, 4)
+	reward := NewHoldout(gaussianStream(r, 30, 5, 4), MetricMacroF1, 0)
+	curve := NewHoldout(gaussianStream(r, 120, 5, 4), MetricMacroF1, 0)
+	for i := 0; i < len(stream); i += 4 {
+		checkIncremental(t, fmt.Sprintf("reward before %d", i), m, reward)
+		for _, ex := range stream[i : i+4] {
+			m.PartialFit(ex)
+		}
+		checkIncremental(t, fmt.Sprintf("reward after %d", i), m, reward)
+		if i%20 == 0 {
+			checkIncremental(t, fmt.Sprintf("curve at %d", i), m, curve)
+		}
+	}
+	if m.rowBuilds != 2 {
+		t.Fatalf("alternating two holdouts built rows %d times, want 2", m.rowBuilds)
+	}
+	other := NewHoldout(gaussianStream(r, 30, 5, 4), MetricMacroF1, 0)
+	checkIncremental(t, "third holdout", m, other)
+	checkIncremental(t, "reward after the third", m, reward)
+	checkIncremental(t, "curve after the third", m, curve)
+	if m.rowBuilds != 4 {
+		t.Fatalf("rows built %d times, want 4: the third holdout and the curve rows it evicted", m.rowBuilds)
 	}
 }
 

@@ -140,9 +140,9 @@ func checkClass(numClasses, class int, model string) {
 // depend on the order they arrived in (beyond floating-point accumulation
 // order): every learner here is a sum of per-example sufficient statistics
 // — class and feature counts, per-class moments, XᵀX and Xᵀy. The engine
-// relies on it: its learning curve scores the example set collected so far,
-// and it gets there by replaying only the newly collected examples into one
-// persistent evaluation model at each curve point, never by retraining.
+// relies on it: a run trains one model, fitting each example once in the
+// order the bandit produced it, and its learning curve scores that model
+// as the example set collected so far, never by retraining.
 type Model interface {
 	// PartialFit folds a single example into the model.
 	PartialFit(ex Example)

@@ -13,7 +13,7 @@
 // and appends to its own buffer, so curves, arms, and quarantine lists
 // are byte-identical with tracing on or off (test-asserted), and a nil
 // *Tracer is valid everywhere and records nothing — the same contract
-// trace.Log and the phase observer follow.
+// the phase observer follows.
 //
 // Cross-process propagation uses the W3C traceparent format
 // ("00-{trace-id}-{parent-id}-01"): the dist coordinator injects it into

@@ -233,7 +233,7 @@ func TestWriteChromeEmitsLoadableJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []struct {
+		Events []struct {
 			Name string            `json:"name"`
 			Ph   string            `json:"ph"`
 			TID  int64             `json:"tid"`
@@ -243,16 +243,16 @@ func TestWriteChromeEmitsLoadableJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("chrome output not JSON: %v", err)
 	}
-	if len(doc.TraceEvents) != 2 {
-		t.Fatalf("got %d events, want 2", len(doc.TraceEvents))
+	if len(doc.Events) != 2 {
+		t.Fatalf("got %d events, want 2", len(doc.Events))
 	}
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc.Events {
 		if ev.Ph != "X" {
 			t.Fatalf("event %q phase %q, want complete events", ev.Name, ev.Ph)
 		}
 	}
-	if doc.TraceEvents[1].TID != 4 {
-		t.Fatalf("shard 3 should render on track 4, got %d", doc.TraceEvents[1].TID)
+	if doc.Events[1].TID != 4 {
+		t.Fatalf("shard 3 should render on track 4, got %d", doc.Events[1].TID)
 	}
 }
 

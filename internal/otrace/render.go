@@ -84,7 +84,7 @@ func WriteChrome(w io.Writer, spans []Span) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
+		Events          []chromeEvent `json:"traceEvents"`
 		DisplayTimeUnit string        `json:"displayTimeUnit"`
 	}{events, "ms"})
 }

@@ -162,7 +162,6 @@ func (m *Manager) engineConfig(spec RunSpec) (core.Config, error) {
 	if spec.EarlyStop {
 		cfg.EarlyStop = core.EarlyStopConfig{Enabled: true}
 	}
-	cfg.TraceEvents = spec.Trace
 	if cfg.MaxFailureFrac == 0 {
 		cfg.MaxFailureFrac = m.defaults.MaxFailureFrac
 	}

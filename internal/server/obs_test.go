@@ -1,9 +1,11 @@
 package server
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -240,6 +242,36 @@ func TestTraceFramesReportRingDrops(t *testing.T) {
 	}
 	if _, dropped, _ := run.TraceSnapshot(); dropped != over+1 {
 		t.Fatalf("snapshot dropped = %d, want %d", dropped, over+1)
+	}
+}
+
+// TestEventsCSVReportsRingDrops runs a traced run past the ring capacity:
+// the events CSV serves the ring's retained window — traceRingCap rows
+// from the first step the ring kept — and its X-Trace-Dropped header
+// carries the count of older steps it no longer holds.
+func TestEventsCSVReportsRingDrops(t *testing.T) {
+	_, ts := newTestServer(t)
+	path := writeImageCorpus(t, 6000, 24)
+	decodeBody[CorpusInfo](t, postJSON(t, ts.URL+"/corpora", corpusAddRequest{Name: "imgs", Path: path}), http.StatusCreated)
+	const over = 3
+	run := decodeBody[RunInfo](t, postJSON(t, ts.URL+"/runs", RunSpec{Corpus: "imgs", Task: "image",
+		Mode: "scan-sequential", MaxInputs: traceRingCap + over, EvalEvery: 1000, Trace: true}), http.StatusAccepted)
+	waitDone(t, ts.URL, run.ID)
+
+	resp := mustGet(t, ts.URL+"/runs/"+run.ID+"/events")
+	rows, err := csv.NewReader(resp.Body).ReadAll()
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("events: status %d, %v", resp.StatusCode, err)
+	}
+	if got := resp.Header.Get("X-Trace-Dropped"); got != strconv.Itoa(over) {
+		t.Fatalf("X-Trace-Dropped = %q, want %d", got, over)
+	}
+	if len(rows) != 1+traceRingCap {
+		t.Fatalf("CSV has %d data rows, want %d", len(rows)-1, traceRingCap)
+	}
+	if first, last := rows[1][0], rows[len(rows)-1][0]; first != strconv.Itoa(over+1) || last != strconv.Itoa(traceRingCap+over) {
+		t.Fatalf("CSV steps %s..%s, want %d..%d", first, last, over+1, traceRingCap+over)
 	}
 }
 

@@ -55,10 +55,10 @@ type RunSpec struct {
 	// selection, evaluation, and — for distributed runs — per-input RPCs
 	// into one StepBatch call per owning shard. See DESIGN.md §13.
 	Batch int `json:"batch,omitempty"`
-	// Trace records the step-level event log, served at
-	// GET /runs/{id}/events as CSV once the run is terminal, and feeds the
-	// run's bounded trace ring, served live at GET /runs/{id}/trace and as
-	// "trace" frames on the curve SSE stream.
+	// Trace keeps the run's step events in a bounded trace ring, served
+	// live at GET /runs/{id}/trace and as "trace" frames on the curve SSE
+	// stream, and as CSV at GET /runs/{id}/events once the run is
+	// terminal.
 	Trace bool `json:"trace,omitempty"`
 	// Spans enables the run's span tracer: one bounded buffer of timing
 	// spans (engine phases, dist RPCs, worker-side child spans stitched
@@ -98,9 +98,9 @@ func (s *RunSpec) distributed() bool {
 	return s.Shards > 0 || len(s.DistWorkers) > 0
 }
 
-// traceRingCap bounds each traced run's event ring. Long runs drop their
-// oldest events (the ring reports how many); the full log is still served
-// as CSV from the result once the run finishes.
+// traceRingCap bounds each traced run's event ring, the only copy of its
+// step events the server keeps. Long runs drop their oldest events; every
+// view of the ring (/trace, /events, SSE frames) reports how many.
 const traceRingCap = 4096
 
 // streamMsg is one frame of a run's live stream: exactly one of a curve

@@ -15,7 +15,7 @@
 //	DELETE /runs/{id}            cancel (queued or running)
 //	GET    /runs/{id}/curve      learning curve; ?follow=1 streams SSE
 //	                             ("point" + "trace" frames, then "status")
-//	GET    /runs/{id}/events     step-level trace as CSV (spec.trace runs)
+//	GET    /runs/{id}/events     trace ring as CSV once terminal (spec.trace runs)
 //	GET    /runs/{id}/trace      trace-ring snapshot as JSON, live mid-run
 //	GET    /runs/{id}/spans      span tree + cost attribution (spec.spans
 //	                             runs); ?format=chrome emits Chrome
@@ -685,10 +685,14 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if res.Events == nil {
+	events, dropped, traced := run.TraceSnapshot()
+	if !traced {
 		writeError(w, http.StatusNotFound, "run %s was not traced (submit with \"trace\": true)", run.ID)
 		return
 	}
+	// The CSV is the ring's retained window, like /trace: a long run's
+	// oldest steps are gone, and the header says how many.
 	w.Header().Set("Content-Type", "text/csv")
-	res.Events.WriteCSV(w) //nolint:errcheck // client gone; nothing to do
+	w.Header().Set("X-Trace-Dropped", strconv.FormatInt(dropped, 10))
+	trace.WriteCSV(w, events) //nolint:errcheck // client gone; nothing to do
 }

@@ -6,8 +6,8 @@ import "sync"
 // older ones are dropped and counted. The serving layer keeps one per
 // traced run, so a long run's trace costs bounded memory while the tail
 // — the part an engineer debugging a live run actually wants — is always
-// available. Unlike Log, a Ring is safe for concurrent append and
-// snapshot: the engine goroutine appends while HTTP handlers read.
+// available. A Ring is safe for concurrent append and snapshot: the
+// engine goroutine appends while HTTP handlers read.
 type Ring struct {
 	mu      sync.Mutex
 	buf     []Event

@@ -1,7 +1,8 @@
-// Package trace records what a Zombie run did, step by step, and renders
-// run series as CSV for the experiment harness. Traces exist for two
-// consumers: tests that assert on engine behavior (exact replay, reward
-// attribution) and the bench harness that prints learning-curve series.
+// Package trace describes what a Zombie run did, step by step, and renders
+// run series as CSV for the experiment harness. The engine hands each
+// step's Event to core.Config.Event and keeps none; the serving layer keeps
+// a bounded Ring per traced run and serves it as JSON and, through
+// WriteCSV, as CSV.
 package trace
 
 import (
@@ -36,39 +37,14 @@ type Event struct {
 	Quarantined bool
 }
 
-// Log is an append-only event recorder. A nil *Log is valid and records
-// nothing, so the engine can trace unconditionally.
-type Log struct {
-	Events []Event
-}
-
-// Record appends an event. Recording on a nil log is a no-op.
-func (l *Log) Record(e Event) {
-	if l == nil {
-		return
-	}
-	l.Events = append(l.Events, e)
-}
-
-// Len returns the number of recorded events (0 for nil).
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.Events)
-}
-
-// WriteCSV renders the event log with a header row. Columns are
+// WriteCSV renders step events with a header row. Columns are
 // append-only: consumers written against an older header keep parsing
 // (the original eight columns are stable), new columns ride at the end.
-func (l *Log) WriteCSV(w io.Writer) error {
+func WriteCSV(w io.Writer, events []Event) error {
 	if _, err := fmt.Fprintln(w, "step,input,arm,reward,produced,useful,err,sim_ms,cache_hit,quarantined"); err != nil {
 		return err
 	}
-	if l == nil {
-		return nil
-	}
-	for _, e := range l.Events {
+	for _, e := range events {
 		if _, err := fmt.Fprintf(w, "%d,%d,%d,%.6f,%t,%t,%s,%.3f,%t,%t\n",
 			e.Step, e.InputIdx, e.Arm, e.Reward, e.Produced, e.Useful, csvQuote(e.Err),
 			float64(e.SimTime)/float64(time.Millisecond), e.CacheHit, e.Quarantined); err != nil {

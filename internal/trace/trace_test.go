@@ -8,30 +8,13 @@ import (
 	"time"
 )
 
-func TestNilLogSafe(t *testing.T) {
-	var l *Log
-	l.Record(Event{Step: 1})
-	if l.Len() != 0 {
-		t.Fatal("nil log should record nothing")
-	}
-	var buf bytes.Buffer
-	if err := l.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "step,") {
-		t.Fatal("nil log CSV missing header")
-	}
-}
-
 func TestLogRecordAndCSV(t *testing.T) {
-	l := &Log{}
-	l.Record(Event{Step: 1, InputIdx: 42, Arm: 3, Reward: 0.5, Produced: true, Useful: true, SimTime: 20 * time.Millisecond})
-	l.Record(Event{Step: 2, InputIdx: 7, Err: "boom"})
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
+	events := []Event{
+		{Step: 1, InputIdx: 42, Arm: 3, Reward: 0.5, Produced: true, Useful: true, SimTime: 20 * time.Millisecond},
+		{Step: 2, InputIdx: 7, Err: "boom"},
 	}
 	var buf bytes.Buffer
-	if err := l.WriteCSV(&buf); err != nil {
+	if err := WriteCSV(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -53,11 +36,12 @@ func TestLogRecordAndCSV(t *testing.T) {
 func TestWriteCSVParsesBack(t *testing.T) {
 	// The Err column carries arbitrary feature-code panic text; commas,
 	// quotes and newlines in it must survive a real CSV parser round-trip.
-	l := &Log{}
-	l.Record(Event{Step: 1, InputIdx: 9, Arm: 2, Reward: 1, Produced: true, SimTime: time.Second})
-	l.Record(Event{Step: 2, Err: `panic: bad "input", see log`})
+	events := []Event{
+		{Step: 1, InputIdx: 9, Arm: 2, Reward: 1, Produced: true, SimTime: time.Second},
+		{Step: 2, Err: `panic: bad "input", see log`},
+	}
 	var buf bytes.Buffer
-	if err := l.WriteCSV(&buf); err != nil {
+	if err := WriteCSV(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&buf).ReadAll()
@@ -80,12 +64,11 @@ func TestWriteCSVParsesBack(t *testing.T) {
 }
 
 func TestWriteCSVNilLogHeaderOnly(t *testing.T) {
-	// A nil log is a valid "nothing was traced" value end to end: WriteCSV
-	// must emit exactly the header so downstream tooling sees an empty,
-	// well-formed table.
-	var l *Log
+	// A nil event list is a valid "nothing was retained" value end to
+	// end: WriteCSV must emit exactly the header so downstream tooling
+	// sees an empty, well-formed table.
 	var buf bytes.Buffer
-	if err := l.WriteCSV(&buf); err != nil {
+	if err := WriteCSV(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&buf).ReadAll()
@@ -148,14 +131,13 @@ type failErr struct{}
 func (*failErr) Error() string { return "injected write failure" }
 
 func TestWriteCSVPropagatesWriterErrors(t *testing.T) {
-	l := &Log{}
-	l.Record(Event{Step: 1})
+	events := []Event{{Step: 1}}
 	// Fail on the header.
-	if err := l.WriteCSV(&failWriter{n: 0}); err == nil {
+	if err := WriteCSV(&failWriter{n: 0}, events); err == nil {
 		t.Fatal("header write error swallowed")
 	}
 	// Fail on the first row.
-	if err := l.WriteCSV(&failWriter{n: 1}); err == nil {
+	if err := WriteCSV(&failWriter{n: 1}, events); err == nil {
 		t.Fatal("row write error swallowed")
 	}
 }
