@@ -37,8 +37,8 @@ func BenchmarkInnerStepK16Traced(b *testing.B) { benchInnerLoop(b, 16, true) }
 
 // benchGaussianQualityDelta is the songs loop under the quality-delta
 // reward: one 10-class GaussianNB scored on the reward subsample around
-// every batch and on the curve holdout every EvalEvery inputs — the case
-// the model's second set of holdout rows exists for.
+// every batch and on the curve holdout every EvalEvery inputs, through
+// one evaluator each.
 func benchGaussianQualityDelta(b *testing.B, batch int) {
 	nb := func(f featurepipe.FeatureFunc) learner.Model { return learner.NewGaussianNB(f.Dim(), 10, 1e-3) }
 	task, groups := songsTask(b, 20000, 78, nb, learner.MetricMacroF1)

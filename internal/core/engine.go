@@ -113,15 +113,17 @@ type loopRun struct {
 	cursorCtx context.Context
 	batchSpan otrace.SpanRef // refilled by StartInto per batch
 
-	holdout *learner.Holdout
-	// rewardHold is the small fixed subsample the delta-based rewards
-	// measure before and after each batch trains; nil under
-	// RewardUsefulness.
-	rewardHold *learner.Holdout
 	// model is the run's one incremental model: every produced example is
 	// fitted into it once, and both the reward bracket and the curve
 	// score it as it stands.
 	model learner.Model
+	// eval scores model against the holdout for the curve.
+	eval *learner.Evaluator
+	// reward scores model against the small fixed subsample the
+	// delta-based rewards measure before and after each batch trains; it
+	// is eval when the subsample is the whole holdout, nil under
+	// RewardUsefulness.
+	reward *learner.Evaluator
 
 	steps   int
 	simTime time.Duration
@@ -159,7 +161,7 @@ type batchState struct {
 	errs  []error
 	wall  time.Duration // execute-stage wall time
 
-	before      float64 // rewardHold quality before the batch trained
+	before      float64 // reward quality before the batch trained
 	trained     int     // produced examples trained this batch
 	advanced    bool    // any input reached the extract stage
 	quarantined bool    // any input quarantined this batch
@@ -216,11 +218,14 @@ func (l *loopRun) start(ctx context.Context, r *rng.RNG) error {
 		l.runRef.End(otrace.String("error", err.Error()))
 		return err
 	}
-	l.holdout = holdout
-	if l.cfg.Reward != RewardUsefulness {
-		l.rewardHold = subsampleHoldout(holdout, l.cfg.RewardSubsample, r.Split("reward-subsample"))
-	}
 	l.model = l.task.NewModel(l.task.Feature)
+	l.eval = holdout.Evaluator(l.model)
+	if l.cfg.Reward != RewardUsefulness {
+		l.reward = l.eval
+		if sub := subsampleHoldout(holdout, l.cfg.RewardSubsample, r.Split("reward-subsample")); sub != holdout {
+			l.reward = sub.Evaluator(l.model)
+		}
+	}
 	l.notes = make([]stepNote, 0, l.cfg.BatchSize)
 
 	eRef := l.tracer.Start(l.runRef.ID(), "eval", otrace.Int("inputs", 0))
@@ -402,8 +407,8 @@ func (l *loopRun) account() {
 // per-input bracket.
 func (l *loopRun) train(ex learner.Example) {
 	tTrain := time.Now()
-	if l.rewardHold != nil && l.b.trained == 0 {
-		l.b.before = l.rewardHold.Quality(l.model)
+	if l.reward != nil && l.b.trained == 0 {
+		l.b.before = l.reward.Quality()
 	}
 	l.model.PartialFit(ex)
 	l.b.trained++
@@ -418,9 +423,9 @@ func (l *loopRun) settle() {
 		return
 	}
 	var after float64
-	if l.rewardHold != nil {
+	if l.reward != nil {
 		tTrain := time.Now()
-		after = l.rewardHold.Quality(l.model)
+		after = l.reward.Quality()
 		l.spend(phTrain, time.Since(tTrain))
 	}
 	for j := range l.b.idxs {
@@ -470,7 +475,7 @@ func (l *loopRun) credit() {
 func (l *loopRun) evaluate() float64 {
 	tEval := time.Now()
 	defer func() { l.spend(phEval, time.Since(tEval)) }()
-	return l.holdout.QualityParallel(l.model)
+	return l.eval.Quality()
 }
 
 // record appends a curve point and mirrors it to the Progress hook.

@@ -47,28 +47,11 @@ func ReadJSONL(path string) ([]*Input, error) {
 	return DecodeJSONL(f)
 }
 
-// DecodeJSONL reads inputs from an io.Reader in JSONL form.
+// DecodeJSONL reads inputs from an io.Reader in JSONL form. It is the
+// tolerant decode stopping at its first undecodable line, which it names.
 func DecodeJSONL(r io.Reader) ([]*Input, error) {
-	var out []*Input
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // pages can be long lines
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		in := new(Input)
-		if err := json.Unmarshal(raw, in); err != nil {
-			return nil, fmt.Errorf("corpus: line %d: %w", line, err)
-		}
-		out = append(out, in)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("corpus: scan: %w", err)
-	}
-	return out, nil
+	out, _, _, err := decodeJSONL(r, true)
+	return out, err
 }
 
 // Skipped records one corrupt JSONL line dropped by a tolerant decode.
@@ -96,34 +79,43 @@ func ReadJSONLTolerant(path string) ([]*Input, []Skipped, error) {
 
 // DecodeJSONLTolerant reads inputs from JSONL, skipping undecodable lines
 // and reporting each skip with its line number. It fails only on reader
-// errors (the data never arrived) or when no input survives (an
-// all-corrupt corpus is indistinguishable from pointing at the wrong
-// file, and deserves a loud failure rather than an empty store).
+// errors (the data never arrived) or when lines were skipped and no input
+// survives (an all-corrupt corpus is indistinguishable from pointing at
+// the wrong file, and deserves a loud failure rather than an empty
+// store). Input with nothing to skip decodes as DecodeJSONL does.
 func DecodeJSONLTolerant(r io.Reader) ([]*Input, []Skipped, error) {
-	var out []*Input
-	var skipped []Skipped
+	out, skipped, lines, err := decodeJSONL(r, false)
+	if err == nil && len(out) == 0 && len(skipped) > 0 {
+		err = fmt.Errorf("corpus: no input survived tolerant decode (%d of %d lines corrupt)", len(skipped), lines)
+	}
+	return out, skipped, err // out is empty whenever err is set
+}
+
+// decodeJSONL scans JSONL line by line, blank lines skipped, and returns
+// the decoded inputs, the undecodable lines it skipped and how many lines
+// it read. strict stops the scan at the first undecodable line with an
+// error naming it.
+func decodeJSONL(r io.Reader, strict bool) (out []*Input, skipped []Skipped, lines int, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // pages can be long lines
 	for sc.Scan() {
-		line++
+		lines++
 		raw := sc.Bytes()
 		if len(raw) == 0 {
 			continue
 		}
 		in := new(Input)
 		if err := json.Unmarshal(raw, in); err != nil {
-			skipped = append(skipped, Skipped{Line: line, Reason: err.Error()})
+			if strict {
+				return nil, nil, lines, fmt.Errorf("corpus: line %d: %w", lines, err)
+			}
+			skipped = append(skipped, Skipped{Line: lines, Reason: err.Error()})
 			continue
 		}
 		out = append(out, in)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, skipped, fmt.Errorf("corpus: scan: %w", err)
+		return nil, skipped, lines, fmt.Errorf("corpus: scan: %w", err)
 	}
-	if len(out) == 0 && line > 0 {
-		return nil, skipped, fmt.Errorf("corpus: no input survived tolerant decode (%d of %d lines corrupt)",
-			len(skipped), line)
-	}
-	return out, skipped, nil
+	return out, skipped, lines, nil
 }

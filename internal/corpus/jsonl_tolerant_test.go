@@ -1,8 +1,11 @@
 package corpus
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -63,12 +66,15 @@ func TestDecodeJSONLTolerantRejectsAllCorrupt(t *testing.T) {
 	}
 }
 
-// TestDecodeJSONLTolerantEmptyReader: an empty file decodes to an empty
-// corpus without error (nothing was corrupt), matching strict DecodeJSONL.
+// TestDecodeJSONLTolerantEmptyReader: an empty file, or one of blank
+// lines only, decodes to an empty corpus without error (nothing was
+// corrupt), matching strict DecodeJSONL.
 func TestDecodeJSONLTolerantEmptyReader(t *testing.T) {
-	inputs, skipped, err := DecodeJSONLTolerant(strings.NewReader(""))
-	if err != nil || len(inputs) != 0 || len(skipped) != 0 {
-		t.Fatalf("inputs=%v skipped=%v err=%v", inputs, skipped, err)
+	for _, src := range []string{"", "\n\n"} {
+		inputs, skipped, err := DecodeJSONLTolerant(strings.NewReader(src))
+		if err != nil || len(inputs) != 0 || len(skipped) != 0 {
+			t.Fatalf("%q: inputs=%v skipped=%v err=%v", src, inputs, skipped, err)
+		}
 	}
 }
 
@@ -105,4 +111,31 @@ func TestReadJSONLTolerantRoundTrip(t *testing.T) {
 	if len(skipped) != 1 {
 		t.Fatalf("skipped = %+v", skipped)
 	}
+}
+
+// FuzzDecodeJSONL: neither decode panics on arbitrary bytes, the strict
+// decode fails exactly when the tolerant one skips a line, and otherwise
+// both return the same inputs.
+func FuzzDecodeJSONL(f *testing.F) {
+	f.Add([]byte(`{"id":"a","text":"one"}` + "\n\n" + `{"id":"b","kind":1,"values":[1,2.5]}`))
+	f.Add([]byte(`{"id":"a","text":"one"}` + "\n" + `{"id":"b","tex`))
+	f.Add([]byte("junk\n{\"id\":\"c\",\"meta\":{\"k\":\"v\"},\"truth\":{}}\n"))
+	f.Add([]byte("\n\n"))
+	f.Add([]byte("null\n[]\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		strict, strictErr := DecodeJSONL(bytes.NewReader(data))
+		tolerant, skipped, tolerantErr := DecodeJSONLTolerant(bytes.NewReader(data))
+		if (strictErr != nil) != (len(skipped) > 0) {
+			t.Fatalf("strict error %v with %d lines skipped", strictErr, len(skipped))
+		}
+		if strictErr != nil {
+			if want := fmt.Sprintf("corpus: line %d: ", skipped[0].Line); !strings.HasPrefix(strictErr.Error(), want) {
+				t.Fatalf("strict error %q does not name the first skipped line %d", strictErr, skipped[0].Line)
+			}
+			return
+		}
+		if tolerantErr != nil || !reflect.DeepEqual(strict, tolerant) {
+			t.Fatalf("strict decoded %d inputs, tolerant %d (error %v), or they differ", len(strict), len(tolerant), tolerantErr)
+		}
+	})
 }

@@ -39,6 +39,7 @@ type MultinomialNB struct {
 	featTotal  []float64   // [class] sum over features
 	seen       int
 	tab        *multinomialTables // nil until the model is first scored
+	mu         sync.Mutex         // held while the tables are refreshed
 }
 
 // multinomialTables is what MultinomialNB scoring needs of the fitted
@@ -129,8 +130,11 @@ func (t *multinomialTables) touch(c int, v FeatureVector) {
 	}
 }
 
-// prepare implements blockClassifier; a pass only reads the tables.
-func (m *MultinomialNB) prepare(*Holdout) sync.Locker {
+// prepare implements blockClassifier; a pass only reads the tables, so an
+// evaluator keeps nothing for this model.
+func (m *MultinomialNB) prepare(*Evaluator) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	t := m.tab
 	if t == nil {
 		classes, dim := len(m.featCount), len(m.featCount[0])
@@ -149,7 +153,7 @@ func (m *MultinomialNB) prepare(*Holdout) sync.Locker {
 		m.tab = t
 	}
 	if !t.stale {
-		return noLock{}
+		return
 	}
 	t.stale = false
 	logPriors(m.classCount, t.prior)
@@ -176,7 +180,6 @@ func (m *MultinomialNB) prepare(*Holdout) sync.Locker {
 			}
 		}
 	}
-	return noLock{}
 }
 
 // scorePair returns the unnormalized log posteriors of classes c0 and c1
@@ -238,7 +241,7 @@ func (m *MultinomialNB) logJoint(v FeatureVector, out []float64) {
 }
 
 // observeBlock implements blockClassifier.
-func (m *MultinomialNB) observeBlock(cm *ConfusionMatrix, h *Holdout, lo, hi int) {
+func (m *MultinomialNB) observeBlock(cm *ConfusionMatrix, h *Holdout, _ *Evaluator, lo, hi int) {
 	dim := len(m.featCount[0])
 	examples := h.Examples[lo:hi]
 	for i := range examples {
@@ -270,10 +273,6 @@ func (m *MultinomialNB) NumClasses() int { return len(m.featCount) }
 // Seen implements Model.
 func (m *MultinomialNB) Seen() int { return m.seen }
 
-// ConcurrentPredictable implements ConcurrentPredictor: once the score
-// tables are current, prediction only reads them.
-func (m *MultinomialNB) ConcurrentPredictable() {}
-
 // Reset implements Model.
 func (m *MultinomialNB) Reset() {
 	for c := range m.featCount {
@@ -303,13 +302,7 @@ type GaussianNB struct {
 	seen       int
 	gen        []uint64        // [class] bumped by PartialFit and Reset; from 1
 	tab        *gaussianTables // nil until the model is first scored
-	// scores holds the rows of the holdout last scored and prevScores those
-	// of the one before, so one model scored alternately on two holdouts
-	// (the reward subsample and the curve holdout) keeps both; nil until
-	// used.
-	scores, prevScores *holdoutScores
-	rowBuilds          int        // holdout rows built so far, for tests
-	pass               sync.Mutex // held by a holdout pass, prepare to last block
+	mu         sync.Mutex      // held while the tables are refreshed
 }
 
 // gaussianTables is what GaussianNB scoring needs of the fitted moments
@@ -382,6 +375,8 @@ func (m *GaussianNB) PartialFit(ex Example) {
 
 // refresh recomputes the score tables of the classes fitted or reset since.
 func (m *GaussianNB) refresh() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	t := m.tab
 	if t == nil {
 		classes, dim := len(m.mean), len(m.mean[0])
@@ -504,11 +499,6 @@ func (m *GaussianNB) NumClasses() int { return len(m.mean) }
 
 // Seen implements Model.
 func (m *GaussianNB) Seen() int { return m.seen }
-
-// ConcurrentPredictable implements ConcurrentPredictor: once the score
-// tables are current, prediction only reads them and the fitted means,
-// and a holdout block writes only the cached rows of its own examples.
-func (m *GaussianNB) ConcurrentPredictable() {}
 
 // Reset implements Model.
 func (m *GaussianNB) Reset() {

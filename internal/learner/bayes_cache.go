@@ -2,16 +2,14 @@ package learner
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
-// holdoutScores is what a GaussianNB keeps of the holdout it is scored on
+// holdoutScores is what an Evaluator keeps of its holdout for a GaussianNB
 // so that a pass re-sums only the classes fitted since the last one, and
 // keeps last pass's winner where its bounds decide (DESIGN §13):
 // predictions, not scores, are what is preserved.
 type holdoutScores struct {
-	examples     []Example // the example slice the rows describe
 	gen          []uint64  // [class] the model generation the rows hold
 	seen         []uint64  // [class] the model generation at the last pass
 	exact        bool      // every class moved since the last pass
@@ -39,22 +37,22 @@ type holdoutScores struct {
 // beats every candidate; NaN or ±Inf in a bound fails the strict
 // comparisons, and exact ties never pass them.
 
-// prepare implements blockClassifier: it refreshes the tables, binds the
-// rows to h, lists the classes to re-sum, and forms this pass's bounds.
-func (m *GaussianNB) prepare(h *Holdout) sync.Locker {
-	m.pass.Lock()
+// prepare implements blockClassifier: it refreshes the tables and, for an
+// evaluator, builds its rows on their first pass, lists the classes to
+// re-sum, and forms this pass's bounds. A one-shot pass keeps no rows.
+func (m *GaussianNB) prepare(ev *Evaluator) {
 	m.refresh()
-	classes, n := len(m.mean), len(h.Examples)
-	if !m.scores.holds(h) {
-		if !m.prevScores.holds(h) { // rows for h replace the older set
-			m.prevScores = &holdoutScores{examples: h.Examples, gen: make([]uint64, classes), seen: make([]uint64, classes),
-				sums: make([]float64, n*classes), win: make([]int32, n), top: make([]float64, n),
-				hi: make([]float64, classes), lo: make([]float64, classes)}
-			m.rowBuilds++
-		}
-		m.scores, m.prevScores = m.prevScores, m.scores
+	if ev == nil {
+		return
 	}
-	s := m.scores
+	classes := len(m.mean)
+	if ev.rows == nil {
+		n := len(ev.h.Examples)
+		ev.rows = &holdoutScores{gen: make([]uint64, classes), seen: make([]uint64, classes),
+			sums: make([]float64, n*classes), win: make([]int32, n), top: make([]float64, n),
+			hi: make([]float64, classes), lo: make([]float64, classes)}
+	}
+	s := ev.rows
 	moved := 0
 	for c, g := range m.gen {
 		if s.seen[c] != g {
@@ -77,17 +75,14 @@ func (m *GaussianNB) prepare(h *Holdout) sync.Locker {
 		s.hi[c], s.lo[c] = p+slack, p-slack
 		s.hiTop = max(s.hiTop, s.hi[c])
 	}
-	return &m.pass
 }
 
 // observeBlock implements blockClassifier, writing only the rows of
 // examples lo..hi-1. top[e] is exact after a full check, raised by every
 // re-summed row, and +Inf once win[e] changes, so — rounding being
 // monotone — lo[w] + grow·L_w > hiTop + shrink·top certifies in O(1).
-func (m *GaussianNB) observeBlock(cm *ConfusionMatrix, h *Holdout, lo, hi int) {
-	s, posNorm := m.scores, m.tab.posNorm
-	classes, stale := len(m.mean), s.stale
-	if s.exact { // rows, win and top are left as they are: still consistent
+func (m *GaussianNB) observeBlock(cm *ConfusionMatrix, h *Holdout, ev *Evaluator, lo, hi int) {
+	if ev == nil || ev.rows.exact { // rows, win and top stay consistent
 		for e := lo; e < hi; e++ {
 			ex := &h.Examples[e]
 			checkDim(len(m.mean[0]), ex.Features, "GaussianNB")
@@ -95,6 +90,8 @@ func (m *GaussianNB) observeBlock(cm *ConfusionMatrix, h *Holdout, lo, hi int) {
 		}
 		return
 	}
+	s, posNorm := ev.rows, m.tab.posNorm
+	classes, stale := len(m.mean), s.stale
 	for e := lo; e < hi; e++ {
 		ex := &h.Examples[e]
 		// A panic here recurs on every pass over h: no stale row is read.
@@ -124,12 +121,6 @@ func (m *GaussianNB) observeBlock(cm *ConfusionMatrix, h *Holdout, lo, hi int) {
 		s.top[e] = top
 		cm.Observe(ex.Class, w)
 	}
-}
-
-// holds reports whether s describes h's example slice (false for nil s).
-func (s *holdoutScores) holds(h *Holdout) bool {
-	n := len(h.Examples)
-	return s != nil && len(s.examples) == n && (n == 0 || &s.examples[0] == &h.Examples[0])
 }
 
 // bounded returns l, or +Inf when its bound (posNorm K) is not trusted.

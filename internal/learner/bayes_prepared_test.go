@@ -144,6 +144,28 @@ type nbPair struct {
 	ref     refModel
 	scores  func(v FeatureVector, out []float64) // the model's table-backed logJoint
 	classes int
+	evals   map[*Holdout]*Evaluator // one per holdout, built on its first score
+}
+
+// quality scores h through its evaluator, then one-shot, and fails unless
+// both return want. The evaluator goes first, so a check that nothing else
+// refreshed the tables still holds.
+func (p *nbPair) quality(t *testing.T, stage string, h *Holdout, want float64) {
+	t.Helper()
+	if p.evals == nil {
+		p.evals = map[*Holdout]*Evaluator{}
+	}
+	ev, ok := p.evals[h]
+	if !ok {
+		ev = h.Evaluator(p.model)
+		p.evals[h] = ev
+	}
+	if q := ev.Quality(); q != want {
+		t.Fatalf("%s/%s: Evaluator.Quality %v != reference %v", p.name, stage, q, want)
+	}
+	if q := h.Quality(p.model); q != want {
+		t.Fatalf("%s/%s: Quality %v != reference %v", p.name, stage, q, want)
+	}
 }
 
 func (p *nbPair) fit(examples ...Example) {
@@ -160,8 +182,8 @@ func (p *nbPair) reset() {
 
 // check asserts, over every example of h: every class score bit-equal to
 // the reference, PredictClass and Proba consistent with those scores, and
-// Quality and QualityParallel equal to the metric of the reference's
-// confusion matrix.
+// the holdout's evaluator and a one-shot Quality equal to the metric of the
+// reference's confusion matrix.
 func (p *nbPair) check(t *testing.T, stage string, h *Holdout) {
 	t.Helper()
 	cm := NewConfusionMatrix(p.classes)
@@ -187,13 +209,7 @@ func (p *nbPair) check(t *testing.T, stage string, h *Holdout) {
 		}
 		cm.Observe(ex.Class, class)
 	}
-	wantQ := h.scoreClassification(cm)
-	if q := h.Quality(p.model); q != wantQ {
-		t.Fatalf("%s/%s: Quality %v != reference %v", p.name, stage, q, wantQ)
-	}
-	if q := h.QualityParallel(p.model); q != wantQ {
-		t.Fatalf("%s/%s: QualityParallel %v != reference %v", p.name, stage, q, wantQ)
-	}
+	p.quality(t, stage, h, h.scoreClassification(cm))
 }
 
 // checkQuality is the block path alone — no PredictClass, Proba or
@@ -206,9 +222,7 @@ func (p *nbPair) checkQuality(t *testing.T, stage string, h *Holdout) {
 		p.ref.logJoint(ex.Features, want)
 		cm.Observe(ex.Class, linalg.ArgMax(want))
 	}
-	if q, wantQ := h.Quality(p.model), h.scoreClassification(cm); q != wantQ {
-		t.Fatalf("%s/%s: Quality %v != reference %v", p.name, stage, q, wantQ)
-	}
+	p.quality(t, stage, h, h.scoreClassification(cm))
 }
 
 const preparedDim = 24
@@ -233,10 +247,10 @@ func (pc preparedCase) String() string {
 func (pc preparedCase) pair() *nbPair {
 	if pc.gaussian {
 		m := NewGaussianNB(preparedDim, pc.classes, 1e-3)
-		return &nbPair{pc.String(), m, newRefGaussianNB(preparedDim, pc.classes, 1e-3), m.logJoint, pc.classes}
+		return &nbPair{pc.String(), m, newRefGaussianNB(preparedDim, pc.classes, 1e-3), m.logJoint, pc.classes, nil}
 	}
 	m := NewMultinomialNB(preparedDim, pc.classes, 0.5)
-	return &nbPair{pc.String(), m, newRefMultinomialNB(preparedDim, pc.classes, 0.5), m.logJoint, pc.classes}
+	return &nbPair{pc.String(), m, newRefMultinomialNB(preparedDim, pc.classes, 0.5), m.logJoint, pc.classes, nil}
 }
 
 // examples draws n labeled examples: a class-dependent handful of active
@@ -325,8 +339,8 @@ func TestPreparedScoresMatchReference(t *testing.T) {
 }
 
 // TestPreparedBlockPathAlone repeats the stale-table sequence touching the
-// model through Quality only, so nothing but the evaluator's own prepare
-// call can have refreshed the tables.
+// model through its evaluator and Quality only, so nothing but their own
+// prepare call can have refreshed the tables.
 func TestPreparedBlockPathAlone(t *testing.T) {
 	forEachPreparedCase(t, func(t *testing.T, pc preparedCase, r *rng.RNG) {
 		p := pc.pair()
@@ -344,9 +358,9 @@ func TestPreparedBlockPathAlone(t *testing.T) {
 	})
 }
 
-// TestPreparedDeltaRewardBracket scores one model from two holdouts around
-// a PartialFit, the way the engine brackets an update under the delta
-// reward while the curve holdout scores the same model.
+// TestPreparedDeltaRewardBracket scores one model through two evaluators
+// around a PartialFit, the way the engine brackets an update under the
+// delta reward while the curve holdout scores the same model.
 func TestPreparedDeltaRewardBracket(t *testing.T) {
 	forEachPreparedCase(t, func(t *testing.T, pc preparedCase, r *rng.RNG) {
 		p := pc.pair()
@@ -421,22 +435,29 @@ func TestMultinomialTouchTrackingBounded(t *testing.T) {
 	}
 }
 
-// TestQualityParallelFreshlyFitted runs the fan-out on a model whose tables
-// do not exist yet (and then on one whose tables are stale): the refresh
-// must happen before the chunks start, which -race -count=10 checks.
-func TestQualityParallelFreshlyFitted(t *testing.T) {
+// TestQualityFreshlyFitted runs a chunked evaluator pass on a model whose
+// tables do not exist yet, and then on one whose tables are stale, beside
+// a one-shot pass on a twin: the refresh must happen before the chunks
+// start, which -race -count=10 checks.
+func TestQualityFreshlyFitted(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	forEachPreparedCase(t, func(t *testing.T, pc preparedCase, r *rng.RNG) {
 		h := NewHoldout(pc.examples(r, 4*evalChunkSize+17), MetricMacroF1, 1)
 		train := pc.examples(r, 80)
-		par, seq := pc.pair().model, pc.pair().model
+		oneShot, incremental, ref := pc.pair().model, pc.pair().model, pc.pair().model
+		ev := h.Evaluator(incremental)
 		for _, stage := range [][]Example{train[:40], train[40:]} {
 			for _, ex := range stage {
-				par.PartialFit(ex)
-				seq.PartialFit(ex)
+				oneShot.PartialFit(ex)
+				incremental.PartialFit(ex)
+				ref.PartialFit(ex)
 			}
-			if got, want := h.QualityParallel(par), h.Quality(seq); got != want {
-				t.Fatalf("QualityParallel %v != Quality %v", got, want)
+			want := perExampleQuality(h, ref)
+			if got := h.Quality(oneShot); got != want {
+				t.Fatalf("Quality %v != per-example %v", got, want)
+			}
+			if got := ev.Quality(); got != want {
+				t.Fatalf("Evaluator.Quality %v != per-example %v", got, want)
 			}
 		}
 	})

@@ -3,6 +3,8 @@ package learner
 import (
 	"fmt"
 	"sync"
+
+	"zombie/internal/parallel"
 )
 
 // Metric selects the quality measure a Holdout evaluator reports. All
@@ -74,7 +76,46 @@ func NewHoldout(examples []Example, metric Metric, positive int) *Holdout {
 // accuracy for a pure Regressor) so that misconfigured tasks fail loudly
 // rather than optimizing a meaningless number. An untrained model (Seen()
 // == 0) scores the metric's natural floor without touching the model.
-func (h *Holdout) Quality(m Model) float64 {
+//
+// Quality keeps nothing between calls and, scoring in one block on the
+// caller, allocates nothing of its own. A model scored against h again and again as it
+// learns is scored through an Evaluator, which returns the same value but
+// may re-score only what changed since its last pass, and shares a large
+// holdout with idle cores.
+func (h *Holdout) Quality(m Model) float64 { return h.quality(m, nil) }
+
+// Evaluator scores one model against one holdout, pass after pass, and
+// keeps between passes what the model's incremental pass needs of the
+// holdout: a GaussianNB's per-example class sums (DESIGN §13). It has one
+// owner: its passes must not overlap, and the holdout's examples must not
+// change while it is in use. Every pass returns exactly what
+// Holdout.Quality would.
+type Evaluator struct {
+	h    *Holdout
+	m    Model
+	rows *holdoutScores // nil until the model's first pass needs them
+}
+
+// Evaluator returns an evaluator of m against h.
+func (h *Holdout) Evaluator(m Model) *Evaluator { return &Evaluator{h: h, m: m} }
+
+// Quality scores the evaluator's model as it stands; see Holdout.Quality.
+func (e *Evaluator) Quality() float64 { return e.h.quality(e.m, e) }
+
+// evalChunkSize fixes the reduction granularity of a chunked holdout pass.
+// Chunk boundaries depend only on the example count — never on how many
+// helpers were free — and integer confusion counts merge exactly, so the
+// result is the same however many goroutines participate.
+const evalChunkSize = 256
+
+// quality is Quality for ev, or for a one-shot pass when ev is nil. An
+// evaluator's blockClassifier over more than evalChunkSize examples is
+// scored in chunks shared with whatever helpers the process-wide budget
+// has free (parallel.ShareChunks), which allocates per pass. Everything
+// else is scored in one block on the caller: one-shot passes, the
+// untrained floor, regression, small holdouts, and classifiers from
+// outside this package.
+func (h *Holdout) quality(m Model, ev *Evaluator) float64 {
 	if m.Seen() == 0 {
 		// An untrained model has nothing to predict from; report the floor
 		// so learning curves start at a defined point.
@@ -83,21 +124,39 @@ func (h *Holdout) Quality(m Model) float64 {
 		}
 		return 0
 	}
-	if h.Metric.IsClassification() {
-		c := h.classifier(m)
-		defer prepareScores(c, h).Unlock()
-		cm := getConfusion(c.NumClasses())
-		observeClassified(cm, c, h, 0, len(h.Examples))
-		q := h.scoreClassification(cm)
-		confusionPool.Put(cm)
-		return q
+	if !h.Metric.IsClassification() {
+		r := h.regressor(m)
+		var rm RegressionMetrics
+		for _, ex := range h.Examples {
+			rm.Observe(ex.Target, r.Predict(ex.Features))
+		}
+		return h.scoreRegression(&rm)
 	}
-	r := h.regressor(m)
-	var rm RegressionMetrics
-	for _, ex := range h.Examples {
-		rm.Observe(ex.Target, r.Predict(ex.Features))
+	c := h.classifier(m)
+	cm := getConfusion(c.NumClasses())
+	bc, ok := c.(blockClassifier)
+	switch n := len(h.Examples); {
+	case !ok:
+		for _, ex := range h.Examples {
+			cm.Observe(ex.Class, c.PredictClass(ex.Features))
+		}
+	case ev == nil || n <= evalChunkSize:
+		bc.prepare(ev)
+		bc.observeBlock(cm, h, ev, 0, n)
+	default:
+		bc.prepare(ev) // once, here: a chunk writes only its own rows
+		for _, part := range parallel.ShareChunks(n, evalChunkSize, func(lo, hi int) *ConfusionMatrix {
+			block := getConfusion(c.NumClasses())
+			bc.observeBlock(block, h, ev, lo, hi)
+			return block
+		}) {
+			cm.Merge(part)
+			confusionPool.Put(part)
+		}
 	}
-	return h.scoreRegression(&rm)
+	q := h.scoreClassification(cm)
+	confusionPool.Put(cm)
+	return q
 }
 
 // confusionPool recycles the per-evaluation confusion matrix. Quality runs
@@ -117,46 +176,20 @@ func getConfusion(classes int) *ConfusionMatrix {
 }
 
 // blockClassifier is a Classifier that predicts from tables derived from
-// its fitted state, a range of holdout examples per call: the evaluator
-// refreshes the tables once, sequentially, then scores the holdout in one
-// block or, under QualityParallel, in disjoint chunks on several goroutines.
+// its fitted state, a range of holdout examples per call: a pass refreshes
+// the tables once, on the caller, then scores the holdout in one block or
+// in disjoint chunks on several goroutines. Both naive Bayes families
+// implement it.
 type blockClassifier interface {
 	Classifier
-	// prepare brings the tables up to date and readies the model to score
-	// h. It must not run concurrently with any method but another pass's
-	// prepare: it returns the lock its pass holds until its blocks end.
-	prepare(h *Holdout) sync.Locker
+	// prepare brings the tables up to date under the model's mutex and
+	// readies ev's rows for a pass; ev is nil on a one-shot pass.
+	prepare(ev *Evaluator)
 	// observeBlock adds one cm.Observe(ex.Class, predicted) per example of
 	// h.Examples[lo:hi], predicting exactly what PredictClass would, and
-	// writes at most those examples' state. prepare(h) must have run.
-	observeBlock(cm *ConfusionMatrix, h *Holdout, lo, hi int)
-}
-
-// prepareScores readies a model that keeps score tables to score h and
-// returns the lock its pass holds.
-func prepareScores(c Classifier, h *Holdout) sync.Locker {
-	if bc, ok := c.(blockClassifier); ok {
-		return bc.prepare(h)
-	}
-	return noLock{}
-}
-
-// noLock is the pass lock of a model whose passes write nothing.
-type noLock struct{}
-
-func (noLock) Lock()   {}
-func (noLock) Unlock() {}
-
-// observeClassified fills cm with one Observe per example of h.Examples[lo:hi],
-// in one block call when the model supports it, after prepareScores.
-func observeClassified(cm *ConfusionMatrix, c Classifier, h *Holdout, lo, hi int) {
-	if bc, ok := c.(blockClassifier); ok {
-		bc.observeBlock(cm, h, lo, hi)
-		return
-	}
-	for _, ex := range h.Examples[lo:hi] {
-		cm.Observe(ex.Class, c.PredictClass(ex.Features))
-	}
+	// writes at most ev's rows of those examples. prepare(ev) must have
+	// run.
+	observeBlock(cm *ConfusionMatrix, h *Holdout, ev *Evaluator, lo, hi int)
 }
 
 // classifier asserts the model matches the classification metric.

@@ -13,21 +13,14 @@ import (
 // step (quality-delta reward brackets train with a before/after pair), so
 // every benchmark reports allocs/op.
 
+// BenchmarkHoldoutQuality is a one-shot pass over an unchanged model:
+// exact, in one block on the caller.
 func BenchmarkHoldoutQuality(b *testing.B) {
 	h, m := evalFixture(b, 2000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Quality(m)
-	}
-}
-
-func BenchmarkHoldoutQualityParallel(b *testing.B) {
-	h, m := evalFixture(b, 2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.QualityParallel(m)
 	}
 }
 
@@ -68,16 +61,18 @@ func BenchmarkHoldoutQualityMultinomial(b *testing.B) {
 
 // The benchmarks above re-score an unchanged model, so they never pay for
 // a score-table refresh. The AfterFit pair measures the engine's actual
-// cadence: EvalEvery=25 PartialFits, then one Quality.
+// cadence: EvalEvery=25 PartialFits, then one pass of the model's
+// evaluator.
 
 func benchmarkQualityAfterFit(b *testing.B, h *Holdout, m Model) {
+	ev := h.Evaluator(m)
 	round := func() {
 		for _, ex := range h.Examples[:25] {
 			m.PartialFit(ex)
 		}
-		h.Quality(m)
+		ev.Quality()
 	}
-	h.Quality(m) // builds the score tables,
+	ev.Quality() // builds the score tables and rows,
 	round()      // and this grows the touch lists to their steady size
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -93,7 +88,7 @@ func BenchmarkHoldoutQualityAfterFitGaussian(b *testing.B) {
 
 // BenchmarkHoldoutQualityFewClassesStale is the songs workload's cadence:
 // a 10-class GaussianNB over a 2 000-example holdout, 25 fits of two
-// classes between passes, so the holdout pass re-sums 2 of 10 classes.
+// classes between passes of its evaluator, which re-sums 2 of 10 classes.
 func BenchmarkHoldoutQualityFewClassesStale(b *testing.B) {
 	const classes, dim = 10, 12
 	r := rng.New(17)
@@ -103,6 +98,7 @@ func BenchmarkHoldoutQualityFewClassesStale(b *testing.B) {
 	for _, ex := range train {
 		m.PartialFit(ex)
 	}
+	ev := h.Evaluator(m)
 	step := 0
 	round := func() {
 		for i := 0; i < 25; i++ {
@@ -111,9 +107,9 @@ func BenchmarkHoldoutQualityFewClassesStale(b *testing.B) {
 			m.PartialFit(ex)
 		}
 		step++
-		h.Quality(m)
+		ev.Quality()
 	}
-	h.Quality(m) // binds the holdout rows
+	ev.Quality() // builds the holdout rows
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,9 @@
 package learner
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"zombie/internal/rng"
@@ -83,5 +86,152 @@ func TestMetricString(t *testing.T) {
 	}
 	if !MetricF1.IsClassification() || MetricR2.IsClassification() {
 		t.Fatal("IsClassification wrong")
+	}
+}
+
+// evalFixture builds a trained GaussianNB and a holdout of n examples.
+func evalFixture(t testing.TB, n int) (*Holdout, Model) {
+	t.Helper()
+	r := rng.New(7)
+	dim := 16
+	examples := make([]Example, n)
+	for i := range examples {
+		class := i % 2
+		vec := make([]float64, dim)
+		for d := range vec {
+			vec[d] = r.NormFloat64() + float64(class)*1.5
+		}
+		examples[i] = Example{Features: DenseVec(vec), Class: class}
+	}
+	m := NewGaussianNB(dim, 2, 1e-3)
+	for _, ex := range examples[:n/2] {
+		m.PartialFit(ex)
+	}
+	return NewHoldout(examples, MetricF1, 1), m
+}
+
+// atProcs runs fn at GOMAXPROCS procs, so a chunked pass's helper budget
+// is procs slots, and restores the setting.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// perExampleQuality is h's metric over one PredictClass per example: the
+// reference every pass must match.
+func perExampleQuality(h *Holdout, c Classifier) float64 {
+	cm := NewConfusionMatrix(c.NumClasses())
+	for _, ex := range h.Examples {
+		cm.Observe(ex.Class, c.PredictClass(ex.Features))
+	}
+	return h.scoreClassification(cm)
+}
+
+// TestQualityMatchesAcrossProcs asserts bit-identical classification
+// scores, one-shot and through an evaluator, however many helpers are free
+// — the engine's determinism depends on it.
+func TestQualityMatchesAcrossProcs(t *testing.T) {
+	h, m := evalFixture(t, 2000)
+	want := perExampleQuality(h, m.(Classifier))
+	ev := h.Evaluator(m)
+	for _, procs := range []int{1, 2, 3, 8, 32} {
+		atProcs(procs, func() {
+			if got := h.Quality(m); got != want {
+				t.Fatalf("GOMAXPROCS=%d: Quality %v != per-example %v", procs, got, want)
+			}
+			if got := ev.Quality(); got != want {
+				t.Fatalf("GOMAXPROCS=%d: Evaluator.Quality %v != per-example %v", procs, got, want)
+			}
+		})
+	}
+}
+
+// TestQualityFallsBackForUnsafeModels: a model that is not a
+// blockClassifier (RidgeClosed solves lazily on its first prediction) is
+// scored on the caller in one block, whatever the helper budget, and its
+// evaluator keeps nothing.
+func TestQualityFallsBackForUnsafeModels(t *testing.T) {
+	r := rng.New(11)
+	dim, n := 8, 3000
+	examples := make([]Example, n)
+	for i := range examples {
+		vec := make([]float64, dim)
+		sum := 0.0
+		for d := range vec {
+			vec[d] = r.NormFloat64()
+			sum += vec[d]
+		}
+		examples[i] = Example{Features: DenseVec(vec), Target: sum + 0.1*r.NormFloat64()}
+	}
+	h := NewHoldout(examples, MetricNegRMSE, 0)
+	for _, procs := range []int{2, 3, 8, 17} {
+		m := NewRidgeClosed(dim, 1e-3)
+		for _, ex := range examples[:n/2] {
+			m.PartialFit(ex)
+		}
+		ev := h.Evaluator(m)
+		var got, again float64
+		atProcs(procs, func() { got, again = h.Quality(m), ev.Quality() })
+		var rm RegressionMetrics
+		for _, ex := range examples {
+			rm.Observe(ex.Target, m.Predict(ex.Features))
+		}
+		if want := -rm.RMSE(); got != want || again != want {
+			t.Fatalf("GOMAXPROCS=%d: Quality %v, Evaluator.Quality %v, per-example %v", procs, got, again, want)
+		}
+		if ev.rows != nil {
+			t.Fatal("an evaluator of a regressor built rows")
+		}
+	}
+}
+
+// TestQualityConcurrentCallers scores one shared model of each family from
+// eight goroutines at once, one-shot and through evaluators of their own,
+// with tables current and with tables left stale by fits since the last
+// pass; `make race` runs this under the race detector, which is the real
+// assertion.
+func TestQualityConcurrentCallers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, gaussian := range []bool{true, false} {
+		for _, stale := range []bool{false, true} {
+			pc := preparedCase{gaussian: gaussian, classes: 3}
+			t.Run(fmt.Sprintf("%v/stale=%v", pc, stale), func(t *testing.T) {
+				r := rng.New(13)
+				h := NewHoldout(pc.examples(r, 4000), MetricMacroF1, 1)
+				train := pc.examples(r, 400)
+				m, ref := pc.pair().model, pc.pair().model
+				fit := func(examples []Example) {
+					for _, ex := range examples {
+						m.PartialFit(ex)
+						ref.PartialFit(ex)
+					}
+				}
+				fit(train[:200])
+				h.Quality(m)
+				if stale {
+					fit(train[200:399])
+				}
+				want := perExampleQuality(h, ref)
+				var wg sync.WaitGroup
+				got := make([]float64, 8)
+				for i := range got {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if i%2 == 0 {
+							got[i] = h.Quality(m)
+						} else {
+							got[i] = h.Evaluator(m).Quality()
+						}
+					}()
+				}
+				wg.Wait()
+				for i, q := range got {
+					if q != want {
+						t.Fatalf("caller %d got %v, want %v", i, q, want)
+					}
+				}
+			})
+		}
 	}
 }

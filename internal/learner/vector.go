@@ -143,6 +143,12 @@ func checkClass(numClasses, class int, model string) {
 // relies on it: a run trains one model, fitting each example once in the
 // order the bandit produced it, and its learning curve scores that model
 // as the example set collected so far, never by retraining.
+//
+// A model is never fitted while it is scored. The naive Bayes families may
+// be scored — PredictClass, Proba, Holdout.Quality — from several
+// goroutines at once: each refreshes its score tables under its own mutex,
+// and a pass writes nothing else of the model. RidgeClosed solves lazily
+// at its first prediction after a fit, so it is scored from one goroutine.
 type Model interface {
 	// PartialFit folds a single example into the model.
 	PartialFit(ex Example)
@@ -173,18 +179,4 @@ type Regressor interface {
 	Model
 	// Predict returns the predicted target for v.
 	Predict(v FeatureVector) float64
-}
-
-// ConcurrentPredictor marks models whose prediction methods (PredictClass,
-// Predict, Proba) are read-only and therefore safe to call from many
-// goroutines at once while training is paused. Models that refit lazily
-// at prediction time (RidgeClosed) must not implement it;
-// Holdout.QualityParallel — which every engine evaluation goes through —
-// scores them on the caller alone. The naive Bayes families qualify with
-// one proviso: their first prediction after a PartialFit or Reset
-// refreshes score tables, so that one call must complete before the
-// concurrent ones start — QualityParallel refreshes before it shares out.
-type ConcurrentPredictor interface {
-	// ConcurrentPredictable is a marker with no behavior.
-	ConcurrentPredictable()
 }
