@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	zombie-bench [-exp T2] [-exp T2,F1,D1] [-scale 1.0] [-seed 20160516]
+//	zombie-bench [-exp T2] [-exp T2,F1,C1] [-scale 1.0] [-seed 20160516]
 //	zombie-bench -exp all -scale 0.25 -parallel 8
 //	zombie-bench -cpuprofile cpu.pprof -exp T2
 //	zombie-bench -list
@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment ids, comma-separated (T1-T4, F1-F8, B1, C1, D1, S1, or 'all')")
+	exp := flag.String("exp", "all", "experiment ids, comma-separated (T1-T4, F1-F8, C1, S1, or 'all')")
 	scale := flag.Float64("scale", 1.0, "corpus scale multiplier (1.0 = 20k inputs per task)")
 	seed := flag.Int64("seed", 0, "random seed (0 = default)")
 	par := flag.Int("parallel", 1, "concurrent runs per experiment (0 = GOMAXPROCS; output is byte-identical for any value)")

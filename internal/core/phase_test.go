@@ -11,31 +11,41 @@ import (
 
 // TestPhaseBreakdownCoversRun is the telemetry contract: on a real
 // workload the six disjoint phases must explain at least 90% of the
-// run's wall time, and never more than all of it.
+// run's wall time, and never more than all of it. The run goes to
+// exhaustion over 4 000 inputs, tens of milliseconds, and the floor holds
+// for the best of three runs, so one preemption of the test process
+// cannot fail it; an untimed phase in the loop still does.
 func TestPhaseBreakdownCoversRun(t *testing.T) {
-	task, groups := wikiTask(t, 1200, 501)
-	res, err := mustEngine(t, Config{Seed: 41, MaxInputs: 300}).Run(task, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.Phases
-	for name, d := range p.Millis() {
-		if d < 0 {
-			t.Fatalf("phase %s negative: %v", name, d)
+	task, groups := wikiTask(t, 4000, 501)
+	best := 0.0
+	var bestRes *RunResult
+	for i := 0; i < 3; i++ {
+		res, err := mustEngine(t, Config{Seed: 41}).Run(task, groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Phases
+		for name, d := range p.Millis() {
+			if d < 0 {
+				t.Fatalf("phase %s negative: %v", name, d)
+			}
+		}
+		if p.Holdout <= 0 || p.Extract <= 0 || p.Train <= 0 || p.Eval <= 0 {
+			t.Fatalf("expected holdout/extract/train/eval all > 0: %+v", p)
+		}
+		if p.Accounted() > res.WallTime {
+			t.Fatalf("accounted %v exceeds wall %v", p.Accounted(), res.WallTime)
+		}
+		if p.CacheLookup != 0 {
+			t.Fatalf("cacheless run reported cache-lookup time %v", p.CacheLookup)
+		}
+		if cov := p.Coverage(res.WallTime); bestRes == nil || cov > best {
+			best, bestRes = cov, res
 		}
 	}
-	if p.Holdout <= 0 || p.Extract <= 0 || p.Train <= 0 || p.Eval <= 0 {
-		t.Fatalf("expected holdout/extract/train/eval all > 0: %+v", p)
-	}
-	if p.Accounted() > res.WallTime {
-		t.Fatalf("accounted %v exceeds wall %v", p.Accounted(), res.WallTime)
-	}
-	if cov := p.Coverage(res.WallTime); cov < 0.9 {
-		t.Fatalf("phase coverage %.3f < 0.9 (accounted %v of wall %v; %+v)",
-			cov, p.Accounted(), res.WallTime, p)
-	}
-	if p.CacheLookup != 0 {
-		t.Fatalf("cacheless run reported cache-lookup time %v", p.CacheLookup)
+	if best < 0.9 {
+		t.Fatalf("best phase coverage of 3 runs %.3f < 0.9 (accounted %v of wall %v; %+v)",
+			best, bestRes.Phases.Accounted(), bestRes.WallTime, bestRes.Phases)
 	}
 }
 

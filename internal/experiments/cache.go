@@ -10,26 +10,31 @@ import (
 	"zombie/internal/recipe"
 )
 
-// cacheRecipes is the composite wiki session C1 replays: four versions
-// of three parts each, one part edited per step — the session shape under
-// which part-level extraction caching pays, since two thirds of every
-// version's extraction work was already computed by the previous one. The
-// chain base → mid → top fixes the compiled part order.
-func cacheRecipes() []*recipe.Recipe {
-	versions := [][3]int{{2, 4, 5}, {2, 4, 6}, {3, 4, 6}, {3, 4, 8}}
-	out := make([]*recipe.Recipe, len(versions))
-	for i, v := range versions {
-		r, err := recipe.New(fmt.Sprintf("cwiki-v%d", i+1), []recipe.Part{
-			{Name: "base", Kind: "wiki", Version: v[0]},
-			{Name: "mid", Kind: "wiki", Version: v[1], Deps: []string{"base"}},
-			{Name: "top", Kind: "wiki", Version: v[2], Deps: []string{"mid"}},
-		})
-		if err != nil {
-			panic(err) // static construction cannot fail
-		}
-		out[i] = r
+// wikiChain is the three-part composite wiki recipe the C1 and S1
+// sessions edit, at the given part versions. The chain base → mid → top
+// fixes the compiled part order. The name is the composite feature's
+// name, which each run's RNG labels carry.
+func wikiChain(name string, base, mid, top int) *recipe.Recipe {
+	r, err := recipe.New(name, []recipe.Part{
+		{Name: "base", Kind: "wiki", Version: base},
+		{Name: "mid", Kind: "wiki", Version: mid, Deps: []string{"base"}},
+		{Name: "top", Kind: "wiki", Version: top, Deps: []string{"mid"}},
+	})
+	if err != nil {
+		panic(err) // static construction cannot fail
 	}
-	return out
+	return r
+}
+
+// cacheRecipes is the composite wiki session C1 replays: four versions,
+// one part edited per step — the session shape under which part-level
+// extraction caching pays, since two thirds of every version's
+// extraction work was already computed by the previous one.
+func cacheRecipes() []*recipe.Recipe {
+	return []*recipe.Recipe{
+		wikiChain("cwiki-v1", 2, 4, 5), wikiChain("cwiki-v2", 2, 4, 6),
+		wikiChain("cwiki-v3", 3, 4, 6), wikiChain("cwiki-v4", 3, 4, 8),
+	}
 }
 
 // runCacheIterations replays the composite wiki session twice through one
@@ -58,10 +63,10 @@ func runCacheIterations(cfg Config) (cold, warm []*recipe.Version, err error) {
 	// speedup. Cold and warm passes share the cadence, so determinism is
 	// unaffected.
 	engCfg.EvalEvery = 100
-	if cold, err = replaySession("cold", wl.Task, groups, engCfg, cacheRecipes()); err != nil {
+	if cold, err = replaySession("cold", wl.Task, groups, recipe.Config{Engine: engCfg}, cacheRecipes()...); err != nil {
 		return nil, nil, err
 	}
-	if warm, err = replaySession("warm", wl.Task, groups, engCfg, cacheRecipes()); err != nil {
+	if warm, err = replaySession("warm", wl.Task, groups, recipe.Config{Engine: engCfg}, cacheRecipes()...); err != nil {
 		return nil, nil, err
 	}
 	return cold, warm, nil

@@ -1,14 +1,24 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"zombie/internal/bandit"
 	"zombie/internal/core"
 	"zombie/internal/index"
 	"zombie/internal/parallel"
+)
+
+// comparePolicy is the bandit policy every experiment runs zombie with
+// unless the experiment itself varies the policy or the workload names
+// its own; compareTrials is how many seeds a median comparison repeats
+// over.
+const (
+	comparePolicy bandit.Spec = "eps-greedy:0.1"
+	compareTrials             = 3
 )
 
 // comparison is the time-to-quality contest between the random-scan
@@ -26,125 +36,109 @@ type comparison struct {
 	ZombieReached bool
 }
 
-// SpeedupInputs is how many times fewer inputs Zombie needed. Crossings
-// at input 0 (a target already met by the floor) clamp to one evaluation
-// interval so degenerate tiny-scale runs report 1x rather than dividing
-// by zero.
+// SpeedupInputs is how many times fewer inputs Zombie needed, 0 when
+// either run missed the target.
 func (c *comparison) SpeedupInputs() float64 {
 	if !c.ScanReached || !c.ZombieReached {
 		return 0
 	}
-	scan, zombie := c.ScanInputs, c.ZombieInputs
-	if scan < 1 {
-		scan = 1
-	}
-	if zombie < 1 {
-		zombie = 1
-	}
-	return float64(scan) / float64(zombie)
+	return clampedRatio(c.ScanInputs, c.ZombieInputs)
 }
 
-// SpeedupSim is the simulated-time speedup, with the same degenerate-case
-// clamping as SpeedupInputs.
+// SpeedupSim is the simulated-time speedup, 0 when either run missed the
+// target.
 func (c *comparison) SpeedupSim() float64 {
 	if !c.ScanReached || !c.ZombieReached {
 		return 0
 	}
-	scan, zombie := c.ScanSim, c.ZombieSim
-	if scan <= 0 {
-		scan = 1
-	}
-	if zombie <= 0 {
-		zombie = 1
-	}
-	return float64(scan) / float64(zombie)
+	return clampedRatio(c.ScanSim, c.ZombieSim)
 }
 
-// engineFor builds the standard experiment engine: no early stop, no
-// budget, usefulness reward unless overridden by mutate.
-func engineFor(policy bandit.Spec, seed int64, mutate func(*core.Config)) (*core.Engine, error) {
-	cfg := core.Config{Policy: policy, Seed: seed}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return core.New(cfg)
+// clampedRatio is scan/zombie with both sides clamped to at least 1:
+// crossings at input 0 (a target already met by the floor) count as one
+// unit, so degenerate tiny-scale runs report 1x rather than dividing by
+// zero.
+func clampedRatio[T int | time.Duration](scan, zombie T) float64 {
+	return float64(max(scan, 1)) / float64(max(zombie, 1))
 }
 
-// policyFor resolves the effective policy: the workload's default when
-// set, otherwise the experiment's requested spec.
-func policyFor(w *Workload, requested bandit.Spec) bandit.Spec {
-	if w.Policy != "" {
-		return w.Policy
+// vsScan renders the "inputs-to-target" and "speedup-vs-scan" cells of a
+// run that needed inputs to reach c's target. Both read "n/a" when the
+// run or the scan did not reach it.
+func (c *comparison) vsScan(inputs int, reached bool) (cell, speedup string) {
+	if !reached || !c.ScanReached || inputs <= 0 {
+		return "n/a", "n/a"
 	}
-	return requested
+	return d(inputs), spd(float64(c.ScanInputs) / float64(inputs))
 }
 
 // compareToTarget runs the random scan and Zombie to pool exhaustion and
-// locates the first curve point of each at targetFrac of the scan's final
-// quality.
-func compareToTarget(w *Workload, groups *index.Groups, policy bandit.Spec, targetFrac float64, seed int64, mutate func(*core.Config)) (*comparison, error) {
-	scan, err := runStrategy(w, groups, core.ModeScanRandom, policy, seed, mutate)
+// locates the first curve point of each at the workload's quality target
+// fraction of the scan's final quality.
+func compareToTarget(w *Workload, groups *index.Groups, seed int64) (*comparison, error) {
+	scan, err := runStrategy(w, groups, core.ModeScanRandom, comparePolicy, seed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: scan run: %w", err)
 	}
-	zombie, err := runStrategy(w, groups, core.ModeZombie, policy, seed, mutate)
+	zombie, err := runStrategy(w, groups, core.ModeZombie, comparePolicy, seed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: zombie run: %w", err)
 	}
 	// Base the target on the worse of the two finals so both runs reach
 	// it by construction; frac < 1 relaxes positive metrics (F1), frac > 1
 	// relaxes negative ones (-RMSE).
-	base := scan.FinalQuality
-	if zombie.FinalQuality < base {
-		base = zombie.FinalQuality
-	}
-	target := targetFrac * base
+	target := w.QualityTarget * min(scan.FinalQuality, zombie.FinalQuality)
 	c := &comparison{Target: target, Scan: scan, Zombie: zombie}
 	c.ScanInputs, c.ScanSim, c.ScanReached = scan.InputsToQuality(target)
 	c.ZombieInputs, c.ZombieSim, c.ZombieReached = zombie.InputsToQuality(target)
 	return c, nil
 }
 
-// compareMedian repeats compareToTarget over `trials` seeds — concurrently
-// up to workers — and returns the trial with the median input-speedup.
-// Time-to-quality crossings are noisy near flat curve regions; the median
-// trial is what the tables report. Each trial's seed is a function of its
-// index and the runs sort by speedup after all complete, so the median is
-// identical for any worker count.
-func compareMedian(w *Workload, groups *index.Groups, policy bandit.Spec, targetFrac float64, seed int64, trials, workers int, mutate func(*core.Config)) (*comparison, error) {
-	if trials < 1 {
-		trials = 1
-	}
-	runs, err := parallel.MapErr(workers, trials, func(i int) (*comparison, error) {
-		return compareToTarget(w, groups, policy, targetFrac, seed+int64(1000*i), mutate)
+// compareMedian repeats compareToTarget over compareTrials seeds and
+// returns the trial with the median input-speedup. Time-to-quality
+// crossings are noisy near flat curve regions; the median trial is what
+// the tables report.
+func compareMedian(w *Workload, groups *index.Groups, seed int64, workers int) (*comparison, error) {
+	runs, err := overTrials(workers, seed, func(seed int64) (*comparison, error) {
+		return compareToTarget(w, groups, seed)
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(runs, func(a, b int) bool { return runs[a].SpeedupInputs() < runs[b].SpeedupInputs() })
-	return runs[len(runs)/2], nil
+	return median(runs, (*comparison).SpeedupInputs), nil
 }
 
-// withWorkloadDefaults layers the workload's default reward under the
-// caller's mutation.
-func withWorkloadDefaults(w *Workload, mutate func(*core.Config)) func(*core.Config) {
-	return func(c *core.Config) {
-		c.Reward = w.Reward
-		if mutate != nil {
-			mutate(c)
-		}
-	}
+// overTrials runs trial for the compareTrials seeds seed+1000·i,
+// concurrently up to workers, and returns the results in seed order, so
+// what a caller derives from them is identical for any worker count.
+func overTrials[T any](workers int, seed int64, trial func(seed int64) (T, error)) ([]T, error) {
+	return parallel.MapErr(workers, compareTrials, func(i int) (T, error) {
+		return trial(seed + int64(1000*i))
+	})
+}
+
+// median returns the element of xs ranked in the middle by key (the
+// upper middle for an even count); ties keep their order in xs.
+func median[T any, K cmp.Ordered](xs []T, key func(T) K) T {
+	sorted := slices.Clone(xs)
+	slices.SortStableFunc(sorted, func(a, b T) int { return cmp.Compare(key(a), key(b)) })
+	return sorted[len(sorted)/2]
 }
 
 // runStrategy executes one selection strategy on a workload: the zombie
-// policies, the scans, or the oracle.
+// policies, the scans, or the oracle. The engine has no early stop and
+// no budget, runs the workload's reward, and runs the workload's policy
+// in place of the requested one when the workload names one; mutate
+// adjusts the rest.
 func runStrategy(w *Workload, groups *index.Groups, mode core.Mode, policy bandit.Spec, seed int64, mutate func(*core.Config)) (*core.RunResult, error) {
-	eng, err := engineFor(policyFor(w, policy), seed, withWorkloadDefaults(w, func(c *core.Config) {
-		c.Mode = mode
-		if mutate != nil {
-			mutate(c)
-		}
-	}))
+	if w.Policy != "" {
+		policy = w.Policy
+	}
+	cfg := core.Config{Mode: mode, Policy: policy, Seed: seed, Reward: w.Reward}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	eng, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"zombie/internal/bandit"
 	"zombie/internal/core"
@@ -33,7 +32,7 @@ func F1LearningCurves(cfg Config, w io.Writer) error {
 			return nil, err
 		}
 		return parallel.MapErr(cfg.Parallel, len(strategies), func(j int) (*trace.Series, error) {
-			res, err := runStrategy(wl, groups, strategies[j], "eps-greedy:0.1", cfg.Seed+2, nil)
+			res, err := runStrategy(wl, groups, strategies[j], comparePolicy, cfg.Seed+2, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -95,7 +94,7 @@ func F2GroupCount(cfg Config, w io.Writer) error {
 		if err != nil {
 			return nil, err
 		}
-		c, err := compareMedian(wl, groups, "eps-greedy:0.1", wl.QualityTarget, cfg.Seed+2, 3, cfg.Parallel, nil)
+		c, err := compareMedian(wl, groups, cfg.Seed+2, cfg.Parallel)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +134,7 @@ func F3Policies(cfg Config, w io.Writer) error {
 	}
 	// One shared scan reference; every policy row depends on it, so it
 	// must complete before the fan-out.
-	ref, err := compareToTarget(wl, groups, "eps-greedy:0.1", wl.QualityTarget, cfg.Seed+2, nil)
+	ref, err := compareToTarget(wl, groups, cfg.Seed+2)
 	if err != nil {
 		return err
 	}
@@ -150,13 +149,8 @@ func F3Policies(cfg Config, w io.Writer) error {
 			return nil, err
 		}
 		inputs, _, reached := res.InputsToQuality(ref.Target)
-		speedup := "n/a"
-		inputsCell := "n/a"
-		if reached && ref.ScanReached && inputs > 0 {
-			speedup = spd(float64(ref.ScanInputs) / float64(inputs))
-			inputsCell = d(inputs)
-		}
-		return []string{string(specs[i]), inputsCell, speedup, f(res.UsefulRate()), f(res.FinalQuality)}, nil
+		cell, speed := ref.vsScan(inputs, reached)
+		return []string{string(specs[i]), cell, speed, f(res.UsefulRate()), f(res.FinalQuality)}, nil
 	})
 	if err != nil {
 		return err
@@ -190,13 +184,13 @@ func F4Rewards(cfg Config, w io.Writer) error {
 		if err != nil {
 			return nil, err
 		}
-		ref, err := compareToTarget(wl, groups, "eps-greedy:0.1", wl.QualityTarget, cfg.Seed+2, nil)
+		ref, err := compareToTarget(wl, groups, cfg.Seed+2)
 		if err != nil {
 			return nil, err
 		}
 		return parallel.MapErr(cfg.Parallel, len(rewards), func(j int) ([]string, error) {
 			reward := rewards[j]
-			res, err := runStrategy(wl, groups, "zombie", "eps-greedy:0.1", cfg.Seed+2, func(c *core.Config) {
+			res, err := runStrategy(wl, groups, "zombie", comparePolicy, cfg.Seed+2, func(c *core.Config) {
 				c.Reward = reward
 				c.RewardSubsample = 40
 			})
@@ -204,11 +198,7 @@ func F4Rewards(cfg Config, w io.Writer) error {
 				return nil, err
 			}
 			inputs, _, reached := res.InputsToQuality(ref.Target)
-			cell, speed := "n/a", "n/a"
-			if reached && ref.ScanReached && inputs > 0 {
-				cell = d(inputs)
-				speed = spd(float64(ref.ScanInputs) / float64(inputs))
-			}
+			cell, speed := ref.vsScan(inputs, reached)
 			return []string{wl.Task.Name, reward.String(), cell, speed, f(res.UsefulRate())}, nil
 		})
 	})
@@ -237,7 +227,7 @@ func F5EarlyStop(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	full, err := runStrategy(wl, groups, "zombie", "eps-greedy:0.1", cfg.Seed+2, nil)
+	full, err := runStrategy(wl, groups, "zombie", comparePolicy, cfg.Seed+2, nil)
 	if err != nil {
 		return err
 	}
@@ -250,7 +240,7 @@ func F5EarlyStop(cfg Config, w io.Writer) error {
 	thresholds := []float64{0.0005, 0.001, 0.002, 0.004, 0.008}
 	rows, err := parallel.MapErr(cfg.Parallel, len(thresholds), func(i int) ([]string, error) {
 		th := thresholds[i]
-		res, err := runStrategy(wl, groups, "zombie", "eps-greedy:0.1", cfg.Seed+2, func(c *core.Config) {
+		res, err := runStrategy(wl, groups, "zombie", comparePolicy, cfg.Seed+2, func(c *core.Config) {
 			c.EarlyStop = core.EarlyStopConfig{
 				Enabled:        true,
 				Window:         8,
@@ -301,7 +291,7 @@ func F6Indexing(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ref, err := compareMedian(wl, groupsDefault, "eps-greedy:0.1", wl.QualityTarget, cfg.Seed+2, 3, cfg.Parallel, nil)
+	ref, err := compareMedian(wl, groupsDefault, cfg.Seed+2, cfg.Parallel)
 	if err != nil {
 		return err
 	}
@@ -312,37 +302,23 @@ func F6Indexing(cfg Config, w io.Writer) error {
 		if err != nil {
 			return nil, err
 		}
-		// Median of 3 trials per strategy: time-to-quality crossings are
-		// noisy near flat curve regions. The last trial's useful-rate is
-		// reported, matching the sequential loop.
-		type trial struct {
-			inputs int
-			rate   float64
-		}
-		trials, err := parallel.MapErr(cfg.Parallel, 3, func(t int) (trial, error) {
-			res, err := runStrategy(wl, groups, "zombie", "eps-greedy:0.1", cfg.Seed+2+int64(1000*t), nil)
-			if err != nil {
-				return trial{}, err
-			}
-			inputs, _, reached := res.InputsToQuality(ref.Target)
-			if !reached {
-				inputs = res.InputsProcessed // cap at the full pool
-			}
-			return trial{inputs: inputs, rate: res.UsefulRate()}, nil
+		trials, err := overTrials(cfg.Parallel, cfg.Seed+2, func(seed int64) (*core.RunResult, error) {
+			return runStrategy(wl, groups, "zombie", comparePolicy, seed, nil)
 		})
 		if err != nil {
 			return nil, err
 		}
-		inputsTrials := []int{trials[0].inputs, trials[1].inputs, trials[2].inputs}
-		rate := trials[2].rate
-		sort.Ints(inputsTrials)
-		inputs := inputsTrials[1]
-		cell, speed := "n/a", "n/a"
-		if ref.ScanReached && inputs > 0 {
-			cell = d(inputs)
-			speed = spd(float64(ref.ScanInputs) / float64(inputs))
+		// An unreached target counts the full pool.
+		toTarget := func(res *core.RunResult) int {
+			inputs, _, reached := res.InputsToQuality(ref.Target)
+			if !reached {
+				return res.InputsProcessed
+			}
+			return inputs
 		}
-		return []string{strat, cell, speed, f(rate)}, nil
+		// The last trial's useful-rate is reported, not the median's.
+		cell, speed := ref.vsScan(toTarget(median(trials, toTarget)), true)
+		return []string{strat, cell, speed, f(trials[len(trials)-1].UsefulRate())}, nil
 	})
 	if err != nil {
 		return err
@@ -371,7 +347,7 @@ func F7Nonstationary(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ref, err := compareToTarget(wl, groups, "eps-greedy:0.1", wl.QualityTarget, cfg.Seed+2, nil)
+	ref, err := compareToTarget(wl, groups, cfg.Seed+2)
 	if err != nil {
 		return err
 	}
@@ -405,11 +381,7 @@ func F7Nonstationary(cfg Config, w io.Writer) error {
 			return nil, err
 		}
 		inputs, _, reached := res.InputsToQuality(ref.Target)
-		cell, speed := "n/a", "n/a"
-		if reached && ref.ScanReached && inputs > 0 {
-			cell = d(inputs)
-			speed = spd(float64(ref.ScanInputs) / float64(inputs))
-		}
+		cell, speed := ref.vsScan(inputs, reached)
 		return []string{v.name, cell, speed, f(res.UsefulRate()), f(res.FinalQuality)}, nil
 	})
 	if err != nil {

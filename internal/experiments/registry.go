@@ -33,9 +33,7 @@ var registry = map[string]struct {
 	Title string
 	Run   Runner
 }{
-	"B1": {"Batched bandit steps (throughput vs batch size)", B1BatchSweep},
 	"C1": {"Extraction-cache warm-iteration speedup", C1CacheWarm},
-	"D1": {"Distributed shard-count invariance", D1ShardInvariance},
 	"T1": {"Dataset statistics", T1DatasetStats},
 	"T2": {"Headline speedup (time to 95% quality)", T2Headline},
 	"T3": {"End-to-end engineering session", T3Session},

@@ -32,7 +32,7 @@ func F8Scaling(cfg Config, w io.Writer) error {
 		if err != nil {
 			return nil, err
 		}
-		c, err := compareMedian(wl, groups, "eps-greedy:0.1", wl.QualityTarget, cfg.Seed+2, 3, cfg.Parallel, nil)
+		c, err := compareMedian(wl, groups, cfg.Seed+2, cfg.Parallel)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"zombie/internal/core"
@@ -36,15 +37,6 @@ func T1DatasetStats(cfg Config, w io.Writer) error {
 			return nil, err
 		}
 		sizes := groups.Sizes()
-		min, max := sizes[0], sizes[0]
-		for _, s := range sizes {
-			if s < min {
-				min = s
-			}
-			if s > max {
-				max = s
-			}
-		}
 		return []string{
 			wl.Task.Name,
 			d(st.Inputs),
@@ -53,8 +45,8 @@ func T1DatasetStats(cfg Config, w io.Writer) error {
 			fmt.Sprintf("%.1f%%", 100*useful),
 			fmt.Sprintf("%.0f", st.MeanBytes),
 			d(wl.DefaultK),
-			d(min),
-			d(max),
+			d(slices.Min(sizes)),
+			d(slices.Max(sizes)),
 		}, nil
 	})
 	if err != nil {
@@ -110,7 +102,7 @@ func T2Headline(cfg Config, w io.Writer) error {
 		if err != nil {
 			return nil, err
 		}
-		c, err := compareMedian(wl, groups, "eps-greedy:0.1", wl.QualityTarget, cfg.Seed+2, 3, cfg.Parallel, nil)
+		c, err := compareMedian(wl, groups, cfg.Seed+2, cfg.Parallel)
 		if err != nil {
 			return nil, err
 		}
@@ -141,37 +133,12 @@ func T2Headline(cfg Config, w io.Writer) error {
 }
 
 // T3Session reproduces the end-to-end engineering session table (paper:
-// total engineer wait cut from 8 hours to 5). Eight wiki feature-code
-// versions are evaluated in sequence under the status-quo full random scan
-// and under Zombie with early stopping.
+// total engineer wait cut from 8 hours to 5).
 func T3Session(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	wl, err := WikiWorkload(cfg)
+	zombie, scan, groups, err := t3Sessions(cfg)
 	if err != nil {
 		return err
 	}
-	groups, err := wl.Groups(wl.DefaultK, cfg.Seed+1)
-	if err != nil {
-		return err
-	}
-	engCfg := sessionConfig(cfg.Seed + 2)
-	// The status-quo engineer scans the whole corpus every version: a
-	// random scan with no early stop, handed the same groups it ignores.
-	scanCfg := engCfg
-	scanCfg.Mode = core.ModeScanRandom
-	scanCfg.EarlyStop.Enabled = false
-	// The two sessions are independent (each run derives its own RNG
-	// substreams), so they can race.
-	arms, err := parallel.MapErr(cfg.Parallel, 2, func(i int) ([]*recipe.Version, error) {
-		if i == 0 {
-			return replaySession("zombie", wl.Task, groups, engCfg, recipe.WikiVersions())
-		}
-		return replaySession("scan", wl.Task, groups, scanCfg, recipe.WikiVersions())
-	})
-	if err != nil {
-		return err
-	}
-	zombie, scan := arms[0], arms[1]
 	table := &Table{
 		ID:     "T3",
 		Title:  "End-to-end engineering session (8 feature versions, wiki task)",
@@ -203,19 +170,51 @@ func T3Session(cfg Config, w io.Writer) error {
 	return table.Fprint(w)
 }
 
+// t3Sessions evaluates the eight wiki feature-code versions in sequence
+// under Zombie with early stopping and under the status-quo full random
+// scan, and returns both sessions and the index they ran over.
+func t3Sessions(cfg Config) (zombie, scan []*recipe.Version, groups *index.Groups, err error) {
+	cfg = cfg.withDefaults()
+	wl, err := WikiWorkload(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if groups, err = wl.Groups(wl.DefaultK, cfg.Seed+1); err != nil {
+		return nil, nil, nil, err
+	}
+	engCfg := sessionConfig(cfg.Seed + 2)
+	// The status-quo engineer scans the whole corpus every version: a
+	// random scan with no early stop, handed the same groups it ignores.
+	scanCfg := engCfg
+	scanCfg.Mode = core.ModeScanRandom
+	scanCfg.EarlyStop.Enabled = false
+	// The two sessions are independent (each run derives its own RNG
+	// substreams), so they can race.
+	arms, err := parallel.MapErr(cfg.Parallel, 2, func(i int) ([]*recipe.Version, error) {
+		if i == 0 {
+			return replaySession("zombie", wl.Task, groups, recipe.Config{Engine: engCfg}, recipe.WikiVersions()...)
+		}
+		return replaySession("scan", wl.Task, groups, recipe.Config{Engine: scanCfg}, recipe.WikiVersions()...)
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return arms[0], arms[1], groups, nil
+}
+
 // sessionConfig is the engine T3 and C1 replay their zombie versions
 // with: eps-greedy(0.1) and plateau early stopping.
 func sessionConfig(seed int64) core.Config {
-	return core.Config{Policy: "eps-greedy:0.1", Seed: seed, EarlyStop: core.EarlyStopConfig{
+	return core.Config{Policy: comparePolicy, Seed: seed, EarlyStop: core.EarlyStopConfig{
 		Enabled: true, Window: 8, SlopeThreshold: 0.002, Patience: 2, MinInputs: 400,
 	}}
 }
 
-// replaySession submits the recipes in order to a fresh session with
-// warm-starting off (Decay 0), so every version runs exactly as a cold
-// run would, and returns the versions.
-func replaySession(name string, task *featurepipe.Task, groups *index.Groups, engCfg core.Config, recipes []*recipe.Recipe) ([]*recipe.Version, error) {
-	s, err := recipe.NewSession(name, task, groups, recipe.Config{Engine: engCfg})
+// replaySession submits the recipes in order to a fresh session and
+// returns the versions. At cfg.Decay 0 warm-starting is off, so every
+// version runs exactly as a cold run would.
+func replaySession(name string, task *featurepipe.Task, groups *index.Groups, cfg recipe.Config, recipes ...*recipe.Recipe) ([]*recipe.Version, error) {
+	s, err := recipe.NewSession(name, task, groups, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +252,7 @@ func T4IndexCost(cfg Config, w io.Writer) error {
 		// the task's per-input feature cost (index features avoid the
 		// expensive path by construction).
 		simIndex := time.Duration(float64(wl.Task.Cost.PerInput) * 0.02 * float64(wl.Store.Len()))
-		c, err := compareToTarget(wl, groups, "eps-greedy:0.1", wl.QualityTarget, cfg.Seed+2, nil)
+		c, err := compareToTarget(wl, groups, cfg.Seed+2)
 		if err != nil {
 			return nil, err
 		}
@@ -262,13 +261,9 @@ func T4IndexCost(cfg Config, w io.Writer) error {
 				simIndex.Round(time.Second).String(), "n/a", "n/a"}, nil
 		}
 		savings := c.ScanSim - c.ZombieSim
-		breakEven := "immediate"
-		if savings <= 0 {
-			breakEven = "never"
-		} else if simIndex > savings {
-			breakEven = d(int((simIndex+savings-1)/savings) + 0) // ceil
-		} else {
-			breakEven = "1"
+		breakEven := "never"
+		if savings > 0 {
+			breakEven = d(max(1, int((simIndex+savings-1)/savings))) // ceil, at least one run
 		}
 		return []string{
 			wl.Task.Name,

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"zombie/internal/core"
 	"zombie/internal/featcache"
@@ -46,8 +44,6 @@ func (t warmstartTrial) saved() int { return t.coldTo - t.warmTo }
 type sessionWarmstartOutcome struct {
 	trials     []warmstartTrial
 	totalSaved int
-	medianCold int
-	medianWarm int
 }
 
 // degenerate reports whether the comparison carries no signal: every
@@ -62,95 +58,21 @@ func (o *sessionWarmstartOutcome) degenerate() bool {
 	return true
 }
 
-// runSessionWarmstart runs the warm-vs-cold comparison: recipe v1 (three
-// wiki parts), then v2 with one part edited, once in a decay-0 session
-// (v2 restarts cold) and once in a decay-0.5 session (v2's bandit is
-// seeded from v1's arm statistics) — repeated over independent corpus
-// draws. Each trial opens its own extraction cache: generated corpora
-// reuse input IDs ("wiki-0001" exists in every draw), so a shared cache
-// would serve one corpus's extractions for another's inputs. Within a
-// trial both paths share the trial's cache, so the comparison isolates
-// the bandit warm start.
+// runSessionWarmstart runs the warm-vs-cold comparison over
+// sessionWarmstartTrials independent corpus draws (see runWarmstartTrial).
 func runSessionWarmstart(cfg Config) (*sessionWarmstartOutcome, error) {
 	cfg = cfg.withDefaults()
 	out := &sessionWarmstartOutcome{}
 	for i := 0; i < sessionWarmstartTrials; i++ {
 		trialCfg := cfg
 		trialCfg.Seed = cfg.Seed + int64(i)*7919 // distinct corpus per trial
-		trial := warmstartTrial{corpusSeed: trialCfg.Seed}
-		wl, err := WikiWorkload(trialCfg)
+		trial, err := runWarmstartTrial(trialCfg)
 		if err != nil {
 			return nil, err
 		}
-		groups, err := wl.Groups(wl.DefaultK, trialCfg.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		v1, err := recipe.New("s1", []recipe.Part{
-			{Name: "base", Kind: "wiki", Version: 2},
-			{Name: "mid", Kind: "wiki", Version: 4, Deps: []string{"base"}},
-			{Name: "top", Kind: "wiki", Version: 5, Deps: []string{"mid"}},
-		})
-		if err != nil {
-			return nil, err
-		}
-		edited := append([]recipe.Part(nil), v1.Parts()...)
-		for j := range edited {
-			if edited[j].Name == "top" {
-				edited[j].Version = 6
-			}
-		}
-		v2, err := recipe.New("s1", edited)
-		if err != nil {
-			return nil, err
-		}
-		cache, err := featcache.Open(featcache.Config{}, featurepipe.ResultCodec{})
-		if err != nil {
-			return nil, err
-		}
-		for _, decay := range []float64{0, sessionWarmstartDecay} {
-			engCfg := core.Config{
-				Policy:    "thompson",
-				Seed:      trialCfg.Seed + 2,
-				MaxInputs: trialCfg.n(3000),
-				EvalEvery: 25,
-				Cache:     cache,
-			}
-			s, err := recipe.NewSession("s1", wl.Task, groups, recipe.Config{Engine: engCfg, Decay: decay})
-			if err != nil {
-				cache.Close()
-				return nil, err
-			}
-			r1, err := s.Submit(context.Background(), v1)
-			if err != nil {
-				cache.Close()
-				return nil, err
-			}
-			r2, err := s.Submit(context.Background(), v2)
-			if err != nil {
-				cache.Close()
-				return nil, err
-			}
-			target := wl.QualityTarget * r1.Run.FinalQuality
-			to, _, reached := r2.Run.InputsToQuality(target)
-			if !reached {
-				to = r2.Run.InputsProcessed + 1 // rank unreached below any crossing
-			}
-			if decay == 0 {
-				trial.v1Quality = r1.Run.FinalQuality
-				trial.target = target
-				trial.coldTo, trial.coldReached = to, reached
-			} else {
-				trial.warmTo, trial.warmReached = to, reached
-				trial.seededPulls = r2.WarmStart.SeededPulls
-			}
-		}
-		cache.Close()
 		out.trials = append(out.trials, trial)
 		out.totalSaved += trial.saved()
 	}
-	out.medianCold = medianInt(out.trials, func(t warmstartTrial) int { return t.coldTo })
-	out.medianWarm = medianInt(out.trials, func(t warmstartTrial) int { return t.warmTo })
 	// The acceptance claim: across independent corpus draws, warm-started
 	// edits re-reach the previous version's plateau quality in fewer total
 	// inputs than cold restarts. This is asserted, not just reported — a
@@ -166,14 +88,51 @@ func runSessionWarmstart(cfg Config) (*sessionWarmstartOutcome, error) {
 	return out, nil
 }
 
-// medianInt returns the median of pick over the trials.
-func medianInt(trials []warmstartTrial, pick func(warmstartTrial) int) int {
-	vals := make([]int, len(trials))
-	for i, t := range trials {
-		vals[i] = pick(t)
+// runWarmstartTrial is one corpus draw: recipe v1 (three wiki parts),
+// then v2 with one part edited, once in a decay-0 session (v2 restarts
+// cold) and once in a decay-0.5 session (v2's bandit is seeded from v1's
+// arm statistics). The trial opens its own extraction cache: generated
+// corpora reuse input IDs ("wiki-0001" exists in every draw), so a cache
+// shared across trials would serve one corpus's extractions for
+// another's inputs. Both paths share the trial's cache, so the
+// comparison isolates the bandit warm start.
+func runWarmstartTrial(cfg Config) (warmstartTrial, error) {
+	trial := warmstartTrial{corpusSeed: cfg.Seed}
+	wl, err := WikiWorkload(cfg)
+	if err != nil {
+		return trial, err
 	}
-	sort.Ints(vals)
-	return vals[len(vals)/2]
+	groups, err := wl.Groups(wl.DefaultK, cfg.Seed+1)
+	if err != nil {
+		return trial, err
+	}
+	cache, err := featcache.Open(featcache.Config{}, featurepipe.ResultCodec{})
+	if err != nil {
+		return trial, err
+	}
+	defer cache.Close()
+	engCfg := core.Config{Policy: "thompson", Seed: cfg.Seed + 2, MaxInputs: cfg.n(3000), EvalEvery: 25, Cache: cache}
+	v1, v2 := wikiChain("s1", 2, 4, 5), wikiChain("s1", 2, 4, 6)
+	for _, decay := range []float64{0, sessionWarmstartDecay} {
+		vs, err := replaySession("s1", wl.Task, groups, recipe.Config{Engine: engCfg, Decay: decay}, v1, v2)
+		if err != nil {
+			return trial, err
+		}
+		target := wl.QualityTarget * vs[0].Run.FinalQuality
+		to, _, reached := vs[1].Run.InputsToQuality(target)
+		if !reached {
+			to = vs[1].Run.InputsProcessed + 1 // rank unreached below any crossing
+		}
+		if decay == 0 {
+			trial.v1Quality = vs[0].Run.FinalQuality
+			trial.target = target
+			trial.coldTo, trial.coldReached = to, reached
+		} else {
+			trial.warmTo, trial.warmReached = to, reached
+			trial.seededPulls = vs[1].WarmStart.SeededPulls
+		}
+	}
+	return trial, nil
 }
 
 // S1SessionWarmstart reproduces the session workspace's core claim (an
@@ -210,7 +169,9 @@ func S1SessionWarmstart(cfg Config, w io.Writer) error {
 	}
 	table.Notes = append(table.Notes,
 		verdict,
-		fmt.Sprintf("median inputs to re-reach v1 plateau: cold %d, warm %d", out.medianCold, out.medianWarm),
+		fmt.Sprintf("median inputs to re-reach v1 plateau: cold %d, warm %d",
+			median(out.trials, func(t warmstartTrial) int { return t.coldTo }).coldTo,
+			median(out.trials, func(t warmstartTrial) int { return t.warmTo }).warmTo),
 		"each trial draws its own corpus and extraction cache; within a trial both paths share the cache, isolating the bandit warm start",
 	)
 	return table.Fprint(w)
