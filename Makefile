@@ -33,7 +33,7 @@ STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 COVER_PKGS := ./internal/core ./internal/featcache ./internal/fault ./internal/runstore ./internal/learner
 COVER_FLOOR := 70
 
-.PHONY: all build bin test race vet fmt-check lint loc cover bench-smoke fuzz-smoke bench-selftest ci
+.PHONY: all build bin test race vet fmt-check lint loc cover cpu-matrix bench-smoke fuzz-smoke bench-selftest ci
 
 all: build
 
@@ -100,6 +100,13 @@ cover:
 		fi; \
 	done; exit $$fail
 
+# cpu-matrix runs the packages that share cores through the idle-core
+# budget (parallel.Hold/Share) at GOMAXPROCS 1 and 4: a caller that
+# borrows a helper it should not have, or a test that only passes with
+# several cores, shows only at 1, which a multi-core runner never sets.
+cpu-matrix:
+	$(GO) test -count=1 -cpu 1,4 ./internal/parallel ./internal/index ./internal/featurepipe
+
 # bench-smoke runs every benchmark exactly once — not for timing, but to
 # catch benchmarks that rot (compile errors, panics, fixture drift).
 bench-smoke:
@@ -130,4 +137,4 @@ fuzz-smoke:
 bench-selftest:
 	$(GO) test -C benchmark ./...
 
-ci: fmt-check vet lint build race cover bench-smoke fuzz-smoke bench-selftest
+ci: fmt-check vet lint build race cover cpu-matrix bench-smoke fuzz-smoke bench-selftest

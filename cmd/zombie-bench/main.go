@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"zombie/internal/experiments"
-	"zombie/internal/parallel"
 )
 
 func main() {
@@ -58,7 +57,10 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Parallel: parallel.Workers(*par)}
+	if *par <= 0 {
+		*par = runtime.GOMAXPROCS(0)
+	}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Parallel: *par}
 	if err := run(cfg, *exp); err != nil {
 		fatal(err)
 	}

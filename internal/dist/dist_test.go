@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"zombie/internal/core"
 	"zombie/internal/corpus"
 	"zombie/internal/featurepipe"
 	"zombie/internal/index"
+	"zombie/internal/parallel"
 	"zombie/internal/rng"
 	"zombie/internal/workload"
 )
@@ -202,5 +206,67 @@ func TestCorpusMismatchRejected(t *testing.T) {
 		Spec{RunID: "t-mismatch", Task: "wiki", Seed: seed, Shards: 2}, task, groups)
 	if err == nil {
 		t.Fatal("corpus size mismatch accepted")
+	}
+}
+
+// peakStore records the most Get calls that ever overlapped. Each call
+// sleeps, so a helper goroutine, if the budget lent one, would overlap
+// the caller even on one core.
+type peakStore struct {
+	corpus.Store
+	now, peak atomic.Int64
+}
+
+func (s *peakStore) Get(i int) *corpus.Input {
+	n := s.now.Add(1)
+	defer s.now.Add(-1)
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+	}
+	time.Sleep(50 * time.Microsecond)
+	return s.Store.Get(i)
+}
+
+// TestWorkerHoldoutBorrowsOnlyIdleCores: a worker's holdout extraction
+// holds a budget slot, so it reads on the calling goroutine alone at
+// GOMAXPROCS 1 and when every core is held, and on at most GOMAXPROCS
+// goroutines — more than one — on an idle process, with the same items
+// every time.
+func TestWorkerHoldoutBorrowsOnlyIdleCores(t *testing.T) {
+	base, _, _ := testSetup(t, 1500, 5)
+	store := &peakStore{Store: base}
+	w := NewWorker(func(string) (corpus.Store, error) { return store, nil }, nil, nil)
+	if _, err := w.Init(InitRequest{RunID: "r", Corpus: "c", Task: "wiki", Seed: 5, Shard: 0, Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	holdout := func(procs, held int) ([]HoldoutItem, int64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		for ; held > 0; held-- {
+			defer parallel.Hold()()
+		}
+		store.peak.Store(0)
+		resp, err := w.Holdout(HoldoutRequest{RunID: "r"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Items, store.peak.Load()
+	}
+	want, peak := holdout(1, 0)
+	if len(want) <= 64 {
+		t.Fatalf("%d owned holdout inputs fill one chunk: nothing to share", len(want))
+	}
+	if peak != 1 {
+		t.Errorf("GOMAXPROCS 1: %d concurrent reads, want 1", peak)
+	}
+	for _, c := range []struct{ procs, held int }{{4, 4}, {4, 0}} {
+		got, peak := holdout(c.procs, c.held)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS %d with %d slots held: items differ from GOMAXPROCS 1", c.procs, c.held)
+		}
+		switch {
+		case c.held == c.procs && peak != 1:
+			t.Errorf("GOMAXPROCS %d, every core held: %d concurrent reads, want 1", c.procs, peak)
+		case c.held == 0 && (peak < 2 || peak > int64(c.procs)):
+			t.Errorf("GOMAXPROCS %d on an idle process: %d concurrent reads, want 2..%d", c.procs, peak, c.procs)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"zombie/internal/featcache"
 	"zombie/internal/obs"
 	"zombie/internal/otrace"
+	"zombie/internal/parallel"
 	"zombie/internal/rng"
 	"zombie/internal/workload"
 )
@@ -161,7 +162,8 @@ func (w *Worker) run(id string) (*workerRun, error) {
 // Holdout extracts the holdout inputs the run's shard owns, in ascending
 // global index order, through the run's wrapped task — cache and fault
 // behavior identical to a single-process holdout build over the same
-// inputs.
+// inputs, and the same loop (featurepipe's ExtractHoldout) under a held
+// budget slot, so it borrows only cores no run on this process is using.
 func (w *Worker) Holdout(req HoldoutRequest) (HoldoutResponse, error) {
 	run, err := w.run(req.RunID)
 	if err != nil {
@@ -181,16 +183,12 @@ func (w *Worker) Holdout(req HoldoutRequest) (HoldoutResponse, error) {
 		}
 	}
 	sort.Ints(owned)
-	var resp HoldoutResponse
-	for _, idx := range owned {
-		res, id, err := task.ExtractHoldout(idx)
-		item := HoldoutItem{Idx: idx, InputID: id}
-		if err != nil {
-			item.Skip = err.Error()
-		} else {
-			item.Result = res
-		}
-		resp.Items = append(resp.Items, item)
+	release := parallel.Hold()
+	results, outcomes := task.ExtractHoldout(owned)
+	release()
+	resp := HoldoutResponse{Items: make([]HoldoutItem, len(owned))}
+	for i, idx := range owned {
+		resp.Items[i] = HoldoutItem{Idx: idx, InputID: outcomes[i].InputID, Skip: outcomes[i].Reason, Result: results[i]}
 	}
 	if tr != nil {
 		ref.End(otrace.Int("items", int64(len(resp.Items))),

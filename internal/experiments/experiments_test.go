@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -22,7 +21,7 @@ var tiny = Config{Scale: 0.01, Seed: 99}
 
 // TestExperimentsGolden pins everything the harness prints: RunAll at
 // the tiny scale, sequential and with eight workers, against
-// testdata/all_tiny.golden. The two measured wall-clock cells are masked
+// testdata/all_tiny.golden. The measured wall-clock cells are masked
 // first (see maskWallClock). After an intended change to the output,
 // regenerate with `go test ./internal/experiments -run ExperimentsGolden
 // -update` and read the diff.
@@ -54,14 +53,10 @@ func TestExperimentsGolden(t *testing.T) {
 	}
 }
 
-// t3IndexWall matches the measured index build time in T3's
-// zombie-session note.
-var t3IndexWall = regexp.MustCompile(`\(index [^ ]+ \+`)
-
-// maskWallClock replaces the measured wall-clock cells of RunAll's
-// output with "<wall>": T4's index-wall column and the index term of
-// T3's zombie-session note. T4's data rows are re-joined with single
-// spaces, so the masked cell's width cannot shift the columns after it.
+// maskWallClock replaces the one measured wall-clock cell of RunAll's
+// output, T4's index-wall column, with "<wall>". T4's data rows are
+// re-joined with single spaces, so the masked cell's width cannot shift
+// the columns after it.
 func maskWallClock(out string) string {
 	lines := strings.Split(out, "\n")
 	inT4 := false
@@ -77,7 +72,7 @@ func maskWallClock(out string) string {
 			lines[i] = strings.Join(fields, " ")
 		}
 	}
-	return t3IndexWall.ReplaceAllString(strings.Join(lines, "\n"), "(index <wall> +")
+	return strings.Join(lines, "\n")
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -208,7 +203,7 @@ func TestBuildNamedGroupsAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strat := range []string{"default", "kmeans-text", "kmeans-tfidf", "attribute:category", "hash", "random", "oracle"} {
-		g, err := buildNamedGroups(wl, strat, 6, 7, 1)
+		g, err := buildNamedGroups(wl, strat, 6, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -216,18 +211,18 @@ func TestBuildNamedGroupsAll(t *testing.T) {
 			t.Fatalf("%s: %v", strat, err)
 		}
 	}
-	if _, err := buildNamedGroups(wl, "bogus", 6, 7, 1); err == nil {
+	if _, err := buildNamedGroups(wl, "bogus", 6, 7); err == nil {
 		t.Fatal("unknown strategy should fail")
 	}
 	// kmeans-numeric over a text corpus fails.
-	if _, err := buildNamedGroups(wl, "kmeans-numeric", 6, 7, 1); err == nil {
+	if _, err := buildNamedGroups(wl, "kmeans-numeric", 6, 7); err == nil {
 		t.Fatal("kmeans-numeric over text should fail")
 	}
 	img, err := ImageWorkload(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := buildNamedGroups(img, "kmeans-numeric", 6, 7, 1); err != nil {
+	if _, err := buildNamedGroups(img, "kmeans-numeric", 6, 7); err != nil {
 		t.Fatalf("kmeans-numeric over images: %v", err)
 	}
 }
@@ -302,7 +297,7 @@ func goldenBlock(golden, id string) string {
 // 1.00x): every zombie version stops early, on fewer inputs than the
 // scan's, and the zombie session's engineer wait is below the scan's.
 func TestT3SessionShapes(t *testing.T) {
-	zombie, scan, groups, err := t3Sessions(Config{Scale: 0.1, Seed: 99})
+	zombie, scan, indexCost, err := t3Sessions(Config{Scale: 0.1, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +308,7 @@ func TestT3SessionShapes(t *testing.T) {
 				zombie[i].Recipe.Name(), z.Stop, z.InputsProcessed, s.InputsProcessed)
 		}
 	}
-	zombieWait := recipe.EngineerWait(groups.BuildTime, zombie).Total()
+	zombieWait := recipe.EngineerWait(indexCost, zombie).Total()
 	if scanWait := recipe.EngineerWait(0, scan).Total(); zombieWait >= scanWait {
 		t.Fatalf("zombie session waited %s, scan session %s", zombieWait, scanWait)
 	}

@@ -298,7 +298,7 @@ func F6Indexing(cfg Config, w io.Writer) error {
 	strats := []string{"kmeans-text", "kmeans-tfidf", "lsh-text", "attribute:category", "hash", "random", "oracle"}
 	rows, err := parallel.MapErr(cfg.Parallel, len(strats), func(i int) ([]string, error) {
 		strat := strats[i]
-		groups, err := buildNamedGroups(wl, strat, wl.DefaultK, cfg.Seed+1, cfg.Parallel)
+		groups, err := buildNamedGroups(wl, strat, wl.DefaultK, cfg.Seed+1)
 		if err != nil {
 			return nil, err
 		}
@@ -316,9 +316,9 @@ func F6Indexing(cfg Config, w io.Writer) error {
 			}
 			return inputs
 		}
-		// The last trial's useful-rate is reported, not the median's.
-		cell, speed := ref.vsScan(toTarget(median(trials, toTarget)), true)
-		return []string{strat, cell, speed, f(trials[len(trials)-1].UsefulRate())}, nil
+		mid := median(trials, toTarget)
+		cell, speed := ref.vsScan(toTarget(mid), true)
+		return []string{strat, cell, speed, f(mid.UsefulRate())}, nil
 	})
 	if err != nil {
 		return err

@@ -13,13 +13,12 @@ import (
 
 // buildNamedGroups builds groups for a workload with a named strategy
 // (see index.NamedGrouper); used by the indexing ablation. "default" uses
-// the workload's grouper. workers bounds the goroutines the k-means and
-// tf-idf builds may use; the built groups are identical for any count.
-func buildNamedGroups(wl *Workload, strategy string, k int, seed int64, workers int) (*index.Groups, error) {
+// the workload's grouper.
+func buildNamedGroups(wl *Workload, strategy string, k int, seed int64) (*index.Groups, error) {
 	if strategy == "default" {
 		return wl.Groups(k, seed)
 	}
-	g, err := index.NamedGrouper(wl.Store, strategy, index.KMeansConfig{MaxIter: 25, Workers: workers})
+	g, err := index.NamedGrouper(wl.Store, strategy, index.KMeansConfig{MaxIter: 25})
 	if err != nil {
 		return nil, err
 	}

@@ -304,23 +304,24 @@ func (s unreadableStore) Get(i int) *corpus.Input {
 
 // TestExtractHoldoutInputID: the id is the input's own when the read
 // succeeded — whether extraction then produced, failed or panicked — and
-// "#<idx>" only when the read itself failed.
+// "#<idx>" only when the read itself failed; outcomes come back in the
+// order of the indices asked for.
 func TestExtractHoldoutInputID(t *testing.T) {
 	task := newTestTask(t, 300, 108)
 	ok, bad := task.HoldoutIdx[0], task.HoldoutIdx[1]
 	want := task.Store.Get(ok).ID
 	task.Store = unreadableStore{Store: task.Store, bad: bad}
 
-	if _, id, err := task.ExtractHoldout(ok); err != nil || id != want {
-		t.Fatalf("clean extract: id %q err %v, want id %q", id, err, want)
+	res, outs := task.ExtractHoldout([]int{bad, ok})
+	if outs[1].Reason != "" || outs[1].InputID != want {
+		t.Fatalf("clean extract: %+v, want id %q and no reason", outs[1], want)
 	}
-	res, id, err := task.ExtractHoldout(bad)
-	if err == nil || res.Produced || id != fmt.Sprintf("#%d", bad) {
-		t.Fatalf("failed read: id %q err %v produced %v, want id #%d and an error", id, err, res.Produced, bad)
+	if outs[0].Reason == "" || res[0].Produced || outs[0].InputID != fmt.Sprintf("#%d", bad) {
+		t.Fatalf("failed read: %+v produced %v, want id #%d and a reason", outs[0], res[0].Produced, bad)
 	}
 	task.Feature = &FaultyFeature{Inner: task.Feature, PanicPct: 100}
-	if _, id, err := task.ExtractHoldout(ok); err == nil || id != want {
-		t.Fatalf("panicking extract: id %q err %v, want id %q and an error", id, err, want)
+	if _, outs := task.ExtractHoldout([]int{ok}); outs[0].Reason == "" || outs[0].InputID != want {
+		t.Fatalf("panicking extract: %+v, want id %q and a reason", outs[0], want)
 	}
 }
 

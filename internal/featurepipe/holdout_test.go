@@ -8,6 +8,7 @@ import (
 
 	"zombie/internal/corpus"
 	"zombie/internal/learner"
+	"zombie/internal/parallel"
 	"zombie/internal/rng"
 )
 
@@ -17,9 +18,9 @@ func sequentialHoldout(t *Task) ([]learner.Example, []HoldoutSkip) {
 	var examples []learner.Example
 	var skips []HoldoutSkip
 	for _, idx := range t.HoldoutIdx {
-		res, id, err := t.ExtractHoldout(idx)
-		if err != nil {
-			skips = append(skips, HoldoutSkip{InputID: id, Reason: err.Error()})
+		res, out := t.extractOne(idx)
+		if out.Reason != "" {
+			skips = append(skips, out)
 			continue
 		}
 		if res.Produced {
@@ -87,7 +88,9 @@ func TestSharedHoldoutBuildMatchesSequential(t *testing.T) {
 						}
 						label := kind.name + "/" + storeName + "/" + faultName + "/" + state
 						prev := runtime.GOMAXPROCS(procs)
+						release := parallel.Hold() // as the engine's run does
 						h, skips, err := build.BuildHoldoutTolerant()
+						release()
 						runtime.GOMAXPROCS(prev)
 						if err != nil {
 							t.Fatalf("%s at GOMAXPROCS %d: %v", label, procs, err)

@@ -124,7 +124,8 @@ func splitIndices(store corpus.Store, frac float64, stratify bool, r *rng.RNG) (
 const holdoutChunkSize = 64
 
 // HoldoutSkip records one holdout input dropped by the tolerant build:
-// which input, and why its extraction failed.
+// which input, and why its extraction failed. ExtractHoldout returns one
+// per input, with an empty Reason for each input that did not fail.
 type HoldoutSkip struct {
 	InputID string
 	Reason  string
@@ -139,30 +140,19 @@ type HoldoutSkip struct {
 // corrupt records cannot deny quality measurement for the whole run. The
 // skips are returned — never swallowed — because the caller (the engine)
 // must surface them as quarantined inputs. Building still fails when no
-// example survives: a holdout of zero examples measures nothing. Chunks
-// of HoldoutIdx are extracted on any idle cores (parallel.ShareChunks) and
-// concatenated in chunk order, so the result is in HoldoutIdx order.
+// example survives: a holdout of zero examples measures nothing. The
+// extraction is ExtractHoldout over HoldoutIdx, so examples and skips
+// come in HoldoutIdx order.
 func (t *Task) BuildHoldoutTolerant() (*learner.Holdout, []HoldoutSkip, error) {
-	type chunk struct {
-		examples []learner.Example
-		skips    []HoldoutSkip
-	}
-	chunks := parallel.ShareChunks(len(t.HoldoutIdx), holdoutChunkSize, func(lo, hi int) (c chunk) {
-		for _, idx := range t.HoldoutIdx[lo:hi] {
-			res, id, err := t.ExtractHoldout(idx)
-			if err != nil {
-				c.skips = append(c.skips, HoldoutSkip{InputID: id, Reason: err.Error()})
-			} else if res.Produced {
-				c.examples = append(c.examples, res.Example)
-			}
-		}
-		return c
-	})
+	results, outcomes := t.ExtractHoldout(t.HoldoutIdx)
 	examples := make([]learner.Example, 0, len(t.HoldoutIdx))
 	var skips []HoldoutSkip
-	for _, c := range chunks {
-		examples = append(examples, c.examples...)
-		skips = append(skips, c.skips...)
+	for i, res := range results {
+		if outcomes[i].Reason != "" {
+			skips = append(skips, outcomes[i])
+		} else if res.Produced {
+			examples = append(examples, res.Example)
+		}
 	}
 	if len(examples) == 0 {
 		return nil, skips, fmt.Errorf("featurepipe: task %s: holdout produced no examples (%d of %d inputs skipped)",
@@ -171,25 +161,48 @@ func (t *Task) BuildHoldoutTolerant() (*learner.Holdout, []HoldoutSkip, error) {
 	return learner.NewHoldout(examples, t.Metric, t.Positive), skips, nil
 }
 
-// ExtractHoldout reads and extracts the holdout input at store index idx,
-// with panic isolation around both the read and the feature code: the
-// unit BuildHoldoutTolerant is made of, exported so a distributed worker
-// can extract the holdout inputs it owns. The input ID is best-effort:
-// "#<idx>" when the read itself failed.
-func (t *Task) ExtractHoldout(idx int) (res Result, id string, err error) {
+// ExtractHoldout reads and extracts the store inputs at idxs, with panic
+// isolation around each read and its feature code: the loop
+// BuildHoldoutTolerant runs over HoldoutIdx and a distributed worker over
+// the holdout inputs it owns. Chunks of idxs run on the caller plus any
+// idle cores (parallel.ShareChunks), so the caller should hold a budget
+// slot. It returns, in idxs order, each input's result and an outcome
+// naming it: InputID is best-effort ("#<idx>" when the read itself
+// failed), and Reason is non-empty exactly when the read or the
+// extraction failed, leaving the result zero.
+func (t *Task) ExtractHoldout(idxs []int) ([]Result, []HoldoutSkip) {
+	results := make([]Result, len(idxs))
+	outcomes := make([]HoldoutSkip, len(idxs))
+	parallel.ShareChunks(len(idxs), holdoutChunkSize, func(lo, hi int) struct{} {
+		for i := lo; i < hi; i++ {
+			results[i], outcomes[i] = t.extractOne(idxs[i])
+		}
+		return struct{}{}
+	})
+	return results, outcomes
+}
+
+// extractOne is ExtractHoldout for one store index.
+func (t *Task) extractOne(idx int) (res Result, out HoldoutSkip) {
 	var in *corpus.Input
 	defer func() {
 		if p := recover(); p != nil {
 			if in == nil {
-				id = fmt.Sprintf("#%d", idx)
+				out.InputID = fmt.Sprintf("#%d", idx)
 			}
-			res, err = Result{}, fmt.Errorf("panic: %v", p)
+			res, out.Reason = Result{}, fmt.Sprintf("panic: %v", p)
 		}
 	}()
 	in = t.Store.Get(idx)
-	id = in.ID
-	res, err = t.Feature.Extract(in)
-	return res, id, err
+	out.InputID = in.ID
+	res, err := t.Feature.Extract(in)
+	if err != nil {
+		res, out.Reason = Result{}, err.Error()
+		if out.Reason == "" {
+			out.Reason = "extraction failed with an empty error"
+		}
+	}
+	return res, out
 }
 
 // PoolSet returns a membership mask over store indices: true for inputs a

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"runtime"
 	"testing"
 
 	"zombie/internal/corpus"
@@ -43,12 +44,18 @@ func benchKMeans(b *testing.B, points [][]float64, cfg KMeansConfig) {
 	b.ReportMetric(float64(res.distEvals)/float64(len(points))/float64(res.Iters+1), "evals/point/pass")
 }
 
+// BenchmarkKMeans holds every slot of the budget, so the passes run
+// inline; BenchmarkKMeansParallel holds one, as an index build does.
 func BenchmarkKMeans(b *testing.B) {
-	benchKMeans(b, benchPoints(4000, 64, 32), KMeansConfig{K: 32, MaxIter: 10, Workers: 1})
+	underBudget(runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0), func() {
+		benchKMeans(b, benchPoints(4000, 64, 32), KMeansConfig{K: 32, MaxIter: 10})
+	})
 }
 
 func BenchmarkKMeansParallel(b *testing.B) {
-	benchKMeans(b, benchPoints(4000, 64, 32), KMeansConfig{K: 32, MaxIter: 10})
+	underBudget(runtime.GOMAXPROCS(0), 1, func() {
+		benchKMeans(b, benchPoints(4000, 64, 32), KMeansConfig{K: 32, MaxIter: 10})
+	})
 }
 
 // BenchmarkKMeansHashedText clusters what workload.Build indexes:
@@ -61,5 +68,7 @@ func BenchmarkKMeansHashedText(b *testing.B) {
 		b.Fatal(err)
 	}
 	points := vectorizeAll(corpus.NewMemStore(ins), NewHashedText(256))
-	benchKMeans(b, points, KMeansConfig{K: 32, MaxIter: 25, Workers: 1})
+	underBudget(runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0), func() {
+		benchKMeans(b, points, KMeansConfig{K: 32, MaxIter: 25})
+	})
 }

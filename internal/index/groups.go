@@ -110,20 +110,23 @@ func (g *KMeansGrouper) Name() string {
 	return fmt.Sprintf("kmeans(%s)", g.Vectorizer.Name())
 }
 
-// Group implements Grouper.
+// Group implements Grouper. The build holds a slot of the process-wide
+// budget (parallel.Hold) for its duration, so it borrows only cores no
+// run is using: inline at GOMAXPROCS 1 or beside runs that fill every
+// core, the caller plus GOMAXPROCS-1 helpers on an idle process.
 func (g *KMeansGrouper) Group(store corpus.Store, k int, r *rng.RNG) (*Groups, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("index: k must be > 0, got %d", k)
 	}
 	start := time.Now()
+	defer parallel.Hold()()
 	cfg := g.Config
 	cfg.K = k
-	cfg.Workers = parallel.Workers(cfg.Workers)
-	// Vectorization is a pure per-input computation; fan it out with the
-	// same worker bound the clustering uses (every built-in Vectorizer is
-	// read-only once fitted).
+	// Vectorization is a pure per-input computation (every built-in
+	// Vectorizer is read-only once fitted), shared with idle cores like
+	// the clustering.
 	points := make([][]float64, store.Len())
-	parallel.ForEach(cfg.Workers, store.Len(), func(i int) {
+	parallel.Share(store.Len(), func(i int) {
 		points[i] = g.Vectorizer.Vectorize(store.Get(i))
 	})
 	res, err := KMeans(points, cfg, r)
@@ -282,8 +285,7 @@ func (OracleGrouper) Group(store corpus.Store, k int, r *rng.RNG) (*Groups, erro
 // attribute:<key>, hash, random or oracle. Strategies with fitted
 // vectorizers (tf-idf weights, numeric standardization) fit them on store
 // here; the numeric ones take their dimensionality from the store's first
-// numeric input. cfg tunes every k-means strategy, and its Workers bounds
-// the tf-idf fit as well.
+// numeric input. cfg tunes every k-means strategy.
 func NamedGrouper(store corpus.Store, strategy string, cfg KMeansConfig) (Grouper, error) {
 	if key, ok := strings.CutPrefix(strategy, "attribute:"); ok && key != "" {
 		return &AttributeGrouper{Attr: key}, nil
@@ -293,7 +295,7 @@ func NamedGrouper(store corpus.Store, strategy string, cfg KMeansConfig) (Groupe
 		return &KMeansGrouper{Vectorizer: NewHashedText(256), Config: cfg}, nil
 	case "kmeans-tfidf":
 		tfidf := NewTFIDF(256)
-		tfidf.FitParallel(store, cfg.Workers)
+		tfidf.Fit(store)
 		return &KMeansGrouper{Vectorizer: tfidf, Config: cfg}, nil
 	case "kmeans-numeric":
 		v, err := fittedNumeric(store, strategy)

@@ -360,7 +360,7 @@ func TestFromAssignPropertyEveryInputOnce(t *testing.T) {
 func TestNamedGrouper(t *testing.T) {
 	text := corpus.NewMemStore([]*corpus.Input{{ID: "a", Kind: corpus.TextKind, Text: "born infobox"}})
 	num := corpus.NewMemStore([]*corpus.Input{{ID: "b", Kind: corpus.NumericKind, Values: []float64{1, 2}}})
-	cfg := KMeansConfig{MaxIter: 25, Workers: 1}
+	cfg := KMeansConfig{MaxIter: 25}
 	for _, c := range []struct {
 		strategy string
 		store    corpus.Store

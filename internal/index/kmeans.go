@@ -20,20 +20,6 @@ type KMeansConfig struct {
 	// Tol stops early when the relative inertia improvement falls below
 	// it (default 1e-4).
 	Tol float64
-	// MiniBatch > 0 switches to mini-batch k-means with that batch size,
-	// trading exactness for speed on large corpora (the paper's indexer
-	// must scale to full crawls).
-	MiniBatch int
-	// MiniBatchIters is the number of mini-batch steps (default 100·K).
-	MiniBatchIters int
-	// Workers bounds the goroutines used for the assignment passes (the
-	// hot path) and the k-means++ distance updates: <= 0 means GOMAXPROCS,
-	// 1 runs sequentially. Results are bit-identical for any worker count:
-	// assignments are pure per-point computations and inertia partials
-	// accumulate over fixed-size chunks merged in chunk order (see
-	// internal/parallel). Mini-batch updates always run sequentially —
-	// they consume a single RNG stream.
-	Workers int
 }
 
 func (c KMeansConfig) normalize(n int) (KMeansConfig, error) {
@@ -49,10 +35,6 @@ func (c KMeansConfig) normalize(n int) (KMeansConfig, error) {
 	if c.Tol <= 0 {
 		c.Tol = 1e-4
 	}
-	if c.MiniBatch > 0 && c.MiniBatchIters <= 0 {
-		c.MiniBatchIters = 100 * c.K
-	}
-	c.Workers = parallel.Workers(c.Workers)
 	return c, nil
 }
 
@@ -64,17 +46,17 @@ type KMeansResult struct {
 	Assign []int
 	// Inertia is the total within-cluster squared distance.
 	Inertia float64
-	// Iters is the number of Lloyd iterations performed (0 for pure
-	// mini-batch runs, which report batch steps in BatchSteps).
-	Iters int
-	// BatchSteps is the number of mini-batch updates performed.
-	BatchSteps int
-	distEvals  int // point-to-centroid SqDist calls made (benchmarks report it)
+	// Iters is the number of Lloyd iterations performed.
+	Iters     int
+	distEvals int // point-to-centroid SqDist calls made (benchmarks report it)
 }
 
 // KMeans clusters points with k-means++ initialization followed by
-// Lloyd's algorithm (or mini-batch updates when configured). Points must
-// all share one dimensionality. The result is deterministic given r.
+// Lloyd's algorithm. Points must all share one dimensionality. The result
+// is deterministic given r. The k-means++ sweeps and the assignment passes
+// borrow idle cores through the process-wide budget (parallel.Share), so
+// the caller should hold a slot (parallel.Hold); every output bit is the
+// same whatever the budget lends.
 func KMeans(points [][]float64, cfg KMeansConfig, r *rng.RNG) (*KMeansResult, error) {
 	cfg, err := cfg.normalize(len(points))
 	if err != nil {
@@ -88,17 +70,10 @@ func KMeans(points [][]float64, cfg KMeansConfig, r *rng.RNG) (*KMeansResult, er
 	}
 	b := &bounds{k: cfg.K, lb: make([]float32, len(points)*cfg.K), move: make([]float64, cfg.K)}
 	res := &KMeansResult{Assign: make([]int, len(points))}
-	res.Centroids = kmeansPlusPlus(points, cfg.K, cfg.Workers, r, b, res.Assign)
-	if cfg.MiniBatch > 0 {
-		miniBatch(points, res, cfg, r)
-		// The centroids moved arbitrarily: no seeding bound survives.
-		b.seed = nil
-		clear(b.lb)
-	} else {
-		lloyd(points, res, cfg, b, r)
-	}
+	res.Centroids = kmeansPlusPlus(points, cfg.K, r, b, res.Assign)
+	lloyd(points, res, cfg, b, r)
 	// Final assignment + inertia against the last centroid update.
-	res.Inertia = b.assign(points, res.Centroids, res.Assign, cfg.Workers)
+	res.Inertia = b.assign(points, res.Centroids, res.Assign)
 	res.distEvals = int(b.evals.Load())
 	return res, nil
 }
@@ -142,12 +117,13 @@ func below32(x float64) float32 {
 }
 
 // kmeansPlusPlus seeds centroids with D² weighting. The distance-update
-// sweeps fan out over workers goroutines; each point's slots are written
-// independently, so the seeding is identical for any worker count (the
-// weighted draws consume r sequentially either way). The sweeps evaluate
-// every distance Lloyd's first pass would, so they leave its outcome in b
-// and assign — the argmin by the same strict < in the same order.
-func kmeansPlusPlus(points [][]float64, k, workers int, r *rng.RNG, b *bounds, assign []int) [][]float64 {
+// sweeps share assignChunkSize chunks with idle cores; each point's slots
+// are written independently, so the seeding is identical whatever the
+// budget lends (the weighted draws consume r sequentially either way).
+// The sweeps evaluate every distance Lloyd's first pass would, so they
+// leave its outcome in b and assign — the argmin by the same strict < in
+// the same order.
+func kmeansPlusPlus(points [][]float64, k int, r *rng.RNG, b *bounds, assign []int) [][]float64 {
 	centroids := make([][]float64, k)
 	d2 := make([]float64, len(points))
 	for i := range d2 {
@@ -162,7 +138,7 @@ func kmeansPlusPlus(points [][]float64, k, workers int, r *rng.RNG, b *bounds, a
 		}
 		last := linalg.Clone(points[idx])
 		centroids[c] = last
-		parallel.ForEach(workers, parallel.NumChunks(len(points), assignChunkSize), func(chunk int) {
+		parallel.Share(parallel.NumChunks(len(points), assignChunkSize), func(chunk int) {
 			lo, hi := parallel.ChunkBounds(len(points), assignChunkSize, chunk)
 			for i := lo; i < hi; i++ {
 				d := linalg.SqDist(points[i], last)
@@ -180,17 +156,17 @@ func kmeansPlusPlus(points [][]float64, k, workers int, r *rng.RNG, b *bounds, a
 
 // assignChunkSize fixes the reduction granularity of the assignment pass.
 // Inertia partials always accumulate per chunk and merge in chunk order —
-// in the sequential path too — so the reported inertia is bit-identical
-// for any worker count.
+// inline too — so the reported inertia is bit-identical however many
+// helpers the budget lends.
 const assignChunkSize = 512
 
 // assign moves every point to its nearest centroid — the lowest index on
 // exact ties, as a strict < sweep over all K picks — and returns the
-// inertia, fanning out over up to workers goroutines. assign[i] must hold
+// inertia, sharing its chunks with idle cores. assign[i] must hold
 // a valid centroid on entry: its distance is evaluated first, then only
 // the centroids that neither the point's lower bound nor half the
 // centroid-to-centroid distance rules out.
-func (b *bounds) assign(points, centroids [][]float64, assign []int, workers int) float64 {
+func (b *bounds) assign(points, centroids [][]float64, assign []int) float64 {
 	k := b.k
 	// half[a*k+c] <= ½·d(centroid a, centroid c): √(d²/4), bounded like lb.
 	half := make([]float32, k*k)
@@ -202,7 +178,7 @@ func (b *bounds) assign(points, centroids [][]float64, assign []int, workers int
 	}
 	seed := b.seed
 	b.seed = nil
-	partials := parallel.MapChunks(workers, len(points), assignChunkSize, func(lo, hi int) float64 {
+	partials := parallel.ShareChunks(len(points), assignChunkSize, func(lo, hi int) float64 {
 		inertia := 0.0
 		if seed != nil {
 			for _, d := range seed[lo:hi] {
@@ -256,7 +232,7 @@ func lloyd(points [][]float64, res *KMeansResult, cfg KMeansConfig, b *bounds, r
 		next[c] = make([]float64, len(points[0]))
 	}
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		inertia := b.assign(points, res.Centroids, res.Assign, cfg.Workers)
+		inertia := b.assign(points, res.Centroids, res.Assign)
 		res.Iters = iter + 1
 		// Recompute centroids.
 		for c := range next {
@@ -283,27 +259,5 @@ func lloyd(points [][]float64, res *KMeansResult, cfg KMeansConfig, b *bounds, r
 			break
 		}
 		prev = inertia
-	}
-}
-
-func miniBatch(points [][]float64, res *KMeansResult, cfg KMeansConfig, r *rng.RNG) {
-	counts := make([]float64, cfg.K)
-	for step := 0; step < cfg.MiniBatchIters; step++ {
-		for b := 0; b < cfg.MiniBatch; b++ {
-			p := points[r.Intn(len(points))]
-			best, bestD := 0, math.Inf(1)
-			for c, cent := range res.Centroids {
-				if d := linalg.SqDist(p, cent); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			counts[best]++
-			eta := 1 / counts[best]
-			cent := res.Centroids[best]
-			for d := range cent {
-				cent[d] += eta * (p[d] - cent[d])
-			}
-		}
-		res.BatchSteps++
 	}
 }

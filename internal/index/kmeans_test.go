@@ -3,10 +3,12 @@ package index
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"zombie/internal/corpus"
 	"zombie/internal/linalg"
+	"zombie/internal/parallel"
 	"zombie/internal/rng"
 )
 
@@ -106,36 +108,6 @@ func TestKMeansDeterministic(t *testing.T) {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatalf("k-means not deterministic at point %d", i)
 		}
-	}
-}
-
-func TestKMeansMiniBatch(t *testing.T) {
-	r := rng.New(64)
-	points, labels := blobs(1000, 3, r.Split("data"))
-	res, err := KMeans(points, KMeansConfig{K: 3, MiniBatch: 32, MiniBatchIters: 200}, r.Split("fit"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BatchSteps != 200 {
-		t.Fatalf("BatchSteps = %d", res.BatchSteps)
-	}
-	// Mini-batch should still basically separate well-spread blobs.
-	agree := 0
-	vote := map[[2]int]int{}
-	for i := range points {
-		vote[[2]int{labels[i], res.Assign[i]}]++
-	}
-	for blob := 0; blob < 3; blob++ {
-		best := 0
-		for c := 0; c < 3; c++ {
-			if vote[[2]int{blob, c}] > best {
-				best = vote[[2]int{blob, c}]
-			}
-		}
-		agree += best
-	}
-	if float64(agree)/float64(len(points)) < 0.9 {
-		t.Fatalf("mini-batch purity %v too low", float64(agree)/float64(len(points)))
 	}
 }
 
@@ -260,39 +232,53 @@ func lloydReference(points [][]float64, res *KMeansResult, cfg KMeansConfig, r *
 	}
 }
 
-// checkBoundedIdentical runs the reference once and KMeans sequentially
-// and on four workers from the same seed, and requires every output bit —
-// and the RNG position afterwards, so the empty-cluster reseeds drew the
-// same points — to agree.
+// underBudget runs fn at GOMAXPROCS procs with held slots of the
+// process-wide budget taken, so a build inside borrows up to
+// procs-held helpers (an index build holds one more itself).
+func underBudget(procs, held int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	for ; held > 0; held-- {
+		defer parallel.Hold()()
+	}
+	fn()
+}
+
+// checkBoundedIdentical runs the reference once and KMeans from the same
+// seed twice at GOMAXPROCS 4 — holding one slot, as an index build does,
+// so the passes borrow idle cores, and holding every slot, so they run
+// inline — and requires every output bit — and the RNG position
+// afterwards, so the empty-cluster reseeds drew the same points — to
+// agree.
 func checkBoundedIdentical(t testing.TB, points [][]float64, cfg KMeansConfig, seed int64) {
 	t.Helper()
 	rWant := rng.New(seed)
 	want := kmeansReference(points, cfg, rWant)
 	drawWant := rWant.Int63()
-	for _, workers := range []int{1, 4} {
-		cfg.Workers = workers
+	for _, held := range []int{1, 4} {
 		rGot := rng.New(seed)
-		got, err := KMeans(points, cfg, rGot)
+		var got *KMeansResult
+		var err error
+		underBudget(4, held, func() { got, err = KMeans(points, cfg, rGot) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Iters != want.Iters || math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
-			t.Fatalf("workers=%d: iters/inertia %d/%v, reference %d/%v", workers, got.Iters, got.Inertia, want.Iters, want.Inertia)
+			t.Fatalf("%d held: iters/inertia %d/%v, reference %d/%v", held, got.Iters, got.Inertia, want.Iters, want.Inertia)
 		}
 		for i := range want.Assign {
 			if got.Assign[i] != want.Assign[i] {
-				t.Fatalf("workers=%d: point %d assigned %d, reference %d", workers, i, got.Assign[i], want.Assign[i])
+				t.Fatalf("%d held: point %d assigned %d, reference %d", held, i, got.Assign[i], want.Assign[i])
 			}
 		}
 		for c := range want.Centroids {
 			for d := range want.Centroids[c] {
 				if math.Float64bits(got.Centroids[c][d]) != math.Float64bits(want.Centroids[c][d]) {
-					t.Fatalf("workers=%d: centroid %d dim %d = %v, reference %v", workers, c, d, got.Centroids[c][d], want.Centroids[c][d])
+					t.Fatalf("%d held: centroid %d dim %d = %v, reference %v", held, c, d, got.Centroids[c][d], want.Centroids[c][d])
 				}
 			}
 		}
 		if draw := rGot.Int63(); draw != drawWant {
-			t.Fatalf("workers=%d: RNG diverged after the fit: %d vs reference %d", workers, draw, drawWant)
+			t.Fatalf("%d held: RNG diverged after the fit: %d vs reference %d", held, draw, drawWant)
 		}
 	}
 }

@@ -148,8 +148,8 @@ func equalBits(a, b []float64) bool {
 
 // TestVectorizersMatchTokenizeReference: moving the vectorizers onto the
 // scanner changed no bit of what they return — HashedText, a fitted
-// TFIDF, and the fitted idf itself at 1 and 4 workers, against the same
-// arithmetic over Tokenize + HashToken.
+// TFIDF, and the fitted idf itself with the budget free and with every
+// slot held, against the same arithmetic over Tokenize + HashToken.
 func TestVectorizersMatchTokenizeReference(t *testing.T) {
 	const dim = 61
 	ins := messyWiki(t, 2000, 91)
@@ -168,10 +168,10 @@ func TestVectorizersMatchTokenizeReference(t *testing.T) {
 		idf[b] = math.Log((1+float64(len(ins)))/(1+float64(df[b]))) + 1
 	}
 	tfidf := NewTFIDF(dim)
-	for _, workers := range []int{1, 4} {
-		tfidf.FitParallel(store, workers)
+	for _, held := range []int{0, 4} {
+		underBudget(4, held, func() { tfidf.Fit(store) })
 		if !equalBits(tfidf.idf, idf) {
-			t.Fatalf("workers=%d: fitted idf differs from the Tokenize reference", workers)
+			t.Fatalf("%d slots held: fitted idf differs from the Tokenize reference", held)
 		}
 	}
 

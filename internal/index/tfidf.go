@@ -28,16 +28,10 @@ func NewTFIDF(dim int) *TFIDF {
 	return &TFIDF{dim: dim}
 }
 
-// Fit computes smoothed inverse document frequencies over the store:
-// idf(b) = ln((1+N)/(1+df(b))) + 1. Non-text inputs are skipped.
-func (v *TFIDF) Fit(store corpus.Store) {
-	v.FitParallel(store, 1)
-}
-
-// fitChunkSize fixes the granularity of parallel document-frequency
-// accumulation. Chunk boundaries depend only on the store size, and the
-// per-chunk counts are integers, so the merged frequencies — and the
-// fitted idf weights — are bit-identical for any worker count.
+// fitChunkSize fixes the granularity of the document-frequency pass.
+// Chunk boundaries depend only on the store size, and the per-chunk counts
+// are integers, so the merged frequencies — and the fitted idf weights —
+// are bit-identical however many helpers the budget lends.
 const fitChunkSize = 256
 
 // dfPartial is one chunk's document-frequency contribution.
@@ -46,12 +40,15 @@ type dfPartial struct {
 	docs int
 }
 
-// FitParallel is Fit with the document pass fanned out over up to workers
-// goroutines; Fit delegates here with workers = 1. The store must be safe
-// for concurrent Get when workers > 1 (corpus.MemStore is read-only).
-func (v *TFIDF) FitParallel(store corpus.Store, workers int) {
+// Fit computes smoothed inverse document frequencies over the store:
+// idf(b) = ln((1+N)/(1+df(b))) + 1. Non-text inputs are skipped. Fit
+// holds a slot of the process-wide budget and shares its document pass
+// with idle cores (parallel.ShareChunks), so the store must be safe for
+// concurrent Get (corpus.MemStore is read-only).
+func (v *TFIDF) Fit(store corpus.Store) {
+	defer parallel.Hold()()
 	dim := uint32(v.dim)
-	partials := parallel.MapChunks(workers, store.Len(), fitChunkSize, func(lo, hi int) dfPartial {
+	partials := parallel.ShareChunks(store.Len(), fitChunkSize, func(lo, hi int) dfPartial {
 		p := dfPartial{df: make([]int, v.dim)}
 		seen := make([]bool, v.dim)
 		for i := lo; i < hi; i++ {

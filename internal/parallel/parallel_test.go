@@ -3,20 +3,12 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestWorkers(t *testing.T) {
-	if Workers(4) != 4 {
-		t.Fatal("explicit count not honored")
-	}
-	if Workers(0) < 1 || Workers(-3) < 1 {
-		t.Fatal("fallback must be >= 1")
-	}
-}
 
 func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
@@ -40,9 +32,14 @@ func TestForEachEmpty(t *testing.T) {
 	}
 }
 
+// TestMapOrdered: MapErr returns results in index order regardless of
+// completion order.
 func TestMapOrdered(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		out := Map(workers, 50, func(i int) int { return i * i })
+		out, err := MapErr(workers, 50, func(i int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
@@ -93,49 +90,67 @@ func TestChunkBounds(t *testing.T) {
 	}
 }
 
-func TestMapChunksDeterministicPartition(t *testing.T) {
+// underBudget runs fn at GOMAXPROCS procs with held slots taken, so a
+// Share inside lends up to procs-held helpers. Callers of Share hold at
+// least one, as a run or an index build does.
+func underBudget(procs, held int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	for ; held > 0; held-- {
+		defer Hold()()
+	}
+	fn()
+}
+
+func TestShareChunksDeterministicPartition(t *testing.T) {
 	n := 1003
-	for _, workers := range []int{1, 5} {
-		parts := MapChunks(workers, n, 64, func(lo, hi int) int { return hi - lo })
-		if len(parts) != NumChunks(n, 64) {
-			t.Fatalf("chunks = %d", len(parts))
-		}
-		total := 0
-		for _, p := range parts {
-			total += p
-		}
-		if total != n {
-			t.Fatalf("workers=%d: covered %d of %d", workers, total, n)
-		}
+	for _, procs := range []int{1, 5} {
+		underBudget(procs, 1, func() {
+			parts := ShareChunks(n, 64, func(lo, hi int) int { return hi - lo })
+			if len(parts) != NumChunks(n, 64) {
+				t.Fatalf("chunks = %d", len(parts))
+			}
+			total := 0
+			for _, p := range parts {
+				total += p
+			}
+			if total != n {
+				t.Fatalf("GOMAXPROCS %d: covered %d of %d", procs, total, n)
+			}
+		})
 	}
 }
 
-// TestMapChunksFloatMergeStable is the determinism contract: folding chunk
-// partials in order yields bit-identical sums for any worker count.
-func TestMapChunksFloatMergeStable(t *testing.T) {
+// TestShareChunksFloatMergeStable is the determinism contract: folding
+// chunk partials in order yields bit-identical sums however many helpers
+// the budget lends.
+func TestShareChunksFloatMergeStable(t *testing.T) {
 	n := 5000
 	vals := make([]float64, n)
 	for i := range vals {
 		vals[i] = 1.0 / float64(i+1)
 	}
-	sum := func(workers int) float64 {
-		parts := MapChunks(workers, n, 256, func(lo, hi int) float64 {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += vals[i]
+	sum := func(procs, held int) (total float64) {
+		underBudget(procs, held, func() {
+			parts := ShareChunks(n, 256, func(lo, hi int) float64 {
+				s := 0.0
+				for i := lo; i < hi; i++ {
+					s += vals[i]
+				}
+				return s
+			})
+			for _, p := range parts {
+				total += p
 			}
-			return s
 		})
-		total := 0.0
-		for _, p := range parts {
-			total += p
-		}
 		return total
 	}
-	base := sum(1)
-	for _, workers := range []int{2, 3, 8, 32} {
-		if got := sum(workers); got != base {
-			t.Fatalf("workers=%d: sum %v != sequential %v", workers, got, base)
+	base := sum(1, 1)
+	for _, procs := range []int{2, 3, 8, 32} {
+		if got := sum(procs, 1); got != base {
+			t.Fatalf("GOMAXPROCS %d: sum %v != inline %v", procs, got, base)
+		}
+		if got := sum(procs, procs); got != base {
+			t.Fatalf("GOMAXPROCS %d, every slot held: sum %v != inline %v", procs, got, base)
 		}
 	}
 }
