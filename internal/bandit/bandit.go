@@ -17,7 +17,9 @@ package bandit
 
 import (
 	"fmt"
+	"math"
 
+	"zombie/internal/rng"
 	"zombie/internal/stats"
 )
 
@@ -38,9 +40,6 @@ type Policy interface {
 	Update(arm int, reward float64)
 	// Snapshot returns per-arm statistics for tracing.
 	Snapshot() []ArmSnapshot
-	// Reset restores the policy to its initial (un-pulled) state without
-	// reseeding its RNG.
-	Reset()
 }
 
 // ArmSnapshot is a point-in-time view of one arm's statistics.
@@ -56,10 +55,6 @@ type Estimator interface {
 	Observe(reward float64)
 	// Value returns the current estimate used for arm comparison.
 	Value() float64
-	// N returns the (possibly effective) number of observations the
-	// estimate is based on.
-	N() float64
-	Reset()
 }
 
 // StatsKind selects how arm reward estimates age.
@@ -125,8 +120,6 @@ type cumulativeEstimator struct {
 }
 
 func (e *cumulativeEstimator) Observe(r float64) { e.n++; e.sum += r }
-func (e *cumulativeEstimator) N() float64        { return e.n }
-func (e *cumulativeEstimator) Reset()            { e.n, e.sum = 0, 0 }
 func (e *cumulativeEstimator) Value() float64 {
 	if e.n == 0 {
 		return 0
@@ -140,8 +133,6 @@ type windowEstimator struct {
 
 func (e *windowEstimator) Observe(r float64) { e.win.Add(r) }
 func (e *windowEstimator) Value() float64    { return e.win.Mean() }
-func (e *windowEstimator) N() float64        { return float64(e.win.Len()) }
-func (e *windowEstimator) Reset()            { e.win.Reset() }
 
 type discountedEstimator struct {
 	gamma float64
@@ -161,35 +152,32 @@ func (e *discountedEstimator) Value() float64 {
 	return e.num / e.den
 }
 
-func (e *discountedEstimator) N() float64 { return e.den }
-func (e *discountedEstimator) Reset()     { e.num, e.den = 0, 0 }
-
-// arms is the bookkeeping shared by every concrete policy.
+// arms is the bookkeeping every policy shares: one estimator and one pull
+// count per arm. Embedded in a policy it supplies NumArms, Update and
+// Snapshot, so a policy writes its Name and its selection rule, and wraps
+// Update or Snapshot only when it keeps state of its own.
 type arms struct {
-	est    []Estimator
-	pulls  []int64
-	total  int64
-	config StatsConfig
+	est   []Estimator
+	pulls []int64
+	total int64
 }
 
 func newArms(n int, cfg StatsConfig) *arms {
 	if n <= 0 {
 		panic("bandit: policies require at least one arm")
 	}
-	a := &arms{
-		est:    make([]Estimator, n),
-		pulls:  make([]int64, n),
-		config: cfg,
-	}
+	a := &arms{est: make([]Estimator, n), pulls: make([]int64, n)}
 	for i := range a.est {
 		a.est[i] = cfg.NewEstimator()
 	}
 	return a
 }
 
-func (a *arms) n() int { return len(a.est) }
+// NumArms implements Policy.
+func (a *arms) NumArms() int { return len(a.est) }
 
-func (a *arms) update(arm int, reward float64) {
+// Update implements Policy.
+func (a *arms) Update(arm int, reward float64) {
 	if arm < 0 || arm >= len(a.est) {
 		panic(fmt.Sprintf("bandit: Update arm %d out of range [0,%d)", arm, len(a.est)))
 	}
@@ -198,25 +186,53 @@ func (a *arms) update(arm int, reward float64) {
 	a.total++
 }
 
-func (a *arms) snapshot() []ArmSnapshot {
+// Snapshot implements Policy.
+func (a *arms) Snapshot() []ArmSnapshot {
 	out := make([]ArmSnapshot, len(a.est))
 	for i := range out {
-		out[i] = ArmSnapshot{
-			Arm:    i,
-			Pulls:  a.pulls[i],
-			Mean:   a.est[i].Value(),
-			Recent: a.est[i].Value(),
-		}
+		v := a.est[i].Value()
+		out[i] = ArmSnapshot{Arm: i, Pulls: a.pulls[i], Mean: v, Recent: v}
 	}
 	return out
 }
 
-func (a *arms) reset() {
-	for i := range a.est {
-		a.est[i].Reset()
-		a.pulls[i] = 0
+// argmax returns the arm in idx with the highest score, breaking ties
+// uniformly at random. It draws from r only when several arms tie.
+func argmax(idx []int, r *rng.RNG, score func(arm int) float64) int {
+	best := math.Inf(-1)
+	var ties []int
+	for _, i := range idx {
+		switch v := score(i); {
+		case v > best:
+			best = v
+			ties = append(ties[:0], i)
+		case v == best:
+			ties = append(ties, i)
+		}
 	}
-	a.total = 0
+	if len(ties) == 1 {
+		return ties[0]
+	}
+	return ties[r.Choice(len(ties))]
+}
+
+// ucb is the upper-confidence rule UCB1, SW-UCB and D-UCB share. An
+// eligible arm without observations (unseen) is played first, uniformly at
+// random; otherwise every arm scores mean + c·sqrt(2·ln t / n) and argmax
+// picks. The three policies differ only in how they count n, mean and t.
+func ucb(idx []int, r *rng.RNG, c, t float64, unseen func(arm int) bool, n, mean func(arm int) float64) int {
+	var fresh []int
+	for _, i := range idx {
+		if unseen(i) {
+			fresh = append(fresh, i)
+		}
+	}
+	if len(fresh) > 0 {
+		return fresh[r.Choice(len(fresh))]
+	}
+	return argmax(idx, r, func(i int) float64 {
+		return mean(i) + c*math.Sqrt(2*math.Log(t)/n(i))
+	})
 }
 
 // checkEligible validates the mask and returns the eligible arm indices.

@@ -151,24 +151,6 @@ func TestUpdatePanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	r := rng.New(800)
-	for _, p := range allPolicies(4, r) {
-		bernoulliBandit(p, []float64{0.2, 0.8, 0.2, 0.2}, 200, r.Split("env-"+p.Name()))
-		p.Reset()
-		for _, s := range p.Snapshot() {
-			if s.Pulls != 0 || s.Mean != 0 {
-				// Thompson snapshot Recent reflects the prior (0.5); Mean
-				// must still be zero after reset.
-				t.Fatalf("%s: arm %d not reset: %+v", p.Name(), s.Arm, s)
-			}
-		}
-		// Policy must remain usable after reset.
-		arm := p.Select(AllEligible(4))
-		p.Update(arm, 1)
-	}
-}
-
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []int {
 		r := rng.New(900)

@@ -48,9 +48,6 @@ func NewEXP3(n int, gamma float64, cfg StatsConfig, r *rng.RNG) *EXP3 {
 // Name implements Policy.
 func (p *EXP3) Name() string { return fmt.Sprintf("exp3(%.2f)", p.Gamma) }
 
-// NumArms implements Policy.
-func (p *EXP3) NumArms() int { return p.n() }
-
 // probabilities computes the EXP3 distribution restricted to the eligible
 // arms: p_i = (1-γ)·w_i/Σw + γ/K over eligible arms.
 func (p *EXP3) probabilities(idx []int) []float64 {
@@ -74,7 +71,7 @@ func (p *EXP3) probabilities(idx []int) []float64 {
 
 // Select implements Policy.
 func (p *EXP3) Select(eligible []bool) int {
-	idx := checkEligible(p.n(), eligible)
+	idx := checkEligible(p.NumArms(), eligible)
 	probs := p.probabilities(idx)
 	j := p.r.WeightedChoice(probs)
 	arm := idx[j]
@@ -89,7 +86,7 @@ func (p *EXP3) Select(eligible []bool) int {
 
 // Update implements Policy.
 func (p *EXP3) Update(arm int, reward float64) {
-	p.update(arm, reward)
+	p.arms.Update(arm, reward)
 	r := reward
 	if r < 0 {
 		r = 0
@@ -101,10 +98,10 @@ func (p *EXP3) Update(arm int, reward float64) {
 	if prob <= 0 {
 		// Update for an arm not offered in the last Select (e.g. replay);
 		// fall back to a uniform probability so the weight still moves.
-		prob = 1 / float64(p.n())
+		prob = 1 / float64(p.NumArms())
 	}
 	xhat := r / prob
-	p.weights[arm] *= math.Exp(p.Gamma * xhat / float64(p.n()))
+	p.weights[arm] *= math.Exp(p.Gamma * xhat / float64(p.NumArms()))
 	// Renormalize to keep weights bounded on long runs.
 	max := 0.0
 	for _, w := range p.weights {
@@ -116,17 +113,5 @@ func (p *EXP3) Update(arm int, reward float64) {
 		for i := range p.weights {
 			p.weights[i] /= max
 		}
-	}
-}
-
-// Snapshot implements Policy.
-func (p *EXP3) Snapshot() []ArmSnapshot { return p.snapshot() }
-
-// Reset implements Policy.
-func (p *EXP3) Reset() {
-	p.reset()
-	for i := range p.weights {
-		p.weights[i] = 1
-		p.lastProb[i] = 0
 	}
 }

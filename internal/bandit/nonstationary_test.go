@@ -32,14 +32,6 @@ func TestNonstationaryPoliciesBasicContract(t *testing.T) {
 				t.Fatalf("%s: bad snapshot %+v", p.Name(), s)
 			}
 		}
-		p.Reset()
-		for _, s := range p.Snapshot() {
-			if s.Pulls != 0 || s.Mean != 0 {
-				t.Fatalf("%s: reset incomplete: %+v", p.Name(), s)
-			}
-		}
-		arm := p.Select(AllEligible(5))
-		p.Update(arm, 1)
 	}
 }
 

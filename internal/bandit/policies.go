@@ -40,12 +40,9 @@ func (p *EpsilonGreedy) Name() string {
 	return fmt.Sprintf("eps-greedy(%.2f)", p.Epsilon)
 }
 
-// NumArms implements Policy.
-func (p *EpsilonGreedy) NumArms() int { return p.n() }
-
 // Select implements Policy.
 func (p *EpsilonGreedy) Select(eligible []bool) int {
-	idx := checkEligible(p.n(), eligible)
+	idx := checkEligible(p.NumArms(), eligible)
 	p.step++
 	eps := p.Epsilon
 	if p.DecayRate > 0 {
@@ -57,39 +54,16 @@ func (p *EpsilonGreedy) Select(eligible []bool) int {
 	return bestEligible(p.arms, idx, p.r)
 }
 
-// Update implements Policy.
-func (p *EpsilonGreedy) Update(arm int, reward float64) { p.update(arm, reward) }
-
-// Snapshot implements Policy.
-func (p *EpsilonGreedy) Snapshot() []ArmSnapshot { return p.snapshot() }
-
-// Reset implements Policy.
-func (p *EpsilonGreedy) Reset() { p.reset(); p.step = 0 }
-
 // bestEligible returns the eligible arm with the highest estimate. Unpulled
 // arms are treated as optimistic (estimate +Inf) so every arm is tried at
 // least once; ties break uniformly at random to avoid index bias.
 func bestEligible(a *arms, idx []int, r *rng.RNG) int {
-	best := math.Inf(-1)
-	var ties []int
-	for _, i := range idx {
-		v := a.est[i].Value()
+	return argmax(idx, r, func(i int) float64 {
 		if a.pulls[i] == 0 {
-			v = math.Inf(1)
+			return math.Inf(1)
 		}
-		switch {
-		case v > best:
-			best = v
-			ties = ties[:0]
-			ties = append(ties, i)
-		case v == best:
-			ties = append(ties, i)
-		}
-	}
-	if len(ties) == 1 {
-		return ties[0]
-	}
-	return ties[r.Choice(len(ties))]
+		return a.est[i].Value()
+	})
 }
 
 // Softmax (Boltzmann exploration) selects arms with probability
@@ -111,12 +85,9 @@ func NewSoftmax(n int, temperature float64, cfg StatsConfig, r *rng.RNG) *Softma
 // Name implements Policy.
 func (p *Softmax) Name() string { return fmt.Sprintf("softmax(%.2f)", p.Temperature) }
 
-// NumArms implements Policy.
-func (p *Softmax) NumArms() int { return p.n() }
-
 // Select implements Policy.
 func (p *Softmax) Select(eligible []bool) int {
-	idx := checkEligible(p.n(), eligible)
+	idx := checkEligible(p.NumArms(), eligible)
 	// Max-shift for stability, computed over eligible arms only.
 	max := math.Inf(-1)
 	for _, i := range idx {
@@ -130,15 +101,6 @@ func (p *Softmax) Select(eligible []bool) int {
 	}
 	return idx[p.r.WeightedChoice(weights)]
 }
-
-// Update implements Policy.
-func (p *Softmax) Update(arm int, reward float64) { p.update(arm, reward) }
-
-// Snapshot implements Policy.
-func (p *Softmax) Snapshot() []ArmSnapshot { return p.snapshot() }
-
-// Reset implements Policy.
-func (p *Softmax) Reset() { p.reset() }
 
 // RoundRobin cycles deterministically through the eligible arms; it
 // ignores rewards. It is the "fair scan over groups" baseline.
@@ -155,30 +117,18 @@ func NewRoundRobin(n int, cfg StatsConfig) *RoundRobin {
 // Name implements Policy.
 func (p *RoundRobin) Name() string { return "round-robin" }
 
-// NumArms implements Policy.
-func (p *RoundRobin) NumArms() int { return p.n() }
-
 // Select implements Policy.
 func (p *RoundRobin) Select(eligible []bool) int {
-	checkEligible(p.n(), eligible)
-	for off := 0; off < p.n(); off++ {
-		arm := (p.next + off) % p.n()
+	checkEligible(p.NumArms(), eligible)
+	for off := 0; off < p.NumArms(); off++ {
+		arm := (p.next + off) % p.NumArms()
 		if eligible[arm] {
-			p.next = (arm + 1) % p.n()
+			p.next = (arm + 1) % p.NumArms()
 			return arm
 		}
 	}
 	panic("bandit: unreachable — checkEligible guarantees an eligible arm")
 }
-
-// Update implements Policy.
-func (p *RoundRobin) Update(arm int, reward float64) { p.update(arm, reward) }
-
-// Snapshot implements Policy.
-func (p *RoundRobin) Snapshot() []ArmSnapshot { return p.snapshot() }
-
-// Reset implements Policy.
-func (p *RoundRobin) Reset() { p.reset(); p.next = 0 }
 
 // UniformRandom picks an eligible arm uniformly at random; it ignores
 // rewards. Selecting groups at random then draining inputs from them is
@@ -197,20 +147,8 @@ func NewUniformRandom(n int, cfg StatsConfig, r *rng.RNG) *UniformRandom {
 // Name implements Policy.
 func (p *UniformRandom) Name() string { return "uniform-random" }
 
-// NumArms implements Policy.
-func (p *UniformRandom) NumArms() int { return p.n() }
-
 // Select implements Policy.
 func (p *UniformRandom) Select(eligible []bool) int {
-	idx := checkEligible(p.n(), eligible)
+	idx := checkEligible(p.NumArms(), eligible)
 	return idx[p.r.Choice(len(idx))]
 }
-
-// Update implements Policy.
-func (p *UniformRandom) Update(arm int, reward float64) { p.update(arm, reward) }
-
-// Snapshot implements Policy.
-func (p *UniformRandom) Snapshot() []ArmSnapshot { return p.snapshot() }
-
-// Reset implements Policy.
-func (p *UniformRandom) Reset() { p.reset() }

@@ -28,50 +28,12 @@ func NewUCB1(n int, c float64, cfg StatsConfig, r *rng.RNG) *UCB1 {
 // Name implements Policy.
 func (p *UCB1) Name() string { return fmt.Sprintf("ucb1(%.2f)", p.C) }
 
-// NumArms implements Policy.
-func (p *UCB1) NumArms() int { return p.n() }
-
 // Select implements Policy.
 func (p *UCB1) Select(eligible []bool) int {
-	idx := checkEligible(p.n(), eligible)
-	// Play each eligible unpulled arm once before scoring.
-	var unpulled []int
-	for _, i := range idx {
-		if p.pulls[i] == 0 {
-			unpulled = append(unpulled, i)
-		}
-	}
-	if len(unpulled) > 0 {
-		return unpulled[p.r.Choice(len(unpulled))]
-	}
-	t := float64(p.total)
-	if t < 1 {
-		t = 1
-	}
-	best := math.Inf(-1)
-	var ties []int
-	for _, i := range idx {
-		score := p.est[i].Value() + p.C*math.Sqrt(2*math.Log(t)/float64(p.pulls[i]))
-		switch {
-		case score > best:
-			best = score
-			ties = ties[:0]
-			ties = append(ties, i)
-		case score == best:
-			ties = append(ties, i)
-		}
-	}
-	if len(ties) == 1 {
-		return ties[0]
-	}
-	return ties[p.r.Choice(len(ties))]
+	idx := checkEligible(p.NumArms(), eligible)
+	t := math.Max(float64(p.total), 1)
+	return ucb(idx, p.r, p.C, t,
+		func(i int) bool { return p.pulls[i] == 0 },
+		func(i int) float64 { return float64(p.pulls[i]) },
+		func(i int) float64 { return p.est[i].Value() })
 }
-
-// Update implements Policy.
-func (p *UCB1) Update(arm int, reward float64) { p.update(arm, reward) }
-
-// Snapshot implements Policy.
-func (p *UCB1) Snapshot() []ArmSnapshot { return p.snapshot() }
-
-// Reset implements Policy.
-func (p *UCB1) Reset() { p.reset() }
