@@ -10,6 +10,7 @@ import (
 	"zombie/internal/featurepipe"
 	"zombie/internal/index"
 	"zombie/internal/learner"
+	"zombie/internal/parallel"
 	"zombie/internal/rng"
 	"zombie/internal/trace"
 )
@@ -124,7 +125,9 @@ func TestAmortizedEvalMatchesFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			release := parallel.Hold()
 			hold, _, err := task.BuildHoldoutTolerant()
+			release()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -193,14 +193,14 @@ func TestOracleUsefulDefinitions(t *testing.T) {
 	wiki := featurepipe.NewWikiFeature(1)
 	pos := &corpus.Input{Truth: corpus.Truth{Class: 1, Relevant: true}}
 	neg := &corpus.Input{Truth: corpus.Truth{Class: 0}}
-	if !oracleUseful(pos, wiki) || oracleUseful(neg, wiki) {
+	if !OracleUseful(pos, wiki) || OracleUseful(neg, wiki) {
 		t.Fatal("wiki oracle usefulness wrong")
 	}
 	songCfg := corpus.DefaultSongConfig()
 	song := featurepipe.NewSongFeature(1, songCfg)
 	rare := &corpus.Input{Truth: corpus.Truth{Class: songCfg.Genres - 1}}
 	common := &corpus.Input{Truth: corpus.Truth{Class: 0}}
-	if !oracleUseful(rare, song) || oracleUseful(common, song) {
+	if !OracleUseful(rare, song) || OracleUseful(common, song) {
 		t.Fatal("song oracle usefulness wrong")
 	}
 }

@@ -183,7 +183,7 @@ func newRandomScan(pool []int, r *rng.RNG) *scanSource {
 func newOracleScan(task *featurepipe.Task, r *rng.RNG) *scanSource {
 	var useful, rest []int
 	for _, idx := range task.PoolIdx {
-		if oracleUseful(task.Store.Get(idx), task.Feature) {
+		if OracleUseful(task.Store.Get(idx), task.Feature) {
 			useful = append(useful, idx)
 		} else {
 			rest = append(rest, idx)
@@ -194,9 +194,11 @@ func newOracleScan(task *featurepipe.Task, r *rng.RNG) *scanSource {
 	return &scanSource{order: append(useful, rest...), label: "scan(oracle)"}
 }
 
-// oracleUseful mirrors the task feature functions' usefulness definitions
-// at the ground-truth level, without paying for extraction.
-func oracleUseful(in *corpus.Input, f featurepipe.FeatureFunc) bool {
+// OracleUseful mirrors the task feature functions' usefulness definitions
+// at the ground-truth level, without paying for extraction: a song is
+// useful when its genre is in the rarer half, any other input when its
+// class is 1.
+func OracleUseful(in *corpus.Input, f featurepipe.FeatureFunc) bool {
 	if sf, ok := f.(*featurepipe.SongFeature); ok {
 		return in.Truth.Class >= sf.Genres/2
 	}

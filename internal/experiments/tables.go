@@ -69,12 +69,7 @@ func usefulFraction(wl *Workload) float64 {
 	}
 	useful := 0
 	for i := 0; i < n; i++ {
-		in := wl.Store.Get(i)
-		if sf, ok := wl.Task.Feature.(*featurepipe.SongFeature); ok {
-			if in.Truth.Class >= sf.Genres/2 {
-				useful++
-			}
-		} else if in.Truth.Class == 1 {
+		if core.OracleUseful(wl.Store.Get(i), wl.Task.Feature) {
 			useful++
 		}
 	}

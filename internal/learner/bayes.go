@@ -3,8 +3,6 @@ package learner
 import (
 	"math"
 	"sync"
-
-	"zombie/internal/linalg"
 )
 
 // The naive Bayes families score from tables that depend only on the
@@ -52,10 +50,10 @@ type multinomialTables struct {
 	logCount [][]float64 // [class][feature] log(featCount + alpha)
 	touched  [][]int     // [class] features fitted since the last prepare
 	// whole marks a class whose entire row is out of date: before the
-	// first prepare, after Reset, and once touched would outgrow the row
+	// first prepare, and once touched would outgrow the row
 	// it indexes (recomputing the row is then the cheaper refresh).
 	whole []bool
-	stale bool // a PartialFit or Reset since the last prepare
+	stale bool // a PartialFit since the last prepare
 }
 
 // NewMultinomialNB returns a multinomial NB over dim features and
@@ -258,37 +256,11 @@ func (m *MultinomialNB) PredictClass(v FeatureVector) int {
 	return m.tab.predict(v)
 }
 
-// Proba implements ProbClassifier.
-func (m *MultinomialNB) Proba(v FeatureVector) []float64 {
-	checkDim(len(m.featCount[0]), v, "MultinomialNB")
-	out := make([]float64, len(m.featCount))
-	m.logJoint(v, out)
-	linalg.Softmax(out, out)
-	return out
-}
-
 // NumClasses implements Classifier.
 func (m *MultinomialNB) NumClasses() int { return len(m.featCount) }
 
 // Seen implements Model.
 func (m *MultinomialNB) Seen() int { return m.seen }
-
-// Reset implements Model.
-func (m *MultinomialNB) Reset() {
-	for c := range m.featCount {
-		linalg.Zero(m.featCount[c])
-		m.classCount[c] = 0
-		m.featTotal[c] = 0
-	}
-	m.seen = 0
-	if t := m.tab; t != nil {
-		t.stale = true
-		for c := range t.whole {
-			t.whole[c] = true
-			t.touched[c] = t.touched[c][:0]
-		}
-	}
-}
 
 // GaussianNB is an incremental Gaussian naive Bayes classifier: each
 // feature is modeled per class by an online mean and variance (Welford
@@ -300,7 +272,7 @@ type GaussianNB struct {
 	m2         [][]float64
 	varFloor   float64
 	seen       int
-	gen        []uint64        // [class] bumped by PartialFit and Reset; from 1
+	gen        []uint64        // [class] bumped by PartialFit; from 1
 	tab        *gaussianTables // nil until the model is first scored
 	mu         sync.Mutex      // held while the tables are refreshed
 }
@@ -373,7 +345,7 @@ func (m *GaussianNB) PartialFit(ex Example) {
 	m.gen[c]++
 }
 
-// refresh recomputes the score tables of the classes fitted or reset since.
+// refresh recomputes the score tables of the classes fitted since.
 func (m *GaussianNB) refresh() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -485,28 +457,8 @@ func (m *GaussianNB) PredictClass(v FeatureVector) int {
 	return m.predict(denseOf(v))
 }
 
-// Proba implements ProbClassifier.
-func (m *GaussianNB) Proba(v FeatureVector) []float64 {
-	checkDim(len(m.mean[0]), v, "GaussianNB")
-	out := make([]float64, len(m.mean))
-	m.logJoint(v, out)
-	linalg.Softmax(out, out)
-	return out
-}
-
 // NumClasses implements Classifier.
 func (m *GaussianNB) NumClasses() int { return len(m.mean) }
 
 // Seen implements Model.
 func (m *GaussianNB) Seen() int { return m.seen }
-
-// Reset implements Model.
-func (m *GaussianNB) Reset() {
-	for c := range m.mean {
-		linalg.Zero(m.mean[c])
-		linalg.Zero(m.m2[c])
-		m.classCount[c] = 0
-		m.gen[c]++
-	}
-	m.seen = 0
-}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"zombie/internal/parallel"
 	"zombie/internal/rng"
 )
 
@@ -110,10 +111,11 @@ func evalFixture(t testing.TB, n int) (*Holdout, Model) {
 	return NewHoldout(examples, MetricF1, 1), m
 }
 
-// atProcs runs fn at GOMAXPROCS procs, so a chunked pass's helper budget
-// is procs slots, and restores the setting.
+// atProcs runs fn at GOMAXPROCS procs holding one slot, as a run does, so
+// a chunked pass borrows at most procs-1 helpers, and restores the setting.
 func atProcs(procs int, fn func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer parallel.Hold()()
 	fn()
 }
 

@@ -89,55 +89,6 @@ func TestGaussianNBMulticlass(t *testing.T) {
 	}
 }
 
-// TestResetRestoresUntrainedState: every learner forgets everything on
-// Reset, so a reset model predicts exactly like a fresh one.
-func TestResetRestoresUntrainedState(t *testing.T) {
-	exs := linearlySeparable(50, rng.New(5))
-	for i := range exs {
-		exs[i].Target = float64(2*exs[i].Class - 1)
-	}
-	positive := make([]Example, len(exs))
-	for i, ex := range exs {
-		x := ex.Features.Dense()
-		positive[i] = Example{Features: DenseVec([]float64{x[0] + 2, x[1] + 2}), Class: ex.Class}
-	}
-	for _, tc := range []struct {
-		m, fresh Model
-		exs      []Example
-	}{
-		{NewMultinomialNB(2, 2, 1), NewMultinomialNB(2, 2, 1), positive},
-		{NewGaussianNB(2, 2, 1e-3), NewGaussianNB(2, 2, 1e-3), exs},
-		{NewRidgeClosed(2, 0.1), NewRidgeClosed(2, 0.1), exs},
-	} {
-		trainAll(tc.m, tc.exs, 1)
-		if tc.m.Seen() == 0 {
-			t.Fatalf("%T: training did not register", tc.m)
-		}
-		tc.m.Reset()
-		if tc.m.Seen() != 0 {
-			t.Errorf("%T: Seen after Reset = %d", tc.m, tc.m.Seen())
-		}
-		// One example after the reset: the model must match a fresh one
-		// fitted on that example alone.
-		tc.m.PartialFit(tc.exs[0])
-		tc.fresh.PartialFit(tc.exs[0])
-		probe := DenseVec([]float64{1, 1})
-		switch m := tc.m.(type) {
-		case ProbClassifier:
-			got, want := m.Proba(probe), tc.fresh.(ProbClassifier).Proba(probe)
-			for c := range want {
-				if got[c] != want[c] {
-					t.Errorf("%T: reset proba %v, fresh %v", m, got, want)
-				}
-			}
-		case Regressor:
-			if got, want := m.Predict(probe), tc.fresh.(Regressor).Predict(probe); got != want {
-				t.Errorf("%T: reset predicts %v, fresh %v", m, got, want)
-			}
-		}
-	}
-}
-
 func TestDimAndClassValidation(t *testing.T) {
 	mn := NewMultinomialNB(3, 2, 1)
 	mustPanic(t, "dim", func() {

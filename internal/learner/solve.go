@@ -111,19 +111,6 @@ func (m *RidgeClosed) Weights() []float64 {
 // Seen implements Model.
 func (m *RidgeClosed) Seen() int { return m.seen }
 
-// Reset implements Model.
-func (m *RidgeClosed) Reset() {
-	for i := range m.xtx {
-		for j := range m.xtx[i] {
-			m.xtx[i][j] = 0
-		}
-		m.xty[i] = 0
-		m.w[i] = 0
-	}
-	m.dirty = false
-	m.seen = 0
-}
-
 // SolveLinear solves A·x = b by Gaussian elimination with partial
 // pivoting. It returns (x, true) on success or (nil, false) when A is
 // singular to working precision. A and b are not modified. It panics on a

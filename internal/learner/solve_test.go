@@ -130,15 +130,6 @@ func TestRidgeClosedUntrained(t *testing.T) {
 	}
 }
 
-func TestRidgeClosedReset(t *testing.T) {
-	m := NewRidgeClosed(1, 0.1)
-	m.PartialFit(Example{Features: DenseVec([]float64{1}), Target: 2})
-	m.Reset()
-	if m.Seen() != 0 || m.Predict(DenseVec([]float64{1})) != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
 func TestRidgeClosedValidation(t *testing.T) {
 	mustPanic(t, "dim", func() { NewRidgeClosed(0, 1) })
 	mustPanic(t, "lambda", func() { NewRidgeClosed(1, -1) })

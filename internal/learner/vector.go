@@ -145,7 +145,7 @@ func checkClass(numClasses, class int, model string) {
 // as the example set collected so far, never by retraining.
 //
 // A model is never fitted while it is scored. The naive Bayes families may
-// be scored — PredictClass, Proba, Holdout.Quality — from several
+// be scored — PredictClass, Holdout.Quality — from several
 // goroutines at once: each refreshes its score tables under its own mutex,
 // and a pass writes nothing else of the model. RidgeClosed solves lazily
 // at its first prediction after a fit, so it is scored from one goroutine.
@@ -154,8 +154,6 @@ type Model interface {
 	PartialFit(ex Example)
 	// Seen returns how many examples the model has absorbed.
 	Seen() int
-	// Reset restores the model to its untrained state.
-	Reset()
 }
 
 // Classifier predicts a discrete class.
@@ -165,13 +163,6 @@ type Classifier interface {
 	PredictClass(v FeatureVector) int
 	// NumClasses returns the number of classes the model was built with.
 	NumClasses() int
-}
-
-// ProbClassifier additionally exposes per-class probabilities.
-type ProbClassifier interface {
-	Classifier
-	// Proba returns a probability distribution over classes for v.
-	Proba(v FeatureVector) []float64
 }
 
 // Regressor predicts a real-valued target.
