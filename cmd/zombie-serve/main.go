@@ -68,7 +68,6 @@ func run() error {
 	cacheMemMB := flag.Int("cache-mem-mb", 64, "extraction cache in-memory budget in MiB")
 	runTimeout := flag.Duration("run-timeout", 0, "default per-run wall-clock deadline, e.g. 10m (0 = none; a run's timeout_ms overrides)")
 	maxFailures := flag.Float64("max-failures", 0, "default failure budget: fraction of a run's inputs that may be quarantined before it degrades (0 = engine default 0.5)")
-	batch := flag.Int("batch", 0, "default inputs popped per arm pull for runs that do not set batch (0/1 = classic per-step loop; see DESIGN.md §13)")
 	distWorkers := flag.String("dist-workers", "", "comma-separated worker base URLs (zombie-serve processes serving /dist/*) that sharded runs execute over, e.g. http://w1:8080,http://w2:8080 (empty = shards run in-process)")
 	faultSpec := flag.String("faults", "", "inject deterministic faults into every run, e.g. extract:err=0.01 (chaos deployments)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for -faults decisions")
@@ -105,7 +104,6 @@ func run() error {
 		CacheMemMB:     *cacheMemMB,
 		RunTimeout:     *runTimeout,
 		MaxFailureFrac: *maxFailures,
-		Batch:          *batch,
 		Faults:         injector,
 		DistWorkers:    workerAddrs,
 		Logger:         logger,

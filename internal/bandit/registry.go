@@ -47,7 +47,8 @@ func KnownSpecs() []string {
 
 // Build constructs the policy the spec names over n arms, using cfg for
 // arm statistics and r for randomness. It returns an error for an unknown
-// or malformed spec.
+// or malformed spec. sw-ucb and d-ucb ignore cfg: they forget by their
+// own window or discount, whatever estimator kind cfg names.
 func (s Spec) Build(n int, cfg StatsConfig, r *rng.RNG) (Policy, error) {
 	parts := strings.Split(string(s), ":")
 	name := parts[0]

@@ -123,6 +123,7 @@ type Config struct {
 	// "eps-greedy:0.1", the paper's workhorse.
 	Policy bandit.Spec
 	// PolicyStats configures per-arm reward aging (default cumulative).
+	// sw-ucb and d-ucb forget by their own rule and ignore it.
 	PolicyStats bandit.StatsConfig
 	// Reward selects the reward function.
 	Reward RewardKind

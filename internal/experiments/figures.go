@@ -368,7 +368,9 @@ func F7Nonstationary(cfg Config, w io.Writer) error {
 		{"discount-0.99", "eps-greedy:0.1", bandit.StatsConfig{Kind: bandit.Discounted, Gamma: 0.99}},
 		{"discount-0.9", "eps-greedy:0.1", bandit.StatsConfig{Kind: bandit.Discounted, Gamma: 0.9}},
 		// Policy-level forgetting: the nonstationary-bandit literature's
-		// answers, compared against estimator-level aging above.
+		// answers, compared against estimator-level aging above. These two
+		// policies forget by their own rule; a StatsConfig kind would not
+		// change them, so their rows pass the zero value.
 		{"sw-ucb-200", "sw-ucb:200:1", bandit.StatsConfig{}},
 		{"d-ucb-0.99", "d-ucb:0.99:1", bandit.StatsConfig{}},
 	}

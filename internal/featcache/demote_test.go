@@ -49,9 +49,8 @@ func TestDiskFaultsNeverFailExtraction(t *testing.T) {
 // consulted, and memory hits keep working.
 func TestDemotionStopsDiskTraffic(t *testing.T) {
 	c := mustOpen(t, Config{
-		Dir:            t.TempDir(),
-		DiskErrorLimit: 2,
-		Faults:         mustFaults(t, "cache.write:err=1", 5),
+		Dir:    t.TempDir(),
+		Faults: mustFaults(t, "cache.write:err=1", 5),
 	})
 	defer c.Close()
 	for i := 0; i < 8; i++ {
@@ -62,37 +61,13 @@ func TestDemotionStopsDiskTraffic(t *testing.T) {
 	}
 	st := c.Stats()
 	if !st.DiskDemoted {
-		t.Fatal("limit 2 did not demote")
+		t.Fatal("limit 3 did not demote")
 	}
-	if st.DiskErrors != 2 {
-		t.Fatalf("disk consulted after demotion: %d errors, want exactly 2", st.DiskErrors)
+	if st.DiskErrors != 3 {
+		t.Fatalf("disk consulted after demotion: %d errors, want exactly 3", st.DiskErrors)
 	}
 	if v, hit, err := c.GetOrCompute("fp", "a", func() (any, error) { return "other", nil }); err != nil || !hit || v != "v" {
 		t.Fatalf("memory layer broken after demotion: v=%v hit=%v err=%v", v, hit, err)
-	}
-}
-
-// TestNegativeLimitNeverDemotes: DiskErrorLimit < 0 keeps retrying the
-// disk on every operation, errors notwithstanding.
-func TestNegativeLimitNeverDemotes(t *testing.T) {
-	c := mustOpen(t, Config{
-		Dir:            t.TempDir(),
-		DiskErrorLimit: -1,
-		Faults:         mustFaults(t, "cache.write:err=1", 5),
-	})
-	defer c.Close()
-	for i := 0; i < 10; i++ {
-		key := string(rune('a' + i))
-		if _, _, err := c.GetOrCompute("fp", key, func() (any, error) { return "v", nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.DiskDemoted {
-		t.Fatal("negative limit demoted")
-	}
-	if st.DiskErrors != 10 {
-		t.Fatalf("disk errors = %d, want 10 (one per write, never demoted)", st.DiskErrors)
 	}
 }
 

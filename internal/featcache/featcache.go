@@ -13,9 +13,9 @@
 //   - a sharded in-memory LRU with per-key singleflight, so concurrent
 //     runs (the server's worker pool) never duplicate an extraction and
 //     never block behind one global lock, and
-//   - an optional disk-backed append-only segment store (see Segment),
-//     so cache contents survive process restarts across an engineering
-//     session's iterations.
+//   - an optional disk-backed segment store (see Segment), a key index
+//     over one append-only runstore record log, so cache contents survive
+//     process restarts across an engineering session's iterations.
 //
 // Values cross the disk boundary through a Codec supplied by the caller
 // (featurepipe.ResultCodec for extraction results); in memory the decoded
@@ -54,13 +54,6 @@ type Config struct {
 	// directory. Entries evicted from memory remain on disk and reload on
 	// the next request.
 	Dir string
-	// DiskErrorLimit is how many cumulative disk IO errors (failed segment
-	// reads or appends) the cache tolerates before demoting itself to
-	// memory-only for the rest of the process. Default 3; negative keeps
-	// retrying the disk forever. Demotion is the graceful-degradation rung
-	// below "disk-backed": a sick volume costs persistence and cross-process
-	// reuse, never an extraction.
-	DiskErrorLimit int
 	// Faults, when non-nil, injects seeded deterministic IO failures at the
 	// disk boundary (fault.SiteCacheRead and fault.SiteCacheWrite, keyed by
 	// cache key). Because a failed read falls back to recomputing and a
@@ -69,7 +62,7 @@ type Config struct {
 	// byte-identical to a cache-off run.
 	Faults *fault.Injector
 	// Tracer, when non-nil, records disk-boundary spans ("cache.disk_read",
-	// "cache.disk_write", and a one-shot "cache.demote" when the error limit
+	// "cache.disk_write", and a one-shot "cache.demote" when diskErrorLimit
 	// trips). In-memory lookups are deliberately untraced here: per-lookup
 	// wall time already rides the run tracer as ns.cache_lookup and the
 	// per-part cost tallies, while disk IO and demotion are process-level
@@ -84,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 16
-	}
-	if c.DiskErrorLimit == 0 {
-		c.DiskErrorLimit = 3
 	}
 	return c
 }
@@ -109,7 +99,7 @@ type Stats struct {
 	DiskEntries int64 `json:"disk_entries"`
 	DiskBytes   int64 `json:"disk_bytes"`
 	// DiskErrors counts disk IO failures the cache absorbed; DiskDemoted
-	// reports whether they crossed Config.DiskErrorLimit and the cache fell
+	// reports whether they reached diskErrorLimit and the cache fell
 	// back to memory-only.
 	DiskErrors  int64 `json:"disk_errors"`
 	DiskDemoted bool  `json:"disk_demoted"`
@@ -146,14 +136,21 @@ type shard struct {
 // encoded payload (map cell, list pointers, key header).
 const entryOverhead = 96
 
+// diskErrorLimit is how many cumulative disk IO errors (failed segment
+// reads or appends) the cache tolerates before demoting itself to
+// memory-only for the rest of the process — the same one-way ladder the
+// server's run journal uses. Demotion is the graceful-degradation rung
+// below "disk-backed": a sick volume costs persistence and cross-process
+// reuse, never an extraction.
+const diskErrorLimit = 3
+
 // Cache is the two-layer extraction cache. It is safe for concurrent use.
 type Cache struct {
-	codec        Codec
-	shards       []*shard
-	disk         *Segment
-	diskErrLimit int
-	faults       *fault.Injector
-	tracer       *otrace.Tracer
+	codec  Codec
+	shards []*shard
+	disk   *Segment
+	faults *fault.Injector
+	tracer *otrace.Tracer
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -172,11 +169,10 @@ func Open(cfg Config, codec Codec) (*Cache, error) {
 	}
 	cfg = cfg.withDefaults()
 	c := &Cache{
-		codec:        codec,
-		shards:       make([]*shard, cfg.Shards),
-		diskErrLimit: cfg.DiskErrorLimit,
-		faults:       cfg.Faults,
-		tracer:       cfg.Tracer,
+		codec:  codec,
+		shards: make([]*shard, cfg.Shards),
+		faults: cfg.Faults,
+		tracer: cfg.Tracer,
 	}
 	per := cfg.MaxBytes / int64(cfg.Shards)
 	if per < 1 {
@@ -303,13 +299,12 @@ func (c *Cache) diskUsable() bool {
 }
 
 // noteDiskError counts one absorbed disk IO failure and demotes the cache
-// to memory-only once the configured limit is reached (a negative limit
-// never demotes). Demotion is one-way for the process lifetime: a volume
-// that produced DiskErrorLimit failures is assumed sick, and flip-flopping
-// between layers would make cache traffic timing-dependent.
+// to memory-only once diskErrorLimit is reached. Demotion is one-way for
+// the process lifetime: a volume that produced that many failures is
+// assumed sick, and flip-flopping between layers would make cache traffic
+// timing-dependent.
 func (c *Cache) noteDiskError() {
-	n := c.diskErrs.Add(1)
-	if c.diskErrLimit > 0 && n >= int64(c.diskErrLimit) {
+	if n := c.diskErrs.Add(1); n >= diskErrorLimit {
 		if c.demoted.CompareAndSwap(false, true) {
 			c.tracer.Start(0, "cache.demote", otrace.Int("disk_errors", n)).End()
 		}
@@ -462,8 +457,8 @@ func (c *Cache) Invalidate() error {
 	return nil
 }
 
-// Close flushes the disk index sidecar and releases the segment file.
-// The in-memory layer needs no teardown.
+// Close releases the segment's log. The in-memory layer needs no
+// teardown.
 func (c *Cache) Close() error {
 	if c.disk != nil {
 		return c.disk.Close()

@@ -3,50 +3,41 @@ package featcache
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"zombie/internal/runstore"
 )
 
-// Segment store file names inside the cache directory.
-const (
-	segmentFile = "cache.seg"
-	indexFile   = "cache.idx"
-)
+// segmentFile is the segment's record log inside the cache directory.
+// Files an older layout left there (cache.seg and its sidecar) are
+// ignored, so such a directory opens cold.
+const segmentFile = "cache.log"
 
-// segMagic brands both files so a directory pointed at something else
-// fails loudly instead of being silently truncated to zero.
-var segMagic = []byte("ZFC1")
+// logMagic brands the log so a directory pointed at something else fails
+// loudly instead of being silently truncated to zero.
+var logMagic = []byte("ZFC2")
 
-// rec locates one value inside the segment file.
+// rec locates one key's record in the log.
 type rec struct {
-	off  int64 // offset of the value bytes
-	vlen uint32
+	off  int64 // record offset, as runstore.Journal.ReadRecord takes it
+	size int64 // key + value bytes
 }
 
-// Segment is the disk-backed half of the cache: an append-only data file
-// of length-prefixed, checksummed records plus a sidecar index written on
-// clean Close. Records are never rewritten in place, so a crash can only
-// corrupt the tail; Open detects a torn or garbage tail by checksum and
-// truncates the file back to the last complete record. When the sidecar
-// index matches the data file's size, Open skips the scan entirely (the
-// fast path for cleanly closed sessions).
+// Segment is the disk-backed half of the cache: a key index over one
+// runstore record log. The log owns framing, checksums and crash
+// recovery (a torn or garbage tail is truncated on open); the segment
+// owns only its payload,
 //
-// Record layout (all little-endian):
+//	klen u32 | key | value
 //
-//	magic [4] — file header only, written once
-//	per record: klen u32 | key | vlen u32 | value | crc32(key+value) u32
-//
-// A later record for the same key supersedes earlier ones (last write
-// wins during the recovery scan), which keeps Append free of any read-
-// modify-write cycle.
+// and the in-memory key → offset index that Open rebuilds by replaying
+// the log. A later record for the same key supersedes earlier ones (last
+// write wins), which keeps Append free of any read-modify-write cycle.
 type Segment struct {
 	mu    sync.Mutex
-	f     *os.File
-	dir   string
-	size  int64 // bytes of validated data (including header)
+	log   *runstore.Journal
 	index map[string]rec
 	bytes int64 // sum of live key+value payload bytes
 }
@@ -56,145 +47,43 @@ func OpenSegment(dir string) (*Segment, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("featcache: create cache dir: %w", err)
 	}
-	path := filepath.Join(dir, segmentFile)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	s := &Segment{index: map[string]rec{}}
+	log, err := runstore.OpenLog(filepath.Join(dir, segmentFile), logMagic, func(off int64, p []byte) error {
+		key, val, err := splitRecord(p)
+		if err != nil {
+			return err
+		}
+		s.put(key, rec{off: off, size: int64(len(key) + len(val))})
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("featcache: open segment: %w", err)
 	}
-	s := &Segment{f: f, dir: dir, index: map[string]rec{}}
-	if err := s.load(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	s.log = log
 	return s, nil
 }
 
-// load initializes the in-memory index: header check, then either the
-// sidecar fast path or a full recovery scan that truncates a torn tail.
-func (s *Segment) load() error {
-	st, err := s.f.Stat()
-	if err != nil {
-		return fmt.Errorf("featcache: stat segment: %w", err)
+// splitRecord parses one log payload into its key and value.
+func splitRecord(p []byte) (key string, val []byte, err error) {
+	if len(p) < 4 {
+		return "", nil, fmt.Errorf("featcache: segment record of %d bytes", len(p))
 	}
-	if st.Size() == 0 {
-		if _, err := s.f.Write(segMagic); err != nil {
-			return fmt.Errorf("featcache: write segment header: %w", err)
-		}
-		s.size = int64(len(segMagic))
-		return nil
+	klen := uint64(binary.LittleEndian.Uint32(p))
+	if klen == 0 || klen > uint64(len(p)-4) {
+		return "", nil, fmt.Errorf("featcache: segment record key length %d out of range", klen)
 	}
-	header := make([]byte, len(segMagic))
-	if _, err := s.f.ReadAt(header, 0); err != nil || string(header) != string(segMagic) {
-		return fmt.Errorf("featcache: %s is not a cache segment", filepath.Join(s.dir, segmentFile))
-	}
-	if s.loadIndexSidecar(st.Size()) {
-		s.size = st.Size()
-		return nil
-	}
-	return s.scan(st.Size())
+	return string(p[4 : 4+klen]), p[4+klen:], nil
 }
 
-// loadIndexSidecar reads the clean-close index and reports whether it is
-// trustworthy: present, well-formed, and recorded against exactly the
-// current data-file size. Any mismatch (crash before the sidecar was
-// rewritten, partial sidecar write) falls back to the scan.
-func (s *Segment) loadIndexSidecar(dataSize int64) bool {
-	b, err := os.ReadFile(filepath.Join(s.dir, indexFile))
-	if err != nil || len(b) < len(segMagic)+12 {
-		return false
-	}
-	if string(b[:len(segMagic)]) != string(segMagic) {
-		return false
-	}
-	body := b[len(segMagic) : len(b)-4]
-	sum := binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return false
-	}
-	if int64(binary.LittleEndian.Uint64(body[:8])) != dataSize {
-		return false
-	}
-	body = body[8:]
-	index := map[string]rec{}
-	var bytes int64
-	for len(body) > 0 {
-		if len(body) < 4 {
-			return false
-		}
-		klen := binary.LittleEndian.Uint32(body)
-		if uint32(len(body)) < 4+klen+12 {
-			return false
-		}
-		key := string(body[4 : 4+klen])
-		off := int64(binary.LittleEndian.Uint64(body[4+klen:]))
-		vlen := binary.LittleEndian.Uint32(body[4+klen+8:])
-		index[key] = rec{off: off, vlen: vlen}
-		bytes += int64(klen) + int64(vlen)
-		body = body[4+klen+12:]
-	}
-	s.index, s.bytes = index, bytes
-	return true
+// put indexes key at r, replacing any earlier record for it.
+func (s *Segment) put(key string, r rec) {
+	s.bytes += r.size - s.index[key].size
+	s.index[key] = r
 }
 
-// scan rebuilds the index by walking every record and truncates the file
-// after the last complete, checksum-valid one. It tolerates any tail
-// state a crash can leave: a short length prefix, a half-written value,
-// or a checksum mismatch.
-func (s *Segment) scan(fileSize int64) error {
-	r := io.NewSectionReader(s.f, 0, fileSize)
-	if _, err := r.Seek(int64(len(segMagic)), io.SeekStart); err != nil {
-		return err
-	}
-	good := int64(len(segMagic))
-	var bytes int64
-	var lenBuf [4]byte
-	for {
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			break
-		}
-		klen := binary.LittleEndian.Uint32(lenBuf[:])
-		if klen == 0 || klen > 1<<20 {
-			break
-		}
-		payload := make([]byte, int64(klen)+4)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		key := string(payload[:klen])
-		vlen := binary.LittleEndian.Uint32(payload[klen:])
-		if vlen > 1<<30 {
-			break
-		}
-		val := make([]byte, int64(vlen)+4)
-		if _, err := io.ReadFull(r, val); err != nil {
-			break
-		}
-		sum := binary.LittleEndian.Uint32(val[vlen:])
-		crc := crc32.NewIEEE()
-		crc.Write(payload[:klen])
-		crc.Write(val[:vlen])
-		if crc.Sum32() != sum {
-			break
-		}
-		valOff := good + 4 + int64(klen) + 4
-		if old, ok := s.index[key]; ok {
-			bytes -= int64(len(key)) + int64(old.vlen)
-		}
-		s.index[key] = rec{off: valOff, vlen: vlen}
-		bytes += int64(len(key)) + int64(vlen)
-		good = valOff + int64(vlen) + 4
-	}
-	s.bytes = bytes
-	s.size = good
-	if good < fileSize {
-		if err := s.f.Truncate(good); err != nil {
-			return fmt.Errorf("featcache: truncate torn tail: %w", err)
-		}
-	}
-	return nil
-}
-
-// Get returns the stored value for key, if present.
+// Get returns the stored value for key, if present. The log verifies the
+// record's checksum on every read, so a value that rotted on disk is an
+// error, never data.
 func (s *Segment) Get(key string) ([]byte, bool, error) {
 	s.mu.Lock()
 	r, ok := s.index[key]
@@ -202,42 +91,38 @@ func (s *Segment) Get(key string) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	b := make([]byte, r.vlen)
-	if _, err := s.f.ReadAt(b, r.off); err != nil {
-		return nil, false, fmt.Errorf("featcache: read segment record: %w", err)
+	p, err := s.log.ReadRecord(r.off)
+	if err != nil {
+		return nil, false, fmt.Errorf("featcache: %w", err)
 	}
-	return b, true, nil
+	// An Invalidate racing this read can put another key's record at the
+	// same offset.
+	k, val, err := splitRecord(p)
+	if err != nil || k != key {
+		return nil, false, fmt.Errorf("featcache: segment record at %d does not hold its key", r.off)
+	}
+	return val, true, nil
 }
 
-// Append durably records key=val. The record is built in one buffer and
-// written with a single WriteAt at the validated end of the file, so a
-// concurrent crash leaves at most one torn record — exactly what the
-// recovery scan truncates.
+// Append durably records key=val as one log record.
 func (s *Segment) Append(key string, val []byte) error {
-	if len(key) == 0 || len(key) > 1<<20 {
-		return fmt.Errorf("featcache: key length %d out of range", len(key))
+	if len(key) == 0 {
+		return fmt.Errorf("featcache: empty key")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.index[key]; ok {
 		return nil // already persisted; values are content-addressed and immutable
 	}
-	buf := make([]byte, 0, 4+len(key)+4+len(val)+4)
+	buf := make([]byte, 0, 4+len(key)+len(val))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
 	buf = append(buf, key...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
 	buf = append(buf, val...)
-	crc := crc32.NewIEEE()
-	crc.Write([]byte(key))
-	crc.Write(val)
-	buf = binary.LittleEndian.AppendUint32(buf, crc.Sum32())
-	if _, err := s.f.WriteAt(buf, s.size); err != nil {
+	off := s.log.Size()
+	if err := s.log.Append(buf); err != nil {
 		return fmt.Errorf("featcache: append segment record: %w", err)
 	}
-	valOff := s.size + 4 + int64(len(key)) + 4
-	s.index[key] = rec{off: valOff, vlen: uint32(len(val))}
-	s.size += int64(len(buf))
-	s.bytes += int64(len(key)) + int64(len(val))
+	s.put(key, rec{off: off, size: int64(len(key) + len(val))})
 	return nil
 }
 
@@ -255,46 +140,20 @@ func (s *Segment) Bytes() int64 {
 	return s.bytes
 }
 
-// Invalidate drops every record: the data file is truncated back to its
-// header and the sidecar index is removed.
+// Invalidate drops every record: the log is reset to its header.
 func (s *Segment) Invalidate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.f.Truncate(int64(len(segMagic))); err != nil {
+	if err := s.log.Reset(); err != nil {
 		return fmt.Errorf("featcache: invalidate segment: %w", err)
 	}
-	s.size = int64(len(segMagic))
 	s.index = map[string]rec{}
 	s.bytes = 0
-	os.Remove(filepath.Join(s.dir, indexFile)) //nolint:errcheck // absent is fine
 	return nil
 }
 
-// Close writes the sidecar index (the fast path for the next Open) and
-// closes the data file. A crash that skips Close only costs the next
-// session a recovery scan, never data.
+// Close closes the log. Every Append is already on disk, and the next
+// Open rebuilds the index by replay.
 func (s *Segment) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	body := make([]byte, 8, 8+32*len(s.index))
-	binary.LittleEndian.PutUint64(body, uint64(s.size))
-	for key, r := range s.index {
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(key)))
-		body = append(body, key...)
-		body = binary.LittleEndian.AppendUint64(body, uint64(r.off))
-		body = binary.LittleEndian.AppendUint32(body, r.vlen)
-	}
-	out := make([]byte, 0, len(segMagic)+len(body)+4)
-	out = append(out, segMagic...)
-	out = append(out, body...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	// Best effort: a failed sidecar write only forfeits the next Open's
-	// fast path.
-	os.WriteFile(filepath.Join(s.dir, indexFile), out, 0o644) //nolint:errcheck
-	err := s.f.Close()
-	s.f = nil
-	return err
+	return s.log.Close()
 }

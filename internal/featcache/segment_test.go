@@ -42,23 +42,22 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSegmentReopenFastPathAndScan(t *testing.T) {
+func TestSegmentReopenReplays(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenSegment(dir)
 	s.Append("alpha", []byte("1"))
 	s.Append("beta", []byte("22"))
-	s.Close() // writes the sidecar index
+	s.Close()
 
-	// Fast path: sidecar matches the data size.
 	s2, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b, ok, _ := s2.Get("beta"); !ok || string(b) != "22" {
-		t.Fatalf("fast-path reload: %q %v", b, ok)
+		t.Fatalf("reload: %q %v", b, ok)
 	}
 	s2.Append("gamma", []byte("333"))
-	// Abandon without Close: the sidecar is now stale, forcing a scan.
+	// Abandon without Close.
 	s3, err := OpenSegment(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -88,12 +87,10 @@ func TestSegmentTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chop into the middle of the last record's value, and remove the
-	// sidecar as a crash before Close would have left it stale anyway.
+	// Chop into the middle of the last record's value.
 	if err := os.Truncate(path, st.Size()-150); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(filepath.Join(dir, indexFile))
 
 	s2, err := OpenSegment(dir)
 	if err != nil {
@@ -145,7 +142,6 @@ func TestSegmentTruncatesGarbageTail(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(filepath.Join(dir, indexFile))
 
 	s2, err := OpenSegment(dir)
 	if err != nil {
@@ -192,5 +188,40 @@ func TestSegmentInvalidate(t *testing.T) {
 	}
 	if v, ok, _ := s2.Get("b"); !ok || string(v) != "2" {
 		t.Fatal("post-invalidate append lost")
+	}
+}
+
+// TestRottedValueIsRecomputed: a stored value whose bytes change on disk
+// after Open fails its checksum on read. Get reports an error instead of
+// the bytes, and GetOrCompute recomputes and counts one disk error.
+func TestRottedValueIsRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	warm := mustOpen(t, Config{Dir: dir})
+	if _, _, err := warm.GetOrCompute("fp", "k", func() (any, error) { return "stored value", nil }); err != nil {
+		t.Fatal(err)
+	}
+	warm.Close()
+
+	c := mustOpen(t, Config{Dir: dir})
+	defer c.Close()
+	path := filepath.Join(dir, segmentFile)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-6] ^= 0xFF // inside the value, before the record's checksum
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := c.disk.Get(Key("fp", "k")); err == nil {
+		t.Fatalf("rotted value served: %q %v", v, ok)
+	}
+	calls := 0
+	v, hit, err := c.GetOrCompute("fp", "k", func() (any, error) { calls++; return "stored value", nil })
+	if err != nil || hit || v != "stored value" || calls != 1 {
+		t.Fatalf("rotted value not recomputed: v=%v hit=%v err=%v calls=%d", v, hit, err, calls)
+	}
+	if st := c.Stats(); st.DiskErrors != 1 || st.DiskHits != 0 {
+		t.Fatalf("stats = %+v, want one disk error and no disk hit", st)
 	}
 }

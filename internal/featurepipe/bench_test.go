@@ -6,6 +6,7 @@ import (
 
 	"zombie/internal/corpus"
 	"zombie/internal/learner"
+	"zombie/internal/parallel"
 	"zombie/internal/rng"
 )
 
@@ -39,6 +40,8 @@ func BenchmarkHoldoutBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	release := parallel.Hold() // as the engine's run does
+	defer release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

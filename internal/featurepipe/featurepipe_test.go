@@ -8,6 +8,7 @@ import (
 
 	"zombie/internal/corpus"
 	"zombie/internal/learner"
+	"zombie/internal/parallel"
 	"zombie/internal/rng"
 )
 
@@ -249,7 +250,9 @@ func TestNewTaskSplit(t *testing.T) {
 
 func TestBuildHoldout(t *testing.T) {
 	task := newTestTask(t, 800, 105)
+	release := parallel.Hold() // as the engine's run does
 	h, skips, err := task.BuildHoldoutTolerant()
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +283,9 @@ func TestBuildHoldout(t *testing.T) {
 func TestBuildHoldoutZeroExamplesIsAnError(t *testing.T) {
 	task := newTestTask(t, 300, 106)
 	task.Feature = &FaultyFeature{Inner: task.Feature, ErrPct: 100}
+	release := parallel.Hold()
 	h, skips, err := task.BuildHoldoutTolerant()
+	release()
 	if err == nil || h != nil {
 		t.Fatal("expected an error for a holdout of zero examples")
 	}

@@ -181,36 +181,3 @@ func Normalize(x []float64) float64 {
 	}
 	return n
 }
-
-// Softmax writes the softmax of logits into out (which may alias logits)
-// using the max-shift trick for numerical stability. It panics on length
-// mismatch or empty input.
-func Softmax(logits, out []float64) {
-	if len(logits) == 0 {
-		panic("linalg: Softmax on empty slice")
-	}
-	if len(logits) != len(out) {
-		panic(fmt.Sprintf("linalg: Softmax length mismatch %d vs %d", len(logits), len(out)))
-	}
-	max := logits[ArgMax(logits)]
-	total := 0.0
-	for i, v := range logits {
-		e := math.Exp(v - max)
-		out[i] = e
-		total += e
-	}
-	for i := range out {
-		out[i] /= total
-	}
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

@@ -103,60 +103,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestSoftmax(t *testing.T) {
-	out := make([]float64, 3)
-	Softmax([]float64{1, 2, 3}, out)
-	total := Sum(out)
-	if !almostEq(total, 1) {
-		t.Fatalf("softmax sums to %v", total)
-	}
-	if !(out[2] > out[1] && out[1] > out[0]) {
-		t.Fatalf("softmax not monotone: %v", out)
-	}
-	// Large logits must not overflow.
-	Softmax([]float64{1000, 1001}, out[:2])
-	if math.IsNaN(out[0]) || math.IsInf(out[1], 0) {
-		t.Fatalf("softmax unstable: %v", out[:2])
-	}
-	// Aliasing input and output is allowed.
-	x := []float64{0, 0}
-	Softmax(x, x)
-	if !almostEq(x[0], 0.5) {
-		t.Fatalf("aliased softmax: %v", x)
-	}
-	mustPanic(t, func() { Softmax(nil, nil) })
-}
-
-func TestSoftmaxSumsToOneProperty(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}
-	if err := quick.Check(func(logits [6]float64) bool {
-		for i := range logits {
-			if math.IsNaN(logits[i]) || math.IsInf(logits[i], 0) {
-				return true
-			}
-			// quick generates huge magnitudes; scale into a sane range.
-			logits[i] = math.Mod(logits[i], 50)
-		}
-		out := make([]float64, 6)
-		Softmax(logits[:], out)
-		s := Sum(out)
-		for _, v := range out {
-			if v < 0 || math.IsNaN(v) {
-				return false
-			}
-		}
-		return math.Abs(s-1) < 1e-9
-	}, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp wrong")
-	}
-}
-
 func TestCloneZeroScaleMeanSum(t *testing.T) {
 	x := []float64{1, 2, 3}
 	c := Clone(x)

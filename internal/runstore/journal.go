@@ -5,19 +5,17 @@
 // and interpret them at recovery — so the same store serves run
 // lifecycle transitions and session version history alike.
 //
-// The on-disk framing reuses the codec proven by internal/featcache's
-// disk segments: length-prefixed records, each closed by a CRC32 of its
-// payload, appended at the validated end of the file. Records are never
-// rewritten, so a crash can only damage the tail, and Open detects a
-// torn or garbage tail by checksum and truncates back to the last
-// complete record.
+// The journal is also the repo's one append-only record log:
+// internal/featcache's disk segments run on it through OpenLog and
+// ReadRecord. Records are never rewritten, so a crash can only damage a
+// log's tail, which opening truncates after the last checksum-valid one.
 package runstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 )
@@ -30,7 +28,10 @@ var walMagic = []byte("ZWJ1")
 // hundreds of bytes; anything past this is corruption, not data.
 const maxRecordBytes = 1 << 26
 
-// Journal is an append-only write-ahead log of opaque records.
+// errBadFrame marks bytes that are not a complete, checksum-valid record.
+var errBadFrame = errors.New("no checksum-valid record")
+
+// Journal is an append-only log of opaque records.
 //
 // Frame layout (all little-endian), after the 4-byte file magic:
 //
@@ -43,22 +44,36 @@ type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
+	magic   []byte
 	size    int64 // bytes of validated data (including magic)
 	records int
 }
 
-// OpenJournal opens (creating if needed) the journal at path and replays
-// every complete record through replay in append order. A torn or
-// corrupt tail — the only damage a process crash can inflict on an
-// append-only file — is truncated after the last checksum-valid record.
+// OpenJournal opens (creating if needed) the run journal at path and
+// replays every complete record through replay (nil skips the replay)
+// in append order; it is OpenLog under the journal's own magic.
+func OpenJournal(path string, replay func(payload []byte) error) (*Journal, error) {
+	return OpenLog(path, walMagic, func(_ int64, payload []byte) error {
+		if replay == nil {
+			return nil
+		}
+		return replay(payload)
+	})
+}
+
+// OpenLog opens (creating if needed) the log at path, branded with
+// magic, and replays every complete record through replay in append
+// order, passing the offset ReadRecord reads it back at. A file without
+// the magic is refused, never truncated; a torn or corrupt tail — the
+// only damage a crash can inflict on an append-only file — is truncated.
 // A replay error aborts the open: the caller's state machine could not
 // apply history, and appending past the failure would corrupt it further.
-func OpenJournal(path string, replay func(payload []byte) error) (*Journal, error) {
+func OpenLog(path string, magic []byte, replay func(off int64, payload []byte) error) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("runstore: open journal: %w", err)
+		return nil, fmt.Errorf("runstore: open log: %w", err)
 	}
-	j := &Journal{f: f, path: path}
+	j := &Journal{f: f, path: path, magic: magic}
 	if err := j.load(replay); err != nil {
 		f.Close()
 		return nil, err
@@ -68,49 +83,33 @@ func OpenJournal(path string, replay func(payload []byte) error) (*Journal, erro
 
 // load validates the header and scans the record stream, truncating a
 // torn tail back to the last complete record.
-func (j *Journal) load(replay func([]byte) error) error {
+func (j *Journal) load(replay func(int64, []byte) error) error {
 	st, err := j.f.Stat()
 	if err != nil {
-		return fmt.Errorf("runstore: stat journal: %w", err)
+		return fmt.Errorf("runstore: stat log: %w", err)
 	}
 	if st.Size() == 0 {
-		if _, err := j.f.Write(walMagic); err != nil {
-			return fmt.Errorf("runstore: write journal header: %w", err)
+		if _, err := j.f.Write(j.magic); err != nil {
+			return fmt.Errorf("runstore: write log header: %w", err)
 		}
-		j.size = int64(len(walMagic))
+		j.size = int64(len(j.magic))
 		return nil
 	}
-	header := make([]byte, len(walMagic))
-	if _, err := j.f.ReadAt(header, 0); err != nil || string(header) != string(walMagic) {
-		return fmt.Errorf("runstore: %s is not a run journal", j.path)
+	header := make([]byte, len(j.magic))
+	if _, err := j.f.ReadAt(header, 0); err != nil || string(header) != string(j.magic) {
+		return fmt.Errorf("runstore: %s is not a %q log", j.path, j.magic)
 	}
-	r := io.NewSectionReader(j.f, int64(len(walMagic)), st.Size()-int64(len(walMagic)))
-	good := int64(len(walMagic))
-	var lenBuf [4]byte
+	good := int64(len(j.magic))
 	for {
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		payload, err := readFrame(j.f, good, st.Size())
+		if err != nil {
 			break
 		}
-		plen := binary.LittleEndian.Uint32(lenBuf[:])
-		if plen == 0 || plen > maxRecordBytes {
-			break
-		}
-		body := make([]byte, int64(plen)+4)
-		if _, err := io.ReadFull(r, body); err != nil {
-			break
-		}
-		payload := body[:plen]
-		sum := binary.LittleEndian.Uint32(body[plen:])
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		if replay != nil {
-			if err := replay(payload); err != nil {
-				return fmt.Errorf("runstore: replay journal record %d: %w", j.records, err)
-			}
+		if err := replay(good, payload); err != nil {
+			return fmt.Errorf("runstore: replay log record %d: %w", j.records, err)
 		}
 		j.records++
-		good += 4 + int64(plen) + 4
+		good += 4 + int64(len(payload)) + 4
 	}
 	j.size = good
 	if good < st.Size() {
@@ -119,6 +118,48 @@ func (j *Journal) load(replay func([]byte) error) error {
 		}
 	}
 	return nil
+}
+
+// readFrame decodes the record whose frame starts at off and ends within
+// the file's first limit bytes, verifying its checksum.
+func readFrame(f *os.File, off, limit int64) ([]byte, error) {
+	var lenBuf [4]byte
+	if off < 0 || off+4 > limit {
+		return nil, errBadFrame
+	}
+	if _, err := f.ReadAt(lenBuf[:], off); err != nil {
+		return nil, err
+	}
+	plen := int64(binary.LittleEndian.Uint32(lenBuf[:]))
+	if plen == 0 || plen > maxRecordBytes || off+4+plen+4 > limit {
+		return nil, errBadFrame
+	}
+	body := make([]byte, plen+4)
+	if _, err := f.ReadAt(body, off+4); err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(body[:plen]) != binary.LittleEndian.Uint32(body[plen:]) {
+		return nil, errBadFrame
+	}
+	return body[:plen], nil
+}
+
+// ReadRecord returns the payload of the record at off: an offset replay
+// reported, or the Size taken just before the record's Append. The
+// checksum is verified on every read, so bytes that rotted on disk after
+// the open come back as an error, never as data.
+func (j *Journal) ReadRecord(off int64) ([]byte, error) {
+	j.mu.Lock()
+	f, size := j.f, j.size
+	j.mu.Unlock()
+	if f == nil {
+		return nil, fmt.Errorf("runstore: journal is closed")
+	}
+	payload, err := readFrame(f, off, size)
+	if err != nil {
+		return nil, fmt.Errorf("runstore: read record at %d: %w", off, err)
+	}
+	return payload, nil
 }
 
 // Append durably records one payload. Durability here means "survives a
@@ -153,10 +194,10 @@ func (j *Journal) Reset() error {
 	if j.f == nil {
 		return fmt.Errorf("runstore: journal is closed")
 	}
-	if err := j.f.Truncate(int64(len(walMagic))); err != nil {
+	if err := j.f.Truncate(int64(len(j.magic))); err != nil {
 		return fmt.Errorf("runstore: reset journal: %w", err)
 	}
-	j.size = int64(len(walMagic))
+	j.size = int64(len(j.magic))
 	j.records = 0
 	return nil
 }

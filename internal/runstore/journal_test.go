@@ -177,10 +177,12 @@ func TestJournalAppendValidation(t *testing.T) {
 }
 
 // FuzzOpenJournal: arbitrary bytes as a journal file never panic
-// OpenJournal. A file without the magic is refused; any other file replays
+// OpenLog. A file without the magic is refused; any other file replays
 // exactly its checksum-valid record prefix, as an independent frame walk
-// reads it, and an Append after that open lands where a reopen replays the
-// prefix plus the new record.
+// reads it, and ReadRecord at each replayed offset returns that record.
+// An Append after that open reads back at the Size taken before it, and
+// lands where an OpenJournal reopen replays the prefix plus the new
+// record.
 func FuzzOpenJournal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append([]byte(nil), walMagic...))
@@ -191,28 +193,41 @@ func FuzzOpenJournal(f *testing.F) {
 			t.Fatal(err)
 		}
 		var got [][]byte
-		j, err := OpenJournal(path, func(p []byte) error {
+		var offs []int64
+		j, err := OpenLog(path, walMagic, func(off int64, p []byte) error {
 			got = append(got, bytes.Clone(p))
+			offs = append(offs, off)
 			return nil
 		})
 		if len(data) > 0 && !bytes.HasPrefix(data, walMagic) {
 			if err == nil {
 				j.Close()
-				t.Fatal("OpenJournal accepted a file without the journal magic")
+				t.Fatal("OpenLog accepted a file without the journal magic")
 			}
 			return
 		}
 		if err != nil {
-			t.Fatalf("OpenJournal: %v", err)
+			t.Fatalf("OpenLog: %v", err)
 		}
 		want := validPrefix(data)
 		if !slices.EqualFunc(got, want, bytes.Equal) || j.Records() != len(want) {
 			j.Close()
 			t.Fatalf("replayed %d records (Records %d), want the %d-record valid prefix", len(got), j.Records(), len(want))
 		}
+		for i, off := range offs {
+			if p, err := j.ReadRecord(off); err != nil || !bytes.Equal(p, got[i]) {
+				j.Close()
+				t.Fatalf("ReadRecord(%d) = %q, %v; replay gave %q", off, p, err, got[i])
+			}
+		}
 		appended := []byte("appended after a fuzzed open")
+		off := j.Size()
 		if err := j.Append(appended); err != nil {
 			t.Fatal(err)
+		}
+		if p, err := j.ReadRecord(off); err != nil || !bytes.Equal(p, appended) {
+			j.Close()
+			t.Fatalf("ReadRecord(%d) after Append = %q, %v", off, p, err)
 		}
 		j.Close()
 		got = nil

@@ -80,10 +80,6 @@ type RunDefaults struct {
 	Faults *fault.Injector
 	// MaxFailureFrac is the default failure budget (0 = core's default).
 	MaxFailureFrac float64
-	// Batch is the default core.Config.BatchSize for specs that leave
-	// batch unset (0 = the engine's default of 1, the classic per-step
-	// loop).
-	Batch int
 	// DistWorkers lists worker base URLs sharded runs execute over when
 	// their spec names none of its own (see Config.DistWorkers).
 	DistWorkers []string
@@ -155,9 +151,6 @@ func (m *Manager) engineConfig(spec RunSpec) (core.Config, error) {
 		EvalEvery:      spec.EvalEvery,
 		MaxFailureFrac: spec.MaxFailures,
 		BatchSize:      spec.Batch,
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = m.defaults.Batch
 	}
 	if spec.EarlyStop {
 		cfg.EarlyStop = core.EarlyStopConfig{Enabled: true}

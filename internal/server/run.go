@@ -49,11 +49,11 @@ type RunSpec struct {
 	MaxInputs int  `json:"max_inputs,omitempty"`
 	EvalEvery int  `json:"eval_every,omitempty"`
 	EarlyStop bool `json:"early_stop,omitempty"`
-	// Batch is core.Config.BatchSize: inputs popped per arm pull. 0
-	// inherits the server default (zombie-serve -batch, normally 1); 1 is
-	// the classic per-step loop with byte-identical output; K>1 amortizes
-	// selection, evaluation, and — for distributed runs — per-input RPCs
-	// into one StepBatch call per owning shard. See DESIGN.md §13.
+	// Batch is core.Config.BatchSize: inputs popped per arm pull. 0 keeps
+	// the engine default of 1, the classic per-step loop with
+	// byte-identical output; K>1 amortizes selection, evaluation, and —
+	// for distributed runs — per-input RPCs into one StepBatch call per
+	// owning shard. See DESIGN.md §13.
 	Batch int `json:"batch,omitempty"`
 	// Trace keeps the run's step events in a bounded trace ring, served
 	// live at GET /runs/{id}/trace and as "trace" frames on the curve SSE

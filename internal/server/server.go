@@ -97,9 +97,6 @@ type Config struct {
 	// MaxFailureFrac is the default failure budget for runs that do not set
 	// max_failures (0 = the engine's default of 0.5).
 	MaxFailureFrac float64
-	// Batch is the default engine batch size for runs that do not set
-	// batch (0 = the engine's default of 1, the classic per-step loop).
-	Batch int
 	// Faults injects deterministic failures into every run without its own
 	// faults spec — chaos deployments only; normally nil. It is also passed
 	// to the extraction cache, covering the cache.read/cache.write sites.
@@ -194,7 +191,6 @@ func New(cfg Config) (*Server, error) {
 		Timeout:        cfg.RunTimeout,
 		Faults:         cfg.Faults,
 		MaxFailureFrac: cfg.MaxFailureFrac,
-		Batch:          cfg.Batch,
 		DistWorkers:    cfg.DistWorkers,
 	}
 	manager := NewManager(registry, cache, featCache, metrics, store, cfg.Workers, cfg.QueueCap, defaults)

@@ -134,10 +134,3 @@ func (p *PlateauDetector) Slope() float64 {
 
 // Observations returns the number of samples observed so far.
 func (p *PlateauDetector) Observations() int { return p.checks }
-
-// Reset clears all state, ready for a new series.
-func (p *PlateauDetector) Reset() {
-	p.win.Reset()
-	p.hits = 0
-	p.checks = 0
-}

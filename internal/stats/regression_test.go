@@ -101,20 +101,6 @@ func TestPlateauDetectorPatienceResets(t *testing.T) {
 	t.Fatal("detector never fired on a long flat tail")
 }
 
-func TestPlateauDetectorReset(t *testing.T) {
-	p := NewPlateauDetector(3, 0.01, 1)
-	for i := 0; i < 5; i++ {
-		p.Observe(2)
-	}
-	if !p.Plateaued() {
-		t.Fatal("setup failed: should be plateaued")
-	}
-	p.Reset()
-	if p.Plateaued() || p.Observations() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 func TestPlateauDetectorPanics(t *testing.T) {
 	mustPanic(t, func() { NewPlateauDetector(1, 0.1, 1) })
 	mustPanic(t, func() { NewPlateauDetector(5, -0.1, 1) })

@@ -103,8 +103,3 @@ func (w *Window) First() float64 {
 	}
 	return w.at(0)
 }
-
-// Reset empties the window without reallocating.
-func (w *Window) Reset() {
-	w.head, w.count, w.sum = 0, 0, 0
-}

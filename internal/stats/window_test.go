@@ -31,20 +31,6 @@ func TestWindowBasics(t *testing.T) {
 	}
 }
 
-func TestWindowReset(t *testing.T) {
-	w := NewWindow(4)
-	w.Add(1)
-	w.Add(2)
-	w.Reset()
-	if w.Len() != 0 || w.Sum() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-	w.Add(9)
-	if w.Last() != 9 || w.Len() != 1 {
-		t.Fatal("window unusable after Reset")
-	}
-}
-
 func TestWindowPanics(t *testing.T) {
 	mustPanic(t, func() { NewWindow(0) })
 	w := NewWindow(2)
