@@ -120,13 +120,15 @@ bench-smoke:
 # OpenJournal against arbitrary journal bytes, the server's state load
 # path (legacy translation included) against arbitrary snapshot and
 # record bytes, GaussianNB's certified holdout argmax against its exact
-# predict over arbitrary moments, priors and features, and the strict and
-# tolerant JSONL corpus decodes against each other over arbitrary bytes.
+# predict over arbitrary moments, priors and features, the strict and
+# tolerant JSONL corpus decodes against each other over arbitrary bytes,
+# and the extraction-result codec's Decode, round trip and Size over
+# arbitrary bytes — ten targets.
 # Minimizing a new input is capped at a second so the ten seconds go to
 # fuzzing: the state seeds are whole fixture directories, and minimizing
 # one of those under the default cap can take the entire budget.
 fuzz-smoke:
-	@for target in index:FuzzScanTokens index:FuzzKMeansBounded index:FuzzLoadGroups fault:FuzzFaultSpec recipe:FuzzRecipeSpec runstore:FuzzOpenJournal server:FuzzRestoreState learner:FuzzGaussianCertifiedArgmax corpus:FuzzDecodeJSONL; do \
+	@for target in index:FuzzScanTokens index:FuzzKMeansBounded index:FuzzLoadGroups fault:FuzzFaultSpec recipe:FuzzRecipeSpec runstore:FuzzOpenJournal server:FuzzRestoreState learner:FuzzGaussianCertifiedArgmax corpus:FuzzDecodeJSONL featurepipe:FuzzResultCodec; do \
 		$(GO) test ./internal/$${target%%:*} -run '^$$' -fuzz "^$${target#*:}\$$" -fuzztime 10s -fuzzminimizetime 1s || exit 1; \
 	done
 

@@ -25,7 +25,6 @@ package featcache
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -33,12 +32,15 @@ import (
 	"zombie/internal/otrace"
 )
 
-// Codec converts cached values to and from their durable byte form. Encode
-// is also used for in-memory byte accounting, so it must be cheap relative
-// to the computation being cached.
+// Codec converts cached values to and from their durable byte form, and
+// sizes them for the in-memory byte budget. Size(v) must equal
+// len(Encode(v)) for every v Encode accepts: a memory-only cache counts
+// a value's bytes with Size and never encodes it, a disk-backed one
+// counts the bytes it writes, and both account the same number.
 type Codec interface {
 	Encode(v any) ([]byte, error)
 	Decode(b []byte) (any, error)
+	Size(v any) int
 }
 
 // Config sizes a Cache. The zero value is usable: memory-only, 64 MiB.
@@ -105,18 +107,38 @@ type Stats struct {
 	DiskDemoted bool  `json:"disk_demoted"`
 }
 
+// memKey is the in-memory form of a cache key: the two halves Key joins,
+// kept apart so a lookup builds no string.
+type memKey struct{ fp, id string }
+
+// shard picks k's shard out of n by FNV-1a over the bytes of Key(fp, id),
+// hashed in place.
+func (k memKey) shard(n int) int {
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(k.fp); i++ {
+		h = (h ^ uint32(k.fp[i])) * prime32
+	}
+	h = (h ^ 0x1f) * prime32
+	for i := 0; i < len(k.id); i++ {
+		h = (h ^ uint32(k.id[i])) * prime32
+	}
+	return int(h) % n
+}
+
 // entry is one resident value. size includes key and accounting overhead.
 type entry struct {
-	key  string
+	key  memKey
 	val  any
 	size int64
 	// prev/next form the shard's intrusive LRU list.
 	prev, next *entry
 }
 
-// flight is one in-progress compute; waiters block on done.
+// flight is one in-progress compute; waiters block on done until the
+// computing caller has set val and err.
 type flight struct {
-	done chan struct{}
+	done sync.WaitGroup
 	val  any
 	err  error
 }
@@ -126,8 +148,8 @@ type shard struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
-	table    map[string]*entry
-	inflight map[string]*flight
+	table    map[memKey]*entry
+	inflight map[memKey]*flight
 	// head is most-recently used; tail is the eviction candidate.
 	head, tail *entry
 }
@@ -181,8 +203,8 @@ func Open(cfg Config, codec Codec) (*Cache, error) {
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			maxBytes: per,
-			table:    map[string]*entry{},
-			inflight: map[string]*flight{},
+			table:    map[memKey]*entry{},
+			inflight: map[memKey]*flight{},
 		}
 	}
 	if cfg.Dir != "" {
@@ -202,12 +224,6 @@ func Key(fingerprint, inputID string) string {
 	return fingerprint + "\x1f" + inputID
 }
 
-func (c *Cache) shardFor(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[int(h.Sum32())%len(c.shards)]
-}
-
 // GetOrCompute returns the cached value for (fingerprint, inputID),
 // computing and caching it on a miss. hit reports whether the compute
 // function was avoided (memory hit, disk hit, or coalesced onto a
@@ -218,27 +234,28 @@ func (c *Cache) shardFor(key string) *shard {
 // propagates to the computing caller (so the engine's panic isolation sees
 // the original value) while coalesced waiters receive an error.
 func (c *Cache) GetOrCompute(fingerprint, inputID string, compute func() (any, error)) (v any, hit bool, err error) {
-	key := Key(fingerprint, inputID)
-	sh := c.shardFor(key)
+	k := memKey{fingerprint, inputID}
+	sh := c.shards[k.shard(len(c.shards))]
 
 	sh.mu.Lock()
-	if e, ok := sh.table[key]; ok {
+	if e, ok := sh.table[k]; ok {
 		sh.moveToFrontLocked(e)
 		sh.mu.Unlock()
 		c.hits.Add(1)
 		return e.val, true, nil
 	}
-	if fl, ok := sh.inflight[key]; ok {
+	if fl, ok := sh.inflight[k]; ok {
 		sh.mu.Unlock()
-		<-fl.done
+		fl.done.Wait()
 		if fl.err != nil {
 			return nil, false, fl.err
 		}
 		c.hits.Add(1)
 		return fl.val, true, nil
 	}
-	fl := &flight{done: make(chan struct{})}
-	sh.inflight[key] = fl
+	fl := &flight{}
+	fl.done.Add(1)
+	sh.inflight[k] = fl
 	sh.mu.Unlock()
 
 	finished := false
@@ -246,34 +263,33 @@ func (c *Cache) GetOrCompute(fingerprint, inputID string, compute func() (any, e
 		finished = true
 		fl.val, fl.err = val, err
 		sh.mu.Lock()
-		delete(sh.inflight, key)
+		delete(sh.inflight, k)
 		if err == nil {
-			c.insertLocked(sh, key, val, size)
+			c.insertLocked(sh, k, val, size)
 		}
 		sh.mu.Unlock()
-		close(fl.done)
+		fl.done.Done()
 	}
 	defer func() {
 		if p := recover(); p != nil {
 			if !finished {
-				finish(nil, 0, fmt.Errorf("featcache: compute for %s panicked: %v", key, p))
+				finish(nil, 0, fmt.Errorf("featcache: compute for %s panicked: %v", Key(fingerprint, inputID), p))
 			}
 			panic(p)
 		}
 	}()
 
-	if b, ok := c.diskGet(key); ok {
-		if dv, decErr := c.codec.Decode(b); decErr == nil {
+	// Only the disk layer, which stores it, builds the string key.
+	var key string
+	disk := c.diskUsable()
+	if disk {
+		key = Key(fingerprint, inputID)
+		if dv, size, ok := c.diskGet(key); ok {
 			c.diskHits.Add(1)
 			c.hits.Add(1)
-			finish(dv, int64(len(b)), nil)
+			finish(dv, size, nil)
 			return dv, true, nil
 		}
-		// An undecodable record (codec drift) falls through to a
-		// recompute, which re-persists nothing: Append skips keys the
-		// index already holds, so the stale record stays until an
-		// Invalidate. Acceptable: fingerprints change with codec-visible
-		// feature changes, making drift a development-only state.
 	}
 
 	val, err := compute()
@@ -281,14 +297,16 @@ func (c *Cache) GetOrCompute(fingerprint, inputID string, compute func() (any, e
 		finish(nil, 0, err)
 		return nil, false, err
 	}
-	b, err := c.codec.Encode(val)
-	if err != nil {
-		finish(nil, 0, fmt.Errorf("featcache: encode %s: %w", key, err))
-		return nil, false, err
+	if disk {
+		b, err := c.codec.Encode(val)
+		if err != nil {
+			finish(nil, 0, fmt.Errorf("featcache: encode %s: %w", key, err))
+			return nil, false, err
+		}
+		c.diskPut(key, b)
 	}
-	c.diskPut(key, b)
 	c.misses.Add(1)
-	finish(val, int64(len(b)), nil)
+	finish(val, int64(c.codec.Size(val)), nil)
 	return val, false, nil
 }
 
@@ -323,27 +341,36 @@ func (c *Cache) fire(site fault.Site, key string) (err error) {
 	return c.faults.Fire(site, key)
 }
 
-// diskGet reads key from the segment store, absorbing failures: an
-// injected fault or a real read error counts toward demotion and reports a
-// miss, so the caller recomputes instead of failing the extraction.
-func (c *Cache) diskGet(key string) ([]byte, bool) {
-	if !c.diskUsable() {
-		return nil, false
-	}
+// diskGet reads and decodes key's record from the segment store,
+// absorbing failures: an injected fault or a real read error counts toward
+// demotion and reports a miss, so the caller recomputes instead of failing
+// the extraction. A record that fails its read, or its decode (codec
+// drift), is dropped from the index, so the recompute persists a fresh
+// record instead of every later read failing again. size is the record's
+// value length, what the memory layer charges for it.
+func (c *Cache) diskGet(key string) (v any, size int64, ok bool) {
 	ref := c.tracer.Start(0, "cache.disk_read")
 	if err := c.fire(fault.SiteCacheRead, key); err != nil {
 		c.noteDiskError()
 		ref.End(otrace.String("err", "fault"))
-		return nil, false
+		return nil, 0, false
 	}
-	b, ok, err := c.disk.Get(key)
+	b, off, ok, err := c.disk.Get(key)
 	if err != nil {
 		c.noteDiskError()
+		c.disk.Drop(key, off)
 		ref.End(otrace.String("err", "io"))
-		return nil, false
+		return nil, 0, false
 	}
 	ref.End(otrace.Int("bytes", int64(len(b))))
-	return b, ok
+	if !ok {
+		return nil, 0, false
+	}
+	if v, err = c.codec.Decode(b); err != nil {
+		c.disk.Drop(key, off)
+		return nil, 0, false
+	}
+	return v, int64(len(b)), true
 }
 
 // diskPut persists key=val best-effort: a full disk or an injected fault
@@ -365,11 +392,11 @@ func (c *Cache) diskPut(key string, val []byte) {
 
 // insertLocked adds the value under sh.mu and evicts LRU entries beyond
 // the shard budget (never the entry just inserted).
-func (c *Cache) insertLocked(sh *shard, key string, val any, size int64) {
+func (c *Cache) insertLocked(sh *shard, key memKey, val any, size int64) {
 	if _, ok := sh.table[key]; ok {
 		return // a racing fill already inserted it
 	}
-	e := &entry{key: key, val: val, size: size + int64(len(key)) + entryOverhead}
+	e := &entry{key: key, val: val, size: size + int64(len(key.fp)+1+len(key.id)) + entryOverhead}
 	sh.table[key] = e
 	sh.pushFrontLocked(e)
 	sh.bytes += e.size
@@ -446,7 +473,7 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Invalidate() error {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		sh.table = map[string]*entry{}
+		sh.table = map[memKey]*entry{}
 		sh.head, sh.tail = nil, nil
 		sh.bytes = 0
 		sh.mu.Unlock()

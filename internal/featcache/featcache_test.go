@@ -22,6 +22,8 @@ func (byteCodec) Encode(v any) ([]byte, error) {
 
 func (byteCodec) Decode(b []byte) (any, error) { return string(b), nil }
 
+func (byteCodec) Size(v any) int { s, _ := v.(string); return len(s) }
+
 func mustOpen(t *testing.T, cfg Config) *Cache {
 	t.Helper()
 	c, err := Open(cfg, byteCodec{})

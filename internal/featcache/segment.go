@@ -81,30 +81,44 @@ func (s *Segment) put(key string, r rec) {
 	s.index[key] = r
 }
 
-// Get returns the stored value for key, if present. The log verifies the
-// record's checksum on every read, so a value that rotted on disk is an
-// error, never data.
-func (s *Segment) Get(key string) ([]byte, bool, error) {
+// Get returns the stored value for key, if present, and the offset of the
+// record it read (for Drop). The log verifies the record's checksum on
+// every read, so a value that rotted on disk is an error, never data.
+func (s *Segment) Get(key string) (val []byte, off int64, ok bool, err error) {
 	s.mu.Lock()
 	r, ok := s.index[key]
 	s.mu.Unlock()
 	if !ok {
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
 	p, err := s.log.ReadRecord(r.off)
 	if err != nil {
-		return nil, false, fmt.Errorf("featcache: %w", err)
+		return nil, r.off, false, fmt.Errorf("featcache: %w", err)
 	}
 	// An Invalidate racing this read can put another key's record at the
 	// same offset.
 	k, val, err := splitRecord(p)
 	if err != nil || k != key {
-		return nil, false, fmt.Errorf("featcache: segment record at %d does not hold its key", r.off)
+		return nil, r.off, false, fmt.Errorf("featcache: segment record at %d does not hold its key", r.off)
 	}
-	return val, true, nil
+	return val, r.off, true, nil
 }
 
-// Append durably records key=val as one log record.
+// Drop forgets key's record at off — one that failed its read or its
+// decode — so the next Append of key writes a fresh record. An index
+// entry that no longer points at off (a later Append or an Invalidate
+// replaced it) is left alone. The bad record stays in the log, unindexed.
+func (s *Segment) Drop(key string, off int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r, ok := s.index[key]; ok && r.off == off {
+		delete(s.index, key)
+		s.bytes -= r.size
+	}
+}
+
+// Append durably records key=val as one log record. A key the index
+// already holds is skipped: values are content-addressed and immutable.
 func (s *Segment) Append(key string, val []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("featcache: empty key")
@@ -112,7 +126,7 @@ func (s *Segment) Append(key string, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.index[key]; ok {
-		return nil // already persisted; values are content-addressed and immutable
+		return nil
 	}
 	buf := make([]byte, 0, 4+len(key)+len(val))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))

@@ -22,11 +22,11 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if s.Len() != 10 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	b, ok, err := s.Get("k3")
+	b, _, ok, err := s.Get("k3")
 	if err != nil || !ok || string(b) != "value-3" {
 		t.Fatalf("get: %q %v %v", b, ok, err)
 	}
-	if _, ok, _ := s.Get("missing"); ok {
+	if _, _, ok, _ := s.Get("missing"); ok {
 		t.Fatal("missing key reported present")
 	}
 	// Re-appending an existing key is a no-op (content-addressed values).
@@ -53,7 +53,7 @@ func TestSegmentReopenReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, ok, _ := s2.Get("beta"); !ok || string(b) != "22" {
+	if b, _, ok, _ := s2.Get("beta"); !ok || string(b) != "22" {
 		t.Fatalf("reload: %q %v", b, ok)
 	}
 	s2.Append("gamma", []byte("333"))
@@ -63,7 +63,7 @@ func TestSegmentReopenReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, want := range map[string]string{"alpha": "1", "beta": "22", "gamma": "333"} {
-		if b, ok, _ := s3.Get(k); !ok || string(b) != want {
+		if b, _, ok, _ := s3.Get(k); !ok || string(b) != want {
 			t.Fatalf("scan reload %s: %q %v", k, b, ok)
 		}
 	}
@@ -102,12 +102,12 @@ func TestSegmentTruncatesTornTail(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		b, ok, err := s2.Get(k)
+		b, _, ok, err := s2.Get(k)
 		if err != nil || !ok || len(b) != 100+i {
 			t.Fatalf("record %s: len=%d ok=%v err=%v", k, len(b), ok, err)
 		}
 	}
-	if _, ok, _ := s2.Get("torn"); ok {
+	if _, _, ok, _ := s2.Get("torn"); ok {
 		t.Fatal("torn record must not survive recovery")
 	}
 	// The file itself was truncated back to the last good record, so a
@@ -121,7 +121,7 @@ func TestSegmentTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	if b, ok, _ := s3.Get("after"); !ok || string(b) != "recovered" {
+	if b, _, ok, _ := s3.Get("after"); !ok || string(b) != "recovered" {
 		t.Fatalf("post-recovery append lost: %q %v", b, ok)
 	}
 }
@@ -151,7 +151,7 @@ func TestSegmentTruncatesGarbageTail(t *testing.T) {
 	if s2.Len() != 1 {
 		t.Fatalf("recovered %d records, want 1", s2.Len())
 	}
-	if v, ok, _ := s2.Get("good"); !ok || string(v) != "keep-me" {
+	if v, _, ok, _ := s2.Get("good"); !ok || string(v) != "keep-me" {
 		t.Fatalf("good record lost: %q %v", v, ok)
 	}
 }
@@ -176,24 +176,26 @@ func TestSegmentInvalidate(t *testing.T) {
 	if s.Len() != 0 || s.Bytes() != 0 {
 		t.Fatal("invalidate left records")
 	}
-	if _, ok, _ := s.Get("a"); ok {
+	if _, _, ok, _ := s.Get("a"); ok {
 		t.Fatal("invalidated key still readable")
 	}
 	s.Append("b", []byte("2"))
 	s.Close()
 	s2, _ := OpenSegment(dir)
 	defer s2.Close()
-	if _, ok, _ := s2.Get("a"); ok {
+	if _, _, ok, _ := s2.Get("a"); ok {
 		t.Fatal("invalidated key survived reopen")
 	}
-	if v, ok, _ := s2.Get("b"); !ok || string(v) != "2" {
+	if v, _, ok, _ := s2.Get("b"); !ok || string(v) != "2" {
 		t.Fatal("post-invalidate append lost")
 	}
 }
 
 // TestRottedValueIsRecomputed: a stored value whose bytes change on disk
 // after Open fails its checksum on read. Get reports an error instead of
-// the bytes, and GetOrCompute recomputes and counts one disk error.
+// the bytes, and GetOrCompute recomputes, counts one disk error and
+// persists the recompute in a fresh record, so later reads of the key —
+// after a memory eviction too — are disk hits that count no further error.
 func TestRottedValueIsRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	warm := mustOpen(t, Config{Dir: dir})
@@ -202,7 +204,8 @@ func TestRottedValueIsRecomputed(t *testing.T) {
 	}
 	warm.Close()
 
-	c := mustOpen(t, Config{Dir: dir})
+	// One shard one byte large: every insert evicts the resident entry.
+	c := mustOpen(t, Config{Dir: dir, MaxBytes: 1, Shards: 1})
 	defer c.Close()
 	path := filepath.Join(dir, segmentFile)
 	b, err := os.ReadFile(path)
@@ -213,7 +216,7 @@ func TestRottedValueIsRecomputed(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, err := c.disk.Get(Key("fp", "k")); err == nil {
+	if v, _, ok, err := c.disk.Get(Key("fp", "k")); err == nil {
 		t.Fatalf("rotted value served: %q %v", v, ok)
 	}
 	calls := 0
@@ -223,5 +226,59 @@ func TestRottedValueIsRecomputed(t *testing.T) {
 	}
 	if st := c.Stats(); st.DiskErrors != 1 || st.DiskHits != 0 {
 		t.Fatalf("stats = %+v, want one disk error and no disk hit", st)
+	}
+	if v, _, ok, err := c.disk.Get(Key("fp", "k")); err != nil || !ok || string(v) != "stored value" {
+		t.Fatalf("recompute not re-persisted: %q ok=%v err=%v", v, ok, err)
+	}
+	for i := 0; i < diskErrorLimit; i++ {
+		other := fmt.Sprintf("other-%d", i)
+		if _, _, err := c.GetOrCompute("fp", other, func() (any, error) { return other, nil }); err != nil {
+			t.Fatal(err)
+		}
+		v, hit, err := c.GetOrCompute("fp", "k", func() (any, error) { calls++; return "stored value", nil })
+		if err != nil || !hit || v != "stored value" || calls != 1 {
+			t.Fatalf("read %d after eviction: v=%v hit=%v err=%v calls=%d", i, v, hit, err, calls)
+		}
+	}
+	if st := c.Stats(); st.DiskErrors != 1 || st.DiskHits != diskErrorLimit || st.DiskDemoted {
+		t.Fatalf("stats = %+v, want the one disk error, %d disk hits and no demotion", st, diskErrorLimit)
+	}
+}
+
+// driftCodec is byteCodec under a format change: records holding "old"
+// no longer decode.
+type driftCodec struct{ byteCodec }
+
+func (driftCodec) Decode(b []byte) (any, error) {
+	if string(b) == "old" {
+		return nil, fmt.Errorf("old format")
+	}
+	return string(b), nil
+}
+
+// TestUndecodableRecordIsReplaced: a record the codec no longer decodes
+// is recomputed, without counting a disk error, and the recompute
+// replaces it on disk — the next process decodes the new record.
+func TestUndecodableRecordIsReplaced(t *testing.T) {
+	dir := t.TempDir()
+	old := mustOpen(t, Config{Dir: dir})
+	if _, _, err := old.GetOrCompute("fp", "k", func() (any, error) { return "old", nil }); err != nil {
+		t.Fatal(err)
+	}
+	old.Close()
+
+	for pass, want := range []bool{false, true} {
+		c, err := Open(Config{Dir: dir}, driftCodec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, hit, err := c.GetOrCompute("fp", "k", func() (any, error) { return "new", nil })
+		if err != nil || hit != want || v != "new" {
+			t.Fatalf("pass %d: v=%v hit=%v err=%v, want hit=%v", pass, v, hit, err, want)
+		}
+		if st := c.Stats(); st.DiskErrors != 0 || st.DiskEntries != 1 {
+			t.Fatalf("pass %d: stats = %+v, want no disk error and one record", pass, st)
+		}
+		c.Close()
 	}
 }

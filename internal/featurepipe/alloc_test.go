@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"zombie/internal/corpus"
+	"zombie/internal/featcache"
 	"zombie/internal/learner"
 	"zombie/internal/rng"
 )
@@ -15,7 +16,11 @@ import (
 // naive-Bayes tables left: an extraction that produces an example
 // allocates its sparse vector (indices, values, header) and nothing else —
 // BenchmarkWikiExtract's 1 alloc/op is that averaged over a corpus where
-// most pages produce nothing — and scoring allocates nothing.
+// most pages produce nothing — and scoring allocates nothing. Through
+// the extraction cache, a hit allocates nothing, a composite whose parts
+// all hit allocates only its assembled vector, and a memory-only miss adds
+// the in-flight record, the boxed result and the resident entry to the
+// extraction's own three.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -55,14 +60,38 @@ func TestHotPathAllocs(t *testing.T) {
 	songHoldout, _, _ := fitted(song, songs, gnb, learner.MetricMacroF1, 0)
 
 	next := 0
-	extract := func(ins []*corpus.Input) func() {
+	extractWith := func(f FeatureFunc, ins []*corpus.Input) func() {
 		return func() {
-			if _, err := wiki.Extract(ins[next%len(ins)]); err != nil {
+			if _, err := f.Extract(ins[next%len(ins)]); err != nil {
 				t.Fatal(err)
 			}
 			next++
 		}
 	}
+	extract := func(ins []*corpus.Input) func() { return extractWith(wiki, ins) }
+
+	// warm wraps f in a memory-only cache that has seen every page.
+	warm := func(f FeatureFunc) FeatureFunc {
+		cf := Cached(f, newTestCache(t), &CacheCounters{})
+		for _, in := range pages {
+			if _, err := cf.Extract(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cf
+	}
+	composite, err := NewCompositeFeature("combo", NewWikiFeature(2), NewWikiFeature(4), NewWikiFeature(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-shard cache one byte large holds a single entry, so cycling
+	// over the pages misses on every call, and each miss's insert evicts
+	// the last one's: the maps keep one entry and never grow.
+	tiny, err := featcache.Open(featcache.Config{MaxBytes: 1, Shards: 1}, ResultCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing := Cached(wiki, tiny, &CacheCounters{})
 	for _, c := range []struct {
 		name string
 		want float64
@@ -70,11 +99,17 @@ func TestHotPathAllocs(t *testing.T) {
 	}{
 		{"wiki-v4 Extract, example produced", 3, extract(pages)},
 		{"wiki-v4 Extract, nothing produced", 0, extract(background)},
+		{"cached wiki-v4 Extract, hit", 0, extractWith(warm(wiki), pages)},
+		{"cached 3-part composite Extract, every part a hit", 3, extractWith(warm(composite), pages)},
+		{"cached wiki-v4 Extract, memory-only miss", 6, extractWith(missing, pages)},
 		{"Holdout.Quality MultinomialNB", 0, func() { wikiHoldout.Quality(mnb) }},
 		{"Holdout.Quality GaussianNB", 0, func() { songHoldout.Quality(gnb) }},
 	} {
 		if got := testing.AllocsPerRun(50, c.op); got != c.want {
 			t.Errorf("%s: %v allocs per call, want %v", c.name, got, c.want)
 		}
+	}
+	if st := tiny.Stats(); st.Hits != 0 {
+		t.Errorf("the one-entry cache served %d hits, want every call a miss", st.Hits)
 	}
 }

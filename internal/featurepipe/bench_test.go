@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"zombie/internal/corpus"
+	"zombie/internal/featcache"
 	"zombie/internal/learner"
 	"zombie/internal/parallel"
 	"zombie/internal/rng"
@@ -47,6 +48,51 @@ func BenchmarkHoldoutBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := task.BuildHoldoutTolerant(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCachedExtract measures what the extraction cache adds on top
+// of feature code, for wiki v4 and a three-part wiki composite (the
+// session workload's first recipe): a hit, served from memory, and a
+// memory-only miss, which runs the feature code and makes the result
+// resident. The miss cache is one shard one byte large, so it holds a
+// single entry and every extraction over the cycling inputs misses.
+func BenchmarkCachedExtract(b *testing.B) {
+	ins := wikiInputs(b, 256, 904)
+	composite, err := NewCompositeFeature("combo", NewWikiFeature(2), NewWikiFeature(4), NewWikiFeature(5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	open := func(cfg featcache.Config) *featcache.Cache {
+		c, err := featcache.Open(cfg, ResultCodec{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+	for _, f := range []FeatureFunc{NewWikiFeature(4), composite} {
+		for _, c := range []struct {
+			name string
+			cfg  featcache.Config
+		}{
+			{"hit", featcache.Config{}},
+			{"miss", featcache.Config{MaxBytes: 1, Shards: 1}},
+		} {
+			cf := Cached(f, open(c.cfg), &CacheCounters{})
+			for _, in := range ins {
+				if _, err := cf.Extract(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Run(f.Name()+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := cf.Extract(ins[i%len(ins)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

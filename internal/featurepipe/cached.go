@@ -26,10 +26,9 @@ type CacheCounters struct {
 
 	// Per-part tallies, keyed by the wrapped function's Name (for a
 	// composite feature that is the recipe part name — the dimension the
-	// cost-attribution summary groups extraction time by). The map is
-	// lazily populated on first touch per part; after that a part's
-	// tallies are atomic adds, so the steady-state extract path stays
-	// allocation-free.
+	// cost-attribution summary groups extraction time by). Cached resolves
+	// a part's tally once, when it wraps the part; after that the part's
+	// tallies are atomic adds, with no lock or map lookup per extraction.
 	mu    sync.Mutex
 	parts map[string]*partTally
 }
@@ -38,18 +37,23 @@ type partTally struct {
 	hits, misses, lookupNanos, computeNanos atomic.Int64
 }
 
-// partAdd records one cache-mediated extraction against the named part.
-func (c *CacheCounters) partAdd(part string, hit bool, lookup, compute time.Duration) {
+// part returns the named part's tally, creating it on first use.
+func (c *CacheCounters) part(name string) *partTally {
 	c.mu.Lock()
-	t := c.parts[part]
+	defer c.mu.Unlock()
+	t := c.parts[name]
 	if t == nil {
 		if c.parts == nil {
 			c.parts = map[string]*partTally{}
 		}
 		t = &partTally{}
-		c.parts[part] = t
+		c.parts[name] = t
 	}
-	c.mu.Unlock()
+	return t
+}
+
+// add records one cache-mediated extraction.
+func (t *partTally) add(hit bool, lookup, compute time.Duration) {
 	if hit {
 		t.hits.Add(1)
 	} else {
@@ -74,11 +78,15 @@ type PartCost struct {
 	ComputeNanos int64  `json:"compute_ns"`
 }
 
-// Parts returns the per-part cost tallies, sorted by part name.
+// Parts returns the per-part cost tallies of the parts that completed at
+// least one extraction, sorted by part name.
 func (c *CacheCounters) Parts() []PartCost {
 	c.mu.Lock()
 	out := make([]PartCost, 0, len(c.parts))
 	for name, t := range c.parts {
+		if t.hits.Load()+t.misses.Load() == 0 {
+			continue // wrapped, never extracted through
+		}
 		out = append(out, PartCost{
 			Part:         name,
 			Hits:         t.hits.Load(),
@@ -119,10 +127,16 @@ func Cached(f FeatureFunc, cache *featcache.Cache, ctrs *CacheCounters) FeatureF
 		}
 		return &CompositeFeature{FuncCore: comp.FuncCore, parts: parts}
 	}
+	cf := &cachedFunc{inner: f, cache: cache, ctrs: ctrs}
 	if already, ok := f.(*cachedFunc); ok {
-		return &cachedFunc{inner: already.inner, fp: already.fp, cache: cache, ctrs: ctrs}
+		cf.inner, cf.fp = already.inner, already.fp
+	} else {
+		cf.fp = FingerprintOf(f)
 	}
-	return &cachedFunc{inner: f, fp: FingerprintOf(f), cache: cache, ctrs: ctrs}
+	if ctrs != nil {
+		cf.tally = ctrs.part(cf.inner.Name())
+	}
+	return cf
 }
 
 // cachedFunc memoizes one (non-composite) feature function.
@@ -131,6 +145,7 @@ type cachedFunc struct {
 	fp    string
 	cache *featcache.Cache
 	ctrs  *CacheCounters
+	tally *partTally // ctrs' tally for inner.Name(); nil when ctrs is
 }
 
 // Name implements FeatureFunc. The wrapper is transparent: traces, table
@@ -165,24 +180,19 @@ func (c *cachedFunc) Extract(in *corpus.Input) (Result, error) {
 	if c.ctrs != nil {
 		// Lookup time is total minus the inner compute, so hits charge the
 		// full call and misses charge only the cache's own overhead.
-		if overhead := time.Since(start) - compute; overhead > 0 {
-			c.ctrs.LookupNanos.Add(int64(overhead))
+		overhead := max(time.Since(start)-compute, 0)
+		c.ctrs.LookupNanos.Add(int64(overhead))
+		if err == nil {
+			if hit {
+				c.ctrs.Hits.Add(1)
+			} else {
+				c.ctrs.Misses.Add(1)
+			}
+			c.tally.add(hit, overhead, compute)
 		}
 	}
 	if err != nil {
 		return Result{}, err
-	}
-	if c.ctrs != nil {
-		if hit {
-			c.ctrs.Hits.Add(1)
-		} else {
-			c.ctrs.Misses.Add(1)
-		}
-		overhead := time.Since(start) - compute
-		if overhead < 0 {
-			overhead = 0
-		}
-		c.ctrs.partAdd(c.inner.Name(), hit, overhead, compute)
 	}
 	return v.(Result), nil
 }

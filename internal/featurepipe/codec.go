@@ -24,6 +24,10 @@ type ResultCodec struct{}
 
 const resultCodecVersion = 1
 
+// resultHeaderBytes is a produced record's fixed prefix: version, flags,
+// class, target, dim and the entry count.
+const resultHeaderBytes = 2 + 4 + 8 + 4 + 4
+
 // Encode implements featcache.Codec.
 func (ResultCodec) Encode(v any) ([]byte, error) {
 	res, ok := v.(Result)
@@ -44,7 +48,7 @@ func (ResultCodec) Encode(v any) ([]byte, error) {
 	if fv.IsSparse() {
 		flags |= 4
 	}
-	b := make([]byte, 0, 2+4+8+4+4+12*fv.NNZ())
+	b := make([]byte, 0, resultSize(res))
 	b = append(b, resultCodecVersion, flags)
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(res.Example.Class)))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(res.Example.Target))
@@ -63,6 +67,29 @@ func (ResultCodec) Encode(v any) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+// Size implements featcache.Codec: len(Encode(v)), computed from the
+// layout without encoding — 2 bytes for a result that produced nothing,
+// else the 22-byte header plus 12 per stored sparse entry or 8 per dense
+// coordinate. A value Encode rejects has size 0.
+func (ResultCodec) Size(v any) int {
+	if res, ok := v.(Result); ok {
+		return resultSize(res)
+	}
+	return 0
+}
+
+// resultSize is the length of res's encoding.
+func resultSize(res Result) int {
+	switch {
+	case !res.Produced:
+		return 2
+	case res.Example.Features.IsSparse():
+		return resultHeaderBytes + 12*res.Example.Features.NNZ()
+	default:
+		return resultHeaderBytes + 8*res.Example.Features.Dim()
+	}
 }
 
 // Decode implements featcache.Codec.

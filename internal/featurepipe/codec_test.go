@@ -1,6 +1,8 @@
 package featurepipe
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"zombie/internal/corpus"
@@ -104,4 +106,81 @@ func TestResultCodecRejectsCorruptRecords(t *testing.T) {
 	if _, err := (ResultCodec{}).Encode("not a result"); err == nil {
 		t.Fatal("foreign type accepted")
 	}
+}
+
+// sameBits reports whether two results are equal with every float
+// compared by its bits, so a NaN a record carries equals itself.
+func sameBits(a, b Result) bool {
+	if a.Produced != b.Produced || a.Useful != b.Useful || a.Example.Class != b.Example.Class ||
+		math.Float64bits(a.Example.Target) != math.Float64bits(b.Example.Target) {
+		return false
+	}
+	fa, fb := a.Example.Features, b.Example.Features
+	if fa.IsZero() || fb.IsZero() {
+		return fa.IsZero() && fb.IsZero()
+	}
+	if fa.IsSparse() != fb.IsSparse() || fa.Dim() != fb.Dim() || fa.NNZ() != fb.NNZ() {
+		return false
+	}
+	var ia, ib []int
+	var xa, xb []uint64
+	collect := func(idx *[]int, bits *[]uint64) func(int, float64) {
+		return func(i int, x float64) { *idx, *bits = append(*idx, i), append(*bits, math.Float64bits(x)) }
+	}
+	fa.ForEachNonZero(collect(&ia, &xa))
+	fb.ForEachNonZero(collect(&ib, &xb))
+	return reflect.DeepEqual(ia, ib) && reflect.DeepEqual(xa, xb)
+}
+
+// FuzzResultCodec: Decode never panics on arbitrary bytes, and a record
+// it accepts re-encodes to one that decodes to the same result, with
+// Size equal to the encoded length.
+func FuzzResultCodec(f *testing.F) {
+	var codec ResultCodec
+	wiki := NewWikiFeature(4)
+	scfg := corpus.DefaultSongConfig()
+	scfg.N = 3
+	songs, err := corpus.GenerateSongs(scfg, rng.New(202))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := []Result{{}, {Useful: true}}
+	for _, r := range []struct {
+		feat FeatureFunc
+		in   *corpus.Input
+	}{{wiki, markerInput("s")}, {NewSongFeature(2, scfg), songs[0]}} {
+		res, err := r.feat.Extract(r.in)
+		if err != nil || !res.Produced {
+			f.Fatalf("seed extraction: produced=%v err=%v", res.Produced, err)
+		}
+		seeds = append(seeds, res)
+	}
+	for _, res := range seeds {
+		b, err := codec.Encode(res)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, err := codec.Decode(b)
+		if err != nil {
+			return
+		}
+		res := v.(Result)
+		enc, err := codec.Encode(res)
+		if err != nil {
+			t.Fatalf("decoded result does not encode: %v", err)
+		}
+		if n := codec.Size(res); n != len(enc) {
+			t.Fatalf("Size = %d, Encode wrote %d bytes", n, len(enc))
+		}
+		back, err := codec.Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if !sameBits(back.(Result), res) {
+			t.Fatalf("round trip drifted: %+v, want %+v", back, res)
+		}
+	})
 }

@@ -50,14 +50,15 @@ func NewCompositeFeature(name string, parts ...FeatureFunc) (*CompositeFeature, 
 
 // Extract implements FeatureFunc.
 func (c *CompositeFeature) Extract(in *corpus.Input) (Result, error) {
-	// Parts emit non-zeros in increasing index order and their offset
-	// ranges are disjoint, so the concatenated coordinates arrive already
-	// sorted — the assembly is O(nnz) with no map or sort.
-	offset := 0
-	var idx []int
-	var val []float64
-	useful := false
-	var first *Result
+	// Extract every part first (a part that errors or produces nothing
+	// ends the composite before later parts run), then assemble into
+	// slices sized once to the parts' summed non-zeros. Parts emit
+	// non-zeros in increasing index order and their offset ranges are
+	// disjoint, so the concatenated coordinates arrive already sorted —
+	// the assembly is a copy per part, with no map, sort or regrowth.
+	var buf [4]Result // recipes of up to four parts keep their results on the stack
+	results := buf[:0]
+	nnz := 0
 	for _, p := range c.parts {
 		res, err := p.Extract(in)
 		if err != nil {
@@ -70,21 +71,25 @@ func (c *CompositeFeature) Extract(in *corpus.Input) (Result, error) {
 			return Result{}, fmt.Errorf("featurepipe: composite %s: part %s produced dim %d, declared %d",
 				c.FuncName, p.Name(), got, p.Dim())
 		}
-		if first == nil {
-			r := res
-			first = &r
-		}
+		results = append(results, res)
+		nnz += res.Example.Features.NNZ()
+	}
+	var idx []int
+	var val []float64
+	if nnz > 0 {
+		idx, val = make([]int, 0, nnz), make([]float64, 0, nnz)
+	}
+	offset := 0
+	useful := false
+	for k, res := range results {
+		idx, val = res.Example.Features.AppendNonZeros(idx, val, offset)
+		offset += c.parts[k].Dim()
 		useful = useful || res.Useful
-		res.Example.Features.ForEachNonZero(func(i int, x float64) {
-			idx = append(idx, offset+i)
-			val = append(val, x)
-		})
-		offset += p.Dim()
 	}
 	ex := learner.Example{
 		Features: learner.SparseVec(linalg.SparseFromOrdered(c.FuncDim, idx, val)),
-		Class:    first.Example.Class,
-		Target:   first.Example.Target,
+		Class:    results[0].Example.Class,
+		Target:   results[0].Example.Target,
 	}
 	return Result{Example: ex, Produced: true, Useful: useful}, nil
 }

@@ -110,6 +110,28 @@ func (v FeatureVector) ForEachNonZero(f func(i int, x float64)) {
 	}
 }
 
+// AppendNonZeros appends the coordinates ForEachNonZero visits to idx and
+// val, each index shifted by offset, and returns the extended slices. A
+// sparse vector is appended by copy — one copy per slice and one pass
+// adding the offset — with no call per coordinate.
+func (v FeatureVector) AppendNonZeros(idx []int, val []float64, offset int) ([]int, []float64) {
+	if v.sparse != nil {
+		n := len(idx)
+		idx = append(idx, v.sparse.Idx...)
+		for k := n; k < len(idx); k++ {
+			idx[k] += offset
+		}
+		return idx, append(val, v.sparse.Val...)
+	}
+	for i, x := range v.dense {
+		if x != 0 {
+			idx = append(idx, offset+i)
+			val = append(val, x)
+		}
+	}
+	return idx, val
+}
+
 // Example is one labeled training or evaluation example produced by a
 // feature function. Class carries the classification label; Target carries
 // the regression target. Which one is meaningful depends on the task.
