@@ -15,46 +15,25 @@ import (
 // linearly with the corpus, so the speedup should grow with N.
 func F8Scaling(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
-	table := &Table{
-		ID:     "F8",
-		Title:  "Speedup vs corpus size (image task; extension)",
-		Header: []string{"corpus-n", "target-q", "scan-inputs", "zombie-inputs", "speedup"},
-	}
 	fracs := []float64{0.125, 0.25, 0.5, 1.0}
-	rows, err := parallel.MapErr(cfg.Parallel, len(fracs), func(i int) ([]string, error) {
+	rows, err := parallel.MapErr(cfg.Parallel, len(fracs), func(i int) (row, error) {
 		sub := cfg
 		sub.Scale = cfg.Scale * fracs[i]
-		wl, err := ImageWorkload(sub)
-		if err != nil {
-			return nil, err
+		r, err := defaultRow(sub, ImageWorkload)
+		if err == nil {
+			r.label = []string{d(r.wl.Store.Len())}
 		}
-		groups, err := wl.Groups(wl.DefaultK, cfg.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		c, err := compareMedian(wl, groups, cfg.Seed+2, cfg.Parallel)
-		if err != nil {
-			return nil, err
-		}
-		if !c.ScanReached || !c.ZombieReached {
-			return []string{d(wl.Store.Len()), f(c.Target), "n/a", "n/a", "n/a"}, nil
-		}
-		return []string{
-			d(wl.Store.Len()),
-			f(c.Target),
-			d(c.ScanInputs),
-			d(c.ZombieInputs),
-			spd(c.SpeedupInputs()),
-		}, nil
+		return r, err
 	})
 	if err != nil {
 		return err
 	}
-	for _, row := range rows {
-		table.AddRow(row...)
-	}
-	table.Notes = append(table.Notes,
-		fmt.Sprintf("fractions of the configured scale (%.2f); corpus floor is 400 inputs", cfg.Scale),
-		"expected shape: speedup grows with corpus size — the scan pays for the whole haystack, zombie only for the needles")
-	return table.Fprint(w)
+	return compareTable(cfg, w, &Table{
+		ID:     "F8",
+		Title:  "Speedup vs corpus size (image task; extension)",
+		Header: []string{"corpus-n"},
+		Notes: []string{
+			fmt.Sprintf("fractions of the configured scale (%.2f); corpus floor is 400 inputs", cfg.Scale),
+			"expected shape: speedup grows with corpus size — the scan pays for the whole haystack, zombie only for the needles"},
+	}, rows, compareTrials, targetColumn, scanInputsColumn, zombieInputsColumn, speedupColumn)
 }

@@ -1,7 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (as reconstructed in DESIGN.md §4). Each experiment is a
 // named runner that builds its workload, executes the engine and the
-// baselines, and prints the same rows or series the paper reports.
+// baselines, and prints the same rows or series the paper reports. The
+// scan-referenced tables are rows of data over two drivers (driver.go):
+// compareTable runs one scan-vs-zombie comparison per row, and
+// variantTable runs zombie variants against one scan reference per row.
 // cmd/zombie-bench runs them at full scale; the repo-root benchmarks run
 // them at reduced scale inside testing.B.
 package experiments
