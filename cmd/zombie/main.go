@@ -387,21 +387,11 @@ func runSession(stdout io.Writer, cfg core.Config, task *featurepipe.Task, group
 	if task.Feature.NumClasses() != versions[0].Feature().NumClasses() {
 		return fmt.Errorf("-session supports the wiki task only")
 	}
-	scanCfg := cfg
-	scanCfg.Mode = core.ModeScanRandom
-	scanCfg.EarlyStop.Enabled = false
 	var arms [2][]*recipe.Version
-	for i, engCfg := range []core.Config{scanCfg, cfg} {
-		s, err := recipe.NewSession("session", task, groups, recipe.Config{Engine: engCfg})
-		if err != nil {
+	for i, engCfg := range []core.Config{recipe.ScanTwin(cfg), cfg} {
+		var err error
+		if arms[i], err = recipe.Replay("session", task, groups, recipe.Config{Engine: engCfg}, versions...); err != nil {
 			return err
-		}
-		for _, r := range versions {
-			v, err := s.Submit(context.Background(), r)
-			if err != nil {
-				return err
-			}
-			arms[i] = append(arms[i], v)
 		}
 	}
 	scan, zom := arms[0], arms[1]

@@ -172,6 +172,32 @@ func (s *Session) prevRecipe() *Recipe {
 	return nil
 }
 
+// Replay submits the recipes in order to a fresh session and returns
+// their versions. At cfg.Decay 0 warm-starting is off, so every version
+// runs exactly as a cold run would.
+func Replay(name string, task *featurepipe.Task, groups *index.Groups, cfg Config, recipes ...*Recipe) ([]*Version, error) {
+	s, err := NewSession(name, task, groups, cfg)
+	if err != nil {
+		return nil, err
+	}
+	versions := make([]*Version, len(recipes))
+	for i, r := range recipes {
+		if versions[i], err = s.Submit(context.Background(), r); err != nil {
+			return nil, err
+		}
+	}
+	return versions, nil
+}
+
+// ScanTwin is the status-quo engineer's engine beside eng: the same
+// configuration as a random scan of the whole pool, early stop off. It
+// ignores the groups its session is handed.
+func ScanTwin(eng core.Config) core.Config {
+	eng.Mode = core.ModeScanRandom
+	eng.EarlyStop.Enabled = false
+	return eng
+}
+
 // WikiVersions returns the standard wiki engineering session that
 // experiment T3 and `zombie -session` replay: eight single-part recipes,
 // wiki-v1 … wiki-v8, in which the engineer starts from a low-capacity

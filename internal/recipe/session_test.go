@@ -255,22 +255,14 @@ func TestSessionScanVsZombie(t *testing.T) {
 			Enabled: true, Window: 6, SlopeThreshold: 0.004, Patience: 2, MinInputs: 250,
 		},
 	}
-	scanCfg := zomCfg
-	scanCfg.Mode = core.ModeScanRandom
-	scanCfg.EarlyStop.Enabled = false
 	replay := func(cfg core.Config) []*Version {
-		s, err := NewSession("arm", task, groups, Config{Engine: cfg})
+		vs, err := Replay("arm", task, groups, Config{Engine: cfg}, WikiVersions()[6:]...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range WikiVersions()[6:] {
-			if _, err := s.Submit(context.Background(), r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s.Versions()
+		return vs
 	}
-	zombie, scan := replay(zomCfg), replay(scanCfg)
+	zombie, scan := replay(zomCfg), replay(ScanTwin(zomCfg))
 	if len(zombie) != 2 || len(scan) != 2 {
 		t.Fatalf("versions: %d vs %d", len(zombie), len(scan))
 	}
