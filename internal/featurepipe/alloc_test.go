@@ -20,7 +20,9 @@ import (
 // the extraction cache, a hit allocates nothing, a composite whose parts
 // all hit allocates only its assembled vector, and a memory-only miss adds
 // the in-flight record, the boxed result and the resident entry to the
-// extraction's own three.
+// extraction's own three. Encoding a dense result for the disk cache or
+// the dist wire allocates the boxed result and the record, and no copy of
+// the vector.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -92,6 +94,10 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	missing := Cached(wiki, tiny, &CacheCounters{})
+	songResult, err := song.Extract(songs[0])
+	if err != nil || !songResult.Produced || songResult.Example.Features.IsSparse() {
+		t.Fatalf("dense fixture: produced=%v err=%v", songResult.Produced, err)
+	}
 	for _, c := range []struct {
 		name string
 		want float64
@@ -102,6 +108,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"cached wiki-v4 Extract, hit", 0, extractWith(warm(wiki), pages)},
 		{"cached 3-part composite Extract, every part a hit", 3, extractWith(warm(composite), pages)},
 		{"cached wiki-v4 Extract, memory-only miss", 6, extractWith(missing, pages)},
+		{"ResultCodec.Encode, dense songs result", 2, func() { ResultCodec{}.Encode(songResult) }},
 		{"Holdout.Quality MultinomialNB", 0, func() { wikiHoldout.Quality(mnb) }},
 		{"Holdout.Quality GaussianNB", 0, func() { songHoldout.Quality(gnb) }},
 	} {

@@ -60,10 +60,9 @@ func (ResultCodec) Encode(v any) ([]byte, error) {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 		})
 	} else {
-		dense := fv.Dense()
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(dense)))
-		for _, x := range dense {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		b = binary.LittleEndian.AppendUint32(b, uint32(fv.Dim()))
+		for i := range fv.Dim() {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(fv.At(i)))
 		}
 	}
 	return b, nil

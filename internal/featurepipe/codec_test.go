@@ -1,11 +1,14 @@
 package featurepipe
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
 
 	"zombie/internal/corpus"
+	"zombie/internal/learner"
 	"zombie/internal/rng"
 )
 
@@ -70,6 +73,29 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		if got.Example.Target != in.Truth.Target {
 			t.Fatal("regression target lost")
 		}
+	}
+}
+
+// TestResultCodecDenseLayout pins a dense record's bytes to the layout
+// documented on ResultCodec: header, then every coordinate in order.
+func TestResultCodecDenseLayout(t *testing.T) {
+	res := Result{Produced: true, Useful: true, Example: learner.Example{
+		Class: 3, Target: -0.5, Features: learner.DenseVec([]float64{1.5, 0, -2}),
+	}}
+	want := []byte{resultCodecVersion, 1 | 2}
+	want = binary.LittleEndian.AppendUint32(want, 3)
+	want = binary.LittleEndian.AppendUint64(want, math.Float64bits(-0.5))
+	want = binary.LittleEndian.AppendUint32(want, 3)
+	want = binary.LittleEndian.AppendUint32(want, 3)
+	for _, x := range []float64{1.5, 0, -2} {
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(x))
+	}
+	got, err := ResultCodec{}.Encode(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("dense record\n got %x\nwant %x", got, want)
 	}
 }
 
