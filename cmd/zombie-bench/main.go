@@ -11,15 +11,19 @@
 // Scale 1.0 builds the full 20k-input corpora per task; smaller scales are
 // proportionally faster and preserve the result shapes down to ~0.1.
 // Output goes to stdout in the table/series formats recorded in
-// EXPERIMENTS.md. -parallel runs independent experiment work concurrently;
-// the output is byte-identical to -parallel 1 for everything that does not
-// print measured wall-clock values (see DESIGN.md §8). Wall-clock itself is
-// judged by the program in benchmark/, not here.
+// EXPERIMENTS.md. -parallel N runs independent experiment work
+// concurrently, up to N wide at each nesting level (experiments under
+// -exp all, a table's rows, a row's trials or variants), so up to 3·N²
+// engine runs at once. The output is byte-identical to -parallel 1 for
+// everything that does not print measured wall-clock values (see
+// DESIGN.md §8). Wall-clock itself is judged by the program in
+// benchmark/, not here.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -32,16 +36,14 @@ func main() {
 	exp := flag.String("exp", "all", "experiment ids, comma-separated (T1-T4, F1-F8, C1, S1, or 'all')")
 	scale := flag.Float64("scale", 1.0, "corpus scale multiplier (1.0 = 20k inputs per task)")
 	seed := flag.Int64("seed", 0, "random seed (0 = default)")
-	par := flag.Int("parallel", 1, "concurrent runs per experiment (0 = GOMAXPROCS; output is byte-identical for any value)")
+	par := flag.Int("parallel", 1, "width of each nested fan-out level: experiments, a table's rows, a row's trials or variants; up to 3*N*N engine runs at once (0 = GOMAXPROCS; output is byte-identical for any value)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
 	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Printf("%-4s %s\n", id, experiments.Title(id))
-		}
+		printList(os.Stdout)
 		return
 	}
 
@@ -61,7 +63,7 @@ func main() {
 		*par = runtime.GOMAXPROCS(0)
 	}
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Parallel: *par}
-	if err := run(cfg, *exp); err != nil {
+	if err := run(cfg, *exp, os.Stdout); err != nil {
 		fatal(err)
 	}
 
@@ -78,21 +80,35 @@ func main() {
 	}
 }
 
-// run dispatches the requested experiments.
-func run(cfg experiments.Config, exp string) error {
+// printList writes one line per experiment: its id and title.
+func printList(w io.Writer) {
+	for _, id := range experiments.IDs() {
+		fmt.Fprintf(w, "%-4s %s\n", id, experiments.Title(id))
+	}
+}
+
+// run dispatches the requested experiments: a comma-separated id list,
+// case and spaces ignored, or "all". Every id is checked before any
+// experiment runs, so a typo fails at once rather than after the
+// experiments before it.
+func run(cfg experiments.Config, exp string, w io.Writer) error {
 	var ids []string // empty = all, in registry order
 	if !strings.EqualFold(exp, "all") {
 		for _, id := range strings.Split(exp, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				ids = append(ids, strings.ToUpper(id))
+			if id = strings.ToUpper(strings.TrimSpace(id)); id == "" {
+				continue
 			}
+			if experiments.Title(id) == "" {
+				return fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(experiments.IDs(), ", "))
+			}
+			ids = append(ids, id)
 		}
 	}
 	if len(ids) == 0 {
-		return experiments.RunAll(cfg, os.Stdout)
+		return experiments.RunAll(cfg, w)
 	}
 	for _, id := range ids {
-		if err := experiments.Run(id, cfg, os.Stdout); err != nil {
+		if err := experiments.Run(id, cfg, w); err != nil {
 			return err
 		}
 	}
