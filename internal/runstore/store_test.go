@@ -1,9 +1,12 @@
 package runstore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,8 +29,6 @@ func (m *stateMachine) entry(payload []byte) error {
 	m.items = append(m.items, string(payload))
 	return nil
 }
-
-func (m *stateMachine) encode() []byte { return []byte(strings.Join(m.items, ",")) }
 
 func openMachine(t *testing.T, dir string) (*stateMachine, *Store) {
 	t.Helper()
@@ -59,18 +60,44 @@ func TestStoreJournalOnlyRecovery(t *testing.T) {
 	}
 }
 
-func TestStoreSnapshotPlusJournalRecovery(t *testing.T) {
-	dir := t.TempDir()
-	m, s := openMachine(t, dir)
-	for _, v := range []string{"a", "b"} {
+// appendEntries journals each entry through a store over dir, then
+// closes it.
+func appendEntries(t *testing.T, dir string, entries ...string) {
+	t.Helper()
+	_, s := openMachine(t, dir)
+	for _, v := range entries {
 		if err := s.Append([]byte(v)); err != nil {
 			t.Fatal(err)
 		}
-		m.entry([]byte(v))
 	}
-	if err := s.Snapshot(m.encode()); err != nil {
+	s.Close()
+}
+
+// writeLegacySnapshot writes dir's state.snap in the ZRS1 layout older
+// stores wrote: state as covering every entry up to lastSeq. With reset
+// it also truncates the journal to its header, as such a store did right
+// after the rename.
+func writeLegacySnapshot(t *testing.T, dir string, lastSeq uint64, state string, reset bool) {
+	t.Helper()
+	body := binary.LittleEndian.AppendUint64(nil, lastSeq)
+	body = append(body, state...)
+	out := append(slices.Clone(snapMagic), body...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), out, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if reset {
+		if err := os.Truncate(filepath.Join(dir, journalFile), int64(len(walMagic))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestStoreSnapshotPlusJournalRecovery(t *testing.T) {
+	dir := t.TempDir()
+	appendEntries(t, dir, "a", "b")
+	writeLegacySnapshot(t, dir, 2, "a,b", true)
+	_, s := openMachine(t, dir)
 	if s.JournalRecords() != 0 {
 		t.Fatalf("journal holds %d records after snapshot, want 0", s.JournalRecords())
 	}
@@ -96,35 +123,15 @@ func TestStoreSnapshotPlusJournalRecovery(t *testing.T) {
 	}
 }
 
-// TestStoreCrashBetweenRenameAndReset simulates the one window where
-// snapshot and journal can disagree: the new snapshot is installed but
-// the process dies before the journal reset. Recovery must skip the
-// journal entries the snapshot already covers — applying them twice
-// would double history.
+// TestStoreCrashBetweenRenameAndReset covers the one window where an
+// older store's snapshot and journal could disagree: the new snapshot
+// was installed but the process died before the journal reset. Recovery
+// must skip the journal entries the snapshot already covers — applying
+// them twice would double history.
 func TestStoreCrashBetweenRenameAndReset(t *testing.T) {
 	dir := t.TempDir()
-	m, s := openMachine(t, dir)
-	for _, v := range []string{"a", "b"} {
-		if err := s.Append([]byte(v)); err != nil {
-			t.Fatal(err)
-		}
-		m.entry([]byte(v))
-	}
-	// Capture the journal as it stands, snapshot (which resets it), then
-	// put the old journal back — exactly the disk state of a crash between
-	// the rename and the reset.
-	walPath := filepath.Join(dir, journalFile)
-	wal, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Snapshot(m.encode()); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if err := os.WriteFile(walPath, wal, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	appendEntries(t, dir, "a", "b")
+	writeLegacySnapshot(t, dir, 2, "a,b", false)
 
 	m2, s2 := openMachine(t, dir)
 	defer s2.Close()
@@ -136,32 +143,18 @@ func TestStoreCrashBetweenRenameAndReset(t *testing.T) {
 	}
 }
 
-// TestStoreReplayEquivalence drives the same entry sequence through two
-// stores — one snapshotting mid-stream, one never — and asserts both
-// recover to identical state.
+// TestStoreReplayEquivalence drives the same entry sequence into two
+// directories — one where an older store snapshotted mid-stream, one
+// journal-only — and asserts both recover to identical state.
 func TestStoreReplayEquivalence(t *testing.T) {
 	entries := []string{"s1", "s2", "s3", "s4", "s5", "s6", "s7"}
 	snapAt := 4
 
 	dirSnap, dirPlain := t.TempDir(), t.TempDir()
-	mSnap, sSnap := openMachine(t, dirSnap)
-	_, sPlain := openMachine(t, dirPlain)
-	for i, v := range entries {
-		if err := sSnap.Append([]byte(v)); err != nil {
-			t.Fatal(err)
-		}
-		mSnap.entry([]byte(v))
-		if err := sPlain.Append([]byte(v)); err != nil {
-			t.Fatal(err)
-		}
-		if i == snapAt {
-			if err := sSnap.Snapshot(mSnap.encode()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	sSnap.Close()
-	sPlain.Close()
+	appendEntries(t, dirSnap, entries[:snapAt+1]...)
+	writeLegacySnapshot(t, dirSnap, uint64(snapAt+1), strings.Join(entries[:snapAt+1], ","), true)
+	appendEntries(t, dirSnap, entries[snapAt+1:]...)
+	appendEntries(t, dirPlain, entries...)
 
 	m1, s1 := openMachine(t, dirSnap)
 	defer s1.Close()
@@ -177,15 +170,8 @@ func TestStoreReplayEquivalence(t *testing.T) {
 
 func TestStoreCorruptSnapshotIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	m, s := openMachine(t, dir)
-	if err := s.Append([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	m.entry([]byte("a"))
-	if err := s.Snapshot(m.encode()); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	appendEntries(t, dir, "a")
+	writeLegacySnapshot(t, dir, 1, "a", true)
 
 	path := filepath.Join(dir, snapshotFile)
 	b, err := os.ReadFile(path)
@@ -203,17 +189,10 @@ func TestStoreCorruptSnapshotIsFatal(t *testing.T) {
 
 func TestStoreSnapshotCrashMidWriteKeepsOld(t *testing.T) {
 	dir := t.TempDir()
-	m, s := openMachine(t, dir)
-	if err := s.Append([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	m.entry([]byte("a"))
-	if err := s.Snapshot(m.encode()); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	// A crash mid-write leaves a stray temp file; it must be ignored.
-	if err := os.WriteFile(filepath.Join(dir, snapshotTmp), []byte("torn"), 0o644); err != nil {
+	appendEntries(t, dir, "a")
+	writeLegacySnapshot(t, dir, 1, "a", true)
+	// A crash mid-write left a stray temp file; it must be ignored.
+	if err := os.WriteFile(filepath.Join(dir, "state.snap.tmp"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m2, s2 := openMachine(t, dir)

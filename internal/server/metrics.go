@@ -39,12 +39,10 @@ type Metrics struct {
 	// Durability counters. RunsRecovered / VersionsRecovered count
 	// interrupted runs and session versions re-queued from the state
 	// directory at startup; JournalErrors counts absorbed journal write
-	// failures; SnapshotMillis sums time spent writing state snapshots
-	// (exposed as the truncated snapshot_seconds too).
+	// failures.
 	RunsRecovered     *obs.Counter
 	VersionsRecovered *obs.Counter
 	JournalErrors     *obs.Counter
-	SnapshotMillis    *obs.Counter
 	// Span-tracer counters: spans recorded into any run or process tracer,
 	// and spans refused because a bounded buffer was full (the buffer keeps
 	// the earliest spans — see otrace — so a non-zero drop count means the
@@ -76,14 +74,15 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		RunsRecovered:     reg.Counter("runs_recovered", "Interrupted runs re-queued from the state directory at startup."),
 		VersionsRecovered: reg.Counter("versions_recovered", "Interrupted session versions re-queued from the state directory at startup."),
 		JournalErrors:     reg.Counter("journal_errors", "Run-journal write failures absorbed by the durable store."),
-		SnapshotMillis:    reg.Counter("snapshot_ms", "Cumulative state-snapshot write time in milliseconds."),
 		SpansRecorded:     reg.Counter("spans_recorded", "Timing spans recorded across all span tracers."),
 		SpansDropped:      reg.Counter("spans_dropped", "Timing spans refused by full span buffers."),
 	}
 	reg.CounterFunc("run_seconds", "Cumulative run wall-clock time in whole seconds.",
 		func() int64 { return m.RunWallMillis.Load() / 1000 })
-	reg.CounterFunc("snapshot_seconds", "Cumulative state-snapshot write time in whole seconds.",
-		func() int64 { return m.SnapshotMillis.Load() / 1000 })
+	// The server no longer writes state snapshots, but /metrics never
+	// drops a key, so their time counters stay registered at 0.
+	reg.Counter("snapshot_ms", "Retired: state snapshots are no longer written; always 0.")
+	reg.Counter("snapshot_seconds", "Retired: state snapshots are no longer written; always 0.")
 	return m
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,8 +68,7 @@ func awaitRun(t *testing.T, s *Server, id string) RunInfo {
 
 // TestRestartAfterKillResumesRun is the chaos-kill resume contract: a
 // server dies (simulated via the store's freeze hook, which drops every
-// journal write from that moment — including Close's final snapshot —
-// exactly as kill -9 would) while a run is mid-curve; a second server
+// journal write from that moment, exactly as kill -9 would) while a run is mid-curve; a second server
 // over the same state directory re-queues the run, re-executes it, and
 // the recovered curve is byte-identical to an uninterrupted run of the
 // same spec.
@@ -130,9 +130,10 @@ func TestRestartAfterKillResumesRun(t *testing.T) {
 }
 
 // TestGracefulRestartPreservesHistory: a cleanly shut down server's runs
-// come back terminal with their curves and summaries (via the final
-// snapshot), IDs stay monotonic, and the step-trace endpoint says Gone
-// rather than pretending the unjournaled trace exists.
+// come back terminal with their curves and summaries (replayed from the
+// journal, the one file the state directory holds), IDs stay monotonic,
+// and the step-trace endpoint says Gone rather than pretending the
+// unjournaled trace exists.
 func TestGracefulRestartPreservesHistory(t *testing.T) {
 	state := t.TempDir()
 	corpus := writeImageCorpus(t, 400, 32)
@@ -146,6 +147,9 @@ func TestGracefulRestartPreservesHistory(t *testing.T) {
 	}
 	done := awaitRun(t, s1, first.ID)
 	shutdown(t, s1, 10*time.Second)
+	if entries, err := os.ReadDir(state); err != nil || len(entries) != 1 || entries[0].Name() != "runs.wal" {
+		t.Fatalf("state dir after a graceful shutdown holds %v (%v), want only runs.wal", entries, err)
+	}
 
 	s2, runs, versions := newDurableServer(t, state, corpus, Config{})
 	defer shutdown(t, s2, 10*time.Second)

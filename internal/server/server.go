@@ -21,7 +21,7 @@
 //	                             runs); ?format=chrome emits Chrome
 //	                             trace-event JSON for about://tracing
 //	GET    /spans                process-level infrastructure spans (cache
-//	                             disk IO, journal appends, snapshots)
+//	                             disk IO, journal appends, recovery)
 //	POST   /sessions             open a recipe workspace (SessionSpec)
 //	GET    /sessions             list sessions
 //	GET    /sessions/{id}        session detail: version history with
@@ -79,9 +79,9 @@ type Config struct {
 	// server restarts. Empty keeps the cache memory-only.
 	CacheDir string
 	// StateDir, when non-empty, makes the control plane durable: every
-	// run and session lifecycle transition is journaled there
-	// (write-ahead log + periodic snapshots), and a restarted server
-	// replays the directory, restores run/session history, and re-queues
+	// run and session lifecycle transition is journaled there (a
+	// write-ahead log, runs.wal, which is the whole state), and a
+	// restarted server replays it, restores run/session history, and re-queues
 	// interrupted runs for deterministic re-execution — their curves come
 	// out byte-identical to uninterrupted runs. Empty keeps run state
 	// in-memory only (lost on restart). Embedders must call Recover once
@@ -125,8 +125,7 @@ type Server struct {
 	obs       *obs.Registry
 	// procTracer records process-level infrastructure spans no single run
 	// owns: extraction-cache disk IO and demotion, run-journal appends,
-	// snapshot rotations, and the startup recovery replay. Served at
-	// GET /spans.
+	// and the startup recovery replay. Served at GET /spans.
 	procTracer *otrace.Tracer
 	// httpSeconds times every request the handler serves (SSE streams
 	// included, observed at disconnect).
@@ -175,9 +174,9 @@ func New(cfg Config) (*Server, error) {
 			featCache.Close() //nolint:errcheck // already failing
 			return nil, err
 		}
-		reg.GaugeFunc("journal_bytes", "Run journal size in bytes (since the last snapshot).",
+		reg.GaugeFunc("journal_bytes", "Run journal size in bytes.",
 			func() int64 { return store.JournalBytes() })
-		reg.GaugeFunc("journal_records", "Run journal records since the last snapshot.",
+		reg.GaugeFunc("journal_records", "Run journal records.",
 			func() int64 { return int64(store.JournalRecords()) })
 		reg.GaugeFunc("journal_demoted", "1 when the durable run store has been demoted to memory-only after journal errors.",
 			func() int64 {
@@ -301,8 +300,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = cerr
 	}
 	// The store closes last, after the drained runs have journaled their
-	// terminal records; its close takes a final snapshot so the next
-	// startup replays nothing.
+	// terminal records; the journal then holds everything the next
+	// startup replays.
 	if cerr := s.store.Close(); err == nil {
 		err = cerr
 	}

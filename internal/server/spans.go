@@ -83,7 +83,7 @@ func (s *Server) handleSessionSpans(w http.ResponseWriter, r *http.Request) {
 
 // handleProcessSpans serves the server's process tracer: infrastructure
 // spans owned by no single run (extraction-cache disk IO and demotion,
-// run-journal appends, snapshot rotations, startup recovery).
+// run-journal appends, startup recovery).
 func (s *Server) handleProcessSpans(w http.ResponseWriter, r *http.Request) {
 	spans, dropped := s.procTracer.Snapshot()
 	writeSpans(w, r, spanBody{

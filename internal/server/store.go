@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"zombie/internal/bandit"
 	"zombie/internal/core"
@@ -205,8 +204,9 @@ func (r *runRecord) apply(rec *walRecord) bool {
 
 // persistState is the control plane's durable state: the reduction of
 // every journaled transition. The durable store applies each record to
-// its own copy as it journals, and recovery applies snapshot + journal
-// through the same apply method — replay equivalence by construction.
+// its own copy as it journals, and recovery replays the journal (after a
+// legacy snapshot, where an older server left one) through the same
+// apply method — replay equivalence by construction.
 // RunOrder lists POST /runs submissions only; a session's versions are
 // found by their IDs.
 type persistState struct {
@@ -236,8 +236,8 @@ func newPersistState() *persistState {
 
 // apply routes one record to the table entry it addresses and reports
 // whether it applied. Records of unknown type or referencing unknown IDs
-// are skipped, not errors: a snapshot taken after a discard, or a journal
-// from another server version, must not brick recovery.
+// are skipped, not errors: a legacy snapshot taken after a discard, or a
+// journal from another server version, must not brick recovery.
 func (st *persistState) apply(rec *walRecord) bool {
 	switch rec.Type {
 	case recRunSubmit:
@@ -359,8 +359,8 @@ func (st *persistState) applyLegacyVersions(sid string, versions []*versionRecor
 	}
 }
 
-// restore loads a snapshot body; a legacy snapshot's version lists go
-// through the legacy translation into runs.
+// restore loads a legacy snapshot body; its version lists go through the
+// legacy translation into runs.
 func (st *persistState) restore(snapshot []byte) error {
 	if err := json.Unmarshal(snapshot, st); err != nil {
 		return err
@@ -404,30 +404,22 @@ func (st *persistState) clone() *persistState {
 
 // --- durable store ---
 
-const (
-	// journalErrorLimit is how many journal write failures the store
-	// absorbs before demoting itself to memory-only — the same one-way
-	// ladder the extraction cache's disk store uses. A demoted store keeps
-	// the control plane running; it just stops surviving restarts.
-	journalErrorLimit = 3
-	// journalSnapshotBytes triggers an inline snapshot once the journal
-	// grows past it, bounding replay work at the next startup.
-	journalSnapshotBytes = 4 << 20
-	// snapshotInterval is the background snapshot cadence for quiet
-	// journals that never hit the size trigger.
-	snapshotInterval = 30 * time.Second
-)
+// journalErrorLimit is how many journal write failures the store absorbs
+// before demoting itself to memory-only — the same one-way ladder the
+// extraction cache's disk store uses. A demoted store keeps the control
+// plane running; it just stops surviving restarts.
+const journalErrorLimit = 3
 
 // DurableStore makes the control plane survive a restart: every lifecycle
 // record the Manager and SessionHub hand it is applied to its own replica
 // (a persistState, reduced by the same apply the live objects use) and
-// appended to a write-ahead journal, with periodic snapshots of the
-// replica capping replay time. The replica is what makes a snapshot
-// consistent with the journal position: both move under the store's one
-// lock. Journal failures never propagate to runs; after journalErrorLimit
-// of them the store demotes itself to memory-only for the rest of the
-// process. A nil *DurableStore is the server without a state directory:
-// record and Close are no-ops on it.
+// appended to a write-ahead journal, which is the whole durable state: a
+// restart replays it. The replica is the check that the journal never
+// holds a record replay would refuse — a record the replica rejects is
+// not journaled. Journal failures never propagate to runs; after
+// journalErrorLimit of them the store demotes itself to memory-only for
+// the rest of the process. A nil *DurableStore is the server without a
+// state directory: record and Close are no-ops on it.
 type DurableStore struct {
 	store   *runstore.Store
 	metrics *Metrics
@@ -440,20 +432,16 @@ type DurableStore struct {
 	demoted bool
 	frozen  bool
 	appends uint64 // fault-site keying
-
-	stopOnce sync.Once
-	snapStop chan struct{}
-	snapDone chan struct{}
 }
 
-// OpenDurableStore opens (creating if needed) the journal + snapshot pair
-// in dir, replays it, and returns the store plus an immutable copy of the
-// recovered state for the Manager and SessionHub to restore from. A
-// corrupt snapshot or unreadable journal is an error: silently starting
-// empty would orphan the very state the flag exists to keep. A non-nil
-// tracer (the server's process tracer) records runstore durability spans:
-// the startup recovery replay, plus every journal append and snapshot
-// rotation.
+// OpenDurableStore opens (creating if needed) the journal in dir, replays
+// it after any legacy snapshot there, and returns the store plus an
+// immutable copy of the recovered state for the Manager and SessionHub to
+// restore from. A corrupt snapshot or a corrupt or unreadable journal is
+// an error: silently starting empty, or from what precedes the damage,
+// would orphan the very state the flag exists to keep. A non-nil tracer
+// (the server's process tracer) records runstore durability spans: the
+// startup recovery replay, plus every journal append.
 func OpenDurableStore(dir string, metrics *Metrics, faults *fault.Injector, log *slog.Logger, tracer *otrace.Tracer) (*DurableStore, *persistState, error) {
 	if log == nil {
 		log = obs.NopLogger()
@@ -461,22 +449,13 @@ func OpenDurableStore(dir string, metrics *Metrics, faults *fault.Injector, log 
 	if metrics == nil {
 		metrics = NewMetrics(nil)
 	}
-	ds := &DurableStore{
-		state:    newPersistState(),
-		metrics:  metrics,
-		faults:   faults,
-		log:      log,
-		snapStop: make(chan struct{}),
-		snapDone: make(chan struct{}),
-	}
+	ds := &DurableStore{state: newPersistState(), metrics: metrics, faults: faults, log: log}
 	st, err := runstore.OpenTraced(dir, ds.state.restore, ds.state.replay, tracer)
 	if err != nil {
 		return nil, nil, err
 	}
 	ds.store = st
-	recovered := ds.state.clone()
-	go ds.snapshotLoop()
-	return ds, recovered, nil
+	return ds, ds.state.clone(), nil
 }
 
 // record applies one transition to the replica and journals it. Callers
@@ -505,12 +484,6 @@ func (ds *DurableStore) record(rec *walRecord) {
 	}
 	if err != nil {
 		ds.journalErrorLocked(err)
-		return
-	}
-	if ds.store.JournalBytes() >= journalSnapshotBytes {
-		if serr := ds.snapshotLocked(); serr != nil {
-			ds.journalErrorLocked(serr)
-		}
 	}
 }
 
@@ -527,47 +500,9 @@ func (ds *DurableStore) journalErrorLocked(err error) {
 	}
 }
 
-// snapshotLocked captures the current state atomically and resets the
-// journal. Called with ds.mu held.
-func (ds *DurableStore) snapshotLocked() error {
-	start := time.Now()
-	state, err := json.Marshal(ds.state)
-	if err != nil {
-		return err
-	}
-	if err := ds.store.Snapshot(state); err != nil {
-		return err
-	}
-	ds.metrics.SnapshotMillis.Add(time.Since(start).Milliseconds())
-	return nil
-}
-
-// snapshotLoop snapshots quiet journals on a timer so a mostly-idle
-// server still recovers fast.
-func (ds *DurableStore) snapshotLoop() {
-	defer close(ds.snapDone)
-	t := time.NewTicker(snapshotInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			ds.mu.Lock()
-			if !ds.demoted && !ds.frozen && ds.store.JournalRecords() > 0 {
-				if err := ds.snapshotLocked(); err != nil {
-					ds.journalErrorLocked(err)
-				}
-			}
-			ds.mu.Unlock()
-		case <-ds.snapStop:
-			return
-		}
-	}
-}
-
 // freeze is a test hook simulating a hard kill (kill -9) from this
-// process's point of view: every subsequent journal append and snapshot —
-// Close's final one included — is dropped, leaving the on-disk state
-// exactly as the "crash" found it. Tests then open a second store over
+// process's point of view: every subsequent journal append is dropped,
+// leaving the on-disk state exactly as the "crash" found it. Tests then open a second store over
 // the same directory, which is precisely what a restarted process does.
 func (ds *DurableStore) freeze() {
 	ds.mu.Lock()
@@ -587,23 +522,11 @@ func (ds *DurableStore) Demoted() bool {
 	return ds.demoted
 }
 
-// Close stops the snapshot loop, takes a final snapshot (so the next
-// startup replays nothing), and closes the journal.
+// Close closes the journal. Every append is already on disk, so a
+// graceful close writes nothing: the next startup replays the journal.
 func (ds *DurableStore) Close() error {
 	if ds == nil {
 		return nil
-	}
-	ds.stopOnce.Do(func() { close(ds.snapStop) })
-	<-ds.snapDone
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.frozen {
-		return nil // simulated crash: leave the disk exactly as-is
-	}
-	if !ds.demoted {
-		if err := ds.snapshotLocked(); err != nil {
-			ds.journalErrorLocked(err)
-		}
 	}
 	return ds.store.Close()
 }
