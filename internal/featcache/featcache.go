@@ -183,8 +183,9 @@ type Cache struct {
 }
 
 // Open builds a cache. With cfg.Dir set, the disk segment store is opened
-// (or created) there and survives Close/Open cycles; otherwise the cache
-// is memory-only.
+// (or created) there and survives Close/Open cycles — a corrupt one is
+// started over, counting one disk error; otherwise the cache is
+// memory-only.
 func Open(cfg Config, codec Codec) (*Cache, error) {
 	if codec == nil {
 		return nil, fmt.Errorf("featcache: codec required")
@@ -213,6 +214,9 @@ func Open(cfg Config, codec Codec) (*Cache, error) {
 			return nil, err
 		}
 		c.disk = seg
+		if seg.rotted {
+			c.noteDiskError()
+		}
 	}
 	return c, nil
 }

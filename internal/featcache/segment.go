@@ -2,6 +2,7 @@ package featcache
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,8 +28,9 @@ type rec struct {
 
 // Segment is the disk-backed half of the cache: a key index over one
 // runstore record log. The log owns framing, checksums and crash
-// recovery (a torn or garbage tail is truncated on open); the segment
-// owns only its payload,
+// recovery (a torn last record is truncated on open, and a log with a bad
+// record before its last is refused as corrupt, which the segment answers
+// by starting the log over); the segment owns only its payload,
 //
 //	klen u32 | key | value
 //
@@ -40,15 +42,39 @@ type Segment struct {
 	log   *runstore.Journal
 	index map[string]rec
 	bytes int64 // sum of live key+value payload bytes
+	// rotted is set when Open found the log corrupt and started it over
+	// empty; the cache counts it as one disk error.
+	rotted bool
 }
 
-// OpenSegment opens (creating if needed) the segment store in dir.
+// OpenSegment opens (creating if needed) the segment store in dir. A log
+// that is corrupt (runstore.ErrCorrupt) is dropped and the segment opens
+// cold: its values are recomputed on demand. A foreign file still fails
+// the open.
 func OpenSegment(dir string) (*Segment, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("featcache: create cache dir: %w", err)
 	}
+	path := filepath.Join(dir, segmentFile)
+	s, err := openSegmentLog(path)
+	if errors.Is(err, runstore.ErrCorrupt) {
+		if err = os.Remove(path); err == nil {
+			s, err = openSegmentLog(path)
+		}
+		if err == nil {
+			s.rotted = true
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("featcache: open segment: %w", err)
+	}
+	return s, nil
+}
+
+// openSegmentLog opens the log at path and indexes it by replay.
+func openSegmentLog(path string) (*Segment, error) {
 	s := &Segment{index: map[string]rec{}}
-	log, err := runstore.OpenLog(filepath.Join(dir, segmentFile), logMagic, func(off int64, p []byte) error {
+	log, err := runstore.OpenLog(path, logMagic, func(off int64, p []byte) error {
 		key, val, err := splitRecord(p)
 		if err != nil {
 			return err
@@ -56,11 +82,8 @@ func OpenSegment(dir string) (*Segment, error) {
 		s.put(key, rec{off: off, size: int64(len(key) + len(val))})
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("featcache: open segment: %w", err)
-	}
 	s.log = log
-	return s, nil
+	return s, err
 }
 
 // splitRecord parses one log payload into its key and value.

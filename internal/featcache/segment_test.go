@@ -1,6 +1,8 @@
 package featcache
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -163,6 +165,151 @@ func TestSegmentRejectsForeignFile(t *testing.T) {
 	}
 	if _, err := OpenSegment(dir); err == nil {
 		t.Fatal("foreign file should be rejected, not truncated")
+	}
+}
+
+// TestRottedLogOpensCold: one flipped byte in the first of three records
+// is rot, not a torn tail. The cache drops the log and opens cold,
+// counting one disk error; the values are then recomputed and persisted
+// afresh.
+func TestRottedLogOpensCold(t *testing.T) {
+	dir := t.TempDir()
+	warm := mustOpen(t, Config{Dir: dir})
+	for i := 0; i < 3; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if _, _, err := warm.GetOrCompute("fp", k, func() (any, error) { return "value of " + k, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm.Close()
+	path := filepath.Join(dir, segmentFile)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(logMagic)+4+4+len(Key("fp", "k0"))] ^= 0x01 // the first value byte
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := mustOpen(t, Config{Dir: dir})
+	defer c.Close()
+	if st := c.Stats(); st.DiskErrors != 1 || st.DiskEntries != 0 || st.DiskDemoted {
+		t.Fatalf("stats = %+v, want one disk error and an empty disk store", st)
+	}
+	calls := 0
+	for i := 0; i < 3; i++ {
+		k := fmt.Sprintf("k%d", i)
+		v, hit, err := c.GetOrCompute("fp", k, func() (any, error) { calls++; return "value of " + k, nil })
+		if err != nil || hit || v != "value of "+k {
+			t.Fatalf("%s: v=%v hit=%v err=%v", k, v, hit, err)
+		}
+	}
+	if calls != 3 || c.Stats().DiskEntries != 3 {
+		t.Fatalf("recomputed %d values, disk holds %d, want 3 and 3", calls, c.Stats().DiskEntries)
+	}
+}
+
+// TestSegmentEveryCrashAndFlip damages one recorded cache.log every way a
+// byte can go wrong. Cut at every offset, it opens and holds the records
+// wholly before the cut. With any one byte flipped, it either opens cold
+// (the log was rot) or — when the flip lands in the last record, or sends
+// a length field past the end of the file — holds the records before the
+// damaged one; a flip in the magic fails the open and leaves the file
+// alone. A value read back is always bit-equal to the one appended.
+func TestSegmentEveryCrashAndFlip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, segmentFile)
+	s, err := OpenSegment(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	var vals [][]byte
+	var ends []int64 // ends[i] is where record i's frame ends
+	for i := 0; i < 4; i++ {
+		k, v := fmt.Sprintf("key-%d", i), bytes.Repeat([]byte{byte(0x80 + i)}, 5+3*i)
+		if err := s.Append(k, v); err != nil {
+			t.Fatal(err)
+		}
+		keys, vals = append(keys, k), append(vals, v)
+		ends = append(ends, s.log.Size())
+	}
+	s.Close()
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// open writes data as the log, opens it, and returns how many records
+	// it holds, after checking that they are the first ones appended.
+	open := func(data []byte) (n int, rotted bool, err error) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenSegment(dir)
+		if err != nil {
+			return 0, false, err
+		}
+		defer s.Close()
+		for n < len(keys) {
+			v, _, ok, err := s.Get(keys[n])
+			if err != nil || !ok {
+				break
+			}
+			if !bytes.Equal(v, vals[n]) {
+				t.Fatalf("record %d read back %x, appended %x", n, v, vals[n])
+			}
+			n++
+		}
+		if s.Len() != n {
+			t.Fatalf("segment holds %d records, %d of them the first appended", s.Len(), n)
+		}
+		return n, s.rotted, nil
+	}
+
+	for cut := 0; cut <= len(log); cut++ {
+		n, rotted, err := open(log[:cut])
+		want := 0
+		for want < len(ends) && ends[want] <= int64(cut) {
+			want++
+		}
+		if err != nil || rotted || n != want {
+			t.Fatalf("cut at %d: %d records (rotted %v, err %v), want %d", cut, n, rotted, err, want)
+		}
+	}
+	for at := range log {
+		data := bytes.Clone(log)
+		data[at] ^= 0xff
+		n, rotted, err := open(data)
+		if at < len(logMagic) {
+			if after, _ := os.ReadFile(path); err == nil || !bytes.Equal(after, data) {
+				t.Fatalf("flip at %d in the magic: err %v, file unchanged %v", at, err, bytes.Equal(after, data))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("flip at %d: %v", at, err)
+		}
+		if rotted {
+			if n != 0 {
+				t.Fatalf("flip at %d: opened cold with %d records", at, n)
+			}
+			continue
+		}
+		i := 0 // the damaged record
+		for ends[i] <= int64(at) {
+			i++
+		}
+		start := int64(len(logMagic))
+		if i > 0 {
+			start = ends[i-1]
+		}
+		pastEOF := at < int(start)+4 && start+8+int64(binary.LittleEndian.Uint32(data[start:])) > int64(len(data))
+		if n != i || (i != len(ends)-1 && !pastEOF) {
+			t.Fatalf("flip at %d (record %d): kept %d records, want the log opened cold", at, i, n)
+		}
 	}
 }
 

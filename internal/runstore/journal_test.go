@@ -3,11 +3,13 @@ package runstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -118,6 +120,57 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesRot: one flipped byte in a record that is not the
+// last is rot, not a torn write. The open fails with ErrCorrupt, names
+// the file and the bad record's offset, and leaves every byte in place.
+func TestJournalRefusesRot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	j, err := OpenJournal(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, "alpha", "beta", "gamma")
+	j.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(walMagic)+4+1] ^= 0x01 // inside "alpha"
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = OpenJournal(path, nil)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenJournal = %v, want ErrCorrupt", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, fmt.Sprintf("offset %d", len(walMagic))) {
+		t.Fatalf("error %q does not name the file and offset %d", msg, len(walMagic))
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, b) {
+		t.Fatalf("refused open changed the file: %d bytes → %d (%v)", len(b), len(after), err)
+	}
+}
+
+// TestJournalTornHeader: a file shorter than the magic that begins like
+// it is a header write a crash cut short, and opens as an empty log.
+func TestJournalTornHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	if err := os.WriteFile(path, walMagic[:2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, j := replayAll(t, path)
+	appendAll(t, j, "a")
+	j.Close()
+	if len(got) != 0 {
+		t.Fatalf("torn header replayed %v", got)
+	}
+	if got, j = replayAll(t, path); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("replay after torn header = %v, want [a]", got)
+	}
+	j.Close()
+}
+
 func TestJournalRejectsForeignFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "not.wal")
 	if err := os.WriteFile(path, []byte("definitely not a journal"), 0o644); err != nil {
@@ -177,12 +230,14 @@ func TestJournalAppendValidation(t *testing.T) {
 }
 
 // FuzzOpenJournal: arbitrary bytes as a journal file never panic
-// OpenLog. A file without the magic is refused; any other file replays
-// exactly its checksum-valid record prefix, as an independent frame walk
-// reads it, and ReadRecord at each replayed offset returns that record.
-// An Append after that open reads back at the Size taken before it, and
-// lands where an OpenJournal reopen replays the prefix plus the new
-// record.
+// OpenLog. A file that neither starts with the magic nor is a prefix of
+// it is refused. A file whose frame walk, as an independent walk reads
+// it, meets a bad frame before the last is refused with ErrCorrupt and
+// left unchanged. Any other file replays exactly its checksum-valid
+// record prefix, and ReadRecord at each replayed offset returns that
+// record. An Append after that open reads back at the Size taken before
+// it, and lands where an OpenJournal reopen replays the prefix plus the
+// new record.
 func FuzzOpenJournal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append([]byte(nil), walMagic...))
@@ -199,17 +254,27 @@ func FuzzOpenJournal(f *testing.F) {
 			offs = append(offs, off)
 			return nil
 		})
-		if len(data) > 0 && !bytes.HasPrefix(data, walMagic) {
+		if !bytes.HasPrefix(data, walMagic) && !bytes.HasPrefix(walMagic, data) {
 			if err == nil {
 				j.Close()
 				t.Fatal("OpenLog accepted a file without the journal magic")
 			}
 			return
 		}
+		want, rotted := validPrefix(data)
+		if rotted {
+			if err == nil {
+				j.Close()
+				t.Fatal("OpenLog accepted a bad frame that is not the last")
+			}
+			if after, rerr := os.ReadFile(path); !errors.Is(err, ErrCorrupt) || rerr != nil || !bytes.Equal(after, data) {
+				t.Fatalf("refused open: err %v, file unchanged %v", err, bytes.Equal(after, data))
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("OpenLog: %v", err)
 		}
-		want := validPrefix(data)
 		if !slices.EqualFunc(got, want, bytes.Equal) || j.Records() != len(want) {
 			j.Close()
 			t.Fatalf("replayed %d records (Records %d), want the %d-record valid prefix", len(got), j.Records(), len(want))
@@ -247,21 +312,24 @@ func FuzzOpenJournal(f *testing.F) {
 
 // validPrefix walks a journal's frames after the magic and returns the
 // payloads up to the first frame that is short, out of range or fails its
-// checksum.
-func validPrefix(data []byte) [][]byte {
-	var out [][]byte
+// checksum, and whether that frame is rot: one that ends before the end
+// of the data, where a torn last frame runs to it or past it.
+func validPrefix(data []byte) (out [][]byte, rotted bool) {
 	rest := data[min(len(data), len(walMagic)):]
-	for len(rest) >= 4 {
+	for len(rest) > 0 {
+		if len(rest) < 4 {
+			return out, false
+		}
 		n := uint64(binary.LittleEndian.Uint32(rest))
-		if n == 0 || n > maxRecordBytes || uint64(len(rest)) < 4+n+4 {
-			break
+		if uint64(len(rest)) < 4+n+4 {
+			return out, false
 		}
 		payload := rest[4 : 4+n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4+n:]) {
-			break
+		if n == 0 || n > maxRecordBytes || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4+n:]) {
+			return out, uint64(len(rest)) > 4+n+4
 		}
 		out = append(out, payload)
 		rest = rest[4+n+4:]
 	}
-	return out
+	return out, false
 }
