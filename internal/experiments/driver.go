@@ -101,7 +101,8 @@ func compareTable(cfg Config, w io.Writer, t *Table, rows []row, trials int, col
 
 // A variant is one zombie configuration a variant table runs on every
 // row: the cells that name it, its policy ("" runs comparePolicy), and an
-// overlay on the rest of its engine configuration.
+// overlay on the rest of its engine configuration. A variant running
+// comparePolicy without an overlay is the reference's own zombie run.
 type variant struct {
 	label  []string
 	policy bandit.Spec
@@ -112,12 +113,13 @@ type variant struct {
 // label, the variant's, and the variant's inputs-to-target,
 // speedup-vs-scan and useful-rate against the row's scan reference — one
 // comparison at seed cfg.Seed+2, whose target every variant's run at the
-// same seed is read at. When baseline is not empty, each row's variants
-// are followed by a line so labelled for the reference scan itself. Every
-// run trains on the whole pool, so all of a row's runs end at one final
-// quality: a note states it per row, and a run that ends elsewhere fails
-// the table. Rows, and each row's variants, run concurrently up to
-// cfg.Parallel.
+// same seed is read at; a variant that is the reference's zombie run
+// reads that run instead of repeating it. When baseline is not empty,
+// each row's variants are followed by a line so labelled for the
+// reference scan itself. Every run trains on the whole pool, so all of a
+// row's runs end at one final quality: a note states it per row, and a
+// run that ends elsewhere fails the table. Rows, and each row's variants,
+// run concurrently up to cfg.Parallel.
 func variantTable(cfg Config, w io.Writer, t *Table, rows []row, variants []variant, baseline string) error {
 	t.Header = append(t.Header, "inputs-to-target", "speedup-vs-scan", "useful-rate")
 	finals := make([]string, len(rows))
@@ -131,9 +133,13 @@ func variantTable(cfg Config, w io.Writer, t *Table, rows []row, variants []vari
 		finals[i] = r.wl.Task.Name + " " + final
 		lines, err := parallel.MapErr(cfg.Parallel, len(variants), func(j int) ([]string, error) {
 			v := variants[j]
-			res, err := runStrategy(r.wl, r.groups, core.ModeZombie, cmp.Or(v.policy, comparePolicy), cfg.Seed+2, v.mutate)
-			if err != nil {
-				return nil, err
+			policy := cmp.Or(v.policy, comparePolicy)
+			res := ref.Zombie
+			if policy != comparePolicy || v.mutate != nil {
+				var err error
+				if res, err = runStrategy(r.wl, r.groups, core.ModeZombie, policy, cfg.Seed+2, v.mutate); err != nil {
+					return nil, err
+				}
 			}
 			if got := f(res.FinalQuality); got != final {
 				return nil, fmt.Errorf("experiments: %s %s %v: final quality %s, the scan's is %s", t.ID, r.wl.Task.Name, v.label, got, final)
