@@ -15,9 +15,10 @@ import (
 	"zombie/internal/obs"
 )
 
-// deadWorkerSeed scans fault seeds for one where, under the given spec,
-// worker w1 fails every step and w0 none — fault decisions are pure
-// hashes of (seed, site, id), so the scan is deterministic and cheap.
+// deadWorkerSeed scans fault seeds for one where, under the given spec
+// (error rules only, so Fire neither sleeps nor panics), worker w1 fails
+// every step and w0 none — fault decisions are pure hashes of (seed,
+// site, id), so the scan is deterministic and cheap.
 func deadWorkerSeed(t *testing.T, spec string) int64 {
 	t.Helper()
 	for seed := int64(1); seed < 4000; seed++ {
@@ -25,9 +26,7 @@ func deadWorkerSeed(t *testing.T, spec string) int64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, w0 := inj.Check(fault.SiteDistStep, "w0")
-		kind, _, w1 := inj.Check(fault.SiteDistStep, "w1")
-		if !w0 && w1 && kind == fault.KindError {
+		if inj.Fire(fault.SiteDistStep, "w0") == nil && inj.Fire(fault.SiteDistStep, "w1") != nil {
 			return seed
 		}
 	}

@@ -56,20 +56,6 @@ func (m *ShardMap) Owner(idx int) int {
 	return m.Assign[idx]
 }
 
-// Owned returns the store indices assigned to shard, in ascending global
-// order — the ordered-merge discipline: every per-shard enumeration is a
-// subsequence of the global one, so merging per-shard streams back in
-// global order needs only one cursor per shard.
-func (m *ShardMap) Owned(shard int) []int {
-	var out []int
-	for idx, s := range m.Assign {
-		if s == shard {
-			out = append(out, idx)
-		}
-	}
-	return out
-}
-
 // Sizes returns the number of inputs owned by each shard.
 func (m *ShardMap) Sizes() []int {
 	sizes := make([]int, m.Shards)

@@ -32,22 +32,15 @@ func TestShardMapDeterministicAndBalanced(t *testing.T) {
 			t.Fatalf("shard %d owns %d of 100 inputs over 4 shards, want 25", s, n)
 		}
 	}
-	// Owned lists are ascending and partition [0, n).
+	// Every input has exactly one owner, and Owner reads the assignment.
 	seen := map[int]bool{}
-	for s := 0; s < a.Shards; s++ {
-		prev := -1
-		for _, idx := range a.Owned(s) {
-			if idx <= prev {
-				t.Fatalf("shard %d Owned not ascending: %d after %d", s, idx, prev)
-			}
-			if seen[idx] {
-				t.Fatalf("input %d owned by two shards", idx)
-			}
-			seen[idx] = true
-			prev = idx
-			if a.Owner(idx) != s {
-				t.Fatalf("Owner(%d) = %d, want %d", idx, a.Owner(idx), s)
-			}
+	for idx, s := range a.Assign {
+		if s < 0 || s >= a.Shards {
+			t.Fatalf("input %d assigned to shard %d of %d", idx, s, a.Shards)
+		}
+		seen[idx] = true
+		if a.Owner(idx) != s {
+			t.Fatalf("Owner(%d) = %d, want %d", idx, a.Owner(idx), s)
 		}
 	}
 	if len(seen) != 100 {

@@ -173,7 +173,7 @@ func (w *Worker) Holdout(req HoldoutRequest) (HoldoutResponse, error) {
 		otrace.Int("shard", int64(run.shard)))
 	t0 := time.Now()
 	task := run.exec.Task()
-	// HoldoutIdx is iterated sorted by global index (Owned order), not in
+	// HoldoutIdx is iterated sorted by global index, not in
 	// the task's shuffled holdout order: the canonical order lets the
 	// coordinator verify merge alignment without trusting worker iteration.
 	var owned []int

@@ -247,33 +247,6 @@ func (inj *Injector) roll(site Site, id, stream string) float64 {
 	return float64(h.Sum64()>>11) / float64(1<<53)
 }
 
-// Check reports the fault (site, id) draws, without executing it:
-// KindError and KindPanic from one draw against the rule's partition,
-// KindLatency from an independent draw. ok is false when no rule covers
-// the site or no fault fires. A nil injector never fires.
-func (inj *Injector) Check(site Site, id string) (kind Kind, delay time.Duration, ok bool) {
-	if inj == nil {
-		return 0, 0, false
-	}
-	rule, have := inj.rules[site]
-	if !have {
-		return 0, 0, false
-	}
-	if rule.LatencyRate > 0 && inj.roll(site, id, "lat") < rule.LatencyRate {
-		// Latency composes with error/panic at the call site via Fire;
-		// Check reports the first applicable kind in fire order.
-		return KindLatency, rule.Latency, true
-	}
-	u := inj.roll(site, id, "fail")
-	switch {
-	case u < rule.ErrRate:
-		return KindError, 0, true
-	case u < rule.ErrRate+rule.PanicRate:
-		return KindPanic, 0, true
-	}
-	return 0, 0, false
-}
-
 // Fire executes the fault for (site, id): latency faults sleep, panic
 // faults panic with a stable message, error faults return *Error, and
 // non-faulted ids return nil. Latency is applied before the failure

@@ -9,6 +9,33 @@ import (
 	"time"
 )
 
+// Check reports the fault (site, id) draws, without executing it:
+// KindError and KindPanic from one draw against the rule's partition,
+// KindLatency from an independent draw. ok is false when no rule covers
+// the site or no fault fires. A nil injector never fires.
+func (inj *Injector) Check(site Site, id string) (kind Kind, delay time.Duration, ok bool) {
+	if inj == nil {
+		return 0, 0, false
+	}
+	rule, have := inj.rules[site]
+	if !have {
+		return 0, 0, false
+	}
+	if rule.LatencyRate > 0 && inj.roll(site, id, "lat") < rule.LatencyRate {
+		// Latency composes with error/panic at the call site via Fire;
+		// Check reports the first applicable kind in fire order.
+		return KindLatency, rule.Latency, true
+	}
+	u := inj.roll(site, id, "fail")
+	switch {
+	case u < rule.ErrRate:
+		return KindError, 0, true
+	case u < rule.ErrRate+rule.PanicRate:
+		return KindPanic, 0, true
+	}
+	return 0, 0, false
+}
+
 func mustNew(t *testing.T, seed int64, rules ...Rule) *Injector {
 	t.Helper()
 	inj, err := New(seed, rules...)

@@ -228,16 +228,6 @@ func (t *multinomialTables) predict(v FeatureVector) int {
 	return bestC
 }
 
-// logJoint writes the unnormalized log posterior of every class into out.
-func (m *MultinomialNB) logJoint(v FeatureVector, out []float64) {
-	m.prepare(nil)
-	last := len(out) - 1
-	for c := 0; c <= last; c += 2 {
-		c1 := min(c+1, last)
-		out[c], out[c1] = m.tab.scorePair(v, c, c1)
-	}
-}
-
 // observeBlock implements blockClassifier.
 func (m *MultinomialNB) observeBlock(cm *ConfusionMatrix, h *Holdout, _ *Evaluator, lo, hi int) {
 	dim := len(m.featCount[0])
@@ -437,17 +427,6 @@ func (m *GaussianNB) predict(x []float64) int {
 		}
 	}
 	return bestC
-}
-
-// logJoint writes the unnormalized log posterior of every class into out.
-func (m *GaussianNB) logJoint(v FeatureVector, out []float64) {
-	m.refresh()
-	x := denseOf(v)
-	last := len(out) - 1
-	for c := 0; c <= last; c += 2 {
-		c1 := min(c+1, last)
-		out[c], out[c1] = m.sumPair(x, c, c1, true)
-	}
 }
 
 // PredictClass implements Classifier.

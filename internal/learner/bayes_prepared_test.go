@@ -17,6 +17,29 @@ import (
 // drives a real model and its reference through the same calls and
 // compares class scores bit for bit.
 
+// logJoint writes the live model's unnormalized log posterior of every
+// class into out, read from its prepared tables.
+func (m *MultinomialNB) logJoint(v FeatureVector, out []float64) {
+	m.prepare(nil)
+	last := len(out) - 1
+	for c := 0; c <= last; c += 2 {
+		c1 := min(c+1, last)
+		out[c], out[c1] = m.tab.scorePair(v, c, c1)
+	}
+}
+
+// logJoint writes the live model's unnormalized log posterior of every
+// class into out, read from its refreshed moment tables.
+func (m *GaussianNB) logJoint(v FeatureVector, out []float64) {
+	m.refresh()
+	x := denseOf(v)
+	last := len(out) - 1
+	for c := 0; c <= last; c += 2 {
+		c1 := min(c+1, last)
+		out[c], out[c1] = m.sumPair(x, c, c1, true)
+	}
+}
+
 type refModel interface {
 	PartialFit(ex Example)
 	logJoint(v FeatureVector, out []float64)

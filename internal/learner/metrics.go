@@ -137,9 +137,6 @@ func (m *RegressionMetrics) Observe(target, pred float64) {
 	m.m2Y += delta * (target - m.meanY)
 }
 
-// N returns the number of observations.
-func (m *RegressionMetrics) N() int { return m.n }
-
 // RMSE returns the root-mean-squared error, or 0 when empty.
 func (m *RegressionMetrics) RMSE() float64 {
 	if m.n == 0 {

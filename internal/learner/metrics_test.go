@@ -107,8 +107,8 @@ func TestRegressionMetrics(t *testing.T) {
 	m.Observe(1, 2) // err 1
 	m.Observe(3, 1) // err -2
 	m.Observe(5, 5) // err 0
-	if m.N() != 3 {
-		t.Fatalf("N = %d", m.N())
+	if m.n != 3 {
+		t.Fatalf("n = %d", m.n)
 	}
 	wantRMSE := math.Sqrt(5.0 / 3.0)
 	if math.Abs(m.RMSE()-wantRMSE) > 1e-12 {

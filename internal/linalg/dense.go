@@ -71,9 +71,6 @@ func Scale(alpha float64, x []float64) {
 // Add computes y += x in place. It panics on length mismatch.
 func Add(x, y []float64) { Axpy(1, x, y) }
 
-// Sub computes y -= x in place. It panics on length mismatch.
-func Sub(x, y []float64) { Axpy(-1, x, y) }
-
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 {
 	s := 0.0
@@ -138,38 +135,6 @@ func ArgMax(x []float64) int {
 		}
 	}
 	return best
-}
-
-// ArgMin returns the index of the smallest element, breaking ties toward
-// the lower index. It panics on an empty slice.
-func ArgMin(x []float64) int {
-	if len(x) == 0 {
-		panic("linalg: ArgMin on empty slice")
-	}
-	best := 0
-	for i := 1; i < len(x); i++ {
-		if x[i] < x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Sum returns the sum of the elements of x.
-func Sum(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
 }
 
 // Normalize scales x in place to unit Euclidean norm. A zero vector is left

@@ -39,10 +39,6 @@ func TestAddSub(t *testing.T) {
 	if y[0] != 6 || y[1] != 7 {
 		t.Fatalf("Add gave %v", y)
 	}
-	Sub([]float64{1, 2}, y)
-	if y[0] != 5 || y[1] != 5 {
-		t.Fatalf("Sub gave %v", y)
-	}
 }
 
 func TestNorms(t *testing.T) {
@@ -68,7 +64,7 @@ func TestSqDistMatchesDefinition(t *testing.T) {
 		d := SqDist(a[:], b[:])
 		diff := make([]float64, 8)
 		copy(diff, a[:])
-		Sub(b[:], diff)
+		Axpy(-1, b[:], diff)
 		n := Norm2(diff)
 		return math.Abs(d-n*n) < 1e-6*(1+d)
 	}, cfg); err != nil {
@@ -81,11 +77,7 @@ func TestArgMaxMin(t *testing.T) {
 	if ArgMax(x) != 1 {
 		t.Fatalf("ArgMax tie-break wrong: %d", ArgMax(x))
 	}
-	if ArgMin(x) != 3 {
-		t.Fatalf("ArgMin = %d", ArgMin(x))
-	}
 	mustPanic(t, func() { ArgMax(nil) })
-	mustPanic(t, func() { ArgMin(nil) })
 }
 
 func TestNormalize(t *testing.T) {
@@ -114,14 +106,8 @@ func TestCloneZeroScaleMeanSum(t *testing.T) {
 	if x[2] != 6 {
 		t.Fatalf("Scale gave %v", x)
 	}
-	if Sum(x) != 12 || !almostEq(Mean(x), 4) {
-		t.Fatalf("Sum/Mean wrong: %v %v", Sum(x), Mean(x))
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
 	Zero(x)
-	if Sum(x) != 0 {
+	if x[0] != 0 || x[1] != 0 || x[2] != 0 {
 		t.Fatal("Zero failed")
 	}
 }

@@ -129,20 +129,3 @@ func (s *Sparse) DotDense(d []float64) float64 {
 	}
 	return sum
 }
-
-// Scale returns a new Sparse equal to alpha * s. Scaling by zero returns an
-// empty vector of the same dimension.
-func (s *Sparse) Scale(alpha float64) *Sparse {
-	if alpha == 0 {
-		return &Sparse{Dim: s.Dim}
-	}
-	out := &Sparse{
-		Idx: append([]int(nil), s.Idx...),
-		Val: make([]float64, len(s.Val)),
-		Dim: s.Dim,
-	}
-	for k, v := range s.Val {
-		out.Val[k] = alpha * v
-	}
-	return out
-}

@@ -92,21 +92,6 @@ func TestSparseDotsAgree(t *testing.T) {
 	}
 }
 
-func TestSparseScale(t *testing.T) {
-	s := NewSparse(4, []int{1, 2}, []float64{3, 4})
-	sc := s.Scale(2)
-	if sc.At(1) != 6 || sc.At(2) != 8 {
-		t.Fatalf("Scale wrong: %v", sc.Val)
-	}
-	if s.At(1) != 3 {
-		t.Fatal("Scale mutated receiver")
-	}
-	z := s.Scale(0)
-	if z.NNZ() != 0 || z.Dim != 4 {
-		t.Fatalf("Scale(0) should be empty with same dim: nnz=%d dim=%d", z.NNZ(), z.Dim)
-	}
-}
-
 func TestSparseDimMismatchPanics(t *testing.T) {
 	a := NewSparse(3, []int{0}, []float64{1})
 	mustPanic(t, func() { a.DotDense([]float64{1, 2}) })

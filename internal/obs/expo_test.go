@@ -17,7 +17,7 @@ func scrape(t *testing.T, r *Registry) string {
 func TestPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("runs_started", "Runs accepted for execution.").Add(3)
-	r.Gauge("queue_depth", "Queued runs.").Set(2)
+	r.GaugeFunc("queue_depth", "Queued runs.", func() int64 { return 2 })
 	h := r.HistogramL("phase_seconds", "Per-phase wall time.", "phase", "extract", []float64{0.001, 0.1})
 	h.Observe(0.0005)
 	h.Observe(0.05)
@@ -102,7 +102,7 @@ func TestFlatHistogramProjection(t *testing.T) {
 func TestEveryNameInBothExpositions(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", "")
-	r.Gauge("g", "")
+	r.GaugeL("g", "", "shard", "0")
 	r.GaugeFunc("gf", "", func() int64 { return 1 })
 	r.Histogram("h_seconds", "", []float64{1})
 	r.HistogramL("hl_seconds", "", "phase", "x", []float64{1})

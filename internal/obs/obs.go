@@ -36,16 +36,13 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is a value that can move in both directions.
+// Gauge is a value that can move in both directions: Set replaces it.
 type Gauge struct {
 	v atomic.Int64
 }
 
 // Set stores the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
@@ -155,15 +152,10 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return m.counter
 }
 
-// Gauge declares (or returns the existing) settable gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	m := r.declare(&metric{name: name, help: help, kind: kindGauge, gauge: &Gauge{}})
-	return m.gauge
-}
-
-// GaugeL is Gauge with one constant label, e.g. shard="0" — the same
-// labeling rule HistogramL follows: series sharing a name must share the
-// label key, and the flat-JSON exposition folds the value into the key.
+// GaugeL declares (or returns the existing) settable gauge with one
+// constant label, e.g. shard="0" — the same labeling rule HistogramL
+// follows: series sharing a name must share the label key, and the
+// flat-JSON exposition folds the value into the key.
 func (r *Registry) GaugeL(name, help, labelKey, labelValue string) *Gauge {
 	m := r.declare(&metric{
 		name: name, help: help, kind: kindGauge,

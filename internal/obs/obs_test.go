@@ -14,16 +14,15 @@ func TestCounterAndGauge(t *testing.T) {
 	if c.Load() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Load())
 	}
-	g := r.Gauge("depth", "queue depth")
-	g.Set(7)
-	g.Add(-2)
+	g := r.GaugeL("depth", "queue depth", "queue", "runs")
+	g.Set(5)
 	if g.Load() != 5 {
 		t.Fatalf("gauge = %d, want 5", g.Load())
 	}
 	r.GaugeFunc("sampled", "sampled gauge", func() int64 { return 42 })
 
 	flat := r.FlatSnapshot()
-	if flat["reqs"] != 5 || flat["depth"] != 5 || flat["sampled"] != 42 {
+	if flat["reqs"] != 5 || flat["depth_runs"] != 5 || flat["sampled"] != 42 {
 		t.Fatalf("flat snapshot: %v", flat)
 	}
 }
@@ -57,7 +56,7 @@ func TestKindClashPanics(t *testing.T) {
 			t.Fatal("redeclaring a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("x", "")
+	r.GaugeFunc("x", "", func() int64 { return 0 })
 }
 
 func TestConcurrentUpdates(t *testing.T) {

@@ -83,12 +83,6 @@ func NewSession(name string, task *featurepipe.Task, groups *index.Groups, cfg C
 	return &Session{name: name, cfg: cfg, task: task, groups: groups}, nil
 }
 
-// Name returns the session's name.
-func (s *Session) Name() string { return s.name }
-
-// Versions returns the submitted versions in order.
-func (s *Session) Versions() []*Version { return append([]*Version(nil), s.versions...) }
-
 // Submit runs one recipe version: it diffs the recipe against the
 // previous version, warm-starts the bandit from the previous version's
 // arm statistics (Config.Decay > 0), runs the engine, and records the

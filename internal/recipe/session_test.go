@@ -231,8 +231,8 @@ func TestSessionSkipsVersionsWithoutVerdict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(s.Versions()) != 2 {
-			t.Fatalf("session recorded %d versions, want 2", len(s.Versions()))
+		if len(s.versions) != 2 {
+			t.Fatalf("session recorded %d versions, want 2", len(s.versions))
 		}
 		return v
 	}

@@ -149,13 +149,6 @@ func (s *Store) JournalBytes() int64 { return s.j.Size() }
 // JournalRecords returns the number of entries in the journal.
 func (s *Store) JournalRecords() int { return s.j.Records() }
 
-// Seq returns the last assigned sequence number.
-func (s *Store) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
 // Close closes the journal. Every Append is already on disk, so there is
 // nothing to flush.
 func (s *Store) Close() error {

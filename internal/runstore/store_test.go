@@ -55,8 +55,8 @@ func TestStoreJournalOnlyRecovery(t *testing.T) {
 	if got := strings.Join(m2.items, ","); got != "a,b,c" {
 		t.Fatalf("recovered %q, want a,b,c", got)
 	}
-	if s2.Seq() != 3 {
-		t.Fatalf("Seq = %d, want 3", s2.Seq())
+	if s2.seq != 3 {
+		t.Fatalf("Seq = %d, want 3", s2.seq)
 	}
 }
 
@@ -112,14 +112,14 @@ func TestStoreSnapshotPlusJournalRecovery(t *testing.T) {
 		t.Fatalf("recovered %q, want a,b,c", got)
 	}
 	// Sequence numbers continue past the snapshot across restarts.
-	if s2.Seq() != 3 {
-		t.Fatalf("Seq = %d, want 3", s2.Seq())
+	if s2.seq != 3 {
+		t.Fatalf("Seq = %d, want 3", s2.seq)
 	}
 	if err := s2.Append([]byte("d")); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Seq() != 4 {
-		t.Fatalf("Seq after append = %d, want 4", s2.Seq())
+	if s2.seq != 4 {
+		t.Fatalf("Seq after append = %d, want 4", s2.seq)
 	}
 }
 
@@ -138,8 +138,8 @@ func TestStoreCrashBetweenRenameAndReset(t *testing.T) {
 	if got := strings.Join(m2.items, ","); got != "a,b" {
 		t.Fatalf("recovered %q, want a,b (no double-apply)", got)
 	}
-	if s2.Seq() != 2 {
-		t.Fatalf("Seq = %d, want 2", s2.Seq())
+	if s2.seq != 2 {
+		t.Fatalf("Seq = %d, want 2", s2.seq)
 	}
 }
 
@@ -163,8 +163,8 @@ func TestStoreReplayEquivalence(t *testing.T) {
 	if a, b := strings.Join(m1.items, ","), strings.Join(m2.items, ","); a != b {
 		t.Fatalf("snapshot+journal state %q != journal-only state %q", a, b)
 	}
-	if s1.Seq() != s2.Seq() {
-		t.Fatalf("Seq diverged: %d vs %d", s1.Seq(), s2.Seq())
+	if s1.seq != s2.seq {
+		t.Fatalf("Seq diverged: %d vs %d", s1.seq, s2.seq)
 	}
 }
 

@@ -54,7 +54,7 @@ func runFixtureScript(t *testing.T, stateDir, corpus string) {
 	s1, _, _ := newDurableServer(t, stateDir, corpus, Config{})
 	traced := faulty
 	traced.Mode, traced.K, traced.Seed, traced.Trace = "zombie", 8, 3, true
-	r1, err := s1.Manager().Submit(traced)
+	r1, err := s1.manager.Submit(traced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +73,14 @@ func runFixtureScript(t *testing.T, stateDir, corpus string) {
 		t.Fatal(err)
 	}
 	s2, _, _ := newDurableServer(t, stateDir, corpus, Config{Faults: slow, Workers: 2})
-	r2, err := s2.Manager().Submit(faulty)
+	r2, err := s2.manager.Submit(faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info := awaitRun(t, s2, r2.ID); info.Quarantined == 0 {
 		t.Fatal("r2 quarantined nothing")
 	}
-	r3, err := s2.Manager().Submit(RunSpec{Corpus: "imgs", Task: "image", Mode: "zombie", K: 8, Seed: 3,
+	r3, err := s2.manager.Submit(RunSpec{Corpus: "imgs", Task: "image", Mode: "zombie", K: 8, Seed: 3,
 		MaxInputs: 100, EvalEvery: 10, Faults: "extract:lat=3ms", FaultSeed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -105,11 +105,11 @@ func runFixtureScript(t *testing.T, stateDir, corpus string) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	// Both workers are busy, so r4 queues behind r3 and version 2.
-	r4, err := s2.Manager().Submit(RunSpec{Corpus: "imgs", Task: "image", MaxInputs: 1200, EvalEvery: 300})
+	r4, err := s2.manager.Submit(RunSpec{Corpus: "imgs", Task: "image", MaxInputs: 1200, EvalEvery: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info, err := s2.Manager().Cancel(r4.ID); err != nil || info.State != StateCancelled {
+	if info, err := s2.manager.Cancel(r4.ID); err != nil || info.State != StateCancelled {
 		t.Fatalf("cancel queued r4: %+v, %v", info, err)
 	}
 	time.Sleep(20 * time.Millisecond) // let version 2's start record reach the journal

@@ -39,11 +39,11 @@ func TestDistributedRunMatchesSingleProcess(t *testing.T) {
 	base := RunSpec{Corpus: "imgs", Task: "image", MaxInputs: 60, EvalEvery: 20, Seed: 5}
 	submit := func(spec RunSpec) *Run {
 		t.Helper()
-		run, err := coord.Manager().Submit(spec)
+		run, err := coord.manager.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-run.Done()
+		<-run.done
 		if st := run.State(); st != StateDone {
 			t.Fatalf("run %s ended %s: %s", run.ID, st, run.Info().Error)
 		}
@@ -93,7 +93,7 @@ func TestDefaultFaultsReachShards(t *testing.T) {
 	}
 	runs := make([]*core.RunResult, 2)
 	for i, shards := range []int{0, 2} {
-		run := submitAndWait(t, s.Manager(), RunSpec{Corpus: "imgs", Task: "image",
+		run := submitAndWait(t, s.manager, RunSpec{Corpus: "imgs", Task: "image",
 			MaxInputs: 300, EvalEvery: 50, Seed: 5, Shards: shards})
 		if st := run.State(); st != StateDone {
 			t.Fatalf("shards=%d: run ended %s: %s", shards, st, run.Info().Error)

@@ -84,10 +84,3 @@ func (c *IndexCache) Get(ctx context.Context, key IndexKey, build func() (*index
 	close(e.ready)
 	return e.groups, e.err
 }
-
-// Len returns the number of cached (or in-flight) entries.
-func (c *IndexCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

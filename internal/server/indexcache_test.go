@@ -50,8 +50,8 @@ func TestIndexCacheSingleflight(t *testing.T) {
 	if metrics.IndexBuilds.Load() != 1 || metrics.IndexCacheHits.Load() != callers-1 {
 		t.Fatalf("metrics: builds=%d hits=%d", metrics.IndexBuilds.Load(), metrics.IndexCacheHits.Load())
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", cache.Len())
+	if len(cache.entries) != 1 {
+		t.Fatalf("cache holds %d entries, want 1", len(cache.entries))
 	}
 }
 
@@ -82,7 +82,7 @@ func TestIndexCacheEvictsFailedBuild(t *testing.T) {
 	if _, err := cache.Get(context.Background(), key, func() (*index.Groups, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if cache.Len() != 0 {
+	if len(cache.entries) != 0 {
 		t.Fatal("failed build left a cache entry")
 	}
 	// The next request retries and can succeed.

@@ -96,7 +96,7 @@ func TestRunLifecycleAndDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-run.Done()
+	<-run.done
 	info := run.Info()
 	if info.State != StateDone {
 		t.Fatalf("state = %s (%s)", info.State, info.Error)
@@ -129,7 +129,7 @@ func TestCancelRunningRun(t *testing.T) {
 	if _, err := m.Cancel(run.ID); err != nil {
 		t.Fatal(err)
 	}
-	<-run.Done()
+	<-run.done
 	info := run.Info()
 	if info.State != StateCancelled || info.Stop != "cancelled" {
 		t.Fatalf("cancelled run info: %+v", info)
@@ -166,7 +166,7 @@ func TestCancelQueuedRun(t *testing.T) {
 		t.Fatalf("queued cancel: %+v", info)
 	}
 	select {
-	case <-queued.Done():
+	case <-queued.done:
 	default:
 		t.Fatal("queued-cancelled run should be terminal immediately")
 	}
@@ -183,7 +183,7 @@ func TestCancelQueuedRun(t *testing.T) {
 	if _, err := m.Cancel(blocker.ID); err != nil {
 		t.Fatal(err)
 	}
-	<-blocker.Done()
+	<-blocker.done
 }
 
 func TestQueueFullRejects(t *testing.T) {
@@ -246,7 +246,7 @@ func TestRunWallTimeMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-run.Done()
+	<-run.done
 	info := run.Info()
 	if info.State != StateDone {
 		t.Fatalf("state = %s (%s)", info.State, info.Error)

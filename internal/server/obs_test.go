@@ -41,7 +41,7 @@ func TestMetricsGoldenKeys(t *testing.T) {
 	}
 	prom := string(promBody)
 
-	names := s.Obs().Names()
+	names := s.obs.Names()
 	if len(names) == 0 {
 		t.Fatal("registry is empty")
 	}

@@ -50,12 +50,12 @@ func shutdown(t *testing.T, s *Server, wait time.Duration) {
 // awaitRun blocks until the run is terminal and asserts it ended done.
 func awaitRun(t *testing.T, s *Server, id string) RunInfo {
 	t.Helper()
-	run, ok := s.Manager().Get(id)
+	run, ok := s.manager.Get(id)
 	if !ok {
 		t.Fatalf("run %s missing", id)
 	}
 	select {
-	case <-run.Done():
+	case <-run.done:
 	case <-time.After(60 * time.Second):
 		t.Fatalf("run %s did not finish", id)
 	}
@@ -85,7 +85,7 @@ func TestRestartAfterKillResumesRun(t *testing.T) {
 	if runs != 0 || versions != 0 {
 		t.Fatalf("fresh state dir recovered %d runs, %d versions", runs, versions)
 	}
-	victim, err := s1.Manager().Submit(spec)
+	victim, err := s1.manager.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +109,17 @@ func TestRestartAfterKillResumesRun(t *testing.T) {
 	if recovered.Recovered != 1 {
 		t.Fatalf("recovered count = %d, want 1", recovered.Recovered)
 	}
-	if got := s2.Obs().FlatSnapshot()["runs_recovered"]; got != 1 {
+	if got := s2.obs.FlatSnapshot()["runs_recovered"]; got != 1 {
 		t.Fatalf("runs_recovered metric = %d, want 1", got)
 	}
 
 	// The recovered curve is byte-identical to an uninterrupted run.
-	reference, err := s2.Manager().Submit(spec)
+	reference, err := s2.manager.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refInfo := awaitRun(t, s2, reference.ID)
-	recoveredRun, _ := s2.Manager().Get(victim.ID)
+	recoveredRun, _ := s2.manager.Get(victim.ID)
 	if !reflect.DeepEqual(recoveredRun.Curve(), reference.Curve()) {
 		t.Fatalf("recovered curve diverged from uninterrupted run:\n%v\nvs\n%v",
 			recoveredRun.Curve(), reference.Curve())
@@ -141,7 +141,7 @@ func TestGracefulRestartPreservesHistory(t *testing.T) {
 		MaxInputs: 60, EvalEvery: 20, Trace: true}
 
 	s1, _, _ := newDurableServer(t, state, corpus, Config{})
-	first, err := s1.Manager().Submit(spec)
+	first, err := s1.manager.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestGracefulRestartPreservesHistory(t *testing.T) {
 	if runs != 0 || versions != 0 {
 		t.Fatalf("graceful restart re-queued %d runs, %d versions, want none", runs, versions)
 	}
-	restored, ok := s2.Manager().Get(first.ID)
+	restored, ok := s2.manager.Get(first.ID)
 	if !ok {
 		t.Fatalf("run %s lost across restart", first.ID)
 	}
@@ -169,13 +169,13 @@ func TestGracefulRestartPreservesHistory(t *testing.T) {
 		t.Fatalf("restored summary diverged:\n%+v\nvs\n%+v", info, done)
 	}
 	select {
-	case <-restored.Done():
+	case <-restored.done:
 	default:
 		t.Fatal("restored terminal run's Done channel is open")
 	}
 
 	// IDs continue after the highest persisted one instead of colliding.
-	second, err := s2.Manager().Submit(spec)
+	second, err := s2.manager.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestSessionRestartWarmStartsFromPersistedArms(t *testing.T) {
 	if versions != 1 {
 		t.Fatalf("recovered %d versions, want 1", versions)
 	}
-	if got := s3.Obs().FlatSnapshot()["versions_recovered"]; got != 1 {
+	if got := s3.obs.FlatSnapshot()["versions_recovered"]; got != 1 {
 		t.Fatalf("versions_recovered metric = %d, want 1", got)
 	}
 	ts3 := httptest.NewServer(s3.Handler())
@@ -284,7 +284,7 @@ func TestJournalErrorsDemoteToMemory(t *testing.T) {
 	}
 
 	s1, _, _ := newDurableServer(t, state, corpus, Config{Faults: inj})
-	run, err := s1.Manager().Submit(RunSpec{Corpus: "imgs", Task: "image", Mode: "zombie",
+	run, err := s1.manager.Submit(RunSpec{Corpus: "imgs", Task: "image", Mode: "zombie",
 		K: 8, Seed: 3, MaxInputs: 40, EvalEvery: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestJournalErrorsDemoteToMemory(t *testing.T) {
 	if !ds.Demoted() {
 		t.Fatal("store not demoted after persistent journal failures")
 	}
-	snap := s1.Obs().FlatSnapshot()
+	snap := s1.obs.FlatSnapshot()
 	if snap["journal_errors"] < journalErrorLimit {
 		t.Fatalf("journal_errors = %d, want >= %d", snap["journal_errors"], journalErrorLimit)
 	}
@@ -309,7 +309,7 @@ func TestJournalErrorsDemoteToMemory(t *testing.T) {
 	if runs != 0 || versions != 0 {
 		t.Fatalf("demoted store left recoverable state: %d runs, %d versions", runs, versions)
 	}
-	if _, ok := s2.Manager().Get(run.ID); ok {
+	if _, ok := s2.manager.Get(run.ID); ok {
 		t.Fatal("demoted store persisted the run anyway")
 	}
 }
@@ -376,7 +376,7 @@ func TestEventsAndTraceReadTheRecord(t *testing.T) {
 	submit := func(spec RunSpec) *Run {
 		t.Helper()
 		spec.Corpus, spec.Task, spec.Trace = "imgs", "image", true
-		run, err := s.Manager().Submit(spec)
+		run, err := s.manager.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,16 +384,16 @@ func TestEventsAndTraceReadTheRecord(t *testing.T) {
 	}
 	liveDone := submit(RunSpec{K: 8, MaxInputs: 40, EvalEvery: 20})
 	liveFailed := submit(RunSpec{K: 4, MaxInputs: 40, Faults: "index.build:err=1", FaultSeed: 3}) // K=4: not the cached index
-	<-liveDone.Done()
-	<-liveFailed.Done()
+	<-liveDone.done
+	<-liveFailed.done
 	blocker := submit(RunSpec{K: 8, MaxInputs: 100, Faults: "extract:lat=3ms"})
 	cancelledQueued := submit(RunSpec{K: 8, MaxInputs: 40})
 	for _, id := range []string{cancelledQueued.ID, blocker.ID} {
-		if _, err := s.Manager().Cancel(id); err != nil {
+		if _, err := s.manager.Cancel(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	<-blocker.Done()
+	<-blocker.done
 
 	cases := []struct {
 		name, id   string

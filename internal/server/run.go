@@ -368,9 +368,6 @@ func (r *Run) Result() *core.RunResult {
 	return r.result
 }
 
-// Done returns a channel closed when the run reaches a terminal state.
-func (r *Run) Done() <-chan struct{} { return r.done }
-
 // appendEvent records a step event into the trace ring and fans it out to
 // subscribers. It is the engine's Config.Event bridge, wired only for
 // traced runs, and must not block (see transition's point case).

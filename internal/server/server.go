@@ -265,15 +265,9 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// Obs returns the server's telemetry registry (tests and embedders).
-func (s *Server) Obs() *obs.Registry { return s.obs }
-
 // Registry exposes the corpus registry so embedders (cmd/zombie-serve)
 // can preregister corpora from flags.
 func (s *Server) Registry() *Registry { return s.registry }
-
-// Manager exposes the run manager (tests and embedders).
-func (s *Server) Manager() *Manager { return s.manager }
 
 // Recover re-queues runs and session versions that the state directory
 // shows were interrupted (queued or running) when the previous process

@@ -296,11 +296,11 @@ func TestIndexSharedAcrossConcurrentRuns(t *testing.T) {
 		ids = append(ids, info.ID)
 	}
 	for _, id := range ids {
-		run, ok := s.Manager().Get(id)
+		run, ok := s.manager.Get(id)
 		if !ok {
 			t.Fatalf("run %s missing", id)
 		}
-		<-run.Done()
+		<-run.done
 		if st := run.State(); st != StateDone {
 			t.Fatalf("run %s state = %s (%s)", id, st, run.Info().Error)
 		}
@@ -317,7 +317,7 @@ func TestIndexSharedAcrossConcurrentRuns(t *testing.T) {
 	// mutated by concurrent runs.
 	var q []float64
 	for _, id := range ids {
-		run, _ := s.Manager().Get(id)
+		run, _ := s.manager.Get(id)
 		q = append(q, run.Result().FinalQuality)
 	}
 	if q[0] != q[1] || q[1] != q[2] {
@@ -382,11 +382,11 @@ func TestExtractionCacheSharedAcrossRuns(t *testing.T) {
 
 	spec := RunSpec{Corpus: "imgs", Task: "image", Mode: "scan-sequential", MaxInputs: 80, EvalEvery: 40}
 	await := func(id string) RunInfo {
-		run, ok := s.Manager().Get(id)
+		run, ok := s.manager.Get(id)
 		if !ok {
 			t.Fatalf("run %s missing", id)
 		}
-		<-run.Done()
+		<-run.done
 		if st := run.State(); st != StateDone {
 			t.Fatalf("run %s state = %s (%s)", id, st, run.Info().Error)
 		}

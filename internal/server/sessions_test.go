@@ -342,7 +342,7 @@ func TestRunsAndVersionsShareOnePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := s.Manager().Submit(RunSpec{Corpus: "imgs", Task: "image", K: 8, Seed: 3, MaxInputs: 60, EvalEvery: 20})
+	run, err := s.manager.Submit(RunSpec{Corpus: "imgs", Task: "image", K: 8, Seed: 3, MaxInputs: 60, EvalEvery: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,11 +432,11 @@ func TestVersionIsARun(t *testing.T) {
 				t.Fatal(err)
 			}
 			submitVersion(t, s, sess, imageRecipeSpec(2))
-			v1, ok := s.Manager().Get(sess.ID + ".v1")
+			v1, ok := s.manager.Get(sess.ID + ".v1")
 			if !ok {
 				t.Fatalf("version 1 is not run %s.v1", sess.ID)
 			}
-			<-v1.Done()
+			<-v1.done
 			info := decodeBody[RunInfo](t, mustGet(t, ts.URL+"/runs/"+v1.ID), http.StatusOK)
 			if info.State != tc.state || info.TimedOut != tc.timeout || !strings.Contains(info.Error, tc.err) || info.Stop == "" {
 				t.Fatalf("version run: %+v", info)
@@ -499,7 +499,7 @@ func TestVersionBuildsOnLatestDone(t *testing.T) {
 		t.Helper()
 		submitVersion(t, s, sess, imageRecipeSpec(mid))
 		ver := len(sess.Info().Versions)
-		v, _ := s.Manager().Get(versionRunID(sess.ID, ver))
+		v, _ := s.manager.Get(versionRunID(sess.ID, ver))
 		deadline := time.Now().Add(30 * time.Second)
 		for len(v.Curve()) == 0 {
 			if time.Now().After(deadline) {
@@ -507,10 +507,10 @@ func TestVersionBuildsOnLatestDone(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		if info, err := s.Manager().Cancel(v.ID); err != nil || info.State != StateRunning {
+		if info, err := s.manager.Cancel(v.ID); err != nil || info.State != StateRunning {
 			t.Fatalf("cancel running version %d: %+v, %v", ver, info, err)
 		}
-		if <-v.Done(); v.State() != StateCancelled {
+		if <-v.done; v.State() != StateCancelled {
 			t.Fatalf("version %d is %s, want cancelled", ver, v.State())
 		}
 	}

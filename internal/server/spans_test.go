@@ -60,11 +60,11 @@ func TestRunSpansEndpoint(t *testing.T) {
 		Seed: 3, Batch: 4, DistWorkers: []string{w1.URL, w2.URL}}
 	submit := func(spec RunSpec) *Run {
 		t.Helper()
-		run, err := coord.Manager().Submit(spec)
+		run, err := coord.manager.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-run.Done()
+		<-run.done
 		if st := run.State(); st != StateDone {
 			t.Fatalf("run %s ended %s: %s", run.ID, st, run.Info().Error)
 		}
@@ -135,7 +135,7 @@ func TestRunSpansSingleProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-run.Done()
+		<-run.done
 		if st := run.State(); st != StateDone {
 			t.Fatalf("run ended %s: %s", st, run.Info().Error)
 		}
@@ -183,11 +183,11 @@ func TestProcessSpansEndpoint(t *testing.T) {
 	if _, err := s.Registry().Add("imgs", writeImageCorpus(t, 60, 4), false); err != nil {
 		t.Fatal(err)
 	}
-	run, err := s.Manager().Submit(RunSpec{Corpus: "imgs", Task: "image", MaxInputs: 10})
+	run, err := s.manager.Submit(RunSpec{Corpus: "imgs", Task: "image", MaxInputs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-run.Done()
+	<-run.done
 
 	resp := mustGet(t, ts.URL+"/spans")
 	body := decodeBody[spanTreeJSON](t, resp, http.StatusOK)

@@ -500,16 +500,6 @@ func (ds *DurableStore) journalErrorLocked(err error) {
 	}
 }
 
-// freeze is a test hook simulating a hard kill (kill -9) from this
-// process's point of view: every subsequent journal append is dropped,
-// leaving the on-disk state exactly as the "crash" found it. Tests then open a second store over
-// the same directory, which is precisely what a restarted process does.
-func (ds *DurableStore) freeze() {
-	ds.mu.Lock()
-	ds.frozen = true
-	ds.mu.Unlock()
-}
-
 // JournalBytes / JournalRecords / Demoted expose the journal's state for
 // metrics gauges.
 func (ds *DurableStore) JournalBytes() int64 { return ds.store.JournalBytes() }

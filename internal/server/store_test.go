@@ -17,6 +17,16 @@ import (
 	"zombie/internal/runstore"
 )
 
+// freeze is a test hook simulating a hard kill (kill -9) from this
+// process's point of view: every subsequent journal append is dropped,
+// leaving the on-disk state exactly as the "crash" found it. Tests then open a second store over
+// the same directory, which is precisely what a restarted process does.
+func (ds *DurableStore) freeze() {
+	ds.mu.Lock()
+	ds.frozen = true
+	ds.mu.Unlock()
+}
+
 // TestReducerSequences drives the lifecycle reducers through every legal
 // and illegal record sequence the server can produce, twice: against a
 // bare persistState, and through a DurableStore that is killed (where the

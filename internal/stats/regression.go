@@ -1,76 +1,39 @@
+// Package stats provides the streaming statistics the Zombie inner loop
+// reads: a fixed-size sliding window (the windowed bandit estimators) and
+// the early-stopping plateau detector, which regresses the recent quality
+// curve against step number.
+//
+// All types are plain values with no goroutine-safety guarantees; callers
+// that share them across goroutines must synchronize externally. The
+// Zombie inner loop is single-threaded by design (the paper's system
+// processes one input at a time so reward attribution stays exact), so
+// this is the common case.
 package stats
 
 import "math"
 
-// OLS holds the result of a simple ordinary-least-squares fit y = a + b*x.
-type OLS struct {
-	Intercept float64
-	Slope     float64
-	R2        float64
-	N         int
-}
-
-// FitOLS fits y = a + b*x by least squares. It returns a zero-slope fit
-// when fewer than two points are supplied or x is constant.
-func FitOLS(x, y []float64) OLS {
-	if len(x) != len(y) {
-		panic("stats: FitOLS length mismatch")
-	}
-	n := len(x)
+// slope fits the stored values, oldest first, against their index 0..n-1
+// by least squares and returns the slope (0 with fewer than two values).
+// The sums run in index order, so the result does not depend on where
+// the ring buffer starts.
+func (w *Window) slope() float64 {
+	n := w.count
 	if n < 2 {
-		fit := OLS{N: n}
-		if n == 1 {
-			fit.Intercept = y[0]
-		}
-		return fit
+		return 0
 	}
-	mx, my := mean(x), mean(y)
-	sxx, sxy, syy := 0.0, 0.0, 0.0
-	for i := range x {
-		dx := x[i] - mx
-		dy := y[i] - my
+	mx := float64(n-1) / 2 // the mean of 0..n-1, exact in float64
+	my := 0.0
+	for i := 0; i < n; i++ {
+		my += w.at(i)
+	}
+	my /= float64(n)
+	sxx, sxy := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		dx := float64(i) - mx
 		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
+		sxy += dx * (w.at(i) - my)
 	}
-	if sxx == 0 {
-		return OLS{Intercept: my, N: n}
-	}
-	b := sxy / sxx
-	a := my - b*mx
-	r2 := 0.0
-	if syy > 0 {
-		r2 = (sxy * sxy) / (sxx * syy)
-	} else {
-		r2 = 1 // perfectly flat series is perfectly explained
-	}
-	return OLS{Intercept: a, Slope: b, R2: r2, N: n}
-}
-
-// SlopeOverIndex fits y against its own index 0..n-1 and returns the slope.
-// This is the primitive the plateau detector uses: the recent quality
-// series is regressed against step number; a slope near zero means the
-// learning curve has flattened.
-func SlopeOverIndex(y []float64) float64 {
-	if len(y) < 2 {
-		return 0
-	}
-	x := make([]float64, len(y))
-	for i := range x {
-		x[i] = float64(i)
-	}
-	return FitOLS(x, y).Slope
-}
-
-func mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
+	return sxy / sxx
 }
 
 // PlateauDetector watches a quality series and reports when it has
@@ -84,7 +47,6 @@ type PlateauDetector struct {
 	threshold float64
 	patience  int
 	hits      int
-	checks    int
 }
 
 // NewPlateauDetector returns a detector over a window of the given size.
@@ -109,12 +71,11 @@ func NewPlateauDetector(window int, threshold float64, patience int) *PlateauDet
 // plateau verdict (equivalent to calling Plateaued after).
 func (p *PlateauDetector) Observe(quality float64) bool {
 	p.win.Add(quality)
-	p.checks++
 	if !p.win.Full() {
 		p.hits = 0
 		return false
 	}
-	if math.Abs(SlopeOverIndex(p.win.Values())) < p.threshold {
+	if math.Abs(p.win.slope()) < p.threshold {
 		p.hits++
 	} else {
 		p.hits = 0
@@ -125,12 +86,3 @@ func (p *PlateauDetector) Observe(quality float64) bool {
 // Plateaued reports whether the series has been flat for at least
 // `patience` consecutive full-window checks.
 func (p *PlateauDetector) Plateaued() bool { return p.hits >= p.patience }
-
-// Slope returns the OLS slope over the current window contents (0 until at
-// least two samples arrive).
-func (p *PlateauDetector) Slope() float64 {
-	return SlopeOverIndex(p.win.Values())
-}
-
-// Observations returns the number of samples observed so far.
-func (p *PlateauDetector) Observations() int { return p.checks }

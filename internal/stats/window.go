@@ -1,7 +1,7 @@
 package stats
 
 // Window is a fixed-capacity sliding window over a float64 stream with O(1)
-// amortized mean/sum queries. The bandit layer uses windows to keep arm
+// amortized mean queries. The bandit layer uses windows to keep arm
 // reward estimates responsive when rewards are nonstationary (a group's
 // marginal usefulness decays as the learner saturates on it), and the
 // early-stopping detector uses one to hold the recent quality curve.
@@ -57,19 +57,8 @@ func (w *Window) at(i int) float64 {
 // Len returns the number of stored values.
 func (w *Window) Len() int { return w.count }
 
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
 // Full reports whether the window has reached capacity.
 func (w *Window) Full() bool { return w.count == len(w.buf) }
-
-// Sum returns the sum of the stored values.
-func (w *Window) Sum() float64 {
-	if w.count == 0 {
-		return 0
-	}
-	return w.sum
-}
 
 // Mean returns the mean of the stored values, or 0 when empty.
 func (w *Window) Mean() float64 {
@@ -86,20 +75,4 @@ func (w *Window) Values() []float64 {
 		out[i] = w.at(i)
 	}
 	return out
-}
-
-// Last returns the newest value. It panics when empty.
-func (w *Window) Last() float64 {
-	if w.count == 0 {
-		panic("stats: Last on empty Window")
-	}
-	return w.at(w.count - 1)
-}
-
-// First returns the oldest value. It panics when empty.
-func (w *Window) First() float64 {
-	if w.count == 0 {
-		panic("stats: First on empty Window")
-	}
-	return w.at(0)
 }

@@ -78,9 +78,6 @@ func (s *Series) AddPoint(x, y float64) {
 	s.Y = append(s.Y, y)
 }
 
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
 // WriteSeriesCSV renders multiple series long-form: series,x,y.
 func WriteSeriesCSV(w io.Writer, series ...*Series) error {
 	if _, err := fmt.Fprintln(w, "series,x,y"); err != nil {

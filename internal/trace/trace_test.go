@@ -84,8 +84,8 @@ func TestSeries(t *testing.T) {
 	s := &Series{Name: "zombie"}
 	s.AddPoint(0, 0.1)
 	s.AddPoint(25, 0.4)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.X) != 2 {
+		t.Fatalf("len(X) = %d", len(s.X))
 	}
 	var buf bytes.Buffer
 	if err := WriteSeriesCSV(&buf, s, &Series{Name: "scan", X: []float64{0}, Y: []float64{0.1}}); err != nil {
