@@ -233,8 +233,12 @@ func TestConfigRejectsBadFailureFrac(t *testing.T) {
 	if _, err := New(Config{MaxFailureFrac: 1.5}); err == nil {
 		t.Fatal("MaxFailureFrac > 1 accepted")
 	}
-	// NaN slips past both the default (NaN <= 0 is false) and the > 1
-	// check, and would silently disable the budget.
+	// A negative budget is an error, not the default: only 0 means that.
+	if _, err := New(Config{MaxFailureFrac: -0.25}); err == nil {
+		t.Fatal("MaxFailureFrac -0.25 accepted")
+	}
+	// NaN slips past the default (NaN == 0 is false) and both range
+	// comparisons, and would silently disable the budget.
 	if _, err := New(Config{MaxFailureFrac: math.NaN()}); err == nil {
 		t.Fatal("MaxFailureFrac NaN accepted")
 	}

@@ -195,10 +195,10 @@ type Config struct {
 	// degrades to Stop = StopFailed with its partial results. Quarantined
 	// inputs below the budget cost one record each and the run continues —
 	// a messy corpus must not kill a run the serving layer promised to a
-	// client. Default 0.5; 1 disables the budget (quarantine everything,
-	// never degrade). The budget is only evaluated after a 20-step grace
-	// period so one early failure cannot trip a fraction computed over a
-	// handful of steps.
+	// client. 0 means the default, 0.5, and a negative value is an error;
+	// 1 disables the budget (quarantine everything, never degrade). The
+	// budget is only evaluated after a 20-step grace period so one early
+	// failure cannot trip a fraction computed over a handful of steps.
 	MaxFailureFrac float64
 	// Faults, when non-nil, injects seeded deterministic failures at the
 	// engine's fault sites (fault.SiteExtract keyed by input ID,
@@ -257,7 +257,7 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
 	}
-	if c.MaxFailureFrac <= 0 {
+	if c.MaxFailureFrac == 0 {
 		c.MaxFailureFrac = 0.5
 	}
 	c.EarlyStop = c.EarlyStop.withDefaults()
@@ -286,7 +286,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MaxSimTime < 0 {
 		return nil, fmt.Errorf("core: MaxSimTime must be >= 0, got %v", cfg.MaxSimTime)
 	}
-	if cfg.MaxFailureFrac != cfg.MaxFailureFrac || cfg.MaxFailureFrac > 1 {
+	if cfg.MaxFailureFrac != cfg.MaxFailureFrac || cfg.MaxFailureFrac <= 0 || cfg.MaxFailureFrac > 1 {
 		return nil, fmt.Errorf("core: MaxFailureFrac must be in (0,1], got %v", cfg.MaxFailureFrac)
 	}
 	if cfg.WarmStartDecay != cfg.WarmStartDecay || cfg.WarmStartDecay < 0 || cfg.WarmStartDecay > 1 {
