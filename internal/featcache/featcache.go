@@ -49,9 +49,6 @@ type Config struct {
 	// Eviction is LRU per shard once the shard's slice of the budget is
 	// exceeded.
 	MaxBytes int64
-	// Shards is the number of independent LRU shards (default 16; keys are
-	// spread by FNV-1a hash).
-	Shards int
 	// Dir, when non-empty, enables the disk segment store in that
 	// directory. Entries evicted from memory remain on disk and reload on
 	// the next request.
@@ -73,12 +70,14 @@ type Config struct {
 	Tracer *otrace.Tracer
 }
 
+// numShards is the number of independent LRU shards; keys are spread by
+// FNV-1a hash, and each shard gets an equal share of MaxBytes (at least
+// one byte).
+const numShards = 16
+
 func (c Config) withDefaults() Config {
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = 64 << 20
-	}
-	if c.Shards <= 0 {
-		c.Shards = 16
 	}
 	return c
 }
@@ -193,11 +192,11 @@ func Open(cfg Config, codec Codec) (*Cache, error) {
 	cfg = cfg.withDefaults()
 	c := &Cache{
 		codec:  codec,
-		shards: make([]*shard, cfg.Shards),
+		shards: make([]*shard, numShards),
 		faults: cfg.Faults,
 		tracer: cfg.Tracer,
 	}
-	per := cfg.MaxBytes / int64(cfg.Shards)
+	per := cfg.MaxBytes / numShards
 	if per < 1 {
 		per = 1
 	}

@@ -180,10 +180,23 @@ func TestComputePanicBeforeWaiterArrives(t *testing.T) {
 	}
 }
 
+// shardMates returns n input IDs other than id whose keys under fp land
+// in id's shard.
+func shardMates(fp, id string, n int) []string {
+	want := memKey{fp, id}.shard(numShards)
+	var ids []string
+	for i := 0; len(ids) < n; i++ {
+		if m := fmt.Sprintf("%s-%d", id, i); (memKey{fp, m}).shard(numShards) == want {
+			ids = append(ids, m)
+		}
+	}
+	return ids
+}
+
 func TestLRUEviction(t *testing.T) {
-	// One shard, tiny budget: inserting values of ~1KB each must evict the
-	// least recently used, never the newest.
-	c := mustOpen(t, Config{Shards: 1, MaxBytes: 3 * 1200})
+	// Tiny budget, keys in one shard: inserting values of ~1KB each must
+	// evict the least recently used, never the newest.
+	c := mustOpen(t, Config{MaxBytes: numShards * 3 * 1200})
 	val := strings.Repeat("x", 1000)
 	get := func(id string) bool {
 		_, hit, err := c.GetOrCompute("fp", id, func() (any, error) { return val, nil })
@@ -192,20 +205,22 @@ func TestLRUEviction(t *testing.T) {
 		}
 		return hit
 	}
-	get("a")
-	get("b")
-	get("c")
-	if !get("a") { // refresh a
+	a, mates := "a", shardMates("fp", "a", 3)
+	b, cc, d := mates[0], mates[1], mates[2]
+	get(a)
+	get(b)
+	get(cc)
+	if !get(a) { // refresh a
 		t.Fatal("a should still be resident")
 	}
-	get("d") // evicts b (LRU)
+	get(d) // evicts b (LRU)
 	if got := c.Stats().Evictions; got == 0 {
 		t.Fatalf("expected evictions, got %d", got)
 	}
-	if get("b") {
+	if get(b) {
 		t.Fatal("b should have been evicted")
 	}
-	if !get("a") {
+	if !get(a) {
 		t.Fatal("recently used a should survive")
 	}
 }

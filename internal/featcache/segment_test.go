@@ -351,8 +351,8 @@ func TestRottedValueIsRecomputed(t *testing.T) {
 	}
 	warm.Close()
 
-	// One shard one byte large: every insert evicts the resident entry.
-	c := mustOpen(t, Config{Dir: dir, MaxBytes: 1, Shards: 1})
+	// Every shard one byte large: every insert evicts the resident entry.
+	c := mustOpen(t, Config{Dir: dir, MaxBytes: 1})
 	defer c.Close()
 	path := filepath.Join(dir, segmentFile)
 	b, err := os.ReadFile(path)
@@ -377,8 +377,8 @@ func TestRottedValueIsRecomputed(t *testing.T) {
 	if v, _, ok, err := c.disk.Get(Key("fp", "k")); err != nil || !ok || string(v) != "stored value" {
 		t.Fatalf("recompute not re-persisted: %q ok=%v err=%v", v, ok, err)
 	}
-	for i := 0; i < diskErrorLimit; i++ {
-		other := fmt.Sprintf("other-%d", i)
+	// Each read follows an insert into k's shard, which evicts k.
+	for i, other := range shardMates("fp", "k", diskErrorLimit) {
 		if _, _, err := c.GetOrCompute("fp", other, func() (any, error) { return other, nil }); err != nil {
 			t.Fatal(err)
 		}

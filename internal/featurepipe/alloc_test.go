@@ -86,14 +86,17 @@ func TestHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A one-shard cache one byte large holds a single entry, so cycling
-	// over the pages misses on every call, and each miss's insert evicts
-	// the last one's: the maps keep one entry and never grow.
-	tiny, err := featcache.Open(featcache.Config{MaxBytes: 1, Shards: 1}, ResultCodec{})
+	// A cache one byte large holds one entry per shard, and each miss's
+	// insert evicts its shard's last one: the maps never grow. The row
+	// checks its counters read one miss per call.
+	tiny, err := featcache.Open(featcache.Config{MaxBytes: 1}, ResultCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	missing := Cached(wiki, tiny, &CacheCounters{})
+	var missCalls int64
+	missCounters := &CacheCounters{}
+	missing := Cached(wiki, tiny, missCounters)
+	missOnce := extractWith(missing, pages)
 	songResult, err := song.Extract(songs[0])
 	if err != nil || !songResult.Produced || songResult.Example.Features.IsSparse() {
 		t.Fatalf("dense fixture: produced=%v err=%v", songResult.Produced, err)
@@ -107,7 +110,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{"wiki-v4 Extract, nothing produced", 0, extract(background)},
 		{"cached wiki-v4 Extract, hit", 0, extractWith(warm(wiki), pages)},
 		{"cached 3-part composite Extract, every part a hit", 3, extractWith(warm(composite), pages)},
-		{"cached wiki-v4 Extract, memory-only miss", 6, extractWith(missing, pages)},
+		{"cached wiki-v4 Extract, memory-only miss", 6, func() { missCalls++; missOnce() }},
 		{"ResultCodec.Encode, dense songs result", 2, func() { ResultCodec{}.Encode(songResult) }},
 		{"Holdout.Quality MultinomialNB", 0, func() { wikiHoldout.Quality(mnb) }},
 		{"Holdout.Quality GaussianNB", 0, func() { songHoldout.Quality(gnb) }},
@@ -116,7 +119,7 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs per call, want %v", c.name, got, c.want)
 		}
 	}
-	if st := tiny.Stats(); st.Hits != 0 {
-		t.Errorf("the one-entry cache served %d hits, want every call a miss", st.Hits)
+	if hits, misses := missCounters.Hits.Load(), missCounters.Misses.Load(); hits != 0 || misses != missCalls {
+		t.Errorf("the miss row read %d hits and %d misses over %d calls, want a miss per call", hits, misses, missCalls)
 	}
 }

@@ -56,8 +56,9 @@ func BenchmarkHoldoutBuild(b *testing.B) {
 // of feature code, for wiki v4 and a three-part wiki composite (the
 // session workload's first recipe): a hit, served from memory, and a
 // memory-only miss, which runs the feature code and makes the result
-// resident. The miss cache is one shard one byte large, so it holds a
-// single entry and every extraction over the cycling inputs misses.
+// resident. The miss cache is one byte large, so each of its shards holds
+// a single entry, and with the 256 cycling inputs spread over every
+// shard each extraction misses.
 func BenchmarkCachedExtract(b *testing.B) {
 	ins := wikiInputs(b, 256, 904)
 	composite, err := NewCompositeFeature("combo", NewWikiFeature(2), NewWikiFeature(4), NewWikiFeature(5))
@@ -77,7 +78,7 @@ func BenchmarkCachedExtract(b *testing.B) {
 			cfg  featcache.Config
 		}{
 			{"hit", featcache.Config{}},
-			{"miss", featcache.Config{MaxBytes: 1, Shards: 1}},
+			{"miss", featcache.Config{MaxBytes: 1}},
 		} {
 			cf := Cached(f, open(c.cfg), &CacheCounters{})
 			for _, in := range ins {
